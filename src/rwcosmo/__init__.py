@@ -18,7 +18,6 @@ from .model import (
     StateDeriv,
     rhs,
     constraint_residual,
-    field_energy,
     derived,
     scale_factor,
 )

@@ -316,9 +316,9 @@ def cmd_simulate(config_path: str) -> int:
     if traj.guard_tripped:
         trip = next(e for e in traj.events if e.kind == "GuardTripped")
         _err(f"guard tripped at t = {trip.t:.6g} ({trip.detail}); partial "
-             f"trajectory ({len(traj.samples)} samples) written to {out_dir}")
+             f"trajectory ({len(traj.t)} samples) written to {out_dir}")
         return EXIT_INTEGRATOR
-    print(f"wrote {len(traj.samples)} samples to {out_dir}")
+    print(f"wrote {len(traj.t)} samples to {out_dir}")
     return EXIT_OK
 
 
@@ -480,7 +480,7 @@ def cmd_report(traj_dir: str, out: Optional[str] = None) -> int:
              f"phi0 = {traj.initial.phi0:g}, chi0 = {traj.initial.chi0:g}, "
              f"rho0 = {traj.initial.rho0:g}",
              f"mode = {traj.config.mode}, t_end = {traj.config.t_end:g}, "
-             f"samples = {len(traj.samples)}",
+             f"samples = {len(traj.t)}",
              f"nu = {report.nu:.9g}" if report.nu is not None else "nu = undefined",
              f"L_hat = {report.L_hat:.9g}, H_inf_hat = {report.H_inf_hat:.9g}, "
              f"C0_hat = {report.C0_hat:.9g}",

@@ -157,7 +157,7 @@ def _monotone_eps(traj: Trajectory, tol: Tolerances) -> float:
 
 
 def _require_samples(traj: Trajectory) -> dict[str, np.ndarray]:
-    if not traj.samples:
+    if traj.t.size == 0:
         raise ValueError("trajectory has no samples")
     return traj.as_arrays()
 

@@ -28,7 +28,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Literal, Optional
 
-from .model import EIGHT_PI, FOUR_PI, CosmoState, ModelParams, constraint_residual, _require_finite
+from .model import (EIGHT_PI, FOUR_PI, CosmoState, ModelParams, constraint_residual,
+                    derived_terms, _require_finite)
 
 Branch = Literal["expanding", "contracting"]
 
@@ -118,8 +119,8 @@ def solve_u0(params: ModelParams, phi0: float, chi0: float, rho0: float,
         raise ValueError(f"chi0 must be >= 0, got {chi0!r}")
     if rho0 < 0.0:
         raise ValueError(f"rho0 must be >= 0, got {rho0!r}")
-    energy = 0.5 * chi0 * chi0 + 0.5 * params.mass_sq * phi0 * phi0 + rho0
-    radicand = (params.lam + EIGHT_PI * energy) / 3.0
+    # C(u) = 3u**2 + C(0), so u0**2 = -C(0)/3; "0.0 -" keeps a zero radicand +0.0.
+    radicand = 0.0 - derived_terms(0.0, phi0, chi0, rho0, params).constraint / 3.0
     if radicand < 0.0:
         raise NoRealBranch(
             f"initial constraint has no real solution: lam + 8*pi*(T00 + rho0) = "
@@ -139,8 +140,9 @@ def solve_rho0(params: ModelParams, phi0: float, chi0: float, u0: float) -> floa
     :class:`NegativeDensity` when the constraint forces rho0 < 0.
     """
     _require_finite(phi0=phi0, chi0=chi0, u0=u0)
-    t00 = 0.5 * chi0 * chi0 + 0.5 * params.mass_sq * phi0 * phi0
-    rho0 = (3.0 * u0 * u0 - params.lam) / EIGHT_PI - t00
+    # C = C_vacuum - 8*pi*(T00 + rho) vanishes at rho0 = C_vacuum/(8*pi) - T00.
+    vacuum = derived_terms(u0, 0.0, 0.0, 0.0, params).constraint
+    rho0 = vacuum / EIGHT_PI - derived_terms(u0, phi0, chi0, 0.0, params).T00
     if rho0 < 0.0:
         raise NegativeDensity(
             f"constraint forces rho0 = {rho0!r} < 0 for u0 = {u0!r}")
@@ -174,7 +176,7 @@ def initial_constraint_residual(params: ModelParams, data: InitialData) -> float
 
 def constraint_scale(params: ModelParams, data: InitialData) -> float:
     """Natural magnitude against which the initial residual is compared."""
-    t00 = 0.5 * data.chi0 * data.chi0 + 0.5 * params.mass_sq * data.phi0 * data.phi0
+    t00 = derived_terms(data.u0, data.phi0, data.chi0, data.rho0, params).T00
     return 1.0 + abs(params.lam) + EIGHT_PI * (t00 + data.rho0)
 
 

@@ -36,16 +36,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .initial import InitialData, constraint_scale, initial_constraint_residual, build_state, validate_theorem1
-from .model import CosmoState, DerivedQuantities, ModelParams, _rhs_terms, derived
+from .model import CosmoState, ModelParams, _rhs_terms, derived_terms
 
 #: Column order shared by Trajectory.as_arrays() and the trajectory CSV.
 TRAJECTORY_COLUMNS = ("t", "u", "v", "a", "phi", "chi", "psi", "rho",
                       "H", "T00", "Q", "constraint")
+#: Column order of Trajectory.states.
+STATE_COLUMNS = ("u", "v", "phi", "chi", "rho")
 
 FIELD_FROZEN = "FieldFrozen"
 CHI_ZERO_CROSSING = "ChiZeroCrossing"
@@ -131,40 +134,49 @@ class IntegrationStats:
     rhs_evaluations: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Sampled solution plus integrator metadata and event log.
 
-    Samples sit on the uniform grid k*sample_dt, k = 0, 1, ...; the first
-    sample is the initial state.  In paper mode every sample after a
-    ``FieldFrozen`` event has chi exactly 0.  Immutable once returned.
+    ``t`` holds the sample times and ``states`` the matching (n, 5) rows of
+    (u, v, phi, chi, rho); both are private read-only copies.  Samples sit on
+    the uniform grid k*sample_dt, k = 0, 1, ...; the first sample is the
+    initial state.  In paper mode every sample after a ``FieldFrozen`` event
+    has chi exactly 0.  Immutable once returned; equality is identity.
     """
 
     params: ModelParams
     initial: InitialData
     config: IntegratorConfig
-    samples: tuple[tuple[CosmoState, DerivedQuantities], ...]
+    t: np.ndarray
+    states: np.ndarray
     events: tuple[Event, ...]
     stats: IntegrationStats
 
+    def __post_init__(self) -> None:
+        t = np.array(self.t, dtype=float)
+        states = np.array(self.states, dtype=float).reshape(t.size, 5)
+        t.flags.writeable = states.flags.writeable = False
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "states", states)
+
     def as_arrays(self) -> dict[str, np.ndarray]:
-        """Sample columns as numpy arrays, keyed per TRAJECTORY_COLUMNS."""
-        n = len(self.samples)
-        out = {name: np.empty(n) for name in TRAJECTORY_COLUMNS}
-        for i, (s, d) in enumerate(self.samples):
-            out["t"][i] = s.t
-            out["u"][i] = s.u
-            out["v"][i] = s.v
-            out["a"][i] = s.a
-            out["phi"][i] = s.phi
-            out["chi"][i] = s.chi
-            out["psi"][i] = s.psi
-            out["rho"][i] = s.rho
-            out["H"][i] = d.H
-            out["T00"][i] = d.T00
-            out["Q"][i] = d.Q
-            out["constraint"][i] = d.constraint
-        return out
+        """Sample columns as read-only numpy arrays, keyed per TRAJECTORY_COLUMNS."""
+        return dict(self._columns)
+
+    @cached_property
+    def _columns(self) -> dict[str, np.ndarray]:
+        u, v, phi, chi, rho = (np.ascontiguousarray(c) for c in self.states.T)
+        # numpy's vectorized power can differ from the scalar one in the last
+        # bit; the scalar pow keeps a equal to scale_factor(state).
+        a = np.fromiter((x ** -0.5 for x in v.tolist()), float, v.size)
+        d = derived_terms(u, phi, chi, rho, self.params)
+        cols = {"t": self.t, "u": u, "v": v, "a": a, "phi": phi, "chi": chi,
+                "psi": 0.5 * chi * chi, "rho": rho, "H": d.H, "T00": d.T00,
+                "Q": d.Q, "constraint": d.constraint}
+        for col in cols.values():
+            col.flags.writeable = False
+        return cols
 
     @property
     def guard_tripped(self) -> bool:
@@ -178,23 +190,26 @@ def _deriv(y: np.ndarray, lam: float, mass_sq: float, frozen: bool) -> np.ndarra
     return np.array([du, dv, dphi, dchi, drho])
 
 
-def _eval_stages(y: np.ndarray, h: float, lam: float, mass_sq: float,
-                 frozen: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One trial step: returns (y_new, error_vector, stage_matrix)."""
+def _trial_step(y: np.ndarray, h: float, params: ModelParams,
+                config: IntegratorConfig, frozen: bool) -> tuple[np.ndarray, float, np.ndarray]:
+    """One trial step: (y_new, weighted RMS error norm, stages).
+
+    The norm is infinite when y_new is not finite.
+    """
+    lam, mass_sq = params.lam, params.mass_sq
     k = np.empty((7, 5))
     k[0] = _deriv(y, lam, mass_sq, frozen)
     for i in range(1, 6):
         k[i] = _deriv(y + h * (_A[i] @ k[:i]), lam, mass_sq, frozen)
     y1 = y + h * (_A[6] @ k[:6])
     k[6] = _deriv(y1, lam, mass_sq, frozen)
-    return y1, h * (_E @ k), k
-
-
-def _error_norm(y0: np.ndarray, y1: np.ndarray, err: np.ndarray,
-                rel_tol: float, abs_tol: float) -> float:
-    ymax = np.maximum(np.abs(y0), np.abs(y1))
-    scale = np.where(_RELATIVE, rel_tol * ymax + _TINY, abs_tol + rel_tol * ymax)
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+    if not np.all(np.isfinite(y1)):
+        return y1, math.inf, k
+    err = h * (_E @ k)
+    ymax = np.maximum(np.abs(y), np.abs(y1))
+    scale = np.where(_RELATIVE, config.rel_tol * ymax + _TINY,
+                     config.abs_tol + config.rel_tol * ymax)
+    return y1, float(np.sqrt(np.mean((err / scale) ** 2))), k
 
 
 def _step_factor(norm: float) -> float:
@@ -220,11 +235,11 @@ class _DenseSegment:
         return r0 + theta * (r1 + sigma * (r2 + theta * (r3 + sigma * r4)))
 
 
-def _is_frozen_state(state: CosmoState, params: ModelParams, mode: str) -> bool:
+def _is_frozen_state(y: np.ndarray, params: ModelParams, mode: str) -> bool:
     # chi == 0 exactly only happens on the clamped continuation (or at a
     # degenerate start); the clamp applies when the field equation would
     # otherwise push chi negative.
-    return mode == "paper" and state.chi == 0.0 and params.mass_sq * state.phi >= 0.0
+    return mode == "paper" and y[3] == 0.0 and params.mass_sq * y[2] >= 0.0
 
 
 def step(state: CosmoState, params: ModelParams, h: float,
@@ -239,11 +254,10 @@ def step(state: CosmoState, params: ModelParams, h: float,
     if not (config.h_min <= h <= config.h_max):
         raise ValueError(f"h = {h!r} outside [h_min, h_max] = "
                          f"[{config.h_min!r}, {config.h_max!r}]")
-    frozen = _is_frozen_state(state, params, config.mode)
     y = np.array([state.u, state.v, state.phi, state.chi, state.rho])
-    y1, err, _ = _eval_stages(y, h, params.lam, params.mass_sq, frozen)
-    norm = _error_norm(y, y1, err, config.rel_tol, config.abs_tol)
-    new_state = CosmoState(state.t + h, *(float(c) for c in y1))
+    frozen = _is_frozen_state(y, params, config.mode)
+    y1, norm, _ = _trial_step(y, h, params, config, frozen)
+    new_state = CosmoState(state.t + h, *y1.tolist())
     return new_state, norm, h * _step_factor(norm)
 
 
@@ -308,31 +322,24 @@ def integrate(initial: InitialData, params: ModelParams,
             f"initial data violate the Hamiltonian constraint (residual {resid!r}); "
             "construct them with make_initial_data/initial_data_from_u0")
 
-    lam = params.lam
-    mass_sq = params.mass_sq
     dt = config.sample_dt
     k_last = int(math.floor(config.t_end / dt + 1e-9))
 
     state0 = build_state(initial)
-    samples: list[tuple[CosmoState, DerivedQuantities]] = [(state0, derived(state0, params))]
+    times: list[float] = [0.0]
+    rows: list[list[float]] = [[state0.u, state0.v, state0.phi, state0.chi, state0.rho]]
     events: list[Event] = []
     accepted = rejected = nevals = 0
 
-    y = np.array([state0.u, state0.v, state0.phi, state0.chi, state0.rho])
+    y = np.array(rows[0])
     t = 0.0
-    frozen = False
-    if y[3] == 0.0 and mass_sq * y[2] > 0.0:
+    frozen = _is_frozen_state(y, params, config.mode)
+    if y[3] == 0.0 and params.mass_sq * y[2] > 0.0:
         # The field equation would pull chi negative right away.
-        if config.mode == "paper":
-            frozen = True
-            events.append(Event(0.0, FIELD_FROZEN, "initial field velocity is zero"))
-        else:
-            events.append(Event(0.0, CHI_ZERO_CROSSING, "initial field velocity is zero"))
-    elif config.mode == "paper" and y[3] == 0.0:
-        frozen = True  # chi = 0 is already stationary here; no event.
+        events.append(Event(0.0, FIELD_FROZEN if frozen else CHI_ZERO_CROSSING,
+                            "initial field velocity is zero"))
 
     k_next = 1
-    aborted = False
     rho_clamp = min(config.abs_tol, 1e-10)
 
     def emit(dense: _DenseSegment, t_hi: float, y_end: Optional[np.ndarray]) -> Optional[str]:
@@ -344,33 +351,27 @@ def integrate(initial: InitialData, params: ModelParams,
                 break
             theta = (t_k - dense.t0) / dense.h
             if y_end is not None and theta >= 1.0 - 1e-12:
-                ys = y_end
+                row = y_end.tolist()
             else:
-                ys = dense(theta)
+                row = dense(theta).tolist()
             t_sample = config.t_end if k_next == k_last and abs(t_k - config.t_end) <= 1e-9 * dt else t_k
-            rho = float(ys[4])
-            if -rho_clamp < rho < 0.0:
-                rho = 0.0  # interpolation jitter on a vanishing tail
-            try:
-                s = CosmoState(t=t_sample, u=float(ys[0]), v=float(ys[1]),
-                               phi=float(ys[2]), chi=float(ys[3]), rho=rho)
-            except ValueError as exc:
-                return f"sample at t = {t_sample:.6g} violated state invariants: {exc}"
-            samples.append((s, derived(s, params)))
+            if -rho_clamp < row[4] < 0.0:
+                row[4] = 0.0  # interpolation jitter on a vanishing tail
+            if not (all(map(math.isfinite, row)) and row[1] > 0.0 and row[4] >= 0.0):
+                return (f"sample at t = {t_sample:.6g} violated state invariants "
+                        f"(finite, v > 0, rho >= 0): {row}")
+            times.append(t_sample)
+            rows.append(row)
             k_next += 1
         return None
 
     h = config.h_init
-    while t < config.t_end and not aborted:
+    while t < config.t_end:
         remaining = config.t_end - t
         h_trial = min(h, remaining)
         end_limited = h_trial < h
-        y1, err, k = _eval_stages(y, h_trial, lam, mass_sq, frozen)
+        y1, norm, k = _trial_step(y, h_trial, params, config, frozen)
         nevals += 7
-        if np.all(np.isfinite(y1)):
-            norm = _error_norm(y, y1, err, config.rel_tol, config.abs_tol)
-        else:
-            norm = math.inf
         if norm > 1.0:
             rejected += 1
             h = h_trial * _step_factor(norm)
@@ -390,7 +391,6 @@ def integrate(initial: InitialData, params: ModelParams,
                 detail = emit(dense, t_star, None)
                 if detail is not None:
                     events.append(Event(t_star, GUARD_TRIPPED, detail))
-                    aborted = True
                     break
                 y_star = dense(theta)
                 y_star[3] = 0.0
@@ -408,13 +408,11 @@ def integrate(initial: InitialData, params: ModelParams,
         guard = _guard_violation(y1, config)
         if guard is not None:
             events.append(Event(t1, GUARD_TRIPPED, guard))
-            aborted = True
             break
 
         detail = emit(dense, t1, y1)
         if detail is not None:
             events.append(Event(t1, GUARD_TRIPPED, detail))
-            aborted = True
             break
 
         t, y = t1, y1
@@ -424,7 +422,8 @@ def integrate(initial: InitialData, params: ModelParams,
         params=params,
         initial=initial,
         config=config,
-        samples=tuple(samples),
+        t=times,
+        states=rows,
         events=tuple(events),
         stats=IntegrationStats(steps_accepted=accepted, steps_rejected=rejected,
                                rhs_evaluations=nevals),

@@ -102,7 +102,7 @@ class CosmoState:
 
 @dataclass(frozen=True)
 class DerivedQuantities:
-    """Algebraic functionals of a state.
+    """Algebraic functionals of a state, or columns of them along a trajectory.
 
     H          -- mean curvature 3*u
     T00        -- field energy psi + m**2 phi**2 / 2
@@ -146,29 +146,33 @@ def rhs(state: CosmoState, params: ModelParams) -> StateDeriv:
                                   state.rho, params.lam, params.mass_sq))
 
 
-def field_energy(state: CosmoState, params: ModelParams) -> float:
-    """Scalar-field energy density T00 = chi**2/2 + m**2 phi**2 / 2."""
-    return 0.5 * state.chi * state.chi + 0.5 * params.mass_sq * state.phi * state.phi
+def derived_terms(u, phi, chi, rho, params: ModelParams) -> DerivedQuantities:
+    """H, T00, Q and the constraint residual of the components (u, phi, chi, rho).
+
+    The one formula for each quantity.  It runs elementwise on floats and on
+    numpy arrays alike, with the same operations in the same order, so a
+    column computed from arrays equals the per-state values bit for bit.
+
+    The residual C = 3u**2 - lam - 8*pi*(T00 + rho) vanishes exactly on
+    solutions of the constrained system; along the numerical flow it obeys
+    dC/dt = -3*u*C, so for expanding data (u > 0) the integrator's local
+    errors are damped rather than amplified.
+    """
+    t00 = 0.5 * chi * chi + 0.5 * params.mass_sq * phi * phi
+    h = 3.0 * u
+    q = h * h - TWENTY_FOUR_PI * t00 - 3.0 * params.lam
+    c = 3.0 * u * u - params.lam - EIGHT_PI * (t00 + rho)
+    return DerivedQuantities(H=h, T00=t00, Q=q, constraint=c)
 
 
 def constraint_residual(state: CosmoState, params: ModelParams) -> float:
-    """Residual C = 3u**2 - lam - 8*pi*(psi + m**2 phi**2/2 + rho).
-
-    C vanishes exactly on solutions of the constrained system; along the
-    numerical flow it obeys dC/dt = -3*u*C, so for expanding data (u > 0) the
-    integrator's local errors are damped rather than amplified.
-    """
-    t00 = field_energy(state, params)
-    return 3.0 * state.u * state.u - params.lam - EIGHT_PI * (t00 + state.rho)
+    """Residual of the Hamiltonian constraint at ``state`` (see derived_terms)."""
+    return derived(state, params).constraint
 
 
 def derived(state: CosmoState, params: ModelParams) -> DerivedQuantities:
     """All algebraic functionals of a state in one pass."""
-    t00 = field_energy(state, params)
-    h = 3.0 * state.u
-    q = h * h - TWENTY_FOUR_PI * t00 - 3.0 * params.lam
-    c = 3.0 * state.u * state.u - params.lam - EIGHT_PI * (t00 + state.rho)
-    return DerivedQuantities(H=h, T00=t00, Q=q, constraint=c)
+    return derived_terms(state.u, state.phi, state.chi, state.rho, params)
 
 
 def scale_factor(state: CosmoState) -> float:

@@ -14,19 +14,18 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Optional, Union
 
+import numpy as np
+
 from .diagnostics import VerificationReport
 from .initial import InitialData, validate_theorem1
-from .integrator import (TRAJECTORY_COLUMNS, Event, IntegrationStats,
-                         IntegratorConfig, Trajectory)
-from .model import CosmoState, DerivedQuantities, ModelParams
+from .integrator import (STATE_COLUMNS, TRAJECTORY_COLUMNS, Event,
+                         IntegrationStats, IntegratorConfig, Trajectory)
+from .model import ModelParams
 
 TRAJECTORY_CSV = "trajectory.csv"
-DERIVED_CSV = "derived.csv"
 EVENTS_JSON = "events.json"
 META_JSON = "meta.json"
 REPORT_JSON = "report.json"
-
-DERIVED_COLUMNS = ("t", "H", "T00", "Q", "constraint")
 
 
 class CorruptTrajectory(ValueError):
@@ -40,18 +39,9 @@ def fmt(x: float) -> str:
 
 def trajectory_csv_text(traj: Trajectory) -> str:
     cols = traj.as_arrays()
+    rows = zip(*(cols[name].tolist() for name in TRAJECTORY_COLUMNS))
     lines = [",".join(TRAJECTORY_COLUMNS)]
-    n = len(traj.samples)
-    for i in range(n):
-        lines.append(",".join(fmt(float(cols[c][i])) for c in TRAJECTORY_COLUMNS))
-    return "\n".join(lines) + "\n"
-
-
-def derived_csv_text(traj: Trajectory) -> str:
-    cols = traj.as_arrays()
-    lines = [",".join(DERIVED_COLUMNS)]
-    for i in range(len(traj.samples)):
-        lines.append(",".join(fmt(float(cols[c][i])) for c in DERIVED_COLUMNS))
+    lines += [",".join(map(fmt, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -88,7 +78,7 @@ def meta_json_text(traj: Trajectory, version: str) -> str:
             "steps_rejected": traj.stats.steps_rejected,
             "rhs_evaluations": traj.stats.rhs_evaluations,
         },
-        "n_samples": len(traj.samples),
+        "n_samples": len(traj.t),
         "guard_tripped": traj.guard_tripped,
     }
     return json.dumps(payload, indent=2) + "\n"
@@ -96,7 +86,7 @@ def meta_json_text(traj: Trajectory, version: str) -> str:
 
 def write_trajectory(directory: Union[str, Path], traj: Trajectory, version: str,
                      overwrite: bool = False) -> list[Path]:
-    """Write trajectory.csv, derived.csv, events.json and meta.json.
+    """Write trajectory.csv, events.json and meta.json.
 
     Refuses to clobber existing files unless ``overwrite`` is set.
     """
@@ -104,7 +94,6 @@ def write_trajectory(directory: Union[str, Path], traj: Trajectory, version: str
     directory.mkdir(parents=True, exist_ok=True)
     targets = {
         TRAJECTORY_CSV: trajectory_csv_text(traj),
-        DERIVED_CSV: derived_csv_text(traj),
         EVENTS_JSON: events_json_text(traj),
         META_JSON: meta_json_text(traj, version),
     }
@@ -122,23 +111,29 @@ def write_trajectory(directory: Union[str, Path], traj: Trajectory, version: str
     return written
 
 
-def _parse_csv(text: str, expected_header: tuple[str, ...], origin: str) -> list[list[float]]:
+def _parse_states(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """(t, states) columns of trajectory.csv text; derived columns are ignored."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
-        raise CorruptTrajectory(f"{origin}: empty file")
-    header = tuple(lines[0].split(","))
-    if header != expected_header:
-        raise CorruptTrajectory(f"{origin}: unexpected header {lines[0]!r}")
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(expected_header):
-            raise CorruptTrajectory(f"{origin}: malformed row {ln!r}")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise CorruptTrajectory(f"{origin}: {exc}") from exc
-    return rows
+        raise CorruptTrajectory(f"{TRAJECTORY_CSV}: empty file")
+    if tuple(lines[0].split(",")) != TRAJECTORY_COLUMNS:
+        raise CorruptTrajectory(f"{TRAJECTORY_CSV}: unexpected header {lines[0]!r}")
+    if len(lines) == 1:
+        raise CorruptTrajectory(f"{TRAJECTORY_CSV} holds no samples")
+    try:
+        table = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise CorruptTrajectory(f"{TRAJECTORY_CSV}: {exc}") from exc
+    if table.shape[1] != len(TRAJECTORY_COLUMNS):
+        raise CorruptTrajectory(f"{TRAJECTORY_CSV}: rows hold {table.shape[1]} values")
+    t = table[:, TRAJECTORY_COLUMNS.index("t")]
+    states = table[:, [TRAJECTORY_COLUMNS.index(c) for c in STATE_COLUMNS]]
+    bad = ~(np.isfinite(t) & np.isfinite(states).all(axis=1)
+            & (states[:, 1] > 0.0) & (states[:, 4] >= 0.0))
+    if bad.any():
+        raise CorruptTrajectory(f"{TRAJECTORY_CSV}: data row {int(np.argmax(bad)) + 1} is "
+                                "not a state (finite, v > 0, rho >= 0)")
+    return t, states
 
 
 def read_trajectory(directory: Union[str, Path]) -> Trajectory:
@@ -164,20 +159,7 @@ def read_trajectory(directory: Union[str, Path]) -> Trajectory:
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptTrajectory(f"invalid meta.json: {exc}") from exc
 
-    idx = {name: i for i, name in enumerate(TRAJECTORY_COLUMNS)}
-    samples = []
-    for row in _parse_csv(csv_text, TRAJECTORY_COLUMNS, TRAJECTORY_CSV):
-        try:
-            state = CosmoState(t=row[idx["t"]], u=row[idx["u"]], v=row[idx["v"]],
-                               phi=row[idx["phi"]], chi=row[idx["chi"]],
-                               rho=row[idx["rho"]])
-        except ValueError as exc:
-            raise CorruptTrajectory(f"invalid state row: {exc}") from exc
-        dq = DerivedQuantities(H=row[idx["H"]], T00=row[idx["T00"]],
-                               Q=row[idx["Q"]], constraint=row[idx["constraint"]])
-        samples.append((state, dq))
-    if not samples:
-        raise CorruptTrajectory("trajectory.csv holds no samples")
+    t, states = _parse_states(csv_text)
 
     try:
         events = tuple(Event(t=float(e["t"]), kind=str(e["kind"]),
@@ -192,7 +174,7 @@ def read_trajectory(directory: Union[str, Path]) -> Trajectory:
         rhs_evaluations=int(stats_raw.get("rhs_evaluations", 0)),
     )
     return Trajectory(params=params, initial=initial, config=config,
-                      samples=tuple(samples), events=events, stats=stats)
+                      t=t, states=states, events=events, stats=stats)
 
 
 def _fit_to_json(fit) -> Optional[dict]:

@@ -77,6 +77,15 @@ class SweepPlan:
             raise ValueError(f"grid size {self.size} exceeds cap {self.cap}")
         if self.branch not in ("expanding", "contracting"):
             raise ValueError(f"branch must be 'expanding' or 'contracting', got {self.branch!r}")
+        # ModelParams and InitialData would raise on these inside a row.
+        values = [(name, v) for name, vs in self.axes for v in vs]
+        for name, value in values + list(self.fixed) + [("a0", self.a0)]:
+            if not math.isfinite(value):
+                raise ValueError(f"{name} = {value!r} must be finite")
+            if name in ("mass", "chi0", "rho0") and value < 0.0:
+                raise ValueError(f"{name} = {value!r} must be >= 0")
+        if not self.a0 > 0.0:
+            raise ValueError(f"a0 = {self.a0!r} must be > 0")
 
     @property
     def size(self) -> int:

@@ -8,7 +8,7 @@ import pytest
 from rwcosmo.cli import (EXIT_CONFIG, EXIT_INADMISSIBLE, EXIT_INCONCLUSIVE,
                          EXIT_INTEGRATOR, EXIT_OK, EXIT_VERIFY_FAILED, main,
                          parse_run_config, serialize_run_config)
-from rwcosmo.serialize import read_trajectory
+from rwcosmo.serialize import read_trajectory, trajectory_csv_text
 
 from conftest import write_reference_config
 
@@ -26,7 +26,7 @@ def ref_run(tmp_path_factory):
 
 class TestSimulate:
     def test_reference_exit_zero_and_files(self, ref_run):
-        for name in ("trajectory.csv", "derived.csv", "events.json", "meta.json"):
+        for name in ("trajectory.csv", "events.json", "meta.json"):
             assert (ref_run / name).exists()
 
     def test_trajectory_header_exact(self, ref_run):
@@ -37,9 +37,19 @@ class TestSimulate:
         traj = read_trajectory(ref_run)
         lines = (ref_run / "trajectory.csv").read_text().splitlines()
         row1 = dict(zip(lines[0].split(","), lines[1].split(",")))
-        s0 = traj.samples[0][0]
-        assert float(row1["u"]) == s0.u
-        assert float(row1["psi"]) == s0.psi
+        cols = traj.as_arrays()
+        assert float(row1["u"]) == cols["u"][0]
+        assert float(row1["psi"]) == cols["psi"][0]
+
+    def test_reference_counters_and_csv_round_trip(self, ref_run, ref_trajectory):
+        """Pinned step counters of the reference run; reading trajectory.csv
+        back and writing it again reproduces its bytes."""
+        st = ref_trajectory.stats
+        assert (st.steps_accepted, st.steps_rejected, st.rhs_evaluations) == (1956, 0, 13692)
+        assert len(ref_trajectory.t) == 1001
+        text = (ref_run / "trajectory.csv").read_text()
+        assert trajectory_csv_text(read_trajectory(ref_run)) == text
+        assert trajectory_csv_text(ref_trajectory) == text
 
     def test_negative_a0_exits_1_without_files(self, tmp_path):
         out = tmp_path / "out"
@@ -159,6 +169,21 @@ class TestVerify:
     def test_missing_directory_exits_1(self):
         assert main(["verify", "no_such_dir"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("column,value", [
+        ("v", "0"), ("rho", "-1e-3"), ("u", "nan"), ("t", "inf"), ("chi", "x"),
+    ])
+    def test_invalid_state_value_exits_1(self, tmp_path, column, value):
+        cfg = write_reference_config(tmp_path / "c.ini", str(tmp_path / "out"),
+                                     **{"t_end = 10": "t_end = 0.1"})
+        assert main(["simulate", str(cfg)]) == EXIT_OK
+        path = tmp_path / "out" / "trajectory.csv"
+        lines = path.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[TRAJECTORY_HEADER.split(",").index(column)] = value
+        lines[3] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["verify", str(tmp_path / "out")]) == EXIT_CONFIG
+
     def test_corrupt_csv_exits_1(self, tmp_path):
         cfg = write_reference_config(tmp_path / "c.ini", str(tmp_path / "out"),
                                      **{"t_end = 10": "t_end = 0.1"})
@@ -221,6 +246,14 @@ overwrite = true
         plan.write_text(self.PLAN.format(values="1", out=tmp_path / "sw")
                         .replace("lambda =", "lambdaa ="))
         assert main(["sweep", str(plan)]) == EXIT_CONFIG
+
+    def test_out_of_range_axis_value_exits_1(self, tmp_path):
+        plan = tmp_path / "plan.ini"
+        plan.write_text(self.PLAN.format(values="1", out=tmp_path / "sw")
+                        .replace("lambda = 1\n", "lambda = 1\nmass = -1, 1\n")
+                        .replace("mass = 1\n", ""))
+        assert main(["sweep", str(plan)]) == EXIT_CONFIG
+        assert not (tmp_path / "sw").exists()
 
     def test_sidecar_holds_timings(self, tmp_path):
         plan = tmp_path / "plan.ini"

@@ -20,13 +20,12 @@ def make_fake_trajectory(u_values, params=None):
     """Hand-built trajectory with prescribed u samples (synthetic controls)."""
     params = params or ModelParams(lam=0.0, mass=0.0)
     initial = InitialData(a0=1.0, u0=float(u_values[0]), phi0=0.0, chi0=0.0, rho0=0.0)
-    samples = []
-    for i, u in enumerate(u_values):
-        s = CosmoState(t=0.01 * i, u=float(u), v=1.0, phi=0.0, chi=0.0, rho=0.0)
-        samples.append((s, derived(s, params)))
+    u = np.asarray(u_values, dtype=float)
+    zeros = np.zeros_like(u)
     return Trajectory(params=params, initial=initial, config=IntegratorConfig(),
-                      samples=tuple(samples), events=(),
-                      stats=IntegrationStats(0, 0, 0))
+                      t=0.01 * np.arange(u.size),
+                      states=np.column_stack([u, np.ones_like(u), zeros, zeros, zeros]),
+                      events=(), stats=IntegrationStats(0, 0, 0))
 
 
 class TestFitDecayRate:
@@ -115,7 +114,7 @@ class TestVerifyBounds:
 
     def test_empty_trajectory_rejected(self):
         traj = make_fake_trajectory([1.0])
-        empty = replace(traj, samples=())
+        empty = replace(traj, t=np.empty(0), states=np.empty((0, 5)))
         with pytest.raises(ValueError, match="no samples"):
             verify_bounds(empty)
 
@@ -177,7 +176,7 @@ class TestVerifyAsymptotics:
     def test_frozen_branch_closed_form_limit(self, ref_trajectory):
         """After freezing, H(t_end) matches sqrt(3 (lam + 4 pi m^2 phi_f^2))."""
         report = verify(ref_trajectory)
-        phi_f = ref_trajectory.samples[-1][0].phi
+        phi_f = float(ref_trajectory.as_arrays()["phi"][-1])
         target = math.sqrt(3.0 * (1.0 + 4.0 * math.pi * phi_f ** 2))
         assert abs(report.H_inf_hat - target) <= 1e-3 * target
         assert report.L_hat == phi_f ** 2

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rwcosmo import (CosmoState, InadmissibleInitialData, IntegratorConfig,
-                     ModelParams, StepSizeUnderflow, integrate,
+                     ModelParams, StepSizeUnderflow, build_state, integrate,
                      make_initial_data, step)
 from rwcosmo.diagnostics import cumulative_simpson
 from rwcosmo.integrator import FIELD_FROZEN, CHI_ZERO_CROSSING, GUARD_TRIPPED
@@ -96,10 +96,9 @@ class TestIntegrateReference:
         t = cols["t"]
         assert t[0] == 0.0
         assert np.all(np.diff(t) > 0.0)
-        assert len(ref_trajectory.samples) == 1001
+        assert len(ref_trajectory.t) == 1001
         assert t[-1] == REF_CONFIG.t_end
-        s0 = ref_trajectory.samples[0][0]
-        assert (s0.u, s0.phi, s0.chi, s0.rho) == (
+        assert (cols["u"][0], cols["phi"][0], cols["chi"][0], cols["rho"][0]) == (
             ref_initial.u0, ref_initial.phi0, ref_initial.chi0, ref_initial.rho0)
 
     def test_constraint_drift_within_budget(self, ref_trajectory):
@@ -151,8 +150,21 @@ class TestIntegrateReference:
 
     def test_determinism(self, ref_trajectory, ref_initial):
         again = integrate(ref_initial, REF_PARAMS, REF_CONFIG)
-        assert again.samples == ref_trajectory.samples
+        cols, ref_cols = again.as_arrays(), ref_trajectory.as_arrays()
+        for name in ref_cols:
+            assert cols[name].tobytes() == ref_cols[name].tobytes(), name
         assert again.events == ref_trajectory.events
+
+    def test_columns_read_only(self, ref_trajectory, truncated_trajectory):
+        """as_arrays hands out arrays that cannot write into the trajectory,
+        and comparing trajectories (by identity) never raises."""
+        cols = ref_trajectory.as_arrays()
+        for name in ("t", "u", "Q"):
+            with pytest.raises(ValueError):
+                cols[name][0] = 1.0
+        with pytest.raises(ValueError):
+            ref_trajectory.states[0, 0] = 1.0
+        assert ref_trajectory != truncated_trajectory
 
     def test_stats_populated(self, ref_trajectory):
         st = ref_trajectory.stats
@@ -211,7 +223,7 @@ class TestModesAndGuards:
         cfg = replace(REF_CONFIG, override_admissibility=True)
         traj = integrate(data, params, cfg)
         assert traj.guard_tripped
-        assert 0 < len(traj.samples) < 1001
+        assert 0 < len(traj.t) < 1001
         trip = [e for e in traj.events if e.kind == GUARD_TRIPPED][0]
         assert trip.t < cfg.t_end
 
@@ -234,6 +246,20 @@ class TestModesAndGuards:
         assert np.all(cols["chi"] == 0.0)
         assert np.all(cols["phi"] == 1.0)
 
+    def test_zero_chi0_pushed_up_is_not_frozen(self):
+        """chi0 = 0 with m^2 phi0 < 0: the field equation lifts chi, so
+        paper mode does not clamp it, and integrate's first step is step()'s."""
+        params = ModelParams(lam=1.0, mass=1.0)
+        data = make_initial_data(params, 1.0, -0.5, 0.0, 0.05, "expanding")
+        cfg = replace(REF_CONFIG, rel_tol=1e-8, abs_tol=1e-8, h_init=0.01,
+                      t_end=0.1, override_admissibility=True)
+        traj = integrate(data, params, cfg)
+        assert traj.events == ()
+        s1, _, _ = step(build_state(data), params, 0.01, cfg)
+        assert traj.t[1] == s1.t
+        assert tuple(traj.states[1]) == (s1.u, s1.v, s1.phi, s1.chi, s1.rho)
+        assert s1.chi > 0.0
+
     def test_underflow_on_hopeless_tolerance(self):
         """h_min close to h_max leaves no room to resolve the dynamics."""
         params = ModelParams(lam=1.0, mass=1.0)
@@ -250,11 +276,9 @@ class TestDenseOutputQuality:
         target = 0.34  # a grid time generic for the reference step sequence
         cfg = replace(REF_CONFIG, t_end=target, sample_dt=target)
         direct = integrate(ref_initial, REF_PARAMS, cfg)
-        s_direct = direct.samples[-1][0]
         cols = ref_trajectory.as_arrays()
         i = int(round(target / 0.01))
         assert cols["t"][i] == pytest.approx(target, abs=1e-12)
         np.testing.assert_allclose(
             [cols["u"][i], cols["v"][i], cols["phi"][i], cols["chi"][i], cols["rho"][i]],
-            [s_direct.u, s_direct.v, s_direct.phi, s_direct.chi, s_direct.rho],
-            rtol=1e-8, atol=1e-12)
+            direct.states[-1], rtol=1e-8, atol=1e-12)

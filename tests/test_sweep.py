@@ -50,6 +50,23 @@ class TestPlanValidation:
                       fixed=(("lambda", 1.0), ("mass", 1.0), ("phi0", 1.0),
                              ("chi0", 0.0), ("rho0", 0.0)))
 
+    @pytest.mark.parametrize("name,value", [
+        ("mass", -1.0), ("chi0", -0.1), ("rho0", -1.0), ("phi0", math.nan),
+        ("lambda", math.inf),
+    ])
+    def test_out_of_range_value_rejected(self, name, value):
+        fixed = {"lambda": 1.0, "mass": 1.0, "phi0": 1.0, "chi0": 0.1, "rho0": 0.05}
+        del fixed[name]
+        with pytest.raises(ValueError, match=name):
+            SweepPlan(axes=((name, (1.0, value)),), fixed=tuple(fixed.items()))
+
+    @pytest.mark.parametrize("a0", [0.0, -1.0, math.nan])
+    def test_bad_a0_rejected(self, a0):
+        with pytest.raises(ValueError, match="a0"):
+            SweepPlan(axes=(("lambda", (1.0,)),),
+                      fixed=(("mass", 1.0), ("phi0", 1.0), ("chi0", 0.0),
+                             ("rho0", 0.0)), a0=a0)
+
 
 class TestRunSweep:
     def test_degenerate_grid_matches_direct_run(self):
