@@ -26,14 +26,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .diagnostics import STATUS_FAILED, STATUS_INCONCLUSIVE, verify
+from .diagnostics import (STATUS_FAILED, STATUS_INCONCLUSIVE,
+                          VerificationReport, verify)
 from .initial import (InitialData, NegativeDensity, NoRealBranch,
                       initial_data_from_u0, make_initial_data,
                       validate_theorem1)
 from .integrator import (InadmissibleInitialData, IntegratorConfig,
                          StepSizeUnderflow, Trajectory, integrate)
 from .model import ModelParams
-from .serialize import (CorruptTrajectory, fmt, read_trajectory,
+from .serialize import (CorruptTrajectory, fmt, read_trajectory, table_text,
                         write_report, write_trajectory)
 from .sweep import SWEEP_PARAMS, SweepPlan, run_sweep, sweep_table_csv
 
@@ -51,8 +52,7 @@ _INITIAL_KEYS = {"a0", "phi0", "chi0", "rho0", "branch", "u0", "solve_rho0"}
 _INTEGRATOR_KEYS = {"rel_tol", "abs_tol", "h_init", "h_min", "h_max", "t_end",
                     "sample_dt", "mode", "max_abs_u", "max_abs_phi", "min_v",
                     "override_admissibility"}
-_OUTPUT_KEYS = {"directory", "formats", "overwrite"}
-_FORMATS = {"csv", "json", "plotdata"}
+_OUTPUT_KEYS = {"directory", "overwrite"}
 
 
 class ConfigError(ValueError):
@@ -77,7 +77,6 @@ class RunConfig:
     u0: Optional[float]
     integrator: IntegratorConfig
     directory: str
-    formats: tuple[str, ...] = ("csv", "json")
     overwrite: bool = False
 
 
@@ -118,6 +117,16 @@ def _get_float(cp, section: str, key: str, default: Optional[float] = None,
     if not math.isfinite(value):
         raise ConfigError(f"[{section}] {key} = {raw!r} must be finite")
     return value
+
+
+def _get_int(cp, section: str, key: str, default: Optional[int] = None) -> Optional[int]:
+    if not cp.has_option(section, key):
+        return default
+    raw = cp.get(section, key)
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer") from exc
 
 
 def _get_bool(cp, section: str, key: str, default: bool = False) -> bool:
@@ -197,21 +206,15 @@ def parse_run_config(path: str) -> RunConfig:
     integrator = _parse_integrator(cp)
 
     directory = "out"
-    formats: tuple[str, ...] = ("csv", "json")
     overwrite = False
     if cp.has_section("output"):
         if cp.has_option("output", "directory"):
             directory = cp.get("output", "directory").strip()
-        if cp.has_option("output", "formats"):
-            formats = tuple(f.strip() for f in cp.get("output", "formats").split(",") if f.strip())
-            bad = set(formats) - _FORMATS
-            if bad:
-                raise ConfigError(f"unknown output format(s): {', '.join(sorted(bad))}")
         overwrite = _get_bool(cp, "output", "overwrite", False)
 
     return RunConfig(params=params, a0=a0, phi0=phi0, chi0=chi0, rho0=rho0,
                      branch=branch, u0=u0, integrator=integrator,
-                     directory=directory, formats=formats, overwrite=overwrite)
+                     directory=directory, overwrite=overwrite)
 
 
 def serialize_run_config(cfg: RunConfig) -> str:
@@ -248,7 +251,6 @@ def serialize_run_config(cfg: RunConfig) -> str:
               "",
               "[output]",
               f"directory = {cfg.directory}",
-              f"formats = {','.join(cfg.formats)}",
               f"overwrite = {'true' if cfg.overwrite else 'false'}",
               ""]
     return "\n".join(lines)
@@ -310,8 +312,6 @@ def cmd_simulate(config_path: str) -> int:
     except OSError as exc:
         _err(f"cannot write outputs: {exc}")
         return EXIT_CONFIG
-    if "plotdata" in cfg.formats:
-        _write_plot_data(out_dir, traj)
 
     if traj.guard_tripped:
         trip = next(e for e in traj.events if e.kind == "GuardTripped")
@@ -380,11 +380,9 @@ def parse_sweep_plan(path: str) -> tuple[SweepPlan, str, bool]:
     workers: Optional[int] = None
     if cp.has_section("sweep"):
         _check_keys(cp, "sweep", {"cap", "workers"})
-        if cp.has_option("sweep", "cap"):
-            cap = int(cp.get("sweep", "cap"))
-        if cp.has_option("sweep", "workers"):
-            raw = cp.get("sweep", "workers").strip()
-            workers = None if raw == "auto" else int(raw)
+        cap = _get_int(cp, "sweep", "cap", cap)
+        if cp.get("sweep", "workers", fallback="auto").strip() != "auto":
+            workers = _get_int(cp, "sweep", "workers")
 
     integrator = _parse_integrator(cp)
 
@@ -431,35 +429,22 @@ def cmd_sweep(plan_path: str) -> int:
     return EXIT_OK
 
 
-def _write_plot_data(out_dir: Path, traj: Trajectory,
-                     report=None) -> list[Path]:
+def _write_plot_data(out_dir: Path, traj: Trajectory, report: VerificationReport) -> None:
     """Two-column gnuplot files for each derived quantity, plus ln Q."""
     cols = traj.as_arrays()
-    written = []
+    t, q = cols["t"], cols["Q"]
     for name in ("H", "T00", "Q", "constraint"):
-        path = out_dir / f"{name}_vs_t.dat"
-        lines = [f"# t {name}"]
-        for t, val in zip(cols["t"], cols[name]):
-            lines.append(f"{fmt(float(t))} {fmt(float(val))}")
-        path.write_text("\n".join(lines) + "\n")
-        written.append(path)
+        (out_dir / f"{name}_vs_t.dat").write_text(
+            table_text(f"# t {name}", [t, cols[name]], sep=" "))
 
     # ln Q over the fit window used for the reported decay rate, so the
     # file's least-squares slope reproduces -rate_Q.
-    window = report.fit_windows.get("Q") if report is not None else None
-    t = cols["t"]
-    q = cols["Q"]
+    mask = q > 0.0
+    window = report.fit_windows.get("Q")
     if window is not None:
-        mask = (t >= window.t_lo) & (t <= window.t_hi) & (q > 0.0)
-    else:
-        mask = q > 0.0
-    path = out_dir / "lnQ_vs_t.dat"
-    lines = ["# t lnQ"]
-    for ti, qi in zip(t[mask], q[mask]):
-        lines.append(f"{fmt(float(ti))} {fmt(float(np.log(qi)))}")
-    path.write_text("\n".join(lines) + "\n")
-    written.append(path)
-    return written
+        mask &= (t >= window.t_lo) & (t <= window.t_hi)
+    (out_dir / "lnQ_vs_t.dat").write_text(
+        table_text("# t lnQ", [t[mask], np.log(q[mask])], sep=" "))
 
 
 def cmd_report(traj_dir: str, out: Optional[str] = None) -> int:

@@ -144,11 +144,11 @@ def cumulative_simpson(y: np.ndarray, dt: float) -> np.ndarray:
         out[1] = 0.5 * dt * (y[0] + y[1])
         return out
     out[1] = dt / 12.0 * (5.0 * y[0] + 8.0 * y[1] - y[2])
-    for i in range(2, n):
-        if i % 2 == 0:
-            out[i] = out[i - 2] + dt / 3.0 * (y[i - 2] + 4.0 * y[i - 1] + y[i])
-        else:
-            out[i] = out[i - 1] + dt / 12.0 * (-y[i - 2] + 8.0 * y[i - 1] + 5.0 * y[i])
+    # Even prefixes: running sum of Simpson panels, left to right from
+    # out[0] = 0; odd prefixes: the preceding even prefix plus the end panel.
+    out[2::2] = dt / 3.0 * (y[:-2:2] + 4.0 * y[1:-1:2] + y[2::2])
+    out[::2] = np.add.accumulate(out[::2])
+    out[3::2] = out[2:-1:2] + dt / 12.0 * (-y[1:-2:2] + 8.0 * y[2:-1:2] + 5.0 * y[3::2])
     return out
 
 

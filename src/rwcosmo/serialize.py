@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import asdict
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -32,17 +32,27 @@ class CorruptTrajectory(ValueError):
     """A trajectory directory is missing files or fails to parse."""
 
 
+#: The one spelling of a float in every table and config the package writes.
+_FLOAT = "%.17g"
+
+
 def fmt(x: float) -> str:
     """17-significant-digit decimal form of a double (exact round trip)."""
-    return format(x, ".17g")
+    return _FLOAT % (x,)
+
+
+def table_text(header: str, columns: Sequence[np.ndarray], sep: str = ",") -> str:
+    """``header`` line, then one line per row of the equal-length ``columns``."""
+    row = sep.join([_FLOAT] * len(columns))
+    lines = [header]
+    lines += [row % values for values in zip(*(c.tolist() for c in columns))]
+    return "\n".join(lines) + "\n"
 
 
 def trajectory_csv_text(traj: Trajectory) -> str:
     cols = traj.as_arrays()
-    rows = zip(*(cols[name].tolist() for name in TRAJECTORY_COLUMNS))
-    lines = [",".join(TRAJECTORY_COLUMNS)]
-    lines += [",".join(map(fmt, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+    return table_text(",".join(TRAJECTORY_COLUMNS),
+                      [cols[name] for name in TRAJECTORY_COLUMNS])
 
 
 def events_json_text(traj: Trajectory) -> str:

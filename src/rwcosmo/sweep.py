@@ -13,7 +13,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import product
 from typing import Optional
 
@@ -22,6 +22,7 @@ from .initial import NoRealBranch, make_initial_data, validate_theorem1
 from .integrator import (IntegratorConfig, InadmissibleInitialData,
                          StepSizeUnderflow, integrate)
 from .model import ModelParams
+from .serialize import fmt
 
 SWEEP_PARAMS = ("lambda", "mass", "phi0", "chi0", "rho0")
 
@@ -108,6 +109,8 @@ class SweepPlan:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One table row; the fields before ``wall_time`` are SWEEP_COLUMNS in order."""
+
     lam: float
     mass: float
     phi0: float
@@ -197,23 +200,15 @@ def run_sweep(plan: SweepPlan) -> list[SweepRow]:
 def _fmt_value(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, float):
-        return "nan" if math.isnan(x) else format(x, ".17g")
-    return str(x)
+    if isinstance(x, str):
+        return x
+    return fmt(x)
 
 
 def sweep_table_csv(rows: list[SweepRow]) -> str:
     """Deterministic CSV of the sweep table (wall times excluded)."""
+    names = [f.name for f in fields(SweepRow)[:len(SWEEP_COLUMNS)]]
     lines = [",".join(SWEEP_COLUMNS)]
     for r in rows:
-        record = {
-            "lambda": r.lam, "mass": r.mass, "phi0": r.phi0, "chi0": r.chi0,
-            "rho0": r.rho0, "admissible": r.admissible, "status": r.status,
-            "nu": r.nu, "rate_Q": r.rate_Q, "rate_rho": r.rate_rho,
-            "rate_chi2": r.rate_chi2, "L_hat": r.L_hat,
-            "H_inf_hat": r.H_inf_hat, "C0_hat": r.C0_hat,
-            "max_constraint": r.max_constraint,
-            "checks_passed": r.checks_passed, "events": r.events,
-        }
-        lines.append(",".join(_fmt_value(record[c]) for c in SWEEP_COLUMNS))
+        lines.append(",".join(_fmt_value(getattr(r, name)) for name in names))
     return "\n".join(lines) + "\n"

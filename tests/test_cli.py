@@ -75,10 +75,12 @@ class TestSimulate:
         assert any(e["kind"] == "GuardTripped" for e in events)
 
     def test_unknown_key_exits_1(self, tmp_path):
-        cfg = write_reference_config(
-            tmp_path / "unk.ini", str(tmp_path / "out"),
-            **{"mass = 1": "mass = 1\nmassy = 2"})
-        assert main(["simulate", str(cfg)]) == EXIT_CONFIG
+        for old, new in (("mass = 1", "mass = 1\nmassy = 2"),
+                         ("overwrite = true", "overwrite = true\nformats = csv,json")):
+            cfg = write_reference_config(tmp_path / "unk.ini", str(tmp_path / "out"),
+                                         **{old: new})
+            assert main(["simulate", str(cfg)]) == EXIT_CONFIG
+            assert not (tmp_path / "out").exists()
 
     def test_unknown_section_exits_1(self, tmp_path):
         path = tmp_path / "sec.ini"
@@ -209,6 +211,21 @@ class TestReport:
         slope = np.polyfit(data[:, 0], data[:, 1], 1)[0]
         assert slope == pytest.approx(-report["fitted_rates"]["Q"], rel=1e-9)
 
+    def test_plot_data_matches_trajectory_columns(self, ref_run):
+        assert main(["verify", str(ref_run)]) == EXIT_OK
+        assert main(["report", str(ref_run)]) == EXIT_OK
+        cols = read_trajectory(ref_run).as_arrays()
+        for name in ("H", "T00", "Q", "constraint"):
+            data = np.loadtxt(ref_run / f"{name}_vs_t.dat")
+            assert np.array_equal(data[:, 0], cols["t"])
+            assert np.array_equal(data[:, 1], cols[name])
+        window = json.loads((ref_run / "report.json").read_text())["fit_windows"]["Q"]
+        t, q = cols["t"], cols["Q"]
+        mask = (t >= window["t_lo"]) & (t <= window["t_hi"])
+        data = np.loadtxt(ref_run / "lnQ_vs_t.dat")
+        assert np.array_equal(data[:, 0], t[mask])
+        assert np.array_equal(data[:, 1], np.log(q[mask]))
+
     def test_missing_input_exits_1(self):
         assert main(["report", "definitely_missing"]) == EXIT_CONFIG
 
@@ -252,6 +269,14 @@ overwrite = true
         plan.write_text(self.PLAN.format(values="1", out=tmp_path / "sw")
                         .replace("lambda = 1\n", "lambda = 1\nmass = -1, 1\n")
                         .replace("mass = 1\n", ""))
+        assert main(["sweep", str(plan)]) == EXIT_CONFIG
+        assert not (tmp_path / "sw").exists()
+
+    @pytest.mark.parametrize("line", ["workers = two", "cap = 1e3"])
+    def test_non_integer_sweep_setting_exits_1(self, tmp_path, line):
+        plan = tmp_path / "plan.ini"
+        plan.write_text(self.PLAN.format(values="1", out=tmp_path / "sw")
+                        .replace("workers = 1", line))
         assert main(["sweep", str(plan)]) == EXIT_CONFIG
         assert not (tmp_path / "sw").exists()
 

@@ -78,7 +78,34 @@ class TestFitDecayRate:
         assert fit.rate == pytest.approx(2.0, abs=1e-12)
 
 
+def cumulative_simpson_loop(y, dt):
+    """Sample-by-sample reference for the vectorized cumulative_simpson."""
+    n = y.size
+    out = np.zeros(n)
+    if n < 2:
+        return out
+    if n == 2:
+        out[1] = 0.5 * dt * (y[0] + y[1])
+        return out
+    out[1] = dt / 12.0 * (5.0 * y[0] + 8.0 * y[1] - y[2])
+    for i in range(2, n):
+        if i % 2 == 0:
+            out[i] = out[i - 2] + dt / 3.0 * (y[i - 2] + 4.0 * y[i - 1] + y[i])
+        else:
+            out[i] = out[i - 1] + dt / 12.0 * (-y[i - 2] + 8.0 * y[i - 1] + 5.0 * y[i])
+    return out
+
+
 class TestCumulativeSimpson:
+    @pytest.mark.parametrize("n", list(range(40)) + [1001, 10001, 10002])
+    def test_bit_identical_to_loop(self, n):
+        rng = np.random.default_rng(n)
+        for scale in (1e-5, 1e-2, 1.0, 1e3, 1e5):
+            y = scale * rng.standard_normal(n)
+            dt = rng.uniform(1e-4, 1.0)
+            fast, loop = cumulative_simpson(y, dt), cumulative_simpson_loop(y, dt)
+            assert np.array_equal(fast.view(np.int64), loop.view(np.int64))
+
     def test_exact_for_quadratics(self):
         t = np.linspace(0.0, 2.0, 21)
         y = 3.0 * t ** 2 - 2.0 * t + 1.0

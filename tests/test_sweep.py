@@ -1,13 +1,14 @@
 """Grid runner: determinism, ordering, admissibility flagging."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from rwcosmo import (ModelParams, SweepPlan, integrate, make_initial_data,
                      run_sweep, sweep_table_csv, verify)
+from rwcosmo.sweep import SWEEP_COLUMNS, SweepRow
 
 from conftest import REF_CONFIG
 
@@ -170,12 +171,22 @@ class TestDeterminism:
         assert sweep_table_csv(serial) == sweep_table_csv(parallel)
 
     def test_17_digit_serialization_round_trips(self):
-        rows = run_sweep(plan_for((("lambda", (1.0,)),),
+        rows = run_sweep(plan_for((("lambda", (1.0, -60.0)),),
                                   (("mass", 1.0), ("phi0", 1.0),
                                    ("chi0", 0.1), ("rho0", 0.05))))
         text = sweep_table_csv(rows)
-        header, line = text.strip().split("\n")
+        header, line, flagged = text.strip().split("\n")
         values = dict(zip(header.split(","), line.split(",")))
         assert float(values["nu"]) == rows[0].nu
         assert float(values["L_hat"]) == rows[0].L_hat
         assert values["checks_passed"] in ("true", "false")
+        values = dict(zip(header.split(","), flagged.split(",")))
+        assert values["status"] == "no-real-branch"
+        assert values["admissible"] == values["checks_passed"] == "false"
+        for name in ("nu", "rate_Q", "L_hat", "max_constraint"):
+            assert values[name] == "nan"
+        assert values["events"] == ""
+
+    def test_row_fields_match_columns(self):
+        names = [f.name for f in fields(SweepRow)][:len(SWEEP_COLUMNS)]
+        assert ["lambda" if n == "lam" else n for n in names] == list(SWEEP_COLUMNS)
