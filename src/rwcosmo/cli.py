@@ -34,7 +34,7 @@ from .initial import (InitialData, NegativeDensity, NoRealBranch,
 from .integrator import (InadmissibleInitialData, IntegratorConfig,
                          StepSizeUnderflow, Trajectory, integrate)
 from .model import ModelParams
-from .serialize import (CorruptTrajectory, fmt, read_trajectory, table_text,
+from .serialize import (CorruptTrajectory, read_trajectory, table_text,
                         write_report, write_trajectory)
 from .sweep import SWEEP_PARAMS, SweepPlan, run_sweep, sweep_table_csv
 
@@ -215,45 +215,6 @@ def parse_run_config(path: str) -> RunConfig:
     return RunConfig(params=params, a0=a0, phi0=phi0, chi0=chi0, rho0=rho0,
                      branch=branch, u0=u0, integrator=integrator,
                      directory=directory, overwrite=overwrite)
-
-
-def serialize_run_config(cfg: RunConfig) -> str:
-    """INI text that parses back to an equal RunConfig."""
-    lines = ["[model]",
-             f"lambda = {fmt(cfg.params.lam)}",
-             f"mass = {fmt(cfg.params.mass)}",
-             "",
-             "[initial]",
-             f"a0 = {fmt(cfg.a0)}",
-             f"phi0 = {fmt(cfg.phi0)}",
-             f"chi0 = {fmt(cfg.chi0)}"]
-    if cfg.branch is not None:
-        lines.append(f"rho0 = {fmt(cfg.rho0)}")
-        lines.append(f"branch = {cfg.branch}")
-    else:
-        lines.append(f"u0 = {fmt(cfg.u0)}")
-        lines.append("solve_rho0 = true")
-    ic = cfg.integrator
-    lines += ["",
-              "[integrator]",
-              f"rel_tol = {fmt(ic.rel_tol)}",
-              f"abs_tol = {fmt(ic.abs_tol)}",
-              f"h_init = {fmt(ic.h_init)}",
-              f"h_min = {fmt(ic.h_min)}",
-              f"h_max = {fmt(ic.h_max)}",
-              f"t_end = {fmt(ic.t_end)}",
-              f"sample_dt = {fmt(ic.sample_dt)}",
-              f"mode = {ic.mode}",
-              f"max_abs_u = {fmt(ic.max_abs_u)}",
-              f"max_abs_phi = {fmt(ic.max_abs_phi)}",
-              f"min_v = {fmt(ic.min_v)}",
-              f"override_admissibility = {'true' if ic.override_admissibility else 'false'}",
-              "",
-              "[output]",
-              f"directory = {cfg.directory}",
-              f"overwrite = {'true' if cfg.overwrite else 'false'}",
-              ""]
-    return "\n".join(lines)
 
 
 def resolve_output_dir(directory: str) -> Path:

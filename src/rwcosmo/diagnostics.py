@@ -2,7 +2,9 @@
 
 Every check is a pure function of the trajectory; margins follow one
 convention throughout: margin <= 0 means the check passes, and a positive
-margin measures the worst violation.
+margin measures the worst violation.  Two checks are stricter than their
+margin: ``v_positive`` fails at v = 0 (margin -0.0) and ``h_inf_limit``
+fails whenever the C0 estimate is not positive (margin -C0_hat).
 
 Two numerical floors appear below.  The constraint residual never vanishes
 exactly in floating point, so the monitor Q = 24*pi*rho + 3*constraint
@@ -66,6 +68,12 @@ class Check:
     detail: str = ""
 
 
+def _check(name: str, margin: float, detail: str = "") -> Check:
+    """A check decided by its margin: it passes when margin <= 0."""
+    margin = float(margin)
+    return Check(name, margin <= 0.0, margin, detail)
+
+
 class DecayFit(NamedTuple):
     rate: float
     intercept: float
@@ -113,7 +121,7 @@ def fit_decay_rate(series: Sequence[tuple[float, float]],
     Affine-equivariant: scaling y by c > 0 shifts the intercept only.
     """
     t_lo, t_hi = window
-    pts = np.asarray(list(series), dtype=float)
+    pts = np.asarray(series, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("series must be a sequence of (t, y) pairs")
     mask = (pts[:, 0] >= t_lo) & (pts[:, 0] <= t_hi)
@@ -186,49 +194,29 @@ def verify_bounds(traj: Trajectory, tol: Tolerances = Tolerances()) -> list[Chec
 
     worst_du = _worst_increase(u)
     checks = [
-        Check("u_nonincreasing",
-              passed=worst_du <= eps,
-              margin=worst_du - eps,
-              detail=f"eps = {eps:.3g}"),
-        Check("u_upper_bound",
-              passed=bool(np.max(u) <= u0 + eps),
-              margin=float(np.max(u) - (u0 + eps))),
-        Check("v_positive",
-              passed=bool(np.min(v) > 0.0),
-              margin=float(-np.min(v))),
-        Check("v_upper_bound",
-              passed=bool(np.max(v) <= v0),
-              margin=float(np.max(v) - v0)),
+        _check("u_nonincreasing", worst_du - eps, f"eps = {eps:.3g}"),
+        _check("u_upper_bound", np.max(u) - (u0 + eps)),
+        # Strict: v = 0 must fail, though its margin -min(v) reads -0.0 there.
+        Check("v_positive", bool(np.min(v) > 0.0), float(-np.min(v))),
+        _check("v_upper_bound", np.max(v) - v0),
     ]
     if nu is not None:
-        checks.insert(1, Check("u_lower_bound",
-                               passed=bool(np.min(u) >= nu),
-                               margin=float(nu - np.min(u))))
+        checks.insert(1, _check("u_lower_bound", nu - np.min(u)))
 
     worst_dt00 = _worst_increase(cols["T00"])
-    checks.append(Check("t00_nonincreasing",
-                        passed=worst_dt00 <= eps,
-                        margin=worst_dt00 - eps,
-                        detail=f"eps = {eps:.3g}"))
+    checks.append(_check("t00_nonincreasing", worst_dt00 - eps, f"eps = {eps:.3g}"))
 
     q_floor = _q_noise_floor(traj, tol)
     min_q = float(np.min(cols["Q"]))
-    checks.append(Check("q_nonnegative",
-                        passed=min_q >= -q_floor,
-                        margin=-q_floor - min_q,
-                        detail=f"noise floor = {q_floor:.3g}"))
+    checks.append(_check("q_nonnegative", -q_floor - min_q,
+                         f"noise floor = {q_floor:.3g}"))
 
     # phi may not decrease while the field velocity is nonnegative.
-    if phi.size >= 2:
-        both_nonneg = (chi[:-1] >= 0.0) & (chi[1:] >= 0.0)
-        drops = (phi[:-1] - phi[1:])[both_nonneg]
-        worst_drop = float(np.max(drops)) if drops.size else 0.0
-    else:
-        worst_drop = 0.0
-    checks.append(Check("phi_nondecreasing_while_chi_nonneg",
-                        passed=worst_drop <= eps,
-                        margin=worst_drop - eps,
-                        detail=f"eps = {eps:.3g}"))
+    both_nonneg = (chi[:-1] >= 0.0) & (chi[1:] >= 0.0)
+    drops = (phi[:-1] - phi[1:])[both_nonneg]
+    worst_drop = float(np.max(drops)) if drops.size else 0.0
+    checks.append(_check("phi_nondecreasing_while_chi_nonneg", worst_drop - eps,
+                         f"eps = {eps:.3g}"))
     return checks
 
 
@@ -241,15 +229,12 @@ def verify_quadrature(traj: Trajectory, tol: Tolerances = Tolerances()) -> list[
     """
     cols = _require_samples(traj)
     t = cols["t"]
-    if t.size < 3:
-        detail = "too few samples for quadrature"
-        return [Check("rho_quadrature_oracle", True, -tol.rho_oracle_rel, detail),
-                Check("v_quadrature_identity", True, -tol.v_oracle_rel, detail)]
-    dt = float(t[1] - t[0])
-    if not np.allclose(np.diff(t), dt, rtol=1e-6, atol=1e-12):
-        detail = "non-uniform sample grid"
-        return [Check("rho_quadrature_oracle", True, -tol.rho_oracle_rel, detail),
-                Check("v_quadrature_identity", True, -tol.v_oracle_rel, detail)]
+    dt = float(t[1] - t[0]) if t.size >= 3 else math.nan
+    if not (t.size >= 3 and np.allclose(np.diff(t), dt, rtol=1e-6, atol=1e-12)):
+        detail = ("too few samples for quadrature" if t.size < 3
+                  else "non-uniform sample grid")
+        return [_check("rho_quadrature_oracle", -tol.rho_oracle_rel, detail),
+                _check("v_quadrature_identity", -tol.v_oracle_rel, detail)]
     integral_u = cumulative_simpson(cols["u"], dt)
     rho0 = float(cols["rho"][0])
     if rho0 > 0.0:
@@ -257,17 +242,12 @@ def verify_quadrature(traj: Trajectory, tol: Tolerances = Tolerances()) -> list[
         dev = float(np.max(np.abs(cols["rho"] - oracle))) / rho0
     else:
         dev = float(np.max(np.abs(cols["rho"])))  # rho must stay identically 0
-    checks = [Check("rho_quadrature_oracle",
-                    passed=dev <= tol.rho_oracle_rel,
-                    margin=dev - tol.rho_oracle_rel,
-                    detail=f"max relative deviation {dev:.3g}")]
     v0 = float(cols["v"][0])
     vdev = float(np.max(np.abs(cols["v"] * np.exp(2.0 * integral_u) - v0))) / v0
-    checks.append(Check("v_quadrature_identity",
-                        passed=vdev <= tol.v_oracle_rel,
-                        margin=vdev - tol.v_oracle_rel,
-                        detail=f"max relative deviation {vdev:.3g}"))
-    return checks
+    return [_check("rho_quadrature_oracle", dev - tol.rho_oracle_rel,
+                   f"max relative deviation {dev:.3g}"),
+            _check("v_quadrature_identity", vdev - tol.v_oracle_rel,
+                   f"max relative deviation {vdev:.3g}")]
 
 
 def q_identity_check(traj: Trajectory) -> float:
@@ -351,15 +331,10 @@ def verify_asymptotics(traj: Trajectory, nu: Optional[float],
     if inconclusive:
         return [], estimates, fits, windows, notes, True
 
-    checks: list[Check] = []
-
     envelope = q0 * np.exp(-3.0 * nu * t) * (1.0 + tol.envelope_slack) + q_floor
-    worst_env = float(np.max(q - envelope))
-    checks.append(Check("q_envelope",
-                        passed=worst_env <= 0.0,
-                        margin=worst_env,
-                        detail=f"Q <= Q0*exp(-3 nu t)*(1+{tol.envelope_slack:g}) "
-                               f"+ floor {q_floor:.3g}"))
+    checks = [_check("q_envelope", np.max(q - envelope),
+                     f"Q <= Q0*exp(-3 nu t)*(1+{tol.envelope_slack:g}) "
+                     f"+ floor {q_floor:.3g}")]
 
     # Fit windows clip at 100x the measured constraint drift, mapped into
     # each series through its constraint coefficient.
@@ -380,53 +355,38 @@ def verify_asymptotics(traj: Trajectory, nu: Optional[float],
         fits[name] = fit
         windows[name] = FitWindow(t_lo=window[0], t_hi=window[1],
                                   n_points=int(np.sum((t >= window[0]) & (t <= window[1]))))
-        checks.append(Check(f"{name}_decay_rate",
-                            passed=fit.rate >= rate_floor,
-                            margin=rate_floor - fit.rate,
-                            detail=f"fitted {fit.rate:.6g} vs required {rate_floor:.6g}"))
+        checks.append(_check(f"{name}_decay_rate", rate_floor - fit.rate,
+                             f"fitted {fit.rate:.6g} vs required {rate_floor:.6g}"))
 
     worst_drop = _worst_increase(-(phi * phi))
-    checks.append(Check("phi_squared_monotone",
-                        passed=worst_drop <= eps,
-                        margin=worst_drop - eps,
-                        detail=f"eps = {eps:.3g}"))
+    checks.append(_check("phi_squared_monotone", worst_drop - eps, f"eps = {eps:.3g}"))
 
     phi0_sq = traj.initial.phi0 * traj.initial.phi0
-    checks.append(Check("L_at_least_initial",
-                        passed=l_hat >= phi0_sq - eps,
-                        margin=phi0_sq - eps - l_hat))
+    checks.append(_check("L_at_least_initial", phi0_sq - eps - l_hat))
 
     t00_target = 0.5 * traj.params.mass_sq * l_hat
     t00_dev = abs(float(cols["T00"][-1]) - t00_target)
-    checks.append(Check("t00_limit",
-                        passed=t00_dev <= tol.t00_limit_abs,
-                        margin=t00_dev - tol.t00_limit_abs,
-                        detail=f"|T00(t_end) - m^2 L/2| = {t00_dev:.3g}"))
+    checks.append(_check("t00_limit", t00_dev - tol.t00_limit_abs,
+                         f"|T00(t_end) - m^2 L/2| = {t00_dev:.3g}"))
 
     if c0_hat > 0.0:
         h_target = math.sqrt(3.0 * c0_hat)
         h_dev = abs(h_end - h_target)
-        checks.append(Check("h_inf_limit",
-                            passed=h_dev <= tol.h_inf_rel * h_target,
-                            margin=h_dev - tol.h_inf_rel * h_target,
-                            detail=f"H(t_end) = {h_end:.9g}, sqrt(3 C0) = {h_target:.9g}"))
+        checks.append(_check("h_inf_limit", h_dev - tol.h_inf_rel * h_target,
+                             f"H(t_end) = {h_end:.9g}, sqrt(3 C0) = {h_target:.9g}"))
     else:
-        checks.append(Check("h_inf_limit", passed=False, margin=float(-c0_hat),
-                            detail="C0 estimate not positive"))
+        # Fails outright: at C0_hat = 0 the margin -C0_hat reads -0.0.
+        checks.append(Check("h_inf_limit", False, float(-c0_hat),
+                            "C0 estimate not positive"))
 
     a0 = traj.initial.a0
     bound = a0 * np.exp(nu * t) * (1.0 - tol.a_growth_slack)
-    worst_a = float(np.max(bound - cols["a"]))
-    checks.append(Check("a_exponential_lower_bound",
-                        passed=worst_a <= 0.0,
-                        margin=worst_a,
-                        detail=f"a >= a0*exp(nu t)*(1-{tol.a_growth_slack:g})"))
+    checks.append(_check("a_exponential_lower_bound", np.max(bound - cols["a"]),
+                         f"a >= a0*exp(nu t)*(1-{tol.a_growth_slack:g})"))
     ratio = float(cols["a"][-1]) / a0
     target = math.exp(nu * float(t[-1]))
-    checks.append(Check("a_growth_ratio",
-                        passed=ratio >= target,
-                        margin=target - ratio,
-                        detail=f"a(t_end)/a0 = {ratio:.6g} vs exp(nu t_end) = {target:.6g}"))
+    checks.append(_check("a_growth_ratio", target - ratio,
+                         f"a(t_end)/a0 = {ratio:.6g} vs exp(nu t_end) = {target:.6g}"))
 
     return checks, estimates, fits, windows, notes, False
 
@@ -442,10 +402,8 @@ def verify(traj: Trajectory, tol: Tolerances = Tolerances()) -> VerificationRepo
     checks += verify_quadrature(traj, tol)
 
     identity_dev = q_identity_check(traj)
-    checks.append(Check("q_identity",
-                        passed=identity_dev <= tol.q_identity_tol,
-                        margin=identity_dev - tol.q_identity_tol,
-                        detail=f"max |Q - 24 pi rho - 3 C|/(1+|Q|) = {identity_dev:.3g}"))
+    checks.append(_check("q_identity", identity_dev - tol.q_identity_tol,
+                         f"max |Q - 24 pi rho - 3 C|/(1+|Q|) = {identity_dev:.3g}"))
 
     asym_checks, estimates, fits, windows, notes, inconclusive = \
         verify_asymptotics(traj, nu, tol)

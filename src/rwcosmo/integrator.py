@@ -168,8 +168,10 @@ class Trajectory:
     def _columns(self) -> dict[str, np.ndarray]:
         u, v, phi, chi, rho = (np.ascontiguousarray(c) for c in self.states.T)
         # numpy's vectorized power can differ from the scalar one in the last
-        # bit; the scalar pow keeps a equal to scale_factor(state).
-        a = np.fromiter((x ** -0.5 for x in v.tolist()), float, v.size)
+        # bit; the scalar pow keeps a equal to scale_factor(state).  A
+        # hand-built state with v <= 0 has no scale factor: a reads nan.
+        a = np.fromiter((x ** -0.5 if x > 0.0 else math.nan for x in v.tolist()),
+                        float, v.size)
         d = derived_terms(u, phi, chi, rho, self.params)
         cols = {"t": self.t, "u": u, "v": v, "a": a, "phi": phi, "chi": chi,
                 "psi": 0.5 * chi * chi, "rho": rho, "H": d.H, "T00": d.T00,
@@ -188,6 +190,11 @@ def _deriv(y: np.ndarray, lam: float, mass_sq: float, frozen: bool) -> np.ndarra
     if frozen:
         dchi = 0.0
     return np.array([du, dv, dphi, dchi, drho])
+
+
+# A trial step that overflows comes back non-finite and is rejected, so
+# overflow on far-out data is an expected outcome rather than a warning.
+_QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore")
 
 
 def _trial_step(y: np.ndarray, h: float, params: ModelParams,
@@ -242,6 +249,7 @@ def _is_frozen_state(y: np.ndarray, params: ModelParams, mode: str) -> bool:
     return mode == "paper" and y[3] == 0.0 and params.mass_sq * y[2] >= 0.0
 
 
+@_QUIET_OVERFLOW
 def step(state: CosmoState, params: ModelParams, h: float,
          config: IntegratorConfig) -> tuple[CosmoState, float, float]:
     """One trial step of size h from ``state``.
@@ -299,6 +307,7 @@ def _guard_violation(y: np.ndarray, config: IntegratorConfig) -> Optional[str]:
     return None
 
 
+@_QUIET_OVERFLOW
 def integrate(initial: InitialData, params: ModelParams,
               config: IntegratorConfig) -> Trajectory:
     """Advance the system from t = 0 to t_end, sampling every sample_dt.

@@ -31,6 +31,7 @@ STATUS_SKIPPED = "skipped"
 STATUS_NO_REAL_BRANCH = "no-real-branch"
 STATUS_GUARD_TRIPPED = "guard-tripped"
 STATUS_STEP_UNDERFLOW = "step-underflow"
+STATUS_INVALID_DATA = "invalid-data"
 
 #: Column order of the sweep table (timings intentionally excluded).
 SWEEP_COLUMNS = ("lambda", "mass", "phi0", "chi0", "rho0", "admissible",
@@ -153,6 +154,8 @@ def _evaluate_point(args: tuple) -> SweepRow:
                                  rho0=rho0, branch=branch)
     except NoRealBranch:
         return row(False, STATUS_NO_REAL_BRANCH)
+    except ValueError:  # e.g. u0 overflows for large mass * phi0
+        return row(False, STATUS_INVALID_DATA)
     adm = validate_theorem1(params, data)
     nu = adm.nu if adm.nu is not None else math.nan
     if not adm.theorem1_applicable and not config.override_admissibility:
@@ -183,7 +186,7 @@ def run_sweep(plan: SweepPlan) -> list[SweepRow]:
     """Evaluate every grid point; never aborts on per-point failures.
 
     Inadmissible points come back flagged (skipped / no-real-branch /
-    guard-tripped) rather than raising.  The returned list is in plan order
+    invalid-data / guard-tripped / step-underflow) rather than raising.  The returned list is in plan order
     whether or not a worker pool was used.
     """
     points = plan.points()

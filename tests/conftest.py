@@ -4,9 +4,16 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import settings
 
 from rwcosmo import (IntegratorConfig, ModelParams, integrate,
                      make_initial_data)
+
+# Property tests draw the same examples on every run and keep no example
+# database, so the suite stays reproducible and writes no .hypothesis/.
+settings.register_profile("deterministic", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("deterministic")
 
 REF_PARAMS = ModelParams(lam=1.0, mass=1.0)
 REF_CONFIG = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-10, t_end=10.0,

@@ -6,9 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rwcosmo import (CosmoState, InitialData, IntegratorConfig, ModelParams,
-                     Tolerances, derived, fit_decay_rate, q_identity_check,
-                     verify, verify_asymptotics, verify_bounds)
+from rwcosmo import (Check, CosmoState, InitialData, IntegratorConfig,
+                     ModelParams, Tolerances, derived, fit_decay_rate,
+                     q_identity_check, verify, verify_asymptotics,
+                     verify_bounds, verify_quadrature)
 from rwcosmo.diagnostics import (STATUS_FAILED, STATUS_INCONCLUSIVE,
                                  STATUS_PASSED, cumulative_simpson)
 from rwcosmo.integrator import IntegrationStats, Trajectory
@@ -30,11 +31,13 @@ def make_fake_trajectory(u_values, params=None):
 
 class TestFitDecayRate:
     def test_exact_exponential(self):
+        """Same fit from an (n, 2) array and from a list of (t, y) tuples."""
         t = np.arange(0.0, 5.01, 0.5)
-        series = np.column_stack([t, np.exp(-2.0 * t)])
-        fit = fit_decay_rate(series, (0.0, 5.0))
-        assert fit.rate == pytest.approx(2.0, abs=1e-12)
-        assert fit.residual < 1e-12
+        y = np.exp(-2.0 * t)
+        for series in (np.column_stack([t, y]), list(zip(t.tolist(), y.tolist()))):
+            fit = fit_decay_rate(series, (0.0, 5.0))
+            assert fit.rate == pytest.approx(2.0, abs=1e-12)
+            assert fit.residual < 1e-12
 
     def test_constant_series_rate_zero(self):
         t = np.arange(0.0, 5.01, 0.5)
@@ -153,6 +156,37 @@ class TestVerifyBounds:
     def test_check_names_unique(self, ref_trajectory):
         names = [c.name for c in verify(ref_trajectory).checks]
         assert len(names) == len(set(names))
+
+
+class TestCheckRule:
+    """A check passes exactly when its margin is <= 0; v_positive is stricter."""
+
+    @pytest.mark.parametrize("fixture", ["ref_trajectory", "kg_trajectory",
+                                         "truncated_trajectory"])
+    def test_passed_iff_margin_nonpositive(self, fixture, request):
+        for c in verify(request.getfixturevalue(fixture)).checks:
+            if c.name != "v_positive":
+                assert c.passed == (c.margin <= 0.0), c
+
+    def test_v_zero_fails_v_positive(self):
+        traj = make_fake_trajectory([1.0, 0.9, 0.8])
+        states = np.array(traj.states)
+        states[-1, 1] = 0.0
+        check = next(c for c in verify_bounds(replace(traj, states=states))
+                     if c.name == "v_positive")
+        assert not check.passed
+        assert check.margin == 0.0
+
+    @pytest.mark.parametrize("t,detail", [
+        ([0.0, 0.01], "too few samples for quadrature"),
+        ([0.0, 0.01, 0.03, 0.04], "non-uniform sample grid"),
+    ])
+    def test_quadrature_vacuous_without_uniform_grid(self, t, detail):
+        traj = make_fake_trajectory(np.linspace(1.0, 0.9, len(t)))
+        tol = Tolerances()
+        assert verify_quadrature(replace(traj, t=np.array(t))) == [
+            Check("rho_quadrature_oracle", True, -tol.rho_oracle_rel, detail),
+            Check("v_quadrature_identity", True, -tol.v_oracle_rel, detail)]
 
 
 class TestQIdentity:
