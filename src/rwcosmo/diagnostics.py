@@ -133,7 +133,10 @@ def fit_decay_rate(series: Sequence[tuple[float, float]],
         raise ValueError("series must be strictly positive inside the window; "
                          "shrink the window before the data hit numerical zero")
     z = np.log(y)
-    slope, intercept = np.polyfit(t, z, 1)
+    # Centred closed form: unlike np.polyfit, no LAPACK kernel picks the bytes.
+    dt = t - np.mean(t)
+    slope = np.sum(dt * (z - np.mean(z))) / np.sum(dt * dt)
+    intercept = np.mean(z) - slope * np.mean(t)
     resid = float(np.sqrt(np.mean((z - (slope * t + intercept)) ** 2)))
     return DecayFit(rate=float(-slope), intercept=float(intercept), residual=resid)
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Literal, Optional
 
 from .model import (EIGHT_PI, FOUR_PI, CosmoState, ModelParams, constraint_residual,
-                    derived_terms, _require_finite)
+                    derived_terms, _finite_fields, _require_finite)
 
 Branch = Literal["expanding", "contracting"]
 
@@ -62,8 +62,7 @@ class InitialData:
     rho0: float
 
     def __post_init__(self) -> None:
-        _require_finite(a0=self.a0, u0=self.u0, phi0=self.phi0,
-                        chi0=self.chi0, rho0=self.rho0)
+        _finite_fields(self, "a0", "u0", "phi0", "chi0", "rho0")
         if self.a0 <= 0.0:
             raise ValueError(f"a0 must be > 0, got {self.a0!r}")
         if self.chi0 < 0.0:

@@ -5,6 +5,16 @@ quartic continuous extension.  Step control follows the usual safety-factor
 rule (safety 0.9, growth factor clamped to [0.2, 5]) on a weighted RMS error
 over the five components.
 
+Arithmetic is on plain Python floats in a fixed order, with no BLAS call,
+so the output bytes do not depend on the BLAS kernel.  Stage arguments and
+y1 are y + h*(a_1*k_1 + a_2*k_2 + ...), the error estimate and the quartic
+coefficient h*(w_1*k_1 + ...), each sum left to right over the nonzero
+weights; the error norm is sqrt((q_u**2 + q_v**2 + ... + q_rho**2) / 5).
+The pair is FSAL: an accepted step's last stage f(y1) is the next step's
+first, and a rejected step keeps its first stage, so a run makes
+6*(accepted + rejected) + 1 right-hand-side evaluations, plus one per
+FieldFrozen restart at t > 0.
+
 Error weights: u, phi and chi use the mixed scale abs_tol + rel_tol*|y|.  The
 strictly positive, exponentially decaying components v and rho use the purely
 relative scale rel_tol*|y|: under a mixed scale the controller goes blind on
@@ -37,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -54,26 +64,24 @@ FIELD_FROZEN = "FieldFrozen"
 CHI_ZERO_CROSSING = "ChiZeroCrossing"
 GUARD_TRIPPED = "GuardTripped"
 
-# Dormand-Prince 5(4) tableau.
-_A = (
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-)
-# Difference between 5th- and embedded 4th-order weights.
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
-               -17253 / 339200, 22 / 525, -1 / 40])
-# Weights of the quartic dense-output polynomial.
-_D = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
-               -10690763975 / 1880347072, 701980252875 / 199316789632,
-               -1453857185 / 822651844, 69997945 / 29380423])
+# Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Table II.5.2).
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
+                                -5103 / 18656)
+# 5th-order weights (b2 = b7 = 0); the last stage is f(y1) itself.
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+# Difference between 5th- and embedded 4th-order weights (e2 = 0).
+_E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
+                                -17253 / 339200, 22 / 525, -1 / 40)
+# Weights of the quartic dense-output polynomial (d2 = 0).
+_D1, _D3, _D4, _D5, _D6, _D7 = (
+    -12715105075 / 11282082432, 87487479700 / 32700410799,
+    -10690763975 / 1880347072, 701980252875 / 199316789632,
+    -1453857185 / 822651844, 69997945 / 29380423)
 
-# v and rho (indices 1 and 4) get purely relative error control.
-_RELATIVE = np.array([False, True, False, False, True])
 _TINY = 1e-300
 
 _SAFETY = 0.9
@@ -106,6 +114,8 @@ class IntegratorConfig:
     override_admissibility: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("rel_tol", "abs_tol", "h_init", "h_min", "h_max", "t_end", "sample_dt"):
+            object.__setattr__(self, name, float(getattr(self, name)))  # no numpy scalars
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise ValueError("rel_tol and abs_tol must be > 0")
         if not (0.0 < self.h_min <= self.h_init <= self.h_max):
@@ -185,38 +195,42 @@ class Trajectory:
         return any(e.kind == GUARD_TRIPPED for e in self.events)
 
 
-def _deriv(y: np.ndarray, lam: float, mass_sq: float, frozen: bool) -> np.ndarray:
-    du, dv, dphi, dchi, drho = _rhs_terms(y[0], y[1], y[2], y[3], y[4], lam, mass_sq)
-    if frozen:
-        dchi = 0.0
-    return np.array([du, dv, dphi, dchi, drho])
+def _trial_step(y: Sequence[float], k1: Sequence[float], h: float,
+                params: ModelParams, config: IntegratorConfig,
+                frozen: bool) -> tuple[list[float], float, tuple]:
+    """One trial step from y, given its first stage k1 = f(y).
 
-
-# A trial step that overflows comes back non-finite and is rejected, so
-# overflow on far-out data is an expected outcome rather than a warning.
-_QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore")
-
-
-def _trial_step(y: np.ndarray, h: float, params: ModelParams,
-                config: IntegratorConfig, frozen: bool) -> tuple[np.ndarray, float, np.ndarray]:
-    """One trial step: (y_new, weighted RMS error norm, stages).
-
-    The norm is infinite when y_new is not finite.
+    Returns (y_new, weighted RMS error norm, the seven stages); the last
+    stage is f(y_new).  The norm is infinite when y_new is not finite.
     """
     lam, mass_sq = params.lam, params.mass_sq
-    k = np.empty((7, 5))
-    k[0] = _deriv(y, lam, mass_sq, frozen)
-    for i in range(1, 6):
-        k[i] = _deriv(y + h * (_A[i] @ k[:i]), lam, mass_sq, frozen)
-    y1 = y + h * (_A[6] @ k[:6])
-    k[6] = _deriv(y1, lam, mass_sq, frozen)
-    if not np.all(np.isfinite(y1)):
+    k2 = _rhs_terms(*[y0 + h * (_A21 * a) for y0, a in zip(y, k1)],
+                    lam, mass_sq, frozen)
+    k3 = _rhs_terms(*[y0 + h * (_A31 * a + _A32 * b)
+                      for y0, a, b in zip(y, k1, k2)], lam, mass_sq, frozen)
+    k4 = _rhs_terms(*[y0 + h * (_A41 * a + _A42 * b + _A43 * c)
+                      for y0, a, b, c in zip(y, k1, k2, k3)], lam, mass_sq, frozen)
+    k5 = _rhs_terms(*[y0 + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
+                      for y0, a, b, c, d in zip(y, k1, k2, k3, k4)],
+                    lam, mass_sq, frozen)
+    k6 = _rhs_terms(*[y0 + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
+                      for y0, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)],
+                    lam, mass_sq, frozen)
+    y1 = [y0 + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * f)
+          for y0, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)]
+    k7 = _rhs_terms(*y1, lam, mass_sq, frozen)
+    k = (k1, k2, k3, k4, k5, k6, k7)
+    if not all(map(math.isfinite, y1)):
         return y1, math.inf, k
-    err = h * (_E @ k)
-    ymax = np.maximum(np.abs(y), np.abs(y1))
-    scale = np.where(_RELATIVE, config.rel_tol * ymax + _TINY,
-                     config.abs_tol + config.rel_tol * ymax)
-    return y1, float(np.sqrt(np.mean((err / scale) ** 2))), k
+    rel_tol, abs_tol = config.rel_tol, config.abs_tol
+    # v and rho (components 1 and 4) get purely relative error control.
+    floors = (abs_tol, _TINY, abs_tol, abs_tol, _TINY)
+    total = 0.0
+    for y0, y0_new, a, c, d, e, f, g, floor in zip(y, y1, k1, k3, k4, k5, k6, k7, floors):
+        err = h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * f + _E7 * g)
+        q = err / (rel_tol * max(abs(y0), abs(y0_new)) + floor)
+        total += q * q
+    return y1, math.sqrt(total / 5), k
 
 
 def _step_factor(norm: float) -> float:
@@ -228,28 +242,31 @@ def _step_factor(norm: float) -> float:
 class _DenseSegment:
     """Quartic interpolant over one accepted step, exact at both endpoints."""
 
-    def __init__(self, t0: float, h: float, y0: np.ndarray, y1: np.ndarray,
-                 k: np.ndarray):
+    def __init__(self, t0: float, h: float, y0: Sequence[float],
+                 y1: Sequence[float], k: tuple):
         self.t0 = t0
         self.h = h
-        ydiff = y1 - y0
-        bspl = h * k[0] - ydiff
-        self._r = (y0, ydiff, bspl, ydiff - h * k[6] - bspl, h * (_D @ k))
+        k1, _, k3, k4, k5, k6, k7 = k
+        self._r = []
+        for y0c, y1c, a, c, d, e, f, g in zip(y0, y1, k1, k3, k4, k5, k6, k7):
+            ydiff = y1c - y0c
+            bspl = h * a - ydiff
+            self._r.append((y0c, ydiff, bspl, ydiff - h * g - bspl,
+                            h * (_D1 * a + _D3 * c + _D4 * d + _D5 * e + _D6 * f + _D7 * g)))
 
-    def __call__(self, theta: float) -> np.ndarray:
-        r0, r1, r2, r3, r4 = self._r
+    def __call__(self, theta: float) -> list[float]:
         sigma = 1.0 - theta
-        return r0 + theta * (r1 + sigma * (r2 + theta * (r3 + sigma * r4)))
+        return [r0 + theta * (r1 + sigma * (r2 + theta * (r3 + sigma * r4)))
+                for r0, r1, r2, r3, r4 in self._r]
 
 
-def _is_frozen_state(y: np.ndarray, params: ModelParams, mode: str) -> bool:
+def _is_frozen_state(y: Sequence[float], params: ModelParams, mode: str) -> bool:
     # chi == 0 exactly only happens on the clamped continuation (or at a
     # degenerate start); the clamp applies when the field equation would
     # otherwise push chi negative.
     return mode == "paper" and y[3] == 0.0 and params.mass_sq * y[2] >= 0.0
 
 
-@_QUIET_OVERFLOW
 def step(state: CosmoState, params: ModelParams, h: float,
          config: IntegratorConfig) -> tuple[CosmoState, float, float]:
     """One trial step of size h from ``state``.
@@ -262,42 +279,37 @@ def step(state: CosmoState, params: ModelParams, h: float,
     if not (config.h_min <= h <= config.h_max):
         raise ValueError(f"h = {h!r} outside [h_min, h_max] = "
                          f"[{config.h_min!r}, {config.h_max!r}]")
-    y = np.array([state.u, state.v, state.phi, state.chi, state.rho])
+    y = (state.u, state.v, state.phi, state.chi, state.rho)
     frozen = _is_frozen_state(y, params, config.mode)
-    y1, norm, _ = _trial_step(y, h, params, config, frozen)
-    new_state = CosmoState(state.t + h, *y1.tolist())
+    k1 = _rhs_terms(*y, params.lam, params.mass_sq, frozen)
+    y1, norm, _ = _trial_step(y, k1, h, params, config, frozen)
+    new_state = CosmoState(state.t + h, *y1)
     return new_state, norm, h * _step_factor(norm)
 
 
-def _locate_crossing(dense: _DenseSegment, component: int, downward: bool,
-                     rel_tol: float) -> float:
-    """Bisect the dense interpolant for a sign change of one component.
+def _locate_crossing(dense: _DenseSegment, downward: bool, rel_tol: float) -> float:
+    """Bisect the dense interpolant for a sign change of chi.
 
     Returns theta in (0, 1].  Robust rather than fast: plain bisection, at
     most 60 iterations, stopping once the bracket is below
     rel_tol * max(1, t) in time units.
     """
     sign = 1.0 if downward else -1.0
-
-    def g(theta: float) -> float:
-        return sign * float(dense(theta)[component])
-
     lo, hi = 0.0, 1.0
     tol_t = rel_tol * max(1.0, dense.t0 + dense.h)
     for _ in range(60):
         if (hi - lo) * dense.h <= tol_t:
             break
         mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
+        if sign * dense(mid)[3] > 0.0:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
 
 
-def _guard_violation(y: np.ndarray, config: IntegratorConfig) -> Optional[str]:
-    if not np.all(np.isfinite(y)):
-        return "non-finite state component"
+def _guard_violation(y: Sequence[float], config: IntegratorConfig) -> Optional[str]:
+    # y is an accepted step's end: finite, since a non-finite one has norm inf.
     if abs(y[0]) > config.max_abs_u:
         return f"|u| = {abs(y[0]):.6g} exceeded {config.max_abs_u:.6g}"
     if abs(y[2]) > config.max_abs_phi:
@@ -307,7 +319,6 @@ def _guard_violation(y: np.ndarray, config: IntegratorConfig) -> Optional[str]:
     return None
 
 
-@_QUIET_OVERFLOW
 def integrate(initial: InitialData, params: ModelParams,
               config: IntegratorConfig) -> Trajectory:
     """Advance the system from t = 0 to t_end, sampling every sample_dt.
@@ -338,11 +349,13 @@ def integrate(initial: InitialData, params: ModelParams,
     times: list[float] = [0.0]
     rows: list[list[float]] = [[state0.u, state0.v, state0.phi, state0.chi, state0.rho]]
     events: list[Event] = []
-    accepted = rejected = nevals = 0
+    accepted = rejected = 0
 
-    y = np.array(rows[0])
+    y = rows[0]
     t = 0.0
     frozen = _is_frozen_state(y, params, config.mode)
+    k1 = _rhs_terms(*y, params.lam, params.mass_sq, frozen)
+    nevals = 1
     if y[3] == 0.0 and params.mass_sq * y[2] > 0.0:
         # The field equation would pull chi negative right away.
         events.append(Event(0.0, FIELD_FROZEN if frozen else CHI_ZERO_CROSSING,
@@ -351,7 +364,8 @@ def integrate(initial: InitialData, params: ModelParams,
     k_next = 1
     rho_clamp = min(config.abs_tol, 1e-10)
 
-    def emit(dense: _DenseSegment, t_hi: float, y_end: Optional[np.ndarray]) -> Optional[str]:
+    def emit(dense: _DenseSegment, t_hi: float,
+             y_end: Optional[list[float]]) -> Optional[str]:
         """Append grid samples with t_k <= t_hi; returns a failure detail."""
         nonlocal k_next
         while k_next <= k_last:
@@ -360,9 +374,9 @@ def integrate(initial: InitialData, params: ModelParams,
                 break
             theta = (t_k - dense.t0) / dense.h
             if y_end is not None and theta >= 1.0 - 1e-12:
-                row = y_end.tolist()
+                row = list(y_end)
             else:
-                row = dense(theta).tolist()
+                row = dense(theta)
             t_sample = config.t_end if k_next == k_last and abs(t_k - config.t_end) <= 1e-9 * dt else t_k
             if -rho_clamp < row[4] < 0.0:
                 row[4] = 0.0  # interpolation jitter on a vanishing tail
@@ -379,8 +393,8 @@ def integrate(initial: InitialData, params: ModelParams,
         remaining = config.t_end - t
         h_trial = min(h, remaining)
         end_limited = h_trial < h
-        y1, norm, k = _trial_step(y, h_trial, params, config, frozen)
-        nevals += 7
+        y1, norm, k = _trial_step(y, k1, h_trial, params, config, frozen)
+        nevals += 6
         if norm > 1.0:
             rejected += 1
             h = h_trial * _step_factor(norm)
@@ -391,10 +405,11 @@ def integrate(initial: InitialData, params: ModelParams,
 
         accepted += 1
         t1 = config.t_end if h_trial == remaining else t + h_trial
+        h = min(config.h_max, max(config.h_min, h_trial * _step_factor(norm)))
         dense = _DenseSegment(t, h_trial, y, y1, k)
 
         if not frozen and y[3] > 0.0 and y1[3] <= 0.0:
-            theta = _locate_crossing(dense, 3, downward=True, rel_tol=config.rel_tol)
+            theta = _locate_crossing(dense, downward=True, rel_tol=config.rel_tol)
             t_star = t + theta * h_trial
             if config.mode == "paper":
                 detail = emit(dense, t_star, None)
@@ -407,25 +422,19 @@ def integrate(initial: InitialData, params: ModelParams,
                                     f"field velocity reached zero; phi frozen at {y_star[2]:.12g}"))
                 frozen = True
                 t, y = t_star, y_star
-                h = min(config.h_max, max(config.h_min, h_trial * _step_factor(norm)))
+                k1 = _rhs_terms(*y, params.lam, params.mass_sq, frozen)
+                nevals += 1
                 continue
             events.append(Event(t_star, CHI_ZERO_CROSSING, "downward crossing"))
         elif config.mode == "kg" and y[3] < 0.0 and y1[3] >= 0.0:
-            theta = _locate_crossing(dense, 3, downward=False, rel_tol=config.rel_tol)
+            theta = _locate_crossing(dense, downward=False, rel_tol=config.rel_tol)
             events.append(Event(t + theta * h_trial, CHI_ZERO_CROSSING, "upward crossing"))
 
-        guard = _guard_violation(y1, config)
-        if guard is not None:
-            events.append(Event(t1, GUARD_TRIPPED, guard))
-            break
-
-        detail = emit(dense, t1, y1)
+        detail = _guard_violation(y1, config) or emit(dense, t1, y1)
         if detail is not None:
             events.append(Event(t1, GUARD_TRIPPED, detail))
             break
-
-        t, y = t1, y1
-        h = min(config.h_max, max(config.h_min, h_trial * _step_factor(norm)))
+        t, y, k1 = t1, y1, k[6]
 
     return Trajectory(
         params=params,

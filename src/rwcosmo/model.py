@@ -43,6 +43,15 @@ def _require_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _finite_fields(obj: object, *names: str) -> None:
+    """Require the named fields of a frozen dataclass to be finite and store
+    them as Python floats: numpy scalars would make the float stepper's
+    arithmetic slow and let it warn on overflow."""
+    _require_finite(**{name: getattr(obj, name) for name in names})
+    for name in names:
+        object.__setattr__(obj, name, float(getattr(obj, name)))
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Fixed physical constants: cosmological constant and scalar-field mass.
@@ -56,7 +65,7 @@ class ModelParams:
     mass: float
 
     def __post_init__(self) -> None:
-        _require_finite(lam=self.lam, mass=self.mass)
+        _finite_fields(self, "lam", "mass")
         if self.mass < 0.0:
             raise ValueError(f"mass must be >= 0, got {self.mass!r}")
 
@@ -82,8 +91,7 @@ class CosmoState:
     rho: float
 
     def __post_init__(self) -> None:
-        _require_finite(t=self.t, u=self.u, v=self.v, phi=self.phi,
-                        chi=self.chi, rho=self.rho)
+        _finite_fields(self, "t", "u", "v", "phi", "chi", "rho")
         if self.v <= 0.0:
             raise ValueError(f"v must be > 0, got {self.v!r}")
         if self.rho < 0.0:
@@ -128,11 +136,14 @@ class StateDeriv(NamedTuple):
 
 
 def _rhs_terms(u: float, v: float, phi: float, chi: float, rho: float,
-               lam: float, mass_sq: float) -> tuple[float, float, float, float, float]:
-    # Shared scalar core; the adaptive stepper calls this directly.
+               lam: float, mass_sq: float,
+               frozen: bool = False) -> tuple[float, float, float, float, float]:
+    # Shared scalar core; the adaptive stepper calls this directly, with
+    # ``frozen`` set once the field is frozen (chi clamped at 0, dchi = 0).
     psi = 0.5 * chi * chi
     du = -1.5 * u * u + 0.5 * lam - FOUR_PI * (psi - 0.5 * mass_sq * phi * phi + rho / 3.0)
-    return (du, -2.0 * u * v, chi, -3.0 * u * chi - mass_sq * phi, -4.0 * u * rho)
+    dchi = 0.0 if frozen else -3.0 * u * chi - mass_sq * phi
+    return (du, -2.0 * u * v, chi, dchi, -4.0 * u * rho)
 
 
 def rhs(state: CosmoState, params: ModelParams) -> StateDeriv:

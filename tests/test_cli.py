@@ -4,10 +4,15 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rwcosmo
 from rwcosmo.cli import (EXIT_CONFIG, EXIT_INADMISSIBLE, EXIT_INCONCLUSIVE,
                          EXIT_INTEGRATOR, EXIT_OK, EXIT_VERIFY_FAILED, main)
 from rwcosmo.serialize import read_trajectory, trajectory_csv_text
@@ -15,6 +20,10 @@ from rwcosmo.serialize import read_trajectory, trajectory_csv_text
 from conftest import write_reference_config
 
 TRAJECTORY_HEADER = "t,u,v,a,phi,chi,psi,rho,H,T00,Q,constraint"
+#: sha256 of the reference run's trajectory.csv.  The float stepper makes it
+#: the same on every BLAS kernel.
+REFERENCE_TRAJECTORY_SHA256 = (
+    "4394b5f70ce3c19ddbb835061dac33696b1dbb59d1101df35a3300736a90b567")
 
 
 def sha256(text):
@@ -58,12 +67,16 @@ class TestSimulate:
         assert float(row1["psi"]) == cols["psi"][0]
 
     def test_reference_counters_and_csv_round_trip(self, ref_run, ref_trajectory):
-        """Pinned step counters of the reference run; reading trajectory.csv
-        back and writing it again reproduces its bytes."""
+        """Pinned step counters and trajectory.csv bytes of the reference run;
+        reading trajectory.csv back and writing it again reproduces its bytes.
+
+        11,738 RHS evaluations = 6 per step, the first stage, and one more
+        after the FieldFrozen restart."""
         st = ref_trajectory.stats
-        assert (st.steps_accepted, st.steps_rejected, st.rhs_evaluations) == (1956, 0, 13692)
+        assert (st.steps_accepted, st.steps_rejected, st.rhs_evaluations) == (1956, 0, 11738)
         assert len(ref_trajectory.t) == 1001
         text = (ref_run / "trajectory.csv").read_text()
+        assert sha256(text) == REFERENCE_TRAJECTORY_SHA256
         for written in (trajectory_csv_text(read_trajectory(ref_run)),
                         trajectory_csv_text(ref_trajectory)):
             assert sha256(written) == sha256(text), first_difference(written, text)
@@ -152,6 +165,32 @@ overwrite = true
                                      **{"t_end = 10": "t_end = 0.1"})
         assert main(["simulate", str(cfg)]) == EXIT_OK
         assert (tmp_path / "root" / "rel_out" / "trajectory.csv").exists()
+
+
+class TestPortableBytes:
+    def test_outputs_independent_of_blas_kernel(self, tmp_path):
+        """The reference simulate + verify writes the same trajectory.csv and
+        report.json whether OpenBLAS runs its generic kernel (Prescott, no
+        fused multiply-add) or the one it picks for this CPU.  A BLAS that
+        ignores OPENBLAS_CORETYPE passes trivially."""
+        script = ("import sys; from rwcosmo.cli import main; "
+                  "sys.exit(main(['simulate', sys.argv[1]]) or main(['verify', sys.argv[2]]))")
+        src = str(Path(rwcosmo.__file__).resolve().parents[1])
+        digests = []
+        for coretype in ("Prescott", None):
+            env = {k: v for k, v in os.environ.items()
+                   if k not in ("OPENBLAS_CORETYPE", "RWCOSMO_OUTPUT_ROOT")}
+            if coretype is not None:
+                env["OPENBLAS_CORETYPE"] = coretype
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = tmp_path / f"out_{coretype}"
+            cfg = write_reference_config(tmp_path / f"{coretype}.ini", str(out))
+            done = subprocess.run([sys.executable, "-c", script, str(cfg), str(out)],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == EXIT_OK, done.stderr
+            digests.append([hashlib.sha256((out / name).read_bytes()).hexdigest()
+                            for name in ("trajectory.csv", "report.json")])
+        assert digests[0] == digests[1]
 
 
 class TestVerify:

@@ -39,6 +39,22 @@ class TestFitDecayRate:
             assert fit.rate == pytest.approx(2.0, abs=1e-12)
             assert fit.residual < 1e-12
 
+    def test_exact_line_and_polyfit_agreement(self):
+        """The closed-form fit recovers an exact line in ln y and agrees with
+        np.polyfit on noisy data."""
+        t = np.arange(2.0, 9.01, 0.01)
+        fit = fit_decay_rate(np.column_stack([t, np.exp(0.7 - 1.5 * t)]), (2.0, 9.0))
+        assert fit.rate == pytest.approx(1.5, rel=1e-13)
+        assert fit.intercept == pytest.approx(0.7, rel=1e-12)
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            y = np.exp(rng.normal(1.0, 1.0) - rng.uniform(0.1, 3.0) * t
+                       + 0.1 * rng.standard_normal(t.size))
+            fit = fit_decay_rate(np.column_stack([t, y]), (2.0, 9.0))
+            slope, intercept = np.polyfit(t, np.log(y), 1)
+            assert fit.rate == pytest.approx(-slope, rel=1e-9)
+            assert fit.intercept == pytest.approx(intercept, rel=1e-9)
+
     def test_constant_series_rate_zero(self):
         t = np.arange(0.0, 5.01, 0.5)
         series = np.column_stack([t, np.full_like(t, 7.0)])

@@ -10,11 +10,87 @@ from rwcosmo import (CosmoState, InadmissibleInitialData, IntegratorConfig,
                      ModelParams, StepSizeUnderflow, build_state, integrate,
                      make_initial_data, step)
 from rwcosmo.diagnostics import cumulative_simpson
-from rwcosmo.integrator import FIELD_FROZEN, CHI_ZERO_CROSSING, GUARD_TRIPPED
+from rwcosmo.integrator import (FIELD_FROZEN, CHI_ZERO_CROSSING, GUARD_TRIPPED,
+                                _trial_step)
+from rwcosmo.model import _rhs_terms
 
 from conftest import REF_CONFIG, REF_PARAMS, REF_NU, reference_initial
 
 FOUR_PI = 4.0 * math.pi
+EPS = np.finfo(float).eps
+
+# The numpy stepper the float one replaced: the tableau as arrays and each
+# stage sum a matrix product (whose summation order is the BLAS kernel's).
+# It stays here as the reference for the float stepper.
+_A = (
+    np.array([]),
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+)
+_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
+               -17253 / 339200, 22 / 525, -1 / 40])
+_RELATIVE = np.array([False, True, False, False, True])
+_TINY = 1e-300
+
+
+def numpy_deriv(y, lam, mass_sq, frozen):
+    du, dv, dphi, dchi, drho = _rhs_terms(y[0], y[1], y[2], y[3], y[4], lam, mass_sq)
+    if frozen:
+        dchi = 0.0
+    return np.array([du, dv, dphi, dchi, drho])
+
+
+def numpy_trial_step(y, h, params, config, frozen):
+    lam, mass_sq = params.lam, params.mass_sq
+    k = np.empty((7, 5))
+    k[0] = numpy_deriv(y, lam, mass_sq, frozen)
+    for i in range(1, 6):
+        k[i] = numpy_deriv(y + h * (_A[i] @ k[:i]), lam, mass_sq, frozen)
+    y1 = y + h * (_A[6] @ k[:6])
+    k[6] = numpy_deriv(y1, lam, mass_sq, frozen)
+    if not np.all(np.isfinite(y1)):
+        return y1, math.inf, k
+    err = h * (_E @ k)
+    ymax = np.maximum(np.abs(y), np.abs(y1))
+    scale = np.where(_RELATIVE, config.rel_tol * ymax + _TINY,
+                     config.abs_tol + config.rel_tol * ymax)
+    return y1, float(np.sqrt(np.mean((err / scale) ** 2))), k
+
+
+def term_magnitudes(y, h, params, frozen):
+    """The numpy stepper run on absolute values: every weight, state
+    component and right-hand-side term replaced by its magnitude.  Returns the
+    magnitudes of the terms summed into each stage, into y1 and into the
+    error estimate, the scale of the rounding each may carry."""
+    lam, m2 = abs(params.lam), params.mass_sq
+
+    def f(z):
+        u, v, phi, chi, rho = z
+        du = 1.5 * u * u + 0.5 * lam + FOUR_PI * (0.5 * chi * chi + 0.5 * m2 * phi * phi
+                                                  + rho / 3.0)
+        dchi = 0.0 if frozen else 3.0 * u * chi + m2 * phi
+        return np.array([du, 2.0 * u * v, chi, dchi, 4.0 * u * rho])
+
+    y = np.abs(y)
+    k = np.empty((7, 5))
+    k[0] = f(y)
+    for i in range(1, 6):
+        k[i] = f(y + h * (np.abs(_A[i]) @ k[:i]))
+    y1 = y + h * (np.abs(_A[6]) @ k[:6])
+    k[6] = f(y1)
+    return k, y1, h * (np.abs(_E) @ k)
+
+
+def fsal_evaluations(traj):
+    """RHS evaluations of an FSAL run: 6 per trial step, the first stage, and
+    one more after each FieldFrozen restart (t > 0)."""
+    st = traj.stats
+    restarts = sum(e.kind == FIELD_FROZEN and e.t > 0.0 for e in traj.events)
+    return 6 * (st.steps_accepted + st.steps_rejected) + 1 + restarts
 
 
 class TestConfig:
@@ -88,6 +164,67 @@ class TestStep:
         s = CosmoState(t=0.0, u=0.1, v=1.0, phi=0.1, chi=0.01, rho=0.0)
         _, _, h_next = step(s, REF_PARAMS, 0.01, IntegratorConfig())
         assert h_next <= 0.05 + 1e-15
+
+
+class TestTrialStep:
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_agrees_with_numpy_stepper(self, frozen):
+        """y1, all seven stages and the error norm agree with the numpy
+        stepper to 16 eps times the magnitude of the summed terms."""
+        rng = np.random.default_rng(20130 + frozen)
+        for _ in range(200):
+            y = rng.uniform([-2.0, 0.1, -2.0, -1.0, 0.0], [3.0, 2.0, 2.0, 1.0, 1.0])
+            params = ModelParams(lam=rng.uniform(-1.0, 3.0), mass=rng.uniform(0.0, 2.0))
+            tol = 10.0 ** rng.uniform(-12.0, -4.0)
+            config = IntegratorConfig(rel_tol=tol, abs_tol=tol)
+            h = 10.0 ** rng.uniform(-4.0, math.log10(0.25))
+            ref_y1, ref_norm, ref_k = numpy_trial_step(y, h, params, config, frozen)
+            k1 = _rhs_terms(*y.tolist(), params.lam, params.mass_sq, frozen)
+            y1, norm, k = _trial_step(y.tolist(), k1, h, params, config, frozen)
+            mag_k, mag_y1, mag_err = term_magnitudes(y, h, params, frozen)
+            assert np.all(np.abs(np.array(k) - ref_k) <= 16.0 * EPS * mag_k)
+            assert np.all(np.abs(np.array(y1) - ref_y1) <= 16.0 * EPS * mag_y1)
+            ymax = np.maximum(np.abs(y), np.abs(ref_y1))
+            scale = np.where(_RELATIVE, tol * ymax + _TINY, tol + tol * ymax)
+            mag_norm = math.sqrt(np.mean((mag_err / scale) ** 2))
+            assert abs(norm - ref_norm) <= 16.0 * EPS * mag_norm
+
+    @pytest.mark.parametrize("y", [
+        [1e200, 1.0, 1.0, 0.1, 0.05],  # u * u overflows
+        [0.5, 1.0, math.nan, 0.1, 0.05],
+        [0.5, 1.0, 1.0, math.inf, 0.05],
+    ])
+    def test_non_finite_step_has_infinite_norm(self, y):
+        """Float overflow yields inf/nan without raising, and a non-finite y1
+        reads as an infinitely bad step."""
+        k1 = _rhs_terms(*y, REF_PARAMS.lam, REF_PARAMS.mass_sq)
+        y1, norm, _ = _trial_step(y, k1, 0.01, REF_PARAMS, IntegratorConfig(), False)
+        assert not all(map(math.isfinite, y1))
+        assert norm == math.inf
+
+
+class TestFsalCount:
+    @pytest.mark.parametrize("run", ["rejecting", "reference", "kg", "frozen_at_start"])
+    def test_rhs_evaluations(self, run, request, ref_initial):
+        """rhs_evaluations = 6*(accepted + rejected) + 1 + restarts on every
+        branch: rejected steps reuse their first stage, accepted ones pass
+        their last stage on, a FieldFrozen restart evaluates it afresh."""
+        if run == "rejecting":
+            cfg = replace(REF_CONFIG, h_init=0.25, t_end=1.0)
+            traj = integrate(ref_initial, REF_PARAMS, cfg)
+            assert traj.stats.steps_rejected > 0
+        elif run == "reference":
+            traj = request.getfixturevalue("ref_trajectory")
+            assert [e.kind for e in traj.events] == [FIELD_FROZEN] and traj.events[0].t > 0.0
+        elif run == "kg":
+            traj = request.getfixturevalue("kg_trajectory")
+            assert {e.kind for e in traj.events} == {CHI_ZERO_CROSSING}
+        else:
+            params = ModelParams(lam=1.0, mass=1.0)
+            data = make_initial_data(params, 1.0, 1.0, 0.0, 0.05, "expanding")
+            traj = integrate(data, params, replace(REF_CONFIG, t_end=1.0))
+            assert [(e.kind, e.t) for e in traj.events] == [(FIELD_FROZEN, 0.0)]
+        assert traj.stats.rhs_evaluations == fsal_evaluations(traj)
 
 
 class TestIntegrateReference:
@@ -169,7 +306,7 @@ class TestIntegrateReference:
     def test_stats_populated(self, ref_trajectory):
         st = ref_trajectory.stats
         assert st.steps_accepted > 0
-        assert st.rhs_evaluations == 7 * (st.steps_accepted + st.steps_rejected)
+        assert st.rhs_evaluations == fsal_evaluations(ref_trajectory)
 
 
 class TestInvariantSubspaces:

@@ -224,3 +224,18 @@ class TestSweepProperties:
         assert [(r.lam, r.phi0) for r in rows] == \
                [(p["lambda"], p["phi0"]) for p in plan.points()]
         assert {r.status for r in rows} <= STATUSES
+
+    def test_numpy_scalar_values_run_as_floats(self):
+        """Plan values given as numpy scalars (a float subclass) reach the
+        stepper as Python floats: a far-out point overflows without a warning
+        and every row equals the one from Python floats."""
+        def plan(conv):
+            return SweepPlan(axes=(("lambda", (conv(4.4e196), conv(1.0))),
+                                   ("rho0", (conv(5.7e299), conv(0.05)))),
+                             fixed=(("mass", conv(1.0)), ("chi0", conv(0.1)), ("phi0", conv(1.0))),
+                             branch="contracting", workers=1,
+                             integrator=replace(SHORT, override_admissibility=True,
+                                                t_end=np.float64(0.05)))
+        as_numpy, as_float = run_sweep(plan(np.float64)), run_sweep(plan(float))
+        assert [r.status for r in as_float] == [STATUS_STEP_UNDERFLOW] * 3 + [STATUS_OK]
+        assert sweep_table_csv(as_numpy) == sweep_table_csv(as_float)
