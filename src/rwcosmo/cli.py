@@ -1,11 +1,17 @@
 """Command-line front end: simulate, verify, sweep, report.
 
-Configuration is flat INI (sections model / initial / integrator / output).
-Parsing is strict: unknown sections or keys are rejected outright, since a
-silently ignored typo in a physics parameter is the worst failure mode.
+Configuration is flat INI (sections model / initial / integrator / output
+for simulate; axes / fixed / sweep / integrator / output for sweep).  One
+section reader parses each key by its type name and rejects unknown
+sections and keys outright, since a silently ignored typo in a physics
+parameter is the worst failure mode.  ``[integrator]`` takes its keys and
+types from ``IntegratorConfig``'s fields.  Each value is then checked once,
+by the type it builds (ModelParams, InitialData, IntegratorConfig,
+SweepPlan), and admissibility is decided by ``integrate`` alone.
 
-Exit codes: 0 ok, 1 usage/config/IO error, 2 inadmissible data,
-3 integrator failure, 4 verification failure, 5 inconclusive verification.
+Exit codes: 0 ok, 1 usage/config error or an I/O error in any command,
+2 inadmissible data, 3 integrator failure, 4 verification failure,
+5 inconclusive verification.
 The single recognized environment variable, RWCOSMO_OUTPUT_ROOT, prefixes
 relative output directories.
 """
@@ -19,18 +25,15 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Any, Callable, Optional, Sequence
 
 from . import __version__
 from .diagnostics import (STATUS_FAILED, STATUS_INCONCLUSIVE,
-                          VerificationReport, verify)
+                          VerificationReport, libm, verify)
 from .initial import (InitialData, NegativeDensity, NoRealBranch,
-                      initial_data_from_u0, make_initial_data,
-                      validate_theorem1)
+                      initial_data_from_u0, make_initial_data)
 from .integrator import (InadmissibleInitialData, IntegratorConfig,
                          StepSizeUnderflow, Trajectory, integrate)
 from .model import ModelParams
@@ -47,13 +50,6 @@ EXIT_INCONCLUSIVE = 5
 
 ENV_OUTPUT_ROOT = "RWCOSMO_OUTPUT_ROOT"
 
-_MODEL_KEYS = {"lambda", "mass"}
-_INITIAL_KEYS = {"a0", "phi0", "chi0", "rho0", "branch", "u0", "solve_rho0"}
-_INTEGRATOR_KEYS = {"rel_tol", "abs_tol", "h_init", "h_min", "h_max", "t_end",
-                    "sample_dt", "mode", "max_abs_u", "max_abs_phi", "min_v",
-                    "override_admissibility"}
-_OUTPUT_KEYS = {"directory", "overwrite"}
-
 
 class ConfigError(ValueError):
     pass
@@ -61,20 +57,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed simulate configuration.
-
-    Exactly one of two entry forms is populated: ``branch`` (u0 solved from
-    the constraint) or ``u0`` with the solve_rho0 switch (rho0 solved from
-    the constraint).
-    """
+    """Parsed simulate configuration: constraint-consistent initial data
+    (u0 solved from ``branch``, or rho0 solved from an explicit ``u0``)."""
 
     params: ModelParams
-    a0: float
-    phi0: float
-    chi0: float
-    rho0: Optional[float]
-    branch: Optional[str]
-    u0: Optional[float]
+    initial: InitialData
     integrator: IntegratorConfig
     directory: str
     overwrite: bool = False
@@ -84,136 +71,115 @@ def _err(msg: str) -> None:
     print(f"rwcosmo: error: {msg}", file=sys.stderr)
 
 
-def _read_ini(path: str) -> configparser.ConfigParser:
+def _bool(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError("not a boolean") from None
+
+
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in raw.split(",") if v.strip())
+
+
+def _workers(raw: str) -> Optional[int]:
+    return None if raw == "auto" else int(raw)
+
+
+#: Parser of an INI value, by the type name of the field it fills.
+_PARSERS: dict[str, Callable[[str], Any]] = {"float": float, "bool": _bool, "str": str}
+_INTEGRATOR = {f.name: _PARSERS[f.type] for f in fields(IntegratorConfig)}
+_OUTPUT = {"directory": str, "overwrite": _bool}
+
+
+def _read_ini(path: str, known: Sequence[str], required: Sequence[str]
+              ) -> configparser.ConfigParser:
     cp = configparser.ConfigParser(interpolation=None,
                                    inline_comment_prefixes=("#", ";"))
     try:
         with open(path, "r") as fh:
             cp.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path!r}: {exc}") from exc
+    unknown = set(cp.sections()) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown section(s): {', '.join(sorted(unknown))}")
+    for name in required:
+        if not cp.has_section(name):
+            raise ConfigError(f"missing required section [{name}]")
     return cp
 
 
-def _check_keys(cp: configparser.ConfigParser, section: str, allowed: set[str]) -> None:
-    unknown = set(cp.options(section)) - allowed
+def _section(cp: configparser.ConfigParser, name: str,
+             schema: dict[str, Callable[[str], Any]],
+             required: Sequence[str] = ()) -> dict[str, Any]:
+    """The keys of [name] present in the file, in file order, each parsed by
+    its schema entry; unknown and missing required keys are config errors."""
+    keys = cp.options(name) if cp.has_section(name) else []
+    unknown = [k for k in keys if k not in schema]
     if unknown:
-        raise ConfigError(f"unknown key(s) in [{section}]: {', '.join(sorted(unknown))}")
+        raise ConfigError(f"unknown key(s) in [{name}]: {', '.join(sorted(unknown))}")
+    missing = [k for k in required if k not in keys]
+    if missing:
+        raise ConfigError(f"missing required key(s) in [{name}]: {', '.join(missing)}")
+    values = {}
+    for key in keys:
+        raw = cp.get(name, key)
+        try:
+            values[key] = schema[key](raw)
+        except ValueError as exc:
+            raise ConfigError(f"[{name}] {key} = {raw!r}: {exc}") from exc
+    return values
 
 
-def _get_float(cp, section: str, key: str, default: Optional[float] = None,
-               required: bool = False) -> Optional[float]:
-    if not cp.has_option(section, key):
-        if required:
-            raise ConfigError(f"missing required key {key!r} in [{section}]")
-        return default
-    raw = cp.get(section, key)
+def _build(what: str, factory: Callable[..., Any], *args, **kwargs) -> Any:
+    """``factory(...)``, the value check of the type it builds reported as a
+    ConfigError on ``what``; data without a real branch or with a negative
+    density pass through as they are."""
     try:
-        value = float(raw)
+        return factory(*args, **kwargs)
+    except (NoRealBranch, NegativeDensity):
+        raise
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from exc
-    if not math.isfinite(value):
-        raise ConfigError(f"[{section}] {key} = {raw!r} must be finite")
-    return value
+        raise ConfigError(f"invalid {what}: {exc}") from exc
 
 
-def _get_int(cp, section: str, key: str, default: Optional[int] = None) -> Optional[int]:
-    if not cp.has_option(section, key):
-        return default
-    raw = cp.get(section, key)
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer") from exc
+def _integrator(cp: configparser.ConfigParser) -> IntegratorConfig:
+    values = _section(cp, "integrator", _INTEGRATOR)
+    return _build("[integrator] section", IntegratorConfig, **values)
 
 
-def _get_bool(cp, section: str, key: str, default: bool = False) -> bool:
-    if not cp.has_option(section, key):
-        return default
-    raw = cp.get(section, key).strip().lower()
-    if raw in ("true", "yes", "on", "1"):
-        return True
-    if raw in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"[{section}] {key} = {raw!r} is not a boolean")
-
-
-def _parse_integrator(cp, section: str = "integrator") -> IntegratorConfig:
-    defaults = IntegratorConfig()
-    if not cp.has_section(section):
-        return defaults
-    _check_keys(cp, section, _INTEGRATOR_KEYS)
-    kwargs = {}
-    for key in ("rel_tol", "abs_tol", "h_init", "h_min", "h_max", "t_end",
-                "sample_dt", "max_abs_u", "max_abs_phi", "min_v"):
-        value = _get_float(cp, section, key)
-        if value is not None:
-            kwargs[key] = value
-    if cp.has_option(section, "mode"):
-        kwargs["mode"] = cp.get(section, "mode").strip()
-    kwargs["override_admissibility"] = _get_bool(cp, section, "override_admissibility",
-                                                 defaults.override_admissibility)
-    try:
-        return IntegratorConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"invalid [integrator] section: {exc}") from exc
+def _output(cp: configparser.ConfigParser, default: str) -> tuple[str, bool]:
+    out = _section(cp, "output", _OUTPUT)
+    return out.get("directory", default), out.get("overwrite", False)
 
 
 def parse_run_config(path: str) -> RunConfig:
-    cp = _read_ini(path)
-    known = {"model", "initial", "integrator", "output"}
-    unknown = set(cp.sections()) - known
-    if unknown:
-        raise ConfigError(f"unknown section(s): {', '.join(sorted(unknown))}")
-    for required in ("model", "initial"):
-        if not cp.has_section(required):
-            raise ConfigError(f"missing required section [{required}]")
-    _check_keys(cp, "model", _MODEL_KEYS)
-    _check_keys(cp, "initial", _INITIAL_KEYS)
-    if cp.has_section("output"):
-        _check_keys(cp, "output", _OUTPUT_KEYS)
+    """Parse a simulate configuration and build its initial data.
 
-    try:
-        params = ModelParams(lam=_get_float(cp, "model", "lambda", required=True),
-                             mass=_get_float(cp, "model", "mass", required=True))
-    except ValueError as exc:
-        raise ConfigError(f"invalid [model] section: {exc}") from exc
-
-    a0 = _get_float(cp, "initial", "a0", required=True)
-    phi0 = _get_float(cp, "initial", "phi0", required=True)
-    chi0 = _get_float(cp, "initial", "chi0", required=True)
-    branch = cp.get("initial", "branch").strip() if cp.has_option("initial", "branch") else None
-    u0 = _get_float(cp, "initial", "u0")
-    solve_rho0_flag = _get_bool(cp, "initial", "solve_rho0", False)
-
-    if branch is not None and u0 is not None:
-        raise ConfigError("[initial] give either branch or u0, not both")
-    if branch is None and u0 is None:
-        raise ConfigError("[initial] needs either branch = expanding|contracting "
-                          "or u0 with solve_rho0 = true")
-    if u0 is not None and not solve_rho0_flag:
-        raise ConfigError("[initial] explicit u0 requires solve_rho0 = true")
-    if solve_rho0_flag and u0 is None:
-        raise ConfigError("[initial] solve_rho0 = true requires an explicit u0")
-    if solve_rho0_flag and cp.has_option("initial", "rho0"):
-        raise ConfigError("[initial] rho0 must be omitted when solve_rho0 = true")
-    if branch is not None and branch not in ("expanding", "contracting"):
-        raise ConfigError(f"[initial] branch must be expanding or contracting, got {branch!r}")
-    rho0 = _get_float(cp, "initial", "rho0", required=branch is not None)
-
-    integrator = _parse_integrator(cp)
-
-    directory = "out"
-    overwrite = False
-    if cp.has_section("output"):
-        if cp.has_option("output", "directory"):
-            directory = cp.get("output", "directory").strip()
-        overwrite = _get_bool(cp, "output", "overwrite", False)
-
-    return RunConfig(params=params, a0=a0, phi0=phi0, chi0=chi0, rho0=rho0,
-                     branch=branch, u0=u0, integrator=integrator,
+    Raises ConfigError, or NoRealBranch/NegativeDensity when the constraint
+    cannot be solved for the given data.
+    """
+    cp = _read_ini(path, ("model", "initial", "integrator", "output"),
+                   ("model", "initial"))
+    model = _section(cp, "model", {"lambda": float, "mass": float}, ("lambda", "mass"))
+    initial = _section(cp, "initial", {"a0": float, "phi0": float, "chi0": float,
+                                       "rho0": float, "u0": float, "branch": str},
+                       ("a0", "phi0", "chi0"))
+    if ("branch" in initial) == ("u0" in initial):
+        raise ConfigError("[initial] needs exactly one of branch = expanding|contracting "
+                          "(with rho0) or u0 (rho0 is then solved, so leave it out)")
+    if ("rho0" in initial) != ("branch" in initial):
+        raise ConfigError("[initial] rho0 goes with branch; with u0 it is solved "
+                          "from the constraint and must be left out")
+    params = _build("[model] section", ModelParams, lam=model["lambda"], mass=model["mass"])
+    integrator = _integrator(cp)
+    directory, overwrite = _output(cp, "out")
+    entry = make_initial_data if "branch" in initial else initial_data_from_u0
+    data = _build("[initial] section", entry, params, **initial)
+    return RunConfig(params=params, initial=data, integrator=integrator,
                      directory=directory, overwrite=overwrite)
 
 
@@ -225,39 +191,19 @@ def resolve_output_dir(directory: str) -> Path:
     return path
 
 
-def _build_initial(cfg: RunConfig) -> InitialData:
-    if cfg.branch is not None:
-        return make_initial_data(cfg.params, a0=cfg.a0, phi0=cfg.phi0,
-                                 chi0=cfg.chi0, rho0=cfg.rho0, branch=cfg.branch)
-    return initial_data_from_u0(cfg.params, a0=cfg.a0, phi0=cfg.phi0,
-                                chi0=cfg.chi0, u0=cfg.u0)
-
-
 def cmd_simulate(config_path: str) -> int:
     try:
         cfg = parse_run_config(config_path)
     except ConfigError as exc:
         _err(str(exc))
         return EXIT_CONFIG
-    try:
-        data = _build_initial(cfg)
     except (NoRealBranch, NegativeDensity) as exc:
         _err(f"inadmissible initial data: {exc}")
-        return EXIT_INADMISSIBLE
-    except ValueError as exc:
-        _err(f"invalid initial data: {exc}")
-        return EXIT_CONFIG
-
-    adm = validate_theorem1(cfg.params, data)
-    if not adm.theorem1_applicable and not cfg.integrator.override_admissibility:
-        _err("initial data fail the global-existence hypotheses "
-             f"(lambda_bound_ok={adm.lambda_bound_ok}, phi0_positive={adm.phi0_positive}, "
-             f"u0_positive={adm.u0_positive}); set override_admissibility = true to explore")
         return EXIT_INADMISSIBLE
 
     out_dir = resolve_output_dir(cfg.directory)
     try:
-        traj = integrate(data, cfg.params, cfg.integrator)
+        traj = integrate(cfg.initial, cfg.params, cfg.integrator)
     except StepSizeUnderflow as exc:
         _err(f"integration failed: {exc}")
         return EXIT_INTEGRATOR
@@ -265,15 +211,7 @@ def cmd_simulate(config_path: str) -> int:
         _err(str(exc))
         return EXIT_INADMISSIBLE
 
-    try:
-        write_trajectory(out_dir, traj, __version__, overwrite=cfg.overwrite)
-    except FileExistsError as exc:
-        _err(str(exc))
-        return EXIT_CONFIG
-    except OSError as exc:
-        _err(f"cannot write outputs: {exc}")
-        return EXIT_CONFIG
-
+    write_trajectory(out_dir, traj, __version__, overwrite=cfg.overwrite)
     if traj.guard_tripped:
         trip = next(e for e in traj.events if e.kind == "GuardTripped")
         _err(f"guard tripped at t = {trip.t:.6g} ({trip.detail}); partial "
@@ -305,62 +243,16 @@ def cmd_verify(traj_dir: str) -> int:
 
 def parse_sweep_plan(path: str) -> tuple[SweepPlan, str, bool]:
     """Parse a sweep plan file; returns (plan, output directory, overwrite)."""
-    cp = _read_ini(path)
-    known = {"axes", "fixed", "sweep", "integrator", "output"}
-    unknown = set(cp.sections()) - known
-    if unknown:
-        raise ConfigError(f"unknown section(s): {', '.join(sorted(unknown))}")
-    if not cp.has_section("axes"):
-        raise ConfigError("missing required section [axes]")
-    _check_keys(cp, "axes", set(SWEEP_PARAMS))
-    axes = []
-    for name in cp.options("axes"):
-        raw = cp.get("axes", name)
-        try:
-            values = tuple(float(v.strip()) for v in raw.split(",") if v.strip())
-        except ValueError as exc:
-            raise ConfigError(f"[axes] {name} = {raw!r}: {exc}") from exc
-        if not all(math.isfinite(v) for v in values):
-            raise ConfigError(f"[axes] {name} holds non-finite values")
-        axes.append((name, values))
-
-    fixed = []
-    a0 = 1.0
-    branch = "expanding"
-    if cp.has_section("fixed"):
-        _check_keys(cp, "fixed", set(SWEEP_PARAMS) | {"a0", "branch"})
-        for name in cp.options("fixed"):
-            if name == "branch":
-                branch = cp.get("fixed", "branch").strip()
-            elif name == "a0":
-                a0 = _get_float(cp, "fixed", "a0")
-            else:
-                fixed.append((name, _get_float(cp, "fixed", name)))
-
-    cap = 100_000
-    workers: Optional[int] = None
-    if cp.has_section("sweep"):
-        _check_keys(cp, "sweep", {"cap", "workers"})
-        cap = _get_int(cp, "sweep", "cap", cap)
-        if cp.get("sweep", "workers", fallback="auto").strip() != "auto":
-            workers = _get_int(cp, "sweep", "workers")
-
-    integrator = _parse_integrator(cp)
-
-    directory = "sweep_out"
-    overwrite = False
-    if cp.has_section("output"):
-        _check_keys(cp, "output", {"directory", "overwrite"})
-        if cp.has_option("output", "directory"):
-            directory = cp.get("output", "directory").strip()
-        overwrite = _get_bool(cp, "output", "overwrite", False)
-
-    try:
-        plan = SweepPlan(axes=tuple(axes), fixed=tuple(fixed), a0=a0,
-                         branch=branch, integrator=integrator, cap=cap,
-                         workers=workers)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    cp = _read_ini(path, ("axes", "fixed", "sweep", "integrator", "output"), ("axes",))
+    axes = _section(cp, "axes", dict.fromkeys(SWEEP_PARAMS, _floats))
+    fixed = _section(cp, "fixed", {**dict.fromkeys(SWEEP_PARAMS, float),
+                                   "a0": float, "branch": str})
+    initial = {k: fixed.pop(k) for k in ("a0", "branch") if k in fixed}
+    sweep = _section(cp, "sweep", {"cap": int, "workers": _workers})
+    integrator = _integrator(cp)
+    directory, overwrite = _output(cp, "sweep_out")
+    plan = _build("sweep plan", SweepPlan, axes=tuple(axes.items()),
+                  fixed=tuple(fixed.items()), integrator=integrator, **initial, **sweep)
     return plan, directory, overwrite
 
 
@@ -405,7 +297,7 @@ def _write_plot_data(out_dir: Path, traj: Trajectory, report: VerificationReport
     if window is not None:
         mask &= (t >= window.t_lo) & (t <= window.t_hi)
     (out_dir / "lnQ_vs_t.dat").write_text(
-        table_text("# t lnQ", [t[mask], np.log(q[mask])], sep=" "))
+        table_text("# t lnQ", [t[mask], libm(math.log, q[mask])], sep=" "))
 
 
 def cmd_report(traj_dir: str, out: Optional[str] = None) -> int:
@@ -432,7 +324,7 @@ def cmd_report(traj_dir: str, out: Optional[str] = None) -> int:
              f"C0_hat = {report.C0_hat:.9g}",
              "",
              "tolerances: " + ", ".join(f"{k}={v:g}" for k, v in
-                                        report.tolerances.as_dict().items()),
+                                        asdict(report.tolerances).items()),
              "",
              f"{'check':40s} {'pass':5s} margin"]
     for c in report.checks:
@@ -463,29 +355,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     p_sim = sub.add_parser("simulate", help="integrate a configured run")
     p_sim.add_argument("config", help="INI run configuration")
+    p_sim.set_defaults(run=lambda a: cmd_simulate(a.config))
 
     p_ver = sub.add_parser("verify", help="verify a simulated trajectory")
     p_ver.add_argument("directory", help="directory written by simulate")
+    p_ver.set_defaults(run=lambda a: cmd_verify(a.directory))
 
     p_swp = sub.add_parser("sweep", help="run a parameter grid")
     p_swp.add_argument("plan", help="INI sweep plan")
+    p_swp.set_defaults(run=lambda a: cmd_sweep(a.plan))
 
     p_rep = sub.add_parser("report", help="render summary and plot data")
     p_rep.add_argument("directory", help="directory written by simulate")
     p_rep.add_argument("-o", "--out", default=None, help="output directory "
                        "(default: the trajectory directory)")
+    p_rep.set_defaults(run=lambda a: cmd_report(a.directory, a.out))
 
     args = parser.parse_args(argv)
-    if args.command == "simulate":
-        return cmd_simulate(args.config)
-    if args.command == "verify":
-        return cmd_verify(args.directory)
-    if args.command == "sweep":
-        return cmd_sweep(args.plan)
-    if args.command == "report":
-        return cmd_report(args.directory, args.out)
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_CONFIG
+    try:
+        return args.run(args)
+    except OSError as exc:  # e.g. an output directory that cannot be created
+        _err(str(exc))
+        return EXIT_CONFIG
 
 
 def console_main() -> None:

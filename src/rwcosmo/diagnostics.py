@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -56,9 +56,6 @@ class Tolerances:
     q_ratio_gate: float = 1e-3
     monotone_eps_factor: float = 10.0
 
-    def as_dict(self) -> dict[str, float]:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
 
 @dataclass(frozen=True)
 class Check:
@@ -72,6 +69,28 @@ def _check(name: str, margin: float, detail: str = "") -> Check:
     """A check decided by its margin: it passes when margin <= 0."""
     margin = float(margin)
     return Check(name, margin <= 0.0, margin, detail)
+
+
+def libm(f: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """``f`` (math.exp, math.log) of each element of the 1-d array ``x``; a
+    result past the largest double reads inf, as numpy's does.
+
+    numpy's exp and log run a SIMD loop picked for the CPU at run time, and
+    the last bit of their results follows that pick; the math module's do
+    not, so the reports come out the same on every CPU.
+    """
+    values = x.tolist()
+    try:
+        return np.fromiter(map(f, values), float, len(values))
+    except OverflowError:
+        return np.array([_inf_on_overflow(f, v) for v in values], dtype=float)
+
+
+def _inf_on_overflow(f: Callable[[float], float], v: float) -> float:
+    try:
+        return f(v)
+    except OverflowError:
+        return math.inf
 
 
 class DecayFit(NamedTuple):
@@ -132,7 +151,7 @@ def fit_decay_rate(series: Sequence[tuple[float, float]],
     if np.any(y <= 0.0):
         raise ValueError("series must be strictly positive inside the window; "
                          "shrink the window before the data hit numerical zero")
-    z = np.log(y)
+    z = libm(math.log, y)
     # Centred closed form: unlike np.polyfit, no LAPACK kernel picks the bytes.
     dt = t - np.mean(t)
     slope = np.sum(dt * (z - np.mean(z))) / np.sum(dt * dt)
@@ -241,12 +260,12 @@ def verify_quadrature(traj: Trajectory, tol: Tolerances = Tolerances()) -> list[
     integral_u = cumulative_simpson(cols["u"], dt)
     rho0 = float(cols["rho"][0])
     if rho0 > 0.0:
-        oracle = rho0 * np.exp(-4.0 * integral_u)
+        oracle = rho0 * libm(math.exp, -4.0 * integral_u)
         dev = float(np.max(np.abs(cols["rho"] - oracle))) / rho0
     else:
         dev = float(np.max(np.abs(cols["rho"])))  # rho must stay identically 0
     v0 = float(cols["v"][0])
-    vdev = float(np.max(np.abs(cols["v"] * np.exp(2.0 * integral_u) - v0))) / v0
+    vdev = float(np.max(np.abs(cols["v"] * libm(math.exp, 2.0 * integral_u) - v0))) / v0
     return [_check("rho_quadrature_oracle", dev - tol.rho_oracle_rel,
                    f"max relative deviation {dev:.3g}"),
             _check("v_quadrature_identity", vdev - tol.v_oracle_rel,
@@ -334,7 +353,7 @@ def verify_asymptotics(traj: Trajectory, nu: Optional[float],
     if inconclusive:
         return [], estimates, fits, windows, notes, True
 
-    envelope = q0 * np.exp(-3.0 * nu * t) * (1.0 + tol.envelope_slack) + q_floor
+    envelope = q0 * libm(math.exp, -3.0 * nu * t) * (1.0 + tol.envelope_slack) + q_floor
     checks = [_check("q_envelope", np.max(q - envelope),
                      f"Q <= Q0*exp(-3 nu t)*(1+{tol.envelope_slack:g}) "
                      f"+ floor {q_floor:.3g}")]
@@ -383,7 +402,7 @@ def verify_asymptotics(traj: Trajectory, nu: Optional[float],
                             "C0 estimate not positive"))
 
     a0 = traj.initial.a0
-    bound = a0 * np.exp(nu * t) * (1.0 - tol.a_growth_slack)
+    bound = a0 * libm(math.exp, nu * t) * (1.0 - tol.a_growth_slack)
     checks.append(_check("a_exponential_lower_bound", np.max(bound - cols["a"]),
                          f"a >= a0*exp(nu t)*(1-{tol.a_growth_slack:g})"))
     ratio = float(cols["a"][-1]) / a0

@@ -65,15 +65,13 @@ class InitialData:
         _finite_fields(self, "a0", "u0", "phi0", "chi0", "rho0")
         if self.a0 <= 0.0:
             raise ValueError(f"a0 must be > 0, got {self.a0!r}")
+        a0_sq = self.a0 * self.a0
+        if a0_sq == 0.0 or not math.isfinite(1.0 / a0_sq):
+            raise ValueError(f"a0 = {self.a0!r} is too small: v0 = 1/a0**2 overflows")
         if self.chi0 < 0.0:
             raise ValueError(f"chi0 must be >= 0, got {self.chi0!r}")
         if self.rho0 < 0.0:
             raise ValueError(f"rho0 must be >= 0, got {self.rho0!r}")
-
-    @property
-    def b0(self) -> float:
-        """Initial velocity of expansion adot(0) = u0 * a0."""
-        return self.u0 * self.a0
 
 
 @dataclass(frozen=True)

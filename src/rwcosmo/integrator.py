@@ -45,14 +45,14 @@ reaches zero:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .initial import InitialData, constraint_scale, initial_constraint_residual, build_state, validate_theorem1
-from .model import CosmoState, ModelParams, _rhs_terms, derived_terms
+from .model import CosmoState, ModelParams, _finite_fields, _rhs_terms, derived_terms
 
 #: Column order shared by Trajectory.as_arrays() and the trajectory CSV.
 TRAJECTORY_COLUMNS = ("t", "u", "v", "a", "phi", "chi", "psi", "rho",
@@ -114,8 +114,7 @@ class IntegratorConfig:
     override_admissibility: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("rel_tol", "abs_tol", "h_init", "h_min", "h_max", "t_end", "sample_dt"):
-            object.__setattr__(self, name, float(getattr(self, name)))  # no numpy scalars
+        _finite_fields(self, *(f.name for f in fields(self) if f.type == "float"))
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise ValueError("rel_tol and abs_tol must be > 0")
         if not (0.0 < self.h_min <= self.h_init <= self.h_max):
@@ -334,8 +333,9 @@ def integrate(initial: InitialData, params: ModelParams,
     report = validate_theorem1(params, initial)
     if not report.theorem1_applicable and not config.override_admissibility:
         raise InadmissibleInitialData(
-            "initial data fail the global-existence hypotheses "
-            f"({report}); set override_admissibility to integrate anyway")
+            "initial data fail the global-existence hypotheses (lambda_bound_ok="
+            f"{report.lambda_bound_ok}, phi0_positive={report.phi0_positive}, u0_positive="
+            f"{report.u0_positive}); set override_admissibility = true to integrate anyway")
     resid = initial_constraint_residual(params, initial)
     if abs(resid) > 1e-9 * constraint_scale(params, initial):
         raise ValueError(

@@ -196,7 +196,7 @@ def _fit_to_json(fit) -> Optional[dict]:
 def report_json_text(report: VerificationReport) -> str:
     payload = {
         "nu": report.nu,
-        "tolerances": report.tolerances.as_dict(),
+        "tolerances": asdict(report.tolerances),
         "checks": [{"name": c.name, "pass": c.passed, "margin": _json_safe(c.margin),
                     "detail": c.detail} for c in report.checks],
         "fitted_rates": {k: (v.rate if v is not None else None)

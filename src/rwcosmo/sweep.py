@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 from itertools import product
 from typing import Optional
 
-from .diagnostics import Tolerances, verify
+from .diagnostics import verify
 from .initial import NoRealBranch, make_initial_data, validate_theorem1
 from .integrator import (IntegratorConfig, InadmissibleInitialData,
                          StepSizeUnderflow, integrate)
@@ -54,7 +54,6 @@ class SweepPlan:
     a0: float = 1.0
     branch: str = "expanding"
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
-    tolerances: Tolerances = field(default_factory=Tolerances)
     cap: int = 100_000
     workers: Optional[int] = None
 
@@ -133,7 +132,7 @@ class SweepRow:
 
 
 def _evaluate_point(args: tuple) -> SweepRow:
-    point, a0, branch, config, tol = args
+    point, a0, branch, config = args
     start = time.perf_counter()
     lam, mass = point["lambda"], point["mass"]
     phi0, chi0, rho0 = point["phi0"], point["chi0"], point["rho0"]
@@ -156,18 +155,18 @@ def _evaluate_point(args: tuple) -> SweepRow:
         return row(False, STATUS_NO_REAL_BRANCH)
     except ValueError:  # e.g. u0 overflows for large mass * phi0
         return row(False, STATUS_INVALID_DATA)
-    adm = validate_theorem1(params, data)
+    adm = validate_theorem1(params, data)  # the admissible and nu columns
     nu = adm.nu if adm.nu is not None else math.nan
-    if not adm.theorem1_applicable and not config.override_admissibility:
-        return row(False, STATUS_SKIPPED, nu=nu)
     try:
         traj = integrate(data, params, config)
-    except (StepSizeUnderflow, InadmissibleInitialData):
+    except InadmissibleInitialData:
+        return row(False, STATUS_SKIPPED, nu=nu)
+    except StepSizeUnderflow:
         return row(adm.theorem1_applicable, STATUS_STEP_UNDERFLOW, nu=nu)
     events = ";".join(f"{e.kind}@{e.t:.9g}" for e in traj.events)
     if traj.guard_tripped:
         return row(adm.theorem1_applicable, STATUS_GUARD_TRIPPED, nu=nu, events=events)
-    report = verify(traj, tol)
+    report = verify(traj)
     cols = traj.as_arrays()
 
     def rate(name: str) -> float:
@@ -190,8 +189,7 @@ def run_sweep(plan: SweepPlan) -> list[SweepRow]:
     whether or not a worker pool was used.
     """
     points = plan.points()
-    args = [(p, plan.a0, plan.branch, plan.integrator, plan.tolerances)
-            for p in points]
+    args = [(p, plan.a0, plan.branch, plan.integrator) for p in points]
     workers = plan.workers if plan.workers is not None else (os.cpu_count() or 1)
     workers = max(1, min(workers, len(args)))
     if workers == 1:

@@ -11,7 +11,7 @@ from rwcosmo import (Check, CosmoState, InitialData, IntegratorConfig,
                      q_identity_check, verify, verify_asymptotics,
                      verify_bounds, verify_quadrature)
 from rwcosmo.diagnostics import (STATUS_FAILED, STATUS_INCONCLUSIVE,
-                                 STATUS_PASSED, cumulative_simpson)
+                                 STATUS_PASSED, cumulative_simpson, libm)
 from rwcosmo.integrator import IntegrationStats, Trajectory
 
 from conftest import REF_NU
@@ -113,6 +113,19 @@ def cumulative_simpson_loop(y, dt):
         else:
             out[i] = out[i - 1] + dt / 12.0 * (-y[i - 2] + 8.0 * y[i - 1] + 5.0 * y[i])
     return out
+
+
+class TestLibm:
+    def test_elementwise_math_module_values(self):
+        """Each element is the math module's result; an exp past the largest
+        double reads inf, as numpy's exp does, instead of raising."""
+        x = np.array([-1e4, -2.5, 0.0, 1.0, 709.0, 710.0, 1e300, np.inf, np.nan])
+        got = libm(math.exp, x)
+        assert got.tolist()[:5] == [math.exp(v) for v in x[:5].tolist()]
+        assert got[5] == got[6] == got[7] == math.inf and math.isnan(got[8])
+        y = np.array([1e-300, 0.5, 2.0, 1e300])
+        assert libm(math.log, y).tolist() == [math.log(v) for v in y.tolist()]
+        assert libm(math.exp, np.array([])).shape == (0,)
 
 
 class TestCumulativeSimpson:

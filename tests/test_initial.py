@@ -98,6 +98,15 @@ class TestBuildState:
         with pytest.raises(ValueError):
             InitialData(a0=0.0, u0=1.0, phi0=0.0, chi0=0.0, rho0=0.0)
 
+    @pytest.mark.parametrize("a0", [1e-160, 1e-200, 5e-324])
+    def test_a0_with_overflowing_v0_rejected(self, a0):
+        """v0 = 1/a0**2 must be finite: build_state used to fail inside
+        integrate on such data (inf, or a division by an underflowed zero)."""
+        with pytest.raises(ValueError, match="a0"):
+            InitialData(a0=a0, u0=1.0, phi0=0.0, chi0=0.0, rho0=0.0)
+        data = InitialData(a0=1e-154, u0=1.0, phi0=0.0, chi0=0.0, rho0=0.0)
+        assert math.isfinite(build_state(data).v)
+
 
 class TestConstraintConsistency:
     def test_constructed_data_satisfy_constraint(self):

@@ -1,7 +1,7 @@
 """Adaptive stepper, events, guards, and solution-level oracles."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,6 +15,9 @@ from rwcosmo.integrator import (FIELD_FROZEN, CHI_ZERO_CROSSING, GUARD_TRIPPED,
 from rwcosmo.model import _rhs_terms
 
 from conftest import REF_CONFIG, REF_PARAMS, REF_NU, reference_initial
+
+#: The ten float fields of IntegratorConfig: steps, tolerances, horizon, guards.
+FLOAT_FIELDS = [f.name for f in fields(IntegratorConfig) if f.type == "float"]
 
 FOUR_PI = 4.0 * math.pi
 EPS = np.finfo(float).eps
@@ -112,6 +115,19 @@ class TestConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             IntegratorConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    def test_non_finite_value_rejected(self, name, value):
+        """inf t_end used to overflow inside integrate, and inf sample_dt gave
+        a one-sample trajectory; every float field now refuses both."""
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            IntegratorConfig(**{name: value})
+
+    def test_float_fields_stored_as_floats(self):
+        assert len(FLOAT_FIELDS) == 10
+        config = IntegratorConfig(**{name: np.float64(2.0) for name in ("max_abs_u", "t_end")})
+        assert type(config.max_abs_u) is float and type(config.t_end) is float
 
 
 class TestStep:
