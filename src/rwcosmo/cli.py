@@ -86,10 +86,17 @@ def _workers(raw: str) -> Optional[int]:
     return None if raw == "auto" else int(raw)
 
 
+def _directory(raw: str) -> str:
+    # An empty path would be the working directory, more likely a typo.
+    if not raw.strip():
+        raise ValueError("must not be empty")
+    return raw
+
+
 #: Parser of an INI value, by the type name of the field it fills.
 _PARSERS: dict[str, Callable[[str], Any]] = {"float": float, "bool": _bool, "str": str}
 _INTEGRATOR = {f.name: _PARSERS[f.type] for f in fields(IntegratorConfig)}
-_OUTPUT = {"directory": str, "overwrite": _bool}
+_OUTPUT = {"directory": _directory, "overwrite": _bool}
 
 
 def _read_ini(path: str, known: Sequence[str], required: Sequence[str]

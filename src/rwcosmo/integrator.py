@@ -10,6 +10,10 @@ so the output bytes do not depend on the BLAS kernel.  Stage arguments and
 y1 are y + h*(a_1*k_1 + a_2*k_2 + ...), the error estimate and the quartic
 coefficient h*(w_1*k_1 + ...), each sum left to right over the nonzero
 weights; the error norm is sqrt((q_u**2 + q_v**2 + ... + q_rho**2) / 5).
+The trial step is written out as straight-line code over named locals
+(u ... rho, and ku1 ... kr7 for the stages), component by component in that
+order, each stage calling model._rhs_terms.  The quartic coefficients of a
+step are built only when a sample or a chi sign change falls inside it.
 The pair is FSAL: an accepted step's last stage f(y1) is the next step's
 first, and a rejected step keeps its first stage, so a run makes
 6*(accepted + rejected) + 1 right-hand-side evaluations, plus one per
@@ -203,33 +207,57 @@ def _trial_step(y: Sequence[float], k1: Sequence[float], h: float,
     stage is f(y_new).  The norm is infinite when y_new is not finite.
     """
     lam, mass_sq = params.lam, params.mass_sq
-    k2 = _rhs_terms(*[y0 + h * (_A21 * a) for y0, a in zip(y, k1)],
-                    lam, mass_sq, frozen)
-    k3 = _rhs_terms(*[y0 + h * (_A31 * a + _A32 * b)
-                      for y0, a, b in zip(y, k1, k2)], lam, mass_sq, frozen)
-    k4 = _rhs_terms(*[y0 + h * (_A41 * a + _A42 * b + _A43 * c)
-                      for y0, a, b, c in zip(y, k1, k2, k3)], lam, mass_sq, frozen)
-    k5 = _rhs_terms(*[y0 + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
-                      for y0, a, b, c, d in zip(y, k1, k2, k3, k4)],
-                    lam, mass_sq, frozen)
-    k6 = _rhs_terms(*[y0 + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
-                      for y0, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)],
-                    lam, mass_sq, frozen)
-    y1 = [y0 + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * f)
-          for y0, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)]
-    k7 = _rhs_terms(*y1, lam, mass_sq, frozen)
+    u, v, phi, chi, rho = y
+    ku1, kv1, kp1, kc1, kr1 = k1
+    k2 = ku2, kv2, kp2, kc2, kr2 = _rhs_terms(
+        u + h * (_A21 * ku1), v + h * (_A21 * kv1), phi + h * (_A21 * kp1),
+        chi + h * (_A21 * kc1), rho + h * (_A21 * kr1), lam, mass_sq, frozen)
+    k3 = ku3, kv3, kp3, kc3, kr3 = _rhs_terms(
+        u + h * (_A31 * ku1 + _A32 * ku2), v + h * (_A31 * kv1 + _A32 * kv2),
+        phi + h * (_A31 * kp1 + _A32 * kp2), chi + h * (_A31 * kc1 + _A32 * kc2),
+        rho + h * (_A31 * kr1 + _A32 * kr2), lam, mass_sq, frozen)
+    k4 = ku4, kv4, kp4, kc4, kr4 = _rhs_terms(
+        u + h * (_A41 * ku1 + _A42 * ku2 + _A43 * ku3),
+        v + h * (_A41 * kv1 + _A42 * kv2 + _A43 * kv3),
+        phi + h * (_A41 * kp1 + _A42 * kp2 + _A43 * kp3),
+        chi + h * (_A41 * kc1 + _A42 * kc2 + _A43 * kc3),
+        rho + h * (_A41 * kr1 + _A42 * kr2 + _A43 * kr3), lam, mass_sq, frozen)
+    k5 = ku5, kv5, kp5, kc5, kr5 = _rhs_terms(
+        u + h * (_A51 * ku1 + _A52 * ku2 + _A53 * ku3 + _A54 * ku4),
+        v + h * (_A51 * kv1 + _A52 * kv2 + _A53 * kv3 + _A54 * kv4),
+        phi + h * (_A51 * kp1 + _A52 * kp2 + _A53 * kp3 + _A54 * kp4),
+        chi + h * (_A51 * kc1 + _A52 * kc2 + _A53 * kc3 + _A54 * kc4),
+        rho + h * (_A51 * kr1 + _A52 * kr2 + _A53 * kr3 + _A54 * kr4), lam, mass_sq, frozen)
+    k6 = ku6, kv6, kp6, kc6, kr6 = _rhs_terms(
+        u + h * (_A61 * ku1 + _A62 * ku2 + _A63 * ku3 + _A64 * ku4 + _A65 * ku5),
+        v + h * (_A61 * kv1 + _A62 * kv2 + _A63 * kv3 + _A64 * kv4 + _A65 * kv5),
+        phi + h * (_A61 * kp1 + _A62 * kp2 + _A63 * kp3 + _A64 * kp4 + _A65 * kp5),
+        chi + h * (_A61 * kc1 + _A62 * kc2 + _A63 * kc3 + _A64 * kc4 + _A65 * kc5),
+        rho + h * (_A61 * kr1 + _A62 * kr2 + _A63 * kr3 + _A64 * kr4 + _A65 * kr5),
+        lam, mass_sq, frozen)
+    y1 = [u + h * (_B1 * ku1 + _B3 * ku3 + _B4 * ku4 + _B5 * ku5 + _B6 * ku6),
+          v + h * (_B1 * kv1 + _B3 * kv3 + _B4 * kv4 + _B5 * kv5 + _B6 * kv6),
+          phi + h * (_B1 * kp1 + _B3 * kp3 + _B4 * kp4 + _B5 * kp5 + _B6 * kp6),
+          chi + h * (_B1 * kc1 + _B3 * kc3 + _B4 * kc4 + _B5 * kc5 + _B6 * kc6),
+          rho + h * (_B1 * kr1 + _B3 * kr3 + _B4 * kr4 + _B5 * kr5 + _B6 * kr6)]
+    u1, v1, phi1, chi1, rho1 = y1
+    k7 = ku7, kv7, kp7, kc7, kr7 = _rhs_terms(u1, v1, phi1, chi1, rho1, lam, mass_sq, frozen)
     k = (k1, k2, k3, k4, k5, k6, k7)
     if not all(map(math.isfinite, y1)):
         return y1, math.inf, k
     rel_tol, abs_tol = config.rel_tol, config.abs_tol
-    # v and rho (components 1 and 4) get purely relative error control.
-    floors = (abs_tol, _TINY, abs_tol, abs_tol, _TINY)
-    total = 0.0
-    for y0, y0_new, a, c, d, e, f, g, floor in zip(y, y1, k1, k3, k4, k5, k6, k7, floors):
-        err = h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * f + _E7 * g)
-        q = err / (rel_tol * max(abs(y0), abs(y0_new)) + floor)
-        total += q * q
-    return y1, math.sqrt(total / 5), k
+    # v and rho get purely relative error control.
+    qu = h * (_E1 * ku1 + _E3 * ku3 + _E4 * ku4 + _E5 * ku5 + _E6 * ku6 + _E7 * ku7) / (
+        rel_tol * max(abs(u), abs(u1)) + abs_tol)
+    qv = h * (_E1 * kv1 + _E3 * kv3 + _E4 * kv4 + _E5 * kv5 + _E6 * kv6 + _E7 * kv7) / (
+        rel_tol * max(abs(v), abs(v1)) + _TINY)
+    qp = h * (_E1 * kp1 + _E3 * kp3 + _E4 * kp4 + _E5 * kp5 + _E6 * kp6 + _E7 * kp7) / (
+        rel_tol * max(abs(phi), abs(phi1)) + abs_tol)
+    qc = h * (_E1 * kc1 + _E3 * kc3 + _E4 * kc4 + _E5 * kc5 + _E6 * kc6 + _E7 * kc7) / (
+        rel_tol * max(abs(chi), abs(chi1)) + abs_tol)
+    qr = h * (_E1 * kr1 + _E3 * kr3 + _E4 * kr4 + _E5 * kr5 + _E6 * kr6 + _E7 * kr7) / (
+        rel_tol * max(abs(rho), abs(rho1)) + _TINY)
+    return y1, math.sqrt((qu * qu + qv * qv + qp * qp + qc * qc + qr * qr) / 5), k
 
 
 def _step_factor(norm: float) -> float:
@@ -239,21 +267,33 @@ def _step_factor(norm: float) -> float:
 
 
 class _DenseSegment:
-    """Quartic interpolant over one accepted step, exact at both endpoints."""
+    """Quartic interpolant over one accepted step, exact at both endpoints.
+
+    The coefficients are built on the first call, so a step that holds no
+    sample and no chi sign change never computes them.
+    """
 
     def __init__(self, t0: float, h: float, y0: Sequence[float],
                  y1: Sequence[float], k: tuple):
         self.t0 = t0
         self.h = h
-        k1, _, k3, k4, k5, k6, k7 = k
-        self._r = []
-        for y0c, y1c, a, c, d, e, f, g in zip(y0, y1, k1, k3, k4, k5, k6, k7):
+        self._y0, self._y1, self._k = y0, y1, k
+        self._r: Optional[list[tuple[float, ...]]] = None
+
+    def _coefficients(self) -> list[tuple[float, ...]]:
+        h = self.h
+        k1, _, k3, k4, k5, k6, k7 = self._k
+        r = []
+        for y0c, y1c, a, c, d, e, f, g in zip(self._y0, self._y1, k1, k3, k4, k5, k6, k7):
             ydiff = y1c - y0c
             bspl = h * a - ydiff
-            self._r.append((y0c, ydiff, bspl, ydiff - h * g - bspl,
-                            h * (_D1 * a + _D3 * c + _D4 * d + _D5 * e + _D6 * f + _D7 * g)))
+            r.append((y0c, ydiff, bspl, ydiff - h * g - bspl,
+                      h * (_D1 * a + _D3 * c + _D4 * d + _D5 * e + _D6 * f + _D7 * g)))
+        return r
 
     def __call__(self, theta: float) -> list[float]:
+        if self._r is None:
+            self._r = self._coefficients()
         sigma = 1.0 - theta
         return [r0 + theta * (r1 + sigma * (r2 + theta * (r3 + sigma * r4)))
                 for r0, r1, r2, r3, r4 in self._r]

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from itertools import product
 from typing import Optional
@@ -46,7 +45,8 @@ class SweepPlan:
 
     ``axes`` is an ordered tuple of (name, values); every parameter not on an
     axis must appear in ``fixed``.  Row order is row-major over the declared
-    axis order.
+    axis order.  ``workers`` (at least 1; None for the CPU count) asks for a
+    process pool, which run_sweep caps at the CPU count.
     """
 
     axes: tuple[tuple[str, tuple[float, ...]], ...]
@@ -87,6 +87,8 @@ class SweepPlan:
                 raise ValueError(f"{name} = {value!r} must be >= 0")
         if not self.a0 > 0.0:
             raise ValueError(f"a0 = {self.a0!r} must be > 0")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError(f"workers = {self.workers!r} must be >= 1 (or auto)")
 
     @property
     def size(self) -> int:
@@ -186,14 +188,17 @@ def run_sweep(plan: SweepPlan) -> list[SweepRow]:
 
     Inadmissible points come back flagged (skipped / no-real-branch /
     invalid-data / guard-tripped / step-underflow) rather than raising.  The returned list is in plan order
-    whether or not a worker pool was used.
+    whether or not a worker pool was used.  The pool has one worker per row
+    at most, and no more than the CPU count (its default width).
     """
     points = plan.points()
     args = [(p, plan.a0, plan.branch, plan.integrator) for p in points]
-    workers = plan.workers if plan.workers is not None else (os.cpu_count() or 1)
-    workers = max(1, min(workers, len(args)))
+    cpus = os.cpu_count() or 1
+    workers = min(cpus if plan.workers is None else plan.workers, cpus, len(args))
     if workers == 1:
         return [_evaluate_point(a) for a in args]
+    # Imported here: concurrent.futures adds ~20 ms to every CLI start-up.
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_evaluate_point, args, chunksize=max(1, len(args) // (4 * workers))))
 

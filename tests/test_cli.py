@@ -173,6 +173,20 @@ overwrite = true
         assert main(["simulate", str(cfg)]) == EXIT_CONFIG
         assert not (tmp_path / "out").exists()
 
+    def test_empty_output_directory_exits_1(self, tmp_path, capsys, monkeypatch):
+        """An empty [output] directory would be the working directory: it is
+        a config error, reported in one line, and nothing is written."""
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        monkeypatch.delenv("RWCOSMO_OUTPUT_ROOT", raising=False)
+        cfg = write_reference_config(tmp_path / "run.ini", "", **{"t_end = 10": "t_end = 0.1"})
+        capsys.readouterr()
+        assert main(["simulate", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("rwcosmo: error:"), err
+        assert list(cwd.iterdir()) == []
+
     def test_output_root_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RWCOSMO_OUTPUT_ROOT", str(tmp_path / "root"))
         cfg = write_reference_config(tmp_path / "run.ini", "rel_out",
@@ -237,6 +251,20 @@ class TestPortableBytes:
             digests.append([hashlib.sha256((out / name).read_bytes()).hexdigest()
                             for name in names])
         assert digests[0] == digests[1]
+
+
+class TestStartup:
+    def test_cli_import_leaves_out_process_pool(self):
+        """concurrent.futures (~20 ms) is imported only when a sweep starts a
+        pool, not on every CLI start-up."""
+        src = str(Path(rwcosmo.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        script = "import sys, rwcosmo.cli; print('concurrent.futures' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 class TestVerify:
@@ -381,6 +409,27 @@ overwrite = true
                         .replace("workers = 1", line))
         assert main(["sweep", str(plan)]) == EXIT_CONFIG
         assert not (tmp_path / "sw").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exits_1(self, tmp_path, workers):
+        plan = tmp_path / "plan.ini"
+        plan.write_text(self.PLAN.format(values="1", out=tmp_path / "sw")
+                        .replace("workers = 1", f"workers = {workers}"))
+        assert main(["sweep", str(plan)]) == EXIT_CONFIG
+        assert not (tmp_path / "sw").exists()
+
+    def test_empty_output_directory_exits_1(self, tmp_path, capsys, monkeypatch):
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        monkeypatch.delenv("RWCOSMO_OUTPUT_ROOT", raising=False)
+        plan = tmp_path / "plan.ini"
+        plan.write_text(self.PLAN.format(values="1", out=""))
+        capsys.readouterr()
+        assert main(["sweep", str(plan)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("rwcosmo: error:"), err
+        assert list(cwd.iterdir()) == []
 
     def test_overflowing_point_flagged_not_raised(self, tmp_path):
         """u0 overflows at phi0 = 1e200; that row is flagged, the sweep completes."""

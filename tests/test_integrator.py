@@ -11,7 +11,9 @@ from rwcosmo import (CosmoState, InadmissibleInitialData, IntegratorConfig,
                      make_initial_data, step)
 from rwcosmo.diagnostics import cumulative_simpson
 from rwcosmo.integrator import (FIELD_FROZEN, CHI_ZERO_CROSSING, GUARD_TRIPPED,
-                                _trial_step)
+                                _trial_step, _A21, _A31, _A32, _A41, _A42, _A43,
+                                _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64, _A65,
+                                _B1, _B3, _B4, _B5, _B6, _E1, _E3, _E4, _E5, _E6, _E7)
 from rwcosmo.model import _rhs_terms
 
 from conftest import REF_CONFIG, REF_PARAMS, REF_NU, reference_initial
@@ -62,6 +64,55 @@ def numpy_trial_step(y, h, params, config, frozen):
     scale = np.where(_RELATIVE, config.rel_tol * ymax + _TINY,
                      config.abs_tol + config.rel_tol * ymax)
     return y1, float(np.sqrt(np.mean((err / scale) ** 2))), k
+
+
+def zip_trial_step(y, k1, h, params, config, frozen):
+    """The float stepper as first written, one zip per sum; the straight-line
+    _trial_step must reproduce it bit for bit."""
+    lam, mass_sq = params.lam, params.mass_sq
+    k2 = _rhs_terms(*[y0 + h * (_A21 * a) for y0, a in zip(y, k1)],
+                    lam, mass_sq, frozen)
+    k3 = _rhs_terms(*[y0 + h * (_A31 * a + _A32 * b)
+                      for y0, a, b in zip(y, k1, k2)], lam, mass_sq, frozen)
+    k4 = _rhs_terms(*[y0 + h * (_A41 * a + _A42 * b + _A43 * c)
+                      for y0, a, b, c in zip(y, k1, k2, k3)], lam, mass_sq, frozen)
+    k5 = _rhs_terms(*[y0 + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
+                      for y0, a, b, c, d in zip(y, k1, k2, k3, k4)],
+                    lam, mass_sq, frozen)
+    k6 = _rhs_terms(*[y0 + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
+                      for y0, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)],
+                    lam, mass_sq, frozen)
+    y1 = [y0 + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * f)
+          for y0, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)]
+    k7 = _rhs_terms(*y1, lam, mass_sq, frozen)
+    k = (k1, k2, k3, k4, k5, k6, k7)
+    if not all(map(math.isfinite, y1)):
+        return y1, math.inf, k
+    rel_tol, abs_tol = config.rel_tol, config.abs_tol
+    floors = (abs_tol, _TINY, abs_tol, abs_tol, _TINY)
+    total = 0.0
+    for y0, y0_new, a, c, d, e, f, g, floor in zip(y, y1, k1, k3, k4, k5, k6, k7, floors):
+        err = h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * f + _E7 * g)
+        q = err / (rel_tol * max(abs(y0), abs(y0_new)) + floor)
+        total += q * q
+    return y1, math.sqrt(total / 5), k
+
+
+def float_bits(y1, norm, k):
+    """A trial step's result as hex strings, equal only when bit-identical."""
+    return [x.hex() for x in y1], norm.hex(), [[x.hex() for x in stage] for stage in k]
+
+
+def random_trial_inputs(frozen):
+    """200 random (y, params, config, h) trial-step inputs per frozen value."""
+    rng = np.random.default_rng(20130 + frozen)
+    for _ in range(200):
+        y = rng.uniform([-2.0, 0.1, -2.0, -1.0, 0.0], [3.0, 2.0, 2.0, 1.0, 1.0])
+        params = ModelParams(lam=rng.uniform(-1.0, 3.0), mass=rng.uniform(0.0, 2.0))
+        tol = 10.0 ** rng.uniform(-12.0, -4.0)
+        config = IntegratorConfig(rel_tol=tol, abs_tol=tol)
+        h = 10.0 ** rng.uniform(-4.0, math.log10(0.25))
+        yield y, params, config, h
 
 
 def term_magnitudes(y, h, params, frozen):
@@ -187,13 +238,8 @@ class TestTrialStep:
     def test_agrees_with_numpy_stepper(self, frozen):
         """y1, all seven stages and the error norm agree with the numpy
         stepper to 16 eps times the magnitude of the summed terms."""
-        rng = np.random.default_rng(20130 + frozen)
-        for _ in range(200):
-            y = rng.uniform([-2.0, 0.1, -2.0, -1.0, 0.0], [3.0, 2.0, 2.0, 1.0, 1.0])
-            params = ModelParams(lam=rng.uniform(-1.0, 3.0), mass=rng.uniform(0.0, 2.0))
-            tol = 10.0 ** rng.uniform(-12.0, -4.0)
-            config = IntegratorConfig(rel_tol=tol, abs_tol=tol)
-            h = 10.0 ** rng.uniform(-4.0, math.log10(0.25))
+        for y, params, config, h in random_trial_inputs(frozen):
+            tol = config.rel_tol
             ref_y1, ref_norm, ref_k = numpy_trial_step(y, h, params, config, frozen)
             k1 = _rhs_terms(*y.tolist(), params.lam, params.mass_sq, frozen)
             y1, norm, k = _trial_step(y.tolist(), k1, h, params, config, frozen)
@@ -205,6 +251,16 @@ class TestTrialStep:
             mag_norm = math.sqrt(np.mean((mag_err / scale) ** 2))
             assert abs(norm - ref_norm) <= 16.0 * EPS * mag_norm
 
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_bit_identical_to_zip_stepper(self, frozen):
+        """y1, the error norm and all seven stages equal the zip stepper's
+        bit for bit: same tableau, same left-to-right sums, same norm."""
+        for y, params, config, h in random_trial_inputs(frozen):
+            y = y.tolist()
+            k1 = _rhs_terms(*y, params.lam, params.mass_sq, frozen)
+            assert float_bits(*_trial_step(y, k1, h, params, config, frozen)) == \
+                float_bits(*zip_trial_step(y, k1, h, params, config, frozen))
+
     @pytest.mark.parametrize("y", [
         [1e200, 1.0, 1.0, 0.1, 0.05],  # u * u overflows
         [0.5, 1.0, math.nan, 0.1, 0.05],
@@ -214,9 +270,12 @@ class TestTrialStep:
         """Float overflow yields inf/nan without raising, and a non-finite y1
         reads as an infinitely bad step."""
         k1 = _rhs_terms(*y, REF_PARAMS.lam, REF_PARAMS.mass_sq)
-        y1, norm, _ = _trial_step(y, k1, 0.01, REF_PARAMS, IntegratorConfig(), False)
+        result = _trial_step(y, k1, 0.01, REF_PARAMS, IntegratorConfig(), False)
+        y1, norm, _ = result
         assert not all(map(math.isfinite, y1))
         assert norm == math.inf
+        assert float_bits(*result) == float_bits(
+            *zip_trial_step(y, k1, 0.01, REF_PARAMS, IntegratorConfig(), False))
 
 
 class TestFsalCount:

@@ -1,6 +1,8 @@
 """Grid runner: determinism, ordering, admissibility flagging."""
 
+import concurrent.futures
 import math
+import os
 from dataclasses import fields, replace
 
 import numpy as np
@@ -70,6 +72,14 @@ class TestPlanValidation:
             SweepPlan(axes=(("lambda", (1.0,)),),
                       fixed=(("mass", 1.0), ("phi0", 1.0), ("chi0", 0.0),
                              ("rho0", 0.0)), a0=a0)
+
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            plan_for((("lambda", (1.0,)),),
+                     (("mass", 1.0), ("phi0", 1.0), ("chi0", 0.0), ("rho0", 0.0)),
+                     workers=workers)
 
 
 class TestRunSweep:
@@ -172,6 +182,33 @@ class TestDeterminism:
         serial = run_sweep(plan_for(self.AXES, self.FIXED, workers=1))
         parallel = run_sweep(plan_for(self.AXES, self.FIXED, workers=2))
         assert sweep_table_csv(serial) == sweep_table_csv(parallel)
+
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        """workers = 5000 on a 64-row plan asks for one worker per CPU.  A
+        stand-in pool records its width and runs nothing, so no process
+        starts."""
+        widths = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return []
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        plan = plan_for((("lambda", tuple(float(i) for i in range(64))),),
+                        (("mass", 1.0), ("phi0", 1.0), ("chi0", 0.1), ("rho0", 0.05)),
+                        workers=5000)
+        assert run_sweep(plan) == []
+        assert widths == [3]
 
     def test_17_digit_serialization_round_trips(self):
         rows = run_sweep(plan_for((("lambda", (1.0, -60.0)),),
