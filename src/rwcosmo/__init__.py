@@ -17,9 +17,7 @@ from .model import (
     DerivedQuantities,
     StateDeriv,
     rhs,
-    constraint_residual,
     derived,
-    scale_factor,
 )
 from .initial import (
     InitialData,
@@ -33,7 +31,6 @@ from .initial import (
     initial_data_from_u0,
     build_state,
     validate_theorem1,
-    initial_constraint_residual,
 )
 from .integrator import (
     IntegratorConfig,

@@ -86,17 +86,10 @@ def _workers(raw: str) -> Optional[int]:
     return None if raw == "auto" else int(raw)
 
 
-def _directory(raw: str) -> str:
-    # An empty path would be the working directory, more likely a typo.
-    if not raw.strip():
-        raise ValueError("must not be empty")
-    return raw
-
-
 #: Parser of an INI value, by the type name of the field it fills.
 _PARSERS: dict[str, Callable[[str], Any]] = {"float": float, "bool": _bool, "str": str}
 _INTEGRATOR = {f.name: _PARSERS[f.type] for f in fields(IntegratorConfig)}
-_OUTPUT = {"directory": _directory, "overwrite": _bool}
+_OUTPUT = {"directory": str, "overwrite": _bool}
 
 
 def _read_ini(path: str, known: Sequence[str], required: Sequence[str]
@@ -191,6 +184,10 @@ def parse_run_config(path: str) -> RunConfig:
 
 
 def resolve_output_dir(directory: str) -> Path:
+    """The path of an ``[output] directory`` or ``-o`` value.  An empty one
+    would be the working directory, more likely a typo: a ConfigError."""
+    if not directory.strip():
+        raise ConfigError("output directory must not be empty")
     root = os.environ.get(ENV_OUTPUT_ROOT)
     path = Path(directory)
     if root and not path.is_absolute():
@@ -201,9 +198,6 @@ def resolve_output_dir(directory: str) -> Path:
 def cmd_simulate(config_path: str) -> int:
     try:
         cfg = parse_run_config(config_path)
-    except ConfigError as exc:
-        _err(str(exc))
-        return EXIT_CONFIG
     except (NoRealBranch, NegativeDensity) as exc:
         _err(f"inadmissible initial data: {exc}")
         return EXIT_INADMISSIBLE
@@ -229,11 +223,7 @@ def cmd_simulate(config_path: str) -> int:
 
 
 def cmd_verify(traj_dir: str) -> int:
-    try:
-        traj = read_trajectory(traj_dir)
-    except CorruptTrajectory as exc:
-        _err(str(exc))
-        return EXIT_CONFIG
+    traj = read_trajectory(traj_dir)
     report = verify(traj)
     write_report(traj_dir, report)
     failed = [c.name for c in report.checks if not c.passed]
@@ -264,11 +254,7 @@ def parse_sweep_plan(path: str) -> tuple[SweepPlan, str, bool]:
 
 
 def cmd_sweep(plan_path: str) -> int:
-    try:
-        plan, directory, overwrite = parse_sweep_plan(plan_path)
-    except ConfigError as exc:
-        _err(str(exc))
-        return EXIT_CONFIG
+    plan, directory, overwrite = parse_sweep_plan(plan_path)
     out_dir = resolve_output_dir(directory)
     csv_path = out_dir / "sweep.csv"
     if csv_path.exists() and not overwrite:
@@ -308,13 +294,9 @@ def _write_plot_data(out_dir: Path, traj: Trajectory, report: VerificationReport
 
 
 def cmd_report(traj_dir: str, out: Optional[str] = None) -> int:
-    try:
-        traj = read_trajectory(traj_dir)
-    except CorruptTrajectory as exc:
-        _err(str(exc))
-        return EXIT_CONFIG
-    report = verify(traj)
     out_dir = resolve_output_dir(out) if out is not None else Path(traj_dir)
+    traj = read_trajectory(traj_dir)
+    report = verify(traj)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_plot_data(out_dir, traj, report)
 
@@ -381,7 +363,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except OSError as exc:  # e.g. an output directory that cannot be created
+    except (ConfigError, CorruptTrajectory, OSError) as exc:
+        # OSError: e.g. an output directory that cannot be created
         _err(str(exc))
         return EXIT_CONFIG
 

@@ -28,8 +28,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Literal, Optional
 
-from .model import (EIGHT_PI, FOUR_PI, CosmoState, ModelParams, constraint_residual,
-                    derived_terms, _finite_fields, _require_finite)
+from .model import (EIGHT_PI, FOUR_PI, CosmoState, ModelParams, derived_terms,
+                    _finite_fields, _require_finite)
 
 Branch = Literal["expanding", "contracting"]
 
@@ -164,11 +164,6 @@ def build_state(data: InitialData) -> CosmoState:
     """State at t = 0: (u0, v0 = 1/a0**2, phi0, chi0, rho0)."""
     return CosmoState(t=0.0, u=data.u0, v=1.0 / (data.a0 * data.a0),
                       phi=data.phi0, chi=data.chi0, rho=data.rho0)
-
-
-def initial_constraint_residual(params: ModelParams, data: InitialData) -> float:
-    """Constraint residual of the induced t = 0 state."""
-    return constraint_residual(build_state(data), params)
 
 
 def constraint_scale(params: ModelParams, data: InitialData) -> float:

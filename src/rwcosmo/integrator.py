@@ -55,8 +55,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .initial import InitialData, constraint_scale, initial_constraint_residual, build_state, validate_theorem1
-from .model import CosmoState, ModelParams, _finite_fields, _rhs_terms, derived_terms
+from .initial import InitialData, constraint_scale, build_state, validate_theorem1
+from .model import CosmoState, ModelParams, _finite_fields, _rhs_terms, derived, derived_terms
 
 #: Column order shared by Trajectory.as_arrays() and the trajectory CSV.
 TRAJECTORY_COLUMNS = ("t", "u", "v", "a", "phi", "chi", "psi", "rho",
@@ -181,8 +181,8 @@ class Trajectory:
     def _columns(self) -> dict[str, np.ndarray]:
         u, v, phi, chi, rho = (np.ascontiguousarray(c) for c in self.states.T)
         # numpy's vectorized power can differ from the scalar one in the last
-        # bit; the scalar pow keeps a equal to scale_factor(state).  A
-        # hand-built state with v <= 0 has no scale factor: a reads nan.
+        # bit; the scalar pow keeps a equal to CosmoState.a.  A hand-built
+        # state with v <= 0 has no scale factor: a reads nan.
         a = np.fromiter((x ** -0.5 if x > 0.0 else math.nan for x in v.tolist()),
                         float, v.size)
         d = derived_terms(u, phi, chi, rho, self.params)
@@ -376,7 +376,7 @@ def integrate(initial: InitialData, params: ModelParams,
             "initial data fail the global-existence hypotheses (lambda_bound_ok="
             f"{report.lambda_bound_ok}, phi0_positive={report.phi0_positive}, u0_positive="
             f"{report.u0_positive}); set override_admissibility = true to integrate anyway")
-    resid = initial_constraint_residual(params, initial)
+    resid = derived(build_state(initial), params).constraint
     if abs(resid) > 1e-9 * constraint_scale(params, initial):
         raise ValueError(
             f"initial data violate the Hamiltonian constraint (residual {resid!r}); "

@@ -176,18 +176,6 @@ def derived_terms(u, phi, chi, rho, params: ModelParams) -> DerivedQuantities:
     return DerivedQuantities(H=h, T00=t00, Q=q, constraint=c)
 
 
-def constraint_residual(state: CosmoState, params: ModelParams) -> float:
-    """Residual of the Hamiltonian constraint at ``state`` (see derived_terms)."""
-    return derived(state, params).constraint
-
-
 def derived(state: CosmoState, params: ModelParams) -> DerivedQuantities:
     """All algebraic functionals of a state in one pass."""
     return derived_terms(state.u, state.phi, state.chi, state.rho, params)
-
-
-def scale_factor(state: CosmoState) -> float:
-    """Scale factor a = v**(-1/2); rejects v <= 0."""
-    if state.v <= 0.0:
-        raise ValueError(f"v must be > 0, got {state.v!r}")
-    return state.v ** -0.5

@@ -4,15 +4,24 @@ All floats are written with 17 significant digits, which round-trips IEEE
 doubles exactly; reading a trajectory back reproduces the in-memory values
 bit for bit.  Output is fully deterministic: identical runs produce identical
 bytes.
+
+Each JSON block that mirrors a type is that type's fields, in declaration
+order: ``initial`` (InitialData), ``admissibility`` (AdmissibilityReport),
+``integrator`` (IntegratorConfig) and ``stats`` (IntegrationStats) in
+meta.json, the entries of events.json (Event), and ``fit_details``
+(DecayFit) and ``fit_windows`` (FitWindow) in report.json.  The reader
+rebuilds meta.json's blocks through the same types, so a missing or unknown
+key is an error and the types' own checks validate the values.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -56,38 +65,18 @@ def trajectory_csv_text(traj: Trajectory) -> str:
 
 
 def events_json_text(traj: Trajectory) -> str:
-    payload = [{"t": e.t, "kind": e.kind, "detail": e.detail} for e in traj.events]
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps([asdict(e) for e in traj.events], indent=2) + "\n"
 
 
 def meta_json_text(traj: Trajectory, version: str) -> str:
-    adm = validate_theorem1(traj.params, traj.initial)
     payload = {
         "package": "rwcosmo",
         "version": version,
         "params": {"lambda": traj.params.lam, "mass": traj.params.mass},
-        "initial": {
-            "a0": traj.initial.a0,
-            "u0": traj.initial.u0,
-            "phi0": traj.initial.phi0,
-            "chi0": traj.initial.chi0,
-            "rho0": traj.initial.rho0,
-        },
-        "admissibility": {
-            "lambda_bound_ok": adm.lambda_bound_ok,
-            "phi0_positive": adm.phi0_positive,
-            "u0_positive": adm.u0_positive,
-            "chi0_nonneg": adm.chi0_nonneg,
-            "rho0_nonneg": adm.rho0_nonneg,
-            "theorem1_applicable": adm.theorem1_applicable,
-            "nu": adm.nu,
-        },
+        "initial": asdict(traj.initial),
+        "admissibility": asdict(validate_theorem1(traj.params, traj.initial)),
         "integrator": asdict(traj.config),
-        "stats": {
-            "steps_accepted": traj.stats.steps_accepted,
-            "steps_rejected": traj.stats.steps_rejected,
-            "rhs_evaluations": traj.stats.rhs_evaluations,
-        },
+        "stats": asdict(traj.stats),
         "n_samples": len(traj.t),
         "guard_tripped": traj.guard_tripped,
     }
@@ -146,6 +135,16 @@ def _parse_states(text: str) -> tuple[np.ndarray, np.ndarray]:
     return t, states
 
 
+@contextmanager
+def _parsing(name: str) -> Iterator[None]:
+    try:
+        yield
+    except KeyError as exc:
+        raise CorruptTrajectory(f"invalid {name}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise CorruptTrajectory(f"invalid {name}: {exc}") from exc
+
+
 def read_trajectory(directory: Union[str, Path]) -> Trajectory:
     """Rebuild a Trajectory from a directory written by write_trajectory."""
     directory = Path(directory)
@@ -158,39 +157,20 @@ def read_trajectory(directory: Union[str, Path]) -> Trajectory:
     except json.JSONDecodeError as exc:
         raise CorruptTrajectory(f"invalid JSON in {directory}: {exc}") from exc
 
-    try:
-        params = ModelParams(lam=float(meta["params"]["lambda"]),
-                             mass=float(meta["params"]["mass"]))
-        ini = meta["initial"]
-        initial = InitialData(a0=float(ini["a0"]), u0=float(ini["u0"]),
-                              phi0=float(ini["phi0"]), chi0=float(ini["chi0"]),
-                              rho0=float(ini["rho0"]))
+    with _parsing(META_JSON):
+        params = ModelParams(lam=meta["params"]["lambda"], mass=meta["params"]["mass"])
+        initial = InitialData(**meta["initial"])
         config = IntegratorConfig(**meta["integrator"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptTrajectory(f"invalid meta.json: {exc}") from exc
+        stats = IntegrationStats(**{k: int(v) for k, v in dict(meta["stats"]).items()})
 
     t, states = _parse_states(csv_text)
 
-    try:
+    with _parsing(EVENTS_JSON):
         events = tuple(Event(t=float(e["t"]), kind=str(e["kind"]),
                              detail=str(e.get("detail", ""))) for e in events_raw)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptTrajectory(f"invalid events.json: {exc}") from exc
 
-    stats_raw = meta.get("stats", {})
-    stats = IntegrationStats(
-        steps_accepted=int(stats_raw.get("steps_accepted", 0)),
-        steps_rejected=int(stats_raw.get("steps_rejected", 0)),
-        rhs_evaluations=int(stats_raw.get("rhs_evaluations", 0)),
-    )
     return Trajectory(params=params, initial=initial, config=config,
                       t=t, states=states, events=events, stats=stats)
-
-
-def _fit_to_json(fit) -> Optional[dict]:
-    if fit is None:
-        return None
-    return {"rate": fit.rate, "intercept": fit.intercept, "residual": fit.residual}
 
 
 def report_json_text(report: VerificationReport) -> str:
@@ -201,7 +181,8 @@ def report_json_text(report: VerificationReport) -> str:
                     "detail": c.detail} for c in report.checks],
         "fitted_rates": {k: (v.rate if v is not None else None)
                          for k, v in report.fitted_rates.items()},
-        "fit_details": {k: _fit_to_json(v) for k, v in report.fitted_rates.items()},
+        "fit_details": {k: (v._asdict() if v is not None else None)
+                        for k, v in report.fitted_rates.items()},
         "fit_windows": {k: (asdict(w) if w is not None else None)
                         for k, w in report.fit_windows.items()},
         "L_hat": report.L_hat,

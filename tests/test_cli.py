@@ -32,6 +32,21 @@ TRAJECTORY_HEADER = "t,u,v,a,phi,chi,psi,rho,H,T00,Q,constraint"
 #: the same on every BLAS kernel.
 REFERENCE_TRAJECTORY_SHA256 = (
     "4394b5f70ce3c19ddbb835061dac33696b1dbb59d1101df35a3300736a90b567")
+#: sha256 of the JSON files simulate + verify write for the reference run and
+#: its ``kg`` variant.  meta.json records the package version, so a version
+#: bump moves its pins.
+JSON_SHA256 = {
+    "paper": {
+        "events.json": "f4dd5c41a5b85ed786852641e4eb4abc5c9aa707eb6cf6dfffb57c738717361b",
+        "meta.json": "029621c30b966b1c35a45b03653095d0dc7336ee219570060fb2bd651ec54d47",
+        "report.json": "1c4f2021cf16fe1b1d623778a672987daa4d4b232f53a7870f2ec7880d384189",
+    },
+    "kg": {
+        "events.json": "b83d85c7b514f37465d080108e6ff9a1e9d9ac037a4b4f2d98cee19a8b5fae37",
+        "meta.json": "4dff4c54f374b02c47d8eedad2e233efea9d1861cb6fd30993d356a391c4e6f1",
+        "report.json": "5fb217894d6a498f0e49c373efec643fa94193f09a2dd292a55fb6af71d48a43",
+    },
+}
 
 
 def sha256(text):
@@ -196,6 +211,18 @@ overwrite = true
 
 
 class TestPortableBytes:
+    @pytest.mark.parametrize("mode", sorted(JSON_SHA256))
+    def test_json_outputs_pinned(self, tmp_path, mode):
+        """events.json, meta.json and report.json of the reference run and
+        its kg variant keep their bytes."""
+        out = tmp_path / "out"
+        cfg = write_reference_config(tmp_path / "run.ini", str(out),
+                                     **{"mode = paper": f"mode = {mode}"})
+        assert main(["simulate", str(cfg)]) == EXIT_OK
+        assert main(["verify", str(out)]) == {"paper": EXIT_OK, "kg": EXIT_VERIFY_FAILED}[mode]
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in JSON_SHA256[mode]} == JSON_SHA256[mode]
+
     def test_outputs_independent_of_blas_kernel(self, tmp_path):
         """The reference simulate + verify writes the same trajectory.csv and
         report.json whether OpenBLAS runs its generic kernel (Prescott, no
@@ -251,6 +278,15 @@ class TestPortableBytes:
             digests.append([hashlib.sha256((out / name).read_bytes()).hexdigest()
                             for name in names])
         assert digests[0] == digests[1]
+
+
+class TestVersion:
+    def test_pyproject_version_is_package_version(self):
+        """meta.json records rwcosmo.__version__; pyproject.toml spells it too."""
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with pyproject.open("rb") as fh:
+            assert tomllib.load(fh)["project"]["version"] == rwcosmo.__version__
 
 
 class TestStartup:
@@ -323,6 +359,28 @@ class TestVerify:
         (tmp_path / "out" / "trajectory.csv").write_text("t,u\n0,nonsense\n")
         assert main(["verify", str(tmp_path / "out")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("edit,key", [
+        (lambda meta: meta.pop("stats"), "stats"),
+        (lambda meta: meta["initial"].update(b0=1.0), "b0"),
+        (lambda meta: meta["stats"].update(steps_retried=0), "steps_retried"),
+    ], ids=["no_stats", "unknown_initial_key", "unknown_stats_key"])
+    def test_meta_keys_are_the_fields(self, tmp_path, capsys, edit, key):
+        """meta.json's blocks hold exactly their types' fields: a missing or
+        unknown key is one readable error line and exit 1, no report."""
+        out = tmp_path / "out"
+        cfg = write_reference_config(tmp_path / "c.ini", str(out),
+                                     **{"t_end = 10": "t_end = 0.1"})
+        assert main(["simulate", str(cfg)]) == EXIT_OK
+        meta = json.loads((out / "meta.json").read_text())
+        edit(meta)
+        (out / "meta.json").write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("rwcosmo: error: invalid meta.json: "), err
+        assert key in err[0] and "KeyError" not in err[0]
+        assert not (out / "report.json").exists()
+
 
 class TestReport:
     def test_emits_summary_and_plot_data(self, ref_run):
@@ -332,6 +390,19 @@ class TestReport:
             assert (ref_run / name).exists()
         summary = (ref_run / "summary.txt").read_text()
         assert "status: passed" in summary
+
+    def test_empty_out_exits_1_without_files(self, tmp_path, capsys, monkeypatch, ref_run):
+        """``-o ""`` would be the working directory: the same config error as
+        an empty [output] directory, and nothing is written."""
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        monkeypatch.delenv("RWCOSMO_OUTPUT_ROOT", raising=False)
+        capsys.readouterr()
+        assert main(["report", str(ref_run), "-o", ""]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("rwcosmo: error:"), err
+        assert list(cwd.iterdir()) == []
 
     def test_lnq_slope_matches_fitted_rate(self, ref_run):
         assert main(["verify", str(ref_run)]) == EXIT_OK

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from rwcosmo import (InitialData, ModelParams, NegativeDensity, NoRealBranch,
-                     build_state, constraint_residual, initial_data_from_u0,
-                     make_initial_data, nu_rate, scale_factor, solve_rho0,
+                     build_state, derived, initial_data_from_u0,
+                     make_initial_data, nu_rate, solve_rho0,
                      solve_u0, validate_theorem1)
 from rwcosmo.initial import constraint_scale
 
@@ -72,7 +72,7 @@ class TestSolveRho0:
     def test_from_u0_constructor_is_constraint_consistent(self):
         params = ModelParams(lam=0.5, mass=2.0)
         data = initial_data_from_u0(params, a0=2.0, phi0=0.7, chi0=0.2, u0=3.0)
-        c = constraint_residual(build_state(data), params)
+        c = derived(build_state(data), params).constraint
         assert abs(c) <= 1e-12 * constraint_scale(params, data)
 
 
@@ -85,7 +85,7 @@ class TestBuildState:
     @pytest.mark.parametrize("a0", [0.5, 1.0, 7.0])
     def test_scale_factor_round_trip(self, a0):
         data = InitialData(a0=a0, u0=1.0, phi0=0.0, chi0=0.0, rho0=0.0)
-        assert scale_factor(build_state(data)) == pytest.approx(a0, rel=1e-15)
+        assert build_state(data).a == pytest.approx(a0, rel=1e-15)
 
     def test_components_copied_verbatim(self):
         data = InitialData(a0=1.0, u0=2.5, phi0=1.5, chi0=0.3, rho0=0.1)
@@ -121,7 +121,7 @@ class TestConstraintConsistency:
                                          chi0=chi0, rho0=rho0, branch="expanding")
             except NoRealBranch:
                 continue
-            c = constraint_residual(build_state(data), params)
+            c = derived(build_state(data), params).constraint
             assert abs(c) <= 1e-12 * constraint_scale(params, data)
 
 

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from rwcosmo import (CosmoState, ModelParams, constraint_residual, derived,
-                     rhs, scale_factor)
+from rwcosmo import (CosmoState, InitialData, IntegrationStats, IntegratorConfig,
+                     ModelParams, Trajectory, derived, rhs)
 
 RNG = np.random.default_rng(42)
 
@@ -107,18 +107,18 @@ class TestRhs:
 class TestConstraint:
     def test_zero_state_zero_lambda(self):
         s = CosmoState(t=0.0, u=0.0, v=1.0, phi=0.0, chi=0.0, rho=0.0)
-        assert constraint_residual(s, ModelParams(lam=0.0, mass=1.0)) == 0.0
+        assert derived(s, ModelParams(lam=0.0, mass=1.0)).constraint == 0.0
 
     def test_pure_lambda_balance(self):
         """3 u^2 = lam with everything else off."""
         s = CosmoState(t=0.0, u=1.0, v=1.0, phi=0.0, chi=0.0, rho=0.0)
-        assert constraint_residual(s, ModelParams(lam=3.0, mass=1.0)) == 0.0
+        assert derived(s, ModelParams(lam=3.0, mass=1.0)).constraint == 0.0
 
     def test_field_balance(self):
         """u = sqrt(4 pi / 3) balances phi=1, m=1: 3u^2 = 4 pi."""
         u = math.sqrt(FOUR_PI / 3.0)
         s = CosmoState(t=0.0, u=u, v=1.0, phi=1.0, chi=0.0, rho=0.0)
-        c = constraint_residual(s, ModelParams(lam=0.0, mass=1.0))
+        c = derived(s, ModelParams(lam=0.0, mass=1.0)).constraint
         assert abs(c) < 1e-14
 
     def test_propagation_rate_is_minus_3u(self):
@@ -135,17 +135,17 @@ class TestConstraint:
                               ("chi", d.dchi), ("rho", d.drho)):
                 kw = {k: getattr(s, k) for k in ("t", "u", "v", "phi", "chi", "rho")}
                 kw[comp] = getattr(s, comp) + eps
-                c_plus = constraint_residual(CosmoState(**kw), params)
+                c_plus = derived(CosmoState(**kw), params).constraint
                 kw[comp] = getattr(s, comp) - eps
                 if comp == "rho" and kw[comp] < 0.0:
                     # one-sided difference at the rho >= 0 boundary
                     kw[comp] = getattr(s, comp)
-                    c_minus = constraint_residual(CosmoState(**kw), params)
+                    c_minus = derived(CosmoState(**kw), params).constraint
                     grad_dot_f += (c_plus - c_minus) / eps * dot
                     continue
-                c_minus = constraint_residual(CosmoState(**kw), params)
+                c_minus = derived(CosmoState(**kw), params).constraint
                 grad_dot_f += (c_plus - c_minus) / (2.0 * eps) * dot
-            c = constraint_residual(s, params)
+            c = derived(s, params).constraint
             np.testing.assert_allclose(grad_dot_f, -3.0 * s.u * c,
                                        rtol=1e-5, atol=1e-5)
 
@@ -208,8 +208,15 @@ class TestScaleFactor:
     @pytest.mark.parametrize("v,a", [(1.0, 1.0), (0.25, 2.0), (1.0 / 9.0, 3.0)])
     def test_inverse_square_relation(self, v, a):
         s = CosmoState(t=0.0, u=0.0, v=v, phi=0.0, chi=0.0, rho=0.0)
-        assert scale_factor(s) == pytest.approx(a, rel=1e-15)
+        assert s.a == pytest.approx(a, rel=1e-15)
 
     def test_matches_property(self):
-        s = CosmoState(t=0.0, u=0.0, v=0.37, phi=0.0, chi=0.0, rho=0.0)
-        assert scale_factor(s) == s.a
+        """A trajectory's a column equals CosmoState.a bit for bit."""
+        vs = [0.37, 1.0 / 3.0, 2.5e-7]
+        traj = Trajectory(params=ModelParams(lam=0.0, mass=0.0),
+                          initial=InitialData(a0=1.0, u0=0.0, phi0=0.0, chi0=0.0, rho0=0.0),
+                          config=IntegratorConfig(), t=[0.0, 1.0, 2.0],
+                          states=[[0.0, v, 0.0, 0.0, 0.0] for v in vs], events=(),
+                          stats=IntegrationStats(0, 0, 0))
+        assert traj.as_arrays()["a"].tolist() == [
+            CosmoState(t=0.0, u=0.0, v=v, phi=0.0, chi=0.0, rho=0.0).a for v in vs]
