@@ -30,12 +30,13 @@ from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
 from . import __version__
-from .diagnostics import (STATUS_FAILED, STATUS_INCONCLUSIVE,
+from .diagnostics import (STATUS_FAILED, STATUS_INCONCLUSIVE, TOL,
                           VerificationReport, libm, verify)
 from .initial import (InitialData, NegativeDensity, NoRealBranch,
                       initial_data_from_u0, make_initial_data)
-from .integrator import (InadmissibleInitialData, IntegratorConfig,
-                         StepSizeUnderflow, Trajectory, integrate)
+from .integrator import (GUARD_TRIPPED, InadmissibleInitialData,
+                         IntegratorConfig, StepSizeUnderflow, Trajectory,
+                         integrate)
 from .model import ModelParams
 from .serialize import (CorruptTrajectory, read_trajectory, table_text,
                         write_report, write_trajectory)
@@ -214,7 +215,7 @@ def cmd_simulate(config_path: str) -> int:
 
     write_trajectory(out_dir, traj, __version__, overwrite=cfg.overwrite)
     if traj.guard_tripped:
-        trip = next(e for e in traj.events if e.kind == "GuardTripped")
+        trip = next(e for e in traj.events if e.kind == GUARD_TRIPPED)
         _err(f"guard tripped at t = {trip.t:.6g} ({trip.detail}); partial "
              f"trajectory ({len(traj.t)} samples) written to {out_dir}")
         return EXIT_INTEGRATOR
@@ -312,8 +313,7 @@ def cmd_report(traj_dir: str, out: Optional[str] = None) -> int:
              f"L_hat = {report.L_hat:.9g}, H_inf_hat = {report.H_inf_hat:.9g}, "
              f"C0_hat = {report.C0_hat:.9g}",
              "",
-             "tolerances: " + ", ".join(f"{k}={v:g}" for k, v in
-                                        asdict(report.tolerances).items()),
+             "tolerances: " + ", ".join(f"{k}={v:g}" for k, v in asdict(TOL).items()),
              "",
              f"{'check':40s} {'pass':5s} margin"]
     for c in report.checks:

@@ -57,6 +57,10 @@ class Tolerances:
     monotone_eps_factor: float = 10.0
 
 
+#: The tolerances of every check.
+TOL = Tolerances()
+
+
 @dataclass(frozen=True)
 class Check:
     name: str
@@ -109,7 +113,6 @@ class FitWindow:
 @dataclass(frozen=True)
 class VerificationReport:
     nu: Optional[float]
-    tolerances: Tolerances
     checks: tuple[Check, ...]
     fitted_rates: dict[str, Optional[DecayFit]]
     fit_windows: dict[str, Optional[FitWindow]]
@@ -131,7 +134,7 @@ class VerificationReport:
         raise KeyError(name)
 
 
-def fit_decay_rate(series: Sequence[tuple[float, float]],
+def fit_decay_rate(t: Sequence[float], y: Sequence[float],
                    window: tuple[float, float]) -> DecayFit:
     """Least-squares line through (t, ln y) inside [t_lo, t_hi].
 
@@ -139,13 +142,12 @@ def fit_decay_rate(series: Sequence[tuple[float, float]],
     RMS of the fit.  Requires y > 0 and at least 8 points inside the window.
     Affine-equivariant: scaling y by c > 0 shifts the intercept only.
     """
-    t_lo, t_hi = window
-    pts = np.asarray(series, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("series must be a sequence of (t, y) pairs")
-    mask = (pts[:, 0] >= t_lo) & (pts[:, 0] <= t_hi)
-    t = pts[mask, 0]
-    y = pts[mask, 1]
+    t = np.asarray(t, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if t.ndim != 1 or t.shape != y.shape:
+        raise ValueError("t and y must be 1-d and of equal length")
+    mask = (t >= window[0]) & (t <= window[1])
+    t, y = t[mask], y[mask]
     if t.size < 8:
         raise ValueError(f"need >= 8 points in window, got {t.size}")
     if np.any(y <= 0.0):
@@ -182,8 +184,8 @@ def cumulative_simpson(y: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def _monotone_eps(traj: Trajectory, tol: Tolerances) -> float:
-    return tol.monotone_eps_factor * traj.config.rel_tol * abs(traj.initial.u0)
+def _monotone_eps(traj: Trajectory) -> float:
+    return TOL.monotone_eps_factor * traj.config.rel_tol * abs(traj.initial.u0)
 
 
 def _require_samples(traj: Trajectory) -> dict[str, np.ndarray]:
@@ -198,18 +200,15 @@ def _worst_increase(series: np.ndarray) -> float:
     return float(np.max(diffs)) if diffs.size else 0.0
 
 
-def verify_bounds(traj: Trajectory, tol: Tolerances = Tolerances()) -> list[Check]:
+def verify_bounds(traj: Trajectory) -> list[Check]:
     """Pointwise bounds and monotonicity along the trajectory.
 
     Monotonicity checks on a single-sample trajectory pass vacuously; the
     bound checks are still evaluated at the point.
     """
     cols = _require_samples(traj)
-    eps = _monotone_eps(traj, tol)
-    u = cols["u"]
-    v = cols["v"]
-    phi = cols["phi"]
-    chi = cols["chi"]
+    eps = _monotone_eps(traj)
+    u, v, phi, chi = cols["u"], cols["v"], cols["phi"], cols["chi"]
     u0 = traj.initial.u0
     v0 = float(v[0])
     nu = validate_theorem1(traj.params, traj.initial).nu
@@ -228,7 +227,7 @@ def verify_bounds(traj: Trajectory, tol: Tolerances = Tolerances()) -> list[Chec
     worst_dt00 = _worst_increase(cols["T00"])
     checks.append(_check("t00_nonincreasing", worst_dt00 - eps, f"eps = {eps:.3g}"))
 
-    q_floor = _q_noise_floor(traj, tol)
+    q_floor = _q_noise_floor(traj)
     min_q = float(np.min(cols["Q"]))
     checks.append(_check("q_nonnegative", -q_floor - min_q,
                          f"noise floor = {q_floor:.3g}"))
@@ -242,7 +241,7 @@ def verify_bounds(traj: Trajectory, tol: Tolerances = Tolerances()) -> list[Chec
     return checks
 
 
-def verify_quadrature(traj: Trajectory, tol: Tolerances = Tolerances()) -> list[Check]:
+def verify_quadrature(traj: Trajectory) -> list[Check]:
     """Independent quadrature oracles for the v and rho components.
 
     rho(t) must match rho0*exp(-4 int u) and v(t)*exp(2 int u) must return
@@ -255,8 +254,8 @@ def verify_quadrature(traj: Trajectory, tol: Tolerances = Tolerances()) -> list[
     if not (t.size >= 3 and np.allclose(np.diff(t), dt, rtol=1e-6, atol=1e-12)):
         detail = ("too few samples for quadrature" if t.size < 3
                   else "non-uniform sample grid")
-        return [_check("rho_quadrature_oracle", -tol.rho_oracle_rel, detail),
-                _check("v_quadrature_identity", -tol.v_oracle_rel, detail)]
+        return [_check("rho_quadrature_oracle", -TOL.rho_oracle_rel, detail),
+                _check("v_quadrature_identity", -TOL.v_oracle_rel, detail)]
     integral_u = cumulative_simpson(cols["u"], dt)
     rho0 = float(cols["rho"][0])
     if rho0 > 0.0:
@@ -266,9 +265,9 @@ def verify_quadrature(traj: Trajectory, tol: Tolerances = Tolerances()) -> list[
         dev = float(np.max(np.abs(cols["rho"])))  # rho must stay identically 0
     v0 = float(cols["v"][0])
     vdev = float(np.max(np.abs(cols["v"] * libm(math.exp, 2.0 * integral_u) - v0))) / v0
-    return [_check("rho_quadrature_oracle", dev - tol.rho_oracle_rel,
+    return [_check("rho_quadrature_oracle", dev - TOL.rho_oracle_rel,
                    f"max relative deviation {dev:.3g}"),
-            _check("v_quadrature_identity", vdev - tol.v_oracle_rel,
+            _check("v_quadrature_identity", vdev - TOL.v_oracle_rel,
                    f"max relative deviation {vdev:.3g}")]
 
 
@@ -283,11 +282,11 @@ def q_identity_check(traj: Trajectory) -> float:
     return float(np.max(dev / (1.0 + np.abs(cols["Q"]))))
 
 
-def _q_noise_floor(traj: Trajectory, tol: Tolerances) -> float:
+def _q_noise_floor(traj: Trajectory) -> float:
     # On-shell Q = 24*pi*rho; its numerical floor combines the density oracle
     # budget with three times the constraint budget (Q = 24*pi*rho + 3*C).
-    return (TWENTY_FOUR_PI * tol.rho_oracle_rel * traj.initial.rho0
-            + 3.0 * tol.constraint_budget)
+    return (TWENTY_FOUR_PI * TOL.rho_oracle_rel * traj.initial.rho0
+            + 3.0 * TOL.constraint_budget)
 
 
 def _decay_window(t: np.ndarray, y: np.ndarray, floor: float) -> Optional[tuple[float, float]]:
@@ -309,59 +308,58 @@ def _decay_window(t: np.ndarray, y: np.ndarray, floor: float) -> Optional[tuple[
     return float(t[start]), float(t[end - 1])
 
 
-def verify_asymptotics(traj: Trajectory, nu: Optional[float],
-                       tol: Tolerances = Tolerances(),
-                       ) -> tuple[list[Check], dict, dict, dict, list[str], bool]:
+def _limit_estimates(traj: Trajectory) -> tuple[float, float, float]:
+    """(L_hat, H_inf_hat, C0_hat): phi^2 and H at the last sample, and
+    C0 = lam + 4*pi*m^2*L_hat, whose sqrt(3*C0) is the late-time H."""
+    cols = traj.as_arrays()
+    l_hat = float(cols["phi"][-1] * cols["phi"][-1])
+    c0_hat = traj.params.lam + FOUR_PI * traj.params.mass_sq * l_hat
+    return l_hat, float(cols["H"][-1]), c0_hat
+
+
+def verify_asymptotics(traj: Trajectory) -> tuple[
+        list[Check], dict[str, tuple[DecayFit, FitWindow]], list[str]]:
     """Late-time checks: decay envelope, fitted rates, limits, growth.
 
-    Returns (checks, estimates, fits, windows, notes, inconclusive).  The
-    decay-based checks need enough dynamic range: when Q has not decayed
-    past the gate factor the result is inconclusive, not a failure.
+    Returns (checks, fits, notes); ``fits`` maps each series fitted (Q, rho,
+    chi2) to its fit and window.  The checks need enough dynamic range: when
+    Q has not decayed past the gate factor none runs, which makes the
+    verdict inconclusive, not failed.
     """
     cols = _require_samples(traj)
-    t = cols["t"]
-    q = cols["Q"]
-    phi = cols["phi"]
-    eps = _monotone_eps(traj, tol)
+    t, q, phi = cols["t"], cols["Q"], cols["phi"]
+    eps = _monotone_eps(traj)
+    nu = validate_theorem1(traj.params, traj.initial).nu
     notes: list[str] = []
-    fits: dict[str, Optional[DecayFit]] = {}
-    windows: dict[str, Optional[FitWindow]] = {}
-
-    l_hat = float(phi[-1] * phi[-1])
-    h_end = float(cols["H"][-1])
-    c0_hat = traj.params.lam + FOUR_PI * traj.params.mass_sq * l_hat
-    estimates = {"L_hat": l_hat, "H_inf_hat": h_end, "C0_hat": c0_hat}
+    fits: dict[str, tuple[DecayFit, FitWindow]] = {}
 
     if np.any(cols["chi"] < 0.0):
         notes.append("non-decreasing-field hypothesis violated (chi < 0 encountered); "
                      "failures below indicate the hypothesis matters, not a defect "
                      "of the verified statements")
 
-    q_floor = _q_noise_floor(traj, tol)
+    q_floor = _q_noise_floor(traj)
     q0 = float(q[0])
-    inconclusive = False
+    skip = ""
     if nu is None:
-        notes.append("decay rate nu undefined for these data; asymptotic checks skipped")
-        inconclusive = True
+        skip = "decay rate nu undefined for these data; asymptotic checks skipped"
     elif q0 <= q_floor:
-        notes.append("initial Q sits at the numerical floor; decay unobservable")
-        inconclusive = True
-    elif abs(float(q[-1])) >= tol.q_ratio_gate * q0:
-        notes.append(f"Q(t_end)/Q(0) = {float(q[-1]) / q0:.3g} has not passed the "
-                     f"{tol.q_ratio_gate:g} gate; integrate further for conclusive asymptotics")
-        inconclusive = True
-    if inconclusive:
-        return [], estimates, fits, windows, notes, True
+        skip = "initial Q sits at the numerical floor; decay unobservable"
+    elif abs(float(q[-1])) >= TOL.q_ratio_gate * q0:
+        skip = (f"Q(t_end)/Q(0) = {float(q[-1]) / q0:.3g} has not passed the "
+                f"{TOL.q_ratio_gate:g} gate; integrate further for conclusive asymptotics")
+    if skip:
+        return [], fits, notes + [skip]
 
-    envelope = q0 * libm(math.exp, -3.0 * nu * t) * (1.0 + tol.envelope_slack) + q_floor
+    envelope = q0 * libm(math.exp, -3.0 * nu * t) * (1.0 + TOL.envelope_slack) + q_floor
     checks = [_check("q_envelope", np.max(q - envelope),
-                     f"Q <= Q0*exp(-3 nu t)*(1+{tol.envelope_slack:g}) "
+                     f"Q <= Q0*exp(-3 nu t)*(1+{TOL.envelope_slack:g}) "
                      f"+ floor {q_floor:.3g}")]
 
     # Fit windows clip at 100x the measured constraint drift, mapped into
     # each series through its constraint coefficient.
     drift = max(float(np.max(np.abs(cols["constraint"]))), 1e-15)
-    rate_floor = 3.0 * nu * (1.0 - tol.rate_slack)
+    rate_floor = 3.0 * nu * (1.0 - TOL.rate_slack)
     for name, series, series_floor in (
         ("Q", q, 3.0 * drift),
         ("rho", cols["rho"], drift / EIGHT_PI),
@@ -369,66 +367,53 @@ def verify_asymptotics(traj: Trajectory, nu: Optional[float],
     ):
         window = _decay_window(t, series, series_floor)
         if window is None:
-            fits[name] = None
-            windows[name] = None
             notes.append(f"{name}: insufficient data above the noise floor for a rate fit")
             continue
-        fit = fit_decay_rate(np.column_stack([t, series]), window)
-        fits[name] = fit
-        windows[name] = FitWindow(t_lo=window[0], t_hi=window[1],
-                                  n_points=int(np.sum((t >= window[0]) & (t <= window[1]))))
+        fit = fit_decay_rate(t, series, window)
+        n_points = int(np.sum((t >= window[0]) & (t <= window[1])))
+        fits[name] = fit, FitWindow(*window, n_points)
         checks.append(_check(f"{name}_decay_rate", rate_floor - fit.rate,
                              f"fitted {fit.rate:.6g} vs required {rate_floor:.6g}"))
 
     worst_drop = _worst_increase(-(phi * phi))
     checks.append(_check("phi_squared_monotone", worst_drop - eps, f"eps = {eps:.3g}"))
 
+    l_hat, h_end, c0_hat = _limit_estimates(traj)
     phi0_sq = traj.initial.phi0 * traj.initial.phi0
     checks.append(_check("L_at_least_initial", phi0_sq - eps - l_hat))
 
     t00_target = 0.5 * traj.params.mass_sq * l_hat
     t00_dev = abs(float(cols["T00"][-1]) - t00_target)
-    checks.append(_check("t00_limit", t00_dev - tol.t00_limit_abs,
+    checks.append(_check("t00_limit", t00_dev - TOL.t00_limit_abs,
                          f"|T00(t_end) - m^2 L/2| = {t00_dev:.3g}"))
 
     if c0_hat > 0.0:
         h_target = math.sqrt(3.0 * c0_hat)
         h_dev = abs(h_end - h_target)
-        checks.append(_check("h_inf_limit", h_dev - tol.h_inf_rel * h_target,
+        checks.append(_check("h_inf_limit", h_dev - TOL.h_inf_rel * h_target,
                              f"H(t_end) = {h_end:.9g}, sqrt(3 C0) = {h_target:.9g}"))
     else:
         # Fails outright: at C0_hat = 0 the margin -C0_hat reads -0.0.
         checks.append(Check("h_inf_limit", False, float(-c0_hat),
                             "C0 estimate not positive"))
 
-    a0 = traj.initial.a0
-    bound = a0 * libm(math.exp, nu * t) * (1.0 - tol.a_growth_slack)
+    bound = traj.initial.a0 * libm(math.exp, nu * t) * (1.0 - TOL.a_growth_slack)
     checks.append(_check("a_exponential_lower_bound", np.max(bound - cols["a"]),
-                         f"a >= a0*exp(nu t)*(1-{tol.a_growth_slack:g})"))
-    ratio = float(cols["a"][-1]) / a0
-    target = math.exp(nu * float(t[-1]))
-    checks.append(_check("a_growth_ratio", target - ratio,
-                         f"a(t_end)/a0 = {ratio:.6g} vs exp(nu t_end) = {target:.6g}"))
-
-    return checks, estimates, fits, windows, notes, False
+                         f"a >= a0*exp(nu t)*(1-{TOL.a_growth_slack:g})"))
+    return checks, fits, notes
 
 
-def verify(traj: Trajectory, tol: Tolerances = Tolerances()) -> VerificationReport:
+def verify(traj: Trajectory) -> VerificationReport:
     """Full verification of one trajectory.
 
     Idempotent and side-effect free; running it twice on the same trajectory
     produces identical reports.
     """
-    nu = validate_theorem1(traj.params, traj.initial).nu
-    checks = verify_bounds(traj, tol)
-    checks += verify_quadrature(traj, tol)
-
+    checks = verify_bounds(traj) + verify_quadrature(traj)
     identity_dev = q_identity_check(traj)
-    checks.append(_check("q_identity", identity_dev - tol.q_identity_tol,
+    checks.append(_check("q_identity", identity_dev - TOL.q_identity_tol,
                          f"max |Q - 24 pi rho - 3 C|/(1+|Q|) = {identity_dev:.3g}"))
-
-    asym_checks, estimates, fits, windows, notes, inconclusive = \
-        verify_asymptotics(traj, nu, tol)
+    asym_checks, fits, notes = verify_asymptotics(traj)
     checks += asym_checks
 
     if traj.guard_tripped:
@@ -436,27 +421,25 @@ def verify(traj: Trajectory, tol: Tolerances = Tolerances()) -> VerificationRepo
         notes.append("integration aborted by guard: " +
                      "; ".join(f"t = {e.t:.6g}: {e.detail}" for e in trips))
 
-    growth_names = ("a_exponential_lower_bound", "a_growth_ratio")
-    growth = [c for c in checks if c.name in growth_names]
-    a_growth_ok = bool(growth) and all(c.passed for c in growth)
-
     if any(not c.passed for c in checks):
         status = STATUS_FAILED
-    elif inconclusive:
+    elif not asym_checks:
         status = STATUS_INCONCLUSIVE
     else:
         status = STATUS_PASSED
 
+    fitted = {k: fits.get(k, (None, None)) for k in ("Q", "rho", "chi2")}
+    l_hat, h_inf_hat, c0_hat = _limit_estimates(traj)
     return VerificationReport(
-        nu=nu,
-        tolerances=tol,
+        nu=validate_theorem1(traj.params, traj.initial).nu,
         checks=tuple(checks),
-        fitted_rates={k: fits.get(k) for k in ("Q", "rho", "chi2")},
-        fit_windows={k: windows.get(k) for k in ("Q", "rho", "chi2")},
-        L_hat=estimates["L_hat"],
-        H_inf_hat=estimates["H_inf_hat"],
-        C0_hat=estimates["C0_hat"],
-        a_growth_ok=a_growth_ok,
+        fitted_rates={k: fit for k, (fit, _) in fitted.items()},
+        fit_windows={k: window for k, (_, window) in fitted.items()},
+        L_hat=l_hat,
+        H_inf_hat=h_inf_hat,
+        C0_hat=c0_hat,
+        a_growth_ok=any(c.name == "a_exponential_lower_bound" and c.passed
+                        for c in checks),
         status=status,
         notes=tuple(notes),
     )

@@ -376,7 +376,8 @@ def integrate(initial: InitialData, params: ModelParams,
             "initial data fail the global-existence hypotheses (lambda_bound_ok="
             f"{report.lambda_bound_ok}, phi0_positive={report.phi0_positive}, u0_positive="
             f"{report.u0_positive}); set override_admissibility = true to integrate anyway")
-    resid = derived(build_state(initial), params).constraint
+    state0 = build_state(initial)
+    resid = derived(state0, params).constraint
     if abs(resid) > 1e-9 * constraint_scale(params, initial):
         raise ValueError(
             f"initial data violate the Hamiltonian constraint (residual {resid!r}); "
@@ -385,7 +386,6 @@ def integrate(initial: InitialData, params: ModelParams,
     dt = config.sample_dt
     k_last = int(math.floor(config.t_end / dt + 1e-9))
 
-    state0 = build_state(initial)
     times: list[float] = [0.0]
     rows: list[list[float]] = [[state0.u, state0.v, state0.phi, state0.chi, state0.rho]]
     events: list[Event] = []

@@ -39,7 +39,11 @@ TWENTY_FOUR_PI = 24.0 * math.pi
 
 def _require_finite(**values: float) -> None:
     for name, value in values.items():
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except TypeError:
+            raise TypeError(f"{name} must be a real number, not {type(value).__name__}") from None
+        if not finite:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 

@@ -11,7 +11,9 @@ order: ``initial`` (InitialData), ``admissibility`` (AdmissibilityReport),
 meta.json, the entries of events.json (Event), and ``fit_details``
 (DecayFit) and ``fit_windows`` (FitWindow) in report.json.  The reader
 rebuilds meta.json's blocks through the same types, so a missing or unknown
-key is an error and the types' own checks validate the values.
+key is an error and the types' own checks validate the values; ``params``
+holds exactly lambda and mass, every count is a JSON integer, and
+``n_samples`` and ``guard_tripped`` must agree with the other two files.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .diagnostics import VerificationReport
+from .diagnostics import TOL, VerificationReport
 from .initial import InitialData, validate_theorem1
 from .integrator import (STATE_COLUMNS, TRAJECTORY_COLUMNS, Event,
                          IntegrationStats, IntegratorConfig, Trajectory)
@@ -158,10 +160,15 @@ def read_trajectory(directory: Union[str, Path]) -> Trajectory:
         raise CorruptTrajectory(f"invalid JSON in {directory}: {exc}") from exc
 
     with _parsing(META_JSON):
-        params = ModelParams(lam=meta["params"]["lambda"], mass=meta["params"]["mass"])
+        raw_params = dict(meta["params"])
+        params = ModelParams(lam=raw_params.pop("lambda"), mass=raw_params.pop("mass"))
+        if raw_params:
+            raise ValueError(f"unknown params key(s): {', '.join(sorted(raw_params))}")
         initial = InitialData(**meta["initial"])
         config = IntegratorConfig(**meta["integrator"])
-        stats = IntegrationStats(**{k: int(v) for k, v in dict(meta["stats"]).items()})
+        stats = IntegrationStats(**{k: _count(k, v) for k, v in dict(meta["stats"]).items()})
+        n_samples = _count("n_samples", meta["n_samples"])
+        guard_tripped = meta["guard_tripped"]
 
     t, states = _parse_states(csv_text)
 
@@ -169,14 +176,28 @@ def read_trajectory(directory: Union[str, Path]) -> Trajectory:
         events = tuple(Event(t=float(e["t"]), kind=str(e["kind"]),
                              detail=str(e.get("detail", ""))) for e in events_raw)
 
-    return Trajectory(params=params, initial=initial, config=config,
+    traj = Trajectory(params=params, initial=initial, config=config,
                       t=t, states=states, events=events, stats=stats)
+    if n_samples != t.size:
+        raise CorruptTrajectory(f"invalid {META_JSON}: n_samples = {n_samples}, but "
+                                f"{TRAJECTORY_CSV} holds {t.size} samples")
+    if guard_tripped is not traj.guard_tripped:
+        raise CorruptTrajectory(f"invalid {META_JSON}: guard_tripped = "
+                                f"{json.dumps(guard_tripped)} disagrees with {EVENTS_JSON}")
+    return traj
+
+
+def _count(name: str, value: object) -> int:
+    """A count read from JSON: an integer, never a float or a boolean."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
+    return value
 
 
 def report_json_text(report: VerificationReport) -> str:
     payload = {
         "nu": report.nu,
-        "tolerances": asdict(report.tolerances),
+        "tolerances": asdict(TOL),
         "checks": [{"name": c.name, "pass": c.passed, "margin": _json_safe(c.margin),
                     "detail": c.detail} for c in report.checks],
         "fitted_rates": {k: (v.rate if v is not None else None)

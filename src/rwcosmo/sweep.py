@@ -92,21 +92,13 @@ class SweepPlan:
 
     @property
     def size(self) -> int:
-        n = 1
-        for _, values in self.axes:
-            n *= len(values)
-        return n
+        return math.prod(len(values) for _, values in self.axes)
 
     def points(self) -> list[dict[str, float]]:
         """Grid points in row-major order over the declared axes."""
-        base = dict(self.fixed)
-        out = []
         names = [name for name, _ in self.axes]
-        for combo in product(*(values for _, values in self.axes)):
-            point = dict(base)
-            point.update(zip(names, combo))
-            out.append(point)
-        return out
+        return [{**dict(self.fixed), **dict(zip(names, combo))}
+                for combo in product(*(values for _, values in self.axes))]
 
 
 @dataclass(frozen=True)
@@ -170,13 +162,9 @@ def _evaluate_point(args: tuple) -> SweepRow:
         return row(adm.theorem1_applicable, STATUS_GUARD_TRIPPED, nu=nu, events=events)
     report = verify(traj)
     cols = traj.as_arrays()
-
-    def rate(name: str) -> float:
-        fit = report.fitted_rates.get(name)
-        return fit.rate if fit is not None else nan
-
-    return row(adm.theorem1_applicable, STATUS_OK, nu=nu,
-               rate_Q=rate("Q"), rate_rho=rate("rho"), rate_chi2=rate("chi2"),
+    rates = {f"rate_{name}": fit.rate if fit is not None else nan
+             for name, fit in report.fitted_rates.items()}
+    return row(adm.theorem1_applicable, STATUS_OK, nu=nu, **rates,
                L_hat=report.L_hat, H_inf_hat=report.H_inf_hat,
                C0_hat=report.C0_hat,
                max_constraint=float(abs(cols["constraint"]).max()),

@@ -39,12 +39,12 @@ JSON_SHA256 = {
     "paper": {
         "events.json": "f4dd5c41a5b85ed786852641e4eb4abc5c9aa707eb6cf6dfffb57c738717361b",
         "meta.json": "029621c30b966b1c35a45b03653095d0dc7336ee219570060fb2bd651ec54d47",
-        "report.json": "1c4f2021cf16fe1b1d623778a672987daa4d4b232f53a7870f2ec7880d384189",
+        "report.json": "66d0af0a057fbfd793540aa600c9393b41f6a66381796087729890e6544fd7b0",
     },
     "kg": {
         "events.json": "b83d85c7b514f37465d080108e6ff9a1e9d9ac037a4b4f2d98cee19a8b5fae37",
         "meta.json": "4dff4c54f374b02c47d8eedad2e233efea9d1861cb6fd30993d356a391c4e6f1",
-        "report.json": "5fb217894d6a498f0e49c373efec643fa94193f09a2dd292a55fb6af71d48a43",
+        "report.json": "21ec2171960835a8399c5ce5ef7a1a1be16a9792e38510d6bc77654cad52dd4a",
     },
 }
 
@@ -359,14 +359,10 @@ class TestVerify:
         (tmp_path / "out" / "trajectory.csv").write_text("t,u\n0,nonsense\n")
         assert main(["verify", str(tmp_path / "out")]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("edit,key", [
-        (lambda meta: meta.pop("stats"), "stats"),
-        (lambda meta: meta["initial"].update(b0=1.0), "b0"),
-        (lambda meta: meta["stats"].update(steps_retried=0), "steps_retried"),
-    ], ids=["no_stats", "unknown_initial_key", "unknown_stats_key"])
-    def test_meta_keys_are_the_fields(self, tmp_path, capsys, edit, key):
-        """meta.json's blocks hold exactly their types' fields: a missing or
-        unknown key is one readable error line and exit 1, no report."""
+    @staticmethod
+    def verify_edited_meta(tmp_path, capsys, edit, key):
+        """Simulate the short reference run, apply ``edit`` to its meta.json
+        and verify: one readable error line naming ``key``, exit 1, no report."""
         out = tmp_path / "out"
         cfg = write_reference_config(tmp_path / "c.ini", str(out),
                                      **{"t_end = 10": "t_end = 0.1"})
@@ -380,6 +376,34 @@ class TestVerify:
         assert len(err) == 1 and err[0].startswith("rwcosmo: error: invalid meta.json: "), err
         assert key in err[0] and "KeyError" not in err[0]
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("edit,key", [
+        (lambda meta: meta.pop("stats"), "stats"),
+        (lambda meta: meta["initial"].update(b0=1.0), "b0"),
+        (lambda meta: meta["stats"].update(steps_retried=0), "steps_retried"),
+        (lambda meta: meta["params"].update(bogus=2), "bogus"),
+        (lambda meta: meta["params"].pop("mass"), "mass"),
+    ], ids=["no_stats", "unknown_initial_key", "unknown_stats_key",
+            "unknown_params_key", "no_params_mass"])
+    def test_meta_keys_are_the_fields(self, tmp_path, capsys, edit, key):
+        """meta.json's blocks hold exactly their types' fields (``params``
+        exactly lambda and mass): a missing or unknown key is an error."""
+        self.verify_edited_meta(tmp_path, capsys, edit, key)
+
+    @pytest.mark.parametrize("edit,key", [
+        (lambda meta: meta.update(n_samples=7), "n_samples"),
+        (lambda meta: meta.update(n_samples=11.0), "n_samples"),
+        (lambda meta: meta.update(guard_tripped=True), "guard_tripped"),
+        (lambda meta: meta["initial"].update(a0="x"), "a0"),
+        (lambda meta: meta["stats"].update(steps_accepted=3.7), "steps_accepted"),
+        (lambda meta: meta["stats"].update(steps_rejected=True), "steps_rejected"),
+    ], ids=["n_samples_not_the_rows", "n_samples_float", "guard_without_event",
+            "a0_string", "count_fractional", "count_boolean"])
+    def test_meta_values_checked(self, tmp_path, capsys, edit, key):
+        """meta.json's values are checked: a count is a JSON integer,
+        n_samples is the number of trajectory.csv rows, guard_tripped agrees
+        with events.json, and a bad initial value is named."""
+        self.verify_edited_meta(tmp_path, capsys, edit, key)
 
 
 class TestReport:

@@ -1,20 +1,24 @@
 """Verification logic: fits, bounds, asymptotics, identity, quadrature."""
 
 import math
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rwcosmo import (Check, CosmoState, InitialData, IntegratorConfig,
-                     ModelParams, Tolerances, derived, fit_decay_rate,
+                     ModelParams, derived, fit_decay_rate,
                      q_identity_check, verify, verify_asymptotics,
                      verify_bounds, verify_quadrature)
 from rwcosmo.diagnostics import (STATUS_FAILED, STATUS_INCONCLUSIVE,
-                                 STATUS_PASSED, cumulative_simpson, libm)
+                                 STATUS_PASSED, TOL, cumulative_simpson, libm)
 from rwcosmo.integrator import IntegrationStats, Trajectory
 
 from conftest import REF_NU
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def make_fake_trajectory(u_values, params=None):
@@ -31,41 +35,49 @@ def make_fake_trajectory(u_values, params=None):
 
 class TestFitDecayRate:
     def test_exact_exponential(self):
-        """Same fit from an (n, 2) array and from a list of (t, y) tuples."""
+        """Same fit from numpy arrays and from lists."""
         t = np.arange(0.0, 5.01, 0.5)
         y = np.exp(-2.0 * t)
-        for series in (np.column_stack([t, y]), list(zip(t.tolist(), y.tolist()))):
-            fit = fit_decay_rate(series, (0.0, 5.0))
-            assert fit.rate == pytest.approx(2.0, abs=1e-12)
-            assert fit.residual < 1e-12
+        fits = [fit_decay_rate(t, y, (0.0, 5.0)),
+                fit_decay_rate(t.tolist(), y.tolist(), (0.0, 5.0))]
+        assert fits[0] == fits[1]
+        assert fits[0].rate == pytest.approx(2.0, abs=1e-12)
+        assert fits[0].residual < 1e-12
+
+    @pytest.mark.parametrize("t,y", [
+        (np.arange(10.0), np.ones(9)),
+        (np.zeros((10, 2)), np.ones((10, 2))),
+    ], ids=["unequal_lengths", "two_dimensional"])
+    def test_mismatched_arrays_rejected(self, t, y):
+        with pytest.raises(ValueError, match="1-d and of equal length"):
+            fit_decay_rate(t, y, (0.0, 10.0))
 
     def test_exact_line_and_polyfit_agreement(self):
         """The closed-form fit recovers an exact line in ln y and agrees with
         np.polyfit on noisy data."""
         t = np.arange(2.0, 9.01, 0.01)
-        fit = fit_decay_rate(np.column_stack([t, np.exp(0.7 - 1.5 * t)]), (2.0, 9.0))
+        fit = fit_decay_rate(t, np.exp(0.7 - 1.5 * t), (2.0, 9.0))
         assert fit.rate == pytest.approx(1.5, rel=1e-13)
         assert fit.intercept == pytest.approx(0.7, rel=1e-12)
         rng = np.random.default_rng(7)
         for _ in range(20):
             y = np.exp(rng.normal(1.0, 1.0) - rng.uniform(0.1, 3.0) * t
                        + 0.1 * rng.standard_normal(t.size))
-            fit = fit_decay_rate(np.column_stack([t, y]), (2.0, 9.0))
+            fit = fit_decay_rate(t, y, (2.0, 9.0))
             slope, intercept = np.polyfit(t, np.log(y), 1)
             assert fit.rate == pytest.approx(-slope, rel=1e-9)
             assert fit.intercept == pytest.approx(intercept, rel=1e-9)
 
     def test_constant_series_rate_zero(self):
         t = np.arange(0.0, 5.01, 0.5)
-        series = np.column_stack([t, np.full_like(t, 7.0)])
-        fit = fit_decay_rate(series, (0.0, 5.0))
+        fit = fit_decay_rate(t, np.full_like(t, 7.0), (0.0, 5.0))
         assert fit.rate == pytest.approx(0.0, abs=1e-14)
 
     def test_modulated_exponential_within_tolerance(self):
         """y = exp(-2t) (1 + 0.01 sin t) fits to 2 +- 0.02."""
         t = np.arange(0.0, 5.001, 0.1)
         y = np.exp(-2.0 * t) * (1.0 + 0.01 * np.sin(t))
-        fit = fit_decay_rate(np.column_stack([t, y]), (0.0, 5.0))
+        fit = fit_decay_rate(t, y, (0.0, 5.0))
         assert abs(fit.rate - 2.0) <= 0.02
 
     def test_nonpositive_values_rejected(self):
@@ -73,19 +85,19 @@ class TestFitDecayRate:
         y = np.exp(-t)
         y[4] = 0.0
         with pytest.raises(ValueError, match="positive"):
-            fit_decay_rate(np.column_stack([t, y]), (0.0, 1.0))
+            fit_decay_rate(t, y, (0.0, 1.0))
 
     def test_too_few_points_rejected(self):
         t = np.arange(0.0, 0.7, 0.1)  # 7 points
         with pytest.raises(ValueError, match="8 points"):
-            fit_decay_rate(np.column_stack([t, np.exp(-t)]), (0.0, 1.0))
+            fit_decay_rate(t, np.exp(-t), (0.0, 1.0))
 
     def test_affine_equivariance(self):
         """Scaling y by c > 0 changes the intercept, never the rate."""
         t = np.arange(0.0, 3.01, 0.25)
         y = np.exp(-1.3 * t) * (1.0 + 0.05 * np.cos(3 * t))
-        base = fit_decay_rate(np.column_stack([t, y]), (0.0, 3.0))
-        scaled = fit_decay_rate(np.column_stack([t, 17.0 * y]), (0.0, 3.0))
+        base = fit_decay_rate(t, y, (0.0, 3.0))
+        scaled = fit_decay_rate(t, 17.0 * y, (0.0, 3.0))
         assert scaled.rate == pytest.approx(base.rate, rel=1e-12)
         assert scaled.intercept == pytest.approx(base.intercept + math.log(17.0), rel=1e-12)
 
@@ -93,7 +105,7 @@ class TestFitDecayRate:
         t = np.arange(0.0, 10.01, 0.5)
         y = np.exp(-2.0 * t)
         y[:4] = 1.0  # corrupt early points outside the window
-        fit = fit_decay_rate(np.column_stack([t, y]), (2.0, 10.0))
+        fit = fit_decay_rate(t, y, (2.0, 10.0))
         assert fit.rate == pytest.approx(2.0, abs=1e-12)
 
 
@@ -212,10 +224,9 @@ class TestCheckRule:
     ])
     def test_quadrature_vacuous_without_uniform_grid(self, t, detail):
         traj = make_fake_trajectory(np.linspace(1.0, 0.9, len(t)))
-        tol = Tolerances()
         assert verify_quadrature(replace(traj, t=np.array(t))) == [
-            Check("rho_quadrature_oracle", True, -tol.rho_oracle_rel, detail),
-            Check("v_quadrature_identity", True, -tol.v_oracle_rel, detail)]
+            Check("rho_quadrature_oracle", True, -TOL.rho_oracle_rel, detail),
+            Check("v_quadrature_identity", True, -TOL.v_oracle_rel, detail)]
 
 
 class TestQIdentity:
@@ -242,19 +253,28 @@ class TestQIdentity:
 
 class TestVerifyAsymptotics:
     def test_reference_run_all_pass(self, ref_trajectory):
-        checks, estimates, fits, _, _, inconclusive = verify_asymptotics(
-            ref_trajectory, REF_NU)
-        assert not inconclusive
+        checks, fits, notes = verify_asymptotics(ref_trajectory)
         assert checks and all(c.passed for c in checks)
-        assert estimates["L_hat"] >= 1.0
-        assert fits["Q"].rate >= 3.0 * REF_NU * 0.95
+        assert notes == []
+        assert set(fits) == {"Q", "rho", "chi2"}
+        fit, window = fits["Q"]
+        assert fit.rate >= 3.0 * REF_NU * 0.95
+        assert window.t_lo < window.t_hi and window.n_points >= 8
 
     def test_truncated_run_inconclusive(self, truncated_trajectory):
-        checks, _, _, _, notes, inconclusive = verify_asymptotics(
-            truncated_trajectory, REF_NU)
-        assert inconclusive
-        assert checks == []
+        checks, fits, notes = verify_asymptotics(truncated_trajectory)
+        assert checks == [] and fits == {}
         assert any("gate" in n for n in notes)
+
+    def test_growth_verdict_is_the_lower_bound_check(self, ref_trajectory,
+                                                     kg_trajectory):
+        """a_growth_ok is the verdict of a_exponential_lower_bound, the one
+        growth check."""
+        for traj in (ref_trajectory, kg_trajectory):
+            report = verify(traj)
+            assert report.a_growth_ok == report.check("a_exponential_lower_bound").passed
+            assert not any(c.name == "a_growth_ratio" for c in report.checks)
+        assert not verify(kg_trajectory).a_growth_ok
 
     def test_kg_run_fails_phi_square_monotonicity(self, kg_trajectory):
         report = verify(kg_trajectory)
@@ -284,17 +304,29 @@ class TestVerifyReport:
         assert verify(ref_trajectory) == verify(ref_trajectory)
 
     def test_truncated_inconclusive_status(self, truncated_trajectory):
-        assert verify(truncated_trajectory).status == STATUS_INCONCLUSIVE
+        report = verify(truncated_trajectory)
+        assert report.status == STATUS_INCONCLUSIVE
+        assert report.fitted_rates == report.fit_windows == dict.fromkeys(
+            ("Q", "rho", "chi2"))
 
     def test_estimates_match_constraint_limit(self, ref_trajectory):
         report = verify(ref_trajectory)
         assert report.C0_hat == pytest.approx(
             1.0 + 4.0 * math.pi * report.L_hat, rel=1e-14)
+        assert report.L_hat >= 1.0
 
-    def test_custom_tolerances_in_header(self, truncated_trajectory):
-        tol = Tolerances(rate_slack=0.1)
-        report = verify(truncated_trajectory, tol)
-        assert report.tolerances.rate_slack == 0.1
+    def test_readme_table_names_every_check(self, ref_trajectory):
+        """README's check table lists, in report order, exactly the checks
+        verify emits on the reference run, which runs every check; each row
+        names Tolerances fields that exist, or none."""
+        section = README.read_text().split("\n## Checks\n")[1].split("\n## ")[0]
+        rows = re.findall(r"^\| `(\w+)` \|.*\| (.*) \|$", section, re.M)
+        assert [name for name, _ in rows] == [c.name for c in verify(ref_trajectory).checks]
+        assert len(rows) == 20
+        tolerance_fields = {f.name for f in fields(TOL)}
+        for name, cell in rows:
+            named = re.findall(r"`(\w+)`", cell)
+            assert (named or cell == "none") and set(named) <= tolerance_fields, name
 
     def test_rate_fit_windows_avoid_noise_floor(self, ref_trajectory):
         """Fitted windows stop where each series hits its numerical floor."""

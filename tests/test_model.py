@@ -30,6 +30,11 @@ class TestTypes:
         with pytest.raises(ValueError):
             ModelParams(lam=bad, mass=1.0)
 
+    @pytest.mark.parametrize("value", ["x", None, [1.0]])
+    def test_non_number_named_in_error(self, value):
+        with pytest.raises(TypeError, match="^mass must be a real number, not "):
+            ModelParams(lam=1.0, mass=value)
+
     @pytest.mark.parametrize("field,value", [
         ("u", math.nan), ("v", math.inf), ("phi", math.nan),
         ("chi", -math.inf), ("rho", math.nan),
