@@ -19,6 +19,20 @@ first, and a rejected step keeps its first stage, so a run makes
 6*(accepted + rejected) + 1 right-hand-side evaluations, plus one per
 FieldFrozen restart at t > 0.
 
+Once the field is frozen (paper mode, chi clamped at 0), the system is three
+ODEs in u, v and rho, and the steps take a fast path: _frozen_trial_step
+advances only those three, with the frozen right-hand side written inline,
+and _FrozenSegment interpolates only them.  Their results are bit-identical
+to the full step's.  With chi a signed zero and dchi = 0, every phi and chi
+stage term is +-0.0, so: a stage value of phi differs from phi at most in
+the sign of a zero, which phi*phi cannot see, and psi - m**2 phi**2 / 2 is
+the same at every stage; the stage values of chi and y1's chi are 0.0, and
+y1's phi is phi + 0.0; q_phi and q_chi are +-0, and adding their squares to
+the nonnegative q_u**2 + q_v**2 changes nothing.  On phi and chi the
+quartic's r1 = y1 - y0 is +0, so for theta >= 0 the interpolant's increment
+is +0 and its value y1's.  A frozen run thus writes the same bytes and counts
+the same right-hand-side evaluations as with the full step.
+
 Error weights: u, phi and chi use the mixed scale abs_tol + rel_tol*|y|.  The
 strictly positive, exponentially decaying components v and rho use the purely
 relative scale rel_tol*|y|: under a mixed scale the controller goes blind on
@@ -56,7 +70,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .initial import InitialData, constraint_scale, build_state, validate_theorem1
-from .model import CosmoState, ModelParams, _finite_fields, _rhs_terms, derived, derived_terms
+from .model import (FOUR_PI, CosmoState, ModelParams, _finite_fields, _rhs_terms, derived,
+                    derived_terms)
 
 #: Column order shared by Trajectory.as_arrays() and the trajectory CSV.
 TRAJECTORY_COLUMNS = ("t", "u", "v", "a", "phi", "chi", "psi", "rho",
@@ -205,6 +220,8 @@ def _trial_step(y: Sequence[float], k1: Sequence[float], h: float,
 
     Returns (y_new, weighted RMS error norm, the seven stages); the last
     stage is f(y_new).  The norm is infinite when y_new is not finite.
+    Steps on a frozen field take _frozen_trial_step, which reproduces this
+    function with ``frozen`` set.
     """
     lam, mass_sq = params.lam, params.mass_sq
     u, v, phi, chi, rho = y
@@ -260,6 +277,81 @@ def _trial_step(y: Sequence[float], k1: Sequence[float], h: float,
     return y1, math.sqrt((qu * qu + qv * qv + qp * qp + qc * qc + qr * qr) / 5), k
 
 
+def _frozen_trial_step(y: Sequence[float], k1: Sequence[float], h: float,
+                       params: ModelParams,
+                       config: IntegratorConfig) -> tuple[list[float], float, tuple]:
+    """``_trial_step(y, k1, h, params, config, True)`` over u, v and rho only.
+
+    For a finite state with chi == 0 and k1 = f(y) on the frozen system.
+    The result is bit-identical (see the module docstring): y1 is
+    [u1, v1, phi + 0.0, 0.0, rho1] and stages 2-7 carry 0.0 for phi and chi.
+    """
+    u, v, phi, chi, rho = y
+    ku1, kv1, _, _, kr1 = k1
+    half_lam = 0.5 * params.lam
+    # psi - m^2 phi^2 / 2 of _rhs_terms: the same at every stage.
+    negc = 0.5 * chi * chi - 0.5 * params.mass_sq * phi * phi
+    u2 = u + h * (_A21 * ku1)
+    v2 = v + h * (_A21 * kv1)
+    r2 = rho + h * (_A21 * kr1)
+    ku2 = -1.5 * u2 * u2 + half_lam - FOUR_PI * (negc + r2 / 3.0)
+    kv2 = -2.0 * u2 * v2
+    kr2 = -4.0 * u2 * r2
+    u3 = u + h * (_A31 * ku1 + _A32 * ku2)
+    v3 = v + h * (_A31 * kv1 + _A32 * kv2)
+    r3 = rho + h * (_A31 * kr1 + _A32 * kr2)
+    ku3 = -1.5 * u3 * u3 + half_lam - FOUR_PI * (negc + r3 / 3.0)
+    kv3 = -2.0 * u3 * v3
+    kr3 = -4.0 * u3 * r3
+    u4 = u + h * (_A41 * ku1 + _A42 * ku2 + _A43 * ku3)
+    v4 = v + h * (_A41 * kv1 + _A42 * kv2 + _A43 * kv3)
+    r4 = rho + h * (_A41 * kr1 + _A42 * kr2 + _A43 * kr3)
+    ku4 = -1.5 * u4 * u4 + half_lam - FOUR_PI * (negc + r4 / 3.0)
+    kv4 = -2.0 * u4 * v4
+    kr4 = -4.0 * u4 * r4
+    u5 = u + h * (_A51 * ku1 + _A52 * ku2 + _A53 * ku3 + _A54 * ku4)
+    v5 = v + h * (_A51 * kv1 + _A52 * kv2 + _A53 * kv3 + _A54 * kv4)
+    r5 = rho + h * (_A51 * kr1 + _A52 * kr2 + _A53 * kr3 + _A54 * kr4)
+    ku5 = -1.5 * u5 * u5 + half_lam - FOUR_PI * (negc + r5 / 3.0)
+    kv5 = -2.0 * u5 * v5
+    kr5 = -4.0 * u5 * r5
+    u6 = u + h * (_A61 * ku1 + _A62 * ku2 + _A63 * ku3 + _A64 * ku4 + _A65 * ku5)
+    v6 = v + h * (_A61 * kv1 + _A62 * kv2 + _A63 * kv3 + _A64 * kv4 + _A65 * kv5)
+    r6 = rho + h * (_A61 * kr1 + _A62 * kr2 + _A63 * kr3 + _A64 * kr4 + _A65 * kr5)
+    ku6 = -1.5 * u6 * u6 + half_lam - FOUR_PI * (negc + r6 / 3.0)
+    kv6 = -2.0 * u6 * v6
+    kr6 = -4.0 * u6 * r6
+    u1 = u + h * (_B1 * ku1 + _B3 * ku3 + _B4 * ku4 + _B5 * ku5 + _B6 * ku6)
+    v1 = v + h * (_B1 * kv1 + _B3 * kv3 + _B4 * kv4 + _B5 * kv5 + _B6 * kv6)
+    rho1 = rho + h * (_B1 * kr1 + _B3 * kr3 + _B4 * kr4 + _B5 * kr5 + _B6 * kr6)
+    ku7 = -1.5 * u1 * u1 + half_lam - FOUR_PI * (negc + rho1 / 3.0)
+    kv7 = -2.0 * u1 * v1
+    kr7 = -4.0 * u1 * rho1
+    y1 = [u1, v1, phi + 0.0, 0.0, rho1]
+    k = (k1, (ku2, kv2, 0.0, 0.0, kr2), (ku3, kv3, 0.0, 0.0, kr3), (ku4, kv4, 0.0, 0.0, kr4),
+         (ku5, kv5, 0.0, 0.0, kr5), (ku6, kv6, 0.0, 0.0, kr6), (ku7, kv7, 0.0, 0.0, kr7))
+    if not (math.isfinite(u1) and math.isfinite(v1) and math.isfinite(rho1)):
+        return y1, math.inf, k
+    rel_tol = config.rel_tol
+    qu = h * (_E1 * ku1 + _E3 * ku3 + _E4 * ku4 + _E5 * ku5 + _E6 * ku6 + _E7 * ku7) / (
+        rel_tol * max(abs(u), abs(u1)) + config.abs_tol)
+    qv = h * (_E1 * kv1 + _E3 * kv3 + _E4 * kv4 + _E5 * kv5 + _E6 * kv6 + _E7 * kv7) / (
+        rel_tol * max(abs(v), abs(v1)) + _TINY)
+    qr = h * (_E1 * kr1 + _E3 * kr3 + _E4 * kr4 + _E5 * kr5 + _E6 * kr6 + _E7 * kr7) / (
+        rel_tol * max(abs(rho), abs(rho1)) + _TINY)
+    return y1, math.sqrt((qu * qu + qv * qv + qr * qr) / 5), k
+
+
+def _phase_trial_step(y: Sequence[float], k1: Sequence[float], h: float,
+                      params: ModelParams, config: IntegratorConfig,
+                      frozen: bool) -> tuple[list[float], float, tuple]:
+    # The one dispatch of step() and integrate(): the frozen field takes
+    # the u, v, rho-only step.
+    if frozen:
+        return _frozen_trial_step(y, k1, h, params, config)
+    return _trial_step(y, k1, h, params, config, False)
+
+
 def _step_factor(norm: float) -> float:
     if norm == 0.0:
         return _GROW_MAX
@@ -273,6 +365,9 @@ class _DenseSegment:
     sample and no chi sign change never computes them.
     """
 
+    #: The state components that get a quartic.
+    _COMPONENTS = (0, 1, 2, 3, 4)
+
     def __init__(self, t0: float, h: float, y0: Sequence[float],
                  y1: Sequence[float], k: tuple):
         self.t0 = t0
@@ -284,11 +379,13 @@ class _DenseSegment:
         h = self.h
         k1, _, k3, k4, k5, k6, k7 = self._k
         r = []
-        for y0c, y1c, a, c, d, e, f, g in zip(self._y0, self._y1, k1, k3, k4, k5, k6, k7):
-            ydiff = y1c - y0c
+        for i in self._COMPONENTS:
+            y0c, a, g = self._y0[i], k1[i], k7[i]
+            ydiff = self._y1[i] - y0c
             bspl = h * a - ydiff
             r.append((y0c, ydiff, bspl, ydiff - h * g - bspl,
-                      h * (_D1 * a + _D3 * c + _D4 * d + _D5 * e + _D6 * f + _D7 * g)))
+                      h * (_D1 * a + _D3 * k3[i] + _D4 * k4[i] + _D5 * k5[i]
+                           + _D6 * k6[i] + _D7 * g)))
         return r
 
     def __call__(self, theta: float) -> list[float]:
@@ -297,6 +394,20 @@ class _DenseSegment:
         sigma = 1.0 - theta
         return [r0 + theta * (r1 + sigma * (r2 + theta * (r3 + sigma * r4)))
                 for r0, r1, r2, r3, r4 in self._r]
+
+
+class _FrozenSegment(_DenseSegment):
+    """The dense segment of a _frozen_trial_step: quartics for u, v and rho.
+
+    phi and chi are constant over a frozen step, and for 0 <= theta the
+    values equal _DenseSegment's bit for bit (see the module docstring).
+    """
+
+    _COMPONENTS = (0, 1, 4)
+
+    def __call__(self, theta: float) -> list[float]:
+        u, v, rho = super().__call__(theta)
+        return [u, v, self._y1[2], 0.0, rho]
 
 
 def _is_frozen_state(y: Sequence[float], params: ModelParams, mode: str) -> bool:
@@ -321,7 +432,7 @@ def step(state: CosmoState, params: ModelParams, h: float,
     y = (state.u, state.v, state.phi, state.chi, state.rho)
     frozen = _is_frozen_state(y, params, config.mode)
     k1 = _rhs_terms(*y, params.lam, params.mass_sq, frozen)
-    y1, norm, _ = _trial_step(y, k1, h, params, config, frozen)
+    y1, norm, _ = _phase_trial_step(y, k1, h, params, config, frozen)
     new_state = CosmoState(state.t + h, *y1)
     return new_state, norm, h * _step_factor(norm)
 
@@ -433,7 +544,7 @@ def integrate(initial: InitialData, params: ModelParams,
         remaining = config.t_end - t
         h_trial = min(h, remaining)
         end_limited = h_trial < h
-        y1, norm, k = _trial_step(y, k1, h_trial, params, config, frozen)
+        y1, norm, k = _phase_trial_step(y, k1, h_trial, params, config, frozen)
         nevals += 6
         if norm > 1.0:
             rejected += 1
@@ -446,7 +557,7 @@ def integrate(initial: InitialData, params: ModelParams,
         accepted += 1
         t1 = config.t_end if h_trial == remaining else t + h_trial
         h = min(config.h_max, max(config.h_min, h_trial * _step_factor(norm)))
-        dense = _DenseSegment(t, h_trial, y, y1, k)
+        dense = (_FrozenSegment if frozen else _DenseSegment)(t, h_trial, y, y1, k)
 
         if not frozen and y[3] > 0.0 and y1[3] <= 0.0:
             theta = _locate_crossing(dense, downward=True, rel_tol=config.rel_tol)

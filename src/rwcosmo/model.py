@@ -40,6 +40,8 @@ TWENTY_FOUR_PI = 24.0 * math.pi
 def _require_finite(**values: float) -> None:
     for name, value in values.items():
         try:
+            if isinstance(value, bool):  # math.isfinite would read it as 0 or 1
+                raise TypeError
             finite = math.isfinite(value)
         except TypeError:
             raise TypeError(f"{name} must be a real number, not {type(value).__name__}") from None

@@ -160,13 +160,13 @@ def read_trajectory(directory: Union[str, Path]) -> Trajectory:
         raise CorruptTrajectory(f"invalid JSON in {directory}: {exc}") from exc
 
     with _parsing(META_JSON):
-        raw_params = dict(meta["params"])
+        raw_params = dict(_block(meta, "params"))
         params = ModelParams(lam=raw_params.pop("lambda"), mass=raw_params.pop("mass"))
         if raw_params:
             raise ValueError(f"unknown params key(s): {', '.join(sorted(raw_params))}")
-        initial = InitialData(**meta["initial"])
-        config = IntegratorConfig(**meta["integrator"])
-        stats = IntegrationStats(**{k: _count(k, v) for k, v in dict(meta["stats"]).items()})
+        initial = InitialData(**_block(meta, "initial"))
+        config = IntegratorConfig(**_block(meta, "integrator"))
+        stats = IntegrationStats(**{k: _count(k, v) for k, v in _block(meta, "stats").items()})
         n_samples = _count("n_samples", meta["n_samples"])
         guard_tripped = meta["guard_tripped"]
 
@@ -185,6 +185,14 @@ def read_trajectory(directory: Union[str, Path]) -> Trajectory:
         raise CorruptTrajectory(f"invalid {META_JSON}: guard_tripped = "
                                 f"{json.dumps(guard_tripped)} disagrees with {EVENTS_JSON}")
     return traj
+
+
+def _block(meta: dict, name: str) -> dict:
+    """A block of meta.json: a JSON object."""
+    value = meta[name]
+    if type(value) is not dict:
+        raise ValueError(f"{name} must be an object, got {json.dumps(value)}")
+    return value
 
 
 def _count(name: str, value: object) -> int:

@@ -397,12 +397,23 @@ class TestVerify:
         (lambda meta: meta["initial"].update(a0="x"), "a0"),
         (lambda meta: meta["stats"].update(steps_accepted=3.7), "steps_accepted"),
         (lambda meta: meta["stats"].update(steps_rejected=True), "steps_rejected"),
+        (lambda meta: meta["initial"].update(a0=True), "a0 must be a real number, not bool"),
+        (lambda meta: meta["integrator"].update(rel_tol=False),
+         "rel_tol must be a real number, not bool"),
+        (lambda meta: meta.update(params=5), "params must be an object, got 5"),
+        (lambda meta: meta.update(initial=[1.0]), "initial must be an object, got [1.0]"),
+        (lambda meta: meta.update(integrator="paper"),
+         'integrator must be an object, got "paper"'),
+        (lambda meta: meta.update(stats=None), "stats must be an object, got null"),
     ], ids=["n_samples_not_the_rows", "n_samples_float", "guard_without_event",
-            "a0_string", "count_fractional", "count_boolean"])
+            "a0_string", "count_fractional", "count_boolean", "a0_boolean",
+            "rel_tol_boolean", "params_not_object", "initial_not_object",
+            "integrator_not_object", "stats_not_object"])
     def test_meta_values_checked(self, tmp_path, capsys, edit, key):
-        """meta.json's values are checked: a count is a JSON integer,
-        n_samples is the number of trajectory.csv rows, guard_tripped agrees
-        with events.json, and a bad initial value is named."""
+        """meta.json's values are checked: each block is an object, a real
+        value is not a boolean, a count is a JSON integer, n_samples is the
+        number of trajectory.csv rows, guard_tripped agrees with events.json,
+        and a bad value is named."""
         self.verify_edited_meta(tmp_path, capsys, edit, key)
 
 

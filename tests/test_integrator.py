@@ -9,8 +9,10 @@ import pytest
 from rwcosmo import (CosmoState, InadmissibleInitialData, IntegratorConfig,
                      ModelParams, StepSizeUnderflow, build_state, integrate,
                      make_initial_data, step)
+from rwcosmo import integrator
 from rwcosmo.diagnostics import cumulative_simpson
 from rwcosmo.integrator import (FIELD_FROZEN, CHI_ZERO_CROSSING, GUARD_TRIPPED,
+                                _DenseSegment, _FrozenSegment, _frozen_trial_step,
                                 _trial_step, _A21, _A31, _A32, _A41, _A42, _A43,
                                 _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64, _A65,
                                 _B1, _B3, _B4, _B5, _B6, _E1, _E3, _E4, _E5, _E6, _E7)
@@ -113,6 +115,22 @@ def random_trial_inputs(frozen):
         config = IntegratorConfig(rel_tol=tol, abs_tol=tol)
         h = 10.0 ** rng.uniform(-4.0, math.log10(0.25))
         yield y, params, config, h
+
+
+def random_frozen_inputs():
+    """2,000 random frozen (y, params, config, h) trial-step inputs: chi a
+    signed zero, and phi, mass and rho each sometimes exactly (signed) zero."""
+    rng = np.random.default_rng(20131)
+    for _ in range(2000):
+        u, v, phi, rho = rng.uniform([-2.0, 0.1, -2.0, 0.0], [3.0, 2.0, 2.0, 1.0])
+        phi = float(rng.choice([phi, 0.0, -0.0], p=[0.8, 0.1, 0.1]))
+        rho = float(rho if rng.random() < 0.8 else 0.0)
+        mass = float(rng.uniform(0.0, 2.0) if rng.random() < 0.8 else 0.0)
+        params = ModelParams(lam=rng.uniform(-1.0, 3.0), mass=mass)
+        tol = 10.0 ** rng.uniform(-12.0, -4.0)
+        config = IntegratorConfig(rel_tol=tol, abs_tol=tol)
+        h = 10.0 ** rng.uniform(-4.0, math.log10(0.25))
+        yield [u, v, phi, float(rng.choice([0.0, -0.0])), rho], params, config, h
 
 
 def term_magnitudes(y, h, params, frozen):
@@ -261,6 +279,30 @@ class TestTrialStep:
             assert float_bits(*_trial_step(y, k1, h, params, config, frozen)) == \
                 float_bits(*zip_trial_step(y, k1, h, params, config, frozen))
 
+    def test_frozen_step_bit_identical(self):
+        """The u, v, rho-only step and its dense segment reproduce the full
+        frozen step and segment bit for bit: y1, the error norm, all seven
+        stages and the interpolated values, at signed-zero chi and phi and at
+        mass = 0 and rho = 0."""
+        rng = np.random.default_rng(20132)
+        for y, params, config, h in random_frozen_inputs():
+            k1 = _rhs_terms(*y, params.lam, params.mass_sq, True)
+            full = _trial_step(y, k1, h, params, config, True)
+            fast = _frozen_trial_step(y, k1, h, params, config)
+            assert float_bits(*fast) == float_bits(*full), (y, params, config, h)
+            dense = _DenseSegment(1.0, h, y, full[0], full[2])
+            frozen = _FrozenSegment(1.0, h, y, fast[0], fast[2])
+            for theta in (rng.uniform(0.0, 1.0), 0.0, 1.0, 1.0 + 1e-12):
+                assert [x.hex() for x in frozen(theta)] == [x.hex() for x in dense(theta)]
+
+    def test_frozen_overflow_has_infinite_norm(self):
+        y = [1e200, 1.0, 1.0, 0.0, 0.05]  # u * u overflows
+        k1 = _rhs_terms(*y, REF_PARAMS.lam, REF_PARAMS.mass_sq, True)
+        result = _frozen_trial_step(y, k1, 0.01, REF_PARAMS, IntegratorConfig())
+        assert result[1] == math.inf
+        assert float_bits(*result) == float_bits(
+            *_trial_step(y, k1, 0.01, REF_PARAMS, IntegratorConfig(), True))
+
     @pytest.mark.parametrize("y", [
         [1e200, 1.0, 1.0, 0.1, 0.05],  # u * u overflows
         [0.5, 1.0, math.nan, 0.1, 0.05],
@@ -300,6 +342,25 @@ class TestFsalCount:
             traj = integrate(data, params, replace(REF_CONFIG, t_end=1.0))
             assert [(e.kind, e.t) for e in traj.events] == [(FIELD_FROZEN, 0.0)]
         assert traj.stats.rhs_evaluations == fsal_evaluations(traj)
+
+
+class TestFrozenPath:
+    def test_frozen_steps_take_the_fast_path(self, monkeypatch, ref_initial):
+        """Every trial step after the reference run's FieldFrozen event, and
+        step() from a frozen state, goes through _frozen_trial_step; the 19
+        steps before it through _trial_step.  A silent fallback to the full
+        step keeps every byte and would show only here."""
+        calls = {"_frozen_trial_step": 0, "_trial_step": 0}
+        for name in calls:
+            def counted(*args, _name=name, _step=getattr(integrator, name)):
+                calls[_name] += 1
+                return _step(*args)
+            monkeypatch.setattr(integrator, name, counted)
+        integrate(ref_initial, REF_PARAMS, REF_CONFIG)
+        assert calls == {"_frozen_trial_step": 1937, "_trial_step": 19}
+        s = CosmoState(t=0.0, u=2.0, v=1.0, phi=1.0, chi=0.0, rho=0.05)
+        step(s, REF_PARAMS, 0.01, REF_CONFIG)
+        assert calls == {"_frozen_trial_step": 1938, "_trial_step": 19}
 
 
 class TestIntegrateReference:

@@ -35,6 +35,12 @@ class TestTypes:
         with pytest.raises(TypeError, match="^mass must be a real number, not "):
             ModelParams(lam=1.0, mass=value)
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_is_not_a_real_number(self, value):
+        """math.isfinite takes a bool as 0 or 1; a real field refuses it."""
+        with pytest.raises(TypeError, match="^lam must be a real number, not bool$"):
+            ModelParams(lam=value, mass=1.0)
+
     @pytest.mark.parametrize("field,value", [
         ("u", math.nan), ("v", math.inf), ("phi", math.nan),
         ("chi", -math.inf), ("rho", math.nan),
