@@ -119,7 +119,6 @@ class VerificationReport:
     L_hat: float
     H_inf_hat: float
     C0_hat: float
-    a_growth_ok: bool
     status: str
     notes: tuple[str, ...] = ()
 
@@ -438,8 +437,6 @@ def verify(traj: Trajectory) -> VerificationReport:
         L_hat=l_hat,
         H_inf_hat=h_inf_hat,
         C0_hat=c0_hat,
-        a_growth_ok=any(c.name == "a_exponential_lower_bound" and c.passed
-                        for c in checks),
         status=status,
         notes=tuple(notes),
     )

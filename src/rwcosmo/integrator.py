@@ -31,7 +31,9 @@ y1's phi is phi + 0.0; q_phi and q_chi are +-0, and adding their squares to
 the nonnegative q_u**2 + q_v**2 changes nothing.  On phi and chi the
 quartic's r1 = y1 - y0 is +0, so for theta >= 0 the interpolant's increment
 is +0 and its value y1's.  A frozen run thus writes the same bytes and counts
-the same right-hand-side evaluations as with the full step.
+the same right-hand-side evaluations as with the full step.  The frozen
+system also has a closed form, frozen_tail; a sweep row stops integrating at
+FieldFrozen (_integrate with stop_at_freeze) and samples that instead.
 
 Error weights: u, phi and chi use the mixed scale abs_tol + rel_tol*|y|.  The
 strictly positive, exponentially decaying components v and rho use the purely
@@ -69,9 +71,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .initial import InitialData, constraint_scale, build_state, validate_theorem1
-from .model import (FOUR_PI, CosmoState, ModelParams, _finite_fields, _rhs_terms, derived,
-                    derived_terms)
+from .initial import InitialData, constraint_scale, build_state, nu_rate, validate_theorem1
+from .model import (EIGHT_PI, FOUR_PI, CosmoState, ModelParams, _finite_fields, _rhs_terms,
+                    derived, derived_terms)
 
 #: Column order shared by Trajectory.as_arrays() and the trajectory CSV.
 TRAJECTORY_COLUMNS = ("t", "u", "v", "a", "phi", "chi", "psi", "rho",
@@ -469,6 +471,17 @@ def _guard_violation(y: Sequence[float], config: IntegratorConfig) -> Optional[s
     return None
 
 
+def sample_times(config: IntegratorConfig) -> list[float]:
+    """The sample grid of :func:`integrate`: k*sample_dt for k = 0, 1, ...
+    up to t_end, the last sample snapped to t_end when within 1e-9*sample_dt."""
+    dt = config.sample_dt
+    k_last = int(math.floor(config.t_end / dt + 1e-9))
+    grid = [k * dt for k in range(k_last + 1)]
+    if k_last > 0 and abs(grid[-1] - config.t_end) <= 1e-9 * dt:
+        grid[-1] = config.t_end
+    return grid
+
+
 def integrate(initial: InitialData, params: ModelParams,
               config: IntegratorConfig) -> Trajectory:
     """Advance the system from t = 0 to t_end, sampling every sample_dt.
@@ -480,6 +493,18 @@ def integrate(initial: InitialData, params: ModelParams,
     partial trajectory is returned with a ``GuardTripped`` event, never an
     exception.  A genuine step-size collapse raises
     :class:`StepSizeUnderflow`.
+    """
+    return _integrate(initial, params, config, stop_at_freeze=False)[0]
+
+
+def _integrate(initial: InitialData, params: ModelParams, config: IntegratorConfig,
+               stop_at_freeze: bool) -> tuple[Trajectory, Optional[tuple[float, list[float]]]]:
+    """integrate(), returning (trajectory, freeze).
+
+    With ``stop_at_freeze`` the run ends at a ``FieldFrozen`` event: the
+    trajectory holds the samples up to it and ``freeze`` is (t_f, y_f), the
+    clamped state there.  Otherwise, or when no field freezes, ``freeze`` is
+    None and the trajectory is integrate()'s.
     """
     report = validate_theorem1(params, initial)
     if not report.theorem1_applicable and not config.override_admissibility:
@@ -495,7 +520,8 @@ def integrate(initial: InitialData, params: ModelParams,
             "construct them with make_initial_data/initial_data_from_u0")
 
     dt = config.sample_dt
-    k_last = int(math.floor(config.t_end / dt + 1e-9))
+    grid = sample_times(config)
+    k_last = len(grid) - 1
 
     times: list[float] = [0.0]
     rows: list[list[float]] = [[state0.u, state0.v, state0.phi, state0.chi, state0.rho]]
@@ -507,10 +533,13 @@ def integrate(initial: InitialData, params: ModelParams,
     frozen = _is_frozen_state(y, params, config.mode)
     k1 = _rhs_terms(*y, params.lam, params.mass_sq, frozen)
     nevals = 1
+    freeze = None
     if y[3] == 0.0 and params.mass_sq * y[2] > 0.0:
         # The field equation would pull chi negative right away.
         events.append(Event(0.0, FIELD_FROZEN if frozen else CHI_ZERO_CROSSING,
                             "initial field velocity is zero"))
+        if frozen and stop_at_freeze:
+            freeze = (0.0, y)
 
     k_next = 1
     rho_clamp = min(config.abs_tol, 1e-10)
@@ -528,7 +557,7 @@ def integrate(initial: InitialData, params: ModelParams,
                 row = list(y_end)
             else:
                 row = dense(theta)
-            t_sample = config.t_end if k_next == k_last and abs(t_k - config.t_end) <= 1e-9 * dt else t_k
+            t_sample = grid[k_next]
             if -rho_clamp < row[4] < 0.0:
                 row[4] = 0.0  # interpolation jitter on a vanishing tail
             if not (all(map(math.isfinite, row)) and row[1] > 0.0 and row[4] >= 0.0):
@@ -540,7 +569,7 @@ def integrate(initial: InitialData, params: ModelParams,
         return None
 
     h = config.h_init
-    while t < config.t_end:
+    while t < config.t_end and freeze is None:
         remaining = config.t_end - t
         h_trial = min(h, remaining)
         end_limited = h_trial < h
@@ -573,6 +602,9 @@ def integrate(initial: InitialData, params: ModelParams,
                                     f"field velocity reached zero; phi frozen at {y_star[2]:.12g}"))
                 frozen = True
                 t, y = t_star, y_star
+                if stop_at_freeze:
+                    freeze = (t, y)
+                    break
                 k1 = _rhs_terms(*y, params.lam, params.mass_sq, frozen)
                 nevals += 1
                 continue
@@ -596,4 +628,39 @@ def integrate(initial: InitialData, params: ModelParams,
         events=tuple(events),
         stats=IntegrationStats(steps_accepted=accepted, steps_rejected=rejected,
                                rhs_evaluations=nevals),
-    )
+    ), freeze
+
+
+def frozen_tail(t_f: float, y_f: Sequence[float], params: ModelParams,
+                times: Sequence[float]) -> np.ndarray:
+    """The (n, 5) states at ``times`` (each >= t_f) of the frozen paper-mode
+    system started from the clamped state y_f at t_f, in closed form.
+
+    With chi = 0 and phi = phi_f the system is u' = -2(u^2 - u_inf^2) on
+    shell, v' = -2uv and rho' = -4u*rho, with u_inf = nu_rate(params, phi_f)
+    (ValueError when that is undefined).  So u = u_inf*coth(s), v = v_f*r
+    and rho = rho_f*r^2, where s = s_f + 2 u_inf (t - t_f) and
+    r = sinh(s_f)/sinh(s).  The phase s_f comes from
+    rho_f = 3 u_inf^2 / (8 pi sinh^2(s_f)) through asinh (from u_f through
+    atanh it would cancel once u_f is near u_inf), and coth and r go through
+    exp and expm1 of -2s, so no large s overflows.  At rho_f = 0, u = u_inf
+    and v = v_f*exp(-2 u_inf (t - t_f)).  Each element is computed with
+    math-module calls, so the bytes do not depend on numpy's SIMD loops.
+    """
+    _, v_f, phi_f, _, rho_f = y_f
+    u_inf = nu_rate(params, phi_f)
+    if u_inf is None:
+        raise ValueError(f"lambda + 4 pi m^2 phi_f^2 <= 0 at phi_f = {phi_f!r}: no frozen limit")
+    rows = []
+    if rho_f == 0.0:
+        for t in times:
+            rows.append((u_inf, v_f * math.exp(-2.0 * u_inf * (t - t_f)), phi_f, 0.0, 0.0))
+    else:
+        s_f = math.asinh(u_inf * math.sqrt(3.0 / EIGHT_PI) / math.sqrt(rho_f))
+        em_f = math.expm1(-2.0 * s_f)
+        for t in times:
+            d = 2.0 * u_inf * (t - t_f)
+            em = math.expm1(-2.0 * (s_f + d))  # exp(-2s) - 1, in [-1, 0)
+            r = math.exp(-d) * (em_f / em)
+            rows.append((-u_inf * (2.0 + em) / em, v_f * r, phi_f, 0.0, rho_f * r * r))
+    return np.array(rows, dtype=float).reshape(len(rows), 5)

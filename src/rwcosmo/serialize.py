@@ -11,7 +11,8 @@ order: ``initial`` (InitialData), ``admissibility`` (AdmissibilityReport),
 meta.json, the entries of events.json (Event), and ``fit_details``
 (DecayFit) and ``fit_windows`` (FitWindow) in report.json.  The reader
 rebuilds meta.json's blocks through the same types, so a missing or unknown
-key is an error and the types' own checks validate the values; ``params``
+key is an error and the types' own checks validate the values; meta.json
+must hold an object and events.json an array of objects; ``params``
 holds exactly lambda and mass, every count is a JSON integer, and
 ``n_samples`` and ``guard_tripped`` must agree with the other two files.
 """
@@ -160,6 +161,7 @@ def read_trajectory(directory: Union[str, Path]) -> Trajectory:
         raise CorruptTrajectory(f"invalid JSON in {directory}: {exc}") from exc
 
     with _parsing(META_JSON):
+        _expect(meta, dict, "the file")
         raw_params = dict(_block(meta, "params"))
         params = ModelParams(lam=raw_params.pop("lambda"), mass=raw_params.pop("mass"))
         if raw_params:
@@ -173,8 +175,10 @@ def read_trajectory(directory: Union[str, Path]) -> Trajectory:
     t, states = _parse_states(csv_text)
 
     with _parsing(EVENTS_JSON):
+        entries = [_expect(e, dict, f"entry {i}")
+                   for i, e in enumerate(_expect(events_raw, list, "the file"), start=1)]
         events = tuple(Event(t=float(e["t"]), kind=str(e["kind"]),
-                             detail=str(e.get("detail", ""))) for e in events_raw)
+                             detail=str(e.get("detail", ""))) for e in entries)
 
     traj = Trajectory(params=params, initial=initial, config=config,
                       t=t, states=states, events=events, stats=stats)
@@ -187,12 +191,17 @@ def read_trajectory(directory: Union[str, Path]) -> Trajectory:
     return traj
 
 
+def _expect(value: object, kind: type, name: str):
+    """``value``, which JSON must have given as an object (dict) or an array (list)."""
+    if type(value) is not kind:
+        raise ValueError(f"{name} must be {'an object' if kind is dict else 'an array'}, "
+                         f"got {json.dumps(value)}")
+    return value
+
+
 def _block(meta: dict, name: str) -> dict:
     """A block of meta.json: a JSON object."""
-    value = meta[name]
-    if type(value) is not dict:
-        raise ValueError(f"{name} must be an object, got {json.dumps(value)}")
-    return value
+    return _expect(meta[name], dict, name)
 
 
 def _count(name: str, value: object) -> int:
@@ -217,7 +226,6 @@ def report_json_text(report: VerificationReport) -> str:
         "L_hat": report.L_hat,
         "H_inf_hat": report.H_inf_hat,
         "C0_hat": report.C0_hat,
-        "a_growth_ok": report.a_growth_ok,
         "status": report.status,
         "notes": list(report.notes),
     }

@@ -39,12 +39,12 @@ JSON_SHA256 = {
     "paper": {
         "events.json": "f4dd5c41a5b85ed786852641e4eb4abc5c9aa707eb6cf6dfffb57c738717361b",
         "meta.json": "029621c30b966b1c35a45b03653095d0dc7336ee219570060fb2bd651ec54d47",
-        "report.json": "66d0af0a057fbfd793540aa600c9393b41f6a66381796087729890e6544fd7b0",
+        "report.json": "54535d27cc4f21d543d51b88164fbdd33a735924e6aaf857f7701eb6f7f8123e",
     },
     "kg": {
         "events.json": "b83d85c7b514f37465d080108e6ff9a1e9d9ac037a4b4f2d98cee19a8b5fae37",
         "meta.json": "4dff4c54f374b02c47d8eedad2e233efea9d1861cb6fd30993d356a391c4e6f1",
-        "report.json": "21ec2171960835a8399c5ce5ef7a1a1be16a9792e38510d6bc77654cad52dd4a",
+        "report.json": "825640141d1d040ad0e692356fef1a3903f12d7ceacd65ad843b9924b88ef936",
     },
 }
 
@@ -280,6 +280,32 @@ class TestPortableBytes:
         assert digests[0] == digests[1]
 
 
+    def test_sweep_independent_of_numpy_simd_loops(self, tmp_path):
+        """sweep.csv, exact frozen tails included, comes out the same with
+        numpy's dispatched SIMD loops switched off: the tail is computed
+        with math-module calls."""
+        plan = ("[axes]\nlambda = 1, 3\nchi0 = 0, 0.3\nrho0 = 0, 0.05\n"
+                "[fixed]\nmass = 1\nphi0 = 1\n[sweep]\nworkers = 1\n"
+                "[output]\ndirectory = {out}\noverwrite = true\n")
+        src = str(Path(rwcosmo.__file__).resolve().parents[1])
+        tables = []
+        for disabled in ("X86_V3 X86_V4 AVX512_ICL AVX512_SPR", None):
+            env = {k: v for k, v in os.environ.items()
+                   if k not in ("NPY_DISABLE_CPU_FEATURES", "RWCOSMO_OUTPUT_ROOT")}
+            if disabled is not None:
+                env["NPY_DISABLE_CPU_FEATURES"] = disabled
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = tmp_path / f"out_{disabled is None}"
+            path = tmp_path / f"{disabled is None}.ini"
+            path.write_text(plan.format(out=out))
+            done = subprocess.run([sys.executable, "-m", "rwcosmo", "sweep", str(path)],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == EXIT_OK, done.stderr
+            tables.append((out / "sweep.csv").read_text())
+        assert tables[0] == tables[1]
+        assert tables[0].count(",ok,") == 8
+
+
 class TestVersion:
     def test_pyproject_version_is_package_version(self):
         """meta.json records rwcosmo.__version__; pyproject.toml spells it too."""
@@ -415,6 +441,27 @@ class TestVerify:
         number of trajectory.csv rows, guard_tripped agrees with events.json,
         and a bad value is named."""
         self.verify_edited_meta(tmp_path, capsys, edit, key)
+
+
+    @pytest.mark.parametrize("name,text,message", [
+        ("meta.json", "[]", "invalid meta.json: the file must be an object, got []"),
+        ("meta.json", "5", "invalid meta.json: the file must be an object, got 5"),
+        ("events.json", "5", "invalid events.json: the file must be an array, got 5"),
+        ("events.json", '{"t": 0}', 'invalid events.json: the file must be an array, got {"t": 0}'),
+        ("events.json", "[5]", "invalid events.json: entry 1 must be an object, got 5"),
+    ], ids=["meta_array", "meta_number", "events_number", "events_object", "event_number"])
+    def test_whole_file_of_wrong_type_named(self, tmp_path, capsys, name, text, message):
+        """A meta.json that is not an object, or an events.json that is not
+        an array of objects, is named in one error line (exit 1)."""
+        out = tmp_path / "out"
+        cfg = write_reference_config(tmp_path / "c.ini", str(out),
+                                     **{"t_end = 10": "t_end = 0.1"})
+        assert main(["simulate", str(cfg)]) == EXIT_OK
+        (out / name).write_text(text)
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [f"rwcosmo: error: {message}"]
+        assert not (out / "report.json").exists()
 
 
 class TestReport:

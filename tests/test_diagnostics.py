@@ -1,5 +1,6 @@
 """Verification logic: fits, bounds, asymptotics, identity, quadrature."""
 
+import json
 import math
 import re
 from dataclasses import fields, replace
@@ -15,6 +16,7 @@ from rwcosmo import (Check, CosmoState, InitialData, IntegratorConfig,
 from rwcosmo.diagnostics import (STATUS_FAILED, STATUS_INCONCLUSIVE,
                                  STATUS_PASSED, TOL, cumulative_simpson, libm)
 from rwcosmo.integrator import IntegrationStats, Trajectory
+from rwcosmo.serialize import report_json_text
 
 from conftest import REF_NU
 
@@ -268,13 +270,16 @@ class TestVerifyAsymptotics:
 
     def test_growth_verdict_is_the_lower_bound_check(self, ref_trajectory,
                                                      kg_trajectory):
-        """a_growth_ok is the verdict of a_exponential_lower_bound, the one
-        growth check."""
+        """a_exponential_lower_bound is the one growth check and its verdict
+        is not repeated: no a_growth_ratio check, no a_growth_ok field or
+        report.json key."""
         for traj in (ref_trajectory, kg_trajectory):
             report = verify(traj)
-            assert report.a_growth_ok == report.check("a_exponential_lower_bound").passed
             assert not any(c.name == "a_growth_ratio" for c in report.checks)
-        assert not verify(kg_trajectory).a_growth_ok
+            assert not hasattr(report, "a_growth_ok")
+            assert "a_growth_ok" not in json.loads(report_json_text(report))
+        assert verify(ref_trajectory).check("a_exponential_lower_bound").passed
+        assert not verify(kg_trajectory).check("a_exponential_lower_bound").passed
 
     def test_kg_run_fails_phi_square_monotonicity(self, kg_trajectory):
         report = verify(kg_trajectory)
@@ -297,7 +302,7 @@ class TestVerifyReport:
         report = verify(ref_trajectory)
         assert report.status == STATUS_PASSED
         assert report.all_passed
-        assert report.a_growth_ok
+        assert report.check("a_exponential_lower_bound").passed
         assert report.nu == pytest.approx(REF_NU, rel=1e-15)
 
     def test_idempotent(self, ref_trajectory):

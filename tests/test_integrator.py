@@ -12,7 +12,7 @@ from rwcosmo import (CosmoState, InadmissibleInitialData, IntegratorConfig,
 from rwcosmo import integrator
 from rwcosmo.diagnostics import cumulative_simpson
 from rwcosmo.integrator import (FIELD_FROZEN, CHI_ZERO_CROSSING, GUARD_TRIPPED,
-                                _DenseSegment, _FrozenSegment, _frozen_trial_step,
+                                _integrate, frozen_tail, sample_times, _DenseSegment, _FrozenSegment, _frozen_trial_step,
                                 _trial_step, _A21, _A31, _A32, _A41, _A42, _A43,
                                 _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64, _A65,
                                 _B1, _B3, _B4, _B5, _B6, _E1, _E3, _E4, _E5, _E6, _E7)
@@ -361,6 +361,62 @@ class TestFrozenPath:
         s = CosmoState(t=0.0, u=2.0, v=1.0, phi=1.0, chi=0.0, rho=0.05)
         step(s, REF_PARAMS, 0.01, REF_CONFIG)
         assert calls == {"_frozen_trial_step": 1938, "_trial_step": 19}
+
+
+class TestFrozenTail:
+    @pytest.mark.parametrize("t_end,sample_dt", [(10.0, 0.01), (0.105, 0.01), (0.3, 0.1),
+                                                 (0.005, 0.01)])
+    def test_sample_times_are_integrate_grid(self, ref_initial, t_end, sample_dt):
+        """integrate's t column is sample_times bit for bit: k*sample_dt, the
+        last one snapped to t_end (0.3 for 3*0.1 = 0.30000000000000004)."""
+        cfg = replace(REF_CONFIG, t_end=t_end, sample_dt=sample_dt)
+        traj = integrate(ref_initial, REF_PARAMS, cfg)
+        assert traj.t.tolist() == sample_times(cfg)
+
+    def test_stop_at_freeze(self, ref_trajectory, ref_initial):
+        """The reference run stops at FieldFrozen after 19 of its 1,956
+        steps; its samples are the full run's up to there."""
+        head, (t_f, y_f) = _integrate(ref_initial, REF_PARAMS, REF_CONFIG, stop_at_freeze=True)
+        assert head.events == ref_trajectory.events[:1]
+        assert t_f == head.events[0].t and y_f[3] == 0.0
+        assert head.stats.steps_accepted == 19
+        n = head.t.size
+        assert 0 < n < ref_trajectory.t.size and head.t[-1] <= t_f < ref_trajectory.t[n]
+        assert head.states.tobytes() == ref_trajectory.states[:n].tobytes()
+        assert _integrate(ref_initial, REF_PARAMS, REF_CONFIG, stop_at_freeze=False)[1] is None
+
+    @pytest.mark.parametrize("rho0", [0.05, 2.0, 0.0])
+    def test_matches_tight_integration(self, rho0):
+        """From data frozen at t = 0 (chi0 = 0), the closed form agrees with
+        integrate at tol 1e-13 to 1e-10 relative."""
+        data = make_initial_data(REF_PARAMS, a0=1.0, phi0=1.0, chi0=0.0, rho0=rho0,
+                                 branch="expanding")
+        cfg = replace(REF_CONFIG, rel_tol=1e-13, abs_tol=1e-13, t_end=3.0)
+        traj = integrate(data, REF_PARAMS, cfg)
+        assert traj.events[0].kind == FIELD_FROZEN and traj.events[0].t == 0.0
+        tail = frozen_tail(0.0, traj.states[0].tolist(), REF_PARAMS, traj.t.tolist())
+        assert tail[0, 1:].tolist() == traj.states[0, 1:].tolist()
+        np.testing.assert_allclose(tail, traj.states, rtol=1e-10, atol=0.0)
+
+    def test_rho_zero_is_de_sitter(self):
+        """rho_f = 0: u = u_inf and v = v_f*exp(-2 u_inf (t - t_f))."""
+        u_inf = math.sqrt((1.0 + 4.0 * math.pi * 1.5 ** 2) / 3.0)
+        tail = frozen_tail(0.5, [3.0, 0.25, 1.5, 0.0, 0.0], REF_PARAMS, [0.5, 1.0, 2.5])
+        assert tail[:, 0].tolist() == [u_inf] * 3
+        assert tail[:, 4].tolist() == [0.0] * 3
+        assert tail[:, 1].tolist() == [0.25 * math.exp(-2.0 * u_inf * d) for d in (0.0, 0.5, 2.0)]
+
+    def test_late_times_do_not_overflow(self):
+        """sinh(s) overflows near s = 710; the ratio through exp and expm1
+        does not: u tends to u_inf and v, rho underflow to 0."""
+        u_inf = math.sqrt((1.0 + 4.0 * math.pi) / 3.0)
+        tail = frozen_tail(0.0, [5.0, 1.0, 1.0, 0.0, 0.05], REF_PARAMS, [200.0, 1e6])
+        assert tail[:, 0].tolist() == [u_inf, u_inf]
+        assert tail[:, 1].tolist() == tail[:, 4].tolist() == [0.0, 0.0]
+
+    def test_undefined_limit_rejected(self):
+        with pytest.raises(ValueError, match="no frozen limit"):
+            frozen_tail(0.0, [1.0, 1.0, 1.0, 0.0, 0.05], ModelParams(lam=-20.0, mass=1.0), [1.0])
 
 
 class TestIntegrateReference:

@@ -1,16 +1,19 @@
 """Grid runner: determinism, ordering, admissibility flagging."""
 
 import concurrent.futures
+import hashlib
 import math
 import os
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
-from rwcosmo import (ModelParams, SweepPlan, integrate, make_initial_data,
-                     run_sweep, sweep_table_csv, verify)
+from rwcosmo import (IntegratorConfig, ModelParams, SweepPlan, integrate,
+                     make_initial_data, nu_rate, run_sweep, sweep, sweep_table_csv,
+                     verify)
+from rwcosmo.integrator import _TINY, FIELD_FROZEN
 from rwcosmo.sweep import (STATUS_GUARD_TRIPPED, STATUS_INVALID_DATA,
                            STATUS_NO_REAL_BRANCH, STATUS_OK, STATUS_SKIPPED,
                            STATUS_STEP_UNDERFLOW, SWEEP_COLUMNS, SweepRow)
@@ -18,6 +21,45 @@ from rwcosmo.sweep import (STATUS_GUARD_TRIPPED, STATUS_INVALID_DATA,
 from conftest import REF_CONFIG
 
 FAST = replace(REF_CONFIG, t_end=2.0)
+
+
+def step_error_bound(full):
+    """Bound, in units of one step's error weight, on how far a fully
+    integrated run can sit from the exact solution.  An accepted step's
+    weighted RMS error over the five components is at most 1, so each
+    component's local error is at most sqrt(5) weights (rel_tol*|y| +
+    abs_tol on u, rel_tol*|y| + _TINY on v and rho); on the contracting
+    frozen system the local errors add up at most linearly."""
+    return math.sqrt(5.0) * full.stats.steps_accepted
+
+
+def assert_tail_agrees(full, joined):
+    """``joined`` (a sweep row's exact-tail run) against ``full``
+    (integrate): t, events, phi, chi and every sample up to the freeze bit
+    for bit; u, v and rho within the step error bound."""
+    assert full.t.tobytes() == joined.t.tobytes()
+    assert full.events == joined.events
+    a, b = full.states, joined.states
+    assert a[:, 2:4].tobytes() == b[:, 2:4].tobytes()
+    frozen_at = [e.t for e in full.events if e.kind == FIELD_FROZEN]
+    head = full.t <= frozen_at[0] if frozen_at else np.ones(full.t.size, bool)
+    assert a[head].tobytes() == b[head].tobytes()
+    n, cfg = step_error_bound(full), full.config
+    assert np.all(np.abs(b[:, 0] - a[:, 0]) <= n * (cfg.rel_tol * np.abs(a[:, 0]) + cfg.abs_tol))
+    for i in (1, 4):
+        assert np.all(np.abs(b[:, i] - a[:, i]) <= n * (cfg.rel_tol * a[:, i] + _TINY))
+
+
+def full_and_joined(config, lam=1.0, mass=1.0, phi0=1.0, chi0=0.1, rho0=0.05):
+    params = ModelParams(lam=lam, mass=mass)
+    data = make_initial_data(params, 1.0, phi0, chi0, rho0, "expanding")
+    return integrate(data, params, config), sweep.integrate(data, params, config)
+
+
+def integrate_only(monkeypatch):
+    """Make run_sweep take the code path without the exact tail: every row
+    integrates fully."""
+    monkeypatch.setattr(sweep, "integrate", integrate)
 
 
 def plan_for(axes, fixed, **kwargs):
@@ -84,21 +126,48 @@ class TestPlanValidation:
 
 class TestRunSweep:
     def test_degenerate_grid_matches_direct_run(self):
-        """A 1x1 grid reproduces a direct simulate+verify bit for bit."""
+        """A 1x1 grid reproduces verify of its exact-tail trajectory bit for
+        bit, and a direct integrate + verify within the integration error:
+        nu, L_hat, C0_hat, the verdict and the events equal, H_inf_hat = 3u
+        within the bound on u."""
         plan = plan_for((("lambda", (1.0,)),),
                         (("mass", 1.0), ("phi0", 1.0), ("chi0", 0.1), ("rho0", 0.05)))
         row = run_sweep(plan)[0]
         params = ModelParams(lam=1.0, mass=1.0)
         data = make_initial_data(params, 1.0, 1.0, 0.1, 0.05, "expanding")
-        traj = integrate(data, params, FAST)
-        report = verify(traj)
+        joined = sweep.integrate(data, params, FAST)
+        report = verify(joined)
+        rates = {f"rate_{k}": (fit.rate if fit is not None else math.nan)
+                 for k, fit in report.fitted_rates.items()}
         assert row.status == "ok"
-        assert row.nu == report.nu
-        assert row.L_hat == report.L_hat
-        assert row.H_inf_hat == report.H_inf_hat
-        assert row.C0_hat == report.C0_hat
-        cols = traj.as_arrays()
-        assert row.max_constraint == float(np.abs(cols["constraint"]).max())
+        assert (row.nu, row.L_hat, row.H_inf_hat, row.C0_hat, row.verdict) == \
+               (report.nu, report.L_hat, report.H_inf_hat, report.C0_hat, report.status)
+        assert [float(getattr(row, k)).hex() for k in rates] == \
+               [float(v).hex() for v in rates.values()]
+        assert row.max_constraint == float(np.abs(joined.as_arrays()["constraint"]).max())
+
+        full = integrate(data, params, FAST)
+        direct = verify(full)
+        assert_tail_agrees(full, joined)
+        assert (row.nu, row.L_hat, row.C0_hat, row.verdict) == \
+               (direct.nu, direct.L_hat, direct.C0_hat, direct.status)
+        assert row.events == ";".join(f"{e.kind}@{e.t:.9g}" for e in full.events)
+        u_bound = step_error_bound(full) * (FAST.rel_tol * full.states[-1, 0] + FAST.abs_tol)
+        assert abs(row.H_inf_hat - direct.H_inf_hat) <= 3.0 * u_bound
+        # The tail is on shell: it adds roundoff only to the drift.
+        assert row.max_constraint <= float(np.abs(full.as_arrays()["constraint"]).max())
+
+    def test_verdict_tells_inconclusive_from_passed(self):
+        """rho0 = 0 leaves Q at its floor: verify says inconclusive, and so
+        does the row's verdict, while rho0 = 0.05 reads passed."""
+        plan = plan_for((("rho0", (0.0, 0.05)),),
+                        (("lambda", 1.0), ("mass", 1.0), ("phi0", 1.0), ("chi0", 0.1)),
+                        integrator=REF_CONFIG)
+        rows = run_sweep(plan)
+        assert [r.verdict for r in rows] == ["inconclusive", "passed"]
+        params = ModelParams(lam=1.0, mass=1.0)
+        data = make_initial_data(params, 1.0, 1.0, 0.1, 0.0, "expanding")
+        assert verify(integrate(data, params, REF_CONFIG)).status == "inconclusive"
 
     def test_lambda_threshold_straddle(self):
         """Rows below lam = -4 pi m^2 phi0^2 ~ -12.566 come back inadmissible."""
@@ -145,8 +214,8 @@ class TestRunSweep:
         assert sorted(by_key_a) == sorted(by_key_b)
         for k in by_key_a:
             a, b = by_key_a[k], by_key_b[k]
-            assert (a.nu, a.L_hat, a.H_inf_hat, a.rate_Q, a.checks_passed) == \
-                   (b.nu, b.L_hat, b.H_inf_hat, b.rate_Q, b.checks_passed)
+            assert (a.nu, a.L_hat, a.H_inf_hat, a.rate_Q, a.verdict) == \
+                   (b.nu, b.L_hat, b.H_inf_hat, b.rate_Q, b.verdict)
 
     def test_guard_tripped_rows_flagged_under_override(self):
         axes = (("lambda", (1.0,)),)
@@ -167,6 +236,96 @@ class TestRunSweep:
         rows = run_sweep(plan)
         assert rows[0].status == "skipped"
         assert not rows[0].admissible
+
+
+#: The 16-row sweep_grid plan of the benchmark (default seed): four rows
+#: without a real branch, twelve paper-mode rows that freeze.
+GRID_PLAN = SweepPlan(axes=(("lambda", (-60.0, -1.0, 1.0, 3.0)), ("mass", (0.5, 2.0)),
+                            ("chi0", (0.0, 0.3))),
+                      fixed=(("phi0", 1.0), ("rho0", 0.05)),
+                      integrator=IntegratorConfig(), workers=1)
+GRID_SHA256 = "5a221bb694c7fb31cbf6c11a318c387526c977fdbfe1359eb6b89ee432fe4770"
+
+
+class TestExactTail:
+    def test_grid_table_pinned(self):
+        """The sweep_grid table's bytes, exact tails included."""
+        assert hashlib.sha256(sweep_table_csv(run_sweep(GRID_PLAN)).encode()).hexdigest() \
+            == GRID_SHA256
+
+    def test_grid_rows_keep_status_events_verdict(self, monkeypatch):
+        """Every sweep_grid row keeps the status, events and verdict of the
+        fully integrated row; the 12 rows with a real branch freeze."""
+        rows = run_sweep(GRID_PLAN)
+        integrate_only(monkeypatch)
+        full = run_sweep(GRID_PLAN)
+        assert [(r.status, r.events, r.verdict) for r in rows] == \
+               [(r.status, r.events, r.verdict) for r in full]
+        assert sum(FIELD_FROZEN in r.events for r in rows) == 12
+
+    @pytest.mark.parametrize("point", GRID_PLAN.points()[4:],
+                             ids=lambda p: "{lambda}-{mass}-{chi0}".format(**p))
+    def test_grid_points_agree_with_integrate(self, point):
+        full, joined = full_and_joined(GRID_PLAN.integrator, lam=point["lambda"],
+                                       mass=point["mass"], phi0=point["phi0"],
+                                       chi0=point["chi0"], rho0=point["rho0"])
+        assert_tail_agrees(full, joined)
+
+    @pytest.mark.parametrize("chi0,rho0", [(0.1, 0.05), (0.0, 0.05), (0.1, 0.0), (0.0, 0.0)],
+                             ids=["reference", "chi0_zero", "rho0_zero", "both_zero"])
+    def test_reference_point_agrees_with_integrate(self, chi0, rho0):
+        """The reference run (t_end = 10), frozen at t = 0 when chi0 = 0, and
+        with u = u_inf in the tail when rho0 = 0."""
+        full, joined = full_and_joined(REF_CONFIG, chi0=chi0, rho0=rho0)
+        assert_tail_agrees(full, joined)
+        assert full.events[0].kind == FIELD_FROZEN
+        assert (full.events[0].t == 0.0) == (chi0 == 0.0)
+        assert joined.stats.steps_accepted < full.stats.steps_accepted / 10
+
+    @settings(max_examples=40)
+    @given(lam=st.floats(-5.0, 5.0), mass=st.floats(0.05, 3.0), phi0=st.floats(0.05, 3.0),
+           chi0=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+           rho0=st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+    def test_admissible_draws_agree_with_integrate(self, lam, mass, phi0, chi0, rho0):
+        """Admissible (lambda > -4 pi m^2 phi0^2, phi0 > 0, expanding)
+        paper-mode draws, with chi0 and rho0 often exactly 0."""
+        assume(nu_rate(ModelParams(lam=lam, mass=mass), phi0) is not None)
+        assert_tail_agrees(*full_and_joined(FAST, lam, mass, phi0, chi0, rho0))
+
+    REF_POINT = {"lambda": 1.0, "mass": 1.0, "phi0": 1.0, "chi0": 0.1, "rho0": 0.05}
+    FALLBACKS = {
+        "kg": ({}, replace(FAST, mode="kg")),
+        "mass_zero": ({"mass": 0.0}, FAST),
+        "inadmissible_override": ({"lambda": -14.0, "rho0": 1.0},
+                                  replace(FAST, override_admissibility=True)),
+        # v(10) = 2.88e-19 on the reference run: below 1e-18 the guard
+        # trips, and 2e-19 sits within the factor 2 of min_v.
+        "min_v_reached": ({}, replace(REF_CONFIG, min_v=1e-18)),
+        "min_v_near": ({}, replace(REF_CONFIG, min_v=2e-19)),
+        "no_freeze_by_t_end": ({}, replace(FAST, t_end=0.05)),
+        # Frozen at t = 0 past a guard: the first step trips it (u0 = 1294
+        # against max_abs_u = 1000, phi0 = 2e6 against max_abs_phi = 1e6).
+        "u_guard": ({"chi0": 0.0, "rho0": 2e5}, FAST),
+        "phi_guard": ({"chi0": 0.0, "mass": 5e-7, "phi0": 2e6}, FAST),
+    }
+    TRIPPED = ("min_v_reached", "u_guard", "phi_guard")
+
+    @pytest.mark.parametrize("case", sorted(FALLBACKS))
+    def test_fallback_rows_integrate_fully(self, monkeypatch, case):
+        """Rows the tail does not cover are integrate()'s run bit for bit and
+        write the bytes of the fully integrated path."""
+        edits, config = self.FALLBACKS[case]
+        point = {**self.REF_POINT, **edits}
+        full, joined = full_and_joined(config, point["lambda"], point["mass"], point["phi0"],
+                                       point["chi0"], point["rho0"])
+        assert (full.t.tobytes(), full.states.tobytes(), full.events, full.stats) == \
+               (joined.t.tobytes(), joined.states.tobytes(), joined.events, joined.stats)
+        plan = SweepPlan(axes=(("lambda", (point.pop("lambda"),)),),
+                         fixed=tuple(point.items()), integrator=config, workers=1)
+        rows = run_sweep(plan)
+        assert rows[0].status == (STATUS_GUARD_TRIPPED if case in self.TRIPPED else STATUS_OK)
+        integrate_only(monkeypatch)
+        assert sweep_table_csv(rows) == sweep_table_csv(run_sweep(plan))
 
 
 class TestDeterminism:
@@ -219,10 +378,11 @@ class TestDeterminism:
         values = dict(zip(header.split(","), line.split(",")))
         assert float(values["nu"]) == rows[0].nu
         assert float(values["L_hat"]) == rows[0].L_hat
-        assert values["checks_passed"] in ("true", "false")
+        assert values["verdict"] in ("passed", "failed", "inconclusive")
         values = dict(zip(header.split(","), flagged.split(",")))
         assert values["status"] == "no-real-branch"
-        assert values["admissible"] == values["checks_passed"] == "false"
+        assert values["admissible"] == "false"
+        assert values["verdict"] == ""
         for name in ("nu", "rate_Q", "L_hat", "max_constraint"):
             assert values[name] == "nan"
         assert values["events"] == ""
