@@ -1,0 +1,90 @@
+"""Time the layers of a dense_output run: the reference point at tol 1e-8
+and sample_dt 0.001 (10,001 samples).
+
+    PYTHONPATH=src python bench/time_dense.py [REPEATS]
+
+Each repeat times, once each and in alternating order (reversed on odd
+repeats): integrate, trajectory_csv_text, read_trajectory, verify, and the
+whole op, ``rwcosmo simulate`` then ``rwcosmo verify`` through cli.main.
+Prints one JSON object: the wall times in s and their medians over REPEATS
+(default 15), the step counters and the sha256 of trajectory.csv.  Files go
+to a temporary directory that is removed afterwards.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+from rwcosmo import IntegratorConfig, ModelParams, integrate, make_initial_data, verify
+from rwcosmo.cli import main as cli_main
+from rwcosmo.serialize import TRAJECTORY_CSV, read_trajectory, trajectory_csv_text, write_trajectory
+
+PARAMS = ModelParams(lam=1.0, mass=1.0)
+CONFIG = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-8, t_end=10.0, sample_dt=0.001, mode="paper")
+INI = """\
+[model]
+lambda = 1
+mass = 1
+[initial]
+a0 = 1
+phi0 = 1
+chi0 = 0.1
+rho0 = 0.05
+branch = expanding
+[integrator]
+rel_tol = 1e-8
+abs_tol = 1e-8
+t_end = 10
+sample_dt = 0.001
+mode = paper
+[output]
+directory = {out}
+overwrite = true
+"""
+
+
+def main(repeats: int) -> dict:
+    data = make_initial_data(PARAMS, a0=1.0, phi0=1.0, chi0=0.1, rho0=0.05, branch="expanding")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        traj = integrate(data, PARAMS, CONFIG)
+        write_trajectory(tmp / "run", traj, "bench")
+        ini = tmp / "dense.ini"
+        ini.write_text(INI.format(out=tmp / "op"))
+
+        def op():
+            with contextlib.redirect_stdout(io.StringIO()):
+                if (cli_main(["simulate", str(ini)]), cli_main(["verify", str(tmp / "op")])) != (0, 0):
+                    raise SystemExit("simulate or verify failed")
+
+        layers = {
+            "integrate": lambda: integrate(data, PARAMS, CONFIG),
+            "trajectory_csv_text": lambda: trajectory_csv_text(traj),
+            "read_trajectory": lambda: read_trajectory(tmp / "run"),
+            "verify": lambda: verify(traj),
+            "simulate_verify_op": op,
+        }
+        times = {name: [] for name in layers}
+        for i in range(repeats):
+            for name in (list(layers) if i % 2 == 0 else list(reversed(layers))):
+                start = time.perf_counter()
+                layers[name]()
+                times[name].append(time.perf_counter() - start)
+        sha = hashlib.sha256((tmp / "op" / TRAJECTORY_CSV).read_bytes()).hexdigest()
+    return {"repeats": repeats, "wall_s": times,
+            "median_s": {name: statistics.median(ts) for name, ts in times.items()},
+            "steps_accepted": traj.stats.steps_accepted,
+            "steps_rejected": traj.stats.steps_rejected,
+            "rhs_evaluations": traj.stats.rhs_evaluations,
+            "samples": int(traj.t.size),
+            "trajectory_sha256": sha}
+
+
+if __name__ == "__main__":
+    print(json.dumps(main(int(sys.argv[1]) if len(sys.argv) > 1 else 15), indent=1))

@@ -12,28 +12,38 @@ coefficient h*(w_1*k_1 + ...), each sum left to right over the nonzero
 weights; the error norm is sqrt((q_u**2 + q_v**2 + ... + q_rho**2) / 5).
 The trial step is written out as straight-line code over named locals
 (u ... rho, and ku1 ... kr7 for the stages), component by component in that
-order, each stage calling model._rhs_terms.  The quartic coefficients of a
-step are built only when a sample or a chi sign change falls inside it.
-The pair is FSAL: an accepted step's last stage f(y1) is the next step's
-first, and a rejected step keeps its first stage, so a run makes
-6*(accepted + rejected) + 1 right-hand-side evaluations, plus one per
-FieldFrozen restart at t > 0.
+order, each stage calling model._rhs_terms.  The pair is FSAL: an accepted
+step's last stage f(y1) is the next step's first, and a rejected step keeps
+its first stage, so a run makes 6*(accepted + rejected) + 1 right-hand-side
+evaluations, plus one per FieldFrozen restart at t > 0.
+
+Dense output is deferred.  A step that holds grid samples records its ends,
+stages and sample range in flat buffers; after the last step one vectorized
+pass (_dense_samples) builds the quartic of every recorded step and
+evaluates it at that step's samples.  The quartic is one formula (_quartic,
+_interpolate) that runs elementwise on floats and on numpy arrays alike,
+with the same operations in the same order, so a sample is the same bits
+as a float evaluation; the chi crossing search and the FieldFrozen state
+use the float form.  A sample that breaks the state invariants is found
+only after the loop, so each recorded step also keeps the step and event
+counts it would stop the run with: the run is cut back to them, as if it had
+stopped at that step.
 
 Once the field is frozen (paper mode, chi clamped at 0), the system is three
 ODEs in u, v and rho, and the steps take a fast path: _frozen_trial_step
-advances only those three, with the frozen right-hand side written inline,
-and _FrozenSegment interpolates only them.  Their results are bit-identical
-to the full step's.  With chi a signed zero and dchi = 0, every phi and chi
-stage term is +-0.0, so: a stage value of phi differs from phi at most in
-the sign of a zero, which phi*phi cannot see, and psi - m**2 phi**2 / 2 is
-the same at every stage; the stage values of chi and y1's chi are 0.0, and
-y1's phi is phi + 0.0; q_phi and q_chi are +-0, and adding their squares to
-the nonnegative q_u**2 + q_v**2 changes nothing.  On phi and chi the
-quartic's r1 = y1 - y0 is +0, so for theta >= 0 the interpolant's increment
-is +0 and its value y1's.  A frozen run thus writes the same bytes and counts
-the same right-hand-side evaluations as with the full step.  The frozen
-system also has a closed form, frozen_tail; a sweep row stops integrating at
-FieldFrozen (_integrate with stop_at_freeze) and samples that instead.
+advances only those three, with the frozen right-hand side written inline.
+Its results are bit-identical to the full step's.  With chi a signed zero
+and dchi = 0, every phi and chi stage term is +-0.0, so: a stage value of
+phi differs from phi at most in the sign of a zero, which phi*phi cannot
+see, and psi - m**2 phi**2 / 2 is the same at every stage; the stage values
+of chi and y1's chi are 0.0, and y1's phi is phi + 0.0; q_phi and q_chi are
++-0, and adding their squares to the nonnegative q_u**2 + q_v**2 changes
+nothing.  On phi and chi the quartic's r1 = y1 - y0 is +0, so for
+theta >= 0 the interpolant's increment is +0 and its value y1's: phi + 0.0
+and 0.0.  A frozen run thus writes the same bytes and counts the same
+right-hand-side evaluations as with the full step.  The frozen system also
+has a closed form, frozen_tail; a sweep row stops integrating at FieldFrozen
+(_integrate with stop_at_freeze) and samples that instead.
 
 Error weights: u, phi and chi use the mixed scale abs_tol + rel_tol*|y|.  The
 strictly positive, exponentially decaying components v and rho use the purely
@@ -65,6 +75,7 @@ reaches zero:
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Optional, Sequence
@@ -360,56 +371,32 @@ def _step_factor(norm: float) -> float:
     return min(_GROW_MAX, max(_SHRINK_MIN, _SAFETY * norm ** _EXPONENT))
 
 
-class _DenseSegment:
-    """Quartic interpolant over one accepted step, exact at both endpoints.
+def _quartic(h, y0, y1, k1, k3, k4, k5, k6, k7) -> tuple:
+    """Coefficients (r0, ..., r4) of the quartic dense output of a step of
+    size h from y0 to y1 with stages k1, k3, ..., k7 (d2 = 0).
 
-    The coefficients are built on the first call, so a step that holds no
-    sample and no chi sign change never computes them.
+    Elementwise: one component of one step as floats, or any number of them
+    as numpy arrays, with the same operations in the same order and so the
+    same bits.  Exact at both ends of the step.
     """
-
-    #: The state components that get a quartic.
-    _COMPONENTS = (0, 1, 2, 3, 4)
-
-    def __init__(self, t0: float, h: float, y0: Sequence[float],
-                 y1: Sequence[float], k: tuple):
-        self.t0 = t0
-        self.h = h
-        self._y0, self._y1, self._k = y0, y1, k
-        self._r: Optional[list[tuple[float, ...]]] = None
-
-    def _coefficients(self) -> list[tuple[float, ...]]:
-        h = self.h
-        k1, _, k3, k4, k5, k6, k7 = self._k
-        r = []
-        for i in self._COMPONENTS:
-            y0c, a, g = self._y0[i], k1[i], k7[i]
-            ydiff = self._y1[i] - y0c
-            bspl = h * a - ydiff
-            r.append((y0c, ydiff, bspl, ydiff - h * g - bspl,
-                      h * (_D1 * a + _D3 * k3[i] + _D4 * k4[i] + _D5 * k5[i]
-                           + _D6 * k6[i] + _D7 * g)))
-        return r
-
-    def __call__(self, theta: float) -> list[float]:
-        if self._r is None:
-            self._r = self._coefficients()
-        sigma = 1.0 - theta
-        return [r0 + theta * (r1 + sigma * (r2 + theta * (r3 + sigma * r4)))
-                for r0, r1, r2, r3, r4 in self._r]
+    ydiff = y1 - y0
+    bspl = h * k1 - ydiff
+    return (y0, ydiff, bspl, ydiff - h * k7 - bspl,
+            h * (_D1 * k1 + _D3 * k3 + _D4 * k4 + _D5 * k5 + _D6 * k6 + _D7 * k7))
 
 
-class _FrozenSegment(_DenseSegment):
-    """The dense segment of a _frozen_trial_step: quartics for u, v and rho.
+def _interpolate(r: tuple, theta):
+    """The quartic with coefficients r at theta in [0, 1]; elementwise as _quartic."""
+    r0, r1, r2, r3, r4 = r
+    sigma = 1.0 - theta
+    return r0 + theta * (r1 + sigma * (r2 + theta * (r3 + sigma * r4)))
 
-    phi and chi are constant over a frozen step, and for 0 <= theta the
-    values equal _DenseSegment's bit for bit (see the module docstring).
-    """
 
-    _COMPONENTS = (0, 1, 4)
-
-    def __call__(self, theta: float) -> list[float]:
-        u, v, rho = super().__call__(theta)
-        return [u, v, self._y1[2], 0.0, rho]
+def _step_quartics(h: float, y0: Sequence[float], y1: Sequence[float],
+                   k: tuple) -> list[tuple]:
+    """The five components' _quartic coefficients of one step, as floats."""
+    k1, _, k3, k4, k5, k6, k7 = k
+    return [_quartic(h, *c) for c in zip(y0, y1, k1, k3, k4, k5, k6, k7)]
 
 
 def _is_frozen_state(y: Sequence[float], params: ModelParams, mode: str) -> bool:
@@ -439,21 +426,22 @@ def step(state: CosmoState, params: ModelParams, h: float,
     return new_state, norm, h * _step_factor(norm)
 
 
-def _locate_crossing(dense: _DenseSegment, downward: bool, rel_tol: float) -> float:
-    """Bisect the dense interpolant for a sign change of chi.
+def _locate_crossing(chi: tuple, t1: float, h: float, downward: bool,
+                     rel_tol: float) -> float:
+    """Bisect chi's quartic over a step of size h ending at t1 for a sign change.
 
     Returns theta in (0, 1].  Robust rather than fast: plain bisection, at
     most 60 iterations, stopping once the bracket is below
-    rel_tol * max(1, t) in time units.
+    rel_tol * max(1, t1) in time units.
     """
     sign = 1.0 if downward else -1.0
     lo, hi = 0.0, 1.0
-    tol_t = rel_tol * max(1.0, dense.t0 + dense.h)
+    tol_t = rel_tol * max(1.0, t1)
     for _ in range(60):
-        if (hi - lo) * dense.h <= tol_t:
+        if (hi - lo) * h <= tol_t:
             break
         mid = 0.5 * (lo + hi)
-        if sign * dense(mid)[3] > 0.0:
+        if sign * _interpolate(chi, mid) > 0.0:
             lo = mid
         else:
             hi = mid
@@ -471,12 +459,12 @@ def _guard_violation(y: Sequence[float], config: IntegratorConfig) -> Optional[s
     return None
 
 
-def sample_times(config: IntegratorConfig) -> list[float]:
+def sample_times(config: IntegratorConfig) -> np.ndarray:
     """The sample grid of :func:`integrate`: k*sample_dt for k = 0, 1, ...
     up to t_end, the last sample snapped to t_end when within 1e-9*sample_dt."""
     dt = config.sample_dt
     k_last = int(math.floor(config.t_end / dt + 1e-9))
-    grid = [k * dt for k in range(k_last + 1)]
+    grid = np.arange(k_last + 1) * dt  # each float(k) * dt, as in float code
     if k_last > 0 and abs(grid[-1] - config.t_end) <= 1e-9 * dt:
         grid[-1] = config.t_end
     return grid
@@ -495,6 +483,40 @@ def integrate(initial: InitialData, params: ModelParams,
     :class:`StepSizeUnderflow`.
     """
     return _integrate(initial, params, config, stop_at_freeze=False)[0]
+
+
+#: Floats recorded per sample-holding step: t0, h, t_hi (the end of its
+#: samples, and the time a guard trip in them is logged at), y0, y1 and the
+#: stages k1, k3, ..., k7.
+_SEGMENT = 3 + 8 * 5
+#: Counts recorded per sample-holding step: its last grid index, 1 if a
+#: sample at its end is y1 itself (0 on a crossing step, whose samples end at
+#: the crossing), and the accepted, rejected and right-hand-side counts and
+#: the number of events when its samples are taken.
+_SNAPSHOT = 6
+
+
+def _dense_samples(segments: array, snapshots: np.ndarray, dt: float,
+                   rho_clamp: float) -> np.ndarray:
+    """The (n, 5) states at the grid samples k = 1, ..., n of the recorded steps.
+
+    Sample k lies in the first step whose last grid index is >= k, at
+    theta = (k*dt - t0) / h.  Within 1e-12 of the end of a step whose
+    snapshot says so, it is that step's y1; a rho in (-rho_clamp, 0) reads
+    0.0 (interpolation jitter on a vanishing tail).
+    """
+    seg = np.frombuffer(segments).reshape(-1, _SEGMENT)
+    grid_k = np.arange(1, snapshots[-1, 0] + 1)
+    which = np.searchsorted(snapshots[:, 0], grid_k)
+    theta = (grid_k * dt - seg[which, 0]) / seg[which, 1]
+    y0, y1, *stages = (seg[:, i:i + 5] for i in range(3, _SEGMENT, 5))
+    rows = _interpolate([c[which] for c in _quartic(seg[:, 1:2], y0, y1, *stages)],
+                        theta[:, None])
+    at_end = (theta >= 1.0 - 1e-12) & (snapshots[which, 1] == 1)
+    rows[at_end] = y1[which[at_end]]
+    rho = rows[:, 4]
+    rho[(-rho_clamp < rho) & (rho < 0.0)] = 0.0
+    return rows
 
 
 def _integrate(initial: InitialData, params: ModelParams, config: IntegratorConfig,
@@ -521,14 +543,12 @@ def _integrate(initial: InitialData, params: ModelParams, config: IntegratorConf
 
     dt = config.sample_dt
     grid = sample_times(config)
-    k_last = len(grid) - 1
+    k_last = grid.size - 1
 
-    times: list[float] = [0.0]
-    rows: list[list[float]] = [[state0.u, state0.v, state0.phi, state0.chi, state0.rho]]
     events: list[Event] = []
     accepted = rejected = 0
 
-    y = rows[0]
+    y = row0 = [state0.u, state0.v, state0.phi, state0.chi, state0.rho]
     t = 0.0
     frozen = _is_frozen_state(y, params, config.mode)
     k1 = _rhs_terms(*y, params.lam, params.mass_sq, frozen)
@@ -542,89 +562,109 @@ def _integrate(initial: InitialData, params: ModelParams, config: IntegratorConf
             freeze = (0.0, y)
 
     k_next = 1
-    rho_clamp = min(config.abs_tol, 1e-10)
+    # The sample-holding steps, for _dense_samples: _SEGMENT floats and
+    # _SNAPSHOT counts each.
+    segments = array("d")
+    snapshots = array("q")
 
-    def emit(dense: _DenseSegment, t_hi: float,
-             y_end: Optional[list[float]]) -> Optional[str]:
-        """Append grid samples with t_k <= t_hi; returns a failure detail."""
+    def hold(t0: float, h_step: float, y0: list[float], y1: list[float], k: tuple,
+             t_hi: float, at_end: int) -> None:
+        """Record the step if grid samples t_k <= t_hi fall in it."""
         nonlocal k_next
-        while k_next <= k_last:
-            t_k = k_next * dt
-            if t_k > t_hi + 1e-9 * dt:
-                break
-            theta = (t_k - dense.t0) / dense.h
-            if y_end is not None and theta >= 1.0 - 1e-12:
-                row = list(y_end)
-            else:
-                row = dense(theta)
-            t_sample = grid[k_next]
-            if -rho_clamp < row[4] < 0.0:
-                row[4] = 0.0  # interpolation jitter on a vanishing tail
-            if not (all(map(math.isfinite, row)) and row[1] > 0.0 and row[4] >= 0.0):
-                return (f"sample at t = {t_sample:.6g} violated state invariants "
-                        f"(finite, v > 0, rho >= 0): {row}")
-            times.append(t_sample)
-            rows.append(row)
-            k_next += 1
-        return None
+        # The last k with k*dt <= lim; k*dt rises with k, so the quotient
+        # is at most a step or two off.
+        lim = t_hi + 1e-9 * dt
+        k_end = min(k_last, int(lim / dt))
+        while k_end >= k_next and k_end * dt > lim:
+            k_end -= 1
+        while k_end < k_last and (k_end + 1) * dt <= lim:
+            k_end += 1
+        if k_end >= k_next:
+            k1, _, k3, k4, k5, k6, k7 = k
+            segments.extend((t0, h_step, t_hi, *y0, *y1, *k1, *k3, *k4, *k5, *k6, *k7))
+            snapshots.extend((k_end, at_end, accepted, rejected, nevals, len(events)))
+            k_next = k_end + 1
 
     h = config.h_init
-    while t < config.t_end and freeze is None:
-        remaining = config.t_end - t
-        h_trial = min(h, remaining)
-        end_limited = h_trial < h
-        y1, norm, k = _phase_trial_step(y, k1, h_trial, params, config, frozen)
-        nevals += 6
-        if norm > 1.0:
-            rejected += 1
-            h = h_trial * _step_factor(norm)
-            if h < config.h_min and not end_limited:
-                raise StepSizeUnderflow(
-                    f"step size fell below h_min = {config.h_min!r} at t = {t:.9g}")
-            continue
-
-        accepted += 1
-        t1 = config.t_end if h_trial == remaining else t + h_trial
-        h = min(config.h_max, max(config.h_min, h_trial * _step_factor(norm)))
-        dense = (_FrozenSegment if frozen else _DenseSegment)(t, h_trial, y, y1, k)
-
-        if not frozen and y[3] > 0.0 and y1[3] <= 0.0:
-            theta = _locate_crossing(dense, downward=True, rel_tol=config.rel_tol)
-            t_star = t + theta * h_trial
-            if config.mode == "paper":
-                detail = emit(dense, t_star, None)
-                if detail is not None:
-                    events.append(Event(t_star, GUARD_TRIPPED, detail))
-                    break
-                y_star = dense(theta)
-                y_star[3] = 0.0
-                events.append(Event(t_star, FIELD_FROZEN,
-                                    f"field velocity reached zero; phi frozen at {y_star[2]:.12g}"))
-                frozen = True
-                t, y = t_star, y_star
-                if stop_at_freeze:
-                    freeze = (t, y)
-                    break
-                k1 = _rhs_terms(*y, params.lam, params.mass_sq, frozen)
-                nevals += 1
+    underflow = None
+    try:
+        while t < config.t_end and freeze is None:
+            remaining = config.t_end - t
+            h_trial = min(h, remaining)
+            end_limited = h_trial < h
+            y1, norm, k = _phase_trial_step(y, k1, h_trial, params, config, frozen)
+            nevals += 6
+            if norm > 1.0:
+                rejected += 1
+                h = h_trial * _step_factor(norm)
+                if h < config.h_min and not end_limited:
+                    raise StepSizeUnderflow(
+                        f"step size fell below h_min = {config.h_min!r} at t = {t:.9g}")
                 continue
-            events.append(Event(t_star, CHI_ZERO_CROSSING, "downward crossing"))
-        elif config.mode == "kg" and y[3] < 0.0 and y1[3] >= 0.0:
-            theta = _locate_crossing(dense, downward=False, rel_tol=config.rel_tol)
-            events.append(Event(t + theta * h_trial, CHI_ZERO_CROSSING, "upward crossing"))
 
-        detail = _guard_violation(y1, config) or emit(dense, t1, y1)
-        if detail is not None:
-            events.append(Event(t1, GUARD_TRIPPED, detail))
-            break
-        t, y, k1 = t1, y1, k[6]
+            accepted += 1
+            t1 = config.t_end if h_trial == remaining else t + h_trial
+            h = min(config.h_max, max(config.h_min, h_trial * _step_factor(norm)))
+
+            if not frozen and y[3] > 0.0 and y1[3] <= 0.0:
+                quartics = _step_quartics(h_trial, y, y1, k)
+                theta = _locate_crossing(quartics[3], t + h_trial, h_trial, True,
+                                         config.rel_tol)
+                t_star = t + theta * h_trial
+                if config.mode == "paper":
+                    hold(t, h_trial, y, y1, k, t_star, 0)
+                    y_star = [_interpolate(q, theta) for q in quartics]
+                    y_star[3] = 0.0
+                    events.append(Event(t_star, FIELD_FROZEN,
+                                        f"field velocity reached zero; phi frozen at {y_star[2]:.12g}"))
+                    frozen = True
+                    t, y = t_star, y_star
+                    if stop_at_freeze:
+                        freeze = (t, y)
+                        break
+                    k1 = _rhs_terms(*y, params.lam, params.mass_sq, frozen)
+                    nevals += 1
+                    continue
+                events.append(Event(t_star, CHI_ZERO_CROSSING, "downward crossing"))
+            elif config.mode == "kg" and y[3] < 0.0 and y1[3] >= 0.0:
+                chi = _step_quartics(h_trial, y, y1, k)[3]
+                theta = _locate_crossing(chi, t + h_trial, h_trial, False, config.rel_tol)
+                events.append(Event(t + theta * h_trial, CHI_ZERO_CROSSING, "upward crossing"))
+
+            detail = _guard_violation(y1, config)
+            if detail is not None:
+                events.append(Event(t1, GUARD_TRIPPED, detail))
+                break
+            hold(t, h_trial, y, y1, k, t1, 1)
+            t, y, k1 = t1, y1, k[6]
+    except StepSizeUnderflow as exc:
+        underflow = exc  # unless a sample before it broke the invariants
+
+    samples = np.empty((0, 5))
+    if snapshots:
+        snaps = np.frombuffer(snapshots, dtype=np.int64).reshape(-1, _SNAPSHOT)
+        samples = _dense_samples(segments, snaps, dt, min(config.abs_tol, 1e-10))
+        ok = np.isfinite(samples).all(axis=1) & (samples[:, 1] > 0.0) & (samples[:, 4] >= 0.0)
+        if not ok.all():
+            # The run stops at the step holding the first bad sample.
+            j = int(np.argmin(ok))
+            s = int(np.searchsorted(snaps[:, 0], j + 1))
+            accepted, rejected, nevals, n_events = snaps[s, 2:].tolist()
+            del events[n_events:]
+            events.append(Event(segments[s * _SEGMENT + 2], GUARD_TRIPPED,
+                                f"sample at t = {grid[j + 1]:.6g} violated state invariants "
+                                f"(finite, v > 0, rho >= 0): {samples[j].tolist()}"))
+            samples = samples[:j]
+            freeze = underflow = None
+    if underflow is not None:
+        raise underflow
 
     return Trajectory(
         params=params,
         initial=initial,
         config=config,
-        t=times,
-        states=rows,
+        t=grid[:1 + len(samples)],
+        states=np.concatenate(([row0], samples)),
         events=tuple(events),
         stats=IntegrationStats(steps_accepted=accepted, steps_rejected=rejected,
                                rhs_evaluations=nevals),

@@ -3,7 +3,9 @@
 All floats are written with 17 significant digits, which round-trips IEEE
 doubles exactly; reading a trajectory back reproduces the in-memory values
 bit for bit.  Output is fully deterministic: identical runs produce identical
-bytes.
+bytes.  A table (trajectory.csv, the report's .dat files) formats each
+distinct bit pattern of a column once per chunk of rows and reuses the text,
+which writes the same bytes as formatting every value.
 
 Each JSON block that mirrors a type is that type's fields, in declaration
 order: ``initial`` (InitialData), ``admissibility`` (AdmissibilityReport),
@@ -23,6 +25,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import asdict
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
 
@@ -53,11 +56,28 @@ def fmt(x: float) -> str:
     return _FLOAT % (x,)
 
 
+#: Rows per chunk of table_text: bounds the cells held at once.
+_CHUNK = 2048
+
+
 def table_text(header: str, columns: Sequence[np.ndarray], sep: str = ",") -> str:
-    """``header`` line, then one line per row of the equal-length ``columns``."""
-    row = sep.join([_FLOAT] * len(columns))
+    """``header`` line, then one line per row of the equal-length float ``columns``.
+
+    Column by column, in chunks of _CHUNK rows, each distinct value (bit
+    pattern, so -0.0 and 0.0 stay apart) is formatted once and its text
+    shared by the rows that hold it: the bytes of formatting every value.
+    """
     lines = [header]
-    lines += [row % values for values in zip(*(c.tolist() for c in columns))]
+    n = len(columns[0]) if columns else 0
+    for start in range(0, n, _CHUNK):
+        cells = []
+        for column in columns:
+            chunk = np.ascontiguousarray(column[start:start + _CHUNK], dtype=np.float64)
+            bits, index = np.unique(chunk.view(np.uint64), return_inverse=True)
+            text = list(map(_FLOAT.__mod__, bits.view(np.float64).tolist()))
+            index = index.tolist()
+            cells.append(itemgetter(*index)(text) if len(index) > 1 else (text[index[0]],))
+        lines += map(sep.join, zip(*cells))
     return "\n".join(lines) + "\n"
 
 

@@ -51,6 +51,14 @@ STATUS_GUARD_TRIPPED = "guard-tripped"
 STATUS_STEP_UNDERFLOW = "step-underflow"
 STATUS_INVALID_DATA = "invalid-data"
 
+#: Fewest rows for which ``workers = auto`` starts a process pool; smaller
+#: plans run serially, as the pool's start-up outweighs its gain there.
+#: bench/time_pool.py (9 alternating repeats a side, 2-CPU host) on plans of
+#: exact-tail rows: 16 rows took 0.057 s and 0.062 s serial against 0.087 s
+#: and 0.058 s pooled; 20 rows 0.073 s and 0.080 s against 0.057 s and
+#: 0.066 s; 24 rows 0.090 s and 0.093 s against 0.080 s and 0.072 s.
+POOL_MIN_ROWS = 20
+
 #: Column order of the sweep table (timings intentionally excluded).
 SWEEP_COLUMNS = ("lambda", "mass", "phi0", "chi0", "rho0", "admissible",
                  "status", "nu", "rate_Q", "rate_rho", "rate_chi2", "L_hat",
@@ -64,8 +72,10 @@ class SweepPlan:
 
     ``axes`` is an ordered tuple of (name, values); every parameter not on an
     axis must appear in ``fixed``.  Row order is row-major over the declared
-    axis order.  ``workers`` (at least 1; None for the CPU count) asks for a
-    process pool, which run_sweep caps at the CPU count.
+    axis order.  ``workers`` (at least 1) asks for a process pool, which
+    run_sweep caps at the CPU count; None (``auto``) asks for one worker per
+    CPU on plans of POOL_MIN_ROWS rows or more and runs smaller plans
+    serially.
     """
 
     axes: tuple[tuple[str, tuple[float, ...]], ...]
@@ -158,7 +168,7 @@ def integrate(initial: InitialData, params: ModelParams,
         if (nu_rate(params, y_f[2]) is not None and 2.0 * abs(y_f[0]) <= config.max_abs_u
                 and 2.0 * abs(y_f[2]) <= config.max_abs_phi
                 and frozen_tail(t_f, y_f, params, [config.t_end])[0, 1] >= 2.0 * config.min_v):
-            times = sample_times(config)[head.t.size:]
+            times = sample_times(config)[head.t.size:].tolist()
             tail = frozen_tail(t_f, y_f, params, times)
             return Trajectory(params=params, initial=initial, config=config,
                               t=np.concatenate((head.t, times)),
@@ -224,7 +234,10 @@ def run_sweep(plan: SweepPlan) -> list[SweepRow]:
     points = plan.points()
     args = [(p, plan.a0, plan.branch, plan.integrator) for p in points]
     cpus = os.cpu_count() or 1
-    workers = min(cpus if plan.workers is None else plan.workers, cpus, len(args))
+    workers = plan.workers
+    if workers is None:
+        workers = cpus if len(args) >= POOL_MIN_ROWS else 1
+    workers = min(workers, cpus, len(args))
     if workers == 1:
         return [_evaluate_point(a) for a in args]
     # Imported here: concurrent.futures adds ~20 ms to every CLI start-up.

@@ -1,6 +1,7 @@
 """Adaptive stepper, events, guards, and solution-level oracles."""
 
 import math
+from array import array
 from dataclasses import fields, replace
 
 import numpy as np
@@ -12,7 +13,8 @@ from rwcosmo import (CosmoState, InadmissibleInitialData, IntegratorConfig,
 from rwcosmo import integrator
 from rwcosmo.diagnostics import cumulative_simpson
 from rwcosmo.integrator import (FIELD_FROZEN, CHI_ZERO_CROSSING, GUARD_TRIPPED,
-                                _integrate, frozen_tail, sample_times, _DenseSegment, _FrozenSegment, _frozen_trial_step,
+                                _integrate, frozen_tail, sample_times, _frozen_trial_step,
+                                _dense_samples, _interpolate, _step_quartics,
                                 _trial_step, _A21, _A31, _A32, _A41, _A42, _A43,
                                 _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64, _A65,
                                 _B1, _B3, _B4, _B5, _B6, _E1, _E3, _E4, _E5, _E6, _E7)
@@ -280,9 +282,10 @@ class TestTrialStep:
                 float_bits(*zip_trial_step(y, k1, h, params, config, frozen))
 
     def test_frozen_step_bit_identical(self):
-        """The u, v, rho-only step and its dense segment reproduce the full
-        frozen step and segment bit for bit: y1, the error norm, all seven
-        stages and the interpolated values, at signed-zero chi and phi and at
+        """The u, v, rho-only step reproduces the full frozen step bit for
+        bit: y1, the error norm and all seven stages; and the shared quartic
+        over it gives the full step's interpolated values for theta in
+        [0, 1], with phi y1's and chi 0.0.  At signed-zero chi and phi and at
         mass = 0 and rho = 0."""
         rng = np.random.default_rng(20132)
         for y, params, config, h in random_frozen_inputs():
@@ -290,10 +293,12 @@ class TestTrialStep:
             full = _trial_step(y, k1, h, params, config, True)
             fast = _frozen_trial_step(y, k1, h, params, config)
             assert float_bits(*fast) == float_bits(*full), (y, params, config, h)
-            dense = _DenseSegment(1.0, h, y, full[0], full[2])
-            frozen = _FrozenSegment(1.0, h, y, fast[0], fast[2])
-            for theta in (rng.uniform(0.0, 1.0), 0.0, 1.0, 1.0 + 1e-12):
-                assert [x.hex() for x in frozen(theta)] == [x.hex() for x in dense(theta)]
+            dense = _step_quartics(h, y, full[0], full[2])
+            frozen = _step_quartics(h, y, fast[0], fast[2])
+            for theta in (rng.uniform(0.0, 1.0), 0.0, 1.0):
+                got = [_interpolate(q, theta).hex() for q in frozen]
+                assert got == [_interpolate(q, theta).hex() for q in dense]
+                assert got[2:4] == [fast[0][2].hex(), (0.0).hex()]
 
     def test_frozen_overflow_has_infinite_norm(self):
         y = [1e200, 1.0, 1.0, 0.0, 0.05]  # u * u overflows
@@ -371,7 +376,7 @@ class TestFrozenTail:
         last one snapped to t_end (0.3 for 3*0.1 = 0.30000000000000004)."""
         cfg = replace(REF_CONFIG, t_end=t_end, sample_dt=sample_dt)
         traj = integrate(ref_initial, REF_PARAMS, cfg)
-        assert traj.t.tolist() == sample_times(cfg)
+        assert traj.t.tolist() == sample_times(cfg).tolist()
 
     def test_stop_at_freeze(self, ref_trajectory, ref_initial):
         """The reference run stops at FieldFrozen after 19 of its 1,956
@@ -597,6 +602,98 @@ class TestModesAndGuards:
                       h_min=0.05, h_init=0.1, h_max=0.25, t_end=1.0)
         with pytest.raises(StepSizeUnderflow):
             integrate(data, params, cfg)
+
+
+def _sample_trip(t_sample, row):
+    return (f"sample at t = {t_sample} violated state invariants "
+            f"(finite, v > 0, rho >= 0): {row}")
+
+
+class TestSampleGuard:
+    """A grid sample that breaks the state invariants (finite, v > 0,
+    rho >= 0) while its step's ends pass.  No real run found does this, so
+    the quartic's k7 weight _D7 is scaled: the interpolant then bulges
+    between the ends of a step.  The run must stop at the step holding the
+    first bad sample, with that step's counts and the events logged before
+    it, whatever the steps after it did.  The pins are those of the
+    per-sample dense output that the vectorized pass replaced."""
+
+    @staticmethod
+    def pins(traj):
+        return (traj.t.size, traj.t[-1], [(e.kind, e.t, e.detail) for e in traj.events],
+                (traj.stats.steps_accepted, traj.stats.steps_rejected,
+                 traj.stats.rhs_evaluations))
+
+    @pytest.mark.parametrize("mode,crossing,trip_t,row,stats", [
+        ("paper", (FIELD_FROZEN, "field velocity reached zero; phi frozen at 1.00349947639"),
+         0.21082375295329955, [2.1193991679094157, 0.01694746500315719, 1.0034994763894627,
+                               0.0, -0.007221770733731252], (46, 0, 278)),
+        ("kg", (CHI_ZERO_CROSSING, "downward crossing"),
+         0.21078125862669952, [2.0955173185013707, 0.05014622054283058, 0.9782940675754566,
+                               -0.1753033537781239, -0.005975027996899668], (45, 0, 271)),
+    ])
+    def test_trip_after_crossing(self, monkeypatch, ref_initial, mode, crossing, trip_t, row,
+                                 stats):
+        """The third sample (t = 0.21) breaks rho >= 0 in a step after chi's
+        zero crossing: the trip is logged at that step's end."""
+        monkeypatch.setattr(integrator, "_D7", integrator._D7 * 1000.0)
+        cfg = replace(REF_CONFIG, mode=mode, sample_dt=0.07)
+        kind, detail = crossing
+        assert self.pins(integrate(ref_initial, REF_PARAMS, cfg)) == (
+            3, 0.14, [(kind, 0.07546646576958942, detail),
+                      (GUARD_TRIPPED, trip_t, _sample_trip(0.21, row))], stats)
+
+    def test_trip_in_crossing_step(self, monkeypatch, ref_initial):
+        """A bad sample before chi's zero crossing in the crossing step (the
+        crossing pinned at theta = 0.9) is logged at the crossing, and the
+        field does not freeze; _integrate reports no freeze either."""
+        monkeypatch.setattr(integrator, "_D7", integrator._D7 * 1e4)
+        monkeypatch.setattr(integrator, "_locate_crossing", lambda *args: 0.9)
+        cfg = replace(REF_CONFIG, sample_dt=0.0779)
+        want = (1, 0.0, [(GUARD_TRIPPED, 0.07984782624443296, _sample_trip(0.0779, [
+            -0.8430702240562344, -21.726716372176043, 0.9759909771868477, -7.174358955342312,
+            -1.5495711031471464]))], (19, 0, 115))
+        assert self.pins(integrate(ref_initial, REF_PARAMS, cfg)) == want
+        head, freeze = _integrate(ref_initial, REF_PARAMS, cfg, stop_at_freeze=True)
+        assert self.pins(head) == want and freeze is None
+
+    @pytest.mark.parametrize("max_abs_u", [1e100, 1e3])
+    def test_trip_before_later_failure(self, monkeypatch, max_abs_u):
+        """The run stops at a bad sample at t = 0.04 even though the steps
+        after it go on to a StepSizeUnderflow (max_abs_u = 1e100) or to the
+        |u| guard (1e3) at t = 0.80: no raise, no later event, and the
+        rejected steps after it are not counted."""
+        params = ModelParams(lam=-1.0, mass=0.0)
+        data = make_initial_data(params, 1.0, 0.1, 0.1, 0.05, "contracting")
+        config = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-8, t_end=10.0, sample_dt=0.01,
+                                  override_admissibility=True, max_abs_u=max_abs_u)
+        if max_abs_u == 1e100:
+            with pytest.raises(StepSizeUnderflow):
+                integrate(data, params, config)
+        else:
+            assert self.pins(integrate(data, params, config)) == (
+                81, 0.8, [(GUARD_TRIPPED, 0.8018132875056697, "|u| = 1030.22 exceeded 1000")],
+                (133, 0, 799))
+        monkeypatch.setattr(integrator, "_D7", integrator._D7 * -100.0)
+        assert self.pins(integrate(data, params, config)) == (
+            4, 0.03, [(GUARD_TRIPPED, 0.06774022532417254, _sample_trip(0.04, [
+                0.4421332551409484, 0.3320103723917067, 0.019888214809044027,
+                -0.002974708095073192, -0.02055069004028532]))], (5, 0, 31))
+
+
+class TestDenseSamples:
+    def test_step_end_and_rho_jitter(self):
+        """At theta = 1 a sample is the step's y1 itself, except on a step
+        whose samples end at a chi crossing, where it is the quartic's value
+        (here y0 + (y1 - y0), which rounds u off y1's); a rho in
+        (-rho_clamp, 0) reads 0.0 on either."""
+        y0 = [53.43152582959241, 1.0, 1.0, 0.1, 1e-12]
+        y1 = [-0.10922561189039715, 1.0, 1.0, 0.1, -1e-13]
+        segments = array("d", [0.0, 1.0, 1.0, *y0, *y1, *[0.0] * 30])
+        for at_end, u in ((1, -0.10922561189039715), (0, -0.1092256118903947)):
+            snapshots = np.array([[1, at_end, 0, 0, 0, 0]], dtype=np.int64)
+            rows = _dense_samples(segments, snapshots, 1.0, 1e-10)
+            assert [x.hex() for x in rows[0].tolist()] == [x.hex() for x in [u, 1.0, 1.0, 0.1, 0.0]]
 
 
 class TestDenseOutputQuality:

@@ -16,7 +16,7 @@ from rwcosmo import (IntegratorConfig, ModelParams, SweepPlan, integrate,
 from rwcosmo.integrator import _TINY, FIELD_FROZEN
 from rwcosmo.sweep import (STATUS_GUARD_TRIPPED, STATUS_INVALID_DATA,
                            STATUS_NO_REAL_BRANCH, STATUS_OK, STATUS_SKIPPED,
-                           STATUS_STEP_UNDERFLOW, SWEEP_COLUMNS, SweepRow)
+                           STATUS_STEP_UNDERFLOW, SWEEP_COLUMNS, POOL_MIN_ROWS, SweepRow)
 
 from conftest import REF_CONFIG
 
@@ -368,6 +368,23 @@ class TestDeterminism:
                         workers=5000)
         assert run_sweep(plan) == []
         assert widths == [3]
+
+    def test_auto_runs_small_plan_without_pool(self, monkeypatch):
+        """workers = auto runs a plan below POOL_MIN_ROWS rows in-process,
+        with the same bytes as workers = 1; an explicit workers = 2 still
+        asks for a pool."""
+        class NoPool:
+            def __init__(self, max_workers):
+                raise AssertionError(f"pool of {max_workers} started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert len(plan_for(self.AXES, self.FIXED).points()) < POOL_MIN_ROWS
+        auto = run_sweep(plan_for(self.AXES, self.FIXED, workers=None))
+        serial = run_sweep(plan_for(self.AXES, self.FIXED, workers=1))
+        assert sweep_table_csv(auto) == sweep_table_csv(serial)
+        with pytest.raises(AssertionError, match="pool of 2 started"):
+            run_sweep(plan_for(self.AXES, self.FIXED, workers=2))
 
     def test_17_digit_serialization_round_trips(self):
         rows = run_sweep(plan_for((("lambda", (1.0, -60.0)),),
