@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .initial import validate_theorem1
-from .integrator import GUARD_TRIPPED, Trajectory
+from .integrator import GUARD_TRIPPED, Trajectory, libm
 from .model import EIGHT_PI, FOUR_PI, TWENTY_FOUR_PI
 
 STATUS_PASSED = "passed"
@@ -73,28 +73,6 @@ def _check(name: str, margin: float, detail: str = "") -> Check:
     """A check decided by its margin: it passes when margin <= 0."""
     margin = float(margin)
     return Check(name, margin <= 0.0, margin, detail)
-
-
-def libm(f: Callable[[float], float], x: np.ndarray) -> np.ndarray:
-    """``f`` (math.exp, math.log) of each element of the 1-d array ``x``; a
-    result past the largest double reads inf, as numpy's does.
-
-    numpy's exp and log run a SIMD loop picked for the CPU at run time, and
-    the last bit of their results follows that pick; the math module's do
-    not, so the reports come out the same on every CPU.
-    """
-    values = x.tolist()
-    try:
-        return np.fromiter(map(f, values), float, len(values))
-    except OverflowError:
-        return np.array([_inf_on_overflow(f, v) for v in values], dtype=float)
-
-
-def _inf_on_overflow(f: Callable[[float], float], v: float) -> float:
-    try:
-        return f(v)
-    except OverflowError:
-        return math.inf
 
 
 class DecayFit(NamedTuple):

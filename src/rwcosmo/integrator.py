@@ -78,7 +78,8 @@ import math
 from array import array
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Optional, Sequence
+from itertools import repeat
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -115,6 +116,10 @@ _D1, _D3, _D4, _D5, _D6, _D7 = (
     -1453857185 / 822651844, 69997945 / 29380423)
 
 _TINY = 1e-300
+
+#: Most samples a run may ask for (t_end/sample_dt + 1): 100 times the dense
+#: reference run's 10,001, and 8 MB per sampled column.
+MAX_SAMPLES = 10**6
 
 _SAFETY = 0.9
 _SHRINK_MIN = 0.2
@@ -155,6 +160,10 @@ class IntegratorConfig:
             raise ValueError("t_end must be > 0")
         if not self.sample_dt > 0.0:
             raise ValueError("sample_dt must be > 0")
+        # sample_times has floor(t_end/sample_dt + 1e-9) + 1 samples.
+        if not self.t_end / self.sample_dt + 1e-9 < MAX_SAMPLES:
+            raise ValueError(f"t_end / sample_dt = {self.t_end / self.sample_dt:.6g} asks for "
+                             f"more than MAX_SAMPLES = {MAX_SAMPLES} samples")
         if self.mode not in ("paper", "kg"):
             raise ValueError(f"mode must be 'paper' or 'kg', got {self.mode!r}")
         if not (self.max_abs_u > 0.0 and self.max_abs_phi > 0.0 and self.min_v > 0.0):
@@ -211,7 +220,7 @@ class Trajectory:
         # numpy's vectorized power can differ from the scalar one in the last
         # bit; the scalar pow keeps a equal to CosmoState.a.  A hand-built
         # state with v <= 0 has no scale factor: a reads nan.
-        a = np.fromiter((x ** -0.5 if x > 0.0 else math.nan for x in v.tolist()),
+        a = np.fromiter(map(pow, np.where(v > 0.0, v, math.nan).tolist(), repeat(-0.5)),
                         float, v.size)
         d = derived_terms(u, phi, chi, rho, self.params)
         cols = {"t": self.t, "u": u, "v": v, "a": a, "phi": phi, "chi": chi,
@@ -671,10 +680,33 @@ def _integrate(initial: InitialData, params: ModelParams, config: IntegratorConf
     ), freeze
 
 
+def libm(f: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """``f`` (math.exp, math.expm1, math.log) of each element of the 1-d
+    array ``x``; a result past the largest double reads inf, as numpy's does.
+
+    numpy's exp and log run a SIMD loop picked for the CPU at run time, and
+    the last bit of their results follows that pick; the math module's do
+    not, so trajectories and reports come out the same on every CPU.
+    """
+    values = x.tolist()
+    try:
+        return np.fromiter(map(f, values), float, len(values))
+    except OverflowError:
+        return np.array([_inf_on_overflow(f, v) for v in values], dtype=float)
+
+
+def _inf_on_overflow(f: Callable[[float], float], v: float) -> float:
+    try:
+        return f(v)
+    except OverflowError:
+        return math.inf
+
+
 def frozen_tail(t_f: float, y_f: Sequence[float], params: ModelParams,
-                times: Sequence[float]) -> np.ndarray:
-    """The (n, 5) states at ``times`` (each >= t_f) of the frozen paper-mode
-    system started from the clamped state y_f at t_f, in closed form.
+                times: np.ndarray) -> np.ndarray:
+    """The (n, 5) states at the n ``times`` (a 1-d array or list, each >= t_f)
+    of the frozen paper-mode system started from the clamped state y_f at
+    t_f, in closed form.
 
     With chi = 0 and phi = phi_f the system is u' = -2(u^2 - u_inf^2) on
     shell, v' = -2uv and rho' = -4u*rho, with u_inf = nu_rate(params, phi_f)
@@ -684,23 +716,31 @@ def frozen_tail(t_f: float, y_f: Sequence[float], params: ModelParams,
     rho_f = 3 u_inf^2 / (8 pi sinh^2(s_f)) through asinh (from u_f through
     atanh it would cancel once u_f is near u_inf), and coth and r go through
     exp and expm1 of -2s, so no large s overflows.  At rho_f = 0, u = u_inf
-    and v = v_f*exp(-2 u_inf (t - t_f)).  Each element is computed with
-    math-module calls, so the bytes do not depend on numpy's SIMD loops.
+    and v = v_f*exp(-2 u_inf (t - t_f)).
+
+    One pass over the whole array: the arithmetic is numpy's, in the
+    operation order of the one-sample formula (IEEE +, -, * and / round the
+    same either way), and exp and expm1 are the math module's through libm,
+    so each element has the bits of a float evaluation and the bytes do not
+    depend on numpy's SIMD loops.
     """
     _, v_f, phi_f, _, rho_f = y_f
     u_inf = nu_rate(params, phi_f)
     if u_inf is None:
         raise ValueError(f"lambda + 4 pi m^2 phi_f^2 <= 0 at phi_f = {phi_f!r}: no frozen limit")
-    rows = []
+    t = np.asarray(times, dtype=float)
+    rows = np.zeros((t.size, 5))
+    rows[:, 2] = phi_f
     if rho_f == 0.0:
-        for t in times:
-            rows.append((u_inf, v_f * math.exp(-2.0 * u_inf * (t - t_f)), phi_f, 0.0, 0.0))
+        rows[:, 0] = u_inf
+        rows[:, 1] = v_f * libm(math.exp, (-2.0 * u_inf) * (t - t_f))
     else:
         s_f = math.asinh(u_inf * math.sqrt(3.0 / EIGHT_PI) / math.sqrt(rho_f))
         em_f = math.expm1(-2.0 * s_f)
-        for t in times:
-            d = 2.0 * u_inf * (t - t_f)
-            em = math.expm1(-2.0 * (s_f + d))  # exp(-2s) - 1, in [-1, 0)
-            r = math.exp(-d) * (em_f / em)
-            rows.append((-u_inf * (2.0 + em) / em, v_f * r, phi_f, 0.0, rho_f * r * r))
-    return np.array(rows, dtype=float).reshape(len(rows), 5)
+        d = (2.0 * u_inf) * (t - t_f)
+        em = libm(math.expm1, -2.0 * (s_f + d))  # exp(-2s) - 1, in [-1, 0)
+        r = libm(math.exp, -d) * (em_f / em)
+        rows[:, 0] = (-u_inf * (2.0 + em)) / em
+        rows[:, 1] = v_f * r
+        rows[:, 4] = (rho_f * r) * r
+    return rows

@@ -134,16 +134,22 @@ def write_trajectory(directory: Union[str, Path], traj: Trajectory, version: str
 
 
 def _parse_states(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """(t, states) columns of trajectory.csv text; derived columns are ignored."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """(t, states) columns of trajectory.csv text.
+
+    The header is the first line.  Every cell must parse as a number,
+    derived columns included, though only t and the states are kept; empty
+    lines are skipped, and a line of only blanks is a malformed row.
+    """
+    lines = text.splitlines()
     if not lines:
         raise CorruptTrajectory(f"{TRAJECTORY_CSV}: empty file")
     if tuple(lines[0].split(",")) != TRAJECTORY_COLUMNS:
         raise CorruptTrajectory(f"{TRAJECTORY_CSV}: unexpected header {lines[0]!r}")
-    if len(lines) == 1:
+    rows = lines[1:]
+    if not any(rows):
         raise CorruptTrajectory(f"{TRAJECTORY_CSV} holds no samples")
     try:
-        table = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
         raise CorruptTrajectory(f"{TRAJECTORY_CSV}: {exc}") from exc
     if table.shape[1] != len(TRAJECTORY_COLUMNS):

@@ -164,16 +164,17 @@ def integrate(initial: InitialData, params: ModelParams,
         if freeze is None:
             return head
         t_f, y_f = freeze
-        # The tail, unless the frozen limit is undefined or a guard could trip in it.
+        # The tail, unless the frozen limit is undefined or a guard could trip
+        # in it; its last row probes v at t_end.
         if (nu_rate(params, y_f[2]) is not None and 2.0 * abs(y_f[0]) <= config.max_abs_u
-                and 2.0 * abs(y_f[2]) <= config.max_abs_phi
-                and frozen_tail(t_f, y_f, params, [config.t_end])[0, 1] >= 2.0 * config.min_v):
-            times = sample_times(config)[head.t.size:].tolist()
-            tail = frozen_tail(t_f, y_f, params, times)
-            return Trajectory(params=params, initial=initial, config=config,
-                              t=np.concatenate((head.t, times)),
-                              states=np.concatenate((head.states, tail)),
-                              events=head.events, stats=head.stats)
+                and 2.0 * abs(y_f[2]) <= config.max_abs_phi):
+            times = sample_times(config)[head.t.size:]
+            tail = frozen_tail(t_f, y_f, params, np.append(times, config.t_end))
+            if tail[-1, 1] >= 2.0 * config.min_v:
+                return Trajectory(params=params, initial=initial, config=config,
+                                  t=np.concatenate((head.t, times)),
+                                  states=np.concatenate((head.states, tail[:-1])),
+                                  events=head.events, stats=head.stats)
     return integrator.integrate(initial, params, config)
 
 

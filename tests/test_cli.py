@@ -22,7 +22,7 @@ from rwcosmo import IntegratorConfig, ModelParams
 from rwcosmo.cli import (EXIT_CONFIG, EXIT_INADMISSIBLE, EXIT_INCONCLUSIVE,
                          EXIT_INTEGRATOR, EXIT_OK, EXIT_VERIFY_FAILED, main,
                          parse_run_config, parse_sweep_plan)
-from rwcosmo.serialize import read_trajectory, trajectory_csv_text
+from rwcosmo.serialize import CorruptTrajectory, read_trajectory, trajectory_csv_text
 from rwcosmo.sweep import SWEEP_PARAMS
 
 from conftest import write_reference_config
@@ -103,6 +103,18 @@ class TestSimulate:
         for written in (trajectory_csv_text(read_trajectory(ref_run)),
                         trajectory_csv_text(ref_trajectory)):
             assert sha256(written) == sha256(text), first_difference(written, text)
+
+    def test_oversized_sample_grid_exits_1(self, tmp_path, capsys):
+        """t_end = 10 at sample_dt = 1e-9 would allocate 80 GB of sample
+        times: one error line naming MAX_SAMPLES, exit 1, no files."""
+        out = tmp_path / "out"
+        cfg = write_reference_config(tmp_path / "big.ini", str(out),
+                                     **{"sample_dt = 0.01": "sample_dt = 1e-9"})
+        capsys.readouterr()
+        assert main(["simulate", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "MAX_SAMPLES = 1000000" in err[0], err
+        assert not out.exists()
 
     def test_negative_a0_exits_1_without_files(self, tmp_path):
         out = tmp_path / "out"
@@ -365,8 +377,11 @@ class TestVerify:
 
     @pytest.mark.parametrize("column,value", [
         ("v", "0"), ("rho", "-1e-3"), ("u", "nan"), ("t", "inf"), ("chi", "x"),
+        ("Q", "x"), ("a", ""),
     ])
     def test_invalid_state_value_exits_1(self, tmp_path, column, value):
+        """A state cell that is not a state value, or any cell (derived
+        columns included) that does not parse as a number."""
         cfg = write_reference_config(tmp_path / "c.ini", str(tmp_path / "out"),
                                      **{"t_end = 10": "t_end = 0.1"})
         assert main(["simulate", str(cfg)]) == EXIT_OK
@@ -384,6 +399,54 @@ class TestVerify:
         assert main(["simulate", str(cfg)]) == EXIT_OK
         (tmp_path / "out" / "trajectory.csv").write_text("t,u\n0,nonsense\n")
         assert main(["verify", str(tmp_path / "out")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda rows: rows[2].pop(), "changed from 12 to 11 at row 3"),
+        (lambda rows: rows[2].append("0"), "changed from 12 to 13 at row 3"),
+        (lambda rows: [r.append("0") for r in rows], "rows hold 13 values"),
+        (lambda rows: [r.pop() for r in rows], "rows hold 11 values"),
+    ], ids=["row_of_11", "row_of_13", "all_rows_13", "all_rows_11"])
+    def test_row_not_12_fields_exits_1(self, tmp_path, capsys, edit, message):
+        """Every data row holds the 12 header fields, though only t and the
+        states are kept: one error line, exit 1, no report."""
+        out = tmp_path / "out"
+        cfg = write_reference_config(tmp_path / "c.ini", str(out),
+                                     **{"t_end = 10": "t_end = 0.1"})
+        assert main(["simulate", str(cfg)]) == EXIT_OK
+        path = out / "trajectory.csv"
+        header, *rows = path.read_text().splitlines()
+        rows = [row.split(",") for row in rows]
+        edit(rows)
+        path.write_text("\n".join([header] + [",".join(r) for r in rows]) + "\n")
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("rwcosmo: error: trajectory.csv: "), err
+        assert message in err[0]
+        assert not (out / "report.json").exists()
+
+    def test_blank_lines(self, tmp_path):
+        """Empty lines in trajectory.csv are skipped; a line of only blanks
+        is a malformed row, and the header must be the first line."""
+        out = tmp_path / "out"
+        cfg = write_reference_config(tmp_path / "c.ini", str(out),
+                                     **{"t_end = 10": "t_end = 0.1"})
+        assert main(["simulate", str(cfg)]) == EXIT_OK
+        path = out / "trajectory.csv"
+        text = path.read_text()
+        header = text.splitlines()[0]
+        traj = read_trajectory(out)
+        path.write_text(text.replace("\n", "\n\n"))
+        again = read_trajectory(out)
+        assert again.t.tobytes() == traj.t.tobytes()
+        assert again.states.tobytes() == traj.states.tobytes()
+        for bad, message in ((f"{text} \t\n", "changed from 12 to 1 at row 12"),
+                             (f"\n{text}", "unexpected header ''"),
+                             (f"{header}\n\n\n", "holds no samples"),
+                             ("", "empty file")):
+            path.write_text(bad)
+            with pytest.raises(CorruptTrajectory, match=message):
+                read_trajectory(out)
 
     @staticmethod
     def verify_edited_meta(tmp_path, capsys, edit, key):
@@ -540,6 +603,16 @@ overwrite = true
         assert main(["sweep", str(plan)]) == EXIT_OK
         lines = (tmp_path / "sw" / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 2  # header + one data row
+
+    def test_oversized_sample_grid_exits_1(self, tmp_path, capsys):
+        plan = tmp_path / "plan.ini"
+        plan.write_text(self.PLAN.format(values="1", out=tmp_path / "sw")
+                        .replace("t_end = 2", "t_end = 10\nsample_dt = 1e-9"))
+        capsys.readouterr()
+        assert main(["sweep", str(plan)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "MAX_SAMPLES = 1000000" in err[0], err
+        assert not (tmp_path / "sw").exists()
 
     def test_unknown_axis_exits_1(self, tmp_path):
         plan = tmp_path / "plan.ini"

@@ -1,24 +1,27 @@
 """Adaptive stepper, events, guards, and solution-level oracles."""
 
 import math
+import tracemalloc
 from array import array
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
 from rwcosmo import (CosmoState, InadmissibleInitialData, IntegratorConfig,
                      ModelParams, StepSizeUnderflow, build_state, integrate,
                      make_initial_data, step)
 from rwcosmo import integrator
 from rwcosmo.diagnostics import cumulative_simpson
-from rwcosmo.integrator import (FIELD_FROZEN, CHI_ZERO_CROSSING, GUARD_TRIPPED,
+from rwcosmo.initial import nu_rate
+from rwcosmo.integrator import (FIELD_FROZEN, CHI_ZERO_CROSSING, GUARD_TRIPPED, MAX_SAMPLES,
                                 _integrate, frozen_tail, sample_times, _frozen_trial_step,
                                 _dense_samples, _interpolate, _step_quartics,
                                 _trial_step, _A21, _A31, _A32, _A41, _A42, _A43,
                                 _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64, _A65,
                                 _B1, _B3, _B4, _B5, _B6, _E1, _E3, _E4, _E5, _E6, _E7)
-from rwcosmo.model import _rhs_terms
+from rwcosmo.model import EIGHT_PI, _rhs_terms
 
 from conftest import REF_CONFIG, REF_PARAMS, REF_NU, reference_initial
 
@@ -195,6 +198,22 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             IntegratorConfig(**{name: value})
 
+    def test_sample_count_bounded(self):
+        """A grid of more than MAX_SAMPLES samples is refused before anything
+        is allocated: t_end = 10 at sample_dt = 1e-9 would be 80 GB."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="more than MAX_SAMPLES = 1000000 samples"):
+                IntegratorConfig(t_end=10.0, sample_dt=1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        assert sample_times(IntegratorConfig(t_end=MAX_SAMPLES - 1.0, sample_dt=1.0)).size \
+            == MAX_SAMPLES
+        with pytest.raises(ValueError, match="MAX_SAMPLES"):
+            IntegratorConfig(t_end=float(MAX_SAMPLES), sample_dt=1.0)
+
     def test_float_fields_stored_as_floats(self):
         assert len(FLOAT_FIELDS) == 10
         config = IntegratorConfig(**{name: np.float64(2.0) for name in ("max_abs_u", "t_end")})
@@ -368,7 +387,52 @@ class TestFrozenPath:
         assert calls == {"_frozen_trial_step": 1938, "_trial_step": 19}
 
 
+def frozen_tail_loop(t_f, y_f, params, times):
+    """The closed form of frozen_tail one sample at a time, on floats with
+    math-module calls: the oracle of its bits."""
+    _, v_f, phi_f, _, rho_f = y_f
+    u_inf = nu_rate(params, phi_f)
+    rows = []
+    if rho_f == 0.0:
+        for t in times:
+            rows.append((u_inf, v_f * math.exp(-2.0 * u_inf * (t - t_f)), phi_f, 0.0, 0.0))
+    else:
+        s_f = math.asinh(u_inf * math.sqrt(3.0 / EIGHT_PI) / math.sqrt(rho_f))
+        em_f = math.expm1(-2.0 * s_f)
+        for t in times:
+            d = 2.0 * u_inf * (t - t_f)
+            em = math.expm1(-2.0 * (s_f + d))
+            r = math.exp(-d) * (em_f / em)
+            rows.append((-u_inf * (2.0 + em) / em, v_f * r, phi_f, 0.0, rho_f * r * r))
+    return np.array(rows, dtype=float).reshape(len(rows), 5)
+
+
 class TestFrozenTail:
+    @given(lam=st.floats(-10.0, 10.0), mass=st.floats(0.0, 5.0), phi_f=st.floats(-5.0, 5.0),
+           v_f=st.floats(1e-300, 1e3), rho_f=st.one_of(st.just(0.0), st.floats(1e-12, 1e6)),
+           t_f=st.floats(0.0, 100.0), n=st.integers(0, 300), width=st.floats(0.0, 40.0),
+           late=st.lists(st.floats(0.0, 1e6), max_size=3))
+    @example(lam=1.0, mass=1.0, phi_f=1.0, v_f=0.5, rho_f=0.05, t_f=0.08, n=0, width=1.0,
+             late=[])
+    @example(lam=1.0, mass=1.0, phi_f=1.0, v_f=0.5, rho_f=0.0, t_f=0.08, n=50, width=10.0,
+             late=[1e6])
+    @example(lam=1.0, mass=1.0, phi_f=1.0, v_f=0.5, rho_f=0.05, t_f=0.0, n=1001, width=20.0,
+             late=[200.0, 1e6])
+    def test_bits_match_per_sample_loop(self, lam, mass, phi_f, v_f, rho_f, t_f, n, width,
+                                        late):
+        """Whole-array evaluation gives each sample the bits of the
+        one-sample float formula: n times spread over width/u_inf after t_f
+        (v falls by up to exp(-2*width)), then late ones up to 1e6 past it;
+        rho_f = 0 and no times at all included."""
+        params = ModelParams(lam=lam, mass=mass)
+        u_inf = nu_rate(params, phi_f)
+        assume(u_inf is not None)
+        times = (t_f + np.linspace(0.0, width / u_inf, n)).tolist() + [t_f + d for d in late]
+        y_f = [1.0, v_f, phi_f, 0.0, rho_f]
+        got = frozen_tail(t_f, y_f, params, np.array(times))
+        assert got.shape == (len(times), 5)
+        assert got.tobytes() == frozen_tail_loop(t_f, y_f, params, times).tobytes()
+
     @pytest.mark.parametrize("t_end,sample_dt", [(10.0, 0.01), (0.105, 0.01), (0.3, 0.1),
                                                  (0.005, 0.01)])
     def test_sample_times_are_integrate_grid(self, ref_initial, t_end, sample_dt):

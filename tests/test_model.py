@@ -222,12 +222,17 @@ class TestScaleFactor:
         assert s.a == pytest.approx(a, rel=1e-15)
 
     def test_matches_property(self):
-        """A trajectory's a column equals CosmoState.a bit for bit."""
-        vs = [0.37, 1.0 / 3.0, 2.5e-7]
+        """A trajectory's a column equals CosmoState.a bit for bit.  A
+        hand-built state with v = 0 or v < 0 has no scale factor (nan), and
+        v = inf reads inf**-0.5 = 0."""
+        vs = [0.37, 1.0 / 3.0, 2.5e-7, 0.0, -0.0, -4.0, -math.inf, math.inf]
         traj = Trajectory(params=ModelParams(lam=0.0, mass=0.0),
                           initial=InitialData(a0=1.0, u0=0.0, phi0=0.0, chi0=0.0, rho0=0.0),
-                          config=IntegratorConfig(), t=[0.0, 1.0, 2.0],
+                          config=IntegratorConfig(), t=[float(i) for i in range(len(vs))],
                           states=[[0.0, v, 0.0, 0.0, 0.0] for v in vs], events=(),
                           stats=IntegrationStats(0, 0, 0))
-        assert traj.as_arrays()["a"].tolist() == [
-            CosmoState(t=0.0, u=0.0, v=v, phi=0.0, chi=0.0, rho=0.0).a for v in vs]
+        a = traj.as_arrays()["a"].tolist()
+        assert a[:3] == [CosmoState(t=0.0, u=0.0, v=v, phi=0.0, chi=0.0, rho=0.0).a
+                         for v in vs[:3]]
+        assert all(map(math.isnan, a[3:7]))
+        assert a[7] == 0.0 and math.copysign(1.0, a[7]) == 1.0
