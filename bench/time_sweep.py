@@ -5,13 +5,13 @@ plan (default seed, workers = 1) and its sweep.csv table.
 
 Each repeat times, once each and in alternating order (reversed on odd
 repeats), summed over the twelve rows that have a real branch:
-``head``, _integrate up to FieldFrozen; ``frozen_tail``, the closed form at
-the row's later samples and at t_end (times as a list); ``as_arrays``, the
-columns of a freshly built trajectory; ``verify``, on trajectories whose
-columns are already built; ``table``, sweep_table_csv of the rows; and the
-whole op, run_sweep then sweep_table_csv.  Prints one JSON object: the wall
-times in s and their medians over REPEATS (default 15), the head's step
-counters, the number of tail samples, and the sha256 of sweep.csv.
+``integrate``, the row run (sweep.integrate: steps up to FieldFrozen, then
+the exact frozen tail); ``as_arrays``, the columns of a freshly built
+trajectory; ``verify``, on trajectories whose columns are already built;
+``table``, sweep_table_csv of the rows; and the whole op, run_sweep then
+sweep_table_csv.  Prints one JSON object: the wall times in s and their
+medians over REPEATS (default 15), the rows' step counters and sample count,
+and the sha256 of sweep.csv.
 """
 
 import hashlib
@@ -22,7 +22,7 @@ import time
 
 from rwcosmo import IntegratorConfig, ModelParams, make_initial_data, verify
 from rwcosmo.initial import NoRealBranch
-from rwcosmo.integrator import Trajectory, _integrate, frozen_tail, sample_times
+from rwcosmo.integrator import Trajectory
 from rwcosmo.sweep import SweepPlan, integrate, run_sweep, sweep_table_csv
 
 PLAN = SweepPlan(axes=(("lambda", (-60.0, -1.0, 1.0, 3.0)), ("mass", (0.5, 2.0)),
@@ -47,20 +47,14 @@ def main(repeats: int) -> dict:
                                      rho0=p["rho0"], branch=PLAN.branch)
         except NoRealBranch:
             continue
-        head, (t_f, y_f) = _integrate(data, params, config, stop_at_freeze=True)
-        runs.append(dict(data=data, params=params, head=head, t_f=t_f, y_f=y_f,
-                         times=sample_times(config)[head.t.size:].tolist() + [config.t_end],
-                         traj=integrate(data, params, config)))
+        runs.append(dict(data=data, params=params, traj=integrate(data, params, config)))
     rows = run_sweep(PLAN)
     built = [fresh(r["traj"]) for r in runs]
     for traj in built:
         traj.as_arrays()
 
     layers = {
-        "head": lambda: [_integrate(r["data"], r["params"], config, stop_at_freeze=True)
-                         for r in runs],
-        "frozen_tail": lambda: [frozen_tail(r["t_f"], r["y_f"], r["params"], r["times"])
-                                for r in runs],
+        "integrate": lambda: [integrate(r["data"], r["params"], config) for r in runs],
         "as_arrays": lambda: [fresh(r["traj"]).as_arrays() for r in runs],
         "verify": lambda: [verify(traj) for traj in built],
         "table": lambda: sweep_table_csv(rows),
@@ -75,9 +69,10 @@ def main(repeats: int) -> dict:
     return {"repeats": repeats, "wall_s": wall,
             "median_s": {name: statistics.median(ts) for name, ts in wall.items()},
             "rows_integrated": len(runs),
-            "head_steps_accepted": sum(r["head"].stats.steps_accepted for r in runs),
-            "head_rhs_evaluations": sum(r["head"].stats.rhs_evaluations for r in runs),
-            "tail_samples": sum(len(r["times"]) - 1 for r in runs),
+            "steps_accepted": sum(r["traj"].stats.steps_accepted for r in runs),
+            "steps_rejected": sum(r["traj"].stats.steps_rejected for r in runs),
+            "rhs_evaluations": sum(r["traj"].stats.rhs_evaluations for r in runs),
+            "samples": sum(r["traj"].t.size for r in runs),
             "sweep_csv_sha256": hashlib.sha256(sweep_table_csv(rows).encode()).hexdigest()}
 
 

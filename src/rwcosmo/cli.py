@@ -31,12 +31,12 @@ from typing import Any, Callable, Optional, Sequence
 
 from . import __version__
 from .diagnostics import (STATUS_FAILED, STATUS_INCONCLUSIVE, TOL,
-                          VerificationReport, libm, verify)
+                          VerificationReport, verify)
 from .initial import (InitialData, NegativeDensity, NoRealBranch,
                       initial_data_from_u0, make_initial_data)
 from .integrator import (GUARD_TRIPPED, InadmissibleInitialData,
                          IntegratorConfig, StepSizeUnderflow, Trajectory,
-                         integrate)
+                         integrate, libm)
 from .model import ModelParams
 from .serialize import (CorruptTrajectory, read_trajectory, table_text,
                         write_report, write_trajectory)

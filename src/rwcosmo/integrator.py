@@ -29,21 +29,10 @@ only after the loop, so each recorded step also keeps the step and event
 counts it would stop the run with: the run is cut back to them, as if it had
 stopped at that step.
 
-Once the field is frozen (paper mode, chi clamped at 0), the system is three
-ODEs in u, v and rho, and the steps take a fast path: _frozen_trial_step
-advances only those three, with the frozen right-hand side written inline.
-Its results are bit-identical to the full step's.  With chi a signed zero
-and dchi = 0, every phi and chi stage term is +-0.0, so: a stage value of
-phi differs from phi at most in the sign of a zero, which phi*phi cannot
-see, and psi - m**2 phi**2 / 2 is the same at every stage; the stage values
-of chi and y1's chi are 0.0, and y1's phi is phi + 0.0; q_phi and q_chi are
-+-0, and adding their squares to the nonnegative q_u**2 + q_v**2 changes
-nothing.  On phi and chi the quartic's r1 = y1 - y0 is +0, so for
-theta >= 0 the interpolant's increment is +0 and its value y1's: phi + 0.0
-and 0.0.  A frozen run thus writes the same bytes and counts the same
-right-hand-side evaluations as with the full step.  The frozen system also
-has a closed form, frozen_tail; a sweep row stops integrating at FieldFrozen
-(_integrate with stop_at_freeze) and samples that instead.
+Once the field is frozen (paper mode, chi clamped at 0), a step is
+_trial_step with ``frozen`` set, and the frozen system's closed form,
+frozen_tail, is taken by _integrate with ``exact_tail`` (a sweep row's run)
+in place of the steps after FieldFrozen.
 
 Error weights: u, phi and chi use the mixed scale abs_tol + rel_tol*|y|.  The
 strictly positive, exponentially decaying components v and rho use the purely
@@ -84,8 +73,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .initial import InitialData, constraint_scale, build_state, nu_rate, validate_theorem1
-from .model import (EIGHT_PI, FOUR_PI, CosmoState, ModelParams, _finite_fields, _rhs_terms,
-                    derived, derived_terms)
+from .model import (EIGHT_PI, CosmoState, ModelParams, _finite_fields, _rhs_terms, derived,
+                    derived_terms)
 
 #: Column order shared by Trajectory.as_arrays() and the trajectory CSV.
 TRAJECTORY_COLUMNS = ("t", "u", "v", "a", "phi", "chi", "psi", "rho",
@@ -242,8 +231,8 @@ def _trial_step(y: Sequence[float], k1: Sequence[float], h: float,
 
     Returns (y_new, weighted RMS error norm, the seven stages); the last
     stage is f(y_new).  The norm is infinite when y_new is not finite.
-    Steps on a frozen field take _frozen_trial_step, which reproduces this
-    function with ``frozen`` set.
+    With ``frozen`` (a paper-mode field clamped at chi = 0) every stage has
+    dchi = 0.  The one trial step of step() and _integrate.
     """
     lam, mass_sq = params.lam, params.mass_sq
     u, v, phi, chi, rho = y
@@ -297,81 +286,6 @@ def _trial_step(y: Sequence[float], k1: Sequence[float], h: float,
     qr = h * (_E1 * kr1 + _E3 * kr3 + _E4 * kr4 + _E5 * kr5 + _E6 * kr6 + _E7 * kr7) / (
         rel_tol * max(abs(rho), abs(rho1)) + _TINY)
     return y1, math.sqrt((qu * qu + qv * qv + qp * qp + qc * qc + qr * qr) / 5), k
-
-
-def _frozen_trial_step(y: Sequence[float], k1: Sequence[float], h: float,
-                       params: ModelParams,
-                       config: IntegratorConfig) -> tuple[list[float], float, tuple]:
-    """``_trial_step(y, k1, h, params, config, True)`` over u, v and rho only.
-
-    For a finite state with chi == 0 and k1 = f(y) on the frozen system.
-    The result is bit-identical (see the module docstring): y1 is
-    [u1, v1, phi + 0.0, 0.0, rho1] and stages 2-7 carry 0.0 for phi and chi.
-    """
-    u, v, phi, chi, rho = y
-    ku1, kv1, _, _, kr1 = k1
-    half_lam = 0.5 * params.lam
-    # psi - m^2 phi^2 / 2 of _rhs_terms: the same at every stage.
-    negc = 0.5 * chi * chi - 0.5 * params.mass_sq * phi * phi
-    u2 = u + h * (_A21 * ku1)
-    v2 = v + h * (_A21 * kv1)
-    r2 = rho + h * (_A21 * kr1)
-    ku2 = -1.5 * u2 * u2 + half_lam - FOUR_PI * (negc + r2 / 3.0)
-    kv2 = -2.0 * u2 * v2
-    kr2 = -4.0 * u2 * r2
-    u3 = u + h * (_A31 * ku1 + _A32 * ku2)
-    v3 = v + h * (_A31 * kv1 + _A32 * kv2)
-    r3 = rho + h * (_A31 * kr1 + _A32 * kr2)
-    ku3 = -1.5 * u3 * u3 + half_lam - FOUR_PI * (negc + r3 / 3.0)
-    kv3 = -2.0 * u3 * v3
-    kr3 = -4.0 * u3 * r3
-    u4 = u + h * (_A41 * ku1 + _A42 * ku2 + _A43 * ku3)
-    v4 = v + h * (_A41 * kv1 + _A42 * kv2 + _A43 * kv3)
-    r4 = rho + h * (_A41 * kr1 + _A42 * kr2 + _A43 * kr3)
-    ku4 = -1.5 * u4 * u4 + half_lam - FOUR_PI * (negc + r4 / 3.0)
-    kv4 = -2.0 * u4 * v4
-    kr4 = -4.0 * u4 * r4
-    u5 = u + h * (_A51 * ku1 + _A52 * ku2 + _A53 * ku3 + _A54 * ku4)
-    v5 = v + h * (_A51 * kv1 + _A52 * kv2 + _A53 * kv3 + _A54 * kv4)
-    r5 = rho + h * (_A51 * kr1 + _A52 * kr2 + _A53 * kr3 + _A54 * kr4)
-    ku5 = -1.5 * u5 * u5 + half_lam - FOUR_PI * (negc + r5 / 3.0)
-    kv5 = -2.0 * u5 * v5
-    kr5 = -4.0 * u5 * r5
-    u6 = u + h * (_A61 * ku1 + _A62 * ku2 + _A63 * ku3 + _A64 * ku4 + _A65 * ku5)
-    v6 = v + h * (_A61 * kv1 + _A62 * kv2 + _A63 * kv3 + _A64 * kv4 + _A65 * kv5)
-    r6 = rho + h * (_A61 * kr1 + _A62 * kr2 + _A63 * kr3 + _A64 * kr4 + _A65 * kr5)
-    ku6 = -1.5 * u6 * u6 + half_lam - FOUR_PI * (negc + r6 / 3.0)
-    kv6 = -2.0 * u6 * v6
-    kr6 = -4.0 * u6 * r6
-    u1 = u + h * (_B1 * ku1 + _B3 * ku3 + _B4 * ku4 + _B5 * ku5 + _B6 * ku6)
-    v1 = v + h * (_B1 * kv1 + _B3 * kv3 + _B4 * kv4 + _B5 * kv5 + _B6 * kv6)
-    rho1 = rho + h * (_B1 * kr1 + _B3 * kr3 + _B4 * kr4 + _B5 * kr5 + _B6 * kr6)
-    ku7 = -1.5 * u1 * u1 + half_lam - FOUR_PI * (negc + rho1 / 3.0)
-    kv7 = -2.0 * u1 * v1
-    kr7 = -4.0 * u1 * rho1
-    y1 = [u1, v1, phi + 0.0, 0.0, rho1]
-    k = (k1, (ku2, kv2, 0.0, 0.0, kr2), (ku3, kv3, 0.0, 0.0, kr3), (ku4, kv4, 0.0, 0.0, kr4),
-         (ku5, kv5, 0.0, 0.0, kr5), (ku6, kv6, 0.0, 0.0, kr6), (ku7, kv7, 0.0, 0.0, kr7))
-    if not (math.isfinite(u1) and math.isfinite(v1) and math.isfinite(rho1)):
-        return y1, math.inf, k
-    rel_tol = config.rel_tol
-    qu = h * (_E1 * ku1 + _E3 * ku3 + _E4 * ku4 + _E5 * ku5 + _E6 * ku6 + _E7 * ku7) / (
-        rel_tol * max(abs(u), abs(u1)) + config.abs_tol)
-    qv = h * (_E1 * kv1 + _E3 * kv3 + _E4 * kv4 + _E5 * kv5 + _E6 * kv6 + _E7 * kv7) / (
-        rel_tol * max(abs(v), abs(v1)) + _TINY)
-    qr = h * (_E1 * kr1 + _E3 * kr3 + _E4 * kr4 + _E5 * kr5 + _E6 * kr6 + _E7 * kr7) / (
-        rel_tol * max(abs(rho), abs(rho1)) + _TINY)
-    return y1, math.sqrt((qu * qu + qv * qv + qr * qr) / 5), k
-
-
-def _phase_trial_step(y: Sequence[float], k1: Sequence[float], h: float,
-                      params: ModelParams, config: IntegratorConfig,
-                      frozen: bool) -> tuple[list[float], float, tuple]:
-    # The one dispatch of step() and integrate(): the frozen field takes
-    # the u, v, rho-only step.
-    if frozen:
-        return _frozen_trial_step(y, k1, h, params, config)
-    return _trial_step(y, k1, h, params, config, False)
 
 
 def _step_factor(norm: float) -> float:
@@ -430,7 +344,7 @@ def step(state: CosmoState, params: ModelParams, h: float,
     y = (state.u, state.v, state.phi, state.chi, state.rho)
     frozen = _is_frozen_state(y, params, config.mode)
     k1 = _rhs_terms(*y, params.lam, params.mass_sq, frozen)
-    y1, norm, _ = _phase_trial_step(y, k1, h, params, config, frozen)
+    y1, norm, _ = _trial_step(y, k1, h, params, config, frozen)
     new_state = CosmoState(state.t + h, *y1)
     return new_state, norm, h * _step_factor(norm)
 
@@ -491,7 +405,7 @@ def integrate(initial: InitialData, params: ModelParams,
     exception.  A genuine step-size collapse raises
     :class:`StepSizeUnderflow`.
     """
-    return _integrate(initial, params, config, stop_at_freeze=False)[0]
+    return _integrate(initial, params, config, exact_tail=False)
 
 
 #: Floats recorded per sample-holding step: t0, h, t_hi (the end of its
@@ -529,13 +443,15 @@ def _dense_samples(segments: array, snapshots: np.ndarray, dt: float,
 
 
 def _integrate(initial: InitialData, params: ModelParams, config: IntegratorConfig,
-               stop_at_freeze: bool) -> tuple[Trajectory, Optional[tuple[float, list[float]]]]:
-    """integrate(), returning (trajectory, freeze).
+               exact_tail: bool) -> Trajectory:
+    """integrate(), or with ``exact_tail`` a sweep row's run.
 
-    With ``stop_at_freeze`` the run ends at a ``FieldFrozen`` event: the
-    trajectory holds the samples up to it and ``freeze`` is (t_f, y_f), the
-    clamped state there.  Otherwise, or when no field freezes, ``freeze`` is
-    None and the trajectory is integrate()'s.
+    With ``exact_tail``, a paper-mode run on theorem-1 admissible data stops
+    stepping at its ``FieldFrozen`` event and takes the later samples from
+    frozen_tail, unless the frozen limit is undefined or a guard could trip
+    in the tail: u_f above max_abs_u/2, phi_f above max_abs_phi/2 or v(t_end)
+    below 2*min_v; in those cases it steps on from the freeze, as integrate()
+    does.  The stats and events are those of the steps taken.
     """
     report = validate_theorem1(params, initial)
     if not report.theorem1_applicable and not config.override_admissibility:
@@ -562,15 +478,30 @@ def _integrate(initial: InitialData, params: ModelParams, config: IntegratorConf
     frozen = _is_frozen_state(y, params, config.mode)
     k1 = _rhs_terms(*y, params.lam, params.mass_sq, frozen)
     nevals = 1
-    freeze = None
+    k_next = 1
+    exact_tail = exact_tail and config.mode == "paper" and report.theorem1_applicable
+
+    def take_tail(t_f: float, y_f: list[float]) -> Optional[np.ndarray]:
+        """frozen_tail at the samples from k_next on, if it is safe there.
+
+        A crossing state interpolated past a bad sample may have rho_f < 0,
+        which has no closed form; the run then steps on to its cut-back."""
+        if not (exact_tail and y_f[4] >= 0.0 and nu_rate(params, y_f[2]) is not None
+                and 2.0 * abs(y_f[0]) <= config.max_abs_u
+                and 2.0 * abs(y_f[2]) <= config.max_abs_phi):
+            return None
+        # The last row probes v at t_end.
+        rows = frozen_tail(t_f, y_f, params, np.append(grid[k_next:], config.t_end))
+        return rows[:-1] if rows[-1, 1] >= 2.0 * config.min_v else None
+
+    tail = None
     if y[3] == 0.0 and params.mass_sq * y[2] > 0.0:
         # The field equation would pull chi negative right away.
         events.append(Event(0.0, FIELD_FROZEN if frozen else CHI_ZERO_CROSSING,
                             "initial field velocity is zero"))
-        if frozen and stop_at_freeze:
-            freeze = (0.0, y)
+        if frozen:
+            tail = take_tail(0.0, y)
 
-    k_next = 1
     # The sample-holding steps, for _dense_samples: _SEGMENT floats and
     # _SNAPSHOT counts each.
     segments = array("d")
@@ -597,11 +528,11 @@ def _integrate(initial: InitialData, params: ModelParams, config: IntegratorConf
     h = config.h_init
     underflow = None
     try:
-        while t < config.t_end and freeze is None:
+        while tail is None and t < config.t_end:
             remaining = config.t_end - t
             h_trial = min(h, remaining)
             end_limited = h_trial < h
-            y1, norm, k = _phase_trial_step(y, k1, h_trial, params, config, frozen)
+            y1, norm, k = _trial_step(y, k1, h_trial, params, config, frozen)
             nevals += 6
             if norm > 1.0:
                 rejected += 1
@@ -628,8 +559,8 @@ def _integrate(initial: InitialData, params: ModelParams, config: IntegratorConf
                                         f"field velocity reached zero; phi frozen at {y_star[2]:.12g}"))
                     frozen = True
                     t, y = t_star, y_star
-                    if stop_at_freeze:
-                        freeze = (t, y)
+                    tail = take_tail(t, y)
+                    if tail is not None:
                         break
                     k1 = _rhs_terms(*y, params.lam, params.mass_sq, frozen)
                     nevals += 1
@@ -664,9 +595,11 @@ def _integrate(initial: InitialData, params: ModelParams, config: IntegratorConf
                                 f"sample at t = {grid[j + 1]:.6g} violated state invariants "
                                 f"(finite, v > 0, rho >= 0): {samples[j].tolist()}"))
             samples = samples[:j]
-            freeze = underflow = None
+            tail = underflow = None
     if underflow is not None:
         raise underflow
+    if tail is not None:
+        samples = np.concatenate((samples, tail))
 
     return Trajectory(
         params=params,
@@ -677,7 +610,7 @@ def _integrate(initial: InitialData, params: ModelParams, config: IntegratorConf
         events=tuple(events),
         stats=IntegrationStats(steps_accepted=accepted, steps_rejected=rejected,
                                rhs_evaluations=nevals),
-    ), freeze
+    )
 
 
 def libm(f: Callable[[float], float], x: np.ndarray) -> np.ndarray:

@@ -9,15 +9,16 @@ break byte-level determinism); the CLI writes them to a sidecar file.
 Exact frozen tail.  A row's run is this module's ``integrate``: a
 paper-mode row whose data are theorem-1 admissible is integrated only up to
 its ``FieldFrozen`` event, the samples after it come from the closed form of
-the frozen system (integrator.frozen_tail), and the joined trajectory is
-verified as a fully integrated one would be.  The t column and the events
+the frozen system (integrator.frozen_tail), and the trajectory is verified
+as a fully integrated one would be.  The t column and the events
 are integrate()'s; u, v and rho differ from it by the integration error of
 the tail (up to 4e-12, 1.2e-10 and 8e-9 relative on the 16-row sweep_grid
 plan at the default tolerance).  A row integrates fully, exactly as
 ``simulate`` does, when it runs in ``kg`` mode, is not admissible (under
 override), never freezes before t_end (``mass = 0``, or chi stays
 positive), or when a guard could trip in the tail: v(t_end) below
-2*min_v, u_f above max_abs_u/2 or phi_f above max_abs_phi/2.  The tail is
+2*min_v, u_f above max_abs_u/2 or phi_f above max_abs_phi/2.  Such a row
+steps on from the freeze; it is not run again from t = 0.  The tail is
 on shell, so its samples add only roundoff to ``max_constraint``, which
 thus measures the drift of the integrated part.
 """
@@ -31,14 +32,10 @@ from dataclasses import dataclass, field, fields
 from itertools import product
 from typing import Optional
 
-import numpy as np
-
-from . import integrator
 from .diagnostics import verify
-from .initial import InitialData, NoRealBranch, make_initial_data, nu_rate, validate_theorem1
+from .initial import InitialData, NoRealBranch, make_initial_data, validate_theorem1
 from .integrator import (IntegratorConfig, InadmissibleInitialData,
-                         StepSizeUnderflow, Trajectory, _integrate, frozen_tail,
-                         sample_times)
+                         StepSizeUnderflow, Trajectory, _integrate)
 from .model import ModelParams
 from .serialize import fmt
 
@@ -97,6 +94,10 @@ class SweepPlan:
         unknown = [n for n in axis_names + fixed_names if n not in SWEEP_PARAMS]
         if unknown:
             raise ValueError(f"unknown sweep parameter(s): {', '.join(unknown)}")
+        for kind, names in (("swept", axis_names), ("fixed", fixed_names)):
+            repeated = sorted({n for n in names if names.count(n) > 1})
+            if repeated:
+                raise ValueError(f"parameter(s) {kind} more than once: {', '.join(repeated)}")
         dupes = set(axis_names) & set(fixed_names)
         if dupes:
             raise ValueError(f"parameter(s) both swept and fixed: {', '.join(sorted(dupes))}")
@@ -157,25 +158,9 @@ class SweepRow:
 def integrate(initial: InitialData, params: ModelParams,
               config: IntegratorConfig) -> Trajectory:
     """integrator.integrate for a sweep row: the same run, except that an
-    admissible paper-mode run stops at FieldFrozen and takes the later
-    samples from the exact frozen tail (module docstring)."""
-    if config.mode == "paper" and validate_theorem1(params, initial).theorem1_applicable:
-        head, freeze = _integrate(initial, params, config, stop_at_freeze=True)
-        if freeze is None:
-            return head
-        t_f, y_f = freeze
-        # The tail, unless the frozen limit is undefined or a guard could trip
-        # in it; its last row probes v at t_end.
-        if (nu_rate(params, y_f[2]) is not None and 2.0 * abs(y_f[0]) <= config.max_abs_u
-                and 2.0 * abs(y_f[2]) <= config.max_abs_phi):
-            times = sample_times(config)[head.t.size:]
-            tail = frozen_tail(t_f, y_f, params, np.append(times, config.t_end))
-            if tail[-1, 1] >= 2.0 * config.min_v:
-                return Trajectory(params=params, initial=initial, config=config,
-                                  t=np.concatenate((head.t, times)),
-                                  states=np.concatenate((head.states, tail[:-1])),
-                                  events=head.events, stats=head.stats)
-    return integrator.integrate(initial, params, config)
+    admissible paper-mode run stops stepping at FieldFrozen and takes the
+    later samples from the exact frozen tail (module docstring)."""
+    return _integrate(initial, params, config, exact_tail=True)
 
 
 def _evaluate_point(args: tuple) -> SweepRow:

@@ -1,0 +1,51 @@
+"""The timing scripts under bench/ run, and measure the runs they claim to."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from test_sweep import GRID_SHA256
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_bench(script, *args, cwd):
+    """The JSON object printed by ``python bench/SCRIPT ARGS`` with src/ on
+    the path."""
+    env = {k: v for k, v in os.environ.items() if k != "RWCOSMO_OUTPUT_ROOT"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(ROOT / "bench" / script), *map(str, args)],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_time_dense(tmp_path):
+    """The dense_output run, which steps through its frozen phase: 10,001
+    samples from 785 steps, and the bytes of its trajectory.csv."""
+    got = run_bench("time_dense.py", 1, cwd=tmp_path)
+    assert (got["steps_accepted"], got["steps_rejected"], got["rhs_evaluations"],
+            got["samples"]) == (785, 0, 4712, 10001)
+    assert got["trajectory_sha256"] == \
+        "c498bcae8062133571ef8f7e2c5680c8f418bc355441c4591d880299eede16e9"
+
+
+def test_time_sweep(tmp_path):
+    """The sweep_grid layers: the twelve rows with a real branch step 242
+    times before their exact tails."""
+    got = run_bench("time_sweep.py", 1, cwd=tmp_path)
+    assert got["sweep_csv_sha256"] == GRID_SHA256
+    assert (got["rows_integrated"], got["steps_accepted"], got["samples"]) == (12, 242, 12012)
+
+
+def test_time_pool(tmp_path):
+    """Serial against auto workers on a two-row plan, which both run
+    serially: the two sides write the same table."""
+    plan = tmp_path / "plan.ini"
+    plan.write_text("[axes]\nlambda = 1, 2\n[fixed]\nmass = 1\nphi0 = 1\nchi0 = 0.1\n"
+                    "rho0 = 0.05\n[integrator]\nt_end = 2\n")
+    got = run_bench("time_pool.py", plan, 1, cwd=tmp_path)
+    assert (got["rows"], got["repeats"]) == (2, 1)
+    assert {name: len(ts) for name, ts in got["wall_s"].items()} == {"serial": 1, "pooled": 1}

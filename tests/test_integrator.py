@@ -16,9 +16,8 @@ from rwcosmo import integrator
 from rwcosmo.diagnostics import cumulative_simpson
 from rwcosmo.initial import nu_rate
 from rwcosmo.integrator import (FIELD_FROZEN, CHI_ZERO_CROSSING, GUARD_TRIPPED, MAX_SAMPLES,
-                                _integrate, frozen_tail, sample_times, _frozen_trial_step,
-                                _dense_samples, _interpolate, _step_quartics,
-                                _trial_step, _A21, _A31, _A32, _A41, _A42, _A43,
+                                IntegrationStats, _integrate, frozen_tail, sample_times,
+                                _dense_samples, _trial_step, _A21, _A31, _A32, _A41, _A42, _A43,
                                 _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64, _A65,
                                 _B1, _B3, _B4, _B5, _B6, _E1, _E3, _E4, _E5, _E6, _E7)
 from rwcosmo.model import EIGHT_PI, _rhs_terms
@@ -120,22 +119,6 @@ def random_trial_inputs(frozen):
         config = IntegratorConfig(rel_tol=tol, abs_tol=tol)
         h = 10.0 ** rng.uniform(-4.0, math.log10(0.25))
         yield y, params, config, h
-
-
-def random_frozen_inputs():
-    """2,000 random frozen (y, params, config, h) trial-step inputs: chi a
-    signed zero, and phi, mass and rho each sometimes exactly (signed) zero."""
-    rng = np.random.default_rng(20131)
-    for _ in range(2000):
-        u, v, phi, rho = rng.uniform([-2.0, 0.1, -2.0, 0.0], [3.0, 2.0, 2.0, 1.0])
-        phi = float(rng.choice([phi, 0.0, -0.0], p=[0.8, 0.1, 0.1]))
-        rho = float(rho if rng.random() < 0.8 else 0.0)
-        mass = float(rng.uniform(0.0, 2.0) if rng.random() < 0.8 else 0.0)
-        params = ModelParams(lam=rng.uniform(-1.0, 3.0), mass=mass)
-        tol = 10.0 ** rng.uniform(-12.0, -4.0)
-        config = IntegratorConfig(rel_tol=tol, abs_tol=tol)
-        h = 10.0 ** rng.uniform(-4.0, math.log10(0.25))
-        yield [u, v, phi, float(rng.choice([0.0, -0.0])), rho], params, config, h
 
 
 def term_magnitudes(y, h, params, frozen):
@@ -300,48 +283,23 @@ class TestTrialStep:
             assert float_bits(*_trial_step(y, k1, h, params, config, frozen)) == \
                 float_bits(*zip_trial_step(y, k1, h, params, config, frozen))
 
-    def test_frozen_step_bit_identical(self):
-        """The u, v, rho-only step reproduces the full frozen step bit for
-        bit: y1, the error norm and all seven stages; and the shared quartic
-        over it gives the full step's interpolated values for theta in
-        [0, 1], with phi y1's and chi 0.0.  At signed-zero chi and phi and at
-        mass = 0 and rho = 0."""
-        rng = np.random.default_rng(20132)
-        for y, params, config, h in random_frozen_inputs():
-            k1 = _rhs_terms(*y, params.lam, params.mass_sq, True)
-            full = _trial_step(y, k1, h, params, config, True)
-            fast = _frozen_trial_step(y, k1, h, params, config)
-            assert float_bits(*fast) == float_bits(*full), (y, params, config, h)
-            dense = _step_quartics(h, y, full[0], full[2])
-            frozen = _step_quartics(h, y, fast[0], fast[2])
-            for theta in (rng.uniform(0.0, 1.0), 0.0, 1.0):
-                got = [_interpolate(q, theta).hex() for q in frozen]
-                assert got == [_interpolate(q, theta).hex() for q in dense]
-                assert got[2:4] == [fast[0][2].hex(), (0.0).hex()]
-
-    def test_frozen_overflow_has_infinite_norm(self):
-        y = [1e200, 1.0, 1.0, 0.0, 0.05]  # u * u overflows
-        k1 = _rhs_terms(*y, REF_PARAMS.lam, REF_PARAMS.mass_sq, True)
-        result = _frozen_trial_step(y, k1, 0.01, REF_PARAMS, IntegratorConfig())
-        assert result[1] == math.inf
-        assert float_bits(*result) == float_bits(
-            *_trial_step(y, k1, 0.01, REF_PARAMS, IntegratorConfig(), True))
-
     @pytest.mark.parametrize("y", [
         [1e200, 1.0, 1.0, 0.1, 0.05],  # u * u overflows
         [0.5, 1.0, math.nan, 0.1, 0.05],
         [0.5, 1.0, 1.0, math.inf, 0.05],
+        [1e200, 1.0, 1.0, 0.0, 0.05],  # u * u overflows on a frozen field
     ])
     def test_non_finite_step_has_infinite_norm(self, y):
         """Float overflow yields inf/nan without raising, and a non-finite y1
-        reads as an infinitely bad step."""
-        k1 = _rhs_terms(*y, REF_PARAMS.lam, REF_PARAMS.mass_sq)
-        result = _trial_step(y, k1, 0.01, REF_PARAMS, IntegratorConfig(), False)
+        reads as an infinitely bad step; at chi = 0.0 the frozen step."""
+        frozen = y[3] == 0.0
+        k1 = _rhs_terms(*y, REF_PARAMS.lam, REF_PARAMS.mass_sq, frozen)
+        result = _trial_step(y, k1, 0.01, REF_PARAMS, IntegratorConfig(), frozen)
         y1, norm, _ = result
         assert not all(map(math.isfinite, y1))
         assert norm == math.inf
         assert float_bits(*result) == float_bits(
-            *zip_trial_step(y, k1, 0.01, REF_PARAMS, IntegratorConfig(), False))
+            *zip_trial_step(y, k1, 0.01, REF_PARAMS, IntegratorConfig(), frozen))
 
 
 class TestFsalCount:
@@ -366,25 +324,6 @@ class TestFsalCount:
             traj = integrate(data, params, replace(REF_CONFIG, t_end=1.0))
             assert [(e.kind, e.t) for e in traj.events] == [(FIELD_FROZEN, 0.0)]
         assert traj.stats.rhs_evaluations == fsal_evaluations(traj)
-
-
-class TestFrozenPath:
-    def test_frozen_steps_take_the_fast_path(self, monkeypatch, ref_initial):
-        """Every trial step after the reference run's FieldFrozen event, and
-        step() from a frozen state, goes through _frozen_trial_step; the 19
-        steps before it through _trial_step.  A silent fallback to the full
-        step keeps every byte and would show only here."""
-        calls = {"_frozen_trial_step": 0, "_trial_step": 0}
-        for name in calls:
-            def counted(*args, _name=name, _step=getattr(integrator, name)):
-                calls[_name] += 1
-                return _step(*args)
-            monkeypatch.setattr(integrator, name, counted)
-        integrate(ref_initial, REF_PARAMS, REF_CONFIG)
-        assert calls == {"_frozen_trial_step": 1937, "_trial_step": 19}
-        s = CosmoState(t=0.0, u=2.0, v=1.0, phi=1.0, chi=0.0, rho=0.05)
-        step(s, REF_PARAMS, 0.01, REF_CONFIG)
-        assert calls == {"_frozen_trial_step": 1938, "_trial_step": 19}
 
 
 def frozen_tail_loop(t_f, y_f, params, times):
@@ -442,17 +381,33 @@ class TestFrozenTail:
         traj = integrate(ref_initial, REF_PARAMS, cfg)
         assert traj.t.tolist() == sample_times(cfg).tolist()
 
-    def test_stop_at_freeze(self, ref_trajectory, ref_initial):
-        """The reference run stops at FieldFrozen after 19 of its 1,956
-        steps; its samples are the full run's up to there."""
-        head, (t_f, y_f) = _integrate(ref_initial, REF_PARAMS, REF_CONFIG, stop_at_freeze=True)
-        assert head.events == ref_trajectory.events[:1]
-        assert t_f == head.events[0].t and y_f[3] == 0.0
-        assert head.stats.steps_accepted == 19
-        n = head.t.size
-        assert 0 < n < ref_trajectory.t.size and head.t[-1] <= t_f < ref_trajectory.t[n]
-        assert head.states.tobytes() == ref_trajectory.states[:n].tobytes()
-        assert _integrate(ref_initial, REF_PARAMS, REF_CONFIG, stop_at_freeze=False)[1] is None
+    def test_stop_at_freeze(self, monkeypatch, ref_trajectory, ref_initial):
+        """With the exact tail the reference run stops stepping at FieldFrozen
+        after 19 of its 1,956 steps: its samples up to there are integrate()'s
+        bit for bit, and the later ones are frozen_tail's from the clamped
+        state, evaluated once with the t_end probe."""
+        calls = []
+
+        def recorded(t_f, y_f, params, times):
+            calls.append((t_f, y_f, times))
+            return frozen_tail(t_f, y_f, params, times)
+
+        monkeypatch.setattr(integrator, "frozen_tail", recorded)
+        joined = _integrate(ref_initial, REF_PARAMS, REF_CONFIG, exact_tail=True)
+        assert joined.events == ref_trajectory.events
+        assert joined.stats == IntegrationStats(19, 0, 6 * 19 + 1)
+        assert joined.t.tobytes() == ref_trajectory.t.tobytes()
+        [(t_f, y_f, times)] = calls
+        assert t_f == joined.events[0].t and y_f[3] == 0.0
+        n = int(np.sum(joined.t <= t_f))
+        assert 0 < n < joined.t.size
+        assert times.tolist() == joined.t[n:].tolist() + [REF_CONFIG.t_end]
+        assert joined.states[:n].tobytes() == ref_trajectory.states[:n].tobytes()
+        assert joined.states[n:].tobytes() == \
+            frozen_tail(t_f, y_f, REF_PARAMS, joined.t[n:]).tobytes()
+        plain = _integrate(ref_initial, REF_PARAMS, REF_CONFIG, exact_tail=False)
+        assert (plain.states.tobytes(), plain.stats) == \
+            (ref_trajectory.states.tobytes(), ref_trajectory.stats)
 
     @pytest.mark.parametrize("rho0", [0.05, 2.0, 0.0])
     def test_matches_tight_integration(self, rho0):
@@ -710,7 +665,8 @@ class TestSampleGuard:
     def test_trip_in_crossing_step(self, monkeypatch, ref_initial):
         """A bad sample before chi's zero crossing in the crossing step (the
         crossing pinned at theta = 0.9) is logged at the crossing, and the
-        field does not freeze; _integrate reports no freeze either."""
+        field does not freeze; with the exact tail, the tail taken at the
+        freeze is dropped and the run is the same."""
         monkeypatch.setattr(integrator, "_D7", integrator._D7 * 1e4)
         monkeypatch.setattr(integrator, "_locate_crossing", lambda *args: 0.9)
         cfg = replace(REF_CONFIG, sample_dt=0.0779)
@@ -718,8 +674,21 @@ class TestSampleGuard:
             -0.8430702240562344, -21.726716372176043, 0.9759909771868477, -7.174358955342312,
             -1.5495711031471464]))], (19, 0, 115))
         assert self.pins(integrate(ref_initial, REF_PARAMS, cfg)) == want
-        head, freeze = _integrate(ref_initial, REF_PARAMS, cfg, stop_at_freeze=True)
-        assert self.pins(head) == want and freeze is None
+        assert self.pins(_integrate(ref_initial, REF_PARAMS, cfg, exact_tail=True)) == want
+
+    def test_negative_rho_at_freeze_steps_on(self, monkeypatch, ref_initial):
+        """The same crossing with no sample before it: the clamped state has
+        rho < 0, which has no closed form, so the exact-tail run steps on
+        from the freeze to integrate()'s guard trip instead of raising."""
+        monkeypatch.setattr(integrator, "_D7", integrator._D7 * 1e4)
+        monkeypatch.setattr(integrator, "_locate_crossing", lambda *args: 0.9)
+        cfg = replace(REF_CONFIG, sample_dt=0.2)
+        want = (1, 0.0, [(FIELD_FROZEN, 0.07984782624443296,
+                          "field velocity reached zero; phi frozen at 0.999932725784"),
+                         (GUARD_TRIPPED, 0.08477962471297153, "v = -2.16605 fell below 1e-300")],
+                (20, 0, 122))
+        assert self.pins(integrate(ref_initial, REF_PARAMS, cfg)) == want
+        assert self.pins(_integrate(ref_initial, REF_PARAMS, cfg, exact_tail=True)) == want
 
     @pytest.mark.parametrize("max_abs_u", [1e100, 1e3])
     def test_trip_before_later_failure(self, monkeypatch, max_abs_u):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, assume, given, settings, strategies as st
 
-from rwcosmo import (IntegratorConfig, ModelParams, SweepPlan, integrate,
+from rwcosmo import (IntegratorConfig, ModelParams, SweepPlan, integrate, integrator,
                      make_initial_data, nu_rate, run_sweep, sweep, sweep_table_csv,
                      verify)
 from rwcosmo.integrator import _TINY, FIELD_FROZEN
@@ -74,9 +74,18 @@ class TestPlanValidation:
             SweepPlan(axes=(("lambda", (1.0,)),), fixed=(("mass", 1.0),))
 
     def test_duplicate_parameter_rejected(self):
+        """A name both swept and fixed, swept twice (the second axis would
+        overwrite the first in every row) or fixed twice."""
         with pytest.raises(ValueError, match="both swept and fixed"):
             SweepPlan(axes=(("lambda", (1.0,)),),
                       fixed=(("lambda", 1.0), ("mass", 1.0), ("phi0", 1.0),
+                             ("chi0", 0.0), ("rho0", 0.0)))
+        with pytest.raises(ValueError, match="swept more than once: lambda"):
+            SweepPlan(axes=(("lambda", (1.0, 2.0)), ("lambda", (3.0,))),
+                      fixed=(("mass", 1.0), ("phi0", 1.0), ("chi0", 0.0), ("rho0", 0.0)))
+        with pytest.raises(ValueError, match="fixed more than once: mass"):
+            SweepPlan(axes=(("lambda", (1.0,)),),
+                      fixed=(("mass", 1.0), ("mass", 2.0), ("phi0", 1.0),
                              ("chi0", 0.0), ("rho0", 0.0)))
 
     def test_empty_axis_rejected(self):
@@ -326,6 +335,26 @@ class TestExactTail:
         assert rows[0].status == (STATUS_GUARD_TRIPPED if case in self.TRIPPED else STATUS_OK)
         integrate_only(monkeypatch)
         assert sweep_table_csv(rows) == sweep_table_csv(run_sweep(plan))
+
+    @pytest.mark.parametrize("case", ["min_v_near", "u_guard"])
+    def test_fallback_row_steps_once(self, monkeypatch, case):
+        """A row whose tail is not safe steps on from the freeze: each of its
+        trial steps is taken once, not once more in a rerun from t = 0."""
+        calls = []
+        trial_step = integrator._trial_step
+
+        def counted(*args):
+            calls.append(args)
+            return trial_step(*args)
+
+        monkeypatch.setattr(integrator, "_trial_step", counted)
+        edits, config = self.FALLBACKS[case]
+        point = {**self.REF_POINT, **edits}
+        params = ModelParams(lam=point["lambda"], mass=point["mass"])
+        data = make_initial_data(params, 1.0, point["phi0"], point["chi0"], point["rho0"],
+                                 "expanding")
+        stats = sweep.integrate(data, params, config).stats
+        assert len(calls) == stats.steps_accepted + stats.steps_rejected > 0
 
 
 class TestDeterminism:
