@@ -49,10 +49,6 @@ from .diagnostics import (
     DecayFit,
     VerificationReport,
     fit_decay_rate,
-    verify_bounds,
-    verify_quadrature,
-    verify_asymptotics,
-    q_identity_check,
     verify,
 )
 from .sweep import SweepPlan, SweepRow, run_sweep, sweep_table_csv

@@ -82,6 +82,12 @@ TRAJECTORY_COLUMNS = ("t", "u", "v", "a", "phi", "chi", "psi", "rho",
 #: Column order of Trajectory.states.
 STATE_COLUMNS = ("u", "v", "phi", "chi", "rho")
 
+
+def valid_states(states: np.ndarray) -> np.ndarray:
+    """Which rows of the (n, 5) ``states`` hold a state: finite, v > 0, rho >= 0."""
+    return np.isfinite(states).all(axis=1) & (states[:, 1] > 0.0) & (states[:, 4] >= 0.0)
+
+
 FIELD_FROZEN = "FieldFrozen"
 CHI_ZERO_CROSSING = "ChiZeroCrossing"
 GUARD_TRIPPED = "GuardTripped"
@@ -584,7 +590,7 @@ def _integrate(initial: InitialData, params: ModelParams, config: IntegratorConf
     if snapshots:
         snaps = np.frombuffer(snapshots, dtype=np.int64).reshape(-1, _SNAPSHOT)
         samples = _dense_samples(segments, snaps, dt, min(config.abs_tol, 1e-10))
-        ok = np.isfinite(samples).all(axis=1) & (samples[:, 1] > 0.0) & (samples[:, 4] >= 0.0)
+        ok = valid_states(samples)
         if not ok.all():
             # The run stops at the step holding the first bad sample.
             j = int(np.argmin(ok))

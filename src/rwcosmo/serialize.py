@@ -34,7 +34,8 @@ import numpy as np
 from .diagnostics import TOL, VerificationReport
 from .initial import InitialData, validate_theorem1
 from .integrator import (STATE_COLUMNS, TRAJECTORY_COLUMNS, Event,
-                         IntegrationStats, IntegratorConfig, Trajectory)
+                         IntegrationStats, IntegratorConfig, Trajectory,
+                         sample_times, valid_states)
 from .model import ModelParams
 
 TRAJECTORY_CSV = "trajectory.csv"
@@ -133,12 +134,14 @@ def write_trajectory(directory: Union[str, Path], traj: Trajectory, version: str
     return written
 
 
-def _parse_states(text: str) -> tuple[np.ndarray, np.ndarray]:
+def _parse_states(text: str, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(t, states) columns of trajectory.csv text.
 
     The header is the first line.  Every cell must parse as a number,
     derived columns included, though only t and the states are kept; empty
-    lines are skipped, and a line of only blanks is a malformed row.
+    lines are skipped, and a line of only blanks is a malformed row.  The t
+    column must be a prefix of the run's sample ``grid``, exactly: the
+    17-digit writer round-trips it.
     """
     lines = text.splitlines()
     if not lines:
@@ -156,11 +159,15 @@ def _parse_states(text: str) -> tuple[np.ndarray, np.ndarray]:
         raise CorruptTrajectory(f"{TRAJECTORY_CSV}: rows hold {table.shape[1]} values")
     t = table[:, TRAJECTORY_COLUMNS.index("t")]
     states = table[:, [TRAJECTORY_COLUMNS.index(c) for c in STATE_COLUMNS]]
-    bad = ~(np.isfinite(t) & np.isfinite(states).all(axis=1)
-            & (states[:, 1] > 0.0) & (states[:, 4] >= 0.0))
+    bad = ~valid_states(states)
     if bad.any():
         raise CorruptTrajectory(f"{TRAJECTORY_CSV}: data row {int(np.argmax(bad)) + 1} is "
                                 "not a state (finite, v > 0, rho >= 0)")
+    off = np.flatnonzero(t[:grid.size] != grid[:t.size])
+    if off.size or t.size > grid.size:
+        k = int(off[0]) if off.size else grid.size
+        raise CorruptTrajectory(f"{TRAJECTORY_CSV}: data row {k + 1} (t = {float(t[k])!r}) "
+                                f"is off the sample grid of {META_JSON}'s integrator block")
     return t, states
 
 
@@ -198,7 +205,7 @@ def read_trajectory(directory: Union[str, Path]) -> Trajectory:
         n_samples = _count("n_samples", meta["n_samples"])
         guard_tripped = meta["guard_tripped"]
 
-    t, states = _parse_states(csv_text)
+    t, states = _parse_states(csv_text, sample_times(config))
 
     with _parsing(EVENTS_JSON):
         entries = [_expect(e, dict, f"entry {i}")

@@ -49,3 +49,15 @@ def test_time_pool(tmp_path):
     got = run_bench("time_pool.py", plan, 1, cwd=tmp_path)
     assert (got["rows"], got["repeats"]) == (2, 1)
     assert {name: len(ts) for name, ts in got["wall_s"].items()} == {"serial": 1, "pooled": 1}
+
+
+def test_sloc(tmp_path):
+    """The code-line counter leaves out blank lines, comments and docstrings,
+    and on src/rwcosmo lists every module, its counts summing to the total."""
+    (tmp_path / "m.py").write_text('"""Module docstring."""\n# comment\n\n'
+                                   'def f(x):\n    """Doc\n    string."""\n'
+                                   '    s = """not a\ndocstring"""\n    return x  # trailing\n')
+    assert run_bench("sloc.py", tmp_path, cwd=tmp_path) == {"files": {"m.py": 4}, "total": 4}
+    got = run_bench("sloc.py", cwd=tmp_path)
+    assert set(got["files"]) == {p.name for p in (ROOT / "src" / "rwcosmo").glob("*.py")}
+    assert sum(got["files"].values()) == got["total"]

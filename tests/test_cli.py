@@ -425,6 +425,34 @@ class TestVerify:
         assert message in err[0]
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("edit,row", [
+        (lambda t: t[:5] + [t[5] + 1e-3] + t[6:], 6),
+        (lambda t: [2.0 * x for x in t], 2),
+        (lambda t: t + [0.11], 12),
+    ], ids=["one_moved", "all_doubled", "past_t_end"])
+    def test_t_off_the_sample_grid_exits_1(self, tmp_path, capsys, edit, row):
+        """The t column must be the run's sample grid, exactly: one error
+        line naming the first data row off it, exit 1, no report."""
+        out = tmp_path / "out"
+        cfg = write_reference_config(tmp_path / "c.ini", str(out),
+                                     **{"t_end = 10": "t_end = 0.1"})
+        assert main(["simulate", str(cfg)]) == EXIT_OK
+        path = out / "trajectory.csv"
+        header, *rows = path.read_text().splitlines()
+        times = edit([float(r.split(",", 1)[0]) for r in rows])
+        rows += rows[-1:] * (len(times) - len(rows))
+        rows = [f"{x!r},{r.split(',', 1)[1]}" for x, r in zip(times, rows)]
+        path.write_text("\n".join([header] + rows) + "\n")
+        meta = json.loads((out / "meta.json").read_text())
+        meta["n_samples"] = len(rows)
+        (out / "meta.json").write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            f"rwcosmo: error: trajectory.csv: data row {row} (t = "), err
+        assert not (out / "report.json").exists()
+
     def test_blank_lines(self, tmp_path):
         """Empty lines in trajectory.csv are skipped; a line of only blanks
         is a malformed row, and the header must be the first line."""

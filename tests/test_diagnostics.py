@@ -10,9 +10,7 @@ import numpy as np
 import pytest
 
 from rwcosmo import (Check, CosmoState, InitialData, IntegratorConfig,
-                     ModelParams, derived, fit_decay_rate,
-                     q_identity_check, verify, verify_asymptotics,
-                     verify_bounds, verify_quadrature)
+                     ModelParams, derived, diagnostics, fit_decay_rate, verify)
 from rwcosmo.diagnostics import (STATUS_FAILED, STATUS_INCONCLUSIVE,
                                  STATUS_PASSED, TOL, cumulative_simpson, libm)
 from rwcosmo.integrator import IntegrationStats, Trajectory
@@ -167,29 +165,35 @@ class TestCumulativeSimpson:
             assert err < 5.0 * (t[1] - t[0]) ** 4
 
 
+#: The pointwise bound and monotonicity checks, first in every report.
+BOUND_CHECKS = ("u_nonincreasing", "u_lower_bound", "u_upper_bound", "v_positive",
+                "v_upper_bound", "t00_nonincreasing", "q_nonnegative",
+                "phi_nondecreasing_while_chi_nonneg")
+
+
 class TestVerifyBounds:
     def test_reference_run_all_pass(self, ref_trajectory):
-        checks = verify_bounds(ref_trajectory)
-        assert checks and all(c.passed for c in checks)
+        checks = verify(ref_trajectory).checks[:len(BOUND_CHECKS)]
+        assert tuple(c.name for c in checks) == BOUND_CHECKS
+        assert all(c.passed for c in checks)
 
     def test_increasing_u_fails_with_positive_margin(self):
         traj = make_fake_trajectory([1.0, 1.1, 1.2])
-        check = next(c for c in verify_bounds(traj) if c.name == "u_nonincreasing")
+        check = verify(traj).check("u_nonincreasing")
         assert not check.passed
         assert check.margin > 0.0
 
     def test_single_sample_monotonicity_vacuous(self):
-        traj = make_fake_trajectory([1.0])
-        checks = {c.name: c for c in verify_bounds(traj)}
-        assert checks["u_nonincreasing"].passed
-        assert checks["t00_nonincreasing"].passed
-        assert checks["u_upper_bound"].passed  # evaluated at the point
+        report = verify(make_fake_trajectory([1.0]))
+        assert report.check("u_nonincreasing").passed
+        assert report.check("t00_nonincreasing").passed
+        assert report.check("u_upper_bound").passed  # evaluated at the point
 
     def test_empty_trajectory_rejected(self):
         traj = make_fake_trajectory([1.0])
         empty = replace(traj, t=np.empty(0), states=np.empty((0, 5)))
         with pytest.raises(ValueError, match="no samples"):
-            verify_bounds(empty)
+            verify(empty)
 
     def test_margins_finite(self, ref_trajectory, kg_trajectory):
         for traj in (ref_trajectory, kg_trajectory):
@@ -215,8 +219,7 @@ class TestCheckRule:
         traj = make_fake_trajectory([1.0, 0.9, 0.8])
         states = np.array(traj.states)
         states[-1, 1] = 0.0
-        check = next(c for c in verify_bounds(replace(traj, states=states))
-                     if c.name == "v_positive")
+        check = verify(replace(traj, states=states)).check("v_positive")
         assert not check.passed
         assert check.margin == 0.0
 
@@ -226,18 +229,20 @@ class TestCheckRule:
     ])
     def test_quadrature_vacuous_without_uniform_grid(self, t, detail):
         traj = make_fake_trajectory(np.linspace(1.0, 0.9, len(t)))
-        assert verify_quadrature(replace(traj, t=np.array(t))) == [
+        report = verify(replace(traj, t=np.array(t)))
+        assert [report.check("rho_quadrature_oracle"),
+                report.check("v_quadrature_identity")] == [
             Check("rho_quadrature_oracle", True, -TOL.rho_oracle_rel, detail),
             Check("v_quadrature_identity", True, -TOL.v_oracle_rel, detail)]
 
 
 class TestQIdentity:
     def test_reference_run_at_roundoff(self, ref_trajectory):
-        assert q_identity_check(ref_trajectory) <= 1e-13
+        assert verify(ref_trajectory).check("q_identity").passed
 
     def test_holds_on_inadmissible_trajectories(self):
         traj = make_fake_trajectory([1.0, 2.0, 5.0], params=ModelParams(-2.0, 3.0))
-        assert q_identity_check(traj) <= 1e-13
+        assert verify(traj).check("q_identity").passed
 
     def test_fuzzed_states(self):
         """10^4 random states keep the identity at roundoff."""
@@ -255,18 +260,22 @@ class TestQIdentity:
 
 class TestVerifyAsymptotics:
     def test_reference_run_all_pass(self, ref_trajectory):
-        checks, fits, notes = verify_asymptotics(ref_trajectory)
+        report = verify(ref_trajectory)
+        names = [c.name for c in report.checks]
+        checks = report.checks[names.index("q_envelope"):]
         assert checks and all(c.passed for c in checks)
-        assert notes == []
-        assert set(fits) == {"Q", "rho", "chi2"}
-        fit, window = fits["Q"]
+        assert report.notes == ()
+        assert None not in report.fitted_rates.values()
+        assert None not in report.fit_windows.values()
+        fit, window = report.fitted_rates["Q"], report.fit_windows["Q"]
         assert fit.rate >= 3.0 * REF_NU * 0.95
         assert window.t_lo < window.t_hi and window.n_points >= 8
 
     def test_truncated_run_inconclusive(self, truncated_trajectory):
-        checks, fits, notes = verify_asymptotics(truncated_trajectory)
-        assert checks == [] and fits == {}
-        assert any("gate" in n for n in notes)
+        report = verify(truncated_trajectory)
+        assert report.checks[-1].name == "q_identity"  # no gated check ran
+        assert set(report.fitted_rates.values()) == set(report.fit_windows.values()) == {None}
+        assert any("gate" in n for n in report.notes)
 
     def test_growth_verdict_is_the_lower_bound_check(self, ref_trajectory,
                                                      kg_trajectory):
@@ -307,6 +316,21 @@ class TestVerifyReport:
 
     def test_idempotent(self, ref_trajectory):
         assert verify(ref_trajectory) == verify(ref_trajectory)
+
+    def test_one_pass_over_the_columns(self, ref_trajectory, monkeypatch):
+        """One verify reads the columns once and derives nu once."""
+        calls = []
+
+        def counted(f):
+            def wrapper(*args):
+                calls.append(f.__name__)
+                return f(*args)
+            return wrapper
+
+        monkeypatch.setattr(Trajectory, "as_arrays", counted(Trajectory.as_arrays))
+        monkeypatch.setattr(diagnostics, "nu_rate", counted(diagnostics.nu_rate))
+        verify(ref_trajectory)
+        assert sorted(calls) == ["as_arrays", "nu_rate"]
 
     def test_truncated_inconclusive_status(self, truncated_trajectory):
         report = verify(truncated_trajectory)

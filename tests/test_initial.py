@@ -9,7 +9,7 @@ from rwcosmo import (InitialData, ModelParams, NegativeDensity, NoRealBranch,
                      build_state, derived, initial_data_from_u0,
                      make_initial_data, nu_rate, solve_rho0,
                      solve_u0, validate_theorem1)
-from rwcosmo.initial import constraint_scale
+from rwcosmo.initial import CONSTRUCTION_TOL, constraint_scale
 
 RNG = np.random.default_rng(3)
 
@@ -73,7 +73,7 @@ class TestSolveRho0:
         params = ModelParams(lam=0.5, mass=2.0)
         data = initial_data_from_u0(params, a0=2.0, phi0=0.7, chi0=0.2, u0=3.0)
         c = derived(build_state(data), params).constraint
-        assert abs(c) <= 1e-12 * constraint_scale(params, data)
+        assert abs(c) <= CONSTRUCTION_TOL * constraint_scale(params, data)
 
 
 class TestBuildState:
@@ -122,7 +122,7 @@ class TestConstraintConsistency:
             except NoRealBranch:
                 continue
             c = derived(build_state(data), params).constraint
-            assert abs(c) <= 1e-12 * constraint_scale(params, data)
+            assert abs(c) <= CONSTRUCTION_TOL * constraint_scale(params, data)
 
 
 class TestValidateTheorem1:
