@@ -7,8 +7,9 @@ Each repeat times, once each and in alternating order (reversed on odd
 repeats): integrate, trajectory_csv_text, read_trajectory, verify, and the
 whole op, ``rwcosmo simulate`` then ``rwcosmo verify`` through cli.main.
 Prints one JSON object: the wall times in s and their medians over REPEATS
-(default 15), the step counters and the sha256 of trajectory.csv.  Files go
-to a temporary directory that is removed afterwards.
+(default 15), the step counters, and the size in bytes and the sha256 of
+trajectory.csv.  Files go to a temporary directory that is removed
+afterwards.
 """
 
 import contextlib
@@ -76,14 +77,15 @@ def main(repeats: int) -> dict:
                 start = time.perf_counter()
                 layers[name]()
                 times[name].append(time.perf_counter() - start)
-        sha = hashlib.sha256((tmp / "op" / TRAJECTORY_CSV).read_bytes()).hexdigest()
+        csv_bytes = (tmp / "op" / TRAJECTORY_CSV).read_bytes()
     return {"repeats": repeats, "wall_s": times,
             "median_s": {name: statistics.median(ts) for name, ts in times.items()},
             "steps_accepted": traj.stats.steps_accepted,
             "steps_rejected": traj.stats.steps_rejected,
             "rhs_evaluations": traj.stats.rhs_evaluations,
             "samples": int(traj.t.size),
-            "trajectory_sha256": sha}
+            "trajectory_bytes": len(csv_bytes),
+            "trajectory_sha256": hashlib.sha256(csv_bytes).hexdigest()}
 
 
 if __name__ == "__main__":

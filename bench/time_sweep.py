@@ -34,7 +34,7 @@ PLAN = SweepPlan(axes=(("lambda", (-60.0, -1.0, 1.0, 3.0)), ("mass", (0.5, 2.0))
 def fresh(traj: Trajectory) -> Trajectory:
     """A copy of traj with no columns built yet."""
     return Trajectory(params=traj.params, initial=traj.initial, config=traj.config,
-                      t=traj.t, states=traj.states, events=traj.events, stats=traj.stats)
+                      states=traj.states, events=traj.events, stats=traj.stats)
 
 
 def main(repeats: int) -> dict:

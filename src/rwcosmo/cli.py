@@ -280,7 +280,7 @@ def _write_plot_data(out_dir: Path, traj: Trajectory, report: VerificationReport
     """Two-column gnuplot files for each derived quantity, plus ln Q."""
     cols = traj.as_arrays()
     t, q = cols["t"], cols["Q"]
-    for name in ("H", "T00", "Q", "constraint"):
+    for name in ("a", "H", "T00", "Q", "constraint"):
         (out_dir / f"{name}_vs_t.dat").write_text(
             table_text(f"# t {name}", [t, cols[name]], sep=" "))
 

@@ -177,16 +177,14 @@ def _quadrature_checks(t: np.ndarray, u: np.ndarray, v: np.ndarray,
 
     rho(t) must match rho0*exp(-4 int u) and v(t)*exp(2 int u) must return
     v0, with the integral taken by composite Simpson on the samples.
-    Deviations are measured relative to rho0 and v0.  Without three samples
-    on a uniform grid both pass vacuously, saying why.
+    Deviations are measured relative to rho0 and v0.  With fewer than three
+    samples (of the run's uniform grid) both pass vacuously, saying why.
     """
-    dt = float(t[1] - t[0]) if t.size >= 3 else math.nan
-    if not (t.size >= 3 and np.allclose(np.diff(t), dt, rtol=1e-6, atol=1e-12)):
-        detail = ("too few samples for quadrature" if t.size < 3
-                  else "non-uniform sample grid")
+    if t.size < 3:
+        detail = "too few samples for quadrature"
         return [_check("rho_quadrature_oracle", -TOL.rho_oracle_rel, detail),
                 _check("v_quadrature_identity", -TOL.v_oracle_rel, detail)]
-    integral_u = cumulative_simpson(u, dt)
+    integral_u = cumulative_simpson(u, float(t[1] - t[0]))
     rho0 = float(rho[0])
     if rho0 > 0.0:
         oracle = rho0 * libm(math.exp, -4.0 * integral_u)
@@ -247,7 +245,7 @@ def verify(traj: Trajectory) -> VerificationReport:
     # checks pass vacuously and the bounds are still evaluated at the point.
     checks = [_check("u_nonincreasing", _largest(np.diff(u)) - eps, f"eps = {eps:.3g}")]
     if nu is not None:
-        checks.append(_check("u_lower_bound", nu - np.min(u)))
+        checks.append(_check("u_lower_bound", nu - np.min(u) - eps, f"eps = {eps:.3g}"))
     # phi may not decrease while the field velocity is nonnegative.
     phi_drops = (phi[:-1] - phi[1:])[(chi[:-1] >= 0.0) & (chi[1:] >= 0.0)]
     checks += [

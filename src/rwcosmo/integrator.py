@@ -76,7 +76,7 @@ from .initial import InitialData, constraint_scale, build_state, nu_rate, valida
 from .model import (EIGHT_PI, CosmoState, ModelParams, _finite_fields, _rhs_terms, derived,
                     derived_terms)
 
-#: Column order shared by Trajectory.as_arrays() and the trajectory CSV.
+#: Key order of Trajectory.as_arrays().
 TRAJECTORY_COLUMNS = ("t", "u", "v", "a", "phi", "chi", "psi", "rho",
                       "H", "T00", "Q", "constraint")
 #: Column order of Trajectory.states.
@@ -183,9 +183,9 @@ class IntegrationStats:
 class Trajectory:
     """Sampled solution plus integrator metadata and event log.
 
-    ``t`` holds the sample times and ``states`` the matching (n, 5) rows of
-    (u, v, phi, chi, rho); both are private read-only copies.  Samples sit on
-    the uniform grid k*sample_dt, k = 0, 1, ...; the first sample is the
+    ``states``, the (n, 5) rows of (u, v, phi, chi, rho), is the only sampled
+    data stored, as a private read-only copy; the sample times ``t`` are
+    derived from ``config`` like every other column.  The first sample is the
     initial state.  In paper mode every sample after a ``FieldFrozen`` event
     has chi exactly 0.  Immutable once returned; equality is identity.
     """
@@ -193,17 +193,23 @@ class Trajectory:
     params: ModelParams
     initial: InitialData
     config: IntegratorConfig
-    t: np.ndarray
     states: np.ndarray
     events: tuple[Event, ...]
     stats: IntegrationStats
 
     def __post_init__(self) -> None:
-        t = np.array(self.t, dtype=float)
-        states = np.array(self.states, dtype=float).reshape(t.size, 5)
-        t.flags.writeable = states.flags.writeable = False
-        object.__setattr__(self, "t", t)
+        states = np.array(self.states, dtype=float).reshape(-1, 5)
+        states.flags.writeable = False
         object.__setattr__(self, "states", states)
+        if self.t.size < len(states):
+            raise ValueError(f"{len(states)} state rows, but {self.t.size} grid samples")
+
+    @cached_property
+    def t(self) -> np.ndarray:
+        """The sample times: the first len(states) points of sample_times(config)."""
+        t = sample_times(self.config)[:len(self.states)]
+        t.flags.writeable = False
+        return t
 
     def as_arrays(self) -> dict[str, np.ndarray]:
         """Sample columns as read-only numpy arrays, keyed per TRAJECTORY_COLUMNS."""
@@ -611,7 +617,6 @@ def _integrate(initial: InitialData, params: ModelParams, config: IntegratorConf
         params=params,
         initial=initial,
         config=config,
-        t=grid[:1 + len(samples)],
         states=np.concatenate(([row0], samples)),
         events=tuple(events),
         stats=IntegrationStats(steps_accepted=accepted, steps_rejected=rejected,

@@ -1,5 +1,6 @@
 """Flat-file serialization of trajectories and reports.
 
+trajectory.csv stores ``t,u,v,phi,chi,rho`` and nothing derived from them.
 All floats are written with 17 significant digits, which round-trips IEEE
 doubles exactly; reading a trajectory back reproduces the in-memory values
 bit for bit.  Output is fully deterministic: identical runs produce identical
@@ -33,15 +34,15 @@ import numpy as np
 
 from .diagnostics import TOL, VerificationReport
 from .initial import InitialData, validate_theorem1
-from .integrator import (STATE_COLUMNS, TRAJECTORY_COLUMNS, Event,
-                         IntegrationStats, IntegratorConfig, Trajectory,
-                         sample_times, valid_states)
+from .integrator import (STATE_COLUMNS, Event, IntegrationStats,
+                         IntegratorConfig, Trajectory, sample_times, valid_states)
 from .model import ModelParams
 
 TRAJECTORY_CSV = "trajectory.csv"
 EVENTS_JSON = "events.json"
 META_JSON = "meta.json"
 REPORT_JSON = "report.json"
+_CSV_HEADER = ",".join(("t",) + STATE_COLUMNS)
 
 
 class CorruptTrajectory(ValueError):
@@ -83,9 +84,7 @@ def table_text(header: str, columns: Sequence[np.ndarray], sep: str = ",") -> st
 
 
 def trajectory_csv_text(traj: Trajectory) -> str:
-    cols = traj.as_arrays()
-    return table_text(",".join(TRAJECTORY_COLUMNS),
-                      [cols[name] for name in TRAJECTORY_COLUMNS])
+    return table_text(_CSV_HEADER, [traj.t, *traj.states.T])
 
 
 def events_json_text(traj: Trajectory) -> str:
@@ -134,19 +133,18 @@ def write_trajectory(directory: Union[str, Path], traj: Trajectory, version: str
     return written
 
 
-def _parse_states(text: str, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(t, states) columns of trajectory.csv text.
+def _parse_states(text: str, grid: np.ndarray) -> np.ndarray:
+    """The (n, 5) states of trajectory.csv text.
 
-    The header is the first line.  Every cell must parse as a number,
-    derived columns included, though only t and the states are kept; empty
-    lines are skipped, and a line of only blanks is a malformed row.  The t
-    column must be a prefix of the run's sample ``grid``, exactly: the
-    17-digit writer round-trips it.
+    The header is the first line and must be exactly ``t,u,v,phi,chi,rho``;
+    every row holds those six numbers.  Empty lines are skipped, and a line
+    of only blanks is a malformed row.  The t column must be a prefix of the
+    run's sample ``grid``, exactly: the 17-digit writer round-trips it.
     """
     lines = text.splitlines()
     if not lines:
         raise CorruptTrajectory(f"{TRAJECTORY_CSV}: empty file")
-    if tuple(lines[0].split(",")) != TRAJECTORY_COLUMNS:
+    if lines[0] != _CSV_HEADER:
         raise CorruptTrajectory(f"{TRAJECTORY_CSV}: unexpected header {lines[0]!r}")
     rows = lines[1:]
     if not any(rows):
@@ -155,10 +153,9 @@ def _parse_states(text: str, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
         raise CorruptTrajectory(f"{TRAJECTORY_CSV}: {exc}") from exc
-    if table.shape[1] != len(TRAJECTORY_COLUMNS):
+    if table.shape[1] != 1 + len(STATE_COLUMNS):
         raise CorruptTrajectory(f"{TRAJECTORY_CSV}: rows hold {table.shape[1]} values")
-    t = table[:, TRAJECTORY_COLUMNS.index("t")]
-    states = table[:, [TRAJECTORY_COLUMNS.index(c) for c in STATE_COLUMNS]]
+    t, states = table[:, 0], table[:, 1:]
     bad = ~valid_states(states)
     if bad.any():
         raise CorruptTrajectory(f"{TRAJECTORY_CSV}: data row {int(np.argmax(bad)) + 1} is "
@@ -168,7 +165,7 @@ def _parse_states(text: str, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         k = int(off[0]) if off.size else grid.size
         raise CorruptTrajectory(f"{TRAJECTORY_CSV}: data row {k + 1} (t = {float(t[k])!r}) "
                                 f"is off the sample grid of {META_JSON}'s integrator block")
-    return t, states
+    return states
 
 
 @contextmanager
@@ -205,7 +202,7 @@ def read_trajectory(directory: Union[str, Path]) -> Trajectory:
         n_samples = _count("n_samples", meta["n_samples"])
         guard_tripped = meta["guard_tripped"]
 
-    t, states = _parse_states(csv_text, sample_times(config))
+    states = _parse_states(csv_text, sample_times(config))
 
     with _parsing(EVENTS_JSON):
         entries = [_expect(e, dict, f"entry {i}")
@@ -214,10 +211,10 @@ def read_trajectory(directory: Union[str, Path]) -> Trajectory:
                              detail=str(e.get("detail", ""))) for e in entries)
 
     traj = Trajectory(params=params, initial=initial, config=config,
-                      t=t, states=states, events=events, stats=stats)
-    if n_samples != t.size:
+                      states=states, events=events, stats=stats)
+    if n_samples != len(states):
         raise CorruptTrajectory(f"invalid {META_JSON}: n_samples = {n_samples}, but "
-                                f"{TRAJECTORY_CSV} holds {t.size} samples")
+                                f"{TRAJECTORY_CSV} holds {len(states)} samples")
     if guard_tripped is not traj.guard_tripped:
         raise CorruptTrajectory(f"invalid {META_JSON}: guard_tripped = "
                                 f"{json.dumps(guard_tripped)} disagrees with {EVENTS_JSON}")

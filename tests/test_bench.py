@@ -24,12 +24,15 @@ def run_bench(script, *args, cwd):
 
 def test_time_dense(tmp_path):
     """The dense_output run, which steps through its frozen phase: 10,001
-    samples from 785 steps, and the bytes of its trajectory.csv."""
+    samples from 785 steps, and the size and bytes of its trajectory.csv
+    (t and the five states: 1,023,850 bytes, where twelve columns took
+    2,073,030)."""
     got = run_bench("time_dense.py", 1, cwd=tmp_path)
     assert (got["steps_accepted"], got["steps_rejected"], got["rhs_evaluations"],
             got["samples"]) == (785, 0, 4712, 10001)
+    assert got["trajectory_bytes"] == 1023850
     assert got["trajectory_sha256"] == \
-        "c498bcae8062133571ef8f7e2c5680c8f418bc355441c4591d880299eede16e9"
+        "f1b8437b43033ab0729b9e6c58fc44d32a8422fe897e42194ebfbdf874b3d860"
 
 
 def test_time_sweep(tmp_path):

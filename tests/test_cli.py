@@ -22,16 +22,17 @@ from rwcosmo import IntegratorConfig, ModelParams
 from rwcosmo.cli import (EXIT_CONFIG, EXIT_INADMISSIBLE, EXIT_INCONCLUSIVE,
                          EXIT_INTEGRATOR, EXIT_OK, EXIT_VERIFY_FAILED, main,
                          parse_run_config, parse_sweep_plan)
-from rwcosmo.serialize import CorruptTrajectory, read_trajectory, trajectory_csv_text
+from rwcosmo.integrator import TRAJECTORY_COLUMNS
+from rwcosmo.serialize import CorruptTrajectory, read_trajectory, table_text, trajectory_csv_text
 from rwcosmo.sweep import SWEEP_PARAMS
 
 from conftest import write_reference_config
 
-TRAJECTORY_HEADER = "t,u,v,a,phi,chi,psi,rho,H,T00,Q,constraint"
+TRAJECTORY_HEADER = "t,u,v,phi,chi,rho"
 #: sha256 of the reference run's trajectory.csv.  The float stepper makes it
 #: the same on every BLAS kernel.
 REFERENCE_TRAJECTORY_SHA256 = (
-    "4394b5f70ce3c19ddbb835061dac33696b1dbb59d1101df35a3300736a90b567")
+    "cd97f41a0fbd44f66cbe9228d8f438e695a779ba987f1238d621e8799824d3e9")
 #: sha256 of the JSON files simulate + verify write for the reference run and
 #: its ``kg`` variant.  meta.json records the package version, so a version
 #: bump moves its pins.
@@ -39,12 +40,12 @@ JSON_SHA256 = {
     "paper": {
         "events.json": "f4dd5c41a5b85ed786852641e4eb4abc5c9aa707eb6cf6dfffb57c738717361b",
         "meta.json": "029621c30b966b1c35a45b03653095d0dc7336ee219570060fb2bd651ec54d47",
-        "report.json": "54535d27cc4f21d543d51b88164fbdd33a735924e6aaf857f7701eb6f7f8123e",
+        "report.json": "c60c83d62c40553bfb7abea8d440d024933914b202f3338629d7615775d54369",
     },
     "kg": {
         "events.json": "b83d85c7b514f37465d080108e6ff9a1e9d9ac037a4b4f2d98cee19a8b5fae37",
         "meta.json": "4dff4c54f374b02c47d8eedad2e233efea9d1861cb6fd30993d356a391c4e6f1",
-        "report.json": "825640141d1d040ad0e692356fef1a3903f12d7ceacd65ad843b9924b88ef936",
+        "report.json": "f056b54229e1740190ea4f6a45713cadf9eed54efbc01f269bfbfe001e334d96",
     },
 }
 
@@ -87,7 +88,7 @@ class TestSimulate:
         row1 = dict(zip(lines[0].split(","), lines[1].split(",")))
         cols = traj.as_arrays()
         assert float(row1["u"]) == cols["u"][0]
-        assert float(row1["psi"]) == cols["psi"][0]
+        assert float(row1["rho"]) == cols["rho"][0]
 
     def test_reference_counters_and_csv_round_trip(self, ref_run, ref_trajectory):
         """Pinned step counters and trajectory.csv bytes of the reference run;
@@ -377,11 +378,11 @@ class TestVerify:
 
     @pytest.mark.parametrize("column,value", [
         ("v", "0"), ("rho", "-1e-3"), ("u", "nan"), ("t", "inf"), ("chi", "x"),
-        ("Q", "x"), ("a", ""),
+        ("phi", ""),
     ])
     def test_invalid_state_value_exits_1(self, tmp_path, column, value):
-        """A state cell that is not a state value, or any cell (derived
-        columns included) that does not parse as a number."""
+        """A state cell that is not a state value, or any cell that does not
+        parse as a number, an empty one included."""
         cfg = write_reference_config(tmp_path / "c.ini", str(tmp_path / "out"),
                                      **{"t_end = 10": "t_end = 0.1"})
         assert main(["simulate", str(cfg)]) == EXIT_OK
@@ -401,14 +402,14 @@ class TestVerify:
         assert main(["verify", str(tmp_path / "out")]) == EXIT_CONFIG
 
     @pytest.mark.parametrize("edit,message", [
-        (lambda rows: rows[2].pop(), "changed from 12 to 11 at row 3"),
-        (lambda rows: rows[2].append("0"), "changed from 12 to 13 at row 3"),
-        (lambda rows: [r.append("0") for r in rows], "rows hold 13 values"),
-        (lambda rows: [r.pop() for r in rows], "rows hold 11 values"),
-    ], ids=["row_of_11", "row_of_13", "all_rows_13", "all_rows_11"])
-    def test_row_not_12_fields_exits_1(self, tmp_path, capsys, edit, message):
-        """Every data row holds the 12 header fields, though only t and the
-        states are kept: one error line, exit 1, no report."""
+        (lambda rows: rows[2].pop(), "changed from 6 to 5 at row 3"),
+        (lambda rows: rows[2].append("0"), "changed from 6 to 7 at row 3"),
+        (lambda rows: [r.append("0") for r in rows], "rows hold 7 values"),
+        (lambda rows: [r.pop() for r in rows], "rows hold 5 values"),
+    ], ids=["row_of_5", "row_of_7", "all_rows_7", "all_rows_5"])
+    def test_row_not_6_fields_exits_1(self, tmp_path, capsys, edit, message):
+        """Every data row holds the 6 header fields, t and the five states:
+        one error line, exit 1, no report."""
         out = tmp_path / "out"
         cfg = write_reference_config(tmp_path / "c.ini", str(out),
                                      **{"t_end = 10": "t_end = 0.1"})
@@ -424,6 +425,27 @@ class TestVerify:
         assert len(err) == 1 and err[0].startswith("rwcosmo: error: trajectory.csv: "), err
         assert message in err[0]
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["verify", "report"])
+    def test_old_twelve_column_file_exits_1(self, tmp_path, capsys, command):
+        """A trajectory.csv in the old format, with the derived columns
+        a, psi, H, T00, Q and constraint stored beside the states: one
+        unexpected-header line, exit 1, nothing written.  Such a run must
+        be simulated again."""
+        out = tmp_path / "out"
+        cfg = write_reference_config(tmp_path / "c.ini", str(out),
+                                     **{"t_end = 10": "t_end = 0.1"})
+        assert main(["simulate", str(cfg)]) == EXIT_OK
+        cols = read_trajectory(out).as_arrays()
+        old_header = ",".join(TRAJECTORY_COLUMNS)
+        (out / "trajectory.csv").write_text(
+            table_text(old_header, [cols[name] for name in TRAJECTORY_COLUMNS]))
+        before = sorted(out.iterdir())
+        capsys.readouterr()
+        assert main([command, str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"rwcosmo: error: trajectory.csv: unexpected header {old_header!r}"]
+        assert sorted(out.iterdir()) == before
 
     @pytest.mark.parametrize("edit,row", [
         (lambda t: t[:5] + [t[5] + 1e-3] + t[6:], 6),
@@ -468,7 +490,7 @@ class TestVerify:
         again = read_trajectory(out)
         assert again.t.tobytes() == traj.t.tobytes()
         assert again.states.tobytes() == traj.states.tobytes()
-        for bad, message in ((f"{text} \t\n", "changed from 12 to 1 at row 12"),
+        for bad, message in ((f"{text} \t\n", "changed from 6 to 1 at row 12"),
                              (f"\n{text}", "unexpected header ''"),
                              (f"{header}\n\n\n", "holds no samples"),
                              ("", "empty file")):
@@ -558,8 +580,8 @@ class TestVerify:
 class TestReport:
     def test_emits_summary_and_plot_data(self, ref_run):
         assert main(["report", str(ref_run)]) == EXIT_OK
-        for name in ("summary.txt", "H_vs_t.dat", "T00_vs_t.dat", "Q_vs_t.dat",
-                     "constraint_vs_t.dat", "lnQ_vs_t.dat"):
+        for name in ("summary.txt", "a_vs_t.dat", "H_vs_t.dat", "T00_vs_t.dat",
+                     "Q_vs_t.dat", "constraint_vs_t.dat", "lnQ_vs_t.dat"):
             assert (ref_run / name).exists()
         summary = (ref_run / "summary.txt").read_text()
         assert "status: passed" in summary
@@ -589,7 +611,7 @@ class TestReport:
         assert main(["verify", str(ref_run)]) == EXIT_OK
         assert main(["report", str(ref_run)]) == EXIT_OK
         cols = read_trajectory(ref_run).as_arrays()
-        for name in ("H", "T00", "Q", "constraint"):
+        for name in ("a", "H", "T00", "Q", "constraint"):
             data = np.loadtxt(ref_run / f"{name}_vs_t.dat")
             assert np.array_equal(data[:, 0], cols["t"])
             assert np.array_equal(data[:, 1], cols[name])

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from rwcosmo import (Check, CosmoState, InitialData, IntegratorConfig,
-                     ModelParams, derived, diagnostics, fit_decay_rate, verify)
+                     ModelParams, derived, diagnostics, fit_decay_rate, integrate,
+                     make_initial_data, verify)
 from rwcosmo.diagnostics import (STATUS_FAILED, STATUS_INCONCLUSIVE,
                                  STATUS_PASSED, TOL, cumulative_simpson, libm)
 from rwcosmo.integrator import IntegrationStats, Trajectory
@@ -28,7 +29,6 @@ def make_fake_trajectory(u_values, params=None):
     u = np.asarray(u_values, dtype=float)
     zeros = np.zeros_like(u)
     return Trajectory(params=params, initial=initial, config=IntegratorConfig(),
-                      t=0.01 * np.arange(u.size),
                       states=np.column_stack([u, np.ones_like(u), zeros, zeros, zeros]),
                       events=(), stats=IntegrationStats(0, 0, 0))
 
@@ -183,6 +183,20 @@ class TestVerifyBounds:
         assert not check.passed
         assert check.margin > 0.0
 
+    def test_u_lower_bound_allows_roundoff_below_nu(self):
+        """With chi0 = rho0 = 0 the solved u0 can sit an ulp or two below nu
+        (here 4.4e-16); u_lower_bound allows the eps that u_upper_bound does."""
+        params = ModelParams(lam=-2.965447593238504, mass=0.8238243543034561)
+        data = make_initial_data(params, a0=1.0, phi0=2.2635757842586552, chi0=0.0, rho0=0.0)
+        traj = integrate(data, params, IntegratorConfig(t_end=1.0))
+        report = verify(traj)
+        assert 0.0 < report.nu - data.u0 <= 4.5e-16
+        eps = TOL.monotone_eps_factor * traj.config.rel_tol * data.u0
+        assert report.check("u_lower_bound") == Check(
+            "u_lower_bound", True, report.nu - float(np.min(traj.states[:, 0])) - eps,
+            f"eps = {eps:.3g}")
+        assert report.status == STATUS_INCONCLUSIVE and report.all_passed
+
     def test_single_sample_monotonicity_vacuous(self):
         report = verify(make_fake_trajectory([1.0]))
         assert report.check("u_nonincreasing").passed
@@ -191,7 +205,7 @@ class TestVerifyBounds:
 
     def test_empty_trajectory_rejected(self):
         traj = make_fake_trajectory([1.0])
-        empty = replace(traj, t=np.empty(0), states=np.empty((0, 5)))
+        empty = replace(traj, states=np.empty((0, 5)))
         with pytest.raises(ValueError, match="no samples"):
             verify(empty)
 
@@ -225,11 +239,13 @@ class TestCheckRule:
 
     @pytest.mark.parametrize("t,detail", [
         ([0.0, 0.01], "too few samples for quadrature"),
-        ([0.0, 0.01, 0.03, 0.04], "non-uniform sample grid"),
     ])
     def test_quadrature_vacuous_without_uniform_grid(self, t, detail):
+        """Simpson needs three samples of the grid; a trajectory's samples
+        are always on its config's grid, so too few is the only way out."""
         traj = make_fake_trajectory(np.linspace(1.0, 0.9, len(t)))
-        report = verify(replace(traj, t=np.array(t)))
+        assert traj.t.tolist() == t
+        report = verify(traj)
         assert [report.check("rho_quadrature_oracle"),
                 report.check("v_quadrature_identity")] == [
             Check("rho_quadrature_oracle", True, -TOL.rho_oracle_rel, detail),

@@ -454,6 +454,16 @@ class TestIntegrateReference:
         assert (cols["u"][0], cols["phi"][0], cols["chi"][0], cols["rho"][0]) == (
             ref_initial.u0, ref_initial.phi0, ref_initial.chi0, ref_initial.rho0)
 
+    def test_t_is_the_config_grid(self, ref_trajectory):
+        """t is the first len(states) points of sample_times(config), read-only;
+        more state rows than the grid has samples are refused."""
+        short = replace(ref_trajectory, states=ref_trajectory.states[:3])
+        assert short.t.tolist() == sample_times(REF_CONFIG)[:3].tolist()
+        assert not short.t.flags.writeable
+        longer = np.vstack([ref_trajectory.states, ref_trajectory.states[-1:]])
+        with pytest.raises(ValueError, match="1002 state rows, but 1001 grid samples"):
+            replace(ref_trajectory, states=longer)
+
     def test_constraint_drift_within_budget(self, ref_trajectory):
         cols = ref_trajectory.as_arrays()
         assert np.abs(cols["constraint"]).max() <= 1e-7

@@ -228,7 +228,7 @@ class TestScaleFactor:
         vs = [0.37, 1.0 / 3.0, 2.5e-7, 0.0, -0.0, -4.0, -math.inf, math.inf]
         traj = Trajectory(params=ModelParams(lam=0.0, mass=0.0),
                           initial=InitialData(a0=1.0, u0=0.0, phi0=0.0, chi0=0.0, rho0=0.0),
-                          config=IntegratorConfig(), t=[float(i) for i in range(len(vs))],
+                          config=IntegratorConfig(),
                           states=[[0.0, v, 0.0, 0.0, 0.0] for v in vs], events=(),
                           stats=IntegrationStats(0, 0, 0))
         a = traj.as_arrays()["a"].tolist()
