@@ -5,8 +5,8 @@ plan (default seed, workers = 1) and its sweep.csv table.
 
 Each repeat times, once each and in alternating order (reversed on odd
 repeats), summed over the twelve rows that have a real branch:
-``integrate``, the row run (sweep.integrate: steps up to FieldFrozen, then
-the exact frozen tail); ``as_arrays``, the columns of a freshly built
+``integrate``, the row run (steps up to FieldFrozen, then the exact frozen
+tail); ``as_arrays``, the columns of a freshly built
 trajectory; ``verify``, on trajectories whose columns are already built;
 ``table``, sweep_table_csv of the rows; and the whole op, run_sweep then
 sweep_table_csv.  Prints one JSON object: the wall times in s and their
@@ -20,10 +20,10 @@ import statistics
 import sys
 import time
 
-from rwcosmo import IntegratorConfig, ModelParams, make_initial_data, verify
+from rwcosmo import IntegratorConfig, ModelParams, integrate, make_initial_data, verify
 from rwcosmo.initial import NoRealBranch
 from rwcosmo.integrator import Trajectory
-from rwcosmo.sweep import SweepPlan, integrate, run_sweep, sweep_table_csv
+from rwcosmo.sweep import SweepPlan, run_sweep, sweep_table_csv
 
 PLAN = SweepPlan(axes=(("lambda", (-60.0, -1.0, 1.0, 3.0)), ("mass", (0.5, 2.0)),
                        ("chi0", (0.0, 0.3))),

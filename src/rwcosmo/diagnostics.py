@@ -16,8 +16,8 @@ exactly in floating point, so the monitor Q = 24*pi*rho + 3*constraint
 bottoms out at a noise level; the Q >= 0 and envelope checks allow an
 explicit budget-derived floor for it, and decay-rate fits are windowed to
 the part of each series that sits at least two orders of magnitude above the
-measured constraint drift.  Inside those windows everything is tested at
-full stated tolerance.
+measured constraint drift, and for Q also above Q's own roundoff.  Inside
+those windows everything is tested at full stated tolerance.
 """
 
 from __future__ import annotations
@@ -64,6 +64,9 @@ class Tolerances:
 
 #: The tolerances of every check.
 TOL = Tolerances()
+
+#: Q's roundoff floor in units of eps times its term scale, for the rate fit.
+Q_ROUNDOFF = 100.0
 
 
 @dataclass(frozen=True)
@@ -199,13 +202,13 @@ def _quadrature_checks(t: np.ndarray, u: np.ndarray, v: np.ndarray,
                    f"max relative deviation {vdev:.3g}")]
 
 
-def _decay_window(y: np.ndarray, floor: float) -> Optional[slice]:
+def _decay_window(y: np.ndarray, floor) -> Optional[slice]:
     """Sample range (a slice) for a log-linear fit on a decaying series.
 
     Uses the contiguous prefix where the series stays above 100x its
-    numerical floor; fits the last half of that prefix when it still holds 8
-    points, otherwise the whole prefix.  Returns None when fewer than 8
-    usable points exist.
+    numerical floor (a number, or one per sample); fits the last half of
+    that prefix when it still holds 8 points, otherwise the whole prefix.
+    Returns None when fewer than 8 usable points exist.
     """
     bad = np.flatnonzero(~(y > 100.0 * floor))
     end = int(bad[0]) if bad.size else y.size
@@ -240,6 +243,12 @@ def verify(traj: Trajectory) -> VerificationReport:
     l_hat = float(phi[-1] * phi[-1])
     c0_hat = params.lam + FOUR_PI * params.mass_sq * l_hat
     h_end = float(cols["H"][-1])
+    # The term scale of Q = H^2 - 24*pi*T00 - 3*lambda and of the identity
+    # Q = 24*pi*rho + 3*C: both cancel terms of this size, so their roundoff
+    # is a few eps times it.  It is 0 only on the static run, u = T00 = rho =
+    # lambda = 0.
+    q_scale = np.maximum(cols["H"] ** 2 + TWENTY_FOUR_PI * (np.abs(cols["T00"]) + rho)
+                         + 3.0 * abs(params.lam), np.finfo(float).tiny)
 
     # Pointwise bounds and monotonicity; on a single sample the monotonicity
     # checks pass vacuously and the bounds are still evaluated at the point.
@@ -262,9 +271,9 @@ def verify(traj: Trajectory) -> VerificationReport:
     # Pure algebra, independent of integration error: sits at roundoff for
     # any trajectory, including inadmissible ones.
     identity_dev = float(np.max(np.abs(q - TWENTY_FOUR_PI * rho - 3.0 * cols["constraint"])
-                                / (1.0 + np.abs(q))))
+                                / q_scale))
     checks.append(_check("q_identity", identity_dev - TOL.q_identity_tol,
-                         f"max |Q - 24 pi rho - 3 C|/(1+|Q|) = {identity_dev:.3g}"))
+                         f"max |Q - 24 pi rho - 3 C|/scale = {identity_dev:.3g}"))
 
     notes: list[str] = []
     if np.any(chi < 0.0):
@@ -292,11 +301,12 @@ def verify(traj: Trajectory) -> VerificationReport:
                              f"+ floor {q_floor:.3g}"))
 
         # Fit windows clip at 100x the measured constraint drift, mapped into
-        # each series through its constraint coefficient.
+        # each series through its constraint coefficient; Q's floor is also
+        # at least Q_ROUNDOFF*eps times its term scale, per sample.
         drift = max(float(np.max(np.abs(cols["constraint"]))), 1e-15)
         rate_floor = 3.0 * nu * (1.0 - TOL.rate_slack)
         for name, series, series_floor in (
-            ("Q", q, 3.0 * drift),
+            ("Q", q, np.maximum(3.0 * drift, Q_ROUNDOFF * np.finfo(float).eps * q_scale)),
             ("rho", rho, drift / EIGHT_PI),
             ("chi2", chi ** 2, drift / FOUR_PI),
         ):

@@ -15,7 +15,8 @@ The trial step is written out as straight-line code over named locals
 order, each stage calling model._rhs_terms.  The pair is FSAL: an accepted
 step's last stage f(y1) is the next step's first, and a rejected step keeps
 its first stage, so a run makes 6*(accepted + rejected) + 1 right-hand-side
-evaluations, plus one per FieldFrozen restart at t > 0.
+evaluations, plus one per FieldFrozen restart at t > 0 of a run that steps on
+from the freeze.
 
 Dense output is deferred.  A step that holds grid samples records its ends,
 stages and sample range in flat buffers; after the last step one vectorized
@@ -29,10 +30,18 @@ only after the loop, so each recorded step also keeps the step and event
 counts it would stop the run with: the run is cut back to them, as if it had
 stopped at that step.
 
-Once the field is frozen (paper mode, chi clamped at 0), a step is
-_trial_step with ``frozen`` set, and the frozen system's closed form,
-frozen_tail, is taken by _integrate with ``exact_tail`` (a sweep row's run)
-in place of the steps after FieldFrozen.
+The frozen tail.  Once paper mode clamps chi at 0 the field is frozen and
+the run follows the frozen system, whose closed form is frozen_tail.  A
+paper-mode run on theorem-1 data stops stepping at its FieldFrozen event (at
+t = 0 too) and takes every later sample from frozen_tail, evaluated once.
+It steps on from the freeze instead, each step _trial_step with ``frozen``
+set, when the tail is not safe: on data admitted only by
+override_admissibility, when a guard could trip in the tail (|u_f| above
+max_abs_u/2, |phi_f| above max_abs_phi/2 or v(t_end) below 2*min_v), or
+when the clamped state has rho_f < 0 (interpolated past a bad sample),
+which has no closed form.  A run that does not freeze by t_end, and every
+``kg`` run, steps to t_end.  simulate, sweep rows and library callers all
+run this one integrate().
 
 Error weights: u, phi and chi use the mixed scale abs_tol + rel_tol*|y|.  The
 strictly positive, exponentially decaying components v and rho use the purely
@@ -244,7 +253,7 @@ def _trial_step(y: Sequence[float], k1: Sequence[float], h: float,
     Returns (y_new, weighted RMS error norm, the seven stages); the last
     stage is f(y_new).  The norm is infinite when y_new is not finite.
     With ``frozen`` (a paper-mode field clamped at chi = 0) every stage has
-    dchi = 0.  The one trial step of step() and _integrate.
+    dchi = 0.  The one trial step of step() and integrate().
     """
     lam, mass_sq = params.lam, params.mass_sq
     u, v, phi, chi, rho = y
@@ -405,21 +414,6 @@ def sample_times(config: IntegratorConfig) -> np.ndarray:
     return grid
 
 
-def integrate(initial: InitialData, params: ModelParams,
-              config: IntegratorConfig) -> Trajectory:
-    """Advance the system from t = 0 to t_end, sampling every sample_dt.
-
-    Preconditions: the data must pass :func:`validate_theorem1` unless
-    ``config.override_admissibility`` is set (exploration of inadmissible
-    data, e.g. the contracting branch), and must satisfy the initial
-    constraint; violating either raises.  Guard trips abort gracefully: the
-    partial trajectory is returned with a ``GuardTripped`` event, never an
-    exception.  A genuine step-size collapse raises
-    :class:`StepSizeUnderflow`.
-    """
-    return _integrate(initial, params, config, exact_tail=False)
-
-
 #: Floats recorded per sample-holding step: t0, h, t_hi (the end of its
 #: samples, and the time a guard trip in them is logged at), y0, y1 and the
 #: stages k1, k3, ..., k7.
@@ -454,16 +448,21 @@ def _dense_samples(segments: array, snapshots: np.ndarray, dt: float,
     return rows
 
 
-def _integrate(initial: InitialData, params: ModelParams, config: IntegratorConfig,
-               exact_tail: bool) -> Trajectory:
-    """integrate(), or with ``exact_tail`` a sweep row's run.
+def integrate(initial: InitialData, params: ModelParams,
+              config: IntegratorConfig) -> Trajectory:
+    """Advance the system from t = 0 to t_end, sampling every sample_dt.
 
-    With ``exact_tail``, a paper-mode run on theorem-1 admissible data stops
-    stepping at its ``FieldFrozen`` event and takes the later samples from
-    frozen_tail, unless the frozen limit is undefined or a guard could trip
-    in the tail: u_f above max_abs_u/2, phi_f above max_abs_phi/2 or v(t_end)
-    below 2*min_v; in those cases it steps on from the freeze, as integrate()
-    does.  The stats and events are those of the steps taken.
+    A paper-mode run on theorem-1 data takes its samples after FieldFrozen
+    from frozen_tail when that is safe (module docstring); the stats and
+    events are those of the steps taken.
+
+    Preconditions: the data must pass :func:`validate_theorem1` unless
+    ``config.override_admissibility`` is set (exploration of inadmissible
+    data, e.g. the contracting branch), and must satisfy the initial
+    constraint; violating either raises.  Guard trips abort gracefully: the
+    partial trajectory is returned with a ``GuardTripped`` event, never an
+    exception.  A genuine step-size collapse raises
+    :class:`StepSizeUnderflow`.
     """
     report = validate_theorem1(params, initial)
     if not report.theorem1_applicable and not config.override_admissibility:
@@ -491,14 +490,14 @@ def _integrate(initial: InitialData, params: ModelParams, config: IntegratorConf
     k1 = _rhs_terms(*y, params.lam, params.mass_sq, frozen)
     nevals = 1
     k_next = 1
-    exact_tail = exact_tail and config.mode == "paper" and report.theorem1_applicable
 
     def take_tail(t_f: float, y_f: list[float]) -> Optional[np.ndarray]:
         """frozen_tail at the samples from k_next on, if it is safe there.
 
         A crossing state interpolated past a bad sample may have rho_f < 0,
         which has no closed form; the run then steps on to its cut-back."""
-        if not (exact_tail and y_f[4] >= 0.0 and nu_rate(params, y_f[2]) is not None
+        if not (report.theorem1_applicable and y_f[4] >= 0.0
+                and nu_rate(params, y_f[2]) is not None
                 and 2.0 * abs(y_f[0]) <= config.max_abs_u
                 and 2.0 * abs(y_f[2]) <= config.max_abs_phi):
             return None

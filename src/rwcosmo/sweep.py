@@ -5,22 +5,6 @@ always emitted in row-major order over the declared axes, so the output table
 is deterministic regardless of execution parallelism.  Wall-clock timings are
 kept on the in-memory rows but never serialized into the table (they would
 break byte-level determinism); the CLI writes them to a sidecar file.
-
-Exact frozen tail.  A row's run is this module's ``integrate``: a
-paper-mode row whose data are theorem-1 admissible is integrated only up to
-its ``FieldFrozen`` event, the samples after it come from the closed form of
-the frozen system (integrator.frozen_tail), and the trajectory is verified
-as a fully integrated one would be.  The t column and the events
-are integrate()'s; u, v and rho differ from it by the integration error of
-the tail (up to 4e-12, 1.2e-10 and 8e-9 relative on the 16-row sweep_grid
-plan at the default tolerance).  A row integrates fully, exactly as
-``simulate`` does, when it runs in ``kg`` mode, is not admissible (under
-override), never freezes before t_end (``mass = 0``, or chi stays
-positive), or when a guard could trip in the tail: v(t_end) below
-2*min_v, u_f above max_abs_u/2 or phi_f above max_abs_phi/2.  Such a row
-steps on from the freeze; it is not run again from t = 0.  The tail is
-on shell, so its samples add only roundoff to ``max_constraint``, which
-thus measures the drift of the integrated part.
 """
 
 from __future__ import annotations
@@ -33,9 +17,8 @@ from itertools import product
 from typing import Optional
 
 from .diagnostics import verify
-from .initial import InitialData, NoRealBranch, make_initial_data, validate_theorem1
-from .integrator import (IntegratorConfig, InadmissibleInitialData,
-                         StepSizeUnderflow, Trajectory, _integrate)
+from .initial import NoRealBranch, make_initial_data, validate_theorem1
+from .integrator import IntegratorConfig, InadmissibleInitialData, StepSizeUnderflow, integrate
 from .model import ModelParams
 from .serialize import fmt
 
@@ -153,14 +136,6 @@ class SweepRow:
     verdict: str  # verify's status; empty on a flagged (unverified) row
     events: str
     wall_time: float
-
-
-def integrate(initial: InitialData, params: ModelParams,
-              config: IntegratorConfig) -> Trajectory:
-    """integrator.integrate for a sweep row: the same run, except that an
-    admissible paper-mode run stops stepping at FieldFrozen and takes the
-    later samples from the exact frozen tail (module docstring)."""
-    return _integrate(initial, params, config, exact_tail=True)
 
 
 def _evaluate_point(args: tuple) -> SweepRow:

@@ -1,12 +1,14 @@
 """Shared fixtures: the reference run and its variants, computed once."""
 
+import contextlib
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
-from rwcosmo import (IntegratorConfig, ModelParams, integrate,
+from rwcosmo import (IntegratorConfig, ModelParams, integrate, integrator,
                      make_initial_data)
 
 # Property tests draw the same examples on every run and keep no example
@@ -55,6 +57,24 @@ def radiation_trajectory():
                              branch="expanding")
     config = replace(REF_CONFIG, t_end=5.0, override_admissibility=True)
     return integrate(data, params, config)
+
+
+def _zero_tail(t_f, y_f, params, times):
+    return np.zeros((len(times), 5))
+
+
+@pytest.fixture(scope="session")
+def stepped():
+    """A context manager inside which every run steps through its frozen
+    phase: frozen_tail returns rows of zeros, so integrate sees v(t_end) = 0
+    below 2*min_v and steps on from the freeze, its fallback path.  The
+    stepped run is the reference the exact tail is held against."""
+    @contextlib.contextmanager
+    def stepping():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(integrator, "frozen_tail", _zero_tail)
+            yield
+    return stepping
 
 
 REFERENCE_INI = """\

@@ -23,16 +23,15 @@ def run_bench(script, *args, cwd):
 
 
 def test_time_dense(tmp_path):
-    """The dense_output run, which steps through its frozen phase: 10,001
-    samples from 785 steps, and the size and bytes of its trajectory.csv
-    (t and the five states: 1,023,850 bytes, where twelve columns took
-    2,073,030)."""
+    """The dense_output run: 10,001 samples from 10 steps to the freeze and
+    the exact tail, and the size and bytes of its trajectory.csv (t and the
+    five states)."""
     got = run_bench("time_dense.py", 1, cwd=tmp_path)
     assert (got["steps_accepted"], got["steps_rejected"], got["rhs_evaluations"],
-            got["samples"]) == (785, 0, 4712, 10001)
-    assert got["trajectory_bytes"] == 1023850
+            got["samples"]) == (10, 0, 61, 10001)
+    assert got["trajectory_bytes"] == 1023782
     assert got["trajectory_sha256"] == \
-        "f1b8437b43033ab0729b9e6c58fc44d32a8422fe897e42194ebfbdf874b3d860"
+        "551a0adf701f5ba7194e26c52282c42346d1a0b5a7aaad3e28a8150f961e062a"
 
 
 def test_time_sweep(tmp_path):

@@ -29,9 +29,12 @@ from rwcosmo.sweep import SWEEP_PARAMS
 from conftest import write_reference_config
 
 TRAJECTORY_HEADER = "t,u,v,phi,chi,rho"
-#: sha256 of the reference run's trajectory.csv.  The float stepper makes it
-#: the same on every BLAS kernel.
+#: sha256 of the reference run's trajectory.csv, and of the same run stepped
+#: through its frozen phase.  The float stepper makes them the same on every
+#: BLAS kernel.
 REFERENCE_TRAJECTORY_SHA256 = (
+    "f5a8e5515707c450c487815ea5aea2f19da30da202cfa888fc4fdbff3f1cc0b2")
+STEPPED_TRAJECTORY_SHA256 = (
     "cd97f41a0fbd44f66cbe9228d8f438e695a779ba987f1238d621e8799824d3e9")
 #: sha256 of the JSON files simulate + verify write for the reference run and
 #: its ``kg`` variant.  meta.json records the package version, so a version
@@ -39,13 +42,13 @@ REFERENCE_TRAJECTORY_SHA256 = (
 JSON_SHA256 = {
     "paper": {
         "events.json": "f4dd5c41a5b85ed786852641e4eb4abc5c9aa707eb6cf6dfffb57c738717361b",
-        "meta.json": "029621c30b966b1c35a45b03653095d0dc7336ee219570060fb2bd651ec54d47",
-        "report.json": "c60c83d62c40553bfb7abea8d440d024933914b202f3338629d7615775d54369",
+        "meta.json": "27b5acf0a6548b429e4053397ee3b2f1b82eb1adea076bbe9f8c7448325e6529",
+        "report.json": "66e5525c17011cba1e103eb11d653c5e150e85b0d0d8fb3df072174e4cd0363a",
     },
     "kg": {
         "events.json": "b83d85c7b514f37465d080108e6ff9a1e9d9ac037a4b4f2d98cee19a8b5fae37",
         "meta.json": "4dff4c54f374b02c47d8eedad2e233efea9d1861cb6fd30993d356a391c4e6f1",
-        "report.json": "f056b54229e1740190ea4f6a45713cadf9eed54efbc01f269bfbfe001e334d96",
+        "report.json": "5abe9147c2c74fa163063df89bf70f3f81ed792164e552440c6d474846cb4444",
     },
 }
 
@@ -94,16 +97,29 @@ class TestSimulate:
         """Pinned step counters and trajectory.csv bytes of the reference run;
         reading trajectory.csv back and writing it again reproduces its bytes.
 
-        11,738 RHS evaluations = 6 per step, the first stage, and one more
-        after the FieldFrozen restart."""
+        19 steps to the freeze, then the exact tail: 115 RHS evaluations = 6
+        per step and the first stage."""
         st = ref_trajectory.stats
-        assert (st.steps_accepted, st.steps_rejected, st.rhs_evaluations) == (1956, 0, 11738)
+        assert (st.steps_accepted, st.steps_rejected, st.rhs_evaluations) == (19, 0, 115)
         assert len(ref_trajectory.t) == 1001
         text = (ref_run / "trajectory.csv").read_text()
         assert sha256(text) == REFERENCE_TRAJECTORY_SHA256
         for written in (trajectory_csv_text(read_trajectory(ref_run)),
                         trajectory_csv_text(ref_trajectory)):
             assert sha256(written) == sha256(text), first_difference(written, text)
+
+    def test_stepped_reference_pins(self, tmp_path, stepped):
+        """The reference run stepped through its frozen phase, the path of
+        the runs the exact tail does not cover: 1,956 steps and 11,738 RHS
+        evaluations (6 per step, the first stage, and one more after the
+        FieldFrozen restart), and its trajectory.csv bytes."""
+        cfg = write_reference_config(tmp_path / "run.ini", str(tmp_path / "out"))
+        with stepped(), contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", str(cfg)]) == EXIT_OK
+        st = read_trajectory(tmp_path / "out").stats
+        assert (st.steps_accepted, st.steps_rejected, st.rhs_evaluations) == (1956, 0, 11738)
+        assert sha256((tmp_path / "out" / "trajectory.csv").read_text()) == \
+            STEPPED_TRAJECTORY_SHA256
 
     def test_oversized_sample_grid_exits_1(self, tmp_path, capsys):
         """t_end = 10 at sample_dt = 1e-9 would allocate 80 GB of sample
@@ -653,6 +669,19 @@ overwrite = true
         assert main(["sweep", str(plan)]) == EXIT_OK
         lines = (tmp_path / "sw" / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 2  # header + one data row
+
+    def test_stepped_reference_pins(self, tmp_path, stepped):
+        """The reference run stepped through its frozen phase, the path of
+        the runs the exact tail does not cover: 1,956 steps and 11,738 RHS
+        evaluations (6 per step, the first stage, and one more after the
+        FieldFrozen restart), and its trajectory.csv bytes."""
+        cfg = write_reference_config(tmp_path / "run.ini", str(tmp_path / "out"))
+        with stepped(), contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", str(cfg)]) == EXIT_OK
+        st = read_trajectory(tmp_path / "out").stats
+        assert (st.steps_accepted, st.steps_rejected, st.rhs_evaluations) == (1956, 0, 11738)
+        assert sha256((tmp_path / "out" / "trajectory.csv").read_text()) == \
+            STEPPED_TRAJECTORY_SHA256
 
     def test_oversized_sample_grid_exits_1(self, tmp_path, capsys):
         plan = tmp_path / "plan.ini"

@@ -260,8 +260,39 @@ class TestQIdentity:
         traj = make_fake_trajectory([1.0, 2.0, 5.0], params=ModelParams(-2.0, 3.0))
         assert verify(traj).check("q_identity").passed
 
+    @pytest.mark.parametrize("sample_dt", [0.01, 0.001])
+    def test_scaled_by_its_terms(self, stepped, sample_dt):
+        """A draw whose terms reach ~1e3: divided by 1 + |Q|, its deviation
+        read 3.19e-13 against the 1e-13 tolerance, and at sample_dt = 0.001
+        the run stepped through its frozen phase verified failed on
+        q_identity alone.  Divided by the identity's term scale it sits at
+        ~2e-16, stepped or with the exact tail, and that run passes."""
+        params = ModelParams(lam=4.293378015753163, mass=1.6612487267929417)
+        data = make_initial_data(params, 1.0, 2.816135228364883, 0.547546364979975,
+                                 1.3300778467990606, "expanding")
+        config = IntegratorConfig(sample_dt=sample_dt)
+        with stepped():
+            full = integrate(data, params, config)
+        for traj in (full, integrate(data, params, config)):
+            report = verify(traj)
+            check = report.check("q_identity")
+            assert check.passed and float(check.detail.rsplit(" ", 1)[1]) < 1e-15
+            if sample_dt == 0.001:
+                assert report.status == STATUS_PASSED
+
+    @pytest.mark.filterwarnings("ignore:initial expansion rate u0 is exactly zero")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_static_run_has_no_scale(self):
+        """u = T00 = rho = lambda = 0: every term of the identity is 0, and
+        its deviation reads 0, not 0/0."""
+        params = ModelParams(lam=0.0, mass=1.0)
+        data = make_initial_data(params, 1.0, 0.0, 0.0, 0.0, "expanding")
+        traj = integrate(data, params, IntegratorConfig(t_end=1.0, override_admissibility=True))
+        check = verify(traj).check("q_identity")
+        assert check.passed and check.detail.endswith("= 0")
+
     def test_fuzzed_states(self):
-        """10^4 random states keep the identity at roundoff."""
+        """10^4 random states keep the identity at roundoff of its terms."""
         rng = np.random.default_rng(20260810)
         worst = 0.0
         for _ in range(10_000):
@@ -270,7 +301,8 @@ class TestQIdentity:
                            chi=chi, rho=rng.uniform(0.0, 1.0))
             d = derived(s, ModelParams(lam=lam, mass=rng.uniform(0.0, 1.0)))
             dev = abs(d.Q - 24.0 * math.pi * s.rho - 3.0 * d.constraint)
-            worst = max(worst, dev / (1.0 + abs(d.Q)))
+            scale = d.H ** 2 + 24.0 * math.pi * (abs(d.T00) + s.rho) + 3.0 * abs(lam)
+            worst = max(worst, dev / scale)
         assert worst <= 1e-13
 
 

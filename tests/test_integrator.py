@@ -16,7 +16,7 @@ from rwcosmo import integrator
 from rwcosmo.diagnostics import cumulative_simpson
 from rwcosmo.initial import nu_rate
 from rwcosmo.integrator import (FIELD_FROZEN, CHI_ZERO_CROSSING, GUARD_TRIPPED, MAX_SAMPLES,
-                                IntegrationStats, _integrate, frozen_tail, sample_times,
+                                IntegrationStats, frozen_tail, sample_times,
                                 _dense_samples, _trial_step, _A21, _A31, _A32, _A41, _A42, _A43,
                                 _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64, _A65,
                                 _B1, _B3, _B4, _B5, _B6, _E1, _E3, _E4, _E5, _E6, _E7)
@@ -145,11 +145,10 @@ def term_magnitudes(y, h, params, frozen):
     return k, y1, h * (np.abs(_E) @ k)
 
 
-def fsal_evaluations(traj):
+def fsal_evaluations(traj, restarts=0):
     """RHS evaluations of an FSAL run: 6 per trial step, the first stage, and
-    one more after each FieldFrozen restart (t > 0)."""
+    one more per restart, where a run steps on from a FieldFrozen at t > 0."""
     st = traj.stats
-    restarts = sum(e.kind == FIELD_FROZEN and e.t > 0.0 for e in traj.events)
     return 6 * (st.steps_accepted + st.steps_rejected) + 1 + restarts
 
 
@@ -303,11 +302,15 @@ class TestTrialStep:
 
 
 class TestFsalCount:
-    @pytest.mark.parametrize("run", ["rejecting", "reference", "kg", "frozen_at_start"])
-    def test_rhs_evaluations(self, run, request, ref_initial):
+    @pytest.mark.parametrize("run", ["rejecting", "reference", "stepped_reference", "kg",
+                                     "frozen_at_start"])
+    def test_rhs_evaluations(self, run, request, ref_initial, stepped):
         """rhs_evaluations = 6*(accepted + rejected) + 1 + restarts on every
         branch: rejected steps reuse their first stage, accepted ones pass
-        their last stage on, a FieldFrozen restart evaluates it afresh."""
+        their last stage on, a FieldFrozen restart evaluates it afresh.  The
+        reference run takes the exact tail at the freeze and so never
+        restarts; stepped through its frozen phase it restarts once."""
+        restarts = 0
         if run == "rejecting":
             cfg = replace(REF_CONFIG, h_init=0.25, t_end=1.0)
             traj = integrate(ref_initial, REF_PARAMS, cfg)
@@ -315,6 +318,12 @@ class TestFsalCount:
         elif run == "reference":
             traj = request.getfixturevalue("ref_trajectory")
             assert [e.kind for e in traj.events] == [FIELD_FROZEN] and traj.events[0].t > 0.0
+            assert traj.stats == IntegrationStats(19, 0, 115)
+        elif run == "stepped_reference":
+            with stepped():
+                traj = integrate(ref_initial, REF_PARAMS, REF_CONFIG)
+            assert traj.stats == IntegrationStats(1956, 0, 11738)
+            restarts = 1
         elif run == "kg":
             traj = request.getfixturevalue("kg_trajectory")
             assert {e.kind for e in traj.events} == {CHI_ZERO_CROSSING}
@@ -323,7 +332,7 @@ class TestFsalCount:
             data = make_initial_data(params, 1.0, 1.0, 0.0, 0.05, "expanding")
             traj = integrate(data, params, replace(REF_CONFIG, t_end=1.0))
             assert [(e.kind, e.t) for e in traj.events] == [(FIELD_FROZEN, 0.0)]
-        assert traj.stats.rhs_evaluations == fsal_evaluations(traj)
+        assert traj.stats.rhs_evaluations == fsal_evaluations(traj, restarts)
 
 
 def frozen_tail_loop(t_f, y_f, params, times):
@@ -381,11 +390,15 @@ class TestFrozenTail:
         traj = integrate(ref_initial, REF_PARAMS, cfg)
         assert traj.t.tolist() == sample_times(cfg).tolist()
 
-    def test_stop_at_freeze(self, monkeypatch, ref_trajectory, ref_initial):
-        """With the exact tail the reference run stops stepping at FieldFrozen
-        after 19 of its 1,956 steps: its samples up to there are integrate()'s
-        bit for bit, and the later ones are frozen_tail's from the clamped
-        state, evaluated once with the t_end probe."""
+    def test_stop_at_freeze(self, monkeypatch, ref_initial, stepped):
+        """The reference run stops stepping at FieldFrozen after 19 of the
+        1,956 steps it takes stepped through its frozen phase: its samples up
+        to there are the stepped run's bit for bit, and the later ones are
+        frozen_tail's from the clamped state, evaluated once with the t_end
+        probe."""
+        with stepped():
+            plain = integrate(ref_initial, REF_PARAMS, REF_CONFIG)
+        assert plain.stats == IntegrationStats(1956, 0, 11738)
         calls = []
 
         def recorded(t_f, y_f, params, times):
@@ -393,34 +406,37 @@ class TestFrozenTail:
             return frozen_tail(t_f, y_f, params, times)
 
         monkeypatch.setattr(integrator, "frozen_tail", recorded)
-        joined = _integrate(ref_initial, REF_PARAMS, REF_CONFIG, exact_tail=True)
-        assert joined.events == ref_trajectory.events
+        joined = integrate(ref_initial, REF_PARAMS, REF_CONFIG)
+        assert joined.events == plain.events
         assert joined.stats == IntegrationStats(19, 0, 6 * 19 + 1)
-        assert joined.t.tobytes() == ref_trajectory.t.tobytes()
+        assert joined.t.tobytes() == plain.t.tobytes()
         [(t_f, y_f, times)] = calls
         assert t_f == joined.events[0].t and y_f[3] == 0.0
         n = int(np.sum(joined.t <= t_f))
         assert 0 < n < joined.t.size
         assert times.tolist() == joined.t[n:].tolist() + [REF_CONFIG.t_end]
-        assert joined.states[:n].tobytes() == ref_trajectory.states[:n].tobytes()
+        assert joined.states[:n].tobytes() == plain.states[:n].tobytes()
         assert joined.states[n:].tobytes() == \
             frozen_tail(t_f, y_f, REF_PARAMS, joined.t[n:]).tobytes()
-        plain = _integrate(ref_initial, REF_PARAMS, REF_CONFIG, exact_tail=False)
-        assert (plain.states.tobytes(), plain.stats) == \
-            (ref_trajectory.states.tobytes(), ref_trajectory.stats)
 
     @pytest.mark.parametrize("rho0", [0.05, 2.0, 0.0])
-    def test_matches_tight_integration(self, rho0):
-        """From data frozen at t = 0 (chi0 = 0), the closed form agrees with
-        integrate at tol 1e-13 to 1e-10 relative."""
+    def test_matches_tight_integration(self, rho0, stepped):
+        """From data frozen at t = 0 (chi0 = 0), integrate is the closed form
+        itself, and it agrees with the frozen phase stepped at tol 1e-13 to
+        1e-10 relative."""
         data = make_initial_data(REF_PARAMS, a0=1.0, phi0=1.0, chi0=0.0, rho0=rho0,
                                  branch="expanding")
         cfg = replace(REF_CONFIG, rel_tol=1e-13, abs_tol=1e-13, t_end=3.0)
-        traj = integrate(data, REF_PARAMS, cfg)
+        with stepped():
+            traj = integrate(data, REF_PARAMS, cfg)
         assert traj.events[0].kind == FIELD_FROZEN and traj.events[0].t == 0.0
+        assert traj.stats.steps_accepted > 0
         tail = frozen_tail(0.0, traj.states[0].tolist(), REF_PARAMS, traj.t.tolist())
         assert tail[0, 1:].tolist() == traj.states[0, 1:].tolist()
         np.testing.assert_allclose(tail, traj.states, rtol=1e-10, atol=0.0)
+        joined = integrate(data, REF_PARAMS, cfg)
+        assert joined.stats == IntegrationStats(0, 0, 1)
+        assert joined.states[1:].tobytes() == tail[1:].tobytes()
 
     def test_rho_zero_is_de_sitter(self):
         """rho_f = 0: u = u_inf and v = v_f*exp(-2 u_inf (t - t_f))."""
@@ -661,22 +677,25 @@ class TestSampleGuard:
          0.21078125862669952, [2.0955173185013707, 0.05014622054283058, 0.9782940675754566,
                                -0.1753033537781239, -0.005975027996899668], (45, 0, 271)),
     ])
-    def test_trip_after_crossing(self, monkeypatch, ref_initial, mode, crossing, trip_t, row,
-                                 stats):
+    def test_trip_after_crossing(self, monkeypatch, ref_initial, stepped, mode, crossing,
+                                 trip_t, row, stats):
         """The third sample (t = 0.21) breaks rho >= 0 in a step after chi's
-        zero crossing: the trip is logged at that step's end."""
+        zero crossing: the trip is logged at that step's end.  In paper mode
+        that step lies in the frozen phase, so the run steps through it."""
         monkeypatch.setattr(integrator, "_D7", integrator._D7 * 1000.0)
         cfg = replace(REF_CONFIG, mode=mode, sample_dt=0.07)
         kind, detail = crossing
-        assert self.pins(integrate(ref_initial, REF_PARAMS, cfg)) == (
+        with stepped():
+            traj = integrate(ref_initial, REF_PARAMS, cfg)
+        assert self.pins(traj) == (
             3, 0.14, [(kind, 0.07546646576958942, detail),
                       (GUARD_TRIPPED, trip_t, _sample_trip(0.21, row))], stats)
 
-    def test_trip_in_crossing_step(self, monkeypatch, ref_initial):
+    def test_trip_in_crossing_step(self, monkeypatch, ref_initial, stepped):
         """A bad sample before chi's zero crossing in the crossing step (the
         crossing pinned at theta = 0.9) is logged at the crossing, and the
-        field does not freeze; with the exact tail, the tail taken at the
-        freeze is dropped and the run is the same."""
+        field does not freeze: the tail taken at the freeze is dropped, and
+        the run is the one stepped through the frozen phase."""
         monkeypatch.setattr(integrator, "_D7", integrator._D7 * 1e4)
         monkeypatch.setattr(integrator, "_locate_crossing", lambda *args: 0.9)
         cfg = replace(REF_CONFIG, sample_dt=0.0779)
@@ -684,12 +703,13 @@ class TestSampleGuard:
             -0.8430702240562344, -21.726716372176043, 0.9759909771868477, -7.174358955342312,
             -1.5495711031471464]))], (19, 0, 115))
         assert self.pins(integrate(ref_initial, REF_PARAMS, cfg)) == want
-        assert self.pins(_integrate(ref_initial, REF_PARAMS, cfg, exact_tail=True)) == want
+        with stepped():
+            assert self.pins(integrate(ref_initial, REF_PARAMS, cfg)) == want
 
-    def test_negative_rho_at_freeze_steps_on(self, monkeypatch, ref_initial):
+    def test_negative_rho_at_freeze_steps_on(self, monkeypatch, ref_initial, stepped):
         """The same crossing with no sample before it: the clamped state has
-        rho < 0, which has no closed form, so the exact-tail run steps on
-        from the freeze to integrate()'s guard trip instead of raising."""
+        rho < 0, which has no closed form, so the run steps on from the
+        freeze to the stepped run's guard trip instead of raising."""
         monkeypatch.setattr(integrator, "_D7", integrator._D7 * 1e4)
         monkeypatch.setattr(integrator, "_locate_crossing", lambda *args: 0.9)
         cfg = replace(REF_CONFIG, sample_dt=0.2)
@@ -698,7 +718,8 @@ class TestSampleGuard:
                          (GUARD_TRIPPED, 0.08477962471297153, "v = -2.16605 fell below 1e-300")],
                 (20, 0, 122))
         assert self.pins(integrate(ref_initial, REF_PARAMS, cfg)) == want
-        assert self.pins(_integrate(ref_initial, REF_PARAMS, cfg, exact_tail=True)) == want
+        with stepped():
+            assert self.pins(integrate(ref_initial, REF_PARAMS, cfg)) == want
 
     @pytest.mark.parametrize("max_abs_u", [1e100, 1e3])
     def test_trip_before_later_failure(self, monkeypatch, max_abs_u):

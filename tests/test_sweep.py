@@ -1,7 +1,9 @@
 """Grid runner: determinism, ordering, admissibility flagging."""
 
 import concurrent.futures
+import contextlib
 import hashlib
+import io
 import math
 import os
 from dataclasses import fields, replace
@@ -11,21 +13,22 @@ import pytest
 from hypothesis import Phase, assume, given, settings, strategies as st
 
 from rwcosmo import (IntegratorConfig, ModelParams, SweepPlan, integrate, integrator,
-                     make_initial_data, nu_rate, run_sweep, sweep, sweep_table_csv,
-                     verify)
+                     make_initial_data, nu_rate, run_sweep, sweep_table_csv, verify)
+from rwcosmo.cli import main
 from rwcosmo.integrator import _TINY, FIELD_FROZEN
+from rwcosmo.serialize import read_trajectory
 from rwcosmo.sweep import (STATUS_GUARD_TRIPPED, STATUS_INVALID_DATA,
                            STATUS_NO_REAL_BRANCH, STATUS_OK, STATUS_SKIPPED,
                            STATUS_STEP_UNDERFLOW, SWEEP_COLUMNS, POOL_MIN_ROWS, SweepRow)
 
-from conftest import REF_CONFIG
+from conftest import REF_CONFIG, write_reference_config
 
 FAST = replace(REF_CONFIG, t_end=2.0)
 
 
 def step_error_bound(full):
-    """Bound, in units of one step's error weight, on how far a fully
-    integrated run can sit from the exact solution.  An accepted step's
+    """Bound, in units of one step's error weight, on how far a run stepped
+    through its frozen phase can sit from the exact solution.  An accepted step's
     weighted RMS error over the five components is at most 1, so each
     component's local error is at most sqrt(5) weights (rel_tol*|y| +
     abs_tol on u, rel_tol*|y| + _TINY on v and rho); on the contracting
@@ -34,9 +37,10 @@ def step_error_bound(full):
 
 
 def assert_tail_agrees(full, joined):
-    """``joined`` (a sweep row's exact-tail run) against ``full``
-    (integrate): t, events, phi, chi and every sample up to the freeze bit
-    for bit; u, v and rho within the step error bound."""
+    """``joined`` (integrate, with the exact tail) against ``full`` (the
+    same run stepped through its frozen phase): t, events, phi, chi and
+    every sample up to the freeze bit for bit; u, v and rho within the step
+    error bound."""
     assert full.t.tobytes() == joined.t.tobytes()
     assert full.events == joined.events
     a, b = full.states, joined.states
@@ -50,16 +54,13 @@ def assert_tail_agrees(full, joined):
         assert np.all(np.abs(b[:, i] - a[:, i]) <= n * (cfg.rel_tol * a[:, i] + _TINY))
 
 
-def full_and_joined(config, lam=1.0, mass=1.0, phi0=1.0, chi0=0.1, rho0=0.05):
+def full_and_joined(stepped, config, lam=1.0, mass=1.0, phi0=1.0, chi0=0.1, rho0=0.05):
+    """The run stepped through its frozen phase, and integrate's run."""
     params = ModelParams(lam=lam, mass=mass)
     data = make_initial_data(params, 1.0, phi0, chi0, rho0, "expanding")
-    return integrate(data, params, config), sweep.integrate(data, params, config)
-
-
-def integrate_only(monkeypatch):
-    """Make run_sweep take the code path without the exact tail: every row
-    integrates fully."""
-    monkeypatch.setattr(sweep, "integrate", integrate)
+    with stepped():
+        full = integrate(data, params, config)
+    return full, integrate(data, params, config)
 
 
 def plan_for(axes, fixed, **kwargs):
@@ -134,17 +135,17 @@ class TestPlanValidation:
 
 
 class TestRunSweep:
-    def test_degenerate_grid_matches_direct_run(self):
-        """A 1x1 grid reproduces verify of its exact-tail trajectory bit for
-        bit, and a direct integrate + verify within the integration error:
-        nu, L_hat, C0_hat, the verdict and the events equal, H_inf_hat = 3u
-        within the bound on u."""
+    def test_degenerate_grid_matches_direct_run(self, stepped):
+        """A 1x1 grid reproduces verify of integrate bit for bit, and verify
+        of the run stepped through its frozen phase within the integration
+        error: nu, L_hat, C0_hat, the verdict and the events equal,
+        H_inf_hat = 3u within the bound on u."""
         plan = plan_for((("lambda", (1.0,)),),
                         (("mass", 1.0), ("phi0", 1.0), ("chi0", 0.1), ("rho0", 0.05)))
         row = run_sweep(plan)[0]
         params = ModelParams(lam=1.0, mass=1.0)
         data = make_initial_data(params, 1.0, 1.0, 0.1, 0.05, "expanding")
-        joined = sweep.integrate(data, params, FAST)
+        joined = integrate(data, params, FAST)
         report = verify(joined)
         rates = {f"rate_{k}": (fit.rate if fit is not None else math.nan)
                  for k, fit in report.fitted_rates.items()}
@@ -155,7 +156,8 @@ class TestRunSweep:
                [float(v).hex() for v in rates.values()]
         assert row.max_constraint == float(np.abs(joined.as_arrays()["constraint"]).max())
 
-        full = integrate(data, params, FAST)
+        with stepped():
+            full = integrate(data, params, FAST)
         direct = verify(full)
         assert_tail_agrees(full, joined)
         assert (row.nu, row.L_hat, row.C0_hat, row.verdict) == \
@@ -165,6 +167,26 @@ class TestRunSweep:
         assert abs(row.H_inf_hat - direct.H_inf_hat) <= 3.0 * u_bound
         # The tail is on shell: it adds roundoff only to the drift.
         assert row.max_constraint <= float(np.abs(full.as_arrays()["constraint"]).max())
+
+    def test_one_run_for_every_caller(self, tmp_path):
+        """A 1x1 plan at the reference point and ``rwcosmo simulate`` on the
+        same point run the same integrate: the row equals verify of the
+        trajectory simulate wrote, read back, bit for bit."""
+        plan = plan_for((("lambda", (1.0,)),),
+                        (("mass", 1.0), ("phi0", 1.0), ("chi0", 0.1), ("rho0", 0.05)),
+                        integrator=REF_CONFIG)
+        row = run_sweep(plan)[0]
+        cfg = write_reference_config(tmp_path / "run.ini", str(tmp_path / "out"))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", str(cfg)]) == 0
+        traj = read_trajectory(tmp_path / "out")
+        report = verify(traj)
+        assert [float(getattr(row, f"rate_{k}")).hex() for k in report.fitted_rates] == \
+               [fit.rate.hex() for fit in report.fitted_rates.values()]
+        assert (row.L_hat, row.H_inf_hat, row.C0_hat, row.verdict) == \
+               (report.L_hat, report.H_inf_hat, report.C0_hat, report.status)
+        assert row.max_constraint == float(np.abs(traj.as_arrays()["constraint"]).max())
+        assert row.verdict == "passed"
 
     def test_verdict_tells_inconclusive_from_passed(self):
         """rho0 = 0 leaves Q at its floor: verify says inconclusive, and so
@@ -253,7 +275,7 @@ GRID_PLAN = SweepPlan(axes=(("lambda", (-60.0, -1.0, 1.0, 3.0)), ("mass", (0.5, 
                             ("chi0", (0.0, 0.3))),
                       fixed=(("phi0", 1.0), ("rho0", 0.05)),
                       integrator=IntegratorConfig(), workers=1)
-GRID_SHA256 = "5a221bb694c7fb31cbf6c11a318c387526c977fdbfe1359eb6b89ee432fe4770"
+GRID_SHA256 = "da6c5cf5f4c59e01a34e59dfaf7888d3a50ae69d46058cdad288b7824be7518f"
 
 
 class TestExactTail:
@@ -262,30 +284,42 @@ class TestExactTail:
         assert hashlib.sha256(sweep_table_csv(run_sweep(GRID_PLAN)).encode()).hexdigest() \
             == GRID_SHA256
 
-    def test_grid_rows_keep_status_events_verdict(self, monkeypatch):
+    def test_grid_rows_keep_status_events_verdict(self, stepped):
         """Every sweep_grid row keeps the status, events and verdict of the
-        fully integrated row; the 12 rows with a real branch freeze."""
+        row stepped through its frozen phase; the 12 rows with a real branch
+        freeze."""
         rows = run_sweep(GRID_PLAN)
-        integrate_only(monkeypatch)
-        full = run_sweep(GRID_PLAN)
+        with stepped():
+            full = run_sweep(GRID_PLAN)
         assert [(r.status, r.events, r.verdict) for r in rows] == \
                [(r.status, r.events, r.verdict) for r in full]
         assert sum(FIELD_FROZEN in r.events for r in rows) == 12
 
+    def test_on_shell_rate_q_is_rate_rho(self):
+        """On the six chi0 = 0 rows the field is frozen from t = 0, so the
+        whole run is the closed form and on shell Q = 24*pi*rho: the fitted
+        rate_Q meets rate_rho within 2e-6, once Q's window stops above Q's
+        own roundoff (it missed by 1.3e-5 to 7.8e-5 windowed by the
+        constraint drift alone)."""
+        rows = [r for r in run_sweep(GRID_PLAN) if r.status == STATUS_OK and r.chi0 == 0.0]
+        assert len(rows) == 6
+        for r in rows:
+            assert abs(r.rate_Q - r.rate_rho) <= 2e-6 * r.rate_rho, (r.lam, r.mass)
+
     @pytest.mark.parametrize("point", GRID_PLAN.points()[4:],
                              ids=lambda p: "{lambda}-{mass}-{chi0}".format(**p))
-    def test_grid_points_agree_with_integrate(self, point):
-        full, joined = full_and_joined(GRID_PLAN.integrator, lam=point["lambda"],
+    def test_grid_points_agree_with_integrate(self, point, stepped):
+        full, joined = full_and_joined(stepped, GRID_PLAN.integrator, lam=point["lambda"],
                                        mass=point["mass"], phi0=point["phi0"],
                                        chi0=point["chi0"], rho0=point["rho0"])
         assert_tail_agrees(full, joined)
 
     @pytest.mark.parametrize("chi0,rho0", [(0.1, 0.05), (0.0, 0.05), (0.1, 0.0), (0.0, 0.0)],
                              ids=["reference", "chi0_zero", "rho0_zero", "both_zero"])
-    def test_reference_point_agrees_with_integrate(self, chi0, rho0):
+    def test_reference_point_agrees_with_integrate(self, chi0, rho0, stepped):
         """The reference run (t_end = 10), frozen at t = 0 when chi0 = 0, and
         with u = u_inf in the tail when rho0 = 0."""
-        full, joined = full_and_joined(REF_CONFIG, chi0=chi0, rho0=rho0)
+        full, joined = full_and_joined(stepped, REF_CONFIG, chi0=chi0, rho0=rho0)
         assert_tail_agrees(full, joined)
         assert full.events[0].kind == FIELD_FROZEN
         assert (full.events[0].t == 0.0) == (chi0 == 0.0)
@@ -295,11 +329,11 @@ class TestExactTail:
     @given(lam=st.floats(-5.0, 5.0), mass=st.floats(0.05, 3.0), phi0=st.floats(0.05, 3.0),
            chi0=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
            rho0=st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
-    def test_admissible_draws_agree_with_integrate(self, lam, mass, phi0, chi0, rho0):
+    def test_admissible_draws_agree_with_integrate(self, stepped, lam, mass, phi0, chi0, rho0):
         """Admissible (lambda > -4 pi m^2 phi0^2, phi0 > 0, expanding)
         paper-mode draws, with chi0 and rho0 often exactly 0."""
         assume(nu_rate(ModelParams(lam=lam, mass=mass), phi0) is not None)
-        assert_tail_agrees(*full_and_joined(FAST, lam, mass, phi0, chi0, rho0))
+        assert_tail_agrees(*full_and_joined(stepped, FAST, lam, mass, phi0, chi0, rho0))
 
     REF_POINT = {"lambda": 1.0, "mass": 1.0, "phi0": 1.0, "chi0": 0.1, "rho0": 0.05}
     FALLBACKS = {
@@ -320,21 +354,21 @@ class TestExactTail:
     TRIPPED = ("min_v_reached", "u_guard", "phi_guard")
 
     @pytest.mark.parametrize("case", sorted(FALLBACKS))
-    def test_fallback_rows_integrate_fully(self, monkeypatch, case):
-        """Rows the tail does not cover are integrate()'s run bit for bit and
-        write the bytes of the fully integrated path."""
+    def test_fallback_rows_integrate_fully(self, stepped, case):
+        """Runs the tail does not cover are the stepped run bit for bit, and
+        their sweep rows write the bytes of the stepped path."""
         edits, config = self.FALLBACKS[case]
         point = {**self.REF_POINT, **edits}
-        full, joined = full_and_joined(config, point["lambda"], point["mass"], point["phi0"],
-                                       point["chi0"], point["rho0"])
+        full, joined = full_and_joined(stepped, config, point["lambda"], point["mass"],
+                                       point["phi0"], point["chi0"], point["rho0"])
         assert (full.t.tobytes(), full.states.tobytes(), full.events, full.stats) == \
                (joined.t.tobytes(), joined.states.tobytes(), joined.events, joined.stats)
         plan = SweepPlan(axes=(("lambda", (point.pop("lambda"),)),),
                          fixed=tuple(point.items()), integrator=config, workers=1)
         rows = run_sweep(plan)
         assert rows[0].status == (STATUS_GUARD_TRIPPED if case in self.TRIPPED else STATUS_OK)
-        integrate_only(monkeypatch)
-        assert sweep_table_csv(rows) == sweep_table_csv(run_sweep(plan))
+        with stepped():
+            assert sweep_table_csv(rows) == sweep_table_csv(run_sweep(plan))
 
     @pytest.mark.parametrize("case", ["min_v_near", "u_guard"])
     def test_fallback_row_steps_once(self, monkeypatch, case):
@@ -353,7 +387,7 @@ class TestExactTail:
         params = ModelParams(lam=point["lambda"], mass=point["mass"])
         data = make_initial_data(params, 1.0, point["phi0"], point["chi0"], point["rho0"],
                                  "expanding")
-        stats = sweep.integrate(data, params, config).stats
+        stats = integrate(data, params, config).stats
         assert len(calls) == stats.steps_accepted + stats.steps_rejected > 0
 
 
