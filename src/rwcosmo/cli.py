@@ -287,9 +287,9 @@ def _write_plot_data(out_dir: Path, traj: Trajectory, report: VerificationReport
     # ln Q over the fit window used for the reported decay rate, so the
     # file's least-squares slope reproduces -rate_Q.
     mask = q > 0.0
-    window = report.fit_windows.get("Q")
-    if window is not None:
-        mask &= (t >= window.t_lo) & (t <= window.t_hi)
+    fit = report.fits["Q"]
+    if fit is not None:
+        mask &= (t >= fit.t_lo) & (t <= fit.t_hi)
     (out_dir / "lnQ_vs_t.dat").write_text(
         table_text("# t lnQ", [t[mask], libm(math.log, q[mask])], sep=" "))
 
@@ -318,13 +318,12 @@ def cmd_report(traj_dir: str, out: Optional[str] = None) -> int:
              f"{'check':40s} {'pass':5s} margin"]
     for c in report.checks:
         lines.append(f"{c.name:40s} {str(c.passed):5s} {c.margin:.6g}")
-    for name, fit in report.fitted_rates.items():
+    for name, fit in report.fits.items():
         if fit is None:
             lines.append(f"rate[{name}]: not fitted")
         else:
-            w = report.fit_windows[name]
             lines.append(f"rate[{name}] = {fit.rate:.6g} (residual {fit.residual:.3g}, "
-                         f"window [{w.t_lo:g}, {w.t_hi:g}], {w.n_points} pts)")
+                         f"window [{fit.t_lo:g}, {fit.t_hi:g}], {fit.n_points} pts)")
     for note in report.notes:
         lines.append(f"note: {note}")
     lines.append(f"status: {report.status}")

@@ -84,13 +84,12 @@ def _check(name: str, margin: float, detail: str = "") -> Check:
 
 
 class DecayFit(NamedTuple):
+    """A log-linear fit and the points it used: ``n_points`` samples from
+    ``t_lo`` to ``t_hi``."""
+
     rate: float
     intercept: float
     residual: float
-
-
-@dataclass(frozen=True)
-class FitWindow:
     t_lo: float
     t_hi: float
     n_points: int
@@ -98,19 +97,16 @@ class FitWindow:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """``fits`` holds the Q, rho and chi2 decay fits, None where none ran."""
+
     nu: Optional[float]
     checks: tuple[Check, ...]
-    fitted_rates: dict[str, Optional[DecayFit]]
-    fit_windows: dict[str, Optional[FitWindow]]
+    fits: dict[str, Optional[DecayFit]]
     L_hat: float
     H_inf_hat: float
     C0_hat: float
     status: str
     notes: tuple[str, ...] = ()
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
     def check(self, name: str) -> Check:
         for c in self.checks:
@@ -121,10 +117,11 @@ class VerificationReport:
 
 def fit_decay_rate(t: Sequence[float], y: Sequence[float],
                    window: tuple[float, float]) -> DecayFit:
-    """Least-squares line through (t, ln y) inside [t_lo, t_hi].
+    """Least-squares line through (t, ln y) inside ``window`` = [t_lo, t_hi].
 
-    Returns (rate, intercept, residual) with rate = -slope and residual the
-    RMS of the fit.  Requires y > 0 and at least 8 points inside the window.
+    Returns rate = -slope, the intercept, the RMS residual of the fit, and
+    the first and last times and the number of the points fitted.  Requires
+    y > 0 and at least 8 points inside the window.
     Affine-equivariant: scaling y by c > 0 shifts the intercept only.
     """
     t = np.asarray(t, dtype=float)
@@ -144,7 +141,8 @@ def fit_decay_rate(t: Sequence[float], y: Sequence[float],
     slope = np.sum(dt * (z - np.mean(z))) / np.sum(dt * dt)
     intercept = np.mean(z) - slope * np.mean(t)
     resid = float(np.sqrt(np.mean((z - (slope * t + intercept)) ** 2)))
-    return DecayFit(rate=float(-slope), intercept=float(intercept), residual=resid)
+    return DecayFit(rate=float(-slope), intercept=float(intercept), residual=resid,
+                    t_lo=float(t[0]), t_hi=float(t[-1]), n_points=int(t.size))
 
 
 def cumulative_simpson(y: np.ndarray, dt: float) -> np.ndarray:
@@ -281,7 +279,6 @@ def verify(traj: Trajectory) -> VerificationReport:
                      "failures below indicate the hypothesis matters, not a defect "
                      "of the verified statements")
     fits: dict[str, Optional[DecayFit]] = dict.fromkeys(("Q", "rho", "chi2"))
-    windows: dict[str, Optional[FitWindow]] = dict.fromkeys(fits)
 
     q0 = float(q[0])
     skip = ""
@@ -314,9 +311,8 @@ def verify(traj: Trajectory) -> VerificationReport:
             if span is None:
                 notes.append(f"{name}: insufficient data above the noise floor for a rate fit")
                 continue
-            window = windows[name] = FitWindow(float(t[span.start]), float(t[span.stop - 1]),
-                                               span.stop - span.start)
-            fit = fits[name] = fit_decay_rate(t[span], series[span], (window.t_lo, window.t_hi))
+            fit = fits[name] = fit_decay_rate(t[span], series[span],
+                                              (t[span.start], t[span.stop - 1]))
             checks.append(_check(f"{name}_decay_rate", rate_floor - fit.rate,
                                  f"fitted {fit.rate:.6g} vs required {rate_floor:.6g}"))
 
@@ -346,6 +342,6 @@ def verify(traj: Trajectory) -> VerificationReport:
 
     failed = not all(c.passed for c in checks)
     status = STATUS_FAILED if failed else STATUS_INCONCLUSIVE if skip else STATUS_PASSED
-    return VerificationReport(nu=nu, checks=tuple(checks), fitted_rates=fits,
-                              fit_windows=windows, L_hat=l_hat, H_inf_hat=h_end,
-                              C0_hat=c0_hat, status=status, notes=tuple(notes))
+    return VerificationReport(nu=nu, checks=tuple(checks), fits=fits, L_hat=l_hat,
+                              H_inf_hat=h_end, C0_hat=c0_hat, status=status,
+                              notes=tuple(notes))

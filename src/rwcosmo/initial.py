@@ -16,9 +16,10 @@ verifies) applies when
 
     lam > -4*pi*m**2*phi0**2,   phi0 > 0,   u0 > 0,
 
-with chi0 >= 0 and rho0 >= 0; :func:`validate_theorem1` reports these flags
-and the associated rate nu = sqrt((lam + 4*pi*m**2*phi0**2)/3), which bounds
-the Hubble rate from below and sets the proven decay envelope exp(-3*nu*t).
+with chi0 >= 0 and rho0 >= 0, which InitialData requires of all data;
+:func:`validate_theorem1` reports the three flags above and the associated
+rate nu = sqrt((lam + 4*pi*m**2*phi0**2)/3), which bounds the Hubble rate
+from below and sets the proven decay envelope exp(-3*nu*t).
 """
 
 from __future__ import annotations
@@ -85,8 +86,6 @@ class AdmissibilityReport:
     lambda_bound_ok: bool
     phi0_positive: bool
     u0_positive: bool
-    chi0_nonneg: bool
-    rho0_nonneg: bool
     theorem1_applicable: bool
     nu: Optional[float]
 
@@ -181,16 +180,11 @@ def validate_theorem1(params: ModelParams, data: InitialData) -> AdmissibilityRe
     lambda_bound_ok = nu is not None
     phi0_positive = data.phi0 > 0.0
     u0_positive = data.u0 > 0.0
-    chi0_nonneg = data.chi0 >= 0.0
-    rho0_nonneg = data.rho0 >= 0.0
-    applicable = (lambda_bound_ok and phi0_positive and u0_positive
-                  and chi0_nonneg and rho0_nonneg)
+    applicable = lambda_bound_ok and phi0_positive and u0_positive
     return AdmissibilityReport(
         lambda_bound_ok=lambda_bound_ok,
         phi0_positive=phi0_positive,
         u0_positive=u0_positive,
-        chi0_nonneg=chi0_nonneg,
-        rho0_nonneg=rho0_nonneg,
         theorem1_applicable=applicable,
         nu=nu,
     )

@@ -176,9 +176,19 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class Event:
+    """A logged event: its time, one of the three kinds, and a description."""
+
     t: float
     kind: str
-    detail: str = ""
+    detail: str
+
+    def __post_init__(self) -> None:
+        _finite_fields(self, "t")
+        kinds = (FIELD_FROZEN, CHI_ZERO_CROSSING, GUARD_TRIPPED)
+        if self.kind not in kinds:
+            raise ValueError(f"kind must be one of {', '.join(kinds)}, got {self.kind!r}")
+        if not isinstance(self.detail, str):
+            raise TypeError(f"detail must be a string, not {type(self.detail).__name__}")
 
 
 @dataclass(frozen=True)
@@ -658,8 +668,9 @@ def frozen_tail(t_f: float, y_f: Sequence[float], params: ModelParams,
     r = sinh(s_f)/sinh(s).  The phase s_f comes from
     rho_f = 3 u_inf^2 / (8 pi sinh^2(s_f)) through asinh (from u_f through
     atanh it would cancel once u_f is near u_inf), and coth and r go through
-    exp and expm1 of -2s, so no large s overflows.  At rho_f = 0, u = u_inf
-    and v = v_f*exp(-2 u_inf (t - t_f)).
+    exp and expm1 of -2s, so no large s overflows.  At rho_f = 0 the phase
+    is s_f = inf: expm1(-inf) = -1 gives u = u_inf, r = exp(-2 u_inf (t - t_f))
+    and rho = 0.  A negative rho_f has no closed form (ValueError).
 
     One pass over the whole array: the arithmetic is numpy's, in the
     operation order of the one-sample formula (IEEE +, -, * and / round the
@@ -673,17 +684,14 @@ def frozen_tail(t_f: float, y_f: Sequence[float], params: ModelParams,
         raise ValueError(f"lambda + 4 pi m^2 phi_f^2 <= 0 at phi_f = {phi_f!r}: no frozen limit")
     t = np.asarray(times, dtype=float)
     rows = np.zeros((t.size, 5))
+    s_f = (math.asinh(u_inf * math.sqrt(3.0 / EIGHT_PI) / math.sqrt(rho_f))
+           if rho_f != 0.0 else math.inf)
+    em_f = math.expm1(-2.0 * s_f)
+    d = (2.0 * u_inf) * (t - t_f)
+    em = libm(math.expm1, -2.0 * (s_f + d))  # exp(-2s) - 1, in [-1, 0)
+    r = libm(math.exp, -d) * (em_f / em)
+    rows[:, 0] = (-u_inf * (2.0 + em)) / em
+    rows[:, 1] = v_f * r
     rows[:, 2] = phi_f
-    if rho_f == 0.0:
-        rows[:, 0] = u_inf
-        rows[:, 1] = v_f * libm(math.exp, (-2.0 * u_inf) * (t - t_f))
-    else:
-        s_f = math.asinh(u_inf * math.sqrt(3.0 / EIGHT_PI) / math.sqrt(rho_f))
-        em_f = math.expm1(-2.0 * s_f)
-        d = (2.0 * u_inf) * (t - t_f)
-        em = libm(math.expm1, -2.0 * (s_f + d))  # exp(-2s) - 1, in [-1, 0)
-        r = libm(math.exp, -d) * (em_f / em)
-        rows[:, 0] = (-u_inf * (2.0 + em)) / em
-        rows[:, 1] = v_f * r
-        rows[:, 4] = (rho_f * r) * r
+    rows[:, 4] = (rho_f * r) * r + 0.0  # + 0.0: a rho_f of -0.0 reads 0.0, as 0.0 does
     return rows

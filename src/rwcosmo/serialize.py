@@ -11,13 +11,13 @@ which writes the same bytes as formatting every value.
 Each JSON block that mirrors a type is that type's fields, in declaration
 order: ``initial`` (InitialData), ``admissibility`` (AdmissibilityReport),
 ``integrator`` (IntegratorConfig) and ``stats`` (IntegrationStats) in
-meta.json, the entries of events.json (Event), and ``fit_details``
-(DecayFit) and ``fit_windows`` (FitWindow) in report.json.  The reader
-rebuilds meta.json's blocks through the same types, so a missing or unknown
-key is an error and the types' own checks validate the values; meta.json
-must hold an object and events.json an array of objects; ``params``
-holds exactly lambda and mass, every count is a JSON integer, and
-``n_samples`` and ``guard_tripped`` must agree with the other two files.
+meta.json, the entries of events.json (Event), and the entries of ``fits``
+(DecayFit) in report.json.  The reader rebuilds meta.json's blocks and
+events.json's entries through the same types, so a missing or unknown key is
+an error and the types' own checks validate the values; meta.json must hold
+an object and events.json an array of objects; ``params`` holds exactly
+lambda and mass, every count is a JSON integer, and ``n_samples`` and
+``guard_tripped`` must agree with the other two files.
 """
 
 from __future__ import annotations
@@ -205,10 +205,8 @@ def read_trajectory(directory: Union[str, Path]) -> Trajectory:
     states = _parse_states(csv_text, sample_times(config))
 
     with _parsing(EVENTS_JSON):
-        entries = [_expect(e, dict, f"entry {i}")
-                   for i, e in enumerate(_expect(events_raw, list, "the file"), start=1)]
-        events = tuple(Event(t=float(e["t"]), kind=str(e["kind"]),
-                             detail=str(e.get("detail", ""))) for e in entries)
+        events = tuple(Event(**_expect(e, dict, f"entry {i}"))
+                       for i, e in enumerate(_expect(events_raw, list, "the file"), start=1))
 
     traj = Trajectory(params=params, initial=initial, config=config,
                       states=states, events=events, stats=stats)
@@ -247,12 +245,8 @@ def report_json_text(report: VerificationReport) -> str:
         "tolerances": asdict(TOL),
         "checks": [{"name": c.name, "pass": c.passed, "margin": _json_safe(c.margin),
                     "detail": c.detail} for c in report.checks],
-        "fitted_rates": {k: (v.rate if v is not None else None)
-                         for k, v in report.fitted_rates.items()},
-        "fit_details": {k: (v._asdict() if v is not None else None)
-                        for k, v in report.fitted_rates.items()},
-        "fit_windows": {k: (asdict(w) if w is not None else None)
-                        for k, w in report.fit_windows.items()},
+        "fits": {k: (fit._asdict() if fit is not None else None)
+                 for k, fit in report.fits.items()},
         "L_hat": report.L_hat,
         "H_inf_hat": report.H_inf_hat,
         "C0_hat": report.C0_hat,

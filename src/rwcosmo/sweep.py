@@ -176,7 +176,7 @@ def _evaluate_point(args: tuple) -> SweepRow:
     report = verify(traj)
     cols = traj.as_arrays()
     rates = {f"rate_{name}": fit.rate if fit is not None else nan
-             for name, fit in report.fitted_rates.items()}
+             for name, fit in report.fits.items()}
     return row(adm.theorem1_applicable, STATUS_OK, nu=nu, **rates,
                L_hat=report.L_hat, H_inf_hat=report.H_inf_hat,
                C0_hat=report.C0_hat,

@@ -2,11 +2,13 @@
 
 import contextlib
 import math
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from rwcosmo import (IntegratorConfig, ModelParams, integrate, integrator,
                      make_initial_data)
@@ -16,6 +18,20 @@ from rwcosmo import (IntegratorConfig, ModelParams, integrate, integrator,
 settings.register_profile("deterministic", derandomize=True, deadline=None,
                           database=None)
 settings.load_profile("deterministic")
+
+
+def pytest_configure(config):
+    """Hypothesis caches the constants of the code under test, at collection,
+    in its home directory: a temporary one for the session, not .hypothesis/
+    in the working directory."""
+    config.hypothesis_home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    set_hypothesis_home_dir(config.hypothesis_home.name)
+
+
+def pytest_unconfigure(config):
+    set_hypothesis_home_dir(None)
+    config.hypothesis_home.cleanup()
+
 
 REF_PARAMS = ModelParams(lam=1.0, mass=1.0)
 REF_CONFIG = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-10, t_end=10.0,

@@ -92,7 +92,7 @@ def test_05_decay_envelope_and_rates(ref_trajectory):
         report = verify(ref_trajectory)
         floor = 3.0 * REF_NU * 0.95
         for name in ("Q", "rho", "chi2"):
-            fit = report.fitted_rates[name]
+            fit = report.fits[name]
             assert fit is not None, f"no {name} fit"
             assert fit.rate >= floor, f"{name} rate {fit.rate} < {floor}"
 

@@ -42,13 +42,13 @@ STEPPED_TRAJECTORY_SHA256 = (
 JSON_SHA256 = {
     "paper": {
         "events.json": "f4dd5c41a5b85ed786852641e4eb4abc5c9aa707eb6cf6dfffb57c738717361b",
-        "meta.json": "27b5acf0a6548b429e4053397ee3b2f1b82eb1adea076bbe9f8c7448325e6529",
-        "report.json": "66e5525c17011cba1e103eb11d653c5e150e85b0d0d8fb3df072174e4cd0363a",
+        "meta.json": "66127936020be5d60f9b8cba3b657b4ffe94b0f8865652652f2abae5c9cfbe91",
+        "report.json": "9ef3290af0986385587e50563e0187869df97150d23dc61e8b904024ccc94a9e",
     },
     "kg": {
         "events.json": "b83d85c7b514f37465d080108e6ff9a1e9d9ac037a4b4f2d98cee19a8b5fae37",
-        "meta.json": "4dff4c54f374b02c47d8eedad2e233efea9d1861cb6fd30993d356a391c4e6f1",
-        "report.json": "5abe9147c2c74fa163063df89bf70f3f81ed792164e552440c6d474846cb4444",
+        "meta.json": "5e9b96afa7edf31ee2248c7a1e30102aedd696fbab077a10f95c45163c08f8b6",
+        "report.json": "441af5d0bd7021abb54c078a836a322bd3913460d63664bf512410c5c37fb738",
     },
 }
 
@@ -155,6 +155,21 @@ class TestSimulate:
         assert main(["simulate", str(cfg)]) == EXIT_INTEGRATOR
         events = json.loads((tmp_path / "out" / "events.json").read_text())
         assert any(e["kind"] == "GuardTripped" for e in events)
+
+    def test_step_size_underflow_exits_3_without_files(self, tmp_path, capsys):
+        """h_min close to h_max leaves no room to resolve the dynamics: one
+        error line, exit 3, nothing written."""
+        out = tmp_path / "out"
+        cfg = write_reference_config(
+            tmp_path / "under.ini", str(out),
+            **{"rel_tol = 1e-10": "rel_tol = 1e-14", "abs_tol = 1e-10": "abs_tol = 1e-14",
+               "t_end = 10": "t_end = 1\nh_min = 0.05\nh_init = 0.1\nh_max = 0.25"})
+        capsys.readouterr()
+        assert main(["simulate", str(cfg)]) == EXIT_INTEGRATOR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "rwcosmo: error: integration failed: step size fell below h_min = 0.05"), err
+        assert not out.exists()
 
     def test_unknown_key_exits_1(self, tmp_path):
         for old, new in (("mass = 1", "mass = 1\nmassy = 2"),
@@ -362,11 +377,11 @@ class TestVerify:
     def test_reference_exit_zero_and_schema(self, ref_run):
         assert main(["verify", str(ref_run)]) == EXIT_OK
         report = json.loads((ref_run / "report.json").read_text())
-        for key in ("nu", "checks", "fitted_rates", "L_hat", "H_inf_hat",
+        for key in ("nu", "checks", "fits", "L_hat", "H_inf_hat",
                     "C0_hat", "status"):
             assert key in report
         assert report["status"] == "passed"
-        assert set(report["fitted_rates"]) == {"Q", "rho", "chi2"}
+        assert set(report["fits"]) == {"Q", "rho", "chi2"}
         for entry in report["checks"]:
             assert set(entry) >= {"name", "pass", "margin"}
 
@@ -553,6 +568,8 @@ class TestVerify:
         (lambda meta: meta["stats"].update(steps_accepted=3.7), "steps_accepted"),
         (lambda meta: meta["stats"].update(steps_rejected=True), "steps_rejected"),
         (lambda meta: meta["initial"].update(a0=True), "a0 must be a real number, not bool"),
+        (lambda meta: meta["initial"].update(chi0=-0.1), "chi0 must be >= 0"),
+        (lambda meta: meta["initial"].update(rho0=-0.1), "rho0 must be >= 0"),
         (lambda meta: meta["integrator"].update(rel_tol=False),
          "rel_tol must be a real number, not bool"),
         (lambda meta: meta.update(params=5), "params must be an object, got 5"),
@@ -562,6 +579,7 @@ class TestVerify:
         (lambda meta: meta.update(stats=None), "stats must be an object, got null"),
     ], ids=["n_samples_not_the_rows", "n_samples_float", "guard_without_event",
             "a0_string", "count_fractional", "count_boolean", "a0_boolean",
+            "chi0_negative", "rho0_negative",
             "rel_tol_boolean", "params_not_object", "initial_not_object",
             "integrator_not_object", "stats_not_object"])
     def test_meta_values_checked(self, tmp_path, capsys, edit, key):
@@ -590,6 +608,33 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", str(out)]) == EXIT_CONFIG
         assert capsys.readouterr().err.splitlines() == [f"rwcosmo: error: {message}"]
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda e: e.update(t="0.5"), "t must be a real number, not str"),
+        (lambda e: e.update(t=True), "t must be a real number, not bool"),
+        (lambda e: e.update(t=float("nan")), "t must be finite, got nan"),
+        (lambda e: e.update(when=0.5), "unexpected keyword argument 'when'"),
+        (lambda e: e.update(kind=5), "kind must be one of FieldFrozen, ChiZeroCrossing, "
+                                     "GuardTripped, got 5"),
+        (lambda e: e.pop("detail"), "missing 1 required positional argument: 'detail'"),
+    ], ids=["t_string", "t_boolean", "t_nan", "unknown_key", "kind_number", "no_detail"])
+    def test_event_entries_checked(self, tmp_path, capsys, edit, message):
+        """An events.json entry holds exactly Event's fields, each checked by
+        Event: one error line naming events.json, exit 1, no report."""
+        out = tmp_path / "out"
+        cfg = write_reference_config(tmp_path / "c.ini", str(out),
+                                     **{"t_end = 10": "t_end = 0.1"})
+        assert main(["simulate", str(cfg)]) == EXIT_OK
+        events = json.loads((out / "events.json").read_text())
+        assert [e["kind"] for e in events] == ["FieldFrozen"]
+        edit(events[0])
+        (out / "events.json").write_text(json.dumps(events))
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("rwcosmo: error: invalid events.json: "), err
+        assert message in err[0]
         assert not (out / "report.json").exists()
 
 
@@ -621,7 +666,7 @@ class TestReport:
         report = json.loads((ref_run / "report.json").read_text())
         data = np.loadtxt(ref_run / "lnQ_vs_t.dat")
         slope = np.polyfit(data[:, 0], data[:, 1], 1)[0]
-        assert slope == pytest.approx(-report["fitted_rates"]["Q"], rel=1e-9)
+        assert slope == pytest.approx(-report["fits"]["Q"]["rate"], rel=1e-9)
 
     def test_plot_data_matches_trajectory_columns(self, ref_run):
         assert main(["verify", str(ref_run)]) == EXIT_OK
@@ -631,9 +676,9 @@ class TestReport:
             data = np.loadtxt(ref_run / f"{name}_vs_t.dat")
             assert np.array_equal(data[:, 0], cols["t"])
             assert np.array_equal(data[:, 1], cols[name])
-        window = json.loads((ref_run / "report.json").read_text())["fit_windows"]["Q"]
+        fit = json.loads((ref_run / "report.json").read_text())["fits"]["Q"]
         t, q = cols["t"], cols["Q"]
-        mask = (t >= window["t_lo"]) & (t <= window["t_hi"])
+        mask = (t >= fit["t_lo"]) & (t <= fit["t_hi"])
         data = np.loadtxt(ref_run / "lnQ_vs_t.dat")
         assert np.array_equal(data[:, 0], t[mask])
         assert np.array_equal(data[:, 1], np.log(q[mask]))
@@ -669,6 +714,22 @@ overwrite = true
         assert main(["sweep", str(plan)]) == EXIT_OK
         lines = (tmp_path / "sw" / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 2  # header + one data row
+
+    def test_overwrite_refused_without_flag(self, tmp_path, capsys):
+        """An existing sweep.csv is kept, and the sweep exits 1, unless
+        overwrite is set."""
+        plan = tmp_path / "plan.ini"
+        plan.write_text(self.PLAN.format(values="1", out=tmp_path / "sw")
+                        .replace("overwrite = true", "overwrite = false"))
+        csv_path = tmp_path / "sw" / "sweep.csv"
+        csv_path.parent.mkdir()
+        csv_path.write_text("earlier table\n")
+        capsys.readouterr()
+        assert main(["sweep", str(plan)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"rwcosmo: error: refusing to overwrite {csv_path}; set overwrite"]
+        assert csv_path.read_text() == "earlier table\n"
+        assert sorted(csv_path.parent.iterdir()) == [csv_path]
 
     def test_stepped_reference_pins(self, tmp_path, stepped):
         """The reference run stepped through its frozen phase, the path of

@@ -17,7 +17,7 @@ from rwcosmo.diagnostics import (STATUS_FAILED, STATUS_INCONCLUSIVE,
 from rwcosmo.integrator import IntegrationStats, Trajectory
 from rwcosmo.serialize import report_json_text
 
-from conftest import REF_NU
+from conftest import REF_CONFIG, REF_NU
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -102,11 +102,13 @@ class TestFitDecayRate:
         assert scaled.intercept == pytest.approx(base.intercept + math.log(17.0), rel=1e-12)
 
     def test_window_restricts_points(self):
+        """The fit records the points it used, not the window it was given."""
         t = np.arange(0.0, 10.01, 0.5)
         y = np.exp(-2.0 * t)
         y[:4] = 1.0  # corrupt early points outside the window
-        fit = fit_decay_rate(t, y, (2.0, 10.0))
+        fit = fit_decay_rate(t, y, (1.8, 9.9))
         assert fit.rate == pytest.approx(2.0, abs=1e-12)
+        assert (fit.t_lo, fit.t_hi, fit.n_points) == (2.0, 9.5, 16)
 
 
 def cumulative_simpson_loop(y, dt):
@@ -195,7 +197,7 @@ class TestVerifyBounds:
         assert report.check("u_lower_bound") == Check(
             "u_lower_bound", True, report.nu - float(np.min(traj.states[:, 0])) - eps,
             f"eps = {eps:.3g}")
-        assert report.status == STATUS_INCONCLUSIVE and report.all_passed
+        assert report.status == STATUS_INCONCLUSIVE
 
     def test_single_sample_monotonicity_vacuous(self):
         report = verify(make_fake_trajectory([1.0]))
@@ -313,16 +315,15 @@ class TestVerifyAsymptotics:
         checks = report.checks[names.index("q_envelope"):]
         assert checks and all(c.passed for c in checks)
         assert report.notes == ()
-        assert None not in report.fitted_rates.values()
-        assert None not in report.fit_windows.values()
-        fit, window = report.fitted_rates["Q"], report.fit_windows["Q"]
+        assert None not in report.fits.values()
+        fit = report.fits["Q"]
         assert fit.rate >= 3.0 * REF_NU * 0.95
-        assert window.t_lo < window.t_hi and window.n_points >= 8
+        assert fit.t_lo < fit.t_hi and fit.n_points >= 8
 
     def test_truncated_run_inconclusive(self, truncated_trajectory):
         report = verify(truncated_trajectory)
         assert report.checks[-1].name == "q_identity"  # no gated check ran
-        assert set(report.fitted_rates.values()) == set(report.fit_windows.values()) == {None}
+        assert set(report.fits.values()) == {None}
         assert any("gate" in n for n in report.notes)
 
     def test_growth_verdict_is_the_lower_bound_check(self, ref_trajectory,
@@ -358,7 +359,7 @@ class TestVerifyReport:
     def test_reference_passes(self, ref_trajectory):
         report = verify(ref_trajectory)
         assert report.status == STATUS_PASSED
-        assert report.all_passed
+        assert all(c.passed for c in report.checks)
         assert report.check("a_exponential_lower_bound").passed
         assert report.nu == pytest.approx(REF_NU, rel=1e-15)
 
@@ -383,8 +384,17 @@ class TestVerifyReport:
     def test_truncated_inconclusive_status(self, truncated_trajectory):
         report = verify(truncated_trajectory)
         assert report.status == STATUS_INCONCLUSIVE
-        assert report.fitted_rates == report.fit_windows == dict.fromkeys(
-            ("Q", "rho", "chi2"))
+        assert report.fits == dict.fromkeys(("Q", "rho", "chi2"))
+
+    def test_guard_trip_noted(self):
+        """verify names the guard that aborted a run: the contracting
+        reference data, integrated under override_admissibility, trip
+        max_abs_u at t = 0.445605."""
+        params = ModelParams(lam=1.0, mass=1.0)
+        data = make_initial_data(params, 1.0, 1.0, 0.1, 0.05, "contracting")
+        traj = integrate(data, params, replace(REF_CONFIG, override_admissibility=True))
+        assert verify(traj).notes[-1] == \
+            "integration aborted by guard: t = 0.445605: |u| = 1015.9 exceeded 1000"
 
     def test_estimates_match_constraint_limit(self, ref_trajectory):
         report = verify(ref_trajectory)
@@ -405,15 +415,14 @@ class TestVerifyReport:
             named = re.findall(r"`(\w+)`", cell)
             assert (named or cell == "none") and set(named) <= tolerance_fields, name
 
-    def test_rate_fit_windows_avoid_noise_floor(self, ref_trajectory):
-        """Fitted windows stop where each series hits its numerical floor."""
+    def test_rate_fits_avoid_noise_floor(self, ref_trajectory):
+        """Each fit's points stop where its series hits its numerical floor."""
         report = verify(ref_trajectory)
         cols = ref_trajectory.as_arrays()
         drift = np.abs(cols["constraint"]).max()
-        w = report.fit_windows["Q"]
-        i_hi = int(round(w.t_hi / 0.01))
+        i_hi = int(round(report.fits["Q"].t_hi / 0.01))
         assert cols["Q"][i_hi] > 100.0 * 3.0 * drift
-        # chi2 window must end before the freeze (chi = 0 afterwards)
-        w2 = report.fit_windows["chi2"]
-        assert w2.t_hi < 0.08
-        assert w2.n_points >= 8
+        # the chi2 fit must end before the freeze (chi = 0 afterwards)
+        fit = report.fits["chi2"]
+        assert fit.t_hi < 0.08
+        assert fit.n_points >= 8

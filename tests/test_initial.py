@@ -1,11 +1,12 @@
 """Initial data construction, branch selection, admissibility validation."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from rwcosmo import (InitialData, ModelParams, NegativeDensity, NoRealBranch,
+from rwcosmo import (AdmissibilityReport, InitialData, ModelParams, NegativeDensity, NoRealBranch,
                      build_state, derived, initial_data_from_u0,
                      make_initial_data, nu_rate, solve_rho0,
                      solve_u0, validate_theorem1)
@@ -148,6 +149,17 @@ class TestValidateTheorem1:
         rep = validate_theorem1(params, data)
         assert not rep.u0_positive
         assert not rep.theorem1_applicable
+
+    @pytest.mark.parametrize("name", ["chi0", "rho0"])
+    def test_sign_hypotheses_are_data_invariants(self, name):
+        """chi0 >= 0 and rho0 >= 0 need no flag: InitialData refuses data
+        without them, and the report flags the other three hypotheses."""
+        values = dict(a0=1.0, u0=1.0, phi0=1.0, chi0=0.0, rho0=0.0)
+        values[name] = -1e-300
+        with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+            InitialData(**values)
+        assert [f.name for f in fields(AdmissibilityReport)] == [
+            "lambda_bound_ok", "phi0_positive", "u0_positive", "theorem1_applicable", "nu"]
 
     def test_lambda_bound_violation_has_no_nu(self):
         params = ModelParams(lam=-13.0, mass=1.0)

@@ -581,6 +581,24 @@ class TestModesAndGuards:
         cols = kg_trajectory.as_arrays()
         assert cols["chi"].min() < 0.0
 
+    def test_kg_crossings_alternate(self):
+        """A heavier field oscillates: kg mode logs 9 crossings, downward
+        first (t ~ 0.0927), then upward (t ~ 1.2639), and so on, and chi
+        changes sign in that direction between the samples around each."""
+        params = ModelParams(lam=1.0, mass=3.0)
+        data = make_initial_data(params, a0=1.0, phi0=0.1, chi0=0.1, rho0=0.05)
+        traj = integrate(data, params, IntegratorConfig(mode="kg"))
+        assert [e.kind for e in traj.events] == [CHI_ZERO_CROSSING] * 9
+        assert [e.detail for e in traj.events] == \
+            ["downward crossing", "upward crossing"] * 4 + ["downward crossing"]
+        assert traj.events[0].t == pytest.approx(0.0927, abs=1e-4)
+        assert traj.events[1].t == pytest.approx(1.2639, abs=1e-4)
+        chi = traj.as_arrays()["chi"]
+        for event in traj.events:
+            i = int(np.searchsorted(traj.t, event.t))
+            sign = 1.0 if event.detail == "downward crossing" else -1.0
+            assert sign * chi[i - 1] > 0.0 > sign * chi[i], event
+
     def test_kg_and_paper_agree_before_crossing(self, ref_trajectory, kg_trajectory):
         """The two continuations are the same trajectory until chi hits 0."""
         ref = ref_trajectory.as_arrays()

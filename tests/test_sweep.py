@@ -148,7 +148,7 @@ class TestRunSweep:
         joined = integrate(data, params, FAST)
         report = verify(joined)
         rates = {f"rate_{k}": (fit.rate if fit is not None else math.nan)
-                 for k, fit in report.fitted_rates.items()}
+                 for k, fit in report.fits.items()}
         assert row.status == "ok"
         assert (row.nu, row.L_hat, row.H_inf_hat, row.C0_hat, row.verdict) == \
                (report.nu, report.L_hat, report.H_inf_hat, report.C0_hat, report.status)
@@ -181,8 +181,8 @@ class TestRunSweep:
             assert main(["simulate", str(cfg)]) == 0
         traj = read_trajectory(tmp_path / "out")
         report = verify(traj)
-        assert [float(getattr(row, f"rate_{k}")).hex() for k in report.fitted_rates] == \
-               [fit.rate.hex() for fit in report.fitted_rates.values()]
+        assert [float(getattr(row, f"rate_{k}")).hex() for k in report.fits] == \
+               [fit.rate.hex() for fit in report.fits.values()]
         assert (row.L_hat, row.H_inf_hat, row.C0_hat, row.verdict) == \
                (report.L_hat, report.H_inf_hat, report.C0_hat, report.status)
         assert row.max_constraint == float(np.abs(traj.as_arrays()["constraint"]).max())
