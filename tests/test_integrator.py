@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-from array import array
 from dataclasses import fields, replace
 
 import numpy as np
@@ -16,8 +15,8 @@ from rwcosmo import integrator
 from rwcosmo.diagnostics import cumulative_simpson
 from rwcosmo.initial import nu_rate
 from rwcosmo.integrator import (FIELD_FROZEN, CHI_ZERO_CROSSING, GUARD_TRIPPED, MAX_SAMPLES,
-                                IntegrationStats, frozen_tail, sample_times,
-                                _dense_samples, _trial_step, _A21, _A31, _A32, _A41, _A42, _A43,
+                                IntegrationStats, frozen_tail, sample_times, _sample,
+                                _step_quartics, _trial_step, _A21, _A31, _A32, _A41, _A42, _A43,
                                 _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64, _A65,
                                 _B1, _B3, _B4, _B5, _B6, _E1, _E3, _E4, _E5, _E6, _E7)
 from rwcosmo.model import EIGHT_PI, _rhs_terms
@@ -673,13 +672,13 @@ def _sample_trip(t_sample, row):
 
 
 class TestSampleGuard:
-    """A grid sample that breaks the state invariants (finite, v > 0,
-    rho >= 0) while its step's ends pass.  No real run found does this, so
-    the quartic's k7 weight _D7 is scaled: the interpolant then bulges
-    between the ends of a step.  The run must stop at the step holding the
-    first bad sample, with that step's counts and the events logged before
-    it, whatever the steps after it did.  The pins are those of the
-    per-sample dense output that the vectorized pass replaced."""
+    """A grid sample that breaks the state invariants while its step's ends
+    pass.  No real run found does this, so the quartic's k7 weight _D7 is
+    scaled: the interpolant then bulges between the ends of a step.  Each
+    sample is checked as its step is accepted, by the float form of
+    valid_states's rule (finite, v > 0, rho >= 0).  The run must stop at the
+    step holding the first bad sample, with that step's counts and the
+    events logged before it, whatever the steps after it would have done."""
 
     @staticmethod
     def pins(traj):
@@ -771,11 +770,10 @@ class TestDenseSamples:
         (-rho_clamp, 0) reads 0.0 on either."""
         y0 = [53.43152582959241, 1.0, 1.0, 0.1, 1e-12]
         y1 = [-0.10922561189039715, 1.0, 1.0, 0.1, -1e-13]
-        segments = array("d", [0.0, 1.0, 1.0, *y0, *y1, *[0.0] * 30])
-        for at_end, u in ((1, -0.10922561189039715), (0, -0.1092256118903947)):
-            snapshots = np.array([[1, at_end, 0, 0, 0, 0]], dtype=np.int64)
-            rows = _dense_samples(segments, snapshots, 1.0, 1e-10)
-            assert [x.hex() for x in rows[0].tolist()] == [x.hex() for x in [u, 1.0, 1.0, 0.1, 0.0]]
+        quartics = _step_quartics(1.0, y0, y1, ([0.0] * 5,) * 7)
+        for y_end, u in ((y1, -0.10922561189039715), (None, -0.1092256118903947)):
+            row = _sample(quartics, 1.0, y_end, 1e-10)
+            assert [x.hex() for x in row] == [x.hex() for x in [u, 1.0, 1.0, 0.1, 0.0]]
 
 
 class TestDenseOutputQuality:
