@@ -8,10 +8,12 @@ repeats): integrate, integrate on the same run in ``kg`` mode (no frozen
 tail: every sample is stepped), trajectory_csv_text, read_trajectory,
 verify, and the whole op, ``rwcosmo simulate`` then ``rwcosmo verify``
 through cli.main.  Prints one JSON object: the wall times in s and their
-medians over REPEATS (default 15), the step counters, and the size in bytes
-and the sha256 of trajectory.csv; under "kg", the ``kg`` run's counters,
-sample count and the sha256 of its states array.  Files go to a temporary
-directory that is removed afterwards.
+medians over REPEATS (default 15), the step counters, ``libm_elements``,
+the elements integrate then verify pass through integrator.libm (their
+math-module evaluations), and the size in bytes and the sha256 of
+trajectory.csv; under "kg", the ``kg`` run's counters, sample count and the
+sha256 of its states array.  Files go to a temporary directory that is
+removed afterwards.
 """
 
 import contextlib
@@ -25,6 +27,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+from libm_count import libm_elements
 from rwcosmo import IntegratorConfig, ModelParams, integrate, make_initial_data, verify
 from rwcosmo.cli import main as cli_main
 from rwcosmo.serialize import TRAJECTORY_CSV, read_trajectory, trajectory_csv_text, write_trajectory
@@ -90,6 +93,7 @@ def main(repeats: int) -> dict:
             "steps_rejected": traj.stats.steps_rejected,
             "rhs_evaluations": traj.stats.rhs_evaluations,
             "samples": int(traj.t.size),
+            "libm_elements": libm_elements(lambda: verify(integrate(data, PARAMS, CONFIG))),
             "trajectory_bytes": len(csv_bytes),
             "trajectory_sha256": hashlib.sha256(csv_bytes).hexdigest(),
             "kg": {"steps_accepted": kg.stats.steps_accepted,

@@ -11,7 +11,8 @@ trajectory; ``verify``, on trajectories whose columns are already built;
 ``table``, sweep_table_csv of the rows; and the whole op, run_sweep then
 sweep_table_csv.  Prints one JSON object: the wall times in s and their
 medians over REPEATS (default 15), the rows' step counters and sample count,
-and the sha256 of sweep.csv.
+``libm_elements``, the elements one op passes through integrator.libm (its
+math-module evaluations), and the sha256 of sweep.csv.
 """
 
 import hashlib
@@ -20,6 +21,7 @@ import statistics
 import sys
 import time
 
+from libm_count import libm_elements
 from rwcosmo import IntegratorConfig, ModelParams, integrate, make_initial_data, verify
 from rwcosmo.initial import NoRealBranch
 from rwcosmo.integrator import Trajectory
@@ -73,6 +75,7 @@ def main(repeats: int) -> dict:
             "steps_rejected": sum(r["traj"].stats.steps_rejected for r in runs),
             "rhs_evaluations": sum(r["traj"].stats.rhs_evaluations for r in runs),
             "samples": sum(r["traj"].t.size for r in runs),
+            "libm_elements": libm_elements(layers["op"]),
             "sweep_csv_sha256": hashlib.sha256(sweep_table_csv(rows).encode()).hexdigest()}
 
 

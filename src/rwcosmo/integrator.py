@@ -69,7 +69,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import repeat
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -233,11 +232,10 @@ class Trajectory:
     @cached_property
     def _columns(self) -> dict[str, np.ndarray]:
         u, v, phi, chi, rho = (np.ascontiguousarray(c) for c in self.states.T)
-        # numpy's vectorized power can differ from the scalar one in the last
-        # bit; the scalar pow keeps a equal to CosmoState.a.  A hand-built
-        # state with v <= 0 has no scale factor: a reads nan.
-        a = np.fromiter(map(pow, np.where(v > 0.0, v, math.nan).tolist(), repeat(-0.5)),
-                        float, v.size)
+        # IEEE sqrt and / are correctly rounded, in numpy's loops as in
+        # scalar code and on every CPU, so a equals CosmoState.a bit for bit.
+        # A hand-built state with v <= 0 has no scale factor: a reads nan.
+        a = 1.0 / np.sqrt(np.where(v > 0.0, v, math.nan))
         d = derived_terms(u, phi, chi, rho, self.params)
         cols = {"t": self.t, "u": u, "v": v, "a": a, "phi": phi, "chi": chi,
                 "psi": 0.5 * chi * chi, "rho": rho, "H": d.H, "T00": d.T00,
@@ -592,9 +590,11 @@ def libm(f: Callable[[float], float], x: np.ndarray) -> np.ndarray:
 
     numpy's exp and log run a SIMD loop picked for the CPU at run time, and
     the last bit of their results follows that pick; the math module's do
-    not, so trajectories and reports come out the same on every CPU.
+    not, so the bytes do not depend on numpy's loops.  They still depend on
+    glibc, which picks FMA variants of exp, expm1 and log (and pow) at run
+    time: a rare argument changes its last bit on a CPU without FMA.
     """
-    values = x.tolist()
+    values = memoryview(np.ascontiguousarray(x, dtype=float))
     try:
         return np.fromiter(map(f, values), float, len(values))
     except OverflowError:

@@ -110,8 +110,8 @@ class CosmoState:
 
     @property
     def a(self) -> float:
-        """Scale factor v**(-1/2)."""
-        return self.v ** -0.5
+        """Scale factor v**(-1/2), as 1/sqrt(v)."""
+        return 1.0 / math.sqrt(self.v)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from test_sweep import GRID_SHA256
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -24,12 +26,15 @@ def run_bench(script, *args, cwd):
 
 def test_time_dense(tmp_path):
     """The dense_output run: 10,001 samples from 10 steps to the freeze and
-    the exact tail, and the size and bytes of its trajectory.csv (t and the
+    the exact tail, the math-module evaluations of integrate and verify
+    (the tail's exp and expm1, Simpson's exp(2 int u), exp(nu t) and the
+    fits' logs), and the size and bytes of its trajectory.csv (t and the
     five states).  Its ``kg`` variant steps every sample: 404 steps, and
     the bytes of its states."""
     got = run_bench("time_dense.py", 1, cwd=tmp_path)
     assert (got["steps_accepted"], got["steps_rejected"], got["rhs_evaluations"],
             got["samples"]) == (10, 0, 61, 10001)
+    assert got["libm_elements"] == 41559
     assert got["trajectory_bytes"] == 1023782
     assert got["trajectory_sha256"] == \
         "551a0adf701f5ba7194e26c52282c42346d1a0b5a7aaad3e28a8150f961e062a"
@@ -40,10 +45,12 @@ def test_time_dense(tmp_path):
 
 def test_time_sweep(tmp_path):
     """The sweep_grid layers: the twelve rows with a real branch step 242
-    times before their exact tails."""
+    times before their exact tails, and one op makes 51,700 math-module
+    evaluations."""
     got = run_bench("time_sweep.py", 1, cwd=tmp_path)
     assert got["sweep_csv_sha256"] == GRID_SHA256
     assert (got["rows_integrated"], got["steps_accepted"], got["samples"]) == (12, 242, 12012)
+    assert got["libm_elements"] == 51700
 
 
 def test_time_pool(tmp_path):
@@ -55,6 +62,20 @@ def test_time_pool(tmp_path):
     got = run_bench("time_pool.py", plan, 1, cwd=tmp_path)
     assert (got["rows"], got["repeats"]) == (2, 1)
     assert {name: len(ts) for name, ts in got["wall_s"].items()} == {"serial": 1, "pooled": 1}
+
+
+@pytest.mark.parametrize("workload", ["sweep_grid", "dense_output"])
+def test_ab(tmp_path, workload):
+    """The repository against itself: both sides time every pair and write
+    the same bytes."""
+    got = run_bench("ab.py", ROOT, ROOT, workload, 2, cwd=tmp_path)
+    assert (got["workload"], got["pairs"]) == (workload, 2)
+    assert 0 <= got["b_wins"] <= 2 and got["ratio_b_over_a"] > 0.0
+    assert got["identical"] == ({"sweep.csv": True} if workload == "sweep_grid" else
+                                dict.fromkeys(("trajectory.csv", "events.json", "meta.json",
+                                               "report.json"), True))
+    for side in ("a", "b"):
+        assert 0.0 < got[side]["q1_s"] <= got[side]["median_s"] <= got[side]["q3_s"]
 
 
 def test_sloc(tmp_path):

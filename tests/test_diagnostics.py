@@ -14,7 +14,8 @@ from rwcosmo import (Check, CosmoState, InitialData, IntegratorConfig,
                      make_initial_data, verify)
 from rwcosmo.diagnostics import (STATUS_FAILED, STATUS_INCONCLUSIVE,
                                  STATUS_PASSED, TOL, cumulative_simpson, libm)
-from rwcosmo.integrator import IntegrationStats, Trajectory
+from rwcosmo.initial import nu_rate
+from rwcosmo.integrator import IntegrationStats, Trajectory, sample_times
 from rwcosmo.serialize import report_json_text
 
 from conftest import REF_CONFIG, REF_NU
@@ -110,6 +111,15 @@ class TestFitDecayRate:
         assert fit.rate == pytest.approx(2.0, abs=1e-12)
         assert (fit.t_lo, fit.t_hi, fit.n_points) == (2.0, 9.5, 16)
 
+    @pytest.mark.parametrize("window", [(1.0, 6.0), (1.2, 5.9)])
+    def test_sub_window_equals_pre_sliced_fit(self, window):
+        """Fitting a sub-window of the series and fitting the points inside
+        it, sliced beforehand, give the same fit bit for bit."""
+        t = np.arange(0.0, 8.001, 0.1)
+        y = np.exp(-1.7 * t) * (1.0 + 0.05 * np.sin(5.0 * t))
+        inside = (t >= window[0]) & (t <= window[1])
+        assert fit_decay_rate(t, y, window) == fit_decay_rate(t[inside], y[inside], window)
+
 
 def cumulative_simpson_loop(y, dt):
     """Sample-by-sample reference for the vectorized cumulative_simpson."""
@@ -140,6 +150,8 @@ class TestLibm:
         y = np.array([1e-300, 0.5, 2.0, 1e300])
         assert libm(math.log, y).tolist() == [math.log(v) for v in y.tolist()]
         assert libm(math.exp, np.array([])).shape == (0,)
+        strided = np.linspace(-1.0, 1.0, 9)[::2]  # not contiguous
+        assert libm(math.exp, strided).tolist() == [math.exp(v) for v in strided.tolist()]
 
 
 class TestCumulativeSimpson:
@@ -353,6 +365,105 @@ class TestVerifyAsymptotics:
         target = math.sqrt(3.0 * (1.0 + 4.0 * math.pi * phi_f ** 2))
         assert abs(report.H_inf_hat - target) <= 1e-3 * target
         assert report.L_hat == phi_f ** 2
+
+
+def two_exp_margins(traj):
+    """The margins of the four exponential checks by the two-exp formulas:
+    exp(-4 int u) for the rho oracle apart from exp(2 int u) for the v
+    identity, and exp(-3 nu t) for the Q envelope apart from exp(nu t) for
+    the growth bound, each through libm.  The envelope and the bound only
+    where Q has passed the gate, as in verify."""
+    cols = traj.as_arrays()
+    t, u, v, rho, q = (cols[k] for k in ("t", "u", "v", "rho", "Q"))
+    integral_u = cumulative_simpson(u, float(t[1] - t[0]))
+    rho0, v0, q0 = float(rho[0]), float(v[0]), float(q[0])
+    margins = {
+        "rho_quadrature_oracle": float(np.max(np.abs(
+            rho - rho0 * libm(math.exp, -4.0 * integral_u)))) / rho0 - TOL.rho_oracle_rel,
+        "v_quadrature_identity": float(np.max(np.abs(
+            v * libm(math.exp, 2.0 * integral_u) - v0))) / v0 - TOL.v_oracle_rel,
+    }
+    if abs(float(q[-1])) < TOL.q_ratio_gate * q0:
+        nu = nu_rate(traj.params, traj.initial.phi0)
+        q_floor = (24.0 * math.pi * TOL.rho_oracle_rel * traj.initial.rho0
+                   + 3.0 * TOL.constraint_budget)
+        envelope = q0 * libm(math.exp, -3.0 * nu * t) * (1.0 + TOL.envelope_slack) + q_floor
+        bound = traj.initial.a0 * libm(math.exp, nu * t) * (1.0 - TOL.a_growth_slack)
+        margins["q_envelope"] = float(np.max(q - envelope))
+        margins["a_exponential_lower_bound"] = float(np.max(bound - cols["a"]))
+    return margins
+
+
+def assert_two_exp_verdicts(traj, tol=1e-15):
+    """verify's exponential checks give the two-exp formulas' pass/fail,
+    infinite margins where they give inf (null in report.json), and finite
+    margins within ``tol``."""
+    report = verify(traj)
+    written = {c["name"]: c["margin"] for c in json.loads(report_json_text(report))["checks"]}
+    for name, want in two_exp_margins(traj).items():
+        got = report.check(name)
+        assert got.passed == (want <= 0.0), name
+        assert math.isinf(got.margin) == math.isinf(want), name
+        if math.isinf(want):
+            assert got.margin == want and written[name] is None, name
+        else:
+            assert abs(got.margin - want) <= tol, name
+    return report
+
+
+def on_shell_run(nu_t_end):
+    """A hand-built on-shell run with the frozen field at phi = 1 (nu from
+    lambda = m = 1), rho = rho0*exp(-4 nu t), u from the constraint and
+    v = exp(ln(1e307) - 2 nu t), positive until nu t ~ 726, on 201 samples
+    up to nu*t_end; int u is a little above nu*t."""
+    params = ModelParams(lam=1.0, mass=1.0)
+    t_end = nu_t_end / REF_NU
+    config = IntegratorConfig(t_end=t_end, sample_dt=t_end / 200)
+    t = sample_times(config)
+    rho = 0.05 * libm(math.exp, -4.0 * REF_NU * t)
+    u = np.sqrt(REF_NU * REF_NU + 8.0 * math.pi / 3.0 * rho)
+    v = libm(math.exp, math.log(1e307) - 2.0 * REF_NU * t)
+    initial = InitialData(a0=1.0 / math.sqrt(float(v[0])), u0=float(u[0]), phi0=1.0, chi0=0.0,
+                          rho0=0.05)
+    zeros = np.zeros_like(t)
+    return Trajectory(params=params, initial=initial, config=config,
+                      states=np.column_stack([u, v, np.ones_like(t), zeros, rho]),
+                      events=(), stats=IntegrationStats(0, 0, 0))
+
+
+class TestOneExpPerIdentity:
+    """verify takes exp(2 int u) once for both quadrature checks and
+    exp(nu t) once for the Q envelope and the growth bound; the two-exp
+    formulas are the oracle."""
+
+    def test_reference_dense_and_kg_runs(self, ref_trajectory, kg_trajectory, ref_initial):
+        dense = integrate(ref_initial, ModelParams(lam=1.0, mass=1.0),
+                          replace(REF_CONFIG, rel_tol=1e-8, abs_tol=1e-8, sample_dt=0.001))
+        for traj in (ref_trajectory, dense, kg_trajectory):
+            assert len(two_exp_margins(traj)) == 4
+            assert_two_exp_verdicts(traj)
+
+    @pytest.mark.parametrize("nu_t_end,overflows", [
+        (150.0, set()),
+        (300.0, {"exp(nu t)**3", "exp(2 int u)**2"}),
+        (400.0, {"exp(nu t)**3", "exp(2 int u)**2", "exp(2 int u)"}),
+        (720.0, {"exp(nu t)**3", "exp(2 int u)**2", "exp(2 int u)", "exp(nu t)"}),
+    ])
+    def test_past_each_overflow_point(self, nu_t_end, overflows):
+        """Past nu t = 236.6 exp(nu t)**3 overflows, past 709.8 exp(nu t);
+        past 2 int u = 354.9 exp(2 int u)**2, past 709.8 exp(2 int u).  Each
+        run keeps the two-exp pass/fail and margins, inf where they are."""
+        traj = on_shell_run(nu_t_end)
+        largest = math.log(np.finfo(float).max)
+        two_int_u = 2.0 * float(cumulative_simpson(traj.as_arrays()["u"], traj.config.sample_dt)[-1])
+        assert overflows == {name for name, x in (
+            ("exp(nu t)**3", 3.0 * nu_t_end), ("exp(nu t)", nu_t_end),
+            ("exp(2 int u)**2", 2.0 * two_int_u), ("exp(2 int u)", two_int_u)) if x > largest}
+        margins = two_exp_margins(traj)
+        assert len(margins) == 4
+        assert math.isinf(margins["v_quadrature_identity"]) == ("exp(2 int u)" in overflows)
+        assert math.isinf(margins["a_exponential_lower_bound"]) == ("exp(nu t)" in overflows)
+        assert_two_exp_verdicts(traj)
 
 
 class TestVerifyReport:

@@ -224,7 +224,7 @@ class TestScaleFactor:
     def test_matches_property(self):
         """A trajectory's a column equals CosmoState.a bit for bit.  A
         hand-built state with v = 0 or v < 0 has no scale factor (nan), and
-        v = inf reads inf**-0.5 = 0."""
+        v = inf reads 1/sqrt(inf) = 0."""
         vs = [0.37, 1.0 / 3.0, 2.5e-7, 0.0, -0.0, -4.0, -math.inf, math.inf]
         traj = Trajectory(params=ModelParams(lam=0.0, mass=0.0),
                           initial=InitialData(a0=1.0, u0=0.0, phi0=0.0, chi0=0.0, rho0=0.0),
