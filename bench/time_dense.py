@@ -11,9 +11,10 @@ through cli.main.  Prints one JSON object: the wall times in s and their
 medians over REPEATS (default 15), the step counters, ``libm_elements``,
 the elements integrate then verify pass through integrator.libm (their
 math-module evaluations), and the size in bytes and the sha256 of
-trajectory.csv; under "kg", the ``kg`` run's counters, sample count and the
-sha256 of its states array.  Files go to a temporary directory that is
-removed afterwards.
+trajectory.csv, the peak bytes write_trajectory and read_trajectory
+allocate on the run by tracemalloc, and under "kg", the ``kg`` run's
+counters, sample count and the sha256 of its states array.  Files go to a
+temporary directory that is removed afterwards.
 """
 
 import contextlib
@@ -24,6 +25,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -57,6 +59,16 @@ overwrite = true
 """
 
 
+def traced_peak(f) -> int:
+    """The peak bytes allocated while ``f()`` runs, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def main(repeats: int) -> dict:
     data = make_initial_data(PARAMS, a0=1.0, phi0=1.0, chi0=0.1, rho0=0.05, branch="expanding")
     with tempfile.TemporaryDirectory() as tmp:
@@ -87,6 +99,10 @@ def main(repeats: int) -> dict:
                 layers[name]()
                 times[name].append(time.perf_counter() - start)
         csv_bytes = (tmp / "op" / TRAJECTORY_CSV).read_bytes()
+        peak_bytes = {
+            "write_trajectory": traced_peak(lambda: write_trajectory(tmp / "run", traj, "bench",
+                                                                     overwrite=True)),
+            "read_trajectory": traced_peak(lambda: read_trajectory(tmp / "run"))}
     return {"repeats": repeats, "wall_s": times,
             "median_s": {name: statistics.median(ts) for name, ts in times.items()},
             "steps_accepted": traj.stats.steps_accepted,
@@ -96,6 +112,7 @@ def main(repeats: int) -> dict:
             "libm_elements": libm_elements(lambda: verify(integrate(data, PARAMS, CONFIG))),
             "trajectory_bytes": len(csv_bytes),
             "trajectory_sha256": hashlib.sha256(csv_bytes).hexdigest(),
+            "peak_bytes": peak_bytes,
             "kg": {"steps_accepted": kg.stats.steps_accepted,
                    "steps_rejected": kg.stats.steps_rejected,
                    "rhs_evaluations": kg.stats.rhs_evaluations,

@@ -38,7 +38,7 @@ from .integrator import (GUARD_TRIPPED, InadmissibleInitialData,
                          IntegratorConfig, StepSizeUnderflow, Trajectory,
                          integrate, libm)
 from .model import ModelParams
-from .serialize import (CorruptTrajectory, read_trajectory, table_text,
+from .serialize import (CorruptTrajectory, read_trajectory, write_table,
                         write_report, write_trajectory)
 from .sweep import SWEEP_PARAMS, SweepPlan, run_sweep, sweep_table_csv
 
@@ -282,8 +282,7 @@ def _write_plot_data(out_dir: Path, traj: Trajectory, report: VerificationReport
     cols = traj.as_arrays()
     t, q = cols["t"], cols["Q"]
     for name in ("a", "H", "T00", "Q", "constraint"):
-        (out_dir / f"{name}_vs_t.dat").write_text(
-            table_text(f"# t {name}", [t, cols[name]], sep=" "))
+        write_table(out_dir / f"{name}_vs_t.dat", f"# t {name}", [t, cols[name]], sep=" ")
 
     # ln Q over the fit window used for the reported decay rate, so the
     # file's least-squares slope reproduces -rate_Q.
@@ -291,8 +290,7 @@ def _write_plot_data(out_dir: Path, traj: Trajectory, report: VerificationReport
     fit = report.fits["Q"]
     if fit is not None:
         mask &= (t >= fit.t_lo) & (t <= fit.t_hi)
-    (out_dir / "lnQ_vs_t.dat").write_text(
-        table_text("# t lnQ", [t[mask], libm(math.log, q[mask])], sep=" "))
+    write_table(out_dir / "lnQ_vs_t.dat", "# t lnQ", [t[mask], libm(math.log, q[mask])], sep=" ")
 
 
 def cmd_report(traj_dir: str, out: Optional[str] = None) -> int:

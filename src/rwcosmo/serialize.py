@@ -4,9 +4,11 @@ trajectory.csv stores ``t,u,v,phi,chi,rho`` and nothing derived from them.
 All floats are written with 17 significant digits, which round-trips IEEE
 doubles exactly; reading a trajectory back reproduces the in-memory values
 bit for bit.  Output is fully deterministic: identical runs produce identical
-bytes.  A table (trajectory.csv, the report's .dat files) formats each
-distinct bit pattern of a column once per chunk of rows and reuses the text,
-which writes the same bytes as formatting every value.
+bytes.  A table (trajectory.csv, the report's .dat files) streams to its
+file a block of 2,048 rows at a time, each block one ``%`` over its rows'
+template, in which a column constant over the block (by bit pattern) stands
+as its text: the bytes of formatting every value.  read_trajectory parses
+trajectory.csv from the open file; neither side holds the whole text.
 
 Each JSON block that mirrors a type is that type's fields, in declaration
 order: ``initial`` (InitialData), ``admissibility`` (AdmissibilityReport),
@@ -24,11 +26,11 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from contextlib import contextmanager
 from dataclasses import asdict
-from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, TextIO, TypeVar, Union
 
 import numpy as np
 
@@ -43,6 +45,7 @@ EVENTS_JSON = "events.json"
 META_JSON = "meta.json"
 REPORT_JSON = "report.json"
 _CSV_HEADER = ",".join(("t",) + STATE_COLUMNS)
+_T = TypeVar("_T")
 
 
 class CorruptTrajectory(ValueError):
@@ -58,29 +61,39 @@ def fmt(x: float) -> str:
     return _FLOAT % (x,)
 
 
-#: Rows per chunk of table_text: bounds the cells held at once.
-_CHUNK = 2048
+#: Rows per block of a table: bounds the text and the cells held at once.
+_BLOCK = 2048
+
+
+def _table_blocks(header: str, columns: Sequence[np.ndarray], sep: str) -> Iterator[str]:
+    """The ``header`` line, then the text of each block of _BLOCK rows of
+    the equal-length float ``columns``, one line per row.
+
+    A block is one ``%`` over its rows' template.  A column whose values in
+    the block share one bit pattern (so -0.0 and 0.0 stay apart) enters the
+    template as its text, every other cell as ``%.17g``: the bytes of
+    formatting every value.
+    """
+    yield header + "\n"
+    n = len(columns[0]) if columns else 0
+    for start in range(0, n, _BLOCK):
+        block = np.column_stack([column[start:start + _BLOCK] for column in columns])
+        bits = block.view(np.uint64)
+        constant = (bits == bits[0]).all(axis=0)
+        row = sep.join(fmt(x) if same else _FLOAT
+                       for x, same in zip(block[0].tolist(), constant.tolist()))
+        yield (row + "\n") * len(block) % tuple(block[:, ~constant].ravel().tolist())
 
 
 def table_text(header: str, columns: Sequence[np.ndarray], sep: str = ",") -> str:
-    """``header`` line, then one line per row of the equal-length float ``columns``.
+    """``header`` line, then one line per row of the equal-length float ``columns``."""
+    return "".join(_table_blocks(header, columns, sep))
 
-    Column by column, in chunks of _CHUNK rows, each distinct value (bit
-    pattern, so -0.0 and 0.0 stay apart) is formatted once and its text
-    shared by the rows that hold it: the bytes of formatting every value.
-    """
-    lines = [header]
-    n = len(columns[0]) if columns else 0
-    for start in range(0, n, _CHUNK):
-        cells = []
-        for column in columns:
-            chunk = np.ascontiguousarray(column[start:start + _CHUNK], dtype=np.float64)
-            bits, index = np.unique(chunk.view(np.uint64), return_inverse=True)
-            text = list(map(_FLOAT.__mod__, bits.view(np.float64).tolist()))
-            index = index.tolist()
-            cells.append(itemgetter(*index)(text) if len(index) > 1 else (text[index[0]],))
-        lines += map(sep.join, zip(*cells))
-    return "\n".join(lines) + "\n"
+
+def write_table(path: Path, header: str, columns: Sequence[np.ndarray], sep: str = ",") -> None:
+    """Write table_text(header, columns, sep) to ``path`` a block at a time."""
+    with open(path, "w") as f:
+        f.writelines(_table_blocks(header, columns, sep))
 
 
 def trajectory_csv_text(traj: Trajectory) -> str:
@@ -114,45 +127,44 @@ def write_trajectory(directory: Union[str, Path], traj: Trajectory, version: str
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    targets = {
-        TRAJECTORY_CSV: trajectory_csv_text(traj),
-        EVENTS_JSON: events_json_text(traj),
-        META_JSON: meta_json_text(traj, version),
-    }
+    paths = [directory / name for name in (TRAJECTORY_CSV, EVENTS_JSON, META_JSON)]
     if not overwrite:
-        existing = [name for name in targets if (directory / name).exists()]
+        existing = [path.name for path in paths if path.exists()]
         if existing:
             raise FileExistsError(
                 f"refusing to overwrite {', '.join(existing)} in {directory}; "
                 "set overwrite")
-    written = []
-    for name, text in targets.items():
-        path = directory / name
-        path.write_text(text)
-        written.append(path)
-    return written
+    write_table(paths[0], _CSV_HEADER, [traj.t, *traj.states.T])
+    paths[1].write_text(events_json_text(traj))
+    paths[2].write_text(meta_json_text(traj, version))
+    return paths
 
 
-def _parse_states(text: str, grid: np.ndarray) -> np.ndarray:
-    """The (n, 5) states of trajectory.csv text.
+def _parse_states(csv: TextIO, grid: np.ndarray) -> np.ndarray:
+    """The (n, 5) states of the open trajectory.csv ``csv``.
 
     The header is the first line and must be exactly ``t,u,v,phi,chi,rho``;
     every row holds those six numbers.  Empty lines are skipped, and a line
     of only blanks is a malformed row.  The t column must be a prefix of the
     run's sample ``grid``, exactly: the 17-digit writer round-trips it.
     """
-    lines = text.splitlines()
-    if not lines:
+    line = csv.readline()
+    if not line:
         raise CorruptTrajectory(f"{TRAJECTORY_CSV}: empty file")
-    if lines[0] != _CSV_HEADER:
-        raise CorruptTrajectory(f"{TRAJECTORY_CSV}: unexpected header {lines[0]!r}")
-    rows = lines[1:]
-    if not any(rows):
-        raise CorruptTrajectory(f"{TRAJECTORY_CSV} holds no samples")
+    header = line.rstrip("\n")
+    if header != _CSV_HEADER:
+        raise CorruptTrajectory(f"{TRAJECTORY_CSV}: unexpected header {header!r}")
     try:
-        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+        with warnings.catch_warnings():
+            # Only empty lines after the header: no samples, named below.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(csv, delimiter=",", comments=None, ndmin=2)
+    except UnicodeDecodeError:
+        raise  # also a ValueError: _read names the file
     except ValueError as exc:
         raise CorruptTrajectory(f"{TRAJECTORY_CSV}: {exc}") from exc
+    if not table.size:
+        raise CorruptTrajectory(f"{TRAJECTORY_CSV} holds no samples")
     if table.shape[1] != 1 + len(STATE_COLUMNS):
         raise CorruptTrajectory(f"{TRAJECTORY_CSV}: rows hold {table.shape[1]} values")
     t, states = table[:, 0], table[:, 1:]
@@ -178,17 +190,24 @@ def _parsing(name: str) -> Iterator[None]:
         raise CorruptTrajectory(f"invalid {name}: {exc}") from exc
 
 
+def _read(path: Path, parse: Callable[[TextIO], _T]) -> _T:
+    """``parse`` of the file at ``path``, opened as UTF-8 text."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return parse(f)
+    except FileNotFoundError as exc:
+        raise CorruptTrajectory(f"missing file: {exc.filename}") from exc
+    except UnicodeDecodeError as exc:
+        raise CorruptTrajectory(f"invalid {path.name}: not UTF-8 text ({exc.reason})") from exc
+    except json.JSONDecodeError as exc:
+        raise CorruptTrajectory(f"invalid JSON in {path.parent}: {exc}") from exc
+
+
 def read_trajectory(directory: Union[str, Path]) -> Trajectory:
     """Rebuild a Trajectory from a directory written by write_trajectory."""
     directory = Path(directory)
-    try:
-        meta = json.loads((directory / META_JSON).read_text())
-        events_raw = json.loads((directory / EVENTS_JSON).read_text())
-        csv_text = (directory / TRAJECTORY_CSV).read_text()
-    except FileNotFoundError as exc:
-        raise CorruptTrajectory(f"missing file: {exc.filename}") from exc
-    except json.JSONDecodeError as exc:
-        raise CorruptTrajectory(f"invalid JSON in {directory}: {exc}") from exc
+    meta = _read(directory / META_JSON, json.load)
+    events_raw = _read(directory / EVENTS_JSON, json.load)
 
     with _parsing(META_JSON):
         _expect(meta, dict, "the file")
@@ -202,7 +221,8 @@ def read_trajectory(directory: Union[str, Path]) -> Trajectory:
         n_samples = _count("n_samples", meta["n_samples"])
         guard_tripped = meta["guard_tripped"]
 
-    states = _parse_states(csv_text, sample_times(config))
+    grid = sample_times(config)
+    states = _read(directory / TRAJECTORY_CSV, lambda csv: _parse_states(csv, grid))
 
     with _parsing(EVENTS_JSON):
         events = tuple(Event(**_expect(e, dict, f"entry {i}"))

@@ -29,8 +29,9 @@ def test_time_dense(tmp_path):
     the exact tail, the math-module evaluations of integrate and verify
     (the tail's exp and expm1, Simpson's exp(2 int u), exp(nu t) and the
     fits' logs), and the size and bytes of its trajectory.csv (t and the
-    five states).  Its ``kg`` variant steps every sample: 404 steps, and
-    the bytes of its states."""
+    five states), and the peak memory of writing and reading that file.
+    Its ``kg`` variant steps every sample: 404 steps, and the bytes of its
+    states."""
     got = run_bench("time_dense.py", 1, cwd=tmp_path)
     assert (got["steps_accepted"], got["steps_rejected"], got["rhs_evaluations"],
             got["samples"]) == (10, 0, 61, 10001)
@@ -38,6 +39,11 @@ def test_time_dense(tmp_path):
     assert got["trajectory_bytes"] == 1023782
     assert got["trajectory_sha256"] == \
         "551a0adf701f5ba7194e26c52282c42346d1a0b5a7aaad3e28a8150f961e062a"
+    # Streamed a block of rows at a time: writing holds one block, where the
+    # whole text took 4.2 MB, and reading stays under three times the
+    # (10,001, 6) float table, where the text and its lines took 3.4 MB.
+    assert got["peak_bytes"]["write_trajectory"] < 1.5e6
+    assert got["peak_bytes"]["read_trajectory"] < 3 * 10001 * 6 * 8
     assert got["kg"] == {
         "steps_accepted": 404, "steps_rejected": 0, "rhs_evaluations": 2425, "samples": 10001,
         "states_sha256": "d4be50602df72368d5b3c80255c9c8696a2fbaafb0f34abf05a8ce4ca6167ecb"}

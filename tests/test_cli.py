@@ -639,6 +639,24 @@ class TestVerify:
         assert message in err[0]
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("command", ["verify", "report"])
+    @pytest.mark.parametrize("name", ["meta.json", "events.json", "trajectory.csv"])
+    def test_non_utf8_byte_exits_1(self, tmp_path, capsys, name, command):
+        """A byte that is not UTF-8 in any file of a run: one error line
+        naming the file, exit 1, nothing written."""
+        out = tmp_path / "out"
+        cfg = write_reference_config(tmp_path / "c.ini", str(out),
+                                     **{"t_end = 10": "t_end = 0.1"})
+        assert main(["simulate", str(cfg)]) == EXIT_OK
+        with open(out / name, "ab") as f:
+            f.write(b"\xff")
+        written = sorted(out.iterdir())
+        capsys.readouterr()
+        assert main([command, str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"rwcosmo: error: invalid {name}: not UTF-8 text (invalid start byte)"]
+        assert sorted(out.iterdir()) == written
+
 
 class TestReport:
     def test_emits_summary_and_plot_data(self, ref_run):

@@ -1,20 +1,35 @@
-"""The table writer: one text per distinct value, the bytes of one per value."""
+"""The table writer: one text per block of rows, the bytes of one per value;
+the trajectory files it writes and read_trajectory, in bounded memory."""
 
 import math
+import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
-from rwcosmo.serialize import _CHUNK, table_text
+from rwcosmo import IntegratorConfig, integrate
+from rwcosmo.integrator import IntegrationStats, Trajectory
+from rwcosmo.serialize import (_BLOCK, fmt, read_trajectory, table_text, write_table,
+                               write_trajectory)
+
+from conftest import REF_PARAMS, reference_initial
 
 
-def rowwise_table_text(header, columns, sep=","):
-    """The row-wise writer table_text replaced: every value formatted with
-    one %.17g row template per row."""
-    row = sep.join(["%.17g"] * len(columns))
+def celled_table_text(header, columns, sep=","):
+    """The bytes table_text must write: every cell formatted on its own."""
     lines = [header]
-    lines += [row % values for values in zip(*(c.tolist() for c in columns))]
+    lines += [sep.join(fmt(x) for x in row) for row in zip(*(c.tolist() for c in columns))]
     return "\n".join(lines) + "\n"
+
+
+def assert_same_lines(got, want):
+    """``got == want``, compared line by line: a failing == on the whole
+    text would have the assertion diff two texts of up to 400 kB."""
+    got, want = got.split("\n"), want.split("\n")
+    bad = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
+    assert bad is None, f"line {bad}: {got[bad]!r} != {want[bad]!r}"
+    assert len(got) == len(want)
 
 
 #: Signed zeros, nans with other payloads and signs, infinities, the
@@ -29,7 +44,7 @@ SPECIAL_BITS += [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
 values = st.one_of(st.sampled_from(SPECIAL_BITS),
                    st.floats(allow_nan=False).map(
                        lambda x: int(np.array(x, dtype=np.float64).view(np.uint64))))
-lengths = st.one_of(st.sampled_from([0, 1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]),
+lengths = st.one_of(st.sampled_from([0, 1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]),
                     st.integers(0, 40))
 
 
@@ -56,14 +71,9 @@ def tables(draw):
 
 @given(tables(), st.sampled_from([",", " "]))
 def test_bytes_equal_rowwise_writer(columns, sep):
-    """table_text writes the row-wise writer's bytes for any columns."""
-    got = table_text("# header", columns, sep=sep).split("\n")
-    want = rowwise_table_text("# header", columns, sep).split("\n")
-    # Compared line by line: a failing == on the whole text would have the
-    # assertion diff two texts of up to 400 kB.
-    bad = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
-    assert bad is None, f"line {bad}: {got[bad]!r} != {want[bad]!r}"
-    assert len(got) == len(want)
+    """table_text writes the bytes of formatting each cell for any columns."""
+    assert_same_lines(table_text("# header", columns, sep=sep),
+                      celled_table_text("# header", columns, sep))
 
 
 def test_distinct_zeros_and_nans_keep_their_text():
@@ -71,3 +81,82 @@ def test_distinct_zeros_and_nans_keep_their_text():
     bits = np.array([0, 1 << 63, 0x7FF8000000000000, 0xFFF8000000000001, 0, 1 << 63],
                     dtype=np.uint64)
     assert table_text("x", [bits.view(np.float64)]) == "x\n0\n-0\nnan\nnan\n0\n-0\n"
+
+
+#: Row counts about the block size: one row, one block short of a row, one
+#: block, one block and a row, two blocks and a row.
+SIZES = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]
+
+
+def edge_columns(n):
+    """Columns whose blocks are constant but for their last row, mix -0.0
+    with 0.0, are -0.0 or nan throughout, or cycle through nan, +-inf, a
+    subnormal and +-1e300; and a ramp and a constant."""
+    rows = np.arange(n)
+    last_of_block = np.full(n, 0.25)
+    last_of_block[_BLOCK - 1::_BLOCK] = last_of_block[-1] = 0.5
+    return [rows * 1e-3, last_of_block, np.where(rows % 3 == 0, -0.0, 0.0),
+            np.full(n, -0.0), np.full(n, math.nan), np.full(n, 1 / 3),
+            np.resize([math.nan, math.inf, -math.inf, 5e-324, 1e300, -1e300], n)]
+
+
+@pytest.mark.parametrize("sep", [",", " "])
+@pytest.mark.parametrize("n", SIZES)
+def test_blocks_write_every_cells_bytes(tmp_path, n, sep):
+    """table_text, and write_table to a file, write the bytes of formatting
+    each cell, on either side of each block boundary."""
+    columns = edge_columns(n)
+    want = celled_table_text("# t x", columns, sep)
+    assert_same_lines(table_text("# t x", columns, sep=sep), want)
+    write_table(tmp_path / "table.dat", "# t x", columns, sep=sep)
+    assert_same_lines((tmp_path / "table.dat").read_text(), want)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_trajectory_round_trips_bit_exactly(tmp_path, n):
+    """write_trajectory then read_trajectory gives back every state bit for
+    bit: signed zeros, subnormals, 1e300 and columns constant over a block
+    but for its last row."""
+    rng = np.random.default_rng(n)
+    _, last_of_block, zeros, *_ = edge_columns(n)
+    states = np.column_stack([rng.standard_normal(n), np.resize([1.0, 5e-324, 1e300], n),
+                              last_of_block, zeros, np.resize([0.0, -0.0, 1e-310, 1e300], n)])
+    traj = Trajectory(params=REF_PARAMS, initial=reference_initial(),
+                      config=IntegratorConfig(t_end=5.0, sample_dt=1e-3), states=states,
+                      events=(), stats=IntegrationStats(0, 0, 0))
+    write_trajectory(tmp_path, traj, "test")
+    back = read_trajectory(tmp_path)
+    assert back.states.tobytes() == states.tobytes()
+    assert back.t.tobytes() == traj.t.tobytes()
+
+
+@pytest.fixture(scope="module")
+def long_run():
+    """The reference point sampled every 1e-4 to t = 20: 200,001 samples."""
+    traj = integrate(reference_initial(), REF_PARAMS, IntegratorConfig(t_end=20.0, sample_dt=1e-4))
+    assert traj.t.size == 200_001
+    return traj
+
+
+def traced_peak(f):
+    """The peak bytes allocated while ``f()`` runs, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_trajectory_memory_bounded(tmp_path, long_run):
+    """Writing streams a block at a time: the 9.6 MB run is written in less
+    than 4 MB, where formatting the whole text took 69 MB."""
+    assert traced_peak(lambda: write_trajectory(tmp_path, long_run, "test")) < 4e6
+
+
+def test_read_trajectory_memory_bounded(tmp_path, long_run):
+    """Reading parses the open file, with no whole-file string or list of
+    lines: a peak under three times the (n, 6) float table, where the text
+    and its lines took 63 MB."""
+    write_trajectory(tmp_path, long_run, "test")
+    assert traced_peak(lambda: read_trajectory(tmp_path)) < 3 * long_run.t.size * 6 * 8
