@@ -5,13 +5,13 @@ and sample_dt 0.001 (10,001 samples).
 
 Each repeat times, once each and in alternating order (reversed on odd
 repeats): integrate, integrate on the same run in ``kg`` mode (no frozen
-tail: every sample is stepped), trajectory_csv_text, read_trajectory,
-verify, and the whole op, ``rwcosmo simulate`` then ``rwcosmo verify``
-through cli.main.  Prints one JSON object: the wall times in s and their
-medians over REPEATS (default 15), the step counters, ``libm_elements``,
-the elements integrate then verify pass through integrator.libm (their
-math-module evaluations), and the size in bytes and the sha256 of
-trajectory.csv, the peak bytes write_trajectory and read_trajectory
+tail: every sample is stepped), write_trajectory (into the temporary
+directory, overwriting), read_trajectory, verify, and the whole op,
+``rwcosmo simulate`` then ``rwcosmo verify`` through cli.main.  Prints one
+JSON object: the wall times in s and their medians over REPEATS (default
+15), the step counters, ``libm_elements``, the elements integrate then
+verify pass through integrator.libm (their math-module evaluations), and
+the size in bytes and the sha256 of trajectory.csv, the peak bytes write_trajectory and read_trajectory
 allocate on the run by tracemalloc, and under "kg", the ``kg`` run's
 counters, sample count and the sha256 of its states array.  Files go to a
 temporary directory that is removed afterwards.
@@ -32,7 +32,7 @@ from pathlib import Path
 from libm_count import libm_elements
 from rwcosmo import IntegratorConfig, ModelParams, integrate, make_initial_data, verify
 from rwcosmo.cli import main as cli_main
-from rwcosmo.serialize import TRAJECTORY_CSV, read_trajectory, trajectory_csv_text, write_trajectory
+from rwcosmo.serialize import TRAJECTORY_CSV, read_trajectory, write_trajectory
 
 PARAMS = ModelParams(lam=1.0, mass=1.0)
 CONFIG = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-8, t_end=10.0, sample_dt=0.001, mode="paper")
@@ -87,7 +87,8 @@ def main(repeats: int) -> dict:
         layers = {
             "integrate": lambda: integrate(data, PARAMS, CONFIG),
             "integrate_kg": lambda: integrate(data, PARAMS, KG_CONFIG),
-            "trajectory_csv_text": lambda: trajectory_csv_text(traj),
+            "write_trajectory": lambda: write_trajectory(tmp / "run", traj, "bench",
+                                                         overwrite=True),
             "read_trajectory": lambda: read_trajectory(tmp / "run"),
             "verify": lambda: verify(traj),
             "simulate_verify_op": op,

@@ -2,10 +2,11 @@
 fluid and a cosmological constant.
 
 The package evolves the homogeneous Einstein-scalar-fluid system as a
-five-component first-order ODE system with an adaptive embedded Runge-Kutta
-pair, monitors the Hamiltonian constraint along the way, and verifies the
-expansion bounds and late-time asymptotics that hold for expanding data with
-a non-decreasing field.
+four-component first-order ODE system (the radiation density follows the
+scale factor) with an adaptive embedded Runge-Kutta pair, monitors the
+Hamiltonian constraint along the way, and verifies the expansion bounds and
+late-time asymptotics that hold for expanding data with a non-decreasing
+field.
 """
 
 from .model import (

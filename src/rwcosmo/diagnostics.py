@@ -3,7 +3,7 @@
 :func:`verify` is the one entry point.  In one pass it reads the
 trajectory's columns, derives each run fact (nu, the monotonicity slack
 eps, the Q noise floor, the limit estimates) once, and builds the checks in
-report order: pointwise bounds and monotonicity, the two quadrature oracles,
+report order: pointwise bounds and monotonicity, the v quadrature identity,
 the Q identity, then, once Q has decayed past the gate, the decay envelope,
 fitted rates, limits and growth bound.  Margins follow one convention
 throughout: margin <= 0 means the check passes, and a positive margin
@@ -54,7 +54,6 @@ class Tolerances:
     h_inf_rel: float = 1e-3
     t00_limit_abs: float = 1e-6
     a_growth_slack: float = 1e-3
-    rho_oracle_rel: float = 1e-6
     v_oracle_rel: float = 1e-6
     constraint_budget: float = 1e-7
     q_identity_tol: float = 1e-13
@@ -175,36 +174,21 @@ def _largest(values: np.ndarray) -> float:
     return float(np.max(values)) if values.size else 0.0
 
 
-def _quadrature_checks(t: np.ndarray, u: np.ndarray, v: np.ndarray,
-                       rho: np.ndarray) -> list[Check]:
-    """Independent quadrature oracles for the v and rho components.
-
-    rho(t) must match rho0*exp(-4 int u) and v(t)*exp(2 int u) must return
-    v0, with the integral taken by composite Simpson on the samples.
-    Deviations are measured relative to rho0 and v0.  With fewer than three
-    samples (of the run's uniform grid) both pass vacuously, saying why.
+def _v_quadrature_check(t: np.ndarray, u: np.ndarray, v: np.ndarray) -> Check:
+    """Independent quadrature oracle for v: v(t)*exp(2 int u) must return
+    v0, with the integral taken by composite Simpson on the samples, the
+    deviation measured relative to v0.  The density is derived from v, so
+    this is its oracle too.  With fewer than three samples (of the run's
+    uniform grid) it passes vacuously, saying why.
     """
     if t.size < 3:
-        detail = "too few samples for quadrature"
-        return [_check("rho_quadrature_oracle", -TOL.rho_oracle_rel, detail),
-                _check("v_quadrature_identity", -TOL.v_oracle_rel, detail)]
+        return _check("v_quadrature_identity", -TOL.v_oracle_rel,
+                      "too few samples for quadrature")
     growth = libm(math.exp, 2.0 * cumulative_simpson(u, float(t[1] - t[0])))
-    rho0 = float(rho[0])
-    if rho0 > 0.0:
-        # 1/growth**2 is exp(-4 int u); where growth**2 overflows (2 int u
-        # past ~355) the oracle reads 0 and where it underflows inf, as the
-        # underflowed or overflowed exp does.
-        with np.errstate(over="ignore", divide="ignore"):
-            oracle = rho0 / (growth * growth)
-        dev = float(np.max(np.abs(rho - oracle))) / rho0
-    else:
-        dev = float(np.max(np.abs(rho)))  # rho must stay identically 0
     v0 = float(v[0])
     vdev = float(np.max(np.abs(v * growth - v0))) / v0
-    return [_check("rho_quadrature_oracle", dev - TOL.rho_oracle_rel,
-                   f"max relative deviation {dev:.3g}"),
-            _check("v_quadrature_identity", vdev - TOL.v_oracle_rel,
-                   f"max relative deviation {vdev:.3g}")]
+    return _check("v_quadrature_identity", vdev - TOL.v_oracle_rel,
+                  f"max relative deviation {vdev:.3g}")
 
 
 def _decay_window(y: np.ndarray, floor) -> Optional[slice]:
@@ -240,9 +224,10 @@ def verify(traj: Trajectory) -> VerificationReport:
     t, u, v, phi, chi, rho, q = (cols[k] for k in ("t", "u", "v", "phi", "chi", "rho", "Q"))
     nu = nu_rate(params, initial.phi0)
     eps = TOL.monotone_eps_factor * traj.config.rel_tol * abs(initial.u0)
-    # On-shell Q = 24*pi*rho; its numerical floor combines the density oracle
-    # budget with three times the constraint budget (Q = 24*pi*rho + 3*C).
-    q_floor = TWENTY_FOUR_PI * TOL.rho_oracle_rel * initial.rho0 + 3.0 * TOL.constraint_budget
+    # On-shell Q = 24*pi*rho; its numerical floor combines the budget of v's
+    # oracle, which the density follows, with three times the constraint
+    # budget (Q = 24*pi*rho + 3*C).
+    q_floor = TWENTY_FOUR_PI * TOL.v_oracle_rel * initial.rho0 + 3.0 * TOL.constraint_budget
     # Limit estimates: L = phi^2 at the last sample, and C0 = lam + 4*pi*m^2*L,
     # whose sqrt(3*C0) is the late-time H.
     l_hat = float(phi[-1] * phi[-1])
@@ -272,7 +257,7 @@ def verify(traj: Trajectory) -> VerificationReport:
         _check("phi_nondecreasing_while_chi_nonneg", _largest(phi_drops) - eps,
                f"eps = {eps:.3g}"),
     ]
-    checks += _quadrature_checks(t, u, v, rho)
+    checks.append(_v_quadrature_check(t, u, v))
     # Pure algebra, independent of integration error: sits at roundoff for
     # any trajectory, including inadmissible ones.
     identity_dev = float(np.max(np.abs(q - TWENTY_FOUR_PI * rho - 3.0 * cols["constraint"])

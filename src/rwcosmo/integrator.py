@@ -2,16 +2,19 @@
 
 The stepper is the Dormand-Prince 5(4) embedded pair with its standard
 quartic continuous extension.  Step control follows the usual safety-factor
-rule (safety 0.9, growth factor clamped to [0.2, 5]) on a weighted RMS error
-over the five components.
+rule (safety 0.9, growth factor clamped to [0.2, 5]) on a weighted RMS error.
+It evolves the four components (u, v, phi, chi); the fluid density is
+model.density of v, anchored at the run's start state, in every stage and
+every sample.
 
 Arithmetic is on plain Python floats in a fixed order, with no BLAS call,
 so the output bytes do not depend on the BLAS kernel.  Stage arguments and
 y1 are y + h*(a_1*k_1 + a_2*k_2 + ...), the error estimate and the quartic
 coefficient h*(w_1*k_1 + ...), each sum left to right over the nonzero
-weights; the error norm is sqrt((q_u**2 + q_v**2 + ... + q_rho**2) / 5).
+weights; the error norm is sqrt((q_u**2 + q_v**2 + q_phi**2 + q_chi**2 +
+q_rho**2) / 5) with q_rho = 2*q_v, the relative error of rho0*(v/v0)**2.
 The trial step is written out as straight-line code over named locals
-(u ... rho, and ku1 ... kr7 for the stages), component by component in that
+(u ... chi, and ku1 ... kc7 for the stages), component by component in that
 order, each stage calling model._rhs_terms.  The pair is FSAL: an accepted
 step's last stage f(y1) is the next step's first, and a rejected step keeps
 its first stage, so a run makes 6*(accepted + rejected) + 1 right-hand-side
@@ -30,21 +33,21 @@ paper-mode run on theorem-1 data stops stepping at its FieldFrozen event (at
 t = 0 too) and takes every later sample from frozen_tail, evaluated once.
 It steps on from the freeze instead, each step _trial_step with ``frozen``
 set, when the tail is not safe: on data admitted only by
-override_admissibility, when a guard could trip in the tail (|u_f| above
-max_abs_u/2, |phi_f| above max_abs_phi/2 or v(t_end) below 2*min_v), or
-when the clamped state, interpolated at the crossing, has rho_f < 0, which
-has no closed form.  A run that does not freeze by t_end, and every
-``kg`` run, steps to t_end.  simulate, sweep rows and library callers all
-run this one integrate().
+override_admissibility, or when a guard could trip in the tail (|u_f| above
+max_abs_u/2, |phi_f| above max_abs_phi/2 or v(t_end) below 2*min_v).  A run
+that does not freeze by t_end, and every ``kg`` run, steps to t_end.
+simulate, sweep rows and library callers all run this one integrate().
 
 Error weights: u, phi and chi use the mixed scale abs_tol + rel_tol*|y|.  The
-strictly positive, exponentially decaying components v and rho use the purely
-relative scale rel_tol*|y|: under a mixed scale the controller goes blind on
-them as soon as they fall below abs_tol, which destroys their relative
-accuracy (and with it the quadrature identities v*exp(2*int u) = v0 and
-rho = rho0*exp(-4*int u)) and even admits linearly unstable step sizes whose
-weighted error looks negligible.  Relative control keeps those tails accurate
-to ~rel_tol per step all the way down to the underflow guard.
+strictly positive, exponentially decaying v uses the purely relative scale
+rel_tol*|y|: under a mixed scale the controller goes blind on it as soon as it
+falls below abs_tol, which destroys its relative accuracy (and with it the
+quadrature identity v*exp(2*int u) = v0) and even admits linearly unstable
+step sizes whose weighted error looks negligible.  Relative control keeps
+that tail accurate to ~rel_tol per step all the way down to the underflow
+guard.  The norm's density term q_rho = 2*q_v is needed: with the four
+evolved terms alone the dense reference run (tol 1e-8, sample_dt 0.001)
+drifts past Tolerances.constraint_budget.
 
 Two continuations are offered past the point where the field velocity chi
 reaches zero:
@@ -53,7 +56,7 @@ reaches zero:
     The non-decreasing-field continuation: the first downward zero crossing
     of chi is located by bisection on the dense interpolant, logged as a
     ``FieldFrozen`` event, and chi is clamped to exactly 0 from then on.  The
-    field (and hence its energy) is frozen; u, v and rho keep evolving.
+    field (and hence its energy) is frozen; u and v keep evolving.
 
 ``kg``
     The classical smooth continuation of the field equation, which lets chi
@@ -74,22 +77,22 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .initial import InitialData, constraint_scale, build_state, nu_rate, validate_theorem1
-from .model import (EIGHT_PI, CosmoState, ModelParams, _finite_fields, _rhs_terms, derived,
-                    derived_terms)
+from .model import (EIGHT_PI, CosmoState, ModelParams, _finite_fields, _rhs_terms, density,
+                    derived, derived_terms)
 
 #: Key order of Trajectory.as_arrays().
 TRAJECTORY_COLUMNS = ("t", "u", "v", "a", "phi", "chi", "psi", "rho",
                       "H", "T00", "Q", "constraint")
 #: Column order of Trajectory.states.
-STATE_COLUMNS = ("u", "v", "phi", "chi", "rho")
+STATE_COLUMNS = ("u", "v", "phi", "chi")
 
 
 def valid_states(states: np.ndarray) -> np.ndarray:
-    """Which rows of the (n, 5) ``states`` hold a state: finite, v > 0, rho >= 0.
+    """Which rows of the (n, 4) ``states`` hold a state: finite, v > 0.
 
     The one rule for a state; integrate checks each stepped sample by its
     float form as the sample is taken."""
-    return np.isfinite(states).all(axis=1) & (states[:, 1] > 0.0) & (states[:, 4] >= 0.0)
+    return np.isfinite(states).all(axis=1) & (states[:, 1] > 0.0)
 
 
 FIELD_FROZEN = "FieldFrozen"
@@ -197,11 +200,12 @@ class IntegrationStats:
 class Trajectory:
     """Sampled solution plus integrator metadata and event log.
 
-    ``states``, the (n, 5) rows of (u, v, phi, chi, rho), is the only sampled
-    data stored, as a private read-only copy; the sample times ``t`` are
-    derived from ``config`` like every other column.  The first sample is the
-    initial state.  In paper mode every sample after a ``FieldFrozen`` event
-    has chi exactly 0.  Immutable once returned; equality is identity.
+    ``states``, the (n, 4) rows of (u, v, phi, chi), is the only sampled
+    data stored, as a private read-only copy; the sample times ``t`` and
+    the density are derived, from ``config`` and ``initial``, like every
+    other column.  The first sample is the initial state.  In paper mode
+    every sample after a ``FieldFrozen`` event has chi exactly 0.  Immutable
+    once returned; equality is identity.
     """
 
     params: ModelParams
@@ -212,7 +216,7 @@ class Trajectory:
     stats: IntegrationStats
 
     def __post_init__(self) -> None:
-        states = np.array(self.states, dtype=float).reshape(-1, 5)
+        states = np.array(self.states, dtype=float).reshape(-1, 4)
         states.flags.writeable = False
         object.__setattr__(self, "states", states)
         if self.t.size < len(states):
@@ -231,7 +235,12 @@ class Trajectory:
 
     @cached_property
     def _columns(self) -> dict[str, np.ndarray]:
-        u, v, phi, chi, rho = (np.ascontiguousarray(c) for c in self.states.T)
+        u, v, phi, chi = (np.ascontiguousarray(c) for c in self.states.T)
+        # A hand-built state far from v0 may overflow: rho reads inf, or nan
+        # at rho0 = 0 and v = inf, as a float evaluation does.
+        state0 = build_state(self.initial)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rho = density(state0.rho, state0.v, v)
         # IEEE sqrt and / are correctly rounded, in numpy's loops as in
         # scalar code and on every CPU, so a equals CosmoState.a bit for bit.
         # A hand-built state with v <= 0 has no scale factor: a reads nan.
@@ -250,56 +259,55 @@ class Trajectory:
 
 
 def _trial_step(y: Sequence[float], k1: Sequence[float], h: float,
-                params: ModelParams, config: IntegratorConfig,
+                params: ModelParams, anchor: tuple[float, float], config: IntegratorConfig,
                 frozen: bool) -> tuple[list[float], float, tuple]:
     """One trial step from y, given its first stage k1 = f(y).
 
     Returns (y_new, weighted RMS error norm, the seven stages); the last
-    stage is f(y_new).  The norm is infinite when y_new is not finite.
+    stage is f(y_new).  ``anchor`` is the run's (rho0, v0), from which every
+    stage takes its density.  The norm is infinite when y_new is not finite.
     With ``frozen`` (a paper-mode field clamped at chi = 0) every stage has
     dchi = 0.  The one trial step of step() and integrate().
     """
     lam, mass_sq = params.lam, params.mass_sq
-    u, v, phi, chi, rho = y
-    ku1, kv1, kp1, kc1, kr1 = k1
-    k2 = ku2, kv2, kp2, kc2, kr2 = _rhs_terms(
+    rho0, v0 = anchor
+    u, v, phi, chi = y
+    ku1, kv1, kp1, kc1 = k1
+    k2 = ku2, kv2, kp2, kc2 = _rhs_terms(
         u + h * (_A21 * ku1), v + h * (_A21 * kv1), phi + h * (_A21 * kp1),
-        chi + h * (_A21 * kc1), rho + h * (_A21 * kr1), lam, mass_sq, frozen)
-    k3 = ku3, kv3, kp3, kc3, kr3 = _rhs_terms(
+        chi + h * (_A21 * kc1), lam, mass_sq, rho0, v0, frozen)
+    k3 = ku3, kv3, kp3, kc3 = _rhs_terms(
         u + h * (_A31 * ku1 + _A32 * ku2), v + h * (_A31 * kv1 + _A32 * kv2),
         phi + h * (_A31 * kp1 + _A32 * kp2), chi + h * (_A31 * kc1 + _A32 * kc2),
-        rho + h * (_A31 * kr1 + _A32 * kr2), lam, mass_sq, frozen)
-    k4 = ku4, kv4, kp4, kc4, kr4 = _rhs_terms(
+        lam, mass_sq, rho0, v0, frozen)
+    k4 = ku4, kv4, kp4, kc4 = _rhs_terms(
         u + h * (_A41 * ku1 + _A42 * ku2 + _A43 * ku3),
         v + h * (_A41 * kv1 + _A42 * kv2 + _A43 * kv3),
         phi + h * (_A41 * kp1 + _A42 * kp2 + _A43 * kp3),
-        chi + h * (_A41 * kc1 + _A42 * kc2 + _A43 * kc3),
-        rho + h * (_A41 * kr1 + _A42 * kr2 + _A43 * kr3), lam, mass_sq, frozen)
-    k5 = ku5, kv5, kp5, kc5, kr5 = _rhs_terms(
+        chi + h * (_A41 * kc1 + _A42 * kc2 + _A43 * kc3), lam, mass_sq, rho0, v0, frozen)
+    k5 = ku5, kv5, kp5, kc5 = _rhs_terms(
         u + h * (_A51 * ku1 + _A52 * ku2 + _A53 * ku3 + _A54 * ku4),
         v + h * (_A51 * kv1 + _A52 * kv2 + _A53 * kv3 + _A54 * kv4),
         phi + h * (_A51 * kp1 + _A52 * kp2 + _A53 * kp3 + _A54 * kp4),
         chi + h * (_A51 * kc1 + _A52 * kc2 + _A53 * kc3 + _A54 * kc4),
-        rho + h * (_A51 * kr1 + _A52 * kr2 + _A53 * kr3 + _A54 * kr4), lam, mass_sq, frozen)
-    k6 = ku6, kv6, kp6, kc6, kr6 = _rhs_terms(
+        lam, mass_sq, rho0, v0, frozen)
+    k6 = ku6, kv6, kp6, kc6 = _rhs_terms(
         u + h * (_A61 * ku1 + _A62 * ku2 + _A63 * ku3 + _A64 * ku4 + _A65 * ku5),
         v + h * (_A61 * kv1 + _A62 * kv2 + _A63 * kv3 + _A64 * kv4 + _A65 * kv5),
         phi + h * (_A61 * kp1 + _A62 * kp2 + _A63 * kp3 + _A64 * kp4 + _A65 * kp5),
         chi + h * (_A61 * kc1 + _A62 * kc2 + _A63 * kc3 + _A64 * kc4 + _A65 * kc5),
-        rho + h * (_A61 * kr1 + _A62 * kr2 + _A63 * kr3 + _A64 * kr4 + _A65 * kr5),
-        lam, mass_sq, frozen)
+        lam, mass_sq, rho0, v0, frozen)
     y1 = [u + h * (_B1 * ku1 + _B3 * ku3 + _B4 * ku4 + _B5 * ku5 + _B6 * ku6),
           v + h * (_B1 * kv1 + _B3 * kv3 + _B4 * kv4 + _B5 * kv5 + _B6 * kv6),
           phi + h * (_B1 * kp1 + _B3 * kp3 + _B4 * kp4 + _B5 * kp5 + _B6 * kp6),
-          chi + h * (_B1 * kc1 + _B3 * kc3 + _B4 * kc4 + _B5 * kc5 + _B6 * kc6),
-          rho + h * (_B1 * kr1 + _B3 * kr3 + _B4 * kr4 + _B5 * kr5 + _B6 * kr6)]
-    u1, v1, phi1, chi1, rho1 = y1
-    k7 = ku7, kv7, kp7, kc7, kr7 = _rhs_terms(u1, v1, phi1, chi1, rho1, lam, mass_sq, frozen)
+          chi + h * (_B1 * kc1 + _B3 * kc3 + _B4 * kc4 + _B5 * kc5 + _B6 * kc6)]
+    u1, v1, phi1, chi1 = y1
+    k7 = ku7, kv7, kp7, kc7 = _rhs_terms(u1, v1, phi1, chi1, lam, mass_sq, rho0, v0, frozen)
     k = (k1, k2, k3, k4, k5, k6, k7)
     if not all(map(math.isfinite, y1)):
         return y1, math.inf, k
     rel_tol, abs_tol = config.rel_tol, config.abs_tol
-    # v and rho get purely relative error control.
+    # v gets purely relative error control.
     qu = h * (_E1 * ku1 + _E3 * ku3 + _E4 * ku4 + _E5 * ku5 + _E6 * ku6 + _E7 * ku7) / (
         rel_tol * max(abs(u), abs(u1)) + abs_tol)
     qv = h * (_E1 * kv1 + _E3 * kv3 + _E4 * kv4 + _E5 * kv5 + _E6 * kv6 + _E7 * kv7) / (
@@ -308,8 +316,7 @@ def _trial_step(y: Sequence[float], k1: Sequence[float], h: float,
         rel_tol * max(abs(phi), abs(phi1)) + abs_tol)
     qc = h * (_E1 * kc1 + _E3 * kc3 + _E4 * kc4 + _E5 * kc5 + _E6 * kc6 + _E7 * kc7) / (
         rel_tol * max(abs(chi), abs(chi1)) + abs_tol)
-    qr = h * (_E1 * kr1 + _E3 * kr3 + _E4 * kr4 + _E5 * kr5 + _E6 * kr6 + _E7 * kr7) / (
-        rel_tol * max(abs(rho), abs(rho1)) + _TINY)
+    qr = 2.0 * qv  # the density's: rho = rho0*(v/v0)**2 has twice v's relative error
     return y1, math.sqrt((qu * qu + qv * qv + qp * qp + qc * qc + qr * qr) / 5), k
 
 
@@ -339,26 +346,21 @@ def _interpolate(r: tuple, theta):
 
 def _step_quartics(h: float, y0: Sequence[float], y1: Sequence[float],
                    k: tuple) -> list[tuple]:
-    """The five components' _quartic coefficients of one step, as floats."""
+    """The four components' _quartic coefficients of one step, as floats."""
     k1, _, k3, k4, k5, k6, k7 = k
     return [_quartic(h, *c) for c in zip(y0, y1, k1, k3, k4, k5, k6, k7)]
 
 
-def _sample(quartics: list[tuple], theta: float, y_end: Optional[Sequence[float]],
-            rho_clamp: float) -> list[float]:
+def _sample(quartics: list[tuple], theta: float,
+            y_end: Optional[Sequence[float]]) -> list[float]:
     """The state at theta of a step with _step_quartics ``quartics``.
 
     Within 1e-12 of the step's end it is y_end, the step's y1, itself (None
-    on a step whose samples end at a chi crossing); a rho in
-    (-rho_clamp, 0) reads 0.0 (interpolation jitter on a vanishing tail).
+    on a step whose samples end at a chi crossing).
     """
     if y_end is not None and theta >= 1.0 - 1e-12:
-        row = list(y_end)
-    else:
-        row = [_interpolate(q, theta) for q in quartics]
-    if -rho_clamp < row[4] < 0.0:
-        row[4] = 0.0
-    return row
+        return list(y_end)
+    return [_interpolate(q, theta) for q in quartics]
 
 
 def _is_frozen_state(y: Sequence[float], params: ModelParams, mode: str) -> bool:
@@ -375,16 +377,18 @@ def step(state: CosmoState, params: ModelParams, h: float,
     Returns (new_state, error_norm, suggested_h).  The error norm is the
     weighted RMS of the embedded-pair difference; values above 1 mean the
     step should be retried with the suggested (smaller) size.  Rejection is
-    the caller's job; this function never retries.
+    the caller's job; this function never retries.  The density is anchored
+    at ``state``: the new state's rho is density(state.rho, state.v, v).
     """
     if not (config.h_min <= h <= config.h_max):
         raise ValueError(f"h = {h!r} outside [h_min, h_max] = "
                          f"[{config.h_min!r}, {config.h_max!r}]")
-    y = (state.u, state.v, state.phi, state.chi, state.rho)
+    y = (state.u, state.v, state.phi, state.chi)
+    anchor = (state.rho, state.v)
     frozen = _is_frozen_state(y, params, config.mode)
-    k1 = _rhs_terms(*y, params.lam, params.mass_sq, frozen)
-    y1, norm, _ = _trial_step(y, k1, h, params, config, frozen)
-    new_state = CosmoState(state.t + h, *y1)
+    k1 = _rhs_terms(*y, params.lam, params.mass_sq, *anchor, frozen)
+    y1, norm, _ = _trial_step(y, k1, h, params, anchor, config, frozen)
+    new_state = CosmoState(state.t + h, *y1, density(*anchor, y1[1]))
     return new_state, norm, h * _step_factor(norm)
 
 
@@ -468,26 +472,23 @@ def integrate(initial: InitialData, params: ModelParams,
     events: list[Event] = []
     accepted = rejected = 0
 
-    y = [state0.u, state0.v, state0.phi, state0.chi, state0.rho]
+    y = [state0.u, state0.v, state0.phi, state0.chi]
+    anchor = (state0.rho, state0.v)
     rows = [y]
     t = 0.0
     frozen = _is_frozen_state(y, params, config.mode)
-    k1 = _rhs_terms(*y, params.lam, params.mass_sq, frozen)
+    k1 = _rhs_terms(*y, params.lam, params.mass_sq, *anchor, frozen)
     nevals = 1
     k_next = 1
 
     def take_tail(t_f: float, y_f: list[float]) -> Optional[np.ndarray]:
-        """frozen_tail at the samples from k_next on, if it is safe there.
-
-        A crossing state may have rho_f < 0, which has no closed form; the
-        run then steps on from the freeze."""
-        if not (report.theorem1_applicable and y_f[4] >= 0.0
-                and nu_rate(params, y_f[2]) is not None
+        """frozen_tail at the samples from k_next on, if it is safe there."""
+        if not (report.theorem1_applicable and nu_rate(params, y_f[2]) is not None
                 and 2.0 * abs(y_f[0]) <= config.max_abs_u
                 and 2.0 * abs(y_f[2]) <= config.max_abs_phi):
             return None
         # The last row probes v at t_end.
-        states = frozen_tail(t_f, y_f, params, np.append(grid[k_next:], config.t_end))
+        states = frozen_tail(t_f, y_f, anchor, params, np.append(grid[k_next:], config.t_end))
         return states[:-1] if states[-1, 1] >= 2.0 * config.min_v else None
 
     tail = None
@@ -497,8 +498,6 @@ def integrate(initial: InitialData, params: ModelParams,
                             "initial field velocity is zero"))
         if frozen:
             tail = take_tail(0.0, y)
-
-    rho_clamp = min(config.abs_tol, 1e-10)
 
     def emit(t0: float, h_step: float, y0: list[float], y1: list[float], k: tuple,
              t_hi: float, at_end: bool) -> Optional[str]:
@@ -510,12 +509,11 @@ def integrate(initial: InitialData, params: ModelParams,
         while k_next <= k_last and k_next * dt <= lim:
             if quartics is None:
                 quartics = _step_quartics(h_step, y0, y1, k)
-            row = _sample(quartics, (k_next * dt - t0) / h_step, y1 if at_end else None,
-                          rho_clamp)
+            row = _sample(quartics, (k_next * dt - t0) / h_step, y1 if at_end else None)
             # valid_states's rule on one sample.
-            if not (all(map(math.isfinite, row)) and row[1] > 0.0 and row[4] >= 0.0):
+            if not (all(map(math.isfinite, row)) and row[1] > 0.0):
                 return (f"sample at t = {grid[k_next]:.6g} violated state invariants "
-                        f"(finite, v > 0, rho >= 0): {row}")
+                        f"(finite, v > 0): {row}")
             rows.append(row)
             k_next += 1
         return None
@@ -525,7 +523,7 @@ def integrate(initial: InitialData, params: ModelParams,
         remaining = config.t_end - t
         h_trial = min(h, remaining)
         end_limited = h_trial < h
-        y1, norm, k = _trial_step(y, k1, h_trial, params, config, frozen)
+        y1, norm, k = _trial_step(y, k1, h_trial, params, anchor, config, frozen)
         nevals += 6
         if norm > 1.0:
             rejected += 1
@@ -558,7 +556,7 @@ def integrate(initial: InitialData, params: ModelParams,
                 tail = take_tail(t, y)
                 if tail is not None:
                     break
-                k1 = _rhs_terms(*y, params.lam, params.mass_sq, frozen)
+                k1 = _rhs_terms(*y, params.lam, params.mass_sq, *anchor, frozen)
                 nevals += 1
                 continue
             events.append(Event(t_star, CHI_ZERO_CROSSING, "downward crossing"))
@@ -608,22 +606,21 @@ def _inf_on_overflow(f: Callable[[float], float], v: float) -> float:
         return math.inf
 
 
-def frozen_tail(t_f: float, y_f: Sequence[float], params: ModelParams,
-                times: np.ndarray) -> np.ndarray:
-    """The (n, 5) states at the n ``times`` (a 1-d array or list, each >= t_f)
+def frozen_tail(t_f: float, y_f: Sequence[float], anchor: tuple[float, float],
+                params: ModelParams, times: np.ndarray) -> np.ndarray:
+    """The (n, 4) states at the n ``times`` (a 1-d array or list, each >= t_f)
     of the frozen paper-mode system started from the clamped state y_f at
-    t_f, in closed form.
+    t_f, in closed form; ``anchor`` is the run's (rho0, v0).
 
     With chi = 0 and phi = phi_f the system is u' = -2(u^2 - u_inf^2) on
-    shell, v' = -2uv and rho' = -4u*rho, with u_inf = nu_rate(params, phi_f)
-    (ValueError when that is undefined).  So u = u_inf*coth(s), v = v_f*r
-    and rho = rho_f*r^2, where s = s_f + 2 u_inf (t - t_f) and
-    r = sinh(s_f)/sinh(s).  The phase s_f comes from
-    rho_f = 3 u_inf^2 / (8 pi sinh^2(s_f)) through asinh (from u_f through
-    atanh it would cancel once u_f is near u_inf), and coth and r go through
-    exp and expm1 of -2s, so no large s overflows.  At rho_f = 0 the phase
-    is s_f = inf: expm1(-inf) = -1 gives u = u_inf, r = exp(-2 u_inf (t - t_f))
-    and rho = 0.  A negative rho_f has no closed form (ValueError).
+    shell and v' = -2uv, with u_inf = nu_rate(params, phi_f) (ValueError
+    when that is undefined).  So u = u_inf*coth(s) and v = v_f*r, where
+    s = s_f + 2 u_inf (t - t_f) and r = sinh(s_f)/sinh(s).  The phase s_f
+    comes from the density rho_f = density(rho0, v0, v_f) =
+    3 u_inf^2 / (8 pi sinh^2(s_f)) through asinh (from u_f through atanh it
+    would cancel once u_f is near u_inf), and coth and r go through exp and
+    expm1 of -2s, so no large s overflows.  At rho_f = 0 the phase is
+    s_f = inf: expm1(-inf) = -1 gives u = u_inf and r = exp(-2 u_inf (t - t_f)).
 
     One pass over the whole array: the arithmetic is numpy's, in the
     operation order of the one-sample formula (IEEE +, -, * and / round the
@@ -631,12 +628,13 @@ def frozen_tail(t_f: float, y_f: Sequence[float], params: ModelParams,
     so each element has the bits of a float evaluation and the bytes do not
     depend on numpy's SIMD loops.
     """
-    _, v_f, phi_f, _, rho_f = y_f
+    _, v_f, phi_f, _ = y_f
     u_inf = nu_rate(params, phi_f)
     if u_inf is None:
         raise ValueError(f"lambda + 4 pi m^2 phi_f^2 <= 0 at phi_f = {phi_f!r}: no frozen limit")
     t = np.asarray(times, dtype=float)
-    rows = np.zeros((t.size, 5))
+    rows = np.zeros((t.size, 4))
+    rho_f = density(*anchor, v_f)
     s_f = (math.asinh(u_inf * math.sqrt(3.0 / EIGHT_PI) / math.sqrt(rho_f))
            if rho_f != 0.0 else math.inf)
     em_f = math.expm1(-2.0 * s_f)
@@ -646,5 +644,4 @@ def frozen_tail(t_f: float, y_f: Sequence[float], params: ModelParams,
     rows[:, 0] = (-u_inf * (2.0 + em)) / em
     rows[:, 1] = v_f * r
     rows[:, 2] = phi_f
-    rows[:, 4] = (rho_f * r) * r + 0.0  # + 0.0: a rho_f of -0.0 reads 0.0, as 0.0 does
     return rows

@@ -1,12 +1,14 @@
 """State types and the first-order evolution system on the flat
 Robertson-Walker background.
 
-Dynamical variables are the Hubble rate u = adot/a, the inverse squared scale
-factor v = 1/a**2, the scalar field phi with velocity chi = phidot, and the
-fluid density rho.  Geometrized units (G = c = 1) throughout.  The field's
-kinetic energy psi = chi**2/2 and the scale factor a = v**(-1/2) are always
-derived from the stored components, never stored themselves, so the relations
-psi = chi**2/2 and a = v**(-1/2) hold identically.
+The evolved variables are the Hubble rate u = adot/a, the inverse squared
+scale factor v = 1/a**2 and the scalar field phi with velocity chi = phidot.
+Geometrized units (G = c = 1) throughout.  The fluid is pure radiation:
+rho' = -4 u rho and v' = -2 u v give rho = rho0*(v/v0)**2 (rho ∝ a**-4) along
+every solution, so its density is :func:`density` of v, anchored at the
+run's start state (v0, rho0).  The density, the field's kinetic energy
+psi = chi**2/2 and the scale factor a = v**(-1/2) are always derived, never
+evolved or stored, so these relations hold identically.
 
 The evolution system is
 
@@ -14,7 +16,6 @@ The evolution system is
     dv/dt   = -2 u v
     dphi/dt = chi
     dchi/dt = -3 u chi - m**2 phi
-    drho/dt = -4 u rho
 
 subject to the Hamiltonian constraint
 
@@ -82,7 +83,8 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class CosmoState:
-    """Instantaneous state (t, u, v, phi, chi, rho).
+    """Instantaneous state (t, u, v, phi, chi, rho); rho is the density at
+    the state, which fixes the density's anchor for :func:`rhs` and a step.
 
     Invariants: every component finite, v > 0, rho >= 0.  chi may take either
     sign; negative chi only occurs when integrating the classical field
@@ -138,29 +140,38 @@ class StateDeriv(NamedTuple):
     dv: float
     dphi: float
     dchi: float
-    drho: float
 
 
-def _rhs_terms(u: float, v: float, phi: float, chi: float, rho: float,
-               lam: float, mass_sq: float,
-               frozen: bool = False) -> tuple[float, float, float, float, float]:
-    # Shared scalar core; the adaptive stepper calls this directly, with
-    # ``frozen`` set once the field is frozen (chi clamped at 0, dchi = 0).
+def density(rho0, v0, v):
+    """The radiation density at v of a run that starts at (v0, rho0):
+    rho0*w*w with w = v/v0.  The one formula for rho, on floats and on numpy
+    arrays alike; at v = v0 it is rho0 bit for bit, and rho0 = 0 gives 0."""
+    w = v / v0
+    return rho0 * w * w
+
+
+def _rhs_terms(u: float, v: float, phi: float, chi: float, lam: float, mass_sq: float,
+               rho0: float, v0: float, frozen: bool = False) -> tuple[float, float, float, float]:
+    # Shared scalar core; the adaptive stepper calls this directly, with the
+    # run's density anchor (rho0, v0) and ``frozen`` set once the field is
+    # frozen (chi clamped at 0, dchi = 0).
     psi = 0.5 * chi * chi
-    du = -1.5 * u * u + 0.5 * lam - FOUR_PI * (psi - 0.5 * mass_sq * phi * phi + rho / 3.0)
+    du = -1.5 * u * u + 0.5 * lam - FOUR_PI * (psi - 0.5 * mass_sq * phi * phi
+                                               + density(rho0, v0, v) / 3.0)
     dchi = 0.0 if frozen else -3.0 * u * chi - mass_sq * phi
-    return (du, -2.0 * u * v, chi, dchi, -4.0 * u * rho)
+    return (du, -2.0 * u * v, chi, dchi)
 
 
 def rhs(state: CosmoState, params: ModelParams) -> StateDeriv:
-    """Time derivative of (u, v, phi, chi, rho).
+    """Time derivative of the evolved components (u, v, phi, chi); the
+    density follows v.
 
     The system is autonomous: the result depends on the state components
     only, never on ``state.t``.  Inputs are guaranteed finite by the type
     invariants, so the derivative is always finite.
     """
-    return StateDeriv(*_rhs_terms(state.u, state.v, state.phi, state.chi,
-                                  state.rho, params.lam, params.mass_sq))
+    return StateDeriv(*_rhs_terms(state.u, state.v, state.phi, state.chi, params.lam,
+                                  params.mass_sq, state.rho, state.v))
 
 
 def derived_terms(u, phi, chi, rho, params: ModelParams) -> DerivedQuantities:

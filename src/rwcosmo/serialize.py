@@ -1,6 +1,6 @@
 """Flat-file serialization of trajectories and reports.
 
-trajectory.csv stores ``t,u,v,phi,chi,rho`` and nothing derived from them.
+trajectory.csv stores ``t,u,v,phi,chi`` and nothing derived from them.
 All floats are written with 17 significant digits, which round-trips IEEE
 doubles exactly; reading a trajectory back reproduces the in-memory values
 bit for bit.  Output is fully deterministic: identical runs produce identical
@@ -96,10 +96,6 @@ def write_table(path: Path, header: str, columns: Sequence[np.ndarray], sep: str
         f.writelines(_table_blocks(header, columns, sep))
 
 
-def trajectory_csv_text(traj: Trajectory) -> str:
-    return table_text(_CSV_HEADER, [traj.t, *traj.states.T])
-
-
 def events_json_text(traj: Trajectory) -> str:
     return json.dumps([asdict(e) for e in traj.events], indent=2) + "\n"
 
@@ -141,10 +137,10 @@ def write_trajectory(directory: Union[str, Path], traj: Trajectory, version: str
 
 
 def _parse_states(csv: TextIO, grid: np.ndarray) -> np.ndarray:
-    """The (n, 5) states of the open trajectory.csv ``csv``.
+    """The (n, 4) states of the open trajectory.csv ``csv``.
 
-    The header is the first line and must be exactly ``t,u,v,phi,chi,rho``;
-    every row holds those six numbers.  Empty lines are skipped, and a line
+    The header is the first line and must be exactly ``t,u,v,phi,chi``;
+    every row holds those five numbers.  Empty lines are skipped, and a line
     of only blanks is a malformed row.  The t column must be a prefix of the
     run's sample ``grid``, exactly: the 17-digit writer round-trips it.
     """
@@ -171,7 +167,7 @@ def _parse_states(csv: TextIO, grid: np.ndarray) -> np.ndarray:
     bad = ~valid_states(states)
     if bad.any():
         raise CorruptTrajectory(f"{TRAJECTORY_CSV}: data row {int(np.argmax(bad)) + 1} is "
-                                "not a state (finite, v > 0, rho >= 0)")
+                                "not a state (finite, v > 0)")
     off = np.flatnonzero(t[:grid.size] != grid[:t.size])
     if off.size or t.size > grid.size:
         k = int(off[0]) if off.size else grid.size

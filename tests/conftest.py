@@ -75,8 +75,8 @@ def radiation_trajectory():
     return integrate(data, params, config)
 
 
-def _zero_tail(t_f, y_f, params, times):
-    return np.zeros((len(times), 5))
+def _zero_tail(t_f, y_f, anchor, params, times):
+    return np.zeros((len(times), 4))
 
 
 @pytest.fixture(scope="session")

@@ -67,12 +67,17 @@ def test_03_theorem1_bounds(ref_trajectory, ref_initial):
 
 
 def test_04_rho_quadrature_oracle(ref_trajectory, ref_initial):
-    """max_t |rho - rho0 exp(-4 int u)| / rho0 <= 1e-6 (Simpson on samples)."""
+    """The density is rho0*(v/v0)^2, rho0 itself (bit for bit) at t = 0,
+    and max_t |rho - rho0 exp(-4 int u)| / rho0 <= 1e-6 (Simpson on
+    samples)."""
     with criterion(4, "density quadrature oracle"):
         cols = ref_trajectory.as_arrays()
+        rho, v = cols["rho"], cols["v"]
+        assert rho[0] == ref_initial.rho0
+        np.testing.assert_allclose(rho, ref_initial.rho0 * (v / v[0]) ** 2, rtol=4e-16, atol=0.0)
         integral = cumulative_simpson(cols["u"], REF_CONFIG.sample_dt)
         oracle = ref_initial.rho0 * np.exp(-4.0 * integral)
-        assert np.abs(cols["rho"] - oracle).max() / ref_initial.rho0 <= 1e-6
+        assert np.abs(rho - oracle).max() / ref_initial.rho0 <= 1e-6
 
 
 def test_05_decay_envelope_and_rates(ref_trajectory):
@@ -120,13 +125,15 @@ def test_07_scale_factor_growth(ref_trajectory, ref_initial):
 
 
 def test_08_radiation_reduction(radiation_trajectory):
-    """m = 0, phi0 = chi0 = 0, lam = 0, rho0 = 1: rho a^4 constant to 1e-8
-    relative over [0, 5]."""
+    """m = 0, phi0 = chi0 = 0, lam = 0, rho0 = 1: u and v follow the closed
+    form u0/(1 + 2 u0 t) and v0/(1 + 2 u0 t) to 1e-8 relative over [0, 5]."""
     with criterion(8, "radiation reduction oracle"):
         cols = radiation_trajectory.as_arrays()
         assert cols["t"][-1] == 5.0
-        inv = cols["rho"] / cols["v"] ** 2
-        assert np.abs(inv / inv[0] - 1.0).max() <= 1e-8
+        u0 = radiation_trajectory.initial.u0
+        growth = 1.0 + 2.0 * u0 * cols["t"]
+        assert np.abs(cols["u"] * growth / u0 - 1.0).max() <= 1e-8
+        assert np.abs(cols["v"] * growth / cols["v"][0] - 1.0).max() <= 1e-8
 
 
 def test_09_integrator_order(ref_initial):

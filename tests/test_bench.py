@@ -25,38 +25,40 @@ def run_bench(script, *args, cwd):
 
 
 def test_time_dense(tmp_path):
-    """The dense_output run: 10,001 samples from 10 steps to the freeze and
-    the exact tail, the math-module evaluations of integrate and verify
-    (the tail's exp and expm1, Simpson's exp(2 int u), exp(nu t) and the
-    fits' logs), and the size and bytes of its trajectory.csv (t and the
-    five states), and the peak memory of writing and reading that file.
-    Its ``kg`` variant steps every sample: 404 steps, and the bytes of its
-    states."""
+    """The dense_output run: 10,001 samples from 8 steps to the freeze and
+    the exact tail, the layers it times, the math-module evaluations of
+    integrate and verify (the tail's exp and expm1, Simpson's exp(2 int u),
+    exp(nu t) and the fits' logs), and the size and bytes of its
+    trajectory.csv (t and the four states), and the peak memory of writing
+    and reading that file.  Its ``kg`` variant steps every sample: 242
+    steps, and the bytes of its states."""
     got = run_bench("time_dense.py", 1, cwd=tmp_path)
+    assert list(got["median_s"]) == ["integrate", "integrate_kg", "write_trajectory",
+                                     "read_trajectory", "verify", "simulate_verify_op"]
     assert (got["steps_accepted"], got["steps_rejected"], got["rhs_evaluations"],
-            got["samples"]) == (10, 0, 61, 10001)
-    assert got["libm_elements"] == 41559
-    assert got["trajectory_bytes"] == 1023782
+            got["samples"]) == (8, 0, 49, 10001)
+    assert got["libm_elements"] == 41314
+    assert got["trajectory_bytes"] == 785554
     assert got["trajectory_sha256"] == \
-        "551a0adf701f5ba7194e26c52282c42346d1a0b5a7aaad3e28a8150f961e062a"
+        "8500d25ca09e4db4d003f2a2a1e3cf315d81fb09344ef4618f9883f4a2421cec"
     # Streamed a block of rows at a time: writing holds one block, where the
     # whole text took 4.2 MB, and reading stays under three times the
-    # (10,001, 6) float table, where the text and its lines took 3.4 MB.
+    # (10,001, 5) float table, where the text and its lines took 3.4 MB.
     assert got["peak_bytes"]["write_trajectory"] < 1.5e6
-    assert got["peak_bytes"]["read_trajectory"] < 3 * 10001 * 6 * 8
+    assert got["peak_bytes"]["read_trajectory"] < 3 * 10001 * 5 * 8
     assert got["kg"] == {
-        "steps_accepted": 404, "steps_rejected": 0, "rhs_evaluations": 2425, "samples": 10001,
-        "states_sha256": "d4be50602df72368d5b3c80255c9c8696a2fbaafb0f34abf05a8ce4ca6167ecb"}
+        "steps_accepted": 242, "steps_rejected": 0, "rhs_evaluations": 1453, "samples": 10001,
+        "states_sha256": "3f3e48ca8420c045d2c7709b784761f9d2a201fb93927ea3c978cc02812a2720"}
 
 
 def test_time_sweep(tmp_path):
-    """The sweep_grid layers: the twelve rows with a real branch step 242
-    times before their exact tails, and one op makes 51,700 math-module
+    """The sweep_grid layers: the twelve rows with a real branch step 180
+    times before their exact tails, and one op makes 51,534 math-module
     evaluations."""
     got = run_bench("time_sweep.py", 1, cwd=tmp_path)
     assert got["sweep_csv_sha256"] == GRID_SHA256
-    assert (got["rows_integrated"], got["steps_accepted"], got["samples"]) == (12, 242, 12012)
-    assert got["libm_elements"] == 51700
+    assert (got["rows_integrated"], got["steps_accepted"], got["samples"]) == (12, 180, 12012)
+    assert got["libm_elements"] == 51534
 
 
 def test_time_pool(tmp_path):
@@ -82,6 +84,24 @@ def test_ab(tmp_path, workload):
                                                "report.json"), True))
     for side in ("a", "b"):
         assert 0.0 < got[side]["q1_s"] <= got[side]["median_s"] <= got[side]["q3_s"]
+
+
+def test_domain(tmp_path):
+    """The calibration recipe's first 12 draws, paper mode at sample_dt
+    0.01: all 12 admissible, 7 failed (each on v_quadrature_identity alone),
+    4 inconclusive and 1 passed.  The first draw has chi0 = 0, so it freezes
+    at t = 0 and takes no step."""
+    got = run_bench("domain.py", "-n", 12, "--mode", "paper", "--sample-dt", 0.01, cwd=tmp_path)
+    assert (got["seed"], got["draws"], got["admissible"]) == (12345, 12, 12)
+    [series] = got["series"]
+    assert (series["mode"], series["sample_dt"]) == ("paper", 0.01)
+    assert series["counts"] == {"failed": 7, "inconclusive": 4, "passed": 1}
+    assert series["failing_checks"] == {"v_quadrature_identity": 7}
+    assert len(series["rows"]) == 12
+    assert series["rows"][0] == {
+        "lam": -2.7266397753283034, "mass": 0.9844371021437711, "phi0": 2.4022280991315657,
+        "chi0": 0.0, "rho0": 0.6656278557327691, "status": "failed",
+        "failed": ["v_quadrature_identity"], "t_f": 0.0, "steps": 0}
 
 
 def test_sloc(tmp_path):

@@ -23,32 +23,32 @@ from rwcosmo.cli import (EXIT_CONFIG, EXIT_INADMISSIBLE, EXIT_INCONCLUSIVE,
                          EXIT_INTEGRATOR, EXIT_OK, EXIT_VERIFY_FAILED, main,
                          parse_run_config, parse_sweep_plan)
 from rwcosmo.integrator import TRAJECTORY_COLUMNS
-from rwcosmo.serialize import CorruptTrajectory, read_trajectory, table_text, trajectory_csv_text
+from rwcosmo.serialize import CorruptTrajectory, read_trajectory, table_text, write_trajectory
 from rwcosmo.sweep import SWEEP_PARAMS
 
 from conftest import write_reference_config
 
-TRAJECTORY_HEADER = "t,u,v,phi,chi,rho"
+TRAJECTORY_HEADER = "t,u,v,phi,chi"
 #: sha256 of the reference run's trajectory.csv, and of the same run stepped
 #: through its frozen phase.  The float stepper makes them the same on every
 #: BLAS kernel.
 REFERENCE_TRAJECTORY_SHA256 = (
-    "f5a8e5515707c450c487815ea5aea2f19da30da202cfa888fc4fdbff3f1cc0b2")
+    "7380c0f72919474c167e65fbd1da08f7a249e33e6cd4da04ff7d31811757c792")
 STEPPED_TRAJECTORY_SHA256 = (
-    "cd97f41a0fbd44f66cbe9228d8f438e695a779ba987f1238d621e8799824d3e9")
+    "bc2cb9e76eebbccc967dc96555f6eacdf36d7671f6164e900c5bfda624dc17f7")
 #: sha256 of the JSON files simulate + verify write for the reference run and
 #: its ``kg`` variant.  meta.json records the package version, so a version
 #: bump moves its pins.
 JSON_SHA256 = {
     "paper": {
-        "events.json": "f4dd5c41a5b85ed786852641e4eb4abc5c9aa707eb6cf6dfffb57c738717361b",
-        "meta.json": "66127936020be5d60f9b8cba3b657b4ffe94b0f8865652652f2abae5c9cfbe91",
-        "report.json": "3dcd3dde9664676a3237f05741cf146ee195ba0277cc337f8371bb4414e0e985",
+        "events.json": "a8aed4fcf989075116dc8075f1e9365f603e85e8960b27ebda6d2199070c1a05",
+        "meta.json": "de49ea949e65c0d5b97f5078adf3d15ba754ce86277d6e3a4f9153aa1a948a1d",
+        "report.json": "8dcbd9fd19630f261835a31edb74abcf435bb75a027bc045e6812e7833a0fd4f",
     },
     "kg": {
-        "events.json": "b83d85c7b514f37465d080108e6ff9a1e9d9ac037a4b4f2d98cee19a8b5fae37",
-        "meta.json": "5e9b96afa7edf31ee2248c7a1e30102aedd696fbab077a10f95c45163c08f8b6",
-        "report.json": "043caa4fd062335a72c6640ffbaecbbedc91d6764894aa4844e5c3f9562915c4",
+        "events.json": "202bc52f9851e835b2b539fb8f59ae95be0d47e726506886c7f0592d09ed9262",
+        "meta.json": "ef133c2339faa1d9d85e66ed0f7fdf9c0e113b28be966c46d747c23bb468f7c2",
+        "report.json": "c33ff65169af6b8250c71db82e743cc0e9ca5ef3c52674c6d51117be5a8885b9",
     },
 }
 
@@ -91,33 +91,34 @@ class TestSimulate:
         row1 = dict(zip(lines[0].split(","), lines[1].split(",")))
         cols = traj.as_arrays()
         assert float(row1["u"]) == cols["u"][0]
-        assert float(row1["rho"]) == cols["rho"][0]
+        assert cols["rho"][0] == traj.initial.rho0
 
-    def test_reference_counters_and_csv_round_trip(self, ref_run, ref_trajectory):
+    def test_reference_counters_and_csv_round_trip(self, ref_run, ref_trajectory, tmp_path):
         """Pinned step counters and trajectory.csv bytes of the reference run;
         reading trajectory.csv back and writing it again reproduces its bytes.
 
-        19 steps to the freeze, then the exact tail: 115 RHS evaluations = 6
+        14 steps to the freeze, then the exact tail: 85 RHS evaluations = 6
         per step and the first stage."""
         st = ref_trajectory.stats
-        assert (st.steps_accepted, st.steps_rejected, st.rhs_evaluations) == (19, 0, 115)
+        assert (st.steps_accepted, st.steps_rejected, st.rhs_evaluations) == (14, 0, 85)
         assert len(ref_trajectory.t) == 1001
         text = (ref_run / "trajectory.csv").read_text()
         assert sha256(text) == REFERENCE_TRAJECTORY_SHA256
-        for written in (trajectory_csv_text(read_trajectory(ref_run)),
-                        trajectory_csv_text(ref_trajectory)):
+        for name, traj in (("read", read_trajectory(ref_run)), ("memory", ref_trajectory)):
+            write_trajectory(tmp_path / name, traj, rwcosmo.__version__)
+            written = (tmp_path / name / "trajectory.csv").read_text()
             assert sha256(written) == sha256(text), first_difference(written, text)
 
     def test_stepped_reference_pins(self, tmp_path, stepped):
         """The reference run stepped through its frozen phase, the path of
-        the runs the exact tail does not cover: 1,956 steps and 11,738 RHS
+        the runs the exact tail does not cover: 1,152 steps and 6,914 RHS
         evaluations (6 per step, the first stage, and one more after the
         FieldFrozen restart), and its trajectory.csv bytes."""
         cfg = write_reference_config(tmp_path / "run.ini", str(tmp_path / "out"))
         with stepped(), contextlib.redirect_stdout(io.StringIO()):
             assert main(["simulate", str(cfg)]) == EXIT_OK
         st = read_trajectory(tmp_path / "out").stats
-        assert (st.steps_accepted, st.steps_rejected, st.rhs_evaluations) == (1956, 0, 11738)
+        assert (st.steps_accepted, st.steps_rejected, st.rhs_evaluations) == (1152, 0, 6914)
         assert sha256((tmp_path / "out" / "trajectory.csv").read_text()) == \
             STEPPED_TRAJECTORY_SHA256
 
@@ -410,7 +411,7 @@ class TestVerify:
         assert main(["verify", "no_such_dir"]) == EXIT_CONFIG
 
     @pytest.mark.parametrize("column,value", [
-        ("v", "0"), ("rho", "-1e-3"), ("u", "nan"), ("t", "inf"), ("chi", "x"),
+        ("v", "0"), ("u", "nan"), ("t", "inf"), ("chi", "x"),
         ("phi", ""),
     ])
     def test_invalid_state_value_exits_1(self, tmp_path, column, value):
@@ -435,13 +436,13 @@ class TestVerify:
         assert main(["verify", str(tmp_path / "out")]) == EXIT_CONFIG
 
     @pytest.mark.parametrize("edit,message", [
-        (lambda rows: rows[2].pop(), "changed from 6 to 5 at row 3"),
-        (lambda rows: rows[2].append("0"), "changed from 6 to 7 at row 3"),
-        (lambda rows: [r.append("0") for r in rows], "rows hold 7 values"),
-        (lambda rows: [r.pop() for r in rows], "rows hold 5 values"),
-    ], ids=["row_of_5", "row_of_7", "all_rows_7", "all_rows_5"])
-    def test_row_not_6_fields_exits_1(self, tmp_path, capsys, edit, message):
-        """Every data row holds the 6 header fields, t and the five states:
+        (lambda rows: rows[2].pop(), "changed from 5 to 4 at row 3"),
+        (lambda rows: rows[2].append("0"), "changed from 5 to 6 at row 3"),
+        (lambda rows: [r.append("0") for r in rows], "rows hold 6 values"),
+        (lambda rows: [r.pop() for r in rows], "rows hold 4 values"),
+    ], ids=["row_of_4", "row_of_6", "all_rows_6", "all_rows_4"])
+    def test_row_not_5_fields_exits_1(self, tmp_path, capsys, edit, message):
+        """Every data row holds the 5 header fields, t and the four states:
         one error line, exit 1, no report."""
         out = tmp_path / "out"
         cfg = write_reference_config(tmp_path / "c.ini", str(out),
@@ -461,24 +462,25 @@ class TestVerify:
 
     @pytest.mark.parametrize("command", ["verify", "report"])
     def test_old_twelve_column_file_exits_1(self, tmp_path, capsys, command):
-        """A trajectory.csv in the old format, with the derived columns
-        a, psi, H, T00, Q and constraint stored beside the states: one
-        unexpected-header line, exit 1, nothing written.  Such a run must
-        be simulated again."""
+        """A trajectory.csv in an old format: the twelve-column one, with the
+        derived columns a, psi, rho, H, T00, Q and constraint stored beside
+        the states, and the six-column one, with rho stored as a state.
+        Each gives one unexpected-header line, exit 1, nothing written.
+        Such a run must be simulated again."""
         out = tmp_path / "out"
         cfg = write_reference_config(tmp_path / "c.ini", str(out),
                                      **{"t_end = 10": "t_end = 0.1"})
         assert main(["simulate", str(cfg)]) == EXIT_OK
         cols = read_trajectory(out).as_arrays()
-        old_header = ",".join(TRAJECTORY_COLUMNS)
-        (out / "trajectory.csv").write_text(
-            table_text(old_header, [cols[name] for name in TRAJECTORY_COLUMNS]))
-        before = sorted(out.iterdir())
-        capsys.readouterr()
-        assert main([command, str(out)]) == EXIT_CONFIG
-        assert capsys.readouterr().err.splitlines() == [
-            f"rwcosmo: error: trajectory.csv: unexpected header {old_header!r}"]
-        assert sorted(out.iterdir()) == before
+        for names in (TRAJECTORY_COLUMNS, ("t", "u", "v", "phi", "chi", "rho")):
+            old_header = ",".join(names)
+            (out / "trajectory.csv").write_text(table_text(old_header, [cols[n] for n in names]))
+            before = sorted(out.iterdir())
+            capsys.readouterr()
+            assert main([command, str(out)]) == EXIT_CONFIG
+            assert capsys.readouterr().err.splitlines() == [
+                f"rwcosmo: error: trajectory.csv: unexpected header {old_header!r}"]
+            assert sorted(out.iterdir()) == before
 
     @pytest.mark.parametrize("edit,row", [
         (lambda t: t[:5] + [t[5] + 1e-3] + t[6:], 6),
@@ -523,7 +525,7 @@ class TestVerify:
         again = read_trajectory(out)
         assert again.t.tobytes() == traj.t.tobytes()
         assert again.states.tobytes() == traj.states.tobytes()
-        for bad, message in ((f"{text} \t\n", "changed from 6 to 1 at row 12"),
+        for bad, message in ((f"{text} \t\n", "changed from 5 to 1 at row 12"),
                              (f"\n{text}", "unexpected header ''"),
                              (f"{header}\n\n\n", "holds no samples"),
                              ("", "empty file")):

@@ -30,7 +30,7 @@ def make_fake_trajectory(u_values, params=None):
     u = np.asarray(u_values, dtype=float)
     zeros = np.zeros_like(u)
     return Trajectory(params=params, initial=initial, config=IntegratorConfig(),
-                      states=np.column_stack([u, np.ones_like(u), zeros, zeros, zeros]),
+                      states=np.column_stack([u, np.ones_like(u), zeros, zeros]),
                       events=(), stats=IntegrationStats(0, 0, 0))
 
 
@@ -219,7 +219,7 @@ class TestVerifyBounds:
 
     def test_empty_trajectory_rejected(self):
         traj = make_fake_trajectory([1.0])
-        empty = replace(traj, states=np.empty((0, 5)))
+        empty = replace(traj, states=np.empty((0, 4)))
         with pytest.raises(ValueError, match="no samples"):
             verify(empty)
 
@@ -260,10 +260,8 @@ class TestCheckRule:
         traj = make_fake_trajectory(np.linspace(1.0, 0.9, len(t)))
         assert traj.t.tolist() == t
         report = verify(traj)
-        assert [report.check("rho_quadrature_oracle"),
-                report.check("v_quadrature_identity")] == [
-            Check("rho_quadrature_oracle", True, -TOL.rho_oracle_rel, detail),
-            Check("v_quadrature_identity", True, -TOL.v_oracle_rel, detail)]
+        assert report.check("v_quadrature_identity") == \
+            Check("v_quadrature_identity", True, -TOL.v_oracle_rel, detail)
 
 
 class TestQIdentity:
@@ -368,24 +366,21 @@ class TestVerifyAsymptotics:
 
 
 def two_exp_margins(traj):
-    """The margins of the four exponential checks by the two-exp formulas:
-    exp(-4 int u) for the rho oracle apart from exp(2 int u) for the v
-    identity, and exp(-3 nu t) for the Q envelope apart from exp(nu t) for
-    the growth bound, each through libm.  The envelope and the bound only
-    where Q has passed the gate, as in verify."""
+    """The margins of the three exponential checks by the two-exp formulas:
+    exp(2 int u) for the v identity, and exp(-3 nu t) for the Q envelope
+    apart from exp(nu t) for the growth bound, each through libm.  The
+    envelope and the bound only where Q has passed the gate, as in verify."""
     cols = traj.as_arrays()
-    t, u, v, rho, q = (cols[k] for k in ("t", "u", "v", "rho", "Q"))
+    t, u, v, q = (cols[k] for k in ("t", "u", "v", "Q"))
     integral_u = cumulative_simpson(u, float(t[1] - t[0]))
-    rho0, v0, q0 = float(rho[0]), float(v[0]), float(q[0])
+    v0, q0 = float(v[0]), float(q[0])
     margins = {
-        "rho_quadrature_oracle": float(np.max(np.abs(
-            rho - rho0 * libm(math.exp, -4.0 * integral_u)))) / rho0 - TOL.rho_oracle_rel,
         "v_quadrature_identity": float(np.max(np.abs(
             v * libm(math.exp, 2.0 * integral_u) - v0))) / v0 - TOL.v_oracle_rel,
     }
     if abs(float(q[-1])) < TOL.q_ratio_gate * q0:
         nu = nu_rate(traj.params, traj.initial.phi0)
-        q_floor = (24.0 * math.pi * TOL.rho_oracle_rel * traj.initial.rho0
+        q_floor = (24.0 * math.pi * TOL.v_oracle_rel * traj.initial.rho0
                    + 3.0 * TOL.constraint_budget)
         envelope = q0 * libm(math.exp, -3.0 * nu * t) * (1.0 + TOL.envelope_slack) + q_floor
         bound = traj.initial.a0 * libm(math.exp, nu * t) * (1.0 - TOL.a_growth_slack)
@@ -413,9 +408,9 @@ def assert_two_exp_verdicts(traj, tol=1e-15):
 
 def on_shell_run(nu_t_end):
     """A hand-built on-shell run with the frozen field at phi = 1 (nu from
-    lambda = m = 1), rho = rho0*exp(-4 nu t), u from the constraint and
-    v = exp(ln(1e307) - 2 nu t), positive until nu t ~ 726, on 201 samples
-    up to nu*t_end; int u is a little above nu*t."""
+    lambda = m = 1), v = exp(ln(1e307) - 2 nu t), positive until nu t ~ 726,
+    so the derived rho is rho0*exp(-4 nu t), and u from the constraint with
+    that rho, on 201 samples up to nu*t_end; int u is a little above nu*t."""
     params = ModelParams(lam=1.0, mass=1.0)
     t_end = nu_t_end / REF_NU
     config = IntegratorConfig(t_end=t_end, sample_dt=t_end / 200)
@@ -427,40 +422,39 @@ def on_shell_run(nu_t_end):
                           rho0=0.05)
     zeros = np.zeros_like(t)
     return Trajectory(params=params, initial=initial, config=config,
-                      states=np.column_stack([u, v, np.ones_like(t), zeros, rho]),
+                      states=np.column_stack([u, v, np.ones_like(t), zeros]),
                       events=(), stats=IntegrationStats(0, 0, 0))
 
 
 class TestOneExpPerIdentity:
-    """verify takes exp(2 int u) once for both quadrature checks and
-    exp(nu t) once for the Q envelope and the growth bound; the two-exp
-    formulas are the oracle."""
+    """verify takes exp(nu t) once for the Q envelope and the growth bound;
+    the two-exp formulas are the oracle."""
 
     def test_reference_dense_and_kg_runs(self, ref_trajectory, kg_trajectory, ref_initial):
         dense = integrate(ref_initial, ModelParams(lam=1.0, mass=1.0),
                           replace(REF_CONFIG, rel_tol=1e-8, abs_tol=1e-8, sample_dt=0.001))
         for traj in (ref_trajectory, dense, kg_trajectory):
-            assert len(two_exp_margins(traj)) == 4
+            assert len(two_exp_margins(traj)) == 3
             assert_two_exp_verdicts(traj)
 
     @pytest.mark.parametrize("nu_t_end,overflows", [
         (150.0, set()),
-        (300.0, {"exp(nu t)**3", "exp(2 int u)**2"}),
-        (400.0, {"exp(nu t)**3", "exp(2 int u)**2", "exp(2 int u)"}),
-        (720.0, {"exp(nu t)**3", "exp(2 int u)**2", "exp(2 int u)", "exp(nu t)"}),
+        (300.0, {"exp(nu t)**3"}),
+        (400.0, {"exp(nu t)**3", "exp(2 int u)"}),
+        (720.0, {"exp(nu t)**3", "exp(2 int u)", "exp(nu t)"}),
     ])
     def test_past_each_overflow_point(self, nu_t_end, overflows):
         """Past nu t = 236.6 exp(nu t)**3 overflows, past 709.8 exp(nu t);
-        past 2 int u = 354.9 exp(2 int u)**2, past 709.8 exp(2 int u).  Each
-        run keeps the two-exp pass/fail and margins, inf where they are."""
+        past 2 int u = 709.8 exp(2 int u).  Each run keeps the two-exp
+        pass/fail and margins, inf where they are."""
         traj = on_shell_run(nu_t_end)
         largest = math.log(np.finfo(float).max)
         two_int_u = 2.0 * float(cumulative_simpson(traj.as_arrays()["u"], traj.config.sample_dt)[-1])
         assert overflows == {name for name, x in (
             ("exp(nu t)**3", 3.0 * nu_t_end), ("exp(nu t)", nu_t_end),
-            ("exp(2 int u)**2", 2.0 * two_int_u), ("exp(2 int u)", two_int_u)) if x > largest}
+            ("exp(2 int u)", two_int_u)) if x > largest}
         margins = two_exp_margins(traj)
-        assert len(margins) == 4
+        assert len(margins) == 3
         assert math.isinf(margins["v_quadrature_identity"]) == ("exp(2 int u)" in overflows)
         assert math.isinf(margins["a_exponential_lower_bound"]) == ("exp(nu t)" in overflows)
         assert_two_exp_verdicts(traj)
@@ -505,7 +499,7 @@ class TestVerifyReport:
         data = make_initial_data(params, 1.0, 1.0, 0.1, 0.05, "contracting")
         traj = integrate(data, params, replace(REF_CONFIG, override_admissibility=True))
         assert verify(traj).notes[-1] == \
-            "integration aborted by guard: t = 0.445605: |u| = 1015.9 exceeded 1000"
+            "integration aborted by guard: t = 0.445605: |u| = 1015.85 exceeded 1000"
 
     def test_estimates_match_constraint_limit(self, ref_trajectory):
         report = verify(ref_trajectory)
@@ -520,7 +514,7 @@ class TestVerifyReport:
         section = README.read_text().split("\n## Checks\n")[1].split("\n## ")[0]
         rows = re.findall(r"^\| `(\w+)` \|.*\| (.*) \|$", section, re.M)
         assert [name for name, _ in rows] == [c.name for c in verify(ref_trajectory).checks]
-        assert len(rows) == 20
+        assert len(rows) == 19
         tolerance_fields = {f.name for f in fields(TOL)}
         for name, cell in rows:
             named = re.findall(r"`(\w+)`", cell)

@@ -1,5 +1,6 @@
 """Adaptive stepper, events, guards, and solution-level oracles."""
 
+import itertools
 import math
 import tracemalloc
 from dataclasses import fields, replace
@@ -12,7 +13,7 @@ from rwcosmo import (CosmoState, InadmissibleInitialData, IntegratorConfig,
                      ModelParams, StepSizeUnderflow, build_state, integrate,
                      make_initial_data, step)
 from rwcosmo import integrator
-from rwcosmo.diagnostics import cumulative_simpson
+from rwcosmo.diagnostics import TOL, cumulative_simpson
 from rwcosmo.initial import nu_rate
 from rwcosmo.integrator import (FIELD_FROZEN, CHI_ZERO_CROSSING, GUARD_TRIPPED, MAX_SAMPLES,
                                 IntegrationStats, frozen_tail, sample_times, _sample,
@@ -43,63 +44,67 @@ _A = (
 )
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
                -17253 / 339200, 22 / 525, -1 / 40])
-_RELATIVE = np.array([False, True, False, False, True])
+_RELATIVE = np.array([False, True, False, False])
 _TINY = 1e-300
 
 
-def numpy_deriv(y, lam, mass_sq, frozen):
-    du, dv, dphi, dchi, drho = _rhs_terms(y[0], y[1], y[2], y[3], y[4], lam, mass_sq)
+def numpy_deriv(y, lam, mass_sq, anchor, frozen):
+    du, dv, dphi, dchi = _rhs_terms(y[0], y[1], y[2], y[3], lam, mass_sq, *anchor)
     if frozen:
         dchi = 0.0
-    return np.array([du, dv, dphi, dchi, drho])
+    return np.array([du, dv, dphi, dchi])
 
 
-def numpy_trial_step(y, h, params, config, frozen):
+def numpy_trial_step(y, h, params, anchor, config, frozen):
+    """The norm's fifth term is the density's relative error, twice v's."""
     lam, mass_sq = params.lam, params.mass_sq
-    k = np.empty((7, 5))
-    k[0] = numpy_deriv(y, lam, mass_sq, frozen)
+    k = np.empty((7, 4))
+    k[0] = numpy_deriv(y, lam, mass_sq, anchor, frozen)
     for i in range(1, 6):
-        k[i] = numpy_deriv(y + h * (_A[i] @ k[:i]), lam, mass_sq, frozen)
+        k[i] = numpy_deriv(y + h * (_A[i] @ k[:i]), lam, mass_sq, anchor, frozen)
     y1 = y + h * (_A[6] @ k[:6])
-    k[6] = numpy_deriv(y1, lam, mass_sq, frozen)
+    k[6] = numpy_deriv(y1, lam, mass_sq, anchor, frozen)
     if not np.all(np.isfinite(y1)):
         return y1, math.inf, k
     err = h * (_E @ k)
     ymax = np.maximum(np.abs(y), np.abs(y1))
     scale = np.where(_RELATIVE, config.rel_tol * ymax + _TINY,
                      config.abs_tol + config.rel_tol * ymax)
-    return y1, float(np.sqrt(np.mean((err / scale) ** 2))), k
+    q = err / scale
+    return y1, float(np.sqrt((np.sum(q ** 2) + (2.0 * q[1]) ** 2) / 5)), k
 
 
-def zip_trial_step(y, k1, h, params, config, frozen):
+def zip_trial_step(y, k1, h, params, anchor, config, frozen):
     """The float stepper as first written, one zip per sum; the straight-line
     _trial_step must reproduce it bit for bit."""
     lam, mass_sq = params.lam, params.mass_sq
     k2 = _rhs_terms(*[y0 + h * (_A21 * a) for y0, a in zip(y, k1)],
-                    lam, mass_sq, frozen)
+                    lam, mass_sq, *anchor, frozen)
     k3 = _rhs_terms(*[y0 + h * (_A31 * a + _A32 * b)
-                      for y0, a, b in zip(y, k1, k2)], lam, mass_sq, frozen)
+                      for y0, a, b in zip(y, k1, k2)], lam, mass_sq, *anchor, frozen)
     k4 = _rhs_terms(*[y0 + h * (_A41 * a + _A42 * b + _A43 * c)
-                      for y0, a, b, c in zip(y, k1, k2, k3)], lam, mass_sq, frozen)
+                      for y0, a, b, c in zip(y, k1, k2, k3)], lam, mass_sq, *anchor, frozen)
     k5 = _rhs_terms(*[y0 + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
                       for y0, a, b, c, d in zip(y, k1, k2, k3, k4)],
-                    lam, mass_sq, frozen)
+                    lam, mass_sq, *anchor, frozen)
     k6 = _rhs_terms(*[y0 + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
                       for y0, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)],
-                    lam, mass_sq, frozen)
+                    lam, mass_sq, *anchor, frozen)
     y1 = [y0 + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * f)
           for y0, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)]
-    k7 = _rhs_terms(*y1, lam, mass_sq, frozen)
+    k7 = _rhs_terms(*y1, lam, mass_sq, *anchor, frozen)
     k = (k1, k2, k3, k4, k5, k6, k7)
     if not all(map(math.isfinite, y1)):
         return y1, math.inf, k
     rel_tol, abs_tol = config.rel_tol, config.abs_tol
-    floors = (abs_tol, _TINY, abs_tol, abs_tol, _TINY)
+    floors = (abs_tol, _TINY, abs_tol, abs_tol)
+    q = [h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * f + _E7 * g)
+         / (rel_tol * max(abs(y0), abs(y0_new)) + floor)
+         for y0, y0_new, a, c, d, e, f, g, floor in zip(y, y1, k1, k3, k4, k5, k6, k7, floors)]
+    q.append(2.0 * q[1])
     total = 0.0
-    for y0, y0_new, a, c, d, e, f, g, floor in zip(y, y1, k1, k3, k4, k5, k6, k7, floors):
-        err = h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * f + _E7 * g)
-        q = err / (rel_tol * max(abs(y0), abs(y0_new)) + floor)
-        total += q * q
+    for x in q:
+        total += x * x
     return y1, math.sqrt(total / 5), k
 
 
@@ -109,33 +114,36 @@ def float_bits(y1, norm, k):
 
 
 def random_trial_inputs(frozen):
-    """200 random (y, params, config, h) trial-step inputs per frozen value."""
+    """200 random (y, params, anchor, config, h) trial-step inputs per frozen
+    value; the anchor (rho0, v0) is the run's start density and v."""
     rng = np.random.default_rng(20130 + frozen)
     for _ in range(200):
-        y = rng.uniform([-2.0, 0.1, -2.0, -1.0, 0.0], [3.0, 2.0, 2.0, 1.0, 1.0])
+        y = rng.uniform([-2.0, 0.1, -2.0, -1.0], [3.0, 2.0, 2.0, 1.0])
+        anchor = tuple(rng.uniform([0.0, 0.1], [1.0, 2.0]).tolist())
         params = ModelParams(lam=rng.uniform(-1.0, 3.0), mass=rng.uniform(0.0, 2.0))
         tol = 10.0 ** rng.uniform(-12.0, -4.0)
         config = IntegratorConfig(rel_tol=tol, abs_tol=tol)
         h = 10.0 ** rng.uniform(-4.0, math.log10(0.25))
-        yield y, params, config, h
+        yield y, params, anchor, config, h
 
 
-def term_magnitudes(y, h, params, frozen):
+def term_magnitudes(y, h, params, anchor, frozen):
     """The numpy stepper run on absolute values: every weight, state
     component and right-hand-side term replaced by its magnitude.  Returns the
     magnitudes of the terms summed into each stage, into y1 and into the
     error estimate, the scale of the rounding each may carry."""
     lam, m2 = abs(params.lam), params.mass_sq
+    rho0, v0 = anchor
 
     def f(z):
-        u, v, phi, chi, rho = z
+        u, v, phi, chi = z
         du = 1.5 * u * u + 0.5 * lam + FOUR_PI * (0.5 * chi * chi + 0.5 * m2 * phi * phi
-                                                  + rho / 3.0)
+                                                  + rho0 * (v / v0) ** 2 / 3.0)
         dchi = 0.0 if frozen else 3.0 * u * chi + m2 * phi
-        return np.array([du, 2.0 * u * v, chi, dchi, 4.0 * u * rho])
+        return np.array([du, 2.0 * u * v, chi, dchi])
 
     y = np.abs(y)
-    k = np.empty((7, 5))
+    k = np.empty((7, 4))
     k[0] = f(y)
     for i in range(1, 6):
         k[i] = f(y + h * (np.abs(_A[i]) @ k[:i]))
@@ -258,46 +266,48 @@ class TestTrialStep:
     def test_agrees_with_numpy_stepper(self, frozen):
         """y1, all seven stages and the error norm agree with the numpy
         stepper to 16 eps times the magnitude of the summed terms."""
-        for y, params, config, h in random_trial_inputs(frozen):
+        for y, params, anchor, config, h in random_trial_inputs(frozen):
             tol = config.rel_tol
-            ref_y1, ref_norm, ref_k = numpy_trial_step(y, h, params, config, frozen)
-            k1 = _rhs_terms(*y.tolist(), params.lam, params.mass_sq, frozen)
-            y1, norm, k = _trial_step(y.tolist(), k1, h, params, config, frozen)
-            mag_k, mag_y1, mag_err = term_magnitudes(y, h, params, frozen)
+            ref_y1, ref_norm, ref_k = numpy_trial_step(y, h, params, anchor, config, frozen)
+            k1 = _rhs_terms(*y.tolist(), params.lam, params.mass_sq, *anchor, frozen)
+            y1, norm, k = _trial_step(y.tolist(), k1, h, params, anchor, config, frozen)
+            mag_k, mag_y1, mag_err = term_magnitudes(y, h, params, anchor, frozen)
             assert np.all(np.abs(np.array(k) - ref_k) <= 16.0 * EPS * mag_k)
             assert np.all(np.abs(np.array(y1) - ref_y1) <= 16.0 * EPS * mag_y1)
             ymax = np.maximum(np.abs(y), np.abs(ref_y1))
             scale = np.where(_RELATIVE, tol * ymax + _TINY, tol + tol * ymax)
-            mag_norm = math.sqrt(np.mean((mag_err / scale) ** 2))
+            mag_q = mag_err / scale
+            mag_norm = math.sqrt((np.sum(mag_q ** 2) + (2.0 * mag_q[1]) ** 2) / 5)
             assert abs(norm - ref_norm) <= 16.0 * EPS * mag_norm
 
     @pytest.mark.parametrize("frozen", [False, True])
     def test_bit_identical_to_zip_stepper(self, frozen):
         """y1, the error norm and all seven stages equal the zip stepper's
         bit for bit: same tableau, same left-to-right sums, same norm."""
-        for y, params, config, h in random_trial_inputs(frozen):
+        for y, params, anchor, config, h in random_trial_inputs(frozen):
             y = y.tolist()
-            k1 = _rhs_terms(*y, params.lam, params.mass_sq, frozen)
-            assert float_bits(*_trial_step(y, k1, h, params, config, frozen)) == \
-                float_bits(*zip_trial_step(y, k1, h, params, config, frozen))
+            k1 = _rhs_terms(*y, params.lam, params.mass_sq, *anchor, frozen)
+            assert float_bits(*_trial_step(y, k1, h, params, anchor, config, frozen)) == \
+                float_bits(*zip_trial_step(y, k1, h, params, anchor, config, frozen))
 
     @pytest.mark.parametrize("y", [
-        [1e200, 1.0, 1.0, 0.1, 0.05],  # u * u overflows
-        [0.5, 1.0, math.nan, 0.1, 0.05],
-        [0.5, 1.0, 1.0, math.inf, 0.05],
-        [1e200, 1.0, 1.0, 0.0, 0.05],  # u * u overflows on a frozen field
+        [1e200, 1.0, 1.0, 0.1],  # u * u overflows
+        [0.5, 1.0, math.nan, 0.1],
+        [0.5, 1.0, 1.0, math.inf],
+        [1e200, 1.0, 1.0, 0.0],  # u * u overflows on a frozen field
     ])
     def test_non_finite_step_has_infinite_norm(self, y):
         """Float overflow yields inf/nan without raising, and a non-finite y1
         reads as an infinitely bad step; at chi = 0.0 the frozen step."""
         frozen = y[3] == 0.0
-        k1 = _rhs_terms(*y, REF_PARAMS.lam, REF_PARAMS.mass_sq, frozen)
-        result = _trial_step(y, k1, 0.01, REF_PARAMS, IntegratorConfig(), frozen)
+        anchor = (0.05, 1.0)
+        k1 = _rhs_terms(*y, REF_PARAMS.lam, REF_PARAMS.mass_sq, *anchor, frozen)
+        result = _trial_step(y, k1, 0.01, REF_PARAMS, anchor, IntegratorConfig(), frozen)
         y1, norm, _ = result
         assert not all(map(math.isfinite, y1))
         assert norm == math.inf
         assert float_bits(*result) == float_bits(
-            *zip_trial_step(y, k1, 0.01, REF_PARAMS, IntegratorConfig(), frozen))
+            *zip_trial_step(y, k1, 0.01, REF_PARAMS, anchor, IntegratorConfig(), frozen))
 
 
 class TestFsalCount:
@@ -317,11 +327,11 @@ class TestFsalCount:
         elif run == "reference":
             traj = request.getfixturevalue("ref_trajectory")
             assert [e.kind for e in traj.events] == [FIELD_FROZEN] and traj.events[0].t > 0.0
-            assert traj.stats == IntegrationStats(19, 0, 115)
+            assert traj.stats == IntegrationStats(14, 0, 85)
         elif run == "stepped_reference":
             with stepped():
                 traj = integrate(ref_initial, REF_PARAMS, REF_CONFIG)
-            assert traj.stats == IntegrationStats(1956, 0, 11738)
+            assert traj.stats == IntegrationStats(1152, 0, 6914)
             restarts = 1
         elif run == "kg":
             traj = request.getfixturevalue("kg_trajectory")
@@ -334,15 +344,16 @@ class TestFsalCount:
         assert traj.stats.rhs_evaluations == fsal_evaluations(traj, restarts)
 
 
-def frozen_tail_loop(t_f, y_f, params, times):
+def frozen_tail_loop(t_f, y_f, rho_f, params, times):
     """The closed form of frozen_tail one sample at a time, on floats with
-    math-module calls: the oracle of its bits."""
-    _, v_f, phi_f, _, rho_f = y_f
+    math-module calls, from the density rho_f at the freeze: the oracle of
+    its bits."""
+    _, v_f, phi_f, _ = y_f
     u_inf = nu_rate(params, phi_f)
     rows = []
     if rho_f == 0.0:
         for t in times:
-            rows.append((u_inf, v_f * math.exp(-2.0 * u_inf * (t - t_f)), phi_f, 0.0, 0.0))
+            rows.append((u_inf, v_f * math.exp(-2.0 * u_inf * (t - t_f)), phi_f, 0.0))
     else:
         s_f = math.asinh(u_inf * math.sqrt(3.0 / EIGHT_PI) / math.sqrt(rho_f))
         em_f = math.expm1(-2.0 * s_f)
@@ -350,8 +361,8 @@ def frozen_tail_loop(t_f, y_f, params, times):
             d = 2.0 * u_inf * (t - t_f)
             em = math.expm1(-2.0 * (s_f + d))
             r = math.exp(-d) * (em_f / em)
-            rows.append((-u_inf * (2.0 + em) / em, v_f * r, phi_f, 0.0, rho_f * r * r))
-    return np.array(rows, dtype=float).reshape(len(rows), 5)
+            rows.append((-u_inf * (2.0 + em) / em, v_f * r, phi_f, 0.0))
+    return np.array(rows, dtype=float).reshape(len(rows), 4)
 
 
 class TestFrozenTail:
@@ -370,15 +381,16 @@ class TestFrozenTail:
         """Whole-array evaluation gives each sample the bits of the
         one-sample float formula: n times spread over width/u_inf after t_f
         (v falls by up to exp(-2*width)), then late ones up to 1e6 past it;
-        rho_f = 0 and no times at all included."""
+        rho_f = 0 and no times at all included.  The density is anchored at
+        the freeze itself, (rho_f, v_f)."""
         params = ModelParams(lam=lam, mass=mass)
         u_inf = nu_rate(params, phi_f)
         assume(u_inf is not None)
         times = (t_f + np.linspace(0.0, width / u_inf, n)).tolist() + [t_f + d for d in late]
-        y_f = [1.0, v_f, phi_f, 0.0, rho_f]
-        got = frozen_tail(t_f, y_f, params, np.array(times))
-        assert got.shape == (len(times), 5)
-        assert got.tobytes() == frozen_tail_loop(t_f, y_f, params, times).tobytes()
+        y_f = [1.0, v_f, phi_f, 0.0]
+        got = frozen_tail(t_f, y_f, (rho_f, v_f), params, np.array(times))
+        assert got.shape == (len(times), 4)
+        assert got.tobytes() == frozen_tail_loop(t_f, y_f, rho_f, params, times).tobytes()
 
     @pytest.mark.parametrize("t_end,sample_dt", [(10.0, 0.01), (0.105, 0.01), (0.3, 0.1),
                                                  (0.005, 0.01)])
@@ -390,33 +402,34 @@ class TestFrozenTail:
         assert traj.t.tolist() == sample_times(cfg).tolist()
 
     def test_stop_at_freeze(self, monkeypatch, ref_initial, stepped):
-        """The reference run stops stepping at FieldFrozen after 19 of the
-        1,956 steps it takes stepped through its frozen phase: its samples up
+        """The reference run stops stepping at FieldFrozen after 14 of the
+        1,152 steps it takes stepped through its frozen phase: its samples up
         to there are the stepped run's bit for bit, and the later ones are
         frozen_tail's from the clamped state, evaluated once with the t_end
         probe."""
         with stepped():
             plain = integrate(ref_initial, REF_PARAMS, REF_CONFIG)
-        assert plain.stats == IntegrationStats(1956, 0, 11738)
+        assert plain.stats == IntegrationStats(1152, 0, 6914)
         calls = []
 
-        def recorded(t_f, y_f, params, times):
-            calls.append((t_f, y_f, times))
-            return frozen_tail(t_f, y_f, params, times)
+        def recorded(t_f, y_f, anchor, params, times):
+            calls.append((t_f, y_f, anchor, times))
+            return frozen_tail(t_f, y_f, anchor, params, times)
 
         monkeypatch.setattr(integrator, "frozen_tail", recorded)
         joined = integrate(ref_initial, REF_PARAMS, REF_CONFIG)
         assert joined.events == plain.events
-        assert joined.stats == IntegrationStats(19, 0, 6 * 19 + 1)
+        assert joined.stats == IntegrationStats(14, 0, 6 * 14 + 1)
         assert joined.t.tobytes() == plain.t.tobytes()
-        [(t_f, y_f, times)] = calls
+        [(t_f, y_f, anchor, times)] = calls
         assert t_f == joined.events[0].t and y_f[3] == 0.0
+        assert anchor == (ref_initial.rho0, 1.0)
         n = int(np.sum(joined.t <= t_f))
         assert 0 < n < joined.t.size
         assert times.tolist() == joined.t[n:].tolist() + [REF_CONFIG.t_end]
         assert joined.states[:n].tobytes() == plain.states[:n].tobytes()
         assert joined.states[n:].tobytes() == \
-            frozen_tail(t_f, y_f, REF_PARAMS, joined.t[n:]).tobytes()
+            frozen_tail(t_f, y_f, anchor, REF_PARAMS, joined.t[n:]).tobytes()
 
     @pytest.mark.parametrize("rho0", [0.05, 2.0, 0.0])
     def test_matches_tight_integration(self, rho0, stepped):
@@ -430,7 +443,8 @@ class TestFrozenTail:
             traj = integrate(data, REF_PARAMS, cfg)
         assert traj.events[0].kind == FIELD_FROZEN and traj.events[0].t == 0.0
         assert traj.stats.steps_accepted > 0
-        tail = frozen_tail(0.0, traj.states[0].tolist(), REF_PARAMS, traj.t.tolist())
+        tail = frozen_tail(0.0, traj.states[0].tolist(), (rho0, 1.0), REF_PARAMS,
+                           traj.t.tolist())
         assert tail[0, 1:].tolist() == traj.states[0, 1:].tolist()
         np.testing.assert_allclose(tail, traj.states, rtol=1e-10, atol=0.0)
         joined = integrate(data, REF_PARAMS, cfg)
@@ -440,22 +454,22 @@ class TestFrozenTail:
     def test_rho_zero_is_de_sitter(self):
         """rho_f = 0: u = u_inf and v = v_f*exp(-2 u_inf (t - t_f))."""
         u_inf = math.sqrt((1.0 + 4.0 * math.pi * 1.5 ** 2) / 3.0)
-        tail = frozen_tail(0.5, [3.0, 0.25, 1.5, 0.0, 0.0], REF_PARAMS, [0.5, 1.0, 2.5])
+        tail = frozen_tail(0.5, [3.0, 0.25, 1.5, 0.0], (0.0, 1.0), REF_PARAMS, [0.5, 1.0, 2.5])
         assert tail[:, 0].tolist() == [u_inf] * 3
-        assert tail[:, 4].tolist() == [0.0] * 3
         assert tail[:, 1].tolist() == [0.25 * math.exp(-2.0 * u_inf * d) for d in (0.0, 0.5, 2.0)]
 
     def test_late_times_do_not_overflow(self):
         """sinh(s) overflows near s = 710; the ratio through exp and expm1
-        does not: u tends to u_inf and v, rho underflow to 0."""
+        does not: u tends to u_inf and v underflows to 0."""
         u_inf = math.sqrt((1.0 + 4.0 * math.pi) / 3.0)
-        tail = frozen_tail(0.0, [5.0, 1.0, 1.0, 0.0, 0.05], REF_PARAMS, [200.0, 1e6])
+        tail = frozen_tail(0.0, [5.0, 1.0, 1.0, 0.0], (0.05, 1.0), REF_PARAMS, [200.0, 1e6])
         assert tail[:, 0].tolist() == [u_inf, u_inf]
-        assert tail[:, 1].tolist() == tail[:, 4].tolist() == [0.0, 0.0]
+        assert tail[:, 1].tolist() == [0.0, 0.0]
 
     def test_undefined_limit_rejected(self):
         with pytest.raises(ValueError, match="no frozen limit"):
-            frozen_tail(0.0, [1.0, 1.0, 1.0, 0.0, 0.05], ModelParams(lam=-20.0, mass=1.0), [1.0])
+            frozen_tail(0.0, [1.0, 1.0, 1.0, 0.0], (0.05, 1.0), ModelParams(lam=-20.0, mass=1.0),
+                        [1.0])
 
 
 class TestIntegrateReference:
@@ -550,6 +564,26 @@ class TestIntegrateReference:
         assert st.rhs_evaluations == fsal_evaluations(ref_trajectory)
 
 
+class TestDenseConstraintBudget:
+    """The dense run (the reference point at tol 1e-8, sample_dt 0.001,
+    t_end 10) keeps its constraint drift within Tolerances.constraint_budget
+    at the reference data and at each corner of +-5 % in (phi0, chi0,
+    rho0), the reach of the benchmark's seed jitter.  The density's term in
+    the error norm holds it there: with the four evolved terms alone the
+    drift read 1.03-1.13e-7."""
+
+    CONFIG = replace(REF_CONFIG, rel_tol=1e-8, abs_tol=1e-8, sample_dt=0.001)
+
+    @pytest.mark.parametrize("scales", [(1.0, 1.0, 1.0)] + list(
+        itertools.product((0.95, 1.05), repeat=3)), ids=str)
+    def test_within_budget(self, scales):
+        phi0, chi0, rho0 = (x * f for x, f in zip((1.0, 0.1, 0.05), scales))
+        data = make_initial_data(REF_PARAMS, 1.0, phi0, chi0, rho0, "expanding")
+        traj = integrate(data, REF_PARAMS, self.CONFIG)
+        assert traj.t.size == 10001
+        assert np.abs(traj.as_arrays()["constraint"]).max() <= TOL.constraint_budget
+
+
 class TestInvariantSubspaces:
     def test_zero_rho_stays_exactly_zero(self):
         params = ModelParams(lam=1.0, mass=1.0)
@@ -559,10 +593,14 @@ class TestInvariantSubspaces:
         assert np.all(cols["rho"] == 0.0)
 
     def test_radiation_scaling(self, radiation_trajectory):
-        """Pure fluid: rho * a^4 = rho / v^2 is conserved to 1e-8 relative."""
+        """Pure fluid: u' = -2u^2 on shell, so u = u0/(1 + 2 u0 t) and
+        v = v0/(1 + 2 u0 t) in closed form; the run meets both to 1e-8
+        relative."""
         cols = radiation_trajectory.as_arrays()
-        inv = cols["rho"] / cols["v"] ** 2
-        assert np.abs(inv / inv[0] - 1.0).max() <= 1e-8
+        u0 = radiation_trajectory.initial.u0
+        growth = 1.0 + 2.0 * u0 * cols["t"]
+        assert np.abs(cols["u"] * growth / u0 - 1.0).max() <= 1e-8
+        assert np.abs(cols["v"] * growth / cols["v"][0] - 1.0).max() <= 1e-8
 
     def test_radiation_needs_override(self):
         """m = phi0 = 0 fails the lambda bound (0 > 0 is false)."""
@@ -653,7 +691,8 @@ class TestModesAndGuards:
         assert traj.events == ()
         s1, _, _ = step(build_state(data), params, 0.01, cfg)
         assert traj.t[1] == s1.t
-        assert tuple(traj.states[1]) == (s1.u, s1.v, s1.phi, s1.chi, s1.rho)
+        assert tuple(traj.states[1]) == (s1.u, s1.v, s1.phi, s1.chi)
+        assert traj.as_arrays()["rho"][1] == s1.rho
         assert s1.chi > 0.0
 
     def test_underflow_on_hopeless_tolerance(self):
@@ -668,7 +707,7 @@ class TestModesAndGuards:
 
 def _sample_trip(t_sample, row):
     return (f"sample at t = {t_sample} violated state invariants "
-            f"(finite, v > 0, rho >= 0): {row}")
+            f"(finite, v > 0): {row}")
 
 
 class TestSampleGuard:
@@ -676,9 +715,9 @@ class TestSampleGuard:
     pass.  No real run found does this, so the quartic's k7 weight _D7 is
     scaled: the interpolant then bulges between the ends of a step.  Each
     sample is checked as its step is accepted, by the float form of
-    valid_states's rule (finite, v > 0, rho >= 0).  The run must stop at the
-    step holding the first bad sample, with that step's counts and the
-    events logged before it, whatever the steps after it would have done."""
+    valid_states's rule (finite, v > 0).  The run must stop at the step
+    holding the first bad sample, with that step's counts and the events
+    logged before it, whatever the steps after it would have done."""
 
     @staticmethod
     def pins(traj):
@@ -686,27 +725,28 @@ class TestSampleGuard:
                 (traj.stats.steps_accepted, traj.stats.steps_rejected,
                  traj.stats.rhs_evaluations))
 
-    @pytest.mark.parametrize("mode,crossing,trip_t,row,stats", [
-        ("paper", (FIELD_FROZEN, "field velocity reached zero; phi frozen at 1.00349947639"),
-         0.21082375295329955, [2.1193991679094157, 0.01694746500315719, 1.0034994763894627,
-                               0.0, -0.007221770733731252], (46, 0, 278)),
+    @pytest.mark.parametrize("mode,crossing,n,trip_t,row,stats", [
+        ("paper", (FIELD_FROZEN, "field velocity reached zero; phi frozen at 1.00348848622"),
+         4, 0.12188257976824637, [2.0804768276856356, -0.1843808600136022, 1.0034884862222113,
+                                  0.0], (20, 0, 122)),
         ("kg", (CHI_ZERO_CROSSING, "downward crossing"),
-         0.21078125862669952, [2.0955173185013707, 0.05014622054283058, 0.9782940675754566,
-                               -0.1753033537781239, -0.005975027996899668], (45, 0, 271)),
-    ])
-    def test_trip_after_crossing(self, monkeypatch, ref_initial, stepped, mode, crossing,
+         5, 0.15245098104309926, [2.0444439788398983, -0.4307397695679688, 0.9754353164351215,
+                                  -0.3209238637599383], (23, 0, 139)),
+    ], ids=["paper", "kg"])
+    def test_trip_after_crossing(self, monkeypatch, ref_initial, stepped, mode, crossing, n,
                                  trip_t, row, stats):
-        """The third sample (t = 0.21) breaks rho >= 0 in a step after chi's
-        zero crossing: the trip is logged at that step's end.  In paper mode
-        that step lies in the frozen phase, so the run steps through it."""
-        monkeypatch.setattr(integrator, "_D7", integrator._D7 * 1000.0)
-        cfg = replace(REF_CONFIG, mode=mode, sample_dt=0.07)
+        """A later sample (t = 0.12 in paper mode, 0.15 in kg mode) breaks
+        v > 0 in a step after chi's zero crossing: the trip is logged at that
+        step's end.  In paper mode that step lies in the frozen phase, so the
+        run steps through it."""
+        monkeypatch.setattr(integrator, "_D7", integrator._D7 * 500.0)
+        cfg = replace(REF_CONFIG, mode=mode, sample_dt=0.03)
         kind, detail = crossing
         with stepped():
             traj = integrate(ref_initial, REF_PARAMS, cfg)
         assert self.pins(traj) == (
-            3, 0.14, [(kind, 0.07546646576958942, detail),
-                      (GUARD_TRIPPED, trip_t, _sample_trip(0.21, row))], stats)
+            n, 0.03 * (n - 1), [(kind, 0.07405034499570205, detail),
+                                (GUARD_TRIPPED, trip_t, _sample_trip(0.03 * n, row))], stats)
 
     def test_trip_in_crossing_step(self, monkeypatch, ref_initial, stepped):
         """A bad sample before chi's zero crossing in the crossing step (the
@@ -716,31 +756,16 @@ class TestSampleGuard:
         monkeypatch.setattr(integrator, "_D7", integrator._D7 * 1e4)
         monkeypatch.setattr(integrator, "_locate_crossing", lambda *args: 0.9)
         cfg = replace(REF_CONFIG, sample_dt=0.0779)
-        want = (1, 0.0, [(GUARD_TRIPPED, 0.07984782624443296, _sample_trip(0.0779, [
-            -0.8430702240562344, -21.726716372176043, 0.9759909771868477, -7.174358955342312,
-            -1.5495711031471464]))], (19, 0, 115))
-        assert self.pins(integrate(ref_initial, REF_PARAMS, cfg)) == want
-        with stepped():
-            assert self.pins(integrate(ref_initial, REF_PARAMS, cfg)) == want
-
-    def test_negative_rho_at_freeze_steps_on(self, monkeypatch, ref_initial, stepped):
-        """The same crossing with no sample before it: the clamped state has
-        rho < 0, which has no closed form, so the run steps on from the
-        freeze to the stepped run's guard trip instead of raising."""
-        monkeypatch.setattr(integrator, "_D7", integrator._D7 * 1e4)
-        monkeypatch.setattr(integrator, "_locate_crossing", lambda *args: 0.9)
-        cfg = replace(REF_CONFIG, sample_dt=0.2)
-        want = (1, 0.0, [(FIELD_FROZEN, 0.07984782624443296,
-                          "field velocity reached zero; phi frozen at 0.999932725784"),
-                         (GUARD_TRIPPED, 0.08477962471297153, "v = -2.16605 fell below 1e-300")],
-                (20, 0, 122))
+        want = (1, 0.0, [(GUARD_TRIPPED, 0.08070400031423312, _sample_trip(0.0779, [
+            -2.379314065084977, -33.267828832358, 0.9494664399687821, -10.839994548227741]))],
+            (14, 0, 85))
         assert self.pins(integrate(ref_initial, REF_PARAMS, cfg)) == want
         with stepped():
             assert self.pins(integrate(ref_initial, REF_PARAMS, cfg)) == want
 
     @pytest.mark.parametrize("max_abs_u", [1e100, 1e3])
     def test_trip_before_later_failure(self, monkeypatch, max_abs_u):
-        """The run stops at a bad sample at t = 0.04 even though the steps
+        """The run stops at a bad sample at t = 0.03 even though the steps
         after it go on to a StepSizeUnderflow (max_abs_u = 1e100) or to the
         |u| guard (1e3) at t = 0.80: no raise, no later event, and the
         rejected steps after it are not counted."""
@@ -753,27 +778,26 @@ class TestSampleGuard:
                 integrate(data, params, config)
         else:
             assert self.pins(integrate(data, params, config)) == (
-                81, 0.8, [(GUARD_TRIPPED, 0.8018132875056697, "|u| = 1030.22 exceeded 1000")],
-                (133, 0, 799))
-        monkeypatch.setattr(integrator, "_D7", integrator._D7 * -100.0)
+                81, 0.8, [(GUARD_TRIPPED, 0.8018229097071645, "|u| = 1061.43 exceeded 1000")],
+                (123, 0, 739))
+        monkeypatch.setattr(integrator, "_D7", integrator._D7 * -300.0)
         assert self.pins(integrate(data, params, config)) == (
-            4, 0.03, [(GUARD_TRIPPED, 0.06774022532417254, _sample_trip(0.04, [
-                0.4421332551409484, 0.3320103723917067, 0.019888214809044027,
-                -0.002974708095073192, -0.02055069004028532]))], (5, 0, 31))
+            3, 0.02, [(GUARD_TRIPPED, 0.0704587499466682, _sample_trip(0.03, [
+                1.2116564692545455, -0.3140118625146997, -0.05713143649065304,
+                -0.10270062377330391]))], (5, 0, 31))
 
 
 class TestDenseSamples:
-    def test_step_end_and_rho_jitter(self):
+    def test_step_end(self):
         """At theta = 1 a sample is the step's y1 itself, except on a step
         whose samples end at a chi crossing, where it is the quartic's value
-        (here y0 + (y1 - y0), which rounds u off y1's); a rho in
-        (-rho_clamp, 0) reads 0.0 on either."""
-        y0 = [53.43152582959241, 1.0, 1.0, 0.1, 1e-12]
-        y1 = [-0.10922561189039715, 1.0, 1.0, 0.1, -1e-13]
-        quartics = _step_quartics(1.0, y0, y1, ([0.0] * 5,) * 7)
+        (here y0 + (y1 - y0), which rounds u off y1's)."""
+        y0 = [53.43152582959241, 1.0, 1.0, 0.1]
+        y1 = [-0.10922561189039715, 1.0, 1.0, 0.1]
+        quartics = _step_quartics(1.0, y0, y1, ([0.0] * 4,) * 7)
         for y_end, u in ((y1, -0.10922561189039715), (None, -0.1092256118903947)):
-            row = _sample(quartics, 1.0, y_end, 1e-10)
-            assert [x.hex() for x in row] == [x.hex() for x in [u, 1.0, 1.0, 0.1, 0.0]]
+            row = _sample(quartics, 1.0, y_end)
+            assert [x.hex() for x in row] == [x.hex() for x in [u, 1.0, 1.0, 0.1]]
 
 
 class TestDenseOutputQuality:
@@ -785,6 +809,7 @@ class TestDenseOutputQuality:
         cols = ref_trajectory.as_arrays()
         i = int(round(target / 0.01))
         assert cols["t"][i] == pytest.approx(target, abs=1e-12)
-        np.testing.assert_allclose(
-            [cols["u"][i], cols["v"][i], cols["phi"][i], cols["chi"][i], cols["rho"][i]],
-            direct.states[-1], rtol=1e-8, atol=1e-12)
+        names = ("u", "v", "phi", "chi", "rho")
+        np.testing.assert_allclose([cols[k][i] for k in names],
+                                   [direct.as_arrays()[k][-1] for k in names],
+                                   rtol=1e-8, atol=1e-12)

@@ -7,6 +7,7 @@ import pytest
 
 from rwcosmo import (CosmoState, InitialData, IntegrationStats, IntegratorConfig,
                      ModelParams, Trajectory, derived, rhs)
+from rwcosmo.model import density
 
 RNG = np.random.default_rng(42)
 
@@ -71,11 +72,10 @@ class TestTypes:
 
 class TestRhs:
     def test_fluid_dominated_point(self):
-        """u=1, v=1, rho=2, field off: drho=-8, dv=-2, dchi=0 and the u
-        equation keeps its fluid term -4*pi*rho/3."""
+        """u=1, v=1, rho=2, field off: dv=-2, dchi=0 and the u equation keeps
+        its fluid term -4*pi*rho/3."""
         s = CosmoState(t=0.0, u=1.0, v=1.0, phi=0.0, chi=0.0, rho=2.0)
         d = rhs(s, ModelParams(lam=0.0, mass=1.0))
-        assert d.drho == -8.0
         assert d.dv == -2.0
         assert d.dchi == 0.0
         assert d.dphi == 0.0
@@ -84,7 +84,7 @@ class TestRhs:
     def test_flat_static_vacuum_is_fixed_point(self):
         s = CosmoState(t=0.0, u=0.0, v=1.0, phi=0.0, chi=0.0, rho=0.0)
         d = rhs(s, ModelParams(lam=0.0, mass=1.0))
-        assert d == (0.0, 0.0, 0.0, 0.0, 0.0)
+        assert d == (0.0, 0.0, 0.0, 0.0)
 
     def test_de_sitter_frozen_field_point(self):
         """With chi=rho=0 and u = sqrt((lam+4 pi m^2 phi^2)/3), du/dt = 0 and
@@ -104,15 +104,20 @@ class TestRhs:
         assert rhs(s1, params) == rhs(s2, params)
 
     def test_log_derivative_structure(self):
-        """dv/dt / v = -2u and drho/dt / rho = -4u whenever v, rho > 0."""
+        """dv/dt / v = -2u, and the density anchored at the state follows
+        the radiation law drho/dt / rho = -4u along the flow (by central
+        differences)."""
         params = ModelParams(lam=-0.5, mass=2.0)
+        eps = 1e-7
         for _ in range(100):
             s = random_state(RNG)
             if s.rho == 0.0:
                 continue
             d = rhs(s, params)
             np.testing.assert_allclose(d.dv / s.v, -2.0 * s.u, rtol=1e-14)
-            np.testing.assert_allclose(d.drho / s.rho, -4.0 * s.u, rtol=1e-14)
+            drho = (density(s.rho, s.v, s.v + eps * d.dv)
+                    - density(s.rho, s.v, s.v - eps * d.dv)) / (2.0 * eps)
+            np.testing.assert_allclose(drho / s.rho, -4.0 * s.u, rtol=1e-7, atol=1e-7)
 
 
 class TestConstraint:
@@ -135,7 +140,7 @@ class TestConstraint:
     def test_propagation_rate_is_minus_3u(self):
         """The directional derivative of the residual along the flow equals
         -3*u*C at any state, on-shell or not (checked by central finite
-        differences)."""
+        differences).  The density moves with v: drho/dt = 2*rho*(dv/dt)/v."""
         params = ModelParams(lam=0.8, mass=1.5)
         eps = 1e-7
         for _ in range(50):
@@ -143,7 +148,7 @@ class TestConstraint:
             d = rhs(s, params)
             grad_dot_f = 0.0
             for comp, dot in (("u", d.du), ("v", d.dv), ("phi", d.dphi),
-                              ("chi", d.dchi), ("rho", d.drho)):
+                              ("chi", d.dchi), ("rho", 2.0 * s.rho * d.dv / s.v)):
                 kw = {k: getattr(s, k) for k in ("t", "u", "v", "phi", "chi", "rho")}
                 kw[comp] = getattr(s, comp) + eps
                 c_plus = derived(CosmoState(**kw), params).constraint
@@ -229,7 +234,7 @@ class TestScaleFactor:
         traj = Trajectory(params=ModelParams(lam=0.0, mass=0.0),
                           initial=InitialData(a0=1.0, u0=0.0, phi0=0.0, chi0=0.0, rho0=0.0),
                           config=IntegratorConfig(),
-                          states=[[0.0, v, 0.0, 0.0, 0.0] for v in vs], events=(),
+                          states=[[0.0, v, 0.0, 0.0] for v in vs], events=(),
                           stats=IntegrationStats(0, 0, 0))
         a = traj.as_arrays()["a"].tolist()
         assert a[:3] == [CosmoState(t=0.0, u=0.0, v=v, phi=0.0, chi=0.0, rho=0.0).a

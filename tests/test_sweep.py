@@ -29,18 +29,19 @@ FAST = replace(REF_CONFIG, t_end=2.0)
 def step_error_bound(full):
     """Bound, in units of one step's error weight, on how far a run stepped
     through its frozen phase can sit from the exact solution.  An accepted step's
-    weighted RMS error over the five components is at most 1, so each
-    component's local error is at most sqrt(5) weights (rel_tol*|y| +
-    abs_tol on u, rel_tol*|y| + _TINY on v and rho); on the contracting
-    frozen system the local errors add up at most linearly."""
+    weighted RMS error over its five terms (the four components and the
+    density's, twice v's) is at most 1, so each component's local error is
+    at most sqrt(5) weights (rel_tol*|y| + abs_tol on u, rel_tol*|y| + _TINY
+    on v); on the contracting frozen system the local errors add up at most
+    linearly."""
     return math.sqrt(5.0) * full.stats.steps_accepted
 
 
 def assert_tail_agrees(full, joined):
     """``joined`` (integrate, with the exact tail) against ``full`` (the
     same run stepped through its frozen phase): t, events, phi, chi and
-    every sample up to the freeze bit for bit; u, v and rho within the step
-    error bound."""
+    every sample up to the freeze bit for bit; u and v (and with v the
+    density) within the step error bound."""
     assert full.t.tobytes() == joined.t.tobytes()
     assert full.events == joined.events
     a, b = full.states, joined.states
@@ -50,8 +51,7 @@ def assert_tail_agrees(full, joined):
     assert a[head].tobytes() == b[head].tobytes()
     n, cfg = step_error_bound(full), full.config
     assert np.all(np.abs(b[:, 0] - a[:, 0]) <= n * (cfg.rel_tol * np.abs(a[:, 0]) + cfg.abs_tol))
-    for i in (1, 4):
-        assert np.all(np.abs(b[:, i] - a[:, i]) <= n * (cfg.rel_tol * a[:, i] + _TINY))
+    assert np.all(np.abs(b[:, 1] - a[:, 1]) <= n * (cfg.rel_tol * a[:, 1] + _TINY))
 
 
 def full_and_joined(stepped, config, lam=1.0, mass=1.0, phi0=1.0, chi0=0.1, rho0=0.05):
@@ -275,7 +275,7 @@ GRID_PLAN = SweepPlan(axes=(("lambda", (-60.0, -1.0, 1.0, 3.0)), ("mass", (0.5, 
                             ("chi0", (0.0, 0.3))),
                       fixed=(("phi0", 1.0), ("rho0", 0.05)),
                       integrator=IntegratorConfig(), workers=1)
-GRID_SHA256 = "da6c5cf5f4c59e01a34e59dfaf7888d3a50ae69d46058cdad288b7824be7518f"
+GRID_SHA256 = "9ffb5096687532160bd87ffa9b3c7dcd2f0683a55be2fa919289aae46437bb02"
 
 
 class TestExactTail:
