@@ -246,7 +246,7 @@ def parse_sweep_plan(path: str) -> tuple[SweepPlan, str, bool]:
     fixed = _section(cp, "fixed", {**dict.fromkeys(SWEEP_PARAMS, float),
                                    "a0": float, "branch": str})
     initial = {k: fixed.pop(k) for k in ("a0", "branch") if k in fixed}
-    sweep = _section(cp, "sweep", {"cap": int, "workers": _workers})
+    sweep = _section(cp, "sweep", {"workers": _workers})
     integrator = _integrator(cp)
     directory, overwrite = _output(cp, "sweep_out")
     plan = _build("sweep plan", SweepPlan, axes=tuple(axes.items()),

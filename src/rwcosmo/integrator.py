@@ -34,7 +34,7 @@ t = 0 too) and takes every later sample from frozen_tail, evaluated once.
 It steps on from the freeze instead, each step _trial_step with ``frozen``
 set, when the tail is not safe: on data admitted only by
 override_admissibility, or when a guard could trip in the tail (|u_f| above
-max_abs_u/2, |phi_f| above max_abs_phi/2 or v(t_end) below 2*min_v).  A run
+MAX_ABS_U/2, |phi_f| above MAX_ABS_PHI/2 or v(t_end) below 2*MIN_V).  A run
 that does not freeze by t_end, and every ``kg`` run, steps to t_end.
 simulate, sweep rows and library callers all run this one integrate().
 
@@ -123,6 +123,16 @@ _TINY = 1e-300
 #: reference run's 10,001, and 8 MB per sampled column.
 MAX_SAMPLES = 10**6
 
+#: The first trial step, and the bounds of every step (StepSizeUnderflow below H_MIN).
+H_INIT = 1e-4
+H_MIN = 1e-14
+H_MAX = 0.25
+#: Blow-up guards: a step ending at |u| > MAX_ABS_U, |phi| > MAX_ABS_PHI or
+#: v < MIN_V ends the run in GuardTripped.  Theorem 1's runs stay far inside.
+MAX_ABS_U = 1e3
+MAX_ABS_PHI = 1e6
+MIN_V = 1e-300
+
 _SAFETY = 0.9
 _SHRINK_MIN = 0.2
 _GROW_MAX = 5.0
@@ -130,7 +140,7 @@ _EXPONENT = -0.2  # 1/5th order
 
 
 class StepSizeUnderflow(RuntimeError):
-    """The controller needed a step smaller than h_min."""
+    """The controller needed a step smaller than H_MIN."""
 
 
 class InadmissibleInitialData(ValueError):
@@ -141,23 +151,15 @@ class InadmissibleInitialData(ValueError):
 class IntegratorConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-10
-    h_init: float = 1e-4
-    h_min: float = 1e-14
-    h_max: float = 0.25
     t_end: float = 10.0
     sample_dt: float = 0.01
     mode: str = "paper"  # "paper" | "kg"
-    max_abs_u: float = 1e3
-    max_abs_phi: float = 1e6
-    min_v: float = 1e-300
     override_admissibility: bool = False
 
     def __post_init__(self) -> None:
         _finite_fields(self, *(f.name for f in fields(self) if f.type == "float"))
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise ValueError("rel_tol and abs_tol must be > 0")
-        if not (0.0 < self.h_min <= self.h_init <= self.h_max):
-            raise ValueError("step bounds must satisfy 0 < h_min <= h_init <= h_max")
         if not self.t_end > 0.0:
             raise ValueError("t_end must be > 0")
         if not self.sample_dt > 0.0:
@@ -168,8 +170,6 @@ class IntegratorConfig:
                              f"more than MAX_SAMPLES = {MAX_SAMPLES} samples")
         if self.mode not in ("paper", "kg"):
             raise ValueError(f"mode must be 'paper' or 'kg', got {self.mode!r}")
-        if not (self.max_abs_u > 0.0 and self.max_abs_phi > 0.0 and self.min_v > 0.0):
-            raise ValueError("guard thresholds must be > 0")
 
 
 @dataclass(frozen=True)
@@ -380,9 +380,8 @@ def step(state: CosmoState, params: ModelParams, h: float,
     the caller's job; this function never retries.  The density is anchored
     at ``state``: the new state's rho is density(state.rho, state.v, v).
     """
-    if not (config.h_min <= h <= config.h_max):
-        raise ValueError(f"h = {h!r} outside [h_min, h_max] = "
-                         f"[{config.h_min!r}, {config.h_max!r}]")
+    if not (H_MIN <= h <= H_MAX):
+        raise ValueError(f"h = {h!r} outside [H_MIN, H_MAX] = [{H_MIN!r}, {H_MAX!r}]")
     y = (state.u, state.v, state.phi, state.chi)
     anchor = (state.rho, state.v)
     frozen = _is_frozen_state(y, params, config.mode)
@@ -414,14 +413,14 @@ def _locate_crossing(chi: tuple, t1: float, h: float, downward: bool,
     return 0.5 * (lo + hi)
 
 
-def _guard_violation(y: Sequence[float], config: IntegratorConfig) -> Optional[str]:
+def _guard_violation(y: Sequence[float]) -> Optional[str]:
     # y is an accepted step's end: finite, since a non-finite one has norm inf.
-    if abs(y[0]) > config.max_abs_u:
-        return f"|u| = {abs(y[0]):.6g} exceeded {config.max_abs_u:.6g}"
-    if abs(y[2]) > config.max_abs_phi:
-        return f"|phi| = {abs(y[2]):.6g} exceeded {config.max_abs_phi:.6g}"
-    if y[1] < config.min_v:
-        return f"v = {y[1]:.6g} fell below {config.min_v:.6g}"
+    if abs(y[0]) > MAX_ABS_U:
+        return f"|u| = {abs(y[0]):.6g} exceeded {MAX_ABS_U:.6g}"
+    if abs(y[2]) > MAX_ABS_PHI:
+        return f"|phi| = {abs(y[2]):.6g} exceeded {MAX_ABS_PHI:.6g}"
+    if y[1] < MIN_V:
+        return f"v = {y[1]:.6g} fell below {MIN_V:.6g}"
     return None
 
 
@@ -484,12 +483,11 @@ def integrate(initial: InitialData, params: ModelParams,
     def take_tail(t_f: float, y_f: list[float]) -> Optional[np.ndarray]:
         """frozen_tail at the samples from k_next on, if it is safe there."""
         if not (report.theorem1_applicable and nu_rate(params, y_f[2]) is not None
-                and 2.0 * abs(y_f[0]) <= config.max_abs_u
-                and 2.0 * abs(y_f[2]) <= config.max_abs_phi):
+                and 2.0 * abs(y_f[0]) <= MAX_ABS_U and 2.0 * abs(y_f[2]) <= MAX_ABS_PHI):
             return None
         # The last row probes v at t_end.
         states = frozen_tail(t_f, y_f, anchor, params, np.append(grid[k_next:], config.t_end))
-        return states[:-1] if states[-1, 1] >= 2.0 * config.min_v else None
+        return states[:-1] if states[-1, 1] >= 2.0 * MIN_V else None
 
     tail = None
     if y[3] == 0.0 and params.mass_sq * y[2] > 0.0:
@@ -518,7 +516,7 @@ def integrate(initial: InitialData, params: ModelParams,
             k_next += 1
         return None
 
-    h = config.h_init
+    h = H_INIT
     while tail is None and t < config.t_end:
         remaining = config.t_end - t
         h_trial = min(h, remaining)
@@ -528,14 +526,13 @@ def integrate(initial: InitialData, params: ModelParams,
         if norm > 1.0:
             rejected += 1
             h = h_trial * _step_factor(norm)
-            if h < config.h_min and not end_limited:
-                raise StepSizeUnderflow(
-                    f"step size fell below h_min = {config.h_min!r} at t = {t:.9g}")
+            if h < H_MIN and not end_limited:
+                raise StepSizeUnderflow(f"step size fell below H_MIN = {H_MIN!r} at t = {t:.9g}")
             continue
 
         accepted += 1
         t1 = config.t_end if h_trial == remaining else t + h_trial
-        h = min(config.h_max, max(config.h_min, h_trial * _step_factor(norm)))
+        h = min(H_MAX, max(H_MIN, h_trial * _step_factor(norm)))
 
         if not frozen and y[3] > 0.0 and y1[3] <= 0.0:
             quartics = _step_quartics(h_trial, y, y1, k)
@@ -565,7 +562,7 @@ def integrate(initial: InitialData, params: ModelParams,
             theta = _locate_crossing(chi, t + h_trial, h_trial, False, config.rel_tol)
             events.append(Event(t + theta * h_trial, CHI_ZERO_CROSSING, "upward crossing"))
 
-        detail = _guard_violation(y1, config) or emit(t, h_trial, y, y1, k, t1, True)
+        detail = _guard_violation(y1) or emit(t, h_trial, y, y1, k, t1, True)
         if detail is not None:
             events.append(Event(t1, GUARD_TRIPPED, detail))
             break

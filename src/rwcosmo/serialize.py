@@ -14,12 +14,13 @@ Each JSON block that mirrors a type is that type's fields, in declaration
 order: ``initial`` (InitialData), ``admissibility`` (AdmissibilityReport),
 ``integrator`` (IntegratorConfig) and ``stats`` (IntegrationStats) in
 meta.json, the entries of events.json (Event), and the entries of ``fits``
-(DecayFit) in report.json.  The reader rebuilds meta.json's blocks and
+(DecayFit) in report.json.  The reader rebuilds meta.json's other blocks and
 events.json's entries through the same types, so a missing or unknown key is
-an error and the types' own checks validate the values; meta.json must hold
-an object and events.json an array of objects; ``params`` holds exactly
-lambda and mass, every count is a JSON integer, and ``n_samples`` and
-``guard_tripped`` must agree with the other two files.
+an error and the types' own checks validate the values.  ``admissibility``
+must be validate_theorem1 of ``params`` and ``initial`` as JSON (a flag of 1
+is not true), meta.json an object and events.json an array of objects;
+``params`` holds exactly lambda and mass, every count is a JSON integer, and
+``n_samples`` and ``guard_tripped`` must agree with the other two files.
 """
 
 from __future__ import annotations
@@ -85,13 +86,9 @@ def _table_blocks(header: str, columns: Sequence[np.ndarray], sep: str) -> Itera
         yield (row + "\n") * len(block) % tuple(block[:, ~constant].ravel().tolist())
 
 
-def table_text(header: str, columns: Sequence[np.ndarray], sep: str = ",") -> str:
-    """``header`` line, then one line per row of the equal-length float ``columns``."""
-    return "".join(_table_blocks(header, columns, sep))
-
-
 def write_table(path: Path, header: str, columns: Sequence[np.ndarray], sep: str = ",") -> None:
-    """Write table_text(header, columns, sep) to ``path`` a block at a time."""
+    """Write the ``header`` line, then one ``sep``-separated line per row of
+    the equal-length float ``columns``, to ``path`` a block at a time."""
     with open(path, "w") as f:
         f.writelines(_table_blocks(header, columns, sep))
 
@@ -212,6 +209,9 @@ def read_trajectory(directory: Union[str, Path]) -> Trajectory:
         if raw_params:
             raise ValueError(f"unknown params key(s): {', '.join(sorted(raw_params))}")
         initial = InitialData(**_block(meta, "initial"))
+        if (json.dumps(_block(meta, "admissibility"), sort_keys=True)
+                != json.dumps(asdict(validate_theorem1(params, initial)), sort_keys=True)):
+            raise ValueError("admissibility disagrees with validate_theorem1 of params and initial")
         config = IntegratorConfig(**_block(meta, "integrator"))
         stats = IntegrationStats(**{k: _count(k, v) for k, v in _block(meta, "stats").items()})
         n_samples = _count("n_samples", meta["n_samples"])

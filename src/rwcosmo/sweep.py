@@ -32,12 +32,15 @@ STATUS_STEP_UNDERFLOW = "step-underflow"
 STATUS_INVALID_DATA = "invalid-data"
 
 #: Fewest rows for which ``workers = auto`` starts a process pool; smaller
-#: plans run serially, as the pool's start-up outweighs its gain there.
-#: bench/time_pool.py (9 alternating repeats a side, 2-CPU host) on plans of
-#: exact-tail rows: 16 rows took 0.057 s and 0.062 s serial against 0.087 s
-#: and 0.058 s pooled; 20 rows 0.073 s and 0.080 s against 0.057 s and
-#: 0.066 s; 24 rows 0.090 s and 0.093 s against 0.080 s and 0.072 s.
+#: plans run serially, as the pool's start-up outweighs its gain there, and
+#: larger ones gain.  Medians of bench/time_pool.py (alternating repeats,
+#: 2-CPU host) in two series, serial against pooled: 16 rows 0.057/0.062 s
+#: against 0.087/0.058 s, 20 rows 0.073/0.080 against 0.057/0.066, 24 rows
+#: 0.090/0.093 against 0.080/0.072, bench/sweep_256.ini 0.444/0.273 against
+#: 0.254/0.203 (pooled faster in 26 of 30 pairs), bench/sweep_1024.ini
+#: 1.29/1.21 against 0.76/0.73 (30 of 30).
 POOL_MIN_ROWS = 20
+MAX_ROWS = 100_000  #: Most rows a plan may have.
 
 #: Column order of the sweep table (timings intentionally excluded).
 SWEEP_COLUMNS = ("lambda", "mass", "phi0", "chi0", "rho0", "admissible",
@@ -52,10 +55,10 @@ class SweepPlan:
 
     ``axes`` is an ordered tuple of (name, values); every parameter not on an
     axis must appear in ``fixed``.  Row order is row-major over the declared
-    axis order.  ``workers`` (at least 1) asks for a process pool, which
-    run_sweep caps at the CPU count; None (``auto``) asks for one worker per
-    CPU on plans of POOL_MIN_ROWS rows or more and runs smaller plans
-    serially.
+    axis order; a plan has at most MAX_ROWS rows.  ``workers`` (at least 1)
+    asks for a process pool, which run_sweep caps at the CPU count; None
+    (``auto``) asks for one worker per CPU on plans of POOL_MIN_ROWS rows or
+    more and runs smaller plans serially.
     """
 
     axes: tuple[tuple[str, tuple[float, ...]], ...]
@@ -63,7 +66,6 @@ class SweepPlan:
     a0: float = 1.0
     branch: str = "expanding"
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
-    cap: int = 100_000
     workers: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -87,8 +89,8 @@ class SweepPlan:
         missing = [n for n in SWEEP_PARAMS if n not in axis_names + fixed_names]
         if missing:
             raise ValueError(f"unassigned sweep parameter(s): {', '.join(missing)}")
-        if self.size > self.cap:
-            raise ValueError(f"grid size {self.size} exceeds cap {self.cap}")
+        if self.size > MAX_ROWS:
+            raise ValueError(f"grid size {self.size} exceeds MAX_ROWS = {MAX_ROWS}")
         if self.branch not in ("expanding", "contracting"):
             raise ValueError(f"branch must be 'expanding' or 'contracting', got {self.branch!r}")
         # ModelParams and InitialData would raise on these inside a row.

@@ -83,7 +83,7 @@ def _zero_tail(t_f, y_f, anchor, params, times):
 def stepped():
     """A context manager inside which every run steps through its frozen
     phase: frozen_tail returns rows of zeros, so integrate sees v(t_end) = 0
-    below 2*min_v and steps on from the freeze, its fallback path.  The
+    below 2*MIN_V and steps on from the freeze, its fallback path.  The
     stepped run is the reference the exact tail is held against."""
     @contextlib.contextmanager
     def stepping():

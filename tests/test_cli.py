@@ -18,12 +18,12 @@ import pytest
 from hypothesis import Phase, assume, example, given, settings, strategies as st
 
 import rwcosmo
-from rwcosmo import IntegratorConfig, ModelParams
+from rwcosmo import IntegratorConfig, ModelParams, integrator
 from rwcosmo.cli import (EXIT_CONFIG, EXIT_INADMISSIBLE, EXIT_INCONCLUSIVE,
                          EXIT_INTEGRATOR, EXIT_OK, EXIT_VERIFY_FAILED, main,
                          parse_run_config, parse_sweep_plan)
 from rwcosmo.integrator import TRAJECTORY_COLUMNS
-from rwcosmo.serialize import CorruptTrajectory, read_trajectory, table_text, write_trajectory
+from rwcosmo.serialize import CorruptTrajectory, read_trajectory, write_table, write_trajectory
 from rwcosmo.sweep import SWEEP_PARAMS
 
 from conftest import write_reference_config
@@ -42,12 +42,12 @@ STEPPED_TRAJECTORY_SHA256 = (
 JSON_SHA256 = {
     "paper": {
         "events.json": "a8aed4fcf989075116dc8075f1e9365f603e85e8960b27ebda6d2199070c1a05",
-        "meta.json": "de49ea949e65c0d5b97f5078adf3d15ba754ce86277d6e3a4f9153aa1a948a1d",
+        "meta.json": "c3322c4e3fb1225930c541de0c3bdf7a581115ab64c80d5931b657c04f01631e",
         "report.json": "8dcbd9fd19630f261835a31edb74abcf435bb75a027bc045e6812e7833a0fd4f",
     },
     "kg": {
         "events.json": "202bc52f9851e835b2b539fb8f59ae95be0d47e726506886c7f0592d09ed9262",
-        "meta.json": "ef133c2339faa1d9d85e66ed0f7fdf9c0e113b28be966c46d747c23bb468f7c2",
+        "meta.json": "3d2e9c5735d09b230b6dbbb0cdbe0bd10e1d6d2e65a9c2a0cc8b3fa12e9ea716",
         "report.json": "c33ff65169af6b8250c71db82e743cc0e9ca5ef3c52674c6d51117be5a8885b9",
     },
 }
@@ -157,19 +157,21 @@ class TestSimulate:
         events = json.loads((tmp_path / "out" / "events.json").read_text())
         assert any(e["kind"] == "GuardTripped" for e in events)
 
-    def test_step_size_underflow_exits_3_without_files(self, tmp_path, capsys):
-        """h_min close to h_max leaves no room to resolve the dynamics: one
+    def test_step_size_underflow_exits_3_without_files(self, tmp_path, capsys, monkeypatch):
+        """H_MIN close to H_MAX leaves no room to resolve the dynamics: one
         error line, exit 3, nothing written."""
+        monkeypatch.setattr(integrator, "H_MIN", 0.05)
+        monkeypatch.setattr(integrator, "H_INIT", 0.1)
         out = tmp_path / "out"
         cfg = write_reference_config(
             tmp_path / "under.ini", str(out),
             **{"rel_tol = 1e-10": "rel_tol = 1e-14", "abs_tol = 1e-10": "abs_tol = 1e-14",
-               "t_end = 10": "t_end = 1\nh_min = 0.05\nh_init = 0.1\nh_max = 0.25"})
+               "t_end = 10": "t_end = 1"})
         capsys.readouterr()
         assert main(["simulate", str(cfg)]) == EXIT_INTEGRATOR
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(
-            "rwcosmo: error: integration failed: step size fell below h_min = 0.05"), err
+            "rwcosmo: error: integration failed: step size fell below H_MIN = 0.05"), err
         assert not out.exists()
 
     def test_unknown_key_exits_1(self, tmp_path):
@@ -474,7 +476,7 @@ class TestVerify:
         cols = read_trajectory(out).as_arrays()
         for names in (TRAJECTORY_COLUMNS, ("t", "u", "v", "phi", "chi", "rho")):
             old_header = ",".join(names)
-            (out / "trajectory.csv").write_text(table_text(old_header, [cols[n] for n in names]))
+            write_table(out / "trajectory.csv", old_header, [cols[n] for n in names])
             before = sorted(out.iterdir())
             capsys.readouterr()
             assert main([command, str(out)]) == EXIT_CONFIG
@@ -557,11 +559,13 @@ class TestVerify:
         (lambda meta: meta["stats"].update(steps_retried=0), "steps_retried"),
         (lambda meta: meta["params"].update(bogus=2), "bogus"),
         (lambda meta: meta["params"].pop("mass"), "mass"),
+        (lambda meta: meta["integrator"].update(h_init=1e-4), "h_init"),
     ], ids=["no_stats", "unknown_initial_key", "unknown_stats_key",
-            "unknown_params_key", "no_params_mass"])
+            "unknown_params_key", "no_params_mass", "removed_integrator_key"])
     def test_meta_keys_are_the_fields(self, tmp_path, capsys, edit, key):
         """meta.json's blocks hold exactly their types' fields (``params``
-        exactly lambda and mass): a missing or unknown key is an error."""
+        exactly lambda and mass): a missing or unknown key is an error, as is
+        a step bound or guard, now a constant, in an older run's file."""
         self.verify_edited_meta(tmp_path, capsys, edit, key)
 
     @pytest.mark.parametrize("edit,key", [
@@ -581,15 +585,21 @@ class TestVerify:
         (lambda meta: meta.update(integrator="paper"),
          'integrator must be an object, got "paper"'),
         (lambda meta: meta.update(stats=None), "stats must be an object, got null"),
+        (lambda meta: meta["admissibility"].update(lambda_bound_ok=False), "admissibility"),
+        (lambda meta: meta["admissibility"].update(bogus=3), "admissibility"),
+        (lambda meta: meta["admissibility"].update(u0_positive=1), "admissibility"),
     ], ids=["n_samples_not_the_rows", "n_samples_float", "guard_without_event",
             "a0_string", "count_fractional", "count_boolean", "a0_boolean",
             "chi0_negative", "rho0_negative",
             "rel_tol_boolean", "params_not_object", "initial_not_object",
-            "integrator_not_object", "stats_not_object"])
+            "integrator_not_object", "stats_not_object",
+            "admissibility_flag_edited", "admissibility_unknown_key",
+            "admissibility_flag_as_integer"])
     def test_meta_values_checked(self, tmp_path, capsys, edit, key):
         """meta.json's values are checked: each block is an object, a real
         value is not a boolean, a count is a JSON integer, n_samples is the
         number of trajectory.csv rows, guard_tripped agrees with events.json,
+        admissibility is validate_theorem1's report on params and initial,
         and a bad value is named."""
         self.verify_edited_meta(tmp_path, capsys, edit, key)
 
@@ -786,7 +796,7 @@ overwrite = true
         assert main(["sweep", str(plan)]) == EXIT_CONFIG
         assert not (tmp_path / "sw").exists()
 
-    @pytest.mark.parametrize("line", ["workers = two", "cap = 1e3"])
+    @pytest.mark.parametrize("line", ["workers = two"])
     def test_non_integer_sweep_setting_exits_1(self, tmp_path, line):
         plan = tmp_path / "plan.ini"
         plan.write_text(self.PLAN.format(values="1", out=tmp_path / "sw")
@@ -866,10 +876,19 @@ class TestIOErrors:
 
 def _non_default(field):
     if field.type == "float":
-        return field.default * 3.0  # keeps h_min <= h_init <= h_max
+        return field.default * 3.0
     if field.type == "bool":
         return not field.default
     return {"mode": "kg"}[field.name]
+
+
+#: Keys a section no longer takes: solve_rho0 (implied by u0) and the run
+#: limits that became module constants.
+REMOVED_KEYS = {
+    "initial": ("solve_rho0",),
+    "integrator": ("h_init", "h_min", "h_max", "max_abs_u", "max_abs_phi", "min_v"),
+    "sweep": ("cap",),
+}
 
 
 class TestSchema:
@@ -891,6 +910,27 @@ class TestSchema:
         parsed = parse(str(path))
         assert (parsed.integrator if parse is parse_run_config else parsed[0].integrator) \
             == expected
+
+    @pytest.mark.parametrize("section,key", [(section, key) for section in ("integrator", "sweep")
+                                             for key in REMOVED_KEYS[section]])
+    def test_removed_key_exits_1(self, tmp_path, capsys, section, key):
+        """A step bound, guard or row cap, now a module constant, is an
+        unknown key: one error line, exit 1, nothing written."""
+        out = tmp_path / "out"
+        if section == "integrator":
+            path = write_reference_config(tmp_path / "run.ini", str(out),
+                                          **{"mode = paper": f"mode = paper\n{key} = 1"})
+            argv = ["simulate", str(path)]
+        else:
+            path = tmp_path / "plan.ini"
+            path.write_text(TestSweepCommand.PLAN.format(values="1", out=out)
+                            .replace("workers = 1", f"workers = 1\n{key} = 1"))
+            argv = ["sweep", str(path)]
+        capsys.readouterr()
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"rwcosmo: error: unknown key(s) in [{section}]: {key}"]
+        assert not out.exists()
 
     def test_readme_examples_parse(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -926,15 +966,15 @@ FUZZ_BASE = {
         "output": {"directory": "out", "overwrite": "true"},
     },
 }
-#: Keys the fuzz draws in each section (solve_rho0 is a removed key).
+#: Keys the fuzz draws in each section, the removed ones included.
 FUZZ_KEYS = {
     "model": ("lambda", "mass"),
-    "initial": ("a0", "phi0", "chi0", "rho0", "branch", "u0", "solve_rho0"),
-    "integrator": tuple(f.name for f in fields(IntegratorConfig)),
+    "initial": ("a0", "phi0", "chi0", "rho0", "branch", "u0") + REMOVED_KEYS["initial"],
+    "integrator": tuple(f.name for f in fields(IntegratorConfig)) + REMOVED_KEYS["integrator"],
     "output": ("directory", "overwrite"),
     "axes": SWEEP_PARAMS,
     "fixed": SWEEP_PARAMS + ("a0", "branch"),
-    "sweep": ("cap", "workers"),
+    "sweep": ("workers",) + REMOVED_KEYS["sweep"],
     "extras": (),
 }
 

@@ -494,7 +494,7 @@ class TestVerifyReport:
     def test_guard_trip_noted(self):
         """verify names the guard that aborted a run: the contracting
         reference data, integrated under override_admissibility, trip
-        max_abs_u at t = 0.445605."""
+        MAX_ABS_U at t = 0.445605."""
         params = ModelParams(lam=1.0, mass=1.0)
         data = make_initial_data(params, 1.0, 1.0, 0.1, 0.05, "contracting")
         traj = integrate(data, params, replace(REF_CONFIG, override_admissibility=True))

@@ -166,14 +166,10 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(rel_tol=0.0),
         dict(abs_tol=-1e-10),
-        dict(h_min=0.0),
-        dict(h_min=1e-2, h_init=1e-3),
-        dict(h_init=1.0, h_max=0.5),
         dict(t_end=0.0),
         dict(t_end=-1.0),
         dict(sample_dt=0.0),
         dict(mode="euler"),
-        dict(min_v=0.0),
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -204,9 +200,9 @@ class TestConfig:
             IntegratorConfig(t_end=float(MAX_SAMPLES), sample_dt=1.0)
 
     def test_float_fields_stored_as_floats(self):
-        assert len(FLOAT_FIELDS) == 10
-        config = IntegratorConfig(**{name: np.float64(2.0) for name in ("max_abs_u", "t_end")})
-        assert type(config.max_abs_u) is float and type(config.t_end) is float
+        assert len(FLOAT_FIELDS) == 4
+        config = IntegratorConfig(**{name: np.float64(2.0) for name in ("abs_tol", "t_end")})
+        assert type(config.abs_tol) is float and type(config.t_end) is float
 
 
 class TestStep:
@@ -246,13 +242,18 @@ class TestStep:
         _, e2, _ = step(s, REF_PARAMS, 0.01, cfg)
         assert 24.0 <= e1 / e2 <= 40.0
 
-    def test_rejects_h_outside_bounds(self):
+    def test_rejects_h_outside_bounds(self, monkeypatch):
+        """h must lie in [H_MIN, H_MAX], read when step() is called."""
         s = CosmoState(t=0.0, u=0.0, v=1.0, phi=0.0, chi=0.0, rho=0.0)
         cfg = IntegratorConfig()
-        with pytest.raises(ValueError):
-            step(s, REF_PARAMS, cfg.h_max * 2.0, cfg)
-        with pytest.raises(ValueError):
-            step(s, REF_PARAMS, cfg.h_min / 2.0, cfg)
+        with pytest.raises(ValueError, match="outside"):
+            step(s, REF_PARAMS, integrator.H_MAX * 2.0, cfg)
+        with pytest.raises(ValueError, match="outside"):
+            step(s, REF_PARAMS, integrator.H_MIN / 2.0, cfg)
+        step(s, REF_PARAMS, 0.02, cfg)
+        monkeypatch.setattr(integrator, "H_MAX", 0.01)
+        with pytest.raises(ValueError, match=r"outside \[H_MIN, H_MAX\] = \[1e-14, 0.01\]"):
+            step(s, REF_PARAMS, 0.02, cfg)
 
     def test_suggested_h_is_clamped_growth(self):
         """Suggestion never grows h by more than 5x."""
@@ -313,7 +314,7 @@ class TestTrialStep:
 class TestFsalCount:
     @pytest.mark.parametrize("run", ["rejecting", "reference", "stepped_reference", "kg",
                                      "frozen_at_start"])
-    def test_rhs_evaluations(self, run, request, ref_initial, stepped):
+    def test_rhs_evaluations(self, run, request, monkeypatch, ref_initial, stepped):
         """rhs_evaluations = 6*(accepted + rejected) + 1 + restarts on every
         branch: rejected steps reuse their first stage, accepted ones pass
         their last stage on, a FieldFrozen restart evaluates it afresh.  The
@@ -321,8 +322,8 @@ class TestFsalCount:
         restarts; stepped through its frozen phase it restarts once."""
         restarts = 0
         if run == "rejecting":
-            cfg = replace(REF_CONFIG, h_init=0.25, t_end=1.0)
-            traj = integrate(ref_initial, REF_PARAMS, cfg)
+            monkeypatch.setattr(integrator, "H_INIT", 0.25)
+            traj = integrate(ref_initial, REF_PARAMS, replace(REF_CONFIG, t_end=1.0))
             assert traj.stats.steps_rejected > 0
         elif run == "reference":
             traj = request.getfixturevalue("ref_trajectory")
@@ -680,13 +681,14 @@ class TestModesAndGuards:
         assert np.all(cols["chi"] == 0.0)
         assert np.all(cols["phi"] == 1.0)
 
-    def test_zero_chi0_pushed_up_is_not_frozen(self):
+    def test_zero_chi0_pushed_up_is_not_frozen(self, monkeypatch):
         """chi0 = 0 with m^2 phi0 < 0: the field equation lifts chi, so
         paper mode does not clamp it, and integrate's first step is step()'s."""
+        monkeypatch.setattr(integrator, "H_INIT", 0.01)
         params = ModelParams(lam=1.0, mass=1.0)
         data = make_initial_data(params, 1.0, -0.5, 0.0, 0.05, "expanding")
-        cfg = replace(REF_CONFIG, rel_tol=1e-8, abs_tol=1e-8, h_init=0.01,
-                      t_end=0.1, override_admissibility=True)
+        cfg = replace(REF_CONFIG, rel_tol=1e-8, abs_tol=1e-8, t_end=0.1,
+                      override_admissibility=True)
         traj = integrate(data, params, cfg)
         assert traj.events == ()
         s1, _, _ = step(build_state(data), params, 0.01, cfg)
@@ -695,13 +697,14 @@ class TestModesAndGuards:
         assert traj.as_arrays()["rho"][1] == s1.rho
         assert s1.chi > 0.0
 
-    def test_underflow_on_hopeless_tolerance(self):
-        """h_min close to h_max leaves no room to resolve the dynamics."""
+    def test_underflow_on_hopeless_tolerance(self, monkeypatch):
+        """H_MIN close to H_MAX leaves no room to resolve the dynamics."""
+        monkeypatch.setattr(integrator, "H_MIN", 0.05)
+        monkeypatch.setattr(integrator, "H_INIT", 0.1)
         params = ModelParams(lam=1.0, mass=1.0)
         data = make_initial_data(params, 1.0, 1.0, 0.1, 0.05, "expanding")
-        cfg = replace(REF_CONFIG, rel_tol=1e-14, abs_tol=1e-14,
-                      h_min=0.05, h_init=0.1, h_max=0.25, t_end=1.0)
-        with pytest.raises(StepSizeUnderflow):
+        cfg = replace(REF_CONFIG, rel_tol=1e-14, abs_tol=1e-14, t_end=1.0)
+        with pytest.raises(StepSizeUnderflow, match="fell below H_MIN = 0.05"):
             integrate(data, params, cfg)
 
 
@@ -766,13 +769,14 @@ class TestSampleGuard:
     @pytest.mark.parametrize("max_abs_u", [1e100, 1e3])
     def test_trip_before_later_failure(self, monkeypatch, max_abs_u):
         """The run stops at a bad sample at t = 0.03 even though the steps
-        after it go on to a StepSizeUnderflow (max_abs_u = 1e100) or to the
+        after it go on to a StepSizeUnderflow (MAX_ABS_U = 1e100) or to the
         |u| guard (1e3) at t = 0.80: no raise, no later event, and the
         rejected steps after it are not counted."""
+        monkeypatch.setattr(integrator, "MAX_ABS_U", max_abs_u)
         params = ModelParams(lam=-1.0, mass=0.0)
         data = make_initial_data(params, 1.0, 0.1, 0.1, 0.05, "contracting")
         config = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-8, t_end=10.0, sample_dt=0.01,
-                                  override_admissibility=True, max_abs_u=max_abs_u)
+                                  override_admissibility=True)
         if max_abs_u == 1e100:
             with pytest.raises(StepSizeUnderflow):
                 integrate(data, params, config)

@@ -10,17 +10,27 @@ from hypothesis import given, strategies as st
 
 from rwcosmo import IntegratorConfig, integrate
 from rwcosmo.integrator import IntegrationStats, Trajectory
-from rwcosmo.serialize import (_BLOCK, fmt, read_trajectory, table_text, write_table,
-                               write_trajectory)
+from rwcosmo.serialize import _BLOCK, fmt, read_trajectory, write_table, write_trajectory
 
 from conftest import REF_PARAMS, reference_initial
 
 
 def celled_table_text(header, columns, sep=","):
-    """The bytes table_text must write: every cell formatted on its own."""
+    """The bytes write_table must write: every cell formatted on its own."""
     lines = [header]
     lines += [sep.join(fmt(x) for x in row) for row in zip(*(c.tolist() for c in columns))]
     return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def table_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("table") / "table.dat"
+
+
+def written(path, header, columns, sep=","):
+    """The text write_table writes to ``path``."""
+    write_table(path, header, columns, sep=sep)
+    return path.read_text()
 
 
 def assert_same_lines(got, want):
@@ -69,18 +79,18 @@ def tables(draw):
     return columns
 
 
-@given(tables(), st.sampled_from([",", " "]))
-def test_bytes_equal_rowwise_writer(columns, sep):
-    """table_text writes the bytes of formatting each cell for any columns."""
-    assert_same_lines(table_text("# header", columns, sep=sep),
+@given(columns=tables(), sep=st.sampled_from([",", " "]))
+def test_bytes_equal_rowwise_writer(table_path, columns, sep):
+    """write_table writes the bytes of formatting each cell for any columns."""
+    assert_same_lines(written(table_path, "# header", columns, sep),
                       celled_table_text("# header", columns, sep))
 
 
-def test_distinct_zeros_and_nans_keep_their_text():
+def test_distinct_zeros_and_nans_keep_their_text(table_path):
     """-0.0 and 0.0 share no text; nans of every payload read nan."""
     bits = np.array([0, 1 << 63, 0x7FF8000000000000, 0xFFF8000000000001, 0, 1 << 63],
                     dtype=np.uint64)
-    assert table_text("x", [bits.view(np.float64)]) == "x\n0\n-0\nnan\nnan\n0\n-0\n"
+    assert written(table_path, "x", [bits.view(np.float64)]) == "x\n0\n-0\nnan\nnan\n0\n-0\n"
 
 
 #: Row counts about the block size: one row, one block short of a row, one
@@ -103,13 +113,11 @@ def edge_columns(n):
 @pytest.mark.parametrize("sep", [",", " "])
 @pytest.mark.parametrize("n", SIZES)
 def test_blocks_write_every_cells_bytes(tmp_path, n, sep):
-    """table_text, and write_table to a file, write the bytes of formatting
-    each cell, on either side of each block boundary."""
+    """write_table writes the bytes of formatting each cell, on either side
+    of each block boundary."""
     columns = edge_columns(n)
-    want = celled_table_text("# t x", columns, sep)
-    assert_same_lines(table_text("# t x", columns, sep=sep), want)
-    write_table(tmp_path / "table.dat", "# t x", columns, sep=sep)
-    assert_same_lines((tmp_path / "table.dat").read_text(), want)
+    assert_same_lines(written(tmp_path / "table.dat", "# t x", columns, sep),
+                      celled_table_text("# t x", columns, sep))
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -19,7 +19,8 @@ from rwcosmo.integrator import _TINY, FIELD_FROZEN
 from rwcosmo.serialize import read_trajectory
 from rwcosmo.sweep import (STATUS_GUARD_TRIPPED, STATUS_INVALID_DATA,
                            STATUS_NO_REAL_BRANCH, STATUS_OK, STATUS_SKIPPED,
-                           STATUS_STEP_UNDERFLOW, SWEEP_COLUMNS, POOL_MIN_ROWS, SweepRow)
+                           STATUS_STEP_UNDERFLOW, SWEEP_COLUMNS, MAX_ROWS, POOL_MIN_ROWS,
+                           SweepRow)
 
 from conftest import REF_CONFIG, write_reference_config
 
@@ -96,11 +97,13 @@ class TestPlanValidation:
                              ("rho0", 0.0)))
 
     def test_cap_enforced(self):
-        with pytest.raises(ValueError, match="cap"):
-            SweepPlan(axes=(("lambda", tuple(float(i) for i in range(10))),
-                            ("rho0", tuple(float(i) for i in range(10)))),
-                      fixed=(("mass", 1.0), ("phi0", 1.0), ("chi0", 0.0)),
-                      cap=50)
+        """A plan of MAX_ROWS rows builds and one of MAX_ROWS + 1 is refused;
+        neither is run."""
+        fixed = (("lambda", 1.0), ("mass", 1.0), ("phi0", 1.0), ("chi0", 0.0))
+        rho0s = tuple(map(float, range(MAX_ROWS + 1)))
+        assert SweepPlan(axes=(("rho0", rho0s[:-1]),), fixed=fixed).size == MAX_ROWS
+        with pytest.raises(ValueError, match=f"grid size {MAX_ROWS + 1} exceeds MAX_ROWS"):
+            SweepPlan(axes=(("rho0", rho0s),), fixed=fixed)
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
@@ -336,28 +339,36 @@ class TestExactTail:
         assert_tail_agrees(*full_and_joined(stepped, FAST, lam, mass, phi0, chi0, rho0))
 
     REF_POINT = {"lambda": 1.0, "mass": 1.0, "phi0": 1.0, "chi0": 0.1, "rho0": 0.05}
+    #: case: (point edits, config, integrator limits to set).
     FALLBACKS = {
-        "kg": ({}, replace(FAST, mode="kg")),
-        "mass_zero": ({"mass": 0.0}, FAST),
+        "kg": ({}, replace(FAST, mode="kg"), {}),
+        "mass_zero": ({"mass": 0.0}, FAST, {}),
         "inadmissible_override": ({"lambda": -14.0, "rho0": 1.0},
-                                  replace(FAST, override_admissibility=True)),
+                                  replace(FAST, override_admissibility=True), {}),
         # v(10) = 2.88e-19 on the reference run: below 1e-18 the guard
-        # trips, and 2e-19 sits within the factor 2 of min_v.
-        "min_v_reached": ({}, replace(REF_CONFIG, min_v=1e-18)),
-        "min_v_near": ({}, replace(REF_CONFIG, min_v=2e-19)),
-        "no_freeze_by_t_end": ({}, replace(FAST, t_end=0.05)),
+        # trips, and 2e-19 sits within the factor 2 of MIN_V.
+        "min_v_reached": ({}, REF_CONFIG, {"MIN_V": 1e-18}),
+        "min_v_near": ({}, REF_CONFIG, {"MIN_V": 2e-19}),
+        "no_freeze_by_t_end": ({}, replace(FAST, t_end=0.05), {}),
         # Frozen at t = 0 past a guard: the first step trips it (u0 = 1294
-        # against max_abs_u = 1000, phi0 = 2e6 against max_abs_phi = 1e6).
-        "u_guard": ({"chi0": 0.0, "rho0": 2e5}, FAST),
-        "phi_guard": ({"chi0": 0.0, "mass": 5e-7, "phi0": 2e6}, FAST),
+        # against MAX_ABS_U = 1000, phi0 = 2e6 against MAX_ABS_PHI = 1e6).
+        "u_guard": ({"chi0": 0.0, "rho0": 2e5}, FAST, {}),
+        "phi_guard": ({"chi0": 0.0, "mass": 5e-7, "phi0": 2e6}, FAST, {}),
     }
     TRIPPED = ("min_v_reached", "u_guard", "phi_guard")
 
+    def fallback(self, monkeypatch, case):
+        """The case's point edits and config, with its limits set."""
+        edits, config, limits = self.FALLBACKS[case]
+        for name, value in limits.items():
+            monkeypatch.setattr(integrator, name, value)
+        return edits, config
+
     @pytest.mark.parametrize("case", sorted(FALLBACKS))
-    def test_fallback_rows_integrate_fully(self, stepped, case):
+    def test_fallback_rows_integrate_fully(self, stepped, monkeypatch, case):
         """Runs the tail does not cover are the stepped run bit for bit, and
         their sweep rows write the bytes of the stepped path."""
-        edits, config = self.FALLBACKS[case]
+        edits, config = self.fallback(monkeypatch, case)
         point = {**self.REF_POINT, **edits}
         full, joined = full_and_joined(stepped, config, point["lambda"], point["mass"],
                                        point["phi0"], point["chi0"], point["rho0"])
@@ -382,7 +393,7 @@ class TestExactTail:
             return trial_step(*args)
 
         monkeypatch.setattr(integrator, "_trial_step", counted)
-        edits, config = self.FALLBACKS[case]
+        edits, config = self.fallback(monkeypatch, case)
         point = {**self.REF_POINT, **edits}
         params = ModelParams(lam=point["lambda"], mass=point["mass"])
         data = make_initial_data(params, 1.0, point["phi0"], point["chi0"], point["rho0"],
