@@ -32,7 +32,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads as wl
 
 SEED = wl.DEFAULT_SEED
-DENSE_FILES = ("trajectory.csv", "events.json", "meta.json", "report.json")
+DENSE_FILES = ("trajectory.csv", "meta.json", "report.json")
 
 
 def load(tree: Path, name: str, tmp: Path):

@@ -534,12 +534,14 @@ def integrate(initial: InitialData, params: ModelParams,
         t1 = config.t_end if h_trial == remaining else t + h_trial
         h = min(H_MAX, max(H_MIN, h_trial * _step_factor(norm)))
 
-        if not frozen and y[3] > 0.0 and y1[3] <= 0.0:
+        # A frozen chi is exactly 0, and only kg mode takes chi below 0.
+        downward = y[3] > 0.0 >= y1[3]
+        if downward or y[3] < 0.0 <= y1[3]:
             quartics = _step_quartics(h_trial, y, y1, k)
-            theta = _locate_crossing(quartics[3], t + h_trial, h_trial, True,
+            theta = _locate_crossing(quartics[3], t + h_trial, h_trial, downward,
                                      config.rel_tol)
             t_star = t + theta * h_trial
-            if config.mode == "paper":
+            if downward and config.mode == "paper":
                 detail = emit(t, h_trial, y, y1, k, t_star, False)
                 if detail is not None:
                     events.append(Event(t_star, GUARD_TRIPPED, detail))
@@ -556,11 +558,8 @@ def integrate(initial: InitialData, params: ModelParams,
                 k1 = _rhs_terms(*y, params.lam, params.mass_sq, *anchor, frozen)
                 nevals += 1
                 continue
-            events.append(Event(t_star, CHI_ZERO_CROSSING, "downward crossing"))
-        elif config.mode == "kg" and y[3] < 0.0 and y1[3] >= 0.0:
-            chi = _step_quartics(h_trial, y, y1, k)[3]
-            theta = _locate_crossing(chi, t + h_trial, h_trial, False, config.rel_tol)
-            events.append(Event(t + theta * h_trial, CHI_ZERO_CROSSING, "upward crossing"))
+            events.append(Event(t_star, CHI_ZERO_CROSSING,
+                                f"{'downward' if downward else 'upward'} crossing"))
 
         detail = _guard_violation(y1) or emit(t, h_trial, y, y1, k, t1, True)
         if detail is not None:

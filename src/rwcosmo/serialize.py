@@ -10,17 +10,19 @@ template, in which a column constant over the block (by bit pattern) stands
 as its text: the bytes of formatting every value.  read_trajectory parses
 trajectory.csv from the open file; neither side holds the whole text.
 
-Each JSON block that mirrors a type is that type's fields, in declaration
-order: ``initial`` (InitialData), ``admissibility`` (AdmissibilityReport),
-``integrator`` (IntegratorConfig) and ``stats`` (IntegrationStats) in
-meta.json, the entries of events.json (Event), and the entries of ``fits``
-(DecayFit) in report.json.  The reader rebuilds meta.json's other blocks and
-events.json's entries through the same types, so a missing or unknown key is
-an error and the types' own checks validate the values.  ``admissibility``
-must be validate_theorem1 of ``params`` and ``initial`` as JSON (a flag of 1
-is not true), meta.json an object and events.json an array of objects;
-``params`` holds exactly lambda and mass, every count is a JSON integer, and
-``n_samples`` and ``guard_tripped`` must agree with the other two files.
+A run is two files: trajectory.csv and meta.json, which holds every other
+fact of the run, its events included.  Each JSON block that mirrors a type is
+that type's fields, in declaration order: ``initial`` (InitialData),
+``admissibility`` (AdmissibilityReport), ``integrator`` (IntegratorConfig),
+``stats`` (IntegrationStats) and the entries of ``events`` (Event) in
+meta.json, and the entries of ``fits`` (DecayFit) in report.json.  The reader
+rebuilds meta.json's other blocks and ``events``' entries through the same
+types, so a missing or unknown key is an error and the types' own checks
+validate the values.  ``admissibility`` must be validate_theorem1 of
+``params`` and ``initial`` as JSON (a flag of 1 is not true), meta.json an
+object and ``events`` an array of objects; ``params`` holds exactly lambda
+and mass, every count is a JSON integer, and ``n_samples`` must be the
+number of trajectory.csv rows.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .integrator import (STATE_COLUMNS, Event, IntegrationStats,
 from .model import ModelParams
 
 TRAJECTORY_CSV = "trajectory.csv"
-EVENTS_JSON = "events.json"
 META_JSON = "meta.json"
 REPORT_JSON = "report.json"
 _CSV_HEADER = ",".join(("t",) + STATE_COLUMNS)
@@ -93,10 +94,6 @@ def write_table(path: Path, header: str, columns: Sequence[np.ndarray], sep: str
         f.writelines(_table_blocks(header, columns, sep))
 
 
-def events_json_text(traj: Trajectory) -> str:
-    return json.dumps([asdict(e) for e in traj.events], indent=2) + "\n"
-
-
 def meta_json_text(traj: Trajectory, version: str) -> str:
     payload = {
         "package": "rwcosmo",
@@ -106,21 +103,21 @@ def meta_json_text(traj: Trajectory, version: str) -> str:
         "admissibility": asdict(validate_theorem1(traj.params, traj.initial)),
         "integrator": asdict(traj.config),
         "stats": asdict(traj.stats),
+        "events": [asdict(e) for e in traj.events],
         "n_samples": len(traj.t),
-        "guard_tripped": traj.guard_tripped,
     }
     return json.dumps(payload, indent=2) + "\n"
 
 
 def write_trajectory(directory: Union[str, Path], traj: Trajectory, version: str,
                      overwrite: bool = False) -> list[Path]:
-    """Write trajectory.csv, events.json and meta.json.
+    """Write trajectory.csv and meta.json.
 
     Refuses to clobber existing files unless ``overwrite`` is set.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    paths = [directory / name for name in (TRAJECTORY_CSV, EVENTS_JSON, META_JSON)]
+    paths = [directory / name for name in (TRAJECTORY_CSV, META_JSON)]
     if not overwrite:
         existing = [path.name for path in paths if path.exists()]
         if existing:
@@ -128,8 +125,7 @@ def write_trajectory(directory: Union[str, Path], traj: Trajectory, version: str
                 f"refusing to overwrite {', '.join(existing)} in {directory}; "
                 "set overwrite")
     write_table(paths[0], _CSV_HEADER, [traj.t, *traj.states.T])
-    paths[1].write_text(events_json_text(traj))
-    paths[2].write_text(meta_json_text(traj, version))
+    paths[1].write_text(meta_json_text(traj, version))
     return paths
 
 
@@ -200,7 +196,6 @@ def read_trajectory(directory: Union[str, Path]) -> Trajectory:
     """Rebuild a Trajectory from a directory written by write_trajectory."""
     directory = Path(directory)
     meta = _read(directory / META_JSON, json.load)
-    events_raw = _read(directory / EVENTS_JSON, json.load)
 
     with _parsing(META_JSON):
         _expect(meta, dict, "the file")
@@ -214,25 +209,18 @@ def read_trajectory(directory: Union[str, Path]) -> Trajectory:
             raise ValueError("admissibility disagrees with validate_theorem1 of params and initial")
         config = IntegratorConfig(**_block(meta, "integrator"))
         stats = IntegrationStats(**{k: _count(k, v) for k, v in _block(meta, "stats").items()})
+        events = tuple(Event(**_expect(e, dict, f"event {i}"))
+                       for i, e in enumerate(_expect(meta["events"], list, "events"), start=1))
         n_samples = _count("n_samples", meta["n_samples"])
-        guard_tripped = meta["guard_tripped"]
 
     grid = sample_times(config)
     states = _read(directory / TRAJECTORY_CSV, lambda csv: _parse_states(csv, grid))
 
-    with _parsing(EVENTS_JSON):
-        events = tuple(Event(**_expect(e, dict, f"entry {i}"))
-                       for i, e in enumerate(_expect(events_raw, list, "the file"), start=1))
-
-    traj = Trajectory(params=params, initial=initial, config=config,
-                      states=states, events=events, stats=stats)
     if n_samples != len(states):
         raise CorruptTrajectory(f"invalid {META_JSON}: n_samples = {n_samples}, but "
                                 f"{TRAJECTORY_CSV} holds {len(states)} samples")
-    if guard_tripped is not traj.guard_tripped:
-        raise CorruptTrajectory(f"invalid {META_JSON}: guard_tripped = "
-                                f"{json.dumps(guard_tripped)} disagrees with {EVENTS_JSON}")
-    return traj
+    return Trajectory(params=params, initial=initial, config=config,
+                      states=states, events=events, stats=stats)
 
 
 def _expect(value: object, kind: type, name: str):

@@ -118,7 +118,11 @@ class SweepPlan:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One table row; the fields before ``wall_time`` are SWEEP_COLUMNS in order."""
+    """One table row; the fields before ``wall_time`` are SWEEP_COLUMNS in order.
+
+    A flagged row leaves the fields it does not reach at their defaults:
+    nan, or "" for text.
+    """
 
     lam: float
     mass: float
@@ -127,17 +131,17 @@ class SweepRow:
     rho0: float
     admissible: bool
     status: str
-    nu: float
-    rate_Q: float
-    rate_rho: float
-    rate_chi2: float
-    L_hat: float
-    H_inf_hat: float
-    C0_hat: float
-    max_constraint: float
-    verdict: str  # verify's status; empty on a flagged (unverified) row
-    events: str
-    wall_time: float
+    nu: float = math.nan
+    rate_Q: float = math.nan
+    rate_rho: float = math.nan
+    rate_chi2: float = math.nan
+    L_hat: float = math.nan
+    H_inf_hat: float = math.nan
+    C0_hat: float = math.nan
+    max_constraint: float = math.nan
+    verdict: str = ""  # verify's status; empty on a flagged (unverified) row
+    events: str = ""
+    wall_time: float = 0.0
 
 
 def _evaluate_point(args: tuple) -> SweepRow:
@@ -145,16 +149,11 @@ def _evaluate_point(args: tuple) -> SweepRow:
     start = time.perf_counter()
     lam, mass = point["lambda"], point["mass"]
     phi0, chi0, rho0 = point["phi0"], point["chi0"], point["rho0"]
-    nan = math.nan
 
-    def row(admissible: bool, status: str, nu: float = math.nan, **kw) -> SweepRow:
-        values = dict(nu=nu, rate_Q=nan, rate_rho=nan, rate_chi2=nan, L_hat=nan,
-                      H_inf_hat=nan, C0_hat=nan, max_constraint=nan,
-                      verdict="", events="")
-        values.update(kw)
+    def row(admissible: bool, status: str, **kw) -> SweepRow:
         return SweepRow(lam=lam, mass=mass, phi0=phi0, chi0=chi0, rho0=rho0,
                         admissible=admissible, status=status,
-                        wall_time=time.perf_counter() - start, **values)
+                        wall_time=time.perf_counter() - start, **kw)
 
     params = ModelParams(lam=lam, mass=mass)
     try:
@@ -177,7 +176,7 @@ def _evaluate_point(args: tuple) -> SweepRow:
         return row(adm.theorem1_applicable, STATUS_GUARD_TRIPPED, nu=nu, events=events)
     report = verify(traj)
     cols = traj.as_arrays()
-    rates = {f"rate_{name}": fit.rate if fit is not None else nan
+    rates = {f"rate_{name}": fit.rate if fit is not None else math.nan
              for name, fit in report.fits.items()}
     return row(adm.theorem1_applicable, STATUS_OK, nu=nu, **rates,
                L_hat=report.L_hat, H_inf_hat=report.H_inf_hat,

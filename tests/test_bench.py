@@ -80,8 +80,8 @@ def test_ab(tmp_path, workload):
     assert (got["workload"], got["pairs"]) == (workload, 2)
     assert 0 <= got["b_wins"] <= 2 and got["ratio_b_over_a"] > 0.0
     assert got["identical"] == ({"sweep.csv": True} if workload == "sweep_grid" else
-                                dict.fromkeys(("trajectory.csv", "events.json", "meta.json",
-                                               "report.json"), True))
+                                dict.fromkeys(("trajectory.csv", "meta.json", "report.json"),
+                                              True))
     for side in ("a", "b"):
         assert 0.0 < got[side]["q1_s"] <= got[side]["median_s"] <= got[side]["q3_s"]
 

@@ -41,13 +41,11 @@ STEPPED_TRAJECTORY_SHA256 = (
 #: bump moves its pins.
 JSON_SHA256 = {
     "paper": {
-        "events.json": "a8aed4fcf989075116dc8075f1e9365f603e85e8960b27ebda6d2199070c1a05",
-        "meta.json": "c3322c4e3fb1225930c541de0c3bdf7a581115ab64c80d5931b657c04f01631e",
+        "meta.json": "ef9a6c26a8c2779d78c2e694f0e711a3a56cc8d232af0da56826d1f7c42d87ae",
         "report.json": "8dcbd9fd19630f261835a31edb74abcf435bb75a027bc045e6812e7833a0fd4f",
     },
     "kg": {
-        "events.json": "202bc52f9851e835b2b539fb8f59ae95be0d47e726506886c7f0592d09ed9262",
-        "meta.json": "3d2e9c5735d09b230b6dbbb0cdbe0bd10e1d6d2e65a9c2a0cc8b3fa12e9ea716",
+        "meta.json": "a8372c08d83ead43ee0eb86105287e2fa444fcf583c2a9ad5aba562a6b529fa1",
         "report.json": "c33ff65169af6b8250c71db82e743cc0e9ca5ef3c52674c6d51117be5a8885b9",
     },
 }
@@ -78,7 +76,7 @@ def ref_run(tmp_path_factory):
 
 class TestSimulate:
     def test_reference_exit_zero_and_files(self, ref_run):
-        for name in ("trajectory.csv", "events.json", "meta.json"):
+        for name in ("trajectory.csv", "meta.json"):
             assert (ref_run / name).exists()
 
     def test_trajectory_header_exact(self, ref_run):
@@ -154,8 +152,8 @@ class TestSimulate:
             **{"branch = expanding": "branch = contracting",
                "mode = paper": "mode = paper\noverride_admissibility = true"})
         assert main(["simulate", str(cfg)]) == EXIT_INTEGRATOR
-        events = json.loads((tmp_path / "out" / "events.json").read_text())
-        assert any(e["kind"] == "GuardTripped" for e in events)
+        meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+        assert any(e["kind"] == "GuardTripped" for e in meta["events"])
 
     def test_step_size_underflow_exits_3_without_files(self, tmp_path, capsys, monkeypatch):
         """H_MIN close to H_MAX leaves no room to resolve the dynamics: one
@@ -260,12 +258,13 @@ overwrite = true
 class TestPortableBytes:
     @pytest.mark.parametrize("mode", sorted(JSON_SHA256))
     def test_json_outputs_pinned(self, tmp_path, mode):
-        """events.json, meta.json and report.json of the reference run and
-        its kg variant keep their bytes."""
+        """meta.json and report.json of the reference run and its kg variant
+        keep their bytes; simulate writes trajectory.csv and meta.json alone."""
         out = tmp_path / "out"
         cfg = write_reference_config(tmp_path / "run.ini", str(out),
                                      **{"mode = paper": f"mode = {mode}"})
         assert main(["simulate", str(cfg)]) == EXIT_OK
+        assert sorted(path.name for path in out.iterdir()) == ["meta.json", "trajectory.csv"]
         assert main(["verify", str(out)]) == {"paper": EXIT_OK, "kg": EXIT_VERIFY_FAILED}[mode]
         assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                 for name in JSON_SHA256[mode]} == JSON_SHA256[mode]
@@ -571,7 +570,6 @@ class TestVerify:
     @pytest.mark.parametrize("edit,key", [
         (lambda meta: meta.update(n_samples=7), "n_samples"),
         (lambda meta: meta.update(n_samples=11.0), "n_samples"),
-        (lambda meta: meta.update(guard_tripped=True), "guard_tripped"),
         (lambda meta: meta["initial"].update(a0="x"), "a0"),
         (lambda meta: meta["stats"].update(steps_accepted=3.7), "steps_accepted"),
         (lambda meta: meta["stats"].update(steps_rejected=True), "steps_rejected"),
@@ -588,8 +586,8 @@ class TestVerify:
         (lambda meta: meta["admissibility"].update(lambda_bound_ok=False), "admissibility"),
         (lambda meta: meta["admissibility"].update(bogus=3), "admissibility"),
         (lambda meta: meta["admissibility"].update(u0_positive=1), "admissibility"),
-    ], ids=["n_samples_not_the_rows", "n_samples_float", "guard_without_event",
-            "a0_string", "count_fractional", "count_boolean", "a0_boolean",
+    ], ids=["n_samples_not_the_rows", "n_samples_float", "a0_string",
+            "count_fractional", "count_boolean", "a0_boolean",
             "chi0_negative", "rho0_negative",
             "rel_tol_boolean", "params_not_object", "initial_not_object",
             "integrator_not_object", "stats_not_object",
@@ -598,27 +596,30 @@ class TestVerify:
     def test_meta_values_checked(self, tmp_path, capsys, edit, key):
         """meta.json's values are checked: each block is an object, a real
         value is not a boolean, a count is a JSON integer, n_samples is the
-        number of trajectory.csv rows, guard_tripped agrees with events.json,
-        admissibility is validate_theorem1's report on params and initial,
-        and a bad value is named."""
+        number of trajectory.csv rows, admissibility is validate_theorem1's
+        report on params and initial, and a bad value is named."""
         self.verify_edited_meta(tmp_path, capsys, edit, key)
 
 
-    @pytest.mark.parametrize("name,text,message", [
-        ("meta.json", "[]", "invalid meta.json: the file must be an object, got []"),
-        ("meta.json", "5", "invalid meta.json: the file must be an object, got 5"),
-        ("events.json", "5", "invalid events.json: the file must be an array, got 5"),
-        ("events.json", '{"t": 0}', 'invalid events.json: the file must be an array, got {"t": 0}'),
-        ("events.json", "[5]", "invalid events.json: entry 1 must be an object, got 5"),
+    @pytest.mark.parametrize("block,text,message", [
+        (None, "[]", "invalid meta.json: the file must be an object, got []"),
+        (None, "5", "invalid meta.json: the file must be an object, got 5"),
+        ("events", "5", "invalid meta.json: events must be an array, got 5"),
+        ("events", '{"t": 0}', 'invalid meta.json: events must be an array, got {"t": 0}'),
+        ("events", "[5]", "invalid meta.json: event 1 must be an object, got 5"),
     ], ids=["meta_array", "meta_number", "events_number", "events_object", "event_number"])
-    def test_whole_file_of_wrong_type_named(self, tmp_path, capsys, name, text, message):
-        """A meta.json that is not an object, or an events.json that is not
-        an array of objects, is named in one error line (exit 1)."""
+    def test_whole_file_of_wrong_type_named(self, tmp_path, capsys, block, text, message):
+        """A meta.json that is not an object, or whose events block is not an
+        array of objects, is named in one error line (exit 1).  ``block``
+        None stands for the whole file."""
         out = tmp_path / "out"
         cfg = write_reference_config(tmp_path / "c.ini", str(out),
                                      **{"t_end = 10": "t_end = 0.1"})
         assert main(["simulate", str(cfg)]) == EXIT_OK
-        (out / name).write_text(text)
+        if block is not None:
+            text = json.dumps({**json.loads((out / "meta.json").read_text()),
+                               block: json.loads(text)})
+        (out / "meta.json").write_text(text)
         capsys.readouterr()
         assert main(["verify", str(out)]) == EXIT_CONFIG
         assert capsys.readouterr().err.splitlines() == [f"rwcosmo: error: {message}"]
@@ -634,25 +635,35 @@ class TestVerify:
         (lambda e: e.pop("detail"), "missing 1 required positional argument: 'detail'"),
     ], ids=["t_string", "t_boolean", "t_nan", "unknown_key", "kind_number", "no_detail"])
     def test_event_entries_checked(self, tmp_path, capsys, edit, message):
-        """An events.json entry holds exactly Event's fields, each checked by
-        Event: one error line naming events.json, exit 1, no report."""
+        """An entry of meta.json's events block holds exactly Event's fields,
+        each checked by Event: one error line naming meta.json, exit 1, no
+        report."""
+        def edit_event(meta):
+            assert [e["kind"] for e in meta["events"]] == ["FieldFrozen"]
+            edit(meta["events"][0])
+
+        self.verify_edited_meta(tmp_path, capsys, edit_event, message)
+
+    def test_old_format_directory_exits_1(self, tmp_path, capsys):
+        """A run directory from before the events joined meta.json (a
+        guard_tripped flag, no events block, and events.json beside it) exits
+        1 with one line and writes no report: it must be simulated again."""
         out = tmp_path / "out"
         cfg = write_reference_config(tmp_path / "c.ini", str(out),
                                      **{"t_end = 10": "t_end = 0.1"})
         assert main(["simulate", str(cfg)]) == EXIT_OK
-        events = json.loads((out / "events.json").read_text())
-        assert [e["kind"] for e in events] == ["FieldFrozen"]
-        edit(events[0])
-        (out / "events.json").write_text(json.dumps(events))
+        meta = json.loads((out / "meta.json").read_text())
+        (out / "events.json").write_text(json.dumps(meta.pop("events"), indent=2) + "\n")
+        meta["guard_tripped"] = False
+        (out / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
         capsys.readouterr()
         assert main(["verify", str(out)]) == EXIT_CONFIG
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("rwcosmo: error: invalid events.json: "), err
-        assert message in err[0]
+        assert capsys.readouterr().err.splitlines() == [
+            "rwcosmo: error: invalid meta.json: missing key 'events'"]
         assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("command", ["verify", "report"])
-    @pytest.mark.parametrize("name", ["meta.json", "events.json", "trajectory.csv"])
+    @pytest.mark.parametrize("name", ["meta.json", "trajectory.csv"])
     def test_non_utf8_byte_exits_1(self, tmp_path, capsys, name, command):
         """A byte that is not UTF-8 in any file of a run: one error line
         naming the file, exit 1, nothing written."""

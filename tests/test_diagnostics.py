@@ -111,7 +111,10 @@ class TestFitDecayRate:
         assert fit.rate == pytest.approx(2.0, abs=1e-12)
         assert (fit.t_lo, fit.t_hi, fit.n_points) == (2.0, 9.5, 16)
 
-    @pytest.mark.parametrize("window", [(1.0, 6.0), (1.2, 5.9)])
+    @pytest.mark.parametrize("window", [
+        pytest.param((1.0, 6.0), id="ends_on_grid"),
+        pytest.param((1.2, 5.9), id="lower_end_off_grid"),  # the sample is 1.2000000000000002
+    ])
     def test_sub_window_equals_pre_sliced_fit(self, window):
         """Fitting a sub-window of the series and fitting the points inside
         it, sliced beforehand, give the same fit bit for bit."""
@@ -252,7 +255,7 @@ class TestCheckRule:
         assert check.margin == 0.0
 
     @pytest.mark.parametrize("t,detail", [
-        ([0.0, 0.01], "too few samples for quadrature"),
+        pytest.param([0.0, 0.01], "too few samples for quadrature", id="two_samples"),
     ])
     def test_quadrature_vacuous_without_uniform_grid(self, t, detail):
         """Simpson needs three samples of the grid; a trajectory's samples

@@ -164,12 +164,12 @@ class TestConfig:
         IntegratorConfig()
 
     @pytest.mark.parametrize("kwargs", [
-        dict(rel_tol=0.0),
-        dict(abs_tol=-1e-10),
-        dict(t_end=0.0),
-        dict(t_end=-1.0),
-        dict(sample_dt=0.0),
-        dict(mode="euler"),
+        pytest.param(dict(rel_tol=0.0), id="rel_tol_zero"),
+        pytest.param(dict(abs_tol=-1e-10), id="abs_tol_negative"),
+        pytest.param(dict(t_end=0.0), id="t_end_zero"),
+        pytest.param(dict(t_end=-1.0), id="t_end_negative"),
+        pytest.param(dict(sample_dt=0.0), id="sample_dt_zero"),
+        pytest.param(dict(mode="euler"), id="mode_unknown"),
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -292,10 +292,10 @@ class TestTrialStep:
                 float_bits(*zip_trial_step(y, k1, h, params, anchor, config, frozen))
 
     @pytest.mark.parametrize("y", [
-        [1e200, 1.0, 1.0, 0.1],  # u * u overflows
-        [0.5, 1.0, math.nan, 0.1],
-        [0.5, 1.0, 1.0, math.inf],
-        [1e200, 1.0, 1.0, 0.0],  # u * u overflows on a frozen field
+        pytest.param([1e200, 1.0, 1.0, 0.1], id="u_squared_overflows"),
+        pytest.param([0.5, 1.0, math.nan, 0.1], id="phi_nan"),
+        pytest.param([0.5, 1.0, 1.0, math.inf], id="chi_inf"),
+        pytest.param([1e200, 1.0, 1.0, 0.0], id="u_squared_overflows_frozen"),
     ])
     def test_non_finite_step_has_infinite_norm(self, y):
         """Float overflow yields inf/nan without raising, and a non-finite y1

@@ -31,7 +31,9 @@ class TestTypes:
         with pytest.raises(ValueError):
             ModelParams(lam=bad, mass=1.0)
 
-    @pytest.mark.parametrize("value", ["x", None, [1.0]])
+    @pytest.mark.parametrize("value", [
+        pytest.param("x", id="x"), pytest.param(None, id="None"), pytest.param([1.0], id="list"),
+    ])
     def test_non_number_named_in_error(self, value):
         with pytest.raises(TypeError, match="^mass must be a real number, not "):
             ModelParams(lam=1.0, mass=value)

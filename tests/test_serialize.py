@@ -138,6 +138,23 @@ def test_trajectory_round_trips_bit_exactly(tmp_path, n):
     assert back.t.tobytes() == traj.t.tobytes()
 
 
+def test_run_is_two_files(tmp_path):
+    """write_trajectory writes trajectory.csv and meta.json, whose events
+    read back equal.  It refuses to overwrite either file, and a stale
+    events.json beside them neither stops it nor is read."""
+    (tmp_path / "events.json").write_text("stale")
+    traj = integrate(reference_initial(), REF_PARAMS, IntegratorConfig(t_end=0.1))
+    assert [e.kind for e in traj.events] == ["FieldFrozen"]
+    assert write_trajectory(tmp_path, traj, "test") == [tmp_path / "trajectory.csv",
+                                                        tmp_path / "meta.json"]
+    assert read_trajectory(tmp_path).events == traj.events
+    with pytest.raises(FileExistsError, match="overwrite trajectory.csv, meta.json in"):
+        write_trajectory(tmp_path, traj, "test")
+    (tmp_path / "trajectory.csv").unlink()
+    with pytest.raises(FileExistsError, match="overwrite meta.json in"):
+        write_trajectory(tmp_path, traj, "test")
+
+
 @pytest.fixture(scope="module")
 def long_run():
     """The reference point sampled every 1e-4 to t = 20: 200,001 samples."""
