@@ -1,5 +1,6 @@
-"""Time the layers of a dense_output run: the reference point at tol 1e-8
-and sample_dt 0.001 (10,001 samples).
+"""Time the layers of a dense_output run, the benchmark's at its default
+seed (perfbench/workloads.py): the reference point at tol 1e-8 and
+sample_dt 0.001 (10,001 samples).
 
     PYTHONPATH=src python bench/time_dense.py [REPEATS]
 
@@ -34,29 +35,14 @@ from rwcosmo import IntegratorConfig, ModelParams, integrate, make_initial_data,
 from rwcosmo.cli import main as cli_main
 from rwcosmo.serialize import TRAJECTORY_CSV, read_trajectory, write_trajectory
 
-PARAMS = ModelParams(lam=1.0, mass=1.0)
-CONFIG = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-8, t_end=10.0, sample_dt=0.001, mode="paper")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads as wl
+
+RUN = wl.dense_input(wl.DEFAULT_SEED)
+PARAMS = ModelParams(lam=RUN.lam, mass=RUN.mass)
+CONFIG = IntegratorConfig(rel_tol=RUN.tol, abs_tol=RUN.tol, t_end=RUN.t_end,
+                          sample_dt=RUN.sample_dt, mode="paper")
 KG_CONFIG = replace(CONFIG, mode="kg")
-INI = """\
-[model]
-lambda = 1
-mass = 1
-[initial]
-a0 = 1
-phi0 = 1
-chi0 = 0.1
-rho0 = 0.05
-branch = expanding
-[integrator]
-rel_tol = 1e-8
-abs_tol = 1e-8
-t_end = 10
-sample_dt = 0.001
-mode = paper
-[output]
-directory = {out}
-overwrite = true
-"""
 
 
 def traced_peak(f) -> int:
@@ -70,14 +56,15 @@ def traced_peak(f) -> int:
 
 
 def main(repeats: int) -> dict:
-    data = make_initial_data(PARAMS, a0=1.0, phi0=1.0, chi0=0.1, rho0=0.05, branch="expanding")
+    data = make_initial_data(PARAMS, a0=RUN.a0, phi0=RUN.phi0, chi0=RUN.chi0, rho0=RUN.rho0,
+                             branch="expanding")
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         traj = integrate(data, PARAMS, CONFIG)
         kg = integrate(data, PARAMS, KG_CONFIG)
         write_trajectory(tmp / "run", traj, "bench")
         ini = tmp / "dense.ini"
-        ini.write_text(INI.format(out=tmp / "op"))
+        ini.write_text(RUN.ini_text(tmp / "op"))
 
         def op():
             with contextlib.redirect_stdout(io.StringIO()):

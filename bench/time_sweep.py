@@ -1,5 +1,6 @@
 """Time the layers of a sweep_grid op: run_sweep on the benchmark's 16-row
-plan (default seed, workers = 1) and its sweep.csv table.
+plan (perfbench/workloads.py at its default seed, workers = 1) and its
+sweep.csv table.
 
     PYTHONPATH=src python bench/time_sweep.py [REPEATS]
 
@@ -20,17 +21,18 @@ import json
 import statistics
 import sys
 import time
+from pathlib import Path
 
 from libm_count import libm_elements
-from rwcosmo import IntegratorConfig, ModelParams, integrate, make_initial_data, verify
+from rwcosmo import ModelParams, integrate, make_initial_data, verify
 from rwcosmo.initial import NoRealBranch
 from rwcosmo.integrator import Trajectory
-from rwcosmo.sweep import SweepPlan, run_sweep, sweep_table_csv
+from rwcosmo.sweep import run_sweep, sweep_table_csv
 
-PLAN = SweepPlan(axes=(("lambda", (-60.0, -1.0, 1.0, 3.0)), ("mass", (0.5, 2.0)),
-                       ("chi0", (0.0, 0.3))),
-                 fixed=(("phi0", 1.0), ("rho0", 0.05)),
-                 integrator=IntegratorConfig(), workers=1)
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads as wl
+
+PLAN = wl.prepare("sweep_grid", wl.DEFAULT_SEED, None)
 
 
 def fresh(traj: Trajectory) -> Trajectory:

@@ -114,28 +114,22 @@ class VerificationReport:
         raise KeyError(name)
 
 
-def fit_decay_rate(t: Sequence[float], y: Sequence[float],
-                   window: tuple[float, float]) -> DecayFit:
-    """Least-squares line through (t, ln y) inside ``window`` = [t_lo, t_hi].
+def fit_decay_rate(t: Sequence[float], y: Sequence[float]) -> DecayFit:
+    """Least-squares line through the points (t, ln y).
 
     Returns rate = -slope, the intercept, the RMS residual of the fit, and
-    the first and last times and the number of the points fitted.  Requires
-    y > 0 and at least 8 points inside the window.
+    the first and last times and the number of the points.  Requires y > 0
+    and at least 8 points.
     Affine-equivariant: scaling y by c > 0 shifts the intercept only.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     if t.ndim != 1 or t.shape != y.shape:
         raise ValueError("t and y must be 1-d and of equal length")
-    # Mask only when some point lies outside the window or is nan.
-    if not (t.size and window[0] <= np.min(t) and np.max(t) <= window[1]):
-        mask = (t >= window[0]) & (t <= window[1])
-        t, y = t[mask], y[mask]
     if t.size < 8:
-        raise ValueError(f"need >= 8 points in window, got {t.size}")
+        raise ValueError(f"need >= 8 points, got {t.size}")
     if np.any(y <= 0.0):
-        raise ValueError("series must be strictly positive inside the window; "
-                         "shrink the window before the data hit numerical zero")
+        raise ValueError("series must be strictly positive")
     z = libm(math.log, y)
     # Centred closed form: unlike np.polyfit, no LAPACK kernel picks the bytes.
     t_mean, z_mean = np.mean(t), np.mean(z)
@@ -308,8 +302,7 @@ def verify(traj: Trajectory) -> VerificationReport:
             if span is None:
                 notes.append(f"{name}: insufficient data above the noise floor for a rate fit")
                 continue
-            fit = fits[name] = fit_decay_rate(t[span], series[span],
-                                              (t[span.start], t[span.stop - 1]))
+            fit = fits[name] = fit_decay_rate(t[span], series[span])
             checks.append(_check(f"{name}_decay_rate", rate_floor - fit.rate,
                                  f"fitted {fit.rate:.6g} vs required {rate_floor:.6g}"))
 

@@ -195,6 +195,12 @@ class IntegrationStats:
     steps_rejected: int
     rhs_evaluations: int
 
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and type(value) is not int:
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:

@@ -16,13 +16,12 @@ that type's fields, in declaration order: ``initial`` (InitialData),
 ``admissibility`` (AdmissibilityReport), ``integrator`` (IntegratorConfig),
 ``stats`` (IntegrationStats) and the entries of ``events`` (Event) in
 meta.json, and the entries of ``fits`` (DecayFit) in report.json.  The reader
-rebuilds meta.json's other blocks and ``events``' entries through the same
-types, so a missing or unknown key is an error and the types' own checks
-validate the values.  ``admissibility`` must be validate_theorem1 of
-``params`` and ``initial`` as JSON (a flag of 1 is not true), meta.json an
-object and ``events`` an array of objects; ``params`` holds exactly lambda
-and mass, every count is a JSON integer, and ``n_samples`` must be the
-number of trajectory.csv rows.
+rebuilds the run from meta.json's blocks through those types (``params``
+through ModelParams), whose own checks name a bad value, and ``version`` must
+be a string.  The file must then equal, as JSON and type for type, the
+meta.json written for that run under that version: one rule that covers
+``admissibility``, ``n_samples`` against the rows, ``package`` and any key
+the writer does not write.
 """
 
 from __future__ import annotations
@@ -199,48 +198,42 @@ def read_trajectory(directory: Union[str, Path]) -> Trajectory:
 
     with _parsing(META_JSON):
         _expect(meta, dict, "the file")
-        raw_params = dict(_block(meta, "params"))
-        params = ModelParams(lam=raw_params.pop("lambda"), mass=raw_params.pop("mass"))
-        if raw_params:
-            raise ValueError(f"unknown params key(s): {', '.join(sorted(raw_params))}")
+        p = _block(meta, "params")
+        params = ModelParams(lam=p["lambda"], mass=p["mass"])
         initial = InitialData(**_block(meta, "initial"))
-        if (json.dumps(_block(meta, "admissibility"), sort_keys=True)
-                != json.dumps(asdict(validate_theorem1(params, initial)), sort_keys=True)):
-            raise ValueError("admissibility disagrees with validate_theorem1 of params and initial")
         config = IntegratorConfig(**_block(meta, "integrator"))
-        stats = IntegrationStats(**{k: _count(k, v) for k, v in _block(meta, "stats").items()})
+        stats = IntegrationStats(**_block(meta, "stats"))
         events = tuple(Event(**_expect(e, dict, f"event {i}"))
                        for i, e in enumerate(_expect(meta["events"], list, "events"), start=1))
-        n_samples = _count("n_samples", meta["n_samples"])
+        version = _expect(meta["version"], str, "version")
 
     grid = sample_times(config)
     states = _read(directory / TRAJECTORY_CSV, lambda csv: _parse_states(csv, grid))
-
-    if n_samples != len(states):
-        raise CorruptTrajectory(f"invalid {META_JSON}: n_samples = {n_samples}, but "
-                                f"{TRAJECTORY_CSV} holds {len(states)} samples")
-    return Trajectory(params=params, initial=initial, config=config,
+    traj = Trajectory(params=params, initial=initial, config=config,
                       states=states, events=events, stats=stats)
+    written = json.loads(meta_json_text(traj, version))
+    with _parsing(META_JSON):
+        # Type for type, key by key: 1 is neither 1.0 nor true.
+        for key in [*written, *(k for k in meta if k not in written)]:
+            found = json.dumps(meta[key], sort_keys=True)
+            expected = json.dumps(written[key], sort_keys=True) if key in written else None
+            if found != expected:
+                raise ValueError(f"{key} is {found}, where the run it describes has "
+                                 f"{expected or 'no ' + key}")
+    return traj
 
 
 def _expect(value: object, kind: type, name: str):
-    """``value``, which JSON must have given as an object (dict) or an array (list)."""
+    """``value``, which JSON must have given as a ``kind``: dict, list or str."""
     if type(value) is not kind:
-        raise ValueError(f"{name} must be {'an object' if kind is dict else 'an array'}, "
-                         f"got {json.dumps(value)}")
+        what = {dict: "an object", list: "an array", str: "a string"}[kind]
+        raise ValueError(f"{name} must be {what}, got {json.dumps(value)}")
     return value
 
 
 def _block(meta: dict, name: str) -> dict:
     """A block of meta.json: a JSON object."""
     return _expect(meta[name], dict, name)
-
-
-def _count(name: str, value: object) -> int:
-    """A count read from JSON: an integer, never a float or a boolean."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
-    return value
 
 
 def report_json_text(report: VerificationReport) -> str:

@@ -23,7 +23,8 @@ from rwcosmo.cli import (EXIT_CONFIG, EXIT_INADMISSIBLE, EXIT_INCONCLUSIVE,
                          EXIT_INTEGRATOR, EXIT_OK, EXIT_VERIFY_FAILED, main,
                          parse_run_config, parse_sweep_plan)
 from rwcosmo.integrator import TRAJECTORY_COLUMNS
-from rwcosmo.serialize import CorruptTrajectory, read_trajectory, write_table, write_trajectory
+from rwcosmo.serialize import (CorruptTrajectory, meta_json_text, read_trajectory, write_table,
+                               write_trajectory)
 from rwcosmo.sweep import SWEEP_PARAMS
 
 from conftest import write_reference_config
@@ -586,18 +587,27 @@ class TestVerify:
         (lambda meta: meta["admissibility"].update(lambda_bound_ok=False), "admissibility"),
         (lambda meta: meta["admissibility"].update(bogus=3), "admissibility"),
         (lambda meta: meta["admissibility"].update(u0_positive=1), "admissibility"),
+        (lambda meta: meta.update(guard_tripped=True), "guard_tripped"),
+        (lambda meta: meta.update(bogus=1), "bogus"),
+        (lambda meta: meta.update(version=5), "version must be a string, got 5"),
+        (lambda meta: meta.update(package="x"), "package"),
+        (lambda meta: meta["integrator"].update(t_end=1), '"t_end": 1}'),
     ], ids=["n_samples_not_the_rows", "n_samples_float", "a0_string",
             "count_fractional", "count_boolean", "a0_boolean",
             "chi0_negative", "rho0_negative",
             "rel_tol_boolean", "params_not_object", "initial_not_object",
             "integrator_not_object", "stats_not_object",
             "admissibility_flag_edited", "admissibility_unknown_key",
-            "admissibility_flag_as_integer"])
+            "admissibility_flag_as_integer", "guard_tripped_stray",
+            "unknown_top_level_key", "version_not_string", "package_not_rwcosmo",
+            "float_written_as_int"])
     def test_meta_values_checked(self, tmp_path, capsys, edit, key):
         """meta.json's values are checked: each block is an object, a real
-        value is not a boolean, a count is a JSON integer, n_samples is the
-        number of trajectory.csv rows, admissibility is validate_theorem1's
-        report on params and initial, and a bad value is named."""
+        value is not a boolean, a count is an integer, version is a string,
+        and the file is, as JSON and type for type, what simulate writes for
+        the run it describes (n_samples the trajectory.csv rows,
+        admissibility validate_theorem1's report, no stray key, a float not
+        written as an integer).  A bad value is named."""
         self.verify_edited_meta(tmp_path, capsys, edit, key)
 
 
@@ -643,6 +653,29 @@ class TestVerify:
             edit(meta["events"][0])
 
         self.verify_edited_meta(tmp_path, capsys, edit_event, message)
+
+    @pytest.mark.parametrize("edits,code,holds", [
+        pytest.param({}, EXIT_OK, lambda traj: traj.stats.steps_accepted == 14, id="paper"),
+        pytest.param({"mode = paper": "mode = kg"}, EXIT_OK,
+                     lambda traj: traj.config.mode == "kg", id="kg"),
+        pytest.param({"branch = expanding": "branch = contracting",
+                      "mode = paper": "mode = paper\noverride_admissibility = true"},
+                     EXIT_INTEGRATOR, lambda traj: traj.guard_tripped,
+                     id="contracting_override_guard_tripped"),
+        pytest.param({"chi0 = 0.1": "chi0 = 0"}, EXIT_OK,
+                     lambda traj: traj.stats.steps_accepted == 0, id="chi0_zero_no_step"),
+    ])
+    def test_meta_is_what_the_read_run_writes(self, tmp_path, edits, code, holds):
+        """The meta.json simulate writes is, byte for byte, meta_json_text of
+        the run read_trajectory rebuilds from it: the reader's one rule
+        accepts every run the writer writes, a partial one included."""
+        out = tmp_path / "out"
+        cfg = write_reference_config(tmp_path / "run.ini", str(out), **edits)
+        assert main(["simulate", str(cfg)]) == code
+        traj = read_trajectory(out)
+        assert holds(traj)
+        assert meta_json_text(traj, rwcosmo.__version__).encode() == \
+            (out / "meta.json").read_bytes()
 
     def test_old_format_directory_exits_1(self, tmp_path, capsys):
         """A run directory from before the events joined meta.json (a

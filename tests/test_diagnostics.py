@@ -39,8 +39,7 @@ class TestFitDecayRate:
         """Same fit from numpy arrays and from lists."""
         t = np.arange(0.0, 5.01, 0.5)
         y = np.exp(-2.0 * t)
-        fits = [fit_decay_rate(t, y, (0.0, 5.0)),
-                fit_decay_rate(t.tolist(), y.tolist(), (0.0, 5.0))]
+        fits = [fit_decay_rate(t, y), fit_decay_rate(t.tolist(), y.tolist())]
         assert fits[0] == fits[1]
         assert fits[0].rate == pytest.approx(2.0, abs=1e-12)
         assert fits[0].residual < 1e-12
@@ -51,34 +50,34 @@ class TestFitDecayRate:
     ], ids=["unequal_lengths", "two_dimensional"])
     def test_mismatched_arrays_rejected(self, t, y):
         with pytest.raises(ValueError, match="1-d and of equal length"):
-            fit_decay_rate(t, y, (0.0, 10.0))
+            fit_decay_rate(t, y)
 
     def test_exact_line_and_polyfit_agreement(self):
         """The closed-form fit recovers an exact line in ln y and agrees with
         np.polyfit on noisy data."""
         t = np.arange(2.0, 9.01, 0.01)
-        fit = fit_decay_rate(t, np.exp(0.7 - 1.5 * t), (2.0, 9.0))
+        fit = fit_decay_rate(t, np.exp(0.7 - 1.5 * t))
         assert fit.rate == pytest.approx(1.5, rel=1e-13)
         assert fit.intercept == pytest.approx(0.7, rel=1e-12)
         rng = np.random.default_rng(7)
         for _ in range(20):
             y = np.exp(rng.normal(1.0, 1.0) - rng.uniform(0.1, 3.0) * t
                        + 0.1 * rng.standard_normal(t.size))
-            fit = fit_decay_rate(t, y, (2.0, 9.0))
+            fit = fit_decay_rate(t, y)
             slope, intercept = np.polyfit(t, np.log(y), 1)
             assert fit.rate == pytest.approx(-slope, rel=1e-9)
             assert fit.intercept == pytest.approx(intercept, rel=1e-9)
 
     def test_constant_series_rate_zero(self):
         t = np.arange(0.0, 5.01, 0.5)
-        fit = fit_decay_rate(t, np.full_like(t, 7.0), (0.0, 5.0))
+        fit = fit_decay_rate(t, np.full_like(t, 7.0))
         assert fit.rate == pytest.approx(0.0, abs=1e-14)
 
     def test_modulated_exponential_within_tolerance(self):
         """y = exp(-2t) (1 + 0.01 sin t) fits to 2 +- 0.02."""
         t = np.arange(0.0, 5.001, 0.1)
         y = np.exp(-2.0 * t) * (1.0 + 0.01 * np.sin(t))
-        fit = fit_decay_rate(t, y, (0.0, 5.0))
+        fit = fit_decay_rate(t, y)
         assert abs(fit.rate - 2.0) <= 0.02
 
     def test_nonpositive_values_rejected(self):
@@ -86,42 +85,31 @@ class TestFitDecayRate:
         y = np.exp(-t)
         y[4] = 0.0
         with pytest.raises(ValueError, match="positive"):
-            fit_decay_rate(t, y, (0.0, 1.0))
+            fit_decay_rate(t, y)
 
     def test_too_few_points_rejected(self):
         t = np.arange(0.0, 0.7, 0.1)  # 7 points
         with pytest.raises(ValueError, match="8 points"):
-            fit_decay_rate(t, np.exp(-t), (0.0, 1.0))
+            fit_decay_rate(t, np.exp(-t))
 
     def test_affine_equivariance(self):
         """Scaling y by c > 0 changes the intercept, never the rate."""
         t = np.arange(0.0, 3.01, 0.25)
         y = np.exp(-1.3 * t) * (1.0 + 0.05 * np.cos(3 * t))
-        base = fit_decay_rate(t, y, (0.0, 3.0))
-        scaled = fit_decay_rate(t, 17.0 * y, (0.0, 3.0))
+        base = fit_decay_rate(t, y)
+        scaled = fit_decay_rate(t, 17.0 * y)
         assert scaled.rate == pytest.approx(base.rate, rel=1e-12)
         assert scaled.intercept == pytest.approx(base.intercept + math.log(17.0), rel=1e-12)
 
     def test_window_restricts_points(self):
-        """The fit records the points it used, not the window it was given."""
+        """The fit records the first and last times and the number of the
+        points it is given, here a slice that leaves out corrupt points."""
         t = np.arange(0.0, 10.01, 0.5)
         y = np.exp(-2.0 * t)
-        y[:4] = 1.0  # corrupt early points outside the window
-        fit = fit_decay_rate(t, y, (1.8, 9.9))
+        y[:4] = 1.0  # corrupt early points, sliced off
+        fit = fit_decay_rate(t[4:20], y[4:20])
         assert fit.rate == pytest.approx(2.0, abs=1e-12)
         assert (fit.t_lo, fit.t_hi, fit.n_points) == (2.0, 9.5, 16)
-
-    @pytest.mark.parametrize("window", [
-        pytest.param((1.0, 6.0), id="ends_on_grid"),
-        pytest.param((1.2, 5.9), id="lower_end_off_grid"),  # the sample is 1.2000000000000002
-    ])
-    def test_sub_window_equals_pre_sliced_fit(self, window):
-        """Fitting a sub-window of the series and fitting the points inside
-        it, sliced beforehand, give the same fit bit for bit."""
-        t = np.arange(0.0, 8.001, 0.1)
-        y = np.exp(-1.7 * t) * (1.0 + 0.05 * np.sin(5.0 * t))
-        inside = (t >= window[0]) & (t <= window[1])
-        assert fit_decay_rate(t, y, window) == fit_decay_rate(t[inside], y[inside], window)
 
 
 def cumulative_simpson_loop(y, dt):
@@ -441,10 +429,10 @@ class TestOneExpPerIdentity:
             assert_two_exp_verdicts(traj)
 
     @pytest.mark.parametrize("nu_t_end,overflows", [
-        (150.0, set()),
-        (300.0, {"exp(nu t)**3"}),
-        (400.0, {"exp(nu t)**3", "exp(2 int u)"}),
-        (720.0, {"exp(nu t)**3", "exp(2 int u)", "exp(nu t)"}),
+        pytest.param(150.0, set(), id="nu_t_150_none"),
+        pytest.param(300.0, {"exp(nu t)**3"}, id="nu_t_300_cube"),
+        pytest.param(400.0, {"exp(nu t)**3", "exp(2 int u)"}, id="nu_t_400_cube_2int_u"),
+        pytest.param(720.0, {"exp(nu t)**3", "exp(2 int u)", "exp(nu t)"}, id="nu_t_720_all"),
     ])
     def test_past_each_overflow_point(self, nu_t_end, overflows):
         """Past nu t = 236.6 exp(nu t)**3 overflows, past 709.8 exp(nu t);

@@ -2,15 +2,18 @@
 the trajectory files it writes and read_trajectory, in bounded memory."""
 
 import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from rwcosmo import IntegratorConfig, integrate
+from rwcosmo import IntegratorConfig, ModelParams, integrate, make_initial_data, nu_rate
 from rwcosmo.integrator import IntegrationStats, Trajectory
-from rwcosmo.serialize import _BLOCK, fmt, read_trajectory, write_table, write_trajectory
+from rwcosmo.serialize import (_BLOCK, fmt, meta_json_text, read_trajectory, write_table,
+                               write_trajectory)
 
 from conftest import REF_PARAMS, reference_initial
 
@@ -153,6 +156,24 @@ def test_run_is_two_files(tmp_path):
     (tmp_path / "trajectory.csv").unlink()
     with pytest.raises(FileExistsError, match="overwrite meta.json in"):
         write_trajectory(tmp_path, traj, "test")
+
+
+@settings(max_examples=40)
+@given(lam=st.floats(-5.0, 5.0), mass=st.floats(0.05, 3.0), phi0=st.floats(0.05, 3.0),
+       chi0=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+       rho0=st.one_of(st.just(0.0), st.floats(0.0, 2.0)), mode=st.sampled_from(["paper", "kg"]))
+def test_meta_is_what_the_read_run_writes(lam, mass, phi0, chi0, rho0, mode):
+    """For admissible draws (lambda > -4 pi m^2 phi0^2, phi0 > 0, expanding)
+    in both modes, meta_json_text of the run read back equals the meta.json
+    written, byte for byte."""
+    params = ModelParams(lam=lam, mass=mass)
+    assume(nu_rate(params, phi0) is not None)
+    data = make_initial_data(params, a0=1.0, phi0=phi0, chi0=chi0, rho0=rho0, branch="expanding")
+    traj = integrate(data, params, IntegratorConfig(t_end=0.1, mode=mode))
+    with tempfile.TemporaryDirectory() as tmp:
+        write_trajectory(tmp, traj, "test")
+        assert meta_json_text(read_trajectory(tmp), "test").encode() == \
+            (Path(tmp) / "meta.json").read_bytes()
 
 
 @pytest.fixture(scope="module")
