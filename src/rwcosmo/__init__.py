@@ -39,7 +39,6 @@ from .integrator import (
     Event,
     IntegrationStats,
     InadmissibleInitialData,
-    StepSizeUnderflow,
     TRAJECTORY_COLUMNS,
     step,
     integrate,

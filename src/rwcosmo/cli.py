@@ -10,8 +10,8 @@ by the type it builds (ModelParams, InitialData, IntegratorConfig,
 SweepPlan), and admissibility is decided by ``integrate`` alone.
 
 Exit codes: 0 ok, 1 usage/config error or an I/O error in any command,
-2 inadmissible data, 3 integrator failure, 4 verification failure,
-5 inconclusive verification.
+2 inadmissible data, 3 a run limit ended the run (partial outputs are
+written), 4 verification failure, 5 inconclusive verification.
 The single recognized environment variable, RWCOSMO_OUTPUT_ROOT, prefixes
 relative output directories.
 """
@@ -34,8 +34,7 @@ from .diagnostics import (STATUS_FAILED, STATUS_INCONCLUSIVE, TOL,
                           VerificationReport, verify)
 from .initial import (InitialData, NegativeDensity, NoRealBranch,
                       initial_data_from_u0, make_initial_data)
-from .integrator import (GUARD_TRIPPED, InadmissibleInitialData,
-                         IntegratorConfig, StepSizeUnderflow, Trajectory,
+from .integrator import (InadmissibleInitialData, IntegratorConfig, Trajectory,
                          integrate, libm)
 from .model import ModelParams
 from .serialize import (CorruptTrajectory, read_trajectory, write_table,
@@ -206,16 +205,13 @@ def cmd_simulate(config_path: str) -> int:
     out_dir = resolve_output_dir(cfg.directory)
     try:
         traj = integrate(cfg.initial, cfg.params, cfg.integrator)
-    except StepSizeUnderflow as exc:
-        _err(f"integration failed: {exc}")
-        return EXIT_INTEGRATOR
     except InadmissibleInitialData as exc:
         _err(str(exc))
         return EXIT_INADMISSIBLE
 
     write_trajectory(out_dir, traj, __version__, overwrite=cfg.overwrite)
     if traj.guard_tripped:
-        trip = next(e for e in traj.events if e.kind == GUARD_TRIPPED)
+        trip = traj.events[-1]
         _err(f"guard tripped at t = {trip.t:.6g} ({trip.detail}); partial "
              f"trajectory ({len(traj.t)} samples) written to {out_dir}")
         return EXIT_INTEGRATOR

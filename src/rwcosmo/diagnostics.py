@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .initial import nu_rate
-from .integrator import GUARD_TRIPPED, Trajectory, libm
+from .integrator import Trajectory, libm
 from .model import EIGHT_PI, FOUR_PI, TWENTY_FOUR_PI
 
 STATUS_PASSED = "passed"
@@ -326,9 +326,8 @@ def verify(traj: Trajectory) -> VerificationReport:
                              f"a >= a0*exp(nu t)*(1-{TOL.a_growth_slack:g})"))
 
     if traj.guard_tripped:
-        trips = [e for e in traj.events if e.kind == GUARD_TRIPPED]
-        notes.append("integration aborted by guard: " +
-                     "; ".join(f"t = {e.t:.6g}: {e.detail}" for e in trips))
+        trip = traj.events[-1]
+        notes.append(f"integration aborted by guard: t = {trip.t:.6g}: {trip.detail}")
 
     failed = not all(c.passed for c in checks)
     status = STATUS_FAILED if failed else STATUS_INCONCLUSIVE if skip else STATUS_PASSED

@@ -132,7 +132,8 @@ def solve_u0(params: ModelParams, phi0: float, chi0: float, rho0: float,
 def solve_rho0(params: ModelParams, phi0: float, chi0: float, u0: float) -> float:
     """Fluid density that closes the constraint at a prescribed u0.
 
-    Convenient for sweeps pinned at a chosen expansion rate.  Raises
+    It backs simulate's ``[initial] u0`` form, through
+    :func:`initial_data_from_u0`; a sweep plan cannot set u0.  Raises
     :class:`NegativeDensity` when the constraint forces rho0 < 0.
     """
     _require_finite(phi0=phi0, chi0=chi0, u0=u0)

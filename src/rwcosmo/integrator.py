@@ -123,12 +123,16 @@ _TINY = 1e-300
 #: reference run's 10,001, and 8 MB per sampled column.
 MAX_SAMPLES = 10**6
 
-#: The first trial step, and the bounds of every step (StepSizeUnderflow below H_MIN).
+#: The first trial step, and the bounds of every step.
 H_INIT = 1e-4
 H_MIN = 1e-14
 H_MAX = 0.25
-#: Blow-up guards: a step ending at |u| > MAX_ABS_U, |phi| > MAX_ABS_PHI or
-#: v < MIN_V ends the run in GuardTripped.  Theorem 1's runs stay far inside.
+#: Run limits: a step size below H_MIN, MAX_STEPS trial steps short of t_end,
+#: or a step ending at |u| > MAX_ABS_U, |phi| > MAX_ABS_PHI or v < MIN_V ends
+#: the run in GuardTripped.  Theorem 1's runs stay far inside.  MAX_STEPS is
+#: 4,000 times the dense kg run's 242 steps: a kg run at m = 1e4, phi0 = 0.01
+#: reached it at t = 12.4 after 10.8 s (2-CPU Xeon, Python 3.11).
+MAX_STEPS = 10**6
 MAX_ABS_U = 1e3
 MAX_ABS_PHI = 1e6
 MIN_V = 1e-300
@@ -137,10 +141,6 @@ _SAFETY = 0.9
 _SHRINK_MIN = 0.2
 _GROW_MAX = 5.0
 _EXPONENT = -0.2  # 1/5th order
-
-
-class StepSizeUnderflow(RuntimeError):
-    """The controller needed a step smaller than H_MIN."""
 
 
 class InadmissibleInitialData(ValueError):
@@ -170,6 +170,9 @@ class IntegratorConfig:
                              f"more than MAX_SAMPLES = {MAX_SAMPLES} samples")
         if self.mode not in ("paper", "kg"):
             raise ValueError(f"mode must be 'paper' or 'kg', got {self.mode!r}")
+        if type(self.override_admissibility) is not bool:
+            raise ValueError(f"override_admissibility must be a bool, "
+                             f"got {self.override_admissibility!r}")
 
 
 @dataclass(frozen=True)
@@ -210,8 +213,9 @@ class Trajectory:
     data stored, as a private read-only copy; the sample times ``t`` and
     the density are derived, from ``config`` and ``initial``, like every
     other column.  The first sample is the initial state.  In paper mode
-    every sample after a ``FieldFrozen`` event has chi exactly 0.  Immutable
-    once returned; equality is identity.
+    every sample after a ``FieldFrozen`` event has chi exactly 0.  A
+    ``GuardTripped`` event, if any, is the last event.  Immutable once
+    returned; equality is identity.
     """
 
     params: ModelParams
@@ -227,6 +231,8 @@ class Trajectory:
         object.__setattr__(self, "states", states)
         if self.t.size < len(states):
             raise ValueError(f"{len(states)} state rows, but {self.t.size} grid samples")
+        if any(e.kind == GUARD_TRIPPED for e in self.events[:-1]):
+            raise ValueError(f"a {GUARD_TRIPPED} event ends the run: it must be the last event")
 
     @cached_property
     def t(self) -> np.ndarray:
@@ -261,7 +267,8 @@ class Trajectory:
 
     @property
     def guard_tripped(self) -> bool:
-        return any(e.kind == GUARD_TRIPPED for e in self.events)
+        """Whether a run limit ended the run: its last event is GuardTripped."""
+        return bool(self.events) and self.events[-1].kind == GUARD_TRIPPED
 
 
 def _trial_step(y: Sequence[float], k1: Sequence[float], h: float,
@@ -452,10 +459,11 @@ def integrate(initial: InitialData, params: ModelParams,
     Preconditions: the data must pass :func:`validate_theorem1` unless
     ``config.override_admissibility`` is set (exploration of inadmissible
     data, e.g. the contracting branch), and must satisfy the initial
-    constraint; violating either raises.  Guard trips abort gracefully: the
-    partial trajectory is returned with a ``GuardTripped`` event, never an
-    exception.  A genuine step-size collapse raises
-    :class:`StepSizeUnderflow`.
+    constraint; violating either raises.  Every other input returns a
+    Trajectory.  A run limit ends the run early with a ``GuardTripped``
+    event, its last, and the partial trajectory up to it: a step size below
+    H_MIN, MAX_STEPS trial steps, a step past MAX_ABS_U, MAX_ABS_PHI or
+    MIN_V, or a grid sample that breaks the state invariants.
     """
     report = validate_theorem1(params, initial)
     if not report.theorem1_applicable and not config.override_admissibility:
@@ -524,6 +532,9 @@ def integrate(initial: InitialData, params: ModelParams,
 
     h = H_INIT
     while tail is None and t < config.t_end:
+        if accepted + rejected == MAX_STEPS:
+            events.append(Event(t, GUARD_TRIPPED, f"MAX_STEPS = {MAX_STEPS} trial steps taken"))
+            break
         remaining = config.t_end - t
         h_trial = min(h, remaining)
         end_limited = h_trial < h
@@ -533,7 +544,8 @@ def integrate(initial: InitialData, params: ModelParams,
             rejected += 1
             h = h_trial * _step_factor(norm)
             if h < H_MIN and not end_limited:
-                raise StepSizeUnderflow(f"step size fell below H_MIN = {H_MIN!r} at t = {t:.9g}")
+                events.append(Event(t, GUARD_TRIPPED, f"step size fell below H_MIN = {H_MIN!r}"))
+                break
             continue
 
         accepted += 1

@@ -209,10 +209,10 @@ def read_trajectory(directory: Union[str, Path]) -> Trajectory:
 
     grid = sample_times(config)
     states = _read(directory / TRAJECTORY_CSV, lambda csv: _parse_states(csv, grid))
-    traj = Trajectory(params=params, initial=initial, config=config,
-                      states=states, events=events, stats=stats)
-    written = json.loads(meta_json_text(traj, version))
     with _parsing(META_JSON):
+        traj = Trajectory(params=params, initial=initial, config=config,
+                          states=states, events=events, stats=stats)
+        written = json.loads(meta_json_text(traj, version))
         # Type for type, key by key: 1 is neither 1.0 nor true.
         for key in [*written, *(k for k in meta if k not in written)]:
             found = json.dumps(meta[key], sort_keys=True)

@@ -18,7 +18,7 @@ from typing import Optional
 
 from .diagnostics import verify
 from .initial import NoRealBranch, make_initial_data, validate_theorem1
-from .integrator import IntegratorConfig, InadmissibleInitialData, StepSizeUnderflow, integrate
+from .integrator import IntegratorConfig, InadmissibleInitialData, integrate
 from .model import ModelParams
 from .serialize import fmt
 
@@ -28,7 +28,6 @@ STATUS_OK = "ok"
 STATUS_SKIPPED = "skipped"
 STATUS_NO_REAL_BRANCH = "no-real-branch"
 STATUS_GUARD_TRIPPED = "guard-tripped"
-STATUS_STEP_UNDERFLOW = "step-underflow"
 STATUS_INVALID_DATA = "invalid-data"
 
 #: Fewest rows for which ``workers = auto`` starts a process pool; smaller
@@ -102,8 +101,8 @@ class SweepPlan:
                 raise ValueError(f"{name} = {value!r} must be >= 0")
         if not self.a0 > 0.0:
             raise ValueError(f"a0 = {self.a0!r} must be > 0")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers = {self.workers!r} must be >= 1 (or auto)")
+        if self.workers is not None and (type(self.workers) is not int or self.workers < 1):
+            raise ValueError(f"workers = {self.workers!r} must be an integer >= 1 (or auto)")
 
     @property
     def size(self) -> int:
@@ -169,8 +168,6 @@ def _evaluate_point(args: tuple) -> SweepRow:
         traj = integrate(data, params, config)
     except InadmissibleInitialData:
         return row(False, STATUS_SKIPPED, nu=nu)
-    except StepSizeUnderflow:
-        return row(adm.theorem1_applicable, STATUS_STEP_UNDERFLOW, nu=nu)
     events = ";".join(f"{e.kind}@{e.t:.9g}" for e in traj.events)
     if traj.guard_tripped:
         return row(adm.theorem1_applicable, STATUS_GUARD_TRIPPED, nu=nu, events=events)
@@ -188,10 +185,11 @@ def _evaluate_point(args: tuple) -> SweepRow:
 def run_sweep(plan: SweepPlan) -> list[SweepRow]:
     """Evaluate every grid point; never aborts on per-point failures.
 
-    Inadmissible points come back flagged (skipped / no-real-branch /
-    invalid-data / guard-tripped / step-underflow) rather than raising.  The returned list is in plan order
-    whether or not a worker pool was used.  The pool has one worker per row
-    at most, and no more than the CPU count (its default width).
+    Points that cannot be run come back flagged (skipped / no-real-branch /
+    invalid-data), and so do runs a run limit ended (guard-tripped), rather
+    than raising.  The returned list is in plan order whether or not a
+    worker pool was used.  The pool has one worker per row at most, and no
+    more than the CPU count (its default width).
     """
     points = plan.points()
     args = [(p, plan.a0, plan.branch, plan.integrator) for p in points]

@@ -29,6 +29,7 @@ from rwcosmo.sweep import SWEEP_PARAMS
 
 from conftest import write_reference_config
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 TRAJECTORY_HEADER = "t,u,v,phi,chi"
 #: sha256 of the reference run's trajectory.csv, and of the same run stepped
 #: through its frozen phase.  The float stepper makes them the same on every
@@ -156,9 +157,11 @@ class TestSimulate:
         meta = json.loads((tmp_path / "out" / "meta.json").read_text())
         assert any(e["kind"] == "GuardTripped" for e in meta["events"])
 
-    def test_step_size_underflow_exits_3_without_files(self, tmp_path, capsys, monkeypatch):
-        """H_MIN close to H_MAX leaves no room to resolve the dynamics: one
-        error line, exit 3, nothing written."""
+    def test_step_size_underflow_exits_3_with_partial_run(self, tmp_path, capsys, monkeypatch):
+        """H_MIN close to H_MAX leaves no room to resolve the dynamics: the
+        run ends in GuardTripped at t = 0, like any other run limit.  One
+        error line, exit 3, and the one-sample run is written; verify notes
+        the guard and exits 5."""
         monkeypatch.setattr(integrator, "H_MIN", 0.05)
         monkeypatch.setattr(integrator, "H_INIT", 0.1)
         out = tmp_path / "out"
@@ -168,10 +171,15 @@ class TestSimulate:
                "t_end = 10": "t_end = 1"})
         capsys.readouterr()
         assert main(["simulate", str(cfg)]) == EXIT_INTEGRATOR
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(
-            "rwcosmo: error: integration failed: step size fell below H_MIN = 0.05"), err
-        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "rwcosmo: error: guard tripped at t = 0 (step size fell below H_MIN = 0.05); "
+            f"partial trajectory (1 samples) written to {out}"]
+        assert sorted(p.name for p in out.iterdir()) == ["meta.json", "trajectory.csv"]
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        assert len(lines) == 2 and lines[0] == TRAJECTORY_HEADER
+        assert main(["verify", str(out)]) == EXIT_INCONCLUSIVE
+        notes = json.loads((out / "report.json").read_text())["notes"]
+        assert notes[-1] == "integration aborted by guard: t = 0: step size fell below H_MIN = 0.05"
 
     def test_unknown_key_exits_1(self, tmp_path):
         for old, new in (("mass = 1", "mass = 1\nmassy = 2"),
@@ -592,6 +600,10 @@ class TestVerify:
         (lambda meta: meta.update(version=5), "version must be a string, got 5"),
         (lambda meta: meta.update(package="x"), "package"),
         (lambda meta: meta["integrator"].update(t_end=1), '"t_end": 1}'),
+        (lambda meta: meta["integrator"].update(override_admissibility="yes"),
+         "override_admissibility must be a bool, got 'yes'"),
+        (lambda meta: meta["events"].insert(0, {"t": 0.0, "kind": "GuardTripped", "detail": "x"}),
+         "a GuardTripped event ends the run: it must be the last event"),
     ], ids=["n_samples_not_the_rows", "n_samples_float", "a0_string",
             "count_fractional", "count_boolean", "a0_boolean",
             "chi0_negative", "rho0_negative",
@@ -600,10 +612,11 @@ class TestVerify:
             "admissibility_flag_edited", "admissibility_unknown_key",
             "admissibility_flag_as_integer", "guard_tripped_stray",
             "unknown_top_level_key", "version_not_string", "package_not_rwcosmo",
-            "float_written_as_int"])
+            "float_written_as_int", "override_not_bool", "guard_trip_not_last"])
     def test_meta_values_checked(self, tmp_path, capsys, edit, key):
         """meta.json's values are checked: each block is an object, a real
         value is not a boolean, a count is an integer, version is a string,
+        override_admissibility is a bool, a GuardTripped event is the last,
         and the file is, as JSON and type for type, what simulate writes for
         the run it describes (n_samples the trajectory.csv rows,
         admissibility validate_theorem1's report, no stray key, a float not
@@ -722,6 +735,20 @@ class TestReport:
             assert (ref_run / name).exists()
         summary = (ref_run / "summary.txt").read_text()
         assert "status: passed" in summary
+
+    def test_unfitted_rates_and_notes_in_summary(self, tmp_path):
+        """On the t_end = 0.1 reference run Q has not passed the gate: the
+        summary says each rate is not fitted and carries verify's note."""
+        out = tmp_path / "out"
+        cfg = write_reference_config(tmp_path / "c.ini", str(out),
+                                     **{"t_end = 10": "t_end = 0.1"})
+        assert main(["simulate", str(cfg)]) == EXIT_OK
+        assert main(["report", str(out)]) == EXIT_OK
+        assert (out / "summary.txt").read_text().splitlines()[-5:] == [
+            "rate[Q]: not fitted", "rate[rho]: not fitted", "rate[chi2]: not fitted",
+            "note: Q(t_end)/Q(0) = 0.415 has not passed the 0.001 gate; "
+            "integrate further for conclusive asymptotics",
+            "status: inconclusive"]
 
     def test_empty_out_exits_1_without_files(self, tmp_path, capsys, monkeypatch, ref_run):
         """``-o ""`` would be the working directory: the same config error as
@@ -977,7 +1004,7 @@ class TestSchema:
         assert not out.exists()
 
     def test_readme_examples_parse(self, tmp_path):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        readme = README.read_text()
         run_ini, plan_ini = re.findall(r"```ini\n(.*?)```", readme, re.S)
         (tmp_path / "run.ini").write_text(run_ini)
         (tmp_path / "plan.ini").write_text(plan_ini)
@@ -988,6 +1015,23 @@ class TestSchema:
         plan, directory, overwrite = parse_sweep_plan(str(tmp_path / "plan.ini"))
         assert plan.size == 5 and plan.workers is None
         assert (directory, overwrite) == ("sweep_out", True)
+
+    def test_readme_names_every_exit_code(self):
+        """README's exit-code sentence names exactly cli's EXIT_* codes, 0 to 5."""
+        sentence = README.read_text().split("\nExit codes: ")[1].split("\n\n")[0]
+        codes = {v for k, v in vars(rwcosmo.cli).items() if k.startswith("EXIT_")}
+        assert [int(c) for c in re.findall(r"`(\d+)`", sentence)] == sorted(codes) == \
+            list(range(6))
+
+    def test_readme_names_every_sweep_status(self):
+        """README's Sweep plan section lists exactly the STATUS_* values of
+        rwcosmo.sweep as a row's status, and names no other hyphenated status."""
+        section = README.read_text().split("\n### Sweep plan\n")[1].split("\n## ")[0]
+        listed = re.search(r"A row's `status` is one of (.*?)\.", section, re.S).group(1)
+        statuses = {v for k, v in vars(rwcosmo.sweep).items() if k.startswith("STATUS_")}
+        named = re.findall(r"`([a-z-]+)`", listed)
+        assert len(named) == len(statuses) and set(named) == statuses
+        assert set(re.findall(r"`([a-z]+(?:-[a-z]+)+)`", section)) <= statuses
 
 
 #: What the fuzz writes into a key: malformed, out-of-range and in-range
@@ -1042,8 +1086,8 @@ class TestFuzzMain:
     """``main`` on malformed configs ends in a documented exit code with one
     error line, never a traceback.  Every relative output directory lands
     below a fresh RWCOSMO_OUTPUT_ROOT.  Draws whose t_end/sample_dt exceeds
-    1e4 are dropped, as integrate has no step budget yet; a sweep keeps
-    ``workers = 1``, so no process pool starts.  Shrinking is skipped: the
+    1e4 are dropped, as writing up to MAX_SAMPLES rows takes seconds; a sweep
+    keeps ``workers = 1``, so no process pool starts.  Shrinking is skipped: the
     derandomized first counterexample already reproduces."""
 
     @pytest.mark.filterwarnings("ignore:initial expansion rate u0 is exactly zero")

@@ -355,6 +355,28 @@ class TestVerifyAsymptotics:
         assert abs(report.H_inf_hat - target) <= 1e-3 * target
         assert report.L_hat == phi_f ** 2
 
+    def test_non_positive_c0_fails_h_inf_limit(self):
+        """A hand-built run past the Q gate whose limit estimate C0 = lam +
+        4 pi m^2 phi(t_end)^2 is negative (lam = -4 pi, m = 1, phi falling
+        from 2 to 0.999, u from 10 to 0) fails h_inf_limit outright, with
+        margin -C0_hat, as sqrt(3 C0) does not exist."""
+        params = ModelParams(lam=-4.0 * math.pi, mass=1.0)
+        config = IntegratorConfig(t_end=1.0, sample_dt=0.01)
+        t = sample_times(config)
+        states = np.column_stack([10.0 * (1.0 - t), np.ones_like(t), 2.0 - 1.001 * t,
+                                  np.zeros_like(t)])
+        traj = Trajectory(params=params, initial=InitialData(1.0, 10.0, 2.0, 0.0, 0.0),
+                          config=config, states=states, events=(),
+                          stats=IntegrationStats(0, 0, 0))
+        q = traj.as_arrays()["Q"]
+        assert abs(q[-1]) < TOL.q_ratio_gate * q[0]
+        report = verify(traj)
+        c0_hat = params.lam + 4.0 * math.pi * 0.999 ** 2
+        assert report.C0_hat == pytest.approx(c0_hat, rel=1e-12) and report.C0_hat < 0.0
+        assert report.check("h_inf_limit") == Check("h_inf_limit", False, -report.C0_hat,
+                                                    "C0 estimate not positive")
+        assert report.status == STATUS_FAILED
+
 
 def two_exp_margins(traj):
     """The margins of the three exponential checks by the two-exp formulas:

@@ -10,8 +10,7 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from rwcosmo import (CosmoState, InadmissibleInitialData, IntegratorConfig,
-                     ModelParams, StepSizeUnderflow, build_state, integrate,
-                     make_initial_data, step)
+                     ModelParams, build_state, integrate, make_initial_data, step)
 from rwcosmo import integrator
 from rwcosmo.diagnostics import TOL, cumulative_simpson
 from rwcosmo.initial import nu_rate
@@ -170,8 +169,13 @@ class TestConfig:
         pytest.param(dict(t_end=-1.0), id="t_end_negative"),
         pytest.param(dict(sample_dt=0.0), id="sample_dt_zero"),
         pytest.param(dict(mode="euler"), id="mode_unknown"),
+        pytest.param(dict(override_admissibility="false"), id="override_string_truthy"),
+        pytest.param(dict(override_admissibility=0), id="override_integer"),
+        pytest.param(dict(override_admissibility=None), id="override_none"),
     ])
     def test_invalid_configs_rejected(self, kwargs):
+        """A non-bool override_admissibility is refused: "false" is truthy
+        and would integrate inadmissible data."""
         with pytest.raises(ValueError):
             IntegratorConfig(**kwargs)
 
@@ -659,8 +663,7 @@ class TestModesAndGuards:
         traj = integrate(data, params, cfg)
         assert traj.guard_tripped
         assert 0 < len(traj.t) < 1001
-        trip = [e for e in traj.events if e.kind == GUARD_TRIPPED][0]
-        assert trip.t < cfg.t_end
+        assert traj.events[-1].kind == GUARD_TRIPPED and traj.events[-1].t < cfg.t_end
 
     def test_inconsistent_data_rejected(self):
         """Explicit u0 that breaks the constraint is refused outright."""
@@ -698,14 +701,45 @@ class TestModesAndGuards:
         assert s1.chi > 0.0
 
     def test_underflow_on_hopeless_tolerance(self, monkeypatch):
-        """H_MIN close to H_MAX leaves no room to resolve the dynamics."""
+        """H_MIN close to H_MAX leaves no room to resolve the dynamics: the
+        first trial step is rejected, and the run ends at t = 0 in
+        GuardTripped, returned with its one sample and its stats."""
         monkeypatch.setattr(integrator, "H_MIN", 0.05)
         monkeypatch.setattr(integrator, "H_INIT", 0.1)
         params = ModelParams(lam=1.0, mass=1.0)
         data = make_initial_data(params, 1.0, 1.0, 0.1, 0.05, "expanding")
         cfg = replace(REF_CONFIG, rel_tol=1e-14, abs_tol=1e-14, t_end=1.0)
-        with pytest.raises(StepSizeUnderflow, match="fell below H_MIN = 0.05"):
-            integrate(data, params, cfg)
+        traj = integrate(data, params, cfg)
+        assert traj.guard_tripped
+        assert TestSampleGuard.pins(traj) == (
+            1, 0.0, [(GUARD_TRIPPED, 0.0, "step size fell below H_MIN = 0.05")], (0, 1, 7))
+        assert traj.states.tolist() == [[data.u0, 1.0, 1.0, 0.1]]
+
+    def test_step_budget_ends_run(self, monkeypatch, ref_initial):
+        """A run still short of t_end after MAX_STEPS trial steps ends in
+        GuardTripped at the last step's end, in either mode; the reference
+        run's 14 steps fit a budget of 14 exactly."""
+        monkeypatch.setattr(integrator, "MAX_STEPS", 5)
+        for mode in ("paper", "kg"):
+            traj = integrate(ref_initial, REF_PARAMS, replace(REF_CONFIG, mode=mode))
+            assert TestSampleGuard.pins(traj) == (2, 0.01, [
+                (GUARD_TRIPPED, 0.016595302092397707, "MAX_STEPS = 5 trial steps taken")],
+                (5, 0, 31))
+        monkeypatch.setattr(integrator, "MAX_STEPS", 13)
+        traj = integrate(ref_initial, REF_PARAMS, REF_CONFIG)
+        assert (traj.events[-1].detail, traj.stats.steps_accepted) == (
+            "MAX_STEPS = 13 trial steps taken", 13)
+        monkeypatch.setattr(integrator, "MAX_STEPS", 14)
+        traj = integrate(ref_initial, REF_PARAMS, REF_CONFIG)
+        assert not traj.guard_tripped and traj.stats.steps_accepted == 14
+
+    def test_guard_trip_is_the_last_event(self, ref_trajectory):
+        """A GuardTripped event ends a run: a Trajectory with one before
+        another event is refused."""
+        trip = integrator.Event(0.01, GUARD_TRIPPED, "x")
+        assert replace(ref_trajectory, events=ref_trajectory.events + (trip,)).guard_tripped
+        with pytest.raises(ValueError, match="GuardTripped event ends the run"):
+            replace(ref_trajectory, events=(trip,) + ref_trajectory.events)
 
 
 def _sample_trip(t_sample, row):
@@ -769,21 +803,19 @@ class TestSampleGuard:
     @pytest.mark.parametrize("max_abs_u", [1e100, 1e3])
     def test_trip_before_later_failure(self, monkeypatch, max_abs_u):
         """The run stops at a bad sample at t = 0.03 even though the steps
-        after it go on to a StepSizeUnderflow (MAX_ABS_U = 1e100) or to the
-        |u| guard (1e3) at t = 0.80: no raise, no later event, and the
-        rejected steps after it are not counted."""
+        after it go on to a step size below H_MIN (MAX_ABS_U = 1e100) or to
+        the |u| guard (1e3) at t = 0.80: no later event, and the rejected
+        steps after it are not counted."""
         monkeypatch.setattr(integrator, "MAX_ABS_U", max_abs_u)
         params = ModelParams(lam=-1.0, mass=0.0)
         data = make_initial_data(params, 1.0, 0.1, 0.1, 0.05, "contracting")
         config = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-8, t_end=10.0, sample_dt=0.01,
                                   override_admissibility=True)
-        if max_abs_u == 1e100:
-            with pytest.raises(StepSizeUnderflow):
-                integrate(data, params, config)
-        else:
-            assert self.pins(integrate(data, params, config)) == (
-                81, 0.8, [(GUARD_TRIPPED, 0.8018229097071645, "|u| = 1061.43 exceeded 1000")],
-                (123, 0, 739))
+        assert self.pins(integrate(data, params, config)) == {
+            1e100: (81, 0.8, [(GUARD_TRIPPED, 0.8021390307196832,
+                               "step size fell below H_MIN = 1e-14")], (456, 1, 2743)),
+            1e3: (81, 0.8, [(GUARD_TRIPPED, 0.8018229097071645, "|u| = 1061.43 exceeded 1000")],
+                  (123, 0, 739))}[max_abs_u]
         monkeypatch.setattr(integrator, "_D7", integrator._D7 * -300.0)
         assert self.pins(integrate(data, params, config)) == (
             3, 0.02, [(GUARD_TRIPPED, 0.0704587499466682, _sample_trip(0.03, [

@@ -7,6 +7,7 @@ import io
 import math
 import os
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,8 +20,7 @@ from rwcosmo.integrator import _TINY, FIELD_FROZEN
 from rwcosmo.serialize import read_trajectory
 from rwcosmo.sweep import (STATUS_GUARD_TRIPPED, STATUS_INVALID_DATA,
                            STATUS_NO_REAL_BRANCH, STATUS_OK, STATUS_SKIPPED,
-                           STATUS_STEP_UNDERFLOW, SWEEP_COLUMNS, MAX_ROWS, POOL_MIN_ROWS,
-                           SweepRow)
+                           SWEEP_COLUMNS, MAX_ROWS, POOL_MIN_ROWS, SweepRow)
 
 from conftest import REF_CONFIG, write_reference_config
 
@@ -132,6 +132,16 @@ class TestPlanValidation:
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):
         with pytest.raises(ValueError, match="workers"):
+            plan_for((("lambda", (1.0,)),),
+                     (("mass", 1.0), ("phi0", 1.0), ("chi0", 0.0), ("rho0", 0.0)),
+                     workers=workers)
+
+    @pytest.mark.parametrize("workers", [2.5, 2.0, True, "2"],
+                             ids=["fraction", "float", "bool", "string"])
+    def test_workers_not_an_integer_rejected(self, workers):
+        """Checked with the plan: a float would fail only inside run_sweep,
+        and True would run as 1."""
+        with pytest.raises(ValueError, match=rf"workers = {workers!r} must be an integer >= 1"):
             plan_for((("lambda", (1.0,)),),
                      (("mass", 1.0), ("phi0", 1.0), ("chi0", 0.0), ("rho0", 0.0)),
                      workers=workers)
@@ -485,21 +495,21 @@ class TestDeterminism:
 
 SHORT = replace(REF_CONFIG, t_end=0.05, rel_tol=1e-6, abs_tol=1e-6)
 STATUSES = {STATUS_OK, STATUS_SKIPPED, STATUS_NO_REAL_BRANCH, STATUS_INVALID_DATA,
-            STATUS_GUARD_TRIPPED, STATUS_STEP_UNDERFLOW}
+            STATUS_GUARD_TRIPPED}
 FINITE = st.floats(-1e300, 1e300)
 NONNEGATIVE = st.floats(0.0, 1e300)
 
 
 class TestSweepProperties:
-    # mass is bounded because integrate has no step budget: a large mass makes
-    # the field oscillate for as many steps as t_end allows.  Shrinking is
-    # skipped: on a failing sweep it ran for minutes, and the derandomized
-    # first counterexample already reproduces.
+    # A large mass makes the field oscillate for as many steps as MAX_STEPS
+    # allows, ~11 s a row, so the budget is cut to 1,000 trial steps here.
+    # Shrinking is skipped: on a failing sweep it ran for minutes, and the
+    # derandomized first counterexample already reproduces.
     @pytest.mark.filterwarnings("ignore:initial expansion rate u0 is exactly zero")
     @settings(phases=[Phase.explicit, Phase.generate])
     @given(lam=st.lists(FINITE, min_size=1, max_size=2),
            phi0=st.lists(FINITE, min_size=1, max_size=2),
-           mass=st.floats(0.0, 10.0), chi0=NONNEGATIVE, rho0=NONNEGATIVE,
+           mass=NONNEGATIVE, chi0=NONNEGATIVE, rho0=NONNEGATIVE,
            branch=st.sampled_from(["expanding", "contracting"]),
            override=st.booleans())
     def test_accepted_plan_never_raises(self, lam, phi0, mass, chi0, rho0,
@@ -508,7 +518,8 @@ class TestSweepProperties:
                          fixed=(("mass", mass), ("chi0", chi0), ("rho0", rho0)),
                          branch=branch, workers=1,
                          integrator=replace(SHORT, override_admissibility=override))
-        rows = run_sweep(plan)
+        with mock.patch.object(integrator, "MAX_STEPS", 1000):
+            rows = run_sweep(plan)
         assert [(r.lam, r.phi0) for r in rows] == \
                [(p["lambda"], p["phi0"]) for p in plan.points()]
         assert {r.status for r in rows} <= STATUSES
@@ -525,5 +536,5 @@ class TestSweepProperties:
                              integrator=replace(SHORT, override_admissibility=True,
                                                 t_end=np.float64(0.05)))
         as_numpy, as_float = run_sweep(plan(np.float64)), run_sweep(plan(float))
-        assert [r.status for r in as_float] == [STATUS_STEP_UNDERFLOW] * 3 + [STATUS_OK]
+        assert [r.status for r in as_float] == [STATUS_GUARD_TRIPPED] * 3 + [STATUS_OK]
         assert sweep_table_csv(as_numpy) == sweep_table_csv(as_float)
