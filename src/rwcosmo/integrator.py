@@ -31,10 +31,10 @@ The frozen tail.  Once paper mode clamps chi at 0 the field is frozen and
 the run follows the frozen system, whose closed form is frozen_tail.  A
 paper-mode run on theorem-1 data stops stepping at its FieldFrozen event (at
 t = 0 too) and takes every later sample from frozen_tail, evaluated once.
-It steps on from the freeze instead, each step _trial_step with ``frozen``
-set, when the tail is not safe: on data admitted only by
-override_admissibility, or when a guard could trip in the tail (|u_f| above
-MAX_ABS_U/2, |phi_f| above MAX_ABS_PHI/2 or v(t_end) below 2*MIN_V).  A run
+In the tail u falls toward u_inf > 0 and phi is constant, so only MIN_V can
+end it: the first tail sample with v < MIN_V ends the run in GuardTripped at
+that sample's time.  Only a run on data admitted by override_admissibility
+steps on from the freeze, each step _trial_step with ``frozen`` set.  A run
 that does not freeze by t_end, and every ``kg`` run, steps to t_end.
 simulate, sweep rows and library callers all run this one integrate().
 
@@ -128,13 +128,14 @@ H_INIT = 1e-4
 H_MIN = 1e-14
 H_MAX = 0.25
 #: Run limits: a step size below H_MIN, MAX_STEPS trial steps short of t_end,
-#: or a step ending at |u| > MAX_ABS_U, |phi| > MAX_ABS_PHI or v < MIN_V ends
-#: the run in GuardTripped.  Theorem 1's runs stay far inside.  MAX_STEPS is
-#: 4,000 times the dense kg run's 242 steps: a kg run at m = 1e4, phi0 = 0.01
-#: reached it at t = 12.4 after 10.8 s (2-CPU Xeon, Python 3.11).
+#: a step ending at u < -MAX_ABS_U (a collapse) or v < MIN_V, or a frozen-tail
+#: sample with v < MIN_V ends the run in GuardTripped.  Of the two guards a
+#: theorem-1 run meets only MIN_V, once int u dt passes ln(v0/MIN_V)/2, ~345
+#: for v0 = 1.
+#: MAX_STEPS is 4,000 times the dense kg run's 242 steps: a kg run at m = 1e4,
+#: phi0 = 0.01 reached it at t = 12.4 after 10.8 s (2-CPU Xeon, Python 3.11).
 MAX_STEPS = 10**6
 MAX_ABS_U = 1e3
-MAX_ABS_PHI = 1e6
 MIN_V = 1e-300
 
 _SAFETY = 0.9
@@ -428,10 +429,10 @@ def _locate_crossing(chi: tuple, t1: float, h: float, downward: bool,
 
 def _guard_violation(y: Sequence[float]) -> Optional[str]:
     # y is an accepted step's end: finite, since a non-finite one has norm inf.
-    if abs(y[0]) > MAX_ABS_U:
+    # On shell u' = -8 pi psi - (16 pi / 3) rho <= 0: u never rises past u0,
+    # so only a collapse passes the u guard.
+    if y[0] < -MAX_ABS_U:
         return f"|u| = {abs(y[0]):.6g} exceeded {MAX_ABS_U:.6g}"
-    if abs(y[2]) > MAX_ABS_PHI:
-        return f"|phi| = {abs(y[2]):.6g} exceeded {MAX_ABS_PHI:.6g}"
     if y[1] < MIN_V:
         return f"v = {y[1]:.6g} fell below {MIN_V:.6g}"
     return None
@@ -453,8 +454,8 @@ def integrate(initial: InitialData, params: ModelParams,
     """Advance the system from t = 0 to t_end, sampling every sample_dt.
 
     A paper-mode run on theorem-1 data takes its samples after FieldFrozen
-    from frozen_tail when that is safe (module docstring); the stats and
-    events are those of the steps taken.
+    from frozen_tail (module docstring); the stats are those of the steps
+    taken.
 
     Preconditions: the data must pass :func:`validate_theorem1` unless
     ``config.override_admissibility`` is set (exploration of inadmissible
@@ -462,8 +463,9 @@ def integrate(initial: InitialData, params: ModelParams,
     constraint; violating either raises.  Every other input returns a
     Trajectory.  A run limit ends the run early with a ``GuardTripped``
     event, its last, and the partial trajectory up to it: a step size below
-    H_MIN, MAX_STEPS trial steps, a step past MAX_ABS_U, MAX_ABS_PHI or
-    MIN_V, or a grid sample that breaks the state invariants.
+    H_MIN, MAX_STEPS trial steps, a step ending at u < -MAX_ABS_U or
+    v < MIN_V, a frozen-tail sample with v < MIN_V, or a grid sample that
+    breaks the state invariants.
     """
     report = validate_theorem1(params, initial)
     if not report.theorem1_applicable and not config.override_admissibility:
@@ -495,13 +497,16 @@ def integrate(initial: InitialData, params: ModelParams,
     k_next = 1
 
     def take_tail(t_f: float, y_f: list[float]) -> Optional[np.ndarray]:
-        """frozen_tail at the samples from k_next on, if it is safe there."""
-        if not (report.theorem1_applicable and nu_rate(params, y_f[2]) is not None
-                and 2.0 * abs(y_f[0]) <= MAX_ABS_U and 2.0 * abs(y_f[2]) <= MAX_ABS_PHI):
+        """frozen_tail at the samples from k_next on, up to the first with
+        v < MIN_V, which ends the run; None on data it does not cover."""
+        if not (report.theorem1_applicable and nu_rate(params, y_f[2]) is not None):
             return None
-        # The last row probes v at t_end.
-        states = frozen_tail(t_f, y_f, anchor, params, np.append(grid[k_next:], config.t_end))
-        return states[:-1] if states[-1, 1] >= 2.0 * MIN_V else None
+        states = frozen_tail(t_f, y_f, anchor, params, grid[k_next:])
+        n = int(np.argmax(np.append(states[:, 1] < MIN_V, True)))  # the first v < MIN_V
+        if n < len(states):
+            events.append(Event(float(grid[k_next + n]), GUARD_TRIPPED,
+                                _guard_violation(states[n])))
+        return states[:n]
 
     tail = None
     if y[3] == 0.0 and params.mass_sq * y[2] > 0.0:
@@ -571,10 +576,9 @@ def integrate(initial: InitialData, params: ModelParams,
                 frozen = True
                 t, y = t_star, y_star
                 tail = take_tail(t, y)
-                if tail is not None:
-                    break
-                k1 = _rhs_terms(*y, params.lam, params.mass_sq, *anchor, frozen)
-                nevals += 1
+                if tail is None:  # step on from the freeze
+                    k1 = _rhs_terms(*y, params.lam, params.mass_sq, *anchor, frozen)
+                    nevals += 1
                 continue
             events.append(Event(t_star, CHI_ZERO_CROSSING,
                                 f"{'downward' if downward else 'upward'} crossing"))

@@ -5,7 +5,6 @@ import math
 import tempfile
 from dataclasses import replace
 
-import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
@@ -75,20 +74,17 @@ def radiation_trajectory():
     return integrate(data, params, config)
 
 
-def _zero_tail(t_f, y_f, anchor, params, times):
-    return np.zeros((len(times), 4))
-
-
 @pytest.fixture(scope="session")
 def stepped():
     """A context manager inside which every run steps through its frozen
-    phase: frozen_tail returns rows of zeros, so integrate sees v(t_end) = 0
-    below 2*MIN_V and steps on from the freeze, its fallback path.  The
-    stepped run is the reference the exact tail is held against."""
+    phase: integrator.nu_rate reads undefined, so integrate finds no closed
+    form at the freeze and steps on from it, as on data admitted only by
+    override_admissibility.  The stepped run is the reference the exact tail
+    is held against."""
     @contextlib.contextmanager
     def stepping():
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(integrator, "frozen_tail", _zero_tail)
+            patch.setattr(integrator, "nu_rate", lambda params, phi0: None)
             yield
     return stepping
 

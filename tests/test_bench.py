@@ -37,7 +37,7 @@ def test_time_dense(tmp_path):
                                      "read_trajectory", "verify", "simulate_verify_op"]
     assert (got["steps_accepted"], got["steps_rejected"], got["rhs_evaluations"],
             got["samples"]) == (8, 0, 49, 10001)
-    assert got["libm_elements"] == 41314
+    assert got["libm_elements"] == 41312
     assert got["trajectory_bytes"] == 785554
     assert got["trajectory_sha256"] == \
         "8500d25ca09e4db4d003f2a2a1e3cf315d81fb09344ef4618f9883f4a2421cec"
@@ -53,12 +53,12 @@ def test_time_dense(tmp_path):
 
 def test_time_sweep(tmp_path):
     """The sweep_grid layers: the twelve rows with a real branch step 180
-    times before their exact tails, and one op makes 51,534 math-module
+    times before their exact tails, and one op makes 51,510 math-module
     evaluations."""
     got = run_bench("time_sweep.py", 1, cwd=tmp_path)
     assert got["sweep_csv_sha256"] == GRID_SHA256
     assert (got["rows_integrated"], got["steps_accepted"], got["samples"]) == (12, 180, 12012)
-    assert got["libm_elements"] == 51534
+    assert got["libm_elements"] == 51510
 
 
 def test_time_pool(tmp_path):

@@ -656,7 +656,9 @@ class TestVerify:
         (lambda e: e.update(kind=5), "kind must be one of FieldFrozen, ChiZeroCrossing, "
                                      "GuardTripped, got 5"),
         (lambda e: e.pop("detail"), "missing 1 required positional argument: 'detail'"),
-    ], ids=["t_string", "t_boolean", "t_nan", "unknown_key", "kind_number", "no_detail"])
+        (lambda e: e.update(detail=5), "detail must be a string, not int"),
+    ], ids=["t_string", "t_boolean", "t_nan", "unknown_key", "kind_number", "no_detail",
+            "detail_number"])
     def test_event_entries_checked(self, tmp_path, capsys, edit, message):
         """An entry of meta.json's events block holds exactly Event's fields,
         each checked by Event: one error line naming meta.json, exit 1, no
@@ -1022,6 +1024,23 @@ class TestSchema:
         codes = {v for k, v in vars(rwcosmo.cli).items() if k.startswith("EXIT_")}
         assert [int(c) for c in re.findall(r"`(\d+)`", sentence)] == sorted(codes) == \
             list(range(6))
+
+    def test_readme_run_limits_are_the_modules(self):
+        """Each constant README gives a value for (`H_MIN` = 1e-14, `MAX_ROWS`
+        = 100,000, ...) has that value in rwcosmo.integrator or
+        rwcosmo.sweep, and every other upper-case name README quotes is one
+        of theirs too, or an environment variable."""
+        text = README.read_text()
+        modules = {**vars(rwcosmo.sweep), **vars(rwcosmo.integrator)}
+        constant = r"`(?:rwcosmo\.\w+\.)?([A-Z][A-Z0-9]*_[A-Z0-9_]+)`"
+        given = re.findall(constant + r"\s+=\s+([\d.,e+-]*\d)", text)
+        assert {name for name, _ in given} == {"H_INIT", "H_MIN", "H_MAX", "MAX_STEPS",
+                                               "MAX_ABS_U", "MIN_V", "MAX_SAMPLES", "MAX_ROWS"}
+        for name, value in given:
+            assert modules.get(name) == float(value.replace(",", "")), name
+        quoted = set(re.findall(constant, text))
+        environment = {rwcosmo.cli.ENV_OUTPUT_ROOT, "OPENBLAS_CORETYPE"}
+        assert quoted - environment <= modules.keys()
 
     def test_readme_names_every_sweep_status(self):
         """README's Sweep plan section lists exactly the STATUS_* values of

@@ -484,6 +484,10 @@ class TestVerifyReport:
     def test_idempotent(self, ref_trajectory):
         assert verify(ref_trajectory) == verify(ref_trajectory)
 
+    def test_unknown_check_name_raises(self, ref_trajectory):
+        with pytest.raises(KeyError, match="no_such_check"):
+            verify(ref_trajectory).check("no_such_check")
+
     def test_one_pass_over_the_columns(self, ref_trajectory, monkeypatch):
         """One verify reads the columns once and derives nu once."""
         calls = []

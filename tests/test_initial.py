@@ -53,6 +53,10 @@ class TestSolveU0:
         with pytest.raises(ValueError):
             solve_u0(ModelParams(0.0, 1.0), phi0=1.0, chi0=-0.1, rho0=0.0)
 
+    def test_rejects_negative_rho0(self):
+        with pytest.raises(ValueError, match="rho0 must be >= 0, got -0.1"):
+            solve_u0(ModelParams(0.0, 1.0), phi0=1.0, chi0=0.0, rho0=-0.1)
+
     def test_rejects_unknown_branch(self):
         with pytest.raises(ValueError):
             solve_u0(ModelParams(0.0, 1.0), 1.0, 0.0, 0.0, branch="sideways")

@@ -410,8 +410,7 @@ class TestFrozenTail:
         """The reference run stops stepping at FieldFrozen after 14 of the
         1,152 steps it takes stepped through its frozen phase: its samples up
         to there are the stepped run's bit for bit, and the later ones are
-        frozen_tail's from the clamped state, evaluated once with the t_end
-        probe."""
+        frozen_tail's from the clamped state, evaluated once."""
         with stepped():
             plain = integrate(ref_initial, REF_PARAMS, REF_CONFIG)
         assert plain.stats == IntegrationStats(1152, 0, 6914)
@@ -431,7 +430,7 @@ class TestFrozenTail:
         assert anchor == (ref_initial.rho0, 1.0)
         n = int(np.sum(joined.t <= t_f))
         assert 0 < n < joined.t.size
-        assert times.tolist() == joined.t[n:].tolist() + [REF_CONFIG.t_end]
+        assert times.tolist() == joined.t[n:].tolist()
         assert joined.states[:n].tobytes() == plain.states[:n].tobytes()
         assert joined.states[n:].tobytes() == \
             frozen_tail(t_f, y_f, anchor, REF_PARAMS, joined.t[n:]).tobytes()
@@ -732,6 +731,19 @@ class TestModesAndGuards:
         monkeypatch.setattr(integrator, "MAX_STEPS", 14)
         traj = integrate(ref_initial, REF_PARAMS, REF_CONFIG)
         assert not traj.guard_tripped and traj.stats.steps_accepted == 14
+
+    def test_admissible_run_meets_min_v_in_tail(self):
+        """Theorem-1 data with a heavy field: m = 400 freezes after one
+        accepted step, and its exact tail passes below MIN_V at t = 0.43,
+        where int u dt passes ~345.  The run ends there in GuardTripped,
+        with the 43 samples before it."""
+        params = ModelParams(lam=1.0, mass=400.0)
+        data = make_initial_data(params, 1.0, 1.0, 0.1, 0.05, "expanding")
+        traj = integrate(data, params, replace(REF_CONFIG, t_end=1.0))
+        assert TestSampleGuard.pins(traj) == (43, 0.42, [
+            (FIELD_FROZEN, 6.245319585529724e-07,
+             "field velocity reached zero; phi frozen at 1.00000003122"),
+            (GUARD_TRIPPED, 0.43, "v = 1.71956e-306 fell below 1e-300")], (1, 2, 19))
 
     def test_guard_trip_is_the_last_event(self, ref_trajectory):
         """A GuardTripped event ends a run: a Trajectory with one before

@@ -7,6 +7,7 @@ import io
 import math
 import os
 from dataclasses import fields, replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -15,8 +16,9 @@ from hypothesis import Phase, assume, given, settings, strategies as st
 
 from rwcosmo import (IntegratorConfig, ModelParams, SweepPlan, integrate, integrator,
                      make_initial_data, nu_rate, run_sweep, sweep_table_csv, verify)
-from rwcosmo.cli import main
-from rwcosmo.integrator import _TINY, FIELD_FROZEN
+from rwcosmo.cli import main, parse_sweep_plan
+from rwcosmo.integrator import (_TINY, FIELD_FROZEN, GUARD_TRIPPED, Event, frozen_tail,
+                                sample_times)
 from rwcosmo.serialize import read_trajectory
 from rwcosmo.sweep import (STATUS_GUARD_TRIPPED, STATUS_INVALID_DATA,
                            STATUS_NO_REAL_BRANCH, STATUS_OK, STATUS_SKIPPED,
@@ -25,6 +27,7 @@ from rwcosmo.sweep import (STATUS_GUARD_TRIPPED, STATUS_INVALID_DATA,
 from conftest import REF_CONFIG, write_reference_config
 
 FAST = replace(REF_CONFIG, t_end=2.0)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def step_error_bound(full):
@@ -62,6 +65,27 @@ def full_and_joined(stepped, config, lam=1.0, mass=1.0, phi0=1.0, chi0=0.1, rho0
     with stepped():
         full = integrate(data, params, config)
     return full, integrate(data, params, config)
+
+
+def one_row_plan(params, data, config):
+    """A one-row sweep of the point (params, data) under ``config``."""
+    return SweepPlan(axes=(("lambda", (params.lam,)),),
+                     fixed=(("mass", params.mass), ("phi0", data.phi0), ("chi0", data.chi0),
+                            ("rho0", data.rho0)), integrator=config, workers=1)
+
+
+def record_trial_steps(monkeypatch):
+    """The argument tuples of every integrator._trial_step call from here on;
+    each ends in the step's ``frozen`` flag."""
+    calls = []
+    trial_step = integrator._trial_step
+
+    def counted(*args):
+        calls.append(args)
+        return trial_step(*args)
+
+    monkeypatch.setattr(integrator, "_trial_step", counted)
+    return calls
 
 
 def plan_for(axes, fixed, **kwargs):
@@ -128,6 +152,12 @@ class TestPlanValidation:
                       fixed=(("mass", 1.0), ("phi0", 1.0), ("chi0", 0.0),
                              ("rho0", 0.0)), a0=a0)
 
+    def test_bad_branch_rejected(self):
+        with pytest.raises(ValueError, match="branch must be 'expanding' or 'contracting', "
+                                             "got 'sideways'"):
+            plan_for((("lambda", (1.0,)),),
+                     (("mass", 1.0), ("phi0", 1.0), ("chi0", 0.0), ("rho0", 0.0)),
+                     branch="sideways")
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):
@@ -350,66 +380,140 @@ class TestExactTail:
 
     REF_POINT = {"lambda": 1.0, "mass": 1.0, "phi0": 1.0, "chi0": 0.1, "rho0": 0.05}
     #: case: (point edits, config, integrator limits to set).
-    FALLBACKS = {
+    CASES = {
+        # Runs the exact tail does not cover.
         "kg": ({}, replace(FAST, mode="kg"), {}),
         "mass_zero": ({"mass": 0.0}, FAST, {}),
         "inadmissible_override": ({"lambda": -14.0, "rho0": 1.0},
                                   replace(FAST, override_admissibility=True), {}),
-        # v(10) = 2.88e-19 on the reference run: below 1e-18 the guard
-        # trips, and 2e-19 sits within the factor 2 of MIN_V.
+        "no_freeze_by_t_end": ({}, replace(FAST, t_end=0.05), {}),
+        # Theorem-1 runs that freeze.  v(10) = 2.88e-19 on the reference run:
+        # below MIN_V = 1e-18 the tail is cut, at 2e-19 it runs to t_end.
         "min_v_reached": ({}, REF_CONFIG, {"MIN_V": 1e-18}),
         "min_v_near": ({}, REF_CONFIG, {"MIN_V": 2e-19}),
-        "no_freeze_by_t_end": ({}, replace(FAST, t_end=0.05), {}),
-        # Frozen at t = 0 past a guard: the first step trips it (u0 = 1294
-        # against MAX_ABS_U = 1000, phi0 = 2e6 against MAX_ABS_PHI = 1e6).
+        # Frozen at t = 0 with u0 = 1294 above MAX_ABS_U = 1000, and with
+        # phi0 = 2e6.
         "u_guard": ({"chi0": 0.0, "rho0": 2e5}, FAST, {}),
         "phi_guard": ({"chi0": 0.0, "mass": 5e-7, "phi0": 2e6}, FAST, {}),
+        # The tail itself reaches MIN_V = 1e-300 at t = 0.43.
+        "m400": ({"mass": 400.0}, replace(REF_CONFIG, t_end=1.0), {}),
     }
-    TRIPPED = ("min_v_reached", "u_guard", "phi_guard")
+    FALLBACKS = ("kg", "mass_zero", "inadmissible_override", "no_freeze_by_t_end")
+    TAILS = ("min_v_reached", "min_v_near", "u_guard", "phi_guard", "m400")
+    TRIPPED = ("min_v_reached", "m400")
 
-    def fallback(self, monkeypatch, case):
-        """The case's point edits and config, with its limits set."""
-        edits, config, limits = self.FALLBACKS[case]
+    def case_run(self, monkeypatch, case):
+        """The case's params, initial data and config, with its limits set."""
+        edits, config, limits = self.CASES[case]
         for name, value in limits.items():
             monkeypatch.setattr(integrator, name, value)
-        return edits, config
-
-    @pytest.mark.parametrize("case", sorted(FALLBACKS))
-    def test_fallback_rows_integrate_fully(self, stepped, monkeypatch, case):
-        """Runs the tail does not cover are the stepped run bit for bit, and
-        their sweep rows write the bytes of the stepped path."""
-        edits, config = self.fallback(monkeypatch, case)
-        point = {**self.REF_POINT, **edits}
-        full, joined = full_and_joined(stepped, config, point["lambda"], point["mass"],
-                                       point["phi0"], point["chi0"], point["rho0"])
-        assert (full.t.tobytes(), full.states.tobytes(), full.events, full.stats) == \
-               (joined.t.tobytes(), joined.states.tobytes(), joined.events, joined.stats)
-        plan = SweepPlan(axes=(("lambda", (point.pop("lambda"),)),),
-                         fixed=tuple(point.items()), integrator=config, workers=1)
-        rows = run_sweep(plan)
-        assert rows[0].status == (STATUS_GUARD_TRIPPED if case in self.TRIPPED else STATUS_OK)
-        with stepped():
-            assert sweep_table_csv(rows) == sweep_table_csv(run_sweep(plan))
-
-    @pytest.mark.parametrize("case", ["min_v_near", "u_guard"])
-    def test_fallback_row_steps_once(self, monkeypatch, case):
-        """A row whose tail is not safe steps on from the freeze: each of its
-        trial steps is taken once, not once more in a rerun from t = 0."""
-        calls = []
-        trial_step = integrator._trial_step
-
-        def counted(*args):
-            calls.append(args)
-            return trial_step(*args)
-
-        monkeypatch.setattr(integrator, "_trial_step", counted)
-        edits, config = self.fallback(monkeypatch, case)
         point = {**self.REF_POINT, **edits}
         params = ModelParams(lam=point["lambda"], mass=point["mass"])
         data = make_initial_data(params, 1.0, point["phi0"], point["chi0"], point["rho0"],
                                  "expanding")
-        stats = integrate(data, params, config).stats
-        assert len(calls) == stats.steps_accepted + stats.steps_rejected > 0
+        return params, data, config
+
+    @pytest.mark.parametrize("case", FALLBACKS)
+    def test_fallback_rows_integrate_fully(self, stepped, monkeypatch, case):
+        """Runs the tail does not cover are the stepped run bit for bit, and
+        their sweep rows write the bytes of the stepped path."""
+        params, data, config = self.case_run(monkeypatch, case)
+        full, joined = full_and_joined(stepped, config, params.lam, params.mass, data.phi0,
+                                       data.chi0, data.rho0)
+        assert (full.t.tobytes(), full.states.tobytes(), full.events, full.stats) == \
+               (joined.t.tobytes(), joined.states.tobytes(), joined.events, joined.stats)
+        plan = one_row_plan(params, data, config)
+        rows = run_sweep(plan)
+        assert rows[0].status == STATUS_OK
+        with stepped():
+            assert sweep_table_csv(rows) == sweep_table_csv(run_sweep(plan))
+
+    def test_fallback_row_steps_once(self, monkeypatch):
+        """A row the tail does not cover steps on from the freeze: each of
+        its trial steps is taken once, not once more in a rerun from t = 0,
+        and the frozen ones come after FieldFrozen."""
+        calls = record_trial_steps(monkeypatch)
+        params, data, config = self.case_run(monkeypatch, "inadmissible_override")
+        traj = integrate(data, params, config)
+        stats = traj.stats
+        assert len(calls) == stats.steps_accepted + stats.steps_rejected
+        assert traj.events[0].kind == FIELD_FROZEN
+        flags = [frozen for *_, frozen in calls]
+        assert flags == sorted(flags) and 0 < sum(flags) < len(flags)
+
+    @pytest.mark.parametrize("case", TAILS)
+    def test_theorem1_row_never_steps_after_freeze(self, monkeypatch, case):
+        """A theorem-1 run stops stepping at FieldFrozen whatever its u0,
+        phi0 or v(t_end): no trial step is a frozen one, and every later
+        sample is frozen_tail's, evaluated once.  A tail sample below MIN_V
+        ends the run in GuardTripped at that sample's time, the samples
+        before it kept, and the sweep row reads guard-tripped; every other
+        row reads ok."""
+        calls = record_trial_steps(monkeypatch)
+        tails = []
+
+        def recorded(*args):
+            tails.append(args)
+            return frozen_tail(*args)
+
+        monkeypatch.setattr(integrator, "frozen_tail", recorded)
+        params, data, config = self.case_run(monkeypatch, case)
+        traj = integrate(data, params, config)
+        assert len(calls) == traj.stats.steps_accepted + traj.stats.steps_rejected
+        assert not any(frozen for *_, frozen in calls)
+        [(t_f, y_f, anchor, _, times)] = tails
+        assert traj.events[0].kind == FIELD_FROZEN and traj.events[0].t == t_f
+        grid = sample_times(config)
+        n = grid.size - times.size
+        kept = len(traj.states)
+        tail = frozen_tail(t_f, y_f, anchor, params, times)
+        assert traj.states[n:].tobytes() == tail[:kept - n].tobytes()
+        row = run_sweep(one_row_plan(params, data, config))[0]
+        if case in self.TRIPPED:
+            v = tail[kept - n, 1]
+            assert v < integrator.MIN_V <= traj.states[:, 1].min()
+            detail = f"v = {v:.6g} fell below {integrator.MIN_V:.6g}"
+            assert traj.events[1:] == (Event(grid[kept], GUARD_TRIPPED, detail),)
+            assert (row.status, row.verdict) == (STATUS_GUARD_TRIPPED, "")
+        else:
+            assert (len(traj.events), kept) == (1, grid.size)
+            # On u_guard verify's Simpson quadrature of int u on the 0.01
+            # grid misses u's fall from 1294 over ~1e-4: v_quadrature_identity
+            # reads a relative deviation of 3.28e3 on the exact tail.
+            verdict = "failed" if case == "u_guard" else "passed"
+            assert (row.status, row.verdict) == (STATUS_OK, verdict)
+
+
+class TestWideDomain:
+    """Admissible data far from the reference point: heavy fields, large
+    phi0 and densities, u0 up to 2,000."""
+
+    def test_wide_plan_rows_pass(self):
+        """Every row of bench/sweep_wide.ini (u0 from 102 to 1,637) reads ok
+        and passes verify."""
+        plan, _, _ = parse_sweep_plan(str(ROOT / "bench" / "sweep_wide.ini"))
+        rows = run_sweep(plan)
+        assert len(rows) == 24
+        assert {(r.status, r.verdict) for r in rows} == {(STATUS_OK, "passed")}
+
+    @settings(max_examples=60)
+    @given(lam=st.floats(-5.0, 5.0), log_mass=st.floats(-3.0, 2.7),
+           log_phi0=st.floats(-2.0, 7.0), log_chi0=st.one_of(st.none(), st.floats(-3.0, 1.0)),
+           log_rho0=st.one_of(st.none(), st.floats(-3.0, 5.0)))
+    def test_admissible_runs_never_trip(self, lam, log_mass, log_phi0, log_chi0, log_rho0):
+        """lambda in [-5, 5], m = 10^[-3, 2.7], phi0 = 10^[-2, 7], chi0 and
+        rho0 each 0 or 10^[-3, 1] and 10^[-3, 5], expanding with u0 <= 2,000,
+        run over t_end = min(10, 300/u0) at t_end/100: int u dt stays below
+        the ~345 at which v reaches MIN_V, and no run ends in GuardTripped."""
+        params = ModelParams(lam=lam, mass=10.0 ** log_mass)
+        phi0 = 10.0 ** log_phi0
+        assume(nu_rate(params, phi0) is not None)
+        chi0, rho0 = (0.0 if x is None else 10.0 ** x for x in (log_chi0, log_rho0))
+        data = make_initial_data(params, 1.0, phi0, chi0, rho0, "expanding")
+        assume(data.u0 <= 2000.0)
+        t_end = min(10.0, 300.0 / data.u0)
+        traj = integrate(data, params, IntegratorConfig(t_end=t_end, sample_dt=t_end / 100))
+        assert not traj.guard_tripped, traj.events[-1]
 
 
 class TestDeterminism:
