@@ -428,18 +428,27 @@ class TestExactTail:
         with stepped():
             assert sweep_table_csv(rows) == sweep_table_csv(run_sweep(plan))
 
-    def test_fallback_row_steps_once(self, monkeypatch):
-        """A row the tail does not cover steps on from the freeze: each of
-        its trial steps is taken once, not once more in a rerun from t = 0,
-        and the frozen ones come after FieldFrozen."""
+    @pytest.mark.parametrize("case", ["inadmissible_override", "min_v_near", "u_guard"])
+    def test_fallback_row_steps_once(self, monkeypatch, case):
+        """Each trial step of a row that freezes is taken once, not once more
+        in a rerun from t = 0.  A row the tail does not cover steps on from
+        the freeze, its frozen trial steps after the unfrozen ones; a
+        theorem-1 row stops stepping at the freeze, and u_guard, frozen at
+        t = 0, takes no trial step."""
         calls = record_trial_steps(monkeypatch)
-        params, data, config = self.case_run(monkeypatch, "inadmissible_override")
+        params, data, config = self.case_run(monkeypatch, case)
         traj = integrate(data, params, config)
         stats = traj.stats
         assert len(calls) == stats.steps_accepted + stats.steps_rejected
         assert traj.events[0].kind == FIELD_FROZEN
         flags = [frozen for *_, frozen in calls]
-        assert flags == sorted(flags) and 0 < sum(flags) < len(flags)
+        assert flags == sorted(flags)
+        if case in self.FALLBACKS:
+            assert 0 < sum(flags) < len(flags)
+        elif case == "u_guard":
+            assert traj.events[0].t == 0.0 and calls == []
+        else:
+            assert traj.events[0].t > 0.0 and len(calls) > 0 and not any(flags)
 
     @pytest.mark.parametrize("case", TAILS)
     def test_theorem1_row_never_steps_after_freeze(self, monkeypatch, case):
