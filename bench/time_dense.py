@@ -7,15 +7,17 @@ sample_dt 0.001 (10,001 samples).
 Each repeat times, once each and in alternating order (reversed on odd
 repeats): integrate, integrate on the same run in ``kg`` mode (no frozen
 tail: every sample is stepped), write_trajectory (into the temporary
-directory, overwriting), read_trajectory, verify, and the whole op,
+directory, overwriting), read_trajectory, read_trajectory of the ``kg`` run
+(whose step record holds every sampled step), verify, and the whole op,
 ``rwcosmo simulate`` then ``rwcosmo verify`` through cli.main.  Prints one
 JSON object: the wall times in s and their medians over REPEATS (default
 15), the step counters, ``libm_elements``, the elements integrate then
-verify pass through integrator.libm (their math-module evaluations), and
-the size in bytes and the sha256 of trajectory.csv, the peak bytes write_trajectory and read_trajectory
-allocate on the run by tracemalloc, and under "kg", the ``kg`` run's
-counters, sample count and the sha256 of its states array.  Files go to a
-temporary directory that is removed afterwards.
+verify pass through integrator.libm (their math-module evaluations), the
+size in bytes and the sha256 of trajectory.csv, the size in bytes of
+meta.json (``meta_bytes``), the peak bytes write_trajectory and
+read_trajectory allocate on the run by tracemalloc, and under "kg", the
+``kg`` run's counters, sample count, meta.json size and the sha256 of its
+states array.  Files go to a temporary directory that is removed afterwards.
 """
 
 import contextlib
@@ -33,7 +35,8 @@ from pathlib import Path
 from libm_count import libm_elements
 from rwcosmo import IntegratorConfig, ModelParams, integrate, make_initial_data, verify
 from rwcosmo.cli import main as cli_main
-from rwcosmo.serialize import TRAJECTORY_CSV, read_trajectory, write_trajectory
+from rwcosmo.serialize import (META_JSON, TRAJECTORY_CSV, read_trajectory,
+                               write_trajectory)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads as wl
@@ -63,6 +66,7 @@ def main(repeats: int) -> dict:
         traj = integrate(data, PARAMS, CONFIG)
         kg = integrate(data, PARAMS, KG_CONFIG)
         write_trajectory(tmp / "run", traj, "bench")
+        write_trajectory(tmp / "kg", kg, "bench")
         ini = tmp / "dense.ini"
         ini.write_text(RUN.ini_text(tmp / "op"))
 
@@ -77,6 +81,7 @@ def main(repeats: int) -> dict:
             "write_trajectory": lambda: write_trajectory(tmp / "run", traj, "bench",
                                                          overwrite=True),
             "read_trajectory": lambda: read_trajectory(tmp / "run"),
+            "read_trajectory_kg": lambda: read_trajectory(tmp / "kg"),
             "verify": lambda: verify(traj),
             "simulate_verify_op": op,
         }
@@ -87,6 +92,7 @@ def main(repeats: int) -> dict:
                 layers[name]()
                 times[name].append(time.perf_counter() - start)
         csv_bytes = (tmp / "op" / TRAJECTORY_CSV).read_bytes()
+        meta_bytes = {name: (tmp / name / META_JSON).stat().st_size for name in ("run", "kg")}
         peak_bytes = {
             "write_trajectory": traced_peak(lambda: write_trajectory(tmp / "run", traj, "bench",
                                                                      overwrite=True)),
@@ -100,11 +106,13 @@ def main(repeats: int) -> dict:
             "libm_elements": libm_elements(lambda: verify(integrate(data, PARAMS, CONFIG))),
             "trajectory_bytes": len(csv_bytes),
             "trajectory_sha256": hashlib.sha256(csv_bytes).hexdigest(),
+            "meta_bytes": meta_bytes["run"],
             "peak_bytes": peak_bytes,
             "kg": {"steps_accepted": kg.stats.steps_accepted,
                    "steps_rejected": kg.stats.steps_rejected,
                    "rhs_evaluations": kg.stats.rhs_evaluations,
                    "samples": int(kg.t.size),
+                   "meta_bytes": meta_bytes["kg"],
                    "states_sha256": hashlib.sha256(kg.states.tobytes()).hexdigest()}}
 
 

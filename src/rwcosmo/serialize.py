@@ -2,55 +2,58 @@
 
 trajectory.csv stores ``t,u,v,phi,chi`` and nothing derived from them.
 All floats are written with 17 significant digits, which round-trips IEEE
-doubles exactly; reading a trajectory back reproduces the in-memory values
-bit for bit.  Output is fully deterministic: identical runs produce identical
-bytes.  A table (trajectory.csv, the report's .dat files) streams to its
-file a block of 2,048 rows at a time, each block one ``%`` over its rows'
-template, in which a column constant over the block (by bit pattern) stands
-as its text: the bytes of formatting every value.  read_trajectory parses
-trajectory.csv from the open file; neither side holds the whole text.
+doubles exactly.  Output is fully deterministic: identical runs produce
+identical bytes.  A table (trajectory.csv, the report's .dat files) streams
+to its file a block of 2,048 rows at a time, each block one ``%`` over its
+rows' template, in which a column constant over the block (by bit pattern)
+stands as its text: the bytes of formatting every value.
 
 A run is two files: trajectory.csv and meta.json, which holds every other
-fact of the run, its events included.  Each JSON block that mirrors a type is
-that type's fields, in declaration order: ``initial`` (InitialData),
+fact of the run: its events, the StepRecord of its steps (``steps``) and
+the sha256 of trajectory.csv (``trajectory_sha256``), which write_trajectory
+takes of the blocks as it writes them.  Each JSON block that mirrors a type
+is that type's fields, in declaration order: ``initial`` (InitialData),
 ``admissibility`` (AdmissibilityReport), ``integrator`` (IntegratorConfig),
 ``stats`` (IntegrationStats) and the entries of ``events`` (Event) in
-meta.json, and the entries of ``fits`` (DecayFit) in report.json.  The reader
-rebuilds the run from meta.json's blocks through those types (``params``
-through ModelParams), whose own checks name a bad value, and ``version`` must
-be a string.  The file must then equal, as JSON and type for type, the
-meta.json written for that run under that version: one rule that covers
-``admissibility``, ``n_samples`` against the rows, ``package`` and any key
-the writer does not write.
+meta.json, and the entries of ``fits`` (DecayFit) in report.json; ``steps``
+is StepRecord.to_json, one flat array per entry field.  The reader rebuilds
+the run from meta.json's blocks through those types (``params`` through
+ModelParams, ``steps`` through StepRecord.from_json), whose own checks name
+a bad value, and ``version`` must be a string; the states come from the
+step record through resample, integrate's own sampler, bit for bit.
+trajectory.csv is not parsed: its sha256 must be the recorded one, so any
+edit of its bytes is refused.  The file must then equal, as JSON and type
+for type, the meta.json written for that run under that version: one rule
+that covers ``admissibility``, ``n_samples``, ``package`` and any key the
+writer does not write.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import warnings
 from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence, TextIO, TypeVar, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .diagnostics import TOL, VerificationReport
 from .initial import InitialData, validate_theorem1
-from .integrator import (STATE_COLUMNS, Event, IntegrationStats,
-                         IntegratorConfig, Trajectory, sample_times, valid_states)
+from .integrator import (STATE_COLUMNS, Event, IntegrationStats, IntegratorConfig,
+                         StepRecord, Trajectory, resample)
 from .model import ModelParams
 
 TRAJECTORY_CSV = "trajectory.csv"
 META_JSON = "meta.json"
 REPORT_JSON = "report.json"
 _CSV_HEADER = ",".join(("t",) + STATE_COLUMNS)
-_T = TypeVar("_T")
 
 
 class CorruptTrajectory(ValueError):
-    """A trajectory directory is missing files or fails to parse."""
+    """A trajectory directory is missing files, fails to parse, or holds a
+    trajectory.csv other than the one written."""
 
 
 #: The one spelling of a float in every table and config the package writes.
@@ -86,15 +89,22 @@ def _table_blocks(header: str, columns: Sequence[np.ndarray], sep: str) -> Itera
         yield (row + "\n") * len(block) % tuple(block[:, ~constant].ravel().tolist())
 
 
-def write_table(path: Path, header: str, columns: Sequence[np.ndarray], sep: str = ",") -> None:
+def write_table(path: Path, header: str, columns: Sequence[np.ndarray], sep: str = ",",
+                digest=None) -> None:
     """Write the ``header`` line, then one ``sep``-separated line per row of
-    the equal-length float ``columns``, to ``path`` a block at a time."""
-    with open(path, "w") as f:
-        f.writelines(_table_blocks(header, columns, sep))
+    the equal-length float ``columns``, to ``path`` a block at a time; each
+    block also goes to ``digest.update`` when a hashlib ``digest`` is given."""
+    with open(path, "wb") as f:
+        for block in _table_blocks(header, columns, sep):
+            data = block.encode()
+            f.write(data)
+            if digest is not None:
+                digest.update(data)
 
 
-def meta_json_text(traj: Trajectory, version: str) -> str:
-    payload = {
+def _meta_payload(traj: Trajectory, version: str, trajectory_sha256: str) -> dict:
+    """meta.json's keys but ``steps``, in order."""
+    return {
         "package": "rwcosmo",
         "version": version,
         "params": {"lambda": traj.params.lam, "mass": traj.params.mass},
@@ -104,16 +114,30 @@ def meta_json_text(traj: Trajectory, version: str) -> str:
         "stats": asdict(traj.stats),
         "events": [asdict(e) for e in traj.events],
         "n_samples": len(traj.t),
+        "trajectory_sha256": trajectory_sha256,
     }
-    return json.dumps(payload, indent=2) + "\n"
+
+
+def meta_json_text(traj: Trajectory, version: str, trajectory_sha256: str) -> str:
+    """The meta.json of ``traj`` (which must hold its StepRecord), whose
+    trajectory.csv has that sha256: indented JSON whose last block,
+    ``steps``, holds one compact array per line."""
+    steps = ",\n".join(f"    {json.dumps(key)}: {json.dumps(value, separators=(',', ':'))}"
+                        for key, value in traj.steps.to_json().items())
+    text = json.dumps(_meta_payload(traj, version, trajectory_sha256), indent=2)
+    return text[:-len("\n}")] + f',\n  "steps": {{\n{steps}\n  }}\n}}\n'
 
 
 def write_trajectory(directory: Union[str, Path], traj: Trajectory, version: str,
                      overwrite: bool = False) -> list[Path]:
     """Write trajectory.csv and meta.json.
 
-    Refuses to clobber existing files unless ``overwrite`` is set.
+    Refuses to clobber existing files unless ``overwrite`` is set, and a
+    ``traj`` without a StepRecord (read_trajectory could not rebuild it).
     """
+    if traj.steps is None:
+        raise ValueError("the run holds no step record, from which read_trajectory "
+                         "rebuilds its states: write a run that integrate returned")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = [directory / name for name in (TRAJECTORY_CSV, META_JSON)]
@@ -123,49 +147,11 @@ def write_trajectory(directory: Union[str, Path], traj: Trajectory, version: str
             raise FileExistsError(
                 f"refusing to overwrite {', '.join(existing)} in {directory}; "
                 "set overwrite")
-    write_table(paths[0], _CSV_HEADER, [traj.t, *traj.states.T])
-    paths[1].write_text(meta_json_text(traj, version))
+    import hashlib  # here, not at the top: only a run written or read takes a digest
+    digest = hashlib.sha256()
+    write_table(paths[0], _CSV_HEADER, [traj.t, *traj.states.T], digest=digest)
+    paths[1].write_text(meta_json_text(traj, version, digest.hexdigest()))
     return paths
-
-
-def _parse_states(csv: TextIO, grid: np.ndarray) -> np.ndarray:
-    """The (n, 4) states of the open trajectory.csv ``csv``.
-
-    The header is the first line and must be exactly ``t,u,v,phi,chi``;
-    every row holds those five numbers.  Empty lines are skipped, and a line
-    of only blanks is a malformed row.  The t column must be a prefix of the
-    run's sample ``grid``, exactly: the 17-digit writer round-trips it.
-    """
-    line = csv.readline()
-    if not line:
-        raise CorruptTrajectory(f"{TRAJECTORY_CSV}: empty file")
-    header = line.rstrip("\n")
-    if header != _CSV_HEADER:
-        raise CorruptTrajectory(f"{TRAJECTORY_CSV}: unexpected header {header!r}")
-    try:
-        with warnings.catch_warnings():
-            # Only empty lines after the header: no samples, named below.
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            table = np.loadtxt(csv, delimiter=",", comments=None, ndmin=2)
-    except UnicodeDecodeError:
-        raise  # also a ValueError: _read names the file
-    except ValueError as exc:
-        raise CorruptTrajectory(f"{TRAJECTORY_CSV}: {exc}") from exc
-    if not table.size:
-        raise CorruptTrajectory(f"{TRAJECTORY_CSV} holds no samples")
-    if table.shape[1] != 1 + len(STATE_COLUMNS):
-        raise CorruptTrajectory(f"{TRAJECTORY_CSV}: rows hold {table.shape[1]} values")
-    t, states = table[:, 0], table[:, 1:]
-    bad = ~valid_states(states)
-    if bad.any():
-        raise CorruptTrajectory(f"{TRAJECTORY_CSV}: data row {int(np.argmax(bad)) + 1} is "
-                                "not a state (finite, v > 0)")
-    off = np.flatnonzero(t[:grid.size] != grid[:t.size])
-    if off.size or t.size > grid.size:
-        k = int(off[0]) if off.size else grid.size
-        raise CorruptTrajectory(f"{TRAJECTORY_CSV}: data row {k + 1} (t = {float(t[k])!r}) "
-                                f"is off the sample grid of {META_JSON}'s integrator block")
-    return states
 
 
 @contextmanager
@@ -178,11 +164,11 @@ def _parsing(name: str) -> Iterator[None]:
         raise CorruptTrajectory(f"invalid {name}: {exc}") from exc
 
 
-def _read(path: Path, parse: Callable[[TextIO], _T]) -> _T:
-    """``parse`` of the file at ``path``, opened as UTF-8 text."""
+def _read_meta(path: Path) -> object:
+    """The JSON value of the meta.json at ``path``, read as UTF-8 text."""
     try:
         with open(path, encoding="utf-8") as f:
-            return parse(f)
+            return json.load(f)
     except FileNotFoundError as exc:
         raise CorruptTrajectory(f"missing file: {exc.filename}") from exc
     except UnicodeDecodeError as exc:
@@ -191,13 +177,35 @@ def _read(path: Path, parse: Callable[[TextIO], _T]) -> _T:
         raise CorruptTrajectory(f"invalid JSON in {path.parent}: {exc}") from exc
 
 
+def _sha256(path: Path) -> str:
+    """The sha256 of the file at ``path``, read 64 KiB at a time."""
+    import hashlib  # here, not at the top: only a run written or read takes a digest
+    digest = hashlib.sha256()
+    try:
+        with open(path, "rb") as f:
+            for chunk in iter(lambda: f.read(1 << 16), b""):
+                digest.update(chunk)
+    except FileNotFoundError as exc:
+        raise CorruptTrajectory(f"missing file: {exc.filename}") from exc
+    return digest.hexdigest()
+
+
 def read_trajectory(directory: Union[str, Path]) -> Trajectory:
-    """Rebuild a Trajectory from a directory written by write_trajectory."""
+    """Rebuild a Trajectory from a directory written by write_trajectory.
+
+    The run comes from meta.json alone, its states from its StepRecord
+    through resample.  trajectory.csv is not parsed: its sha256 must equal
+    meta.json's ``trajectory_sha256``, else CorruptTrajectory names the file.
+    """
     directory = Path(directory)
-    meta = _read(directory / META_JSON, json.load)
+    meta = _read_meta(directory / META_JSON)
 
     with _parsing(META_JSON):
         _expect(meta, dict, "the file")
+        missing = [key for key in ("trajectory_sha256", "steps") if key not in meta]
+        if missing:
+            raise ValueError(f"no {' and no '.join(missing)}: the run was written before "
+                             "meta.json held its steps; simulate it again")
         p = _block(meta, "params")
         params = ModelParams(lam=p["lambda"], mass=p["mass"])
         initial = InitialData(**_block(meta, "initial"))
@@ -205,16 +213,22 @@ def read_trajectory(directory: Union[str, Path]) -> Trajectory:
         stats = IntegrationStats(**_block(meta, "stats"))
         events = tuple(Event(**_expect(e, dict, f"event {i}"))
                        for i, e in enumerate(_expect(meta["events"], list, "events"), start=1))
+        steps = StepRecord.from_json(_block(meta, "steps"))
         version = _expect(meta["version"], str, "version")
+        recorded = _expect(meta["trajectory_sha256"], str, "trajectory_sha256")
 
-    grid = sample_times(config)
-    states = _read(directory / TRAJECTORY_CSV, lambda csv: _parse_states(csv, grid))
+    csv_sha256 = _sha256(directory / TRAJECTORY_CSV)
+    if csv_sha256 != recorded:
+        raise CorruptTrajectory(f"{TRAJECTORY_CSV}: sha256 {csv_sha256} is not meta.json's "
+                                f"trajectory_sha256 {recorded}: the file was edited")
     with _parsing(META_JSON):
         traj = Trajectory(params=params, initial=initial, config=config,
-                          states=states, events=events, stats=stats)
-        written = json.loads(meta_json_text(traj, version))
+                          states=resample(initial, params, config, steps), events=events,
+                          stats=stats, steps=steps)
+        # StepRecord.from_json took ``steps`` as to_json writes it, float for float.
+        written = _meta_payload(traj, version, recorded)
         # Type for type, key by key: 1 is neither 1.0 nor true.
-        for key in [*written, *(k for k in meta if k not in written)]:
+        for key in [*written, *(k for k in meta if k not in written and k != "steps")]:
             found = json.dumps(meta[key], sort_keys=True)
             expected = json.dumps(written[key], sort_keys=True) if key in written else None
             if found != expected:

@@ -28,26 +28,31 @@ def test_time_dense(tmp_path):
     """The dense_output run: 10,001 samples from 8 steps to the freeze and
     the exact tail, the layers it times, the math-module evaluations of
     integrate and verify (the tail's exp and expm1, Simpson's exp(2 int u),
-    exp(nu t) and the fits' logs), and the size and bytes of its
-    trajectory.csv (t and the four states), and the peak memory of writing
-    and reading that file.  Its ``kg`` variant steps every sample: 242
-    steps, and the bytes of its states."""
+    exp(nu t) and the fits' logs), the size and bytes of its trajectory.csv
+    (t and the four states), the size of its meta.json (6 recorded steps),
+    and the peak memory of writing and reading the run.  Its ``kg`` variant
+    steps every sample: 242 steps, a meta.json of 240 recorded steps, and
+    the bytes of its states."""
     got = run_bench("time_dense.py", 1, cwd=tmp_path)
     assert list(got["median_s"]) == ["integrate", "integrate_kg", "write_trajectory",
-                                     "read_trajectory", "verify", "simulate_verify_op"]
+                                     "read_trajectory", "read_trajectory_kg", "verify",
+                                     "simulate_verify_op"]
     assert (got["steps_accepted"], got["steps_rejected"], got["rhs_evaluations"],
             got["samples"]) == (8, 0, 49, 10001)
     assert got["libm_elements"] == 41312
     assert got["trajectory_bytes"] == 785554
     assert got["trajectory_sha256"] == \
         "8500d25ca09e4db4d003f2a2a1e3cf315d81fb09344ef4618f9883f4a2421cec"
+    assert got["meta_bytes"] == 4349
     # Streamed a block of rows at a time: writing holds one block, where the
-    # whole text took 4.2 MB, and reading stays under three times the
-    # (10,001, 5) float table, where the text and its lines took 3.4 MB.
+    # whole text took 4.2 MB.  Reading hashes the file 64 KiB at a time and
+    # rebuilds the states, under three times the (10,001, 5) float table,
+    # where parsing the text and its lines took 3.4 MB.
     assert got["peak_bytes"]["write_trajectory"] < 1.5e6
     assert got["peak_bytes"]["read_trajectory"] < 3 * 10001 * 5 * 8
     assert got["kg"] == {
         "steps_accepted": 242, "steps_rejected": 0, "rhs_evaluations": 1453, "samples": 10001,
+        "meta_bytes": 136520,
         "states_sha256": "3f3e48ca8420c045d2c7709b784761f9d2a201fb93927ea3c978cc02812a2720"}
 
 

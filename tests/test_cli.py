@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -23,13 +24,13 @@ from rwcosmo.cli import (EXIT_CONFIG, EXIT_INADMISSIBLE, EXIT_INCONCLUSIVE,
                          EXIT_INTEGRATOR, EXIT_OK, EXIT_VERIFY_FAILED, main,
                          parse_run_config, parse_sweep_plan)
 from rwcosmo.integrator import TRAJECTORY_COLUMNS
-from rwcosmo.serialize import (CorruptTrajectory, meta_json_text, read_trajectory, write_table,
-                               write_trajectory)
+from rwcosmo.serialize import meta_json_text, read_trajectory, write_table, write_trajectory
 from rwcosmo.sweep import SWEEP_PARAMS
 
 from conftest import write_reference_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRAJECTORY_HEADER = "t,u,v,phi,chi"
 #: sha256 of the reference run's trajectory.csv, and of the same run stepped
 #: through its frozen phase.  The float stepper makes them the same on every
@@ -43,11 +44,11 @@ STEPPED_TRAJECTORY_SHA256 = (
 #: bump moves its pins.
 JSON_SHA256 = {
     "paper": {
-        "meta.json": "ef9a6c26a8c2779d78c2e694f0e711a3a56cc8d232af0da56826d1f7c42d87ae",
+        "meta.json": "6a67865cbb3e49f6387ae6eeefa27db840105948aa353f74ca8d7af470f392df",
         "report.json": "8dcbd9fd19630f261835a31edb74abcf435bb75a027bc045e6812e7833a0fd4f",
     },
     "kg": {
-        "meta.json": "a8372c08d83ead43ee0eb86105287e2fa444fcf583c2a9ad5aba562a6b529fa1",
+        "meta.json": "d7abb686b61eb9b7fad84f2c9731ec741678e36e6f2d8797de60e270ce6bdecf",
         "report.json": "c33ff65169af6b8250c71db82e743cc0e9ca5ef3c52674c6d51117be5a8885b9",
     },
 }
@@ -420,137 +421,168 @@ class TestVerify:
     def test_missing_directory_exits_1(self):
         assert main(["verify", "no_such_dir"]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("column,value", [
-        ("v", "0"), ("u", "nan"), ("t", "inf"), ("chi", "x"),
-        ("phi", ""),
-    ])
-    def test_invalid_state_value_exits_1(self, tmp_path, column, value):
-        """A state cell that is not a state value, or any cell that does not
-        parse as a number, an empty one included."""
-        cfg = write_reference_config(tmp_path / "c.ini", str(tmp_path / "out"),
-                                     **{"t_end = 10": "t_end = 0.1"})
-        assert main(["simulate", str(cfg)]) == EXIT_OK
-        path = tmp_path / "out" / "trajectory.csv"
-        lines = path.read_text().splitlines()
-        fields = lines[3].split(",")
-        fields[TRAJECTORY_HEADER.split(",").index(column)] = value
-        lines[3] = ",".join(fields)
-        path.write_text("\n".join(lines) + "\n")
-        assert main(["verify", str(tmp_path / "out")]) == EXIT_CONFIG
-
-    def test_corrupt_csv_exits_1(self, tmp_path):
-        cfg = write_reference_config(tmp_path / "c.ini", str(tmp_path / "out"),
-                                     **{"t_end = 10": "t_end = 0.1"})
-        assert main(["simulate", str(cfg)]) == EXIT_OK
-        (tmp_path / "out" / "trajectory.csv").write_text("t,u\n0,nonsense\n")
-        assert main(["verify", str(tmp_path / "out")]) == EXIT_CONFIG
-
-    @pytest.mark.parametrize("edit,message", [
-        (lambda rows: rows[2].pop(), "changed from 5 to 4 at row 3"),
-        (lambda rows: rows[2].append("0"), "changed from 5 to 6 at row 3"),
-        (lambda rows: [r.append("0") for r in rows], "rows hold 6 values"),
-        (lambda rows: [r.pop() for r in rows], "rows hold 4 values"),
-    ], ids=["row_of_4", "row_of_6", "all_rows_6", "all_rows_4"])
-    def test_row_not_5_fields_exits_1(self, tmp_path, capsys, edit, message):
-        """Every data row holds the 5 header fields, t and the four states:
-        one error line, exit 1, no report."""
+    @staticmethod
+    def simulate_short(tmp_path):
+        """The output directory of the reference run simulated to t = 0.1."""
         out = tmp_path / "out"
         cfg = write_reference_config(tmp_path / "c.ini", str(out),
                                      **{"t_end = 10": "t_end = 0.1"})
         assert main(["simulate", str(cfg)]) == EXIT_OK
-        path = out / "trajectory.csv"
-        header, *rows = path.read_text().splitlines()
-        rows = [row.split(",") for row in rows]
-        edit(rows)
-        path.write_text("\n".join([header] + [",".join(r) for r in rows]) + "\n")
+        return out
+
+    @staticmethod
+    def assert_csv_refused(out, capsys, command="verify"):
+        """``command`` on the run at ``out``, whose trajectory.csv no longer
+        has the sha256 simulate recorded: one line naming the file and both
+        digests, exit 1, nothing written."""
+        recorded = json.loads((out / "meta.json").read_text())["trajectory_sha256"]
+        found = hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest()
+        assert found != recorded
+        written = sorted(out.iterdir())
         capsys.readouterr()
-        assert main(["verify", str(out)]) == EXIT_CONFIG
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("rwcosmo: error: trajectory.csv: "), err
-        assert message in err[0]
-        assert not (out / "report.json").exists()
+        assert main([command, str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"rwcosmo: error: trajectory.csv: sha256 {found} is not meta.json's "
+            f"trajectory_sha256 {recorded}: the file was edited"]
+        assert sorted(out.iterdir()) == written
+
+    @classmethod
+    def verify_edited_csv(cls, tmp_path, capsys, edit, command="verify"):
+        """Simulate the short reference run, replace its trajectory.csv text
+        by ``edit`` of it and run ``command``: assert_csv_refused.  The
+        recorded sha256 is that of the file simulate wrote."""
+        out = cls.simulate_short(tmp_path)
+        path = out / "trajectory.csv"
+        text = path.read_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            json.loads((out / "meta.json").read_text())["trajectory_sha256"]
+        path.write_text(edit(text))
+        cls.assert_csv_refused(out, capsys, command)
+
+    @staticmethod
+    def edit_cell(row, column, value):
+        """An edit of trajectory.csv text: the ``column`` cell of data row
+        ``row`` set to ``value``."""
+        def edit(text):
+            lines = text.splitlines()
+            fields = lines[row].split(",")
+            fields[TRAJECTORY_HEADER.split(",").index(column)] = value
+            lines[row] = ",".join(fields)
+            return "\n".join(lines) + "\n"
+        return edit
+
+    @pytest.mark.parametrize("column,value", [
+        ("v", "0"), ("u", "nan"), ("t", "inf"), ("chi", "x"),
+        ("phi", ""),
+    ])
+    def test_invalid_state_value_exits_1(self, tmp_path, capsys, column, value):
+        """A state cell that is not a state value, or any cell that does not
+        parse as a number, an empty one included: the file is not the one
+        written."""
+        self.verify_edited_csv(tmp_path, capsys, self.edit_cell(3, column, value))
+
+    def test_corrupt_csv_exits_1(self, tmp_path, capsys):
+        self.verify_edited_csv(tmp_path, capsys, lambda text: "t,u\n0,nonsense\n")
+
+    def test_perfbench_self_check_fails_the_op(self, tmp_path, capsys, monkeypatch):
+        """perfbench's self-check: the 12th significant digit of v bumped in
+        the middle row of trajectory.csv, by perfbench/run.py's own
+        bump_digit, a different double 1e-11 away, makes verify exit 1 with
+        one line naming trajectory.csv and no report.  The harness's
+        DenseOutput op with that edit then counts as failed."""
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+
+        def bump_middle_v(text):
+            lines = text.split("\n")
+            row = len(lines) // 2
+            cells = lines[row].split(",")
+            bumped = run.bump_digit(cells[2])
+            assert float(bumped) != float(cells[2])
+            return self.edit_cell(row, "v", bumped)(text)
+
+        self.verify_edited_csv(tmp_path, capsys, bump_middle_v)
+        runner = run.DenseOutput(rwcosmo, 0, tmp_path / "bench")
+        with contextlib.redirect_stdout(io.StringIO()):
+            failure = runner.self_check(None)
+        assert failure.startswith("exit codes simulate=0 verify=1: ") and \
+            "trajectory.csv: sha256 " in failure, failure
+
+    @pytest.mark.parametrize("edit", [
+        lambda rows: rows[2].pop(),
+        lambda rows: rows[2].append("0"),
+        lambda rows: [r.append("0") for r in rows],
+        lambda rows: [r.pop() for r in rows],
+    ], ids=["row_of_4", "row_of_6", "all_rows_6", "all_rows_4"])
+    def test_row_not_5_fields_exits_1(self, tmp_path, capsys, edit):
+        """A data row of other than the 5 header fields, t and the four
+        states: the file is not the one written."""
+        def edit_rows(text):
+            header, *rows = text.splitlines()
+            rows = [row.split(",") for row in rows]
+            edit(rows)
+            return "\n".join([header] + [",".join(r) for r in rows]) + "\n"
+
+        self.verify_edited_csv(tmp_path, capsys, edit_rows)
 
     @pytest.mark.parametrize("command", ["verify", "report"])
     def test_old_twelve_column_file_exits_1(self, tmp_path, capsys, command):
         """A trajectory.csv in an old format: the twelve-column one, with the
         derived columns a, psi, rho, H, T00, Q and constraint stored beside
         the states, and the six-column one, with rho stored as a state.
-        Each gives one unexpected-header line, exit 1, nothing written.
+        Each is not the file written: one line, exit 1, nothing written.
         Such a run must be simulated again."""
-        out = tmp_path / "out"
-        cfg = write_reference_config(tmp_path / "c.ini", str(out),
-                                     **{"t_end = 10": "t_end = 0.1"})
-        assert main(["simulate", str(cfg)]) == EXIT_OK
+        out = self.simulate_short(tmp_path)
         cols = read_trajectory(out).as_arrays()
         for names in (TRAJECTORY_COLUMNS, ("t", "u", "v", "phi", "chi", "rho")):
-            old_header = ",".join(names)
-            write_table(out / "trajectory.csv", old_header, [cols[n] for n in names])
-            before = sorted(out.iterdir())
-            capsys.readouterr()
-            assert main([command, str(out)]) == EXIT_CONFIG
-            assert capsys.readouterr().err.splitlines() == [
-                f"rwcosmo: error: trajectory.csv: unexpected header {old_header!r}"]
-            assert sorted(out.iterdir()) == before
+            write_table(out / "trajectory.csv", ",".join(names), [cols[n] for n in names])
+            self.assert_csv_refused(out, capsys, command)
 
-    @pytest.mark.parametrize("edit,row", [
-        (lambda t: t[:5] + [t[5] + 1e-3] + t[6:], 6),
-        (lambda t: [2.0 * x for x in t], 2),
-        (lambda t: t + [0.11], 12),
+    @pytest.mark.parametrize("edit", [
+        lambda t: t[:5] + [t[5] + 1e-3] + t[6:],
+        lambda t: [2.0 * x for x in t],
+        lambda t: t + [0.11],
     ], ids=["one_moved", "all_doubled", "past_t_end"])
-    def test_t_off_the_sample_grid_exits_1(self, tmp_path, capsys, edit, row):
-        """The t column must be the run's sample grid, exactly: one error
-        line naming the first data row off it, exit 1, no report."""
-        out = tmp_path / "out"
-        cfg = write_reference_config(tmp_path / "c.ini", str(out),
-                                     **{"t_end = 10": "t_end = 0.1"})
-        assert main(["simulate", str(cfg)]) == EXIT_OK
-        path = out / "trajectory.csv"
-        header, *rows = path.read_text().splitlines()
-        times = edit([float(r.split(",", 1)[0]) for r in rows])
-        rows += rows[-1:] * (len(times) - len(rows))
-        rows = [f"{x!r},{r.split(',', 1)[1]}" for x, r in zip(times, rows)]
-        path.write_text("\n".join([header] + rows) + "\n")
-        meta = json.loads((out / "meta.json").read_text())
-        meta["n_samples"] = len(rows)
-        (out / "meta.json").write_text(json.dumps(meta))
+    def test_t_off_the_sample_grid_exits_1(self, tmp_path, capsys, edit):
+        """A t column off the run's sample grid, or past its end: the file
+        is not the one written."""
+        def edit_times(text):
+            header, *rows = text.splitlines()
+            times = edit([float(r.split(",", 1)[0]) for r in rows])
+            rows += rows[-1:] * (len(times) - len(rows))
+            rows = [f"{x!r},{r.split(',', 1)[1]}" for x, r in zip(times, rows)]
+            return "\n".join([header] + rows) + "\n"
+
+        self.verify_edited_csv(tmp_path, capsys, edit_times)
+
+    def test_blank_lines(self, tmp_path, capsys):
+        """Empty lines in trajectory.csv, which the old parser skipped, are
+        refused like any other edit, as are a line of only blanks, an empty
+        line before the header, a header with no rows and an empty file."""
+        for bad in (lambda text: text.replace("\n", "\n\n"),
+                    lambda text: f"{text} \t\n",
+                    lambda text: f"\n{text}",
+                    lambda text: text.split("\n", 1)[0] + "\n\n\n",
+                    lambda text: ""):
+            self.verify_edited_csv(tmp_path, capsys, bad)
+
+    def test_missing_csv_exits_1(self, tmp_path, capsys):
+        """A run whose trajectory.csv is gone: one missing-file line."""
+        out = self.simulate_short(tmp_path)
+        (out / "trajectory.csv").unlink()
         capsys.readouterr()
         assert main(["verify", str(out)]) == EXIT_CONFIG
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(
-            f"rwcosmo: error: trajectory.csv: data row {row} (t = "), err
-        assert not (out / "report.json").exists()
-
-    def test_blank_lines(self, tmp_path):
-        """Empty lines in trajectory.csv are skipped; a line of only blanks
-        is a malformed row, and the header must be the first line."""
-        out = tmp_path / "out"
-        cfg = write_reference_config(tmp_path / "c.ini", str(out),
-                                     **{"t_end = 10": "t_end = 0.1"})
-        assert main(["simulate", str(cfg)]) == EXIT_OK
-        path = out / "trajectory.csv"
-        text = path.read_text()
-        header = text.splitlines()[0]
-        traj = read_trajectory(out)
-        path.write_text(text.replace("\n", "\n\n"))
-        again = read_trajectory(out)
-        assert again.t.tobytes() == traj.t.tobytes()
-        assert again.states.tobytes() == traj.states.tobytes()
-        for bad, message in ((f"{text} \t\n", "changed from 5 to 1 at row 12"),
-                             (f"\n{text}", "unexpected header ''"),
-                             (f"{header}\n\n\n", "holds no samples"),
-                             ("", "empty file")):
-            path.write_text(bad)
-            with pytest.raises(CorruptTrajectory, match=message):
-                read_trajectory(out)
+        assert capsys.readouterr().err.splitlines() == [
+            f"rwcosmo: error: missing file: {out / 'trajectory.csv'}"]
+        assert sorted(p.name for p in out.iterdir()) == ["meta.json"]
 
     @staticmethod
     def verify_edited_meta(tmp_path, capsys, edit, key):
         """Simulate the short reference run, apply ``edit`` to its meta.json
         and verify: one readable error line naming ``key``, exit 1, no report."""
-        out = tmp_path / "out"
-        cfg = write_reference_config(tmp_path / "c.ini", str(out),
-                                     **{"t_end = 10": "t_end = 0.1"})
-        assert main(["simulate", str(cfg)]) == EXIT_OK
+        out = TestVerify.simulate_short(tmp_path)
         meta = json.loads((out / "meta.json").read_text())
         edit(meta)
         (out / "meta.json").write_text(json.dumps(meta))
@@ -604,6 +636,23 @@ class TestVerify:
          "override_admissibility must be a bool, got 'yes'"),
         (lambda meta: meta["events"].insert(0, {"t": 0.0, "kind": "GuardTripped", "detail": "x"}),
          "a GuardTripped event ends the run: it must be the last event"),
+        (lambda meta: meta["steps"]["t0"].__setitem__(0, "0.0"), "t0 must hold floats, got '0.0'"),
+        (lambda meta: meta["steps"]["h"].__setitem__(0, 1), "h must hold floats, got 1"),
+        (lambda meta: meta["steps"].update(t0=[0.01] + meta["steps"]["t0"][1:],
+                                           h=[0.0] + meta["steps"]["h"][1:]),
+         "h must hold step sizes > 0, got 0.0"),
+        (lambda meta: meta["steps"]["y1"].pop(), "y1 must be an array of 32 floats, 4 a step"),
+        (lambda meta: meta["steps"]["quartics"].pop(),
+         "quartics must be an array of 160 floats, 20 a step"),
+        (lambda meta: meta["steps"].update(theta="0.5"),
+         "theta must be a float or null, got '0.5'"),
+        (lambda meta: meta["steps"].update(tail=1), "tail must be a bool, got 1"),
+        (lambda meta: meta["steps"].update(y0=[]),
+         "steps must hold exactly t0, h, y1, quartics, theta, tail, got t0, h, y1, quartics, "
+         "theta, tail, y0"),
+        (lambda meta: meta.update(steps=[]), "steps must be an object, got []"),
+        (lambda meta: meta.update(trajectory_sha256=None),
+         "trajectory_sha256 must be a string, got null"),
     ], ids=["n_samples_not_the_rows", "n_samples_float", "a0_string",
             "count_fractional", "count_boolean", "a0_boolean",
             "chi0_negative", "rho0_negative",
@@ -612,7 +661,10 @@ class TestVerify:
             "admissibility_flag_edited", "admissibility_unknown_key",
             "admissibility_flag_as_integer", "guard_tripped_stray",
             "unknown_top_level_key", "version_not_string", "package_not_rwcosmo",
-            "float_written_as_int", "override_not_bool", "guard_trip_not_last"])
+            "float_written_as_int", "override_not_bool", "guard_trip_not_last",
+            "steps_t0_string", "steps_h_integer", "steps_h_zero", "steps_y1_short",
+            "steps_count_differs", "steps_theta_string", "steps_tail_integer", "steps_unknown_key",
+            "steps_not_object", "digest_not_string"])
     def test_meta_values_checked(self, tmp_path, capsys, edit, key):
         """meta.json's values are checked: each block is an object, a real
         value is not a boolean, a count is an integer, version is a string,
@@ -689,7 +741,8 @@ class TestVerify:
         assert main(["simulate", str(cfg)]) == code
         traj = read_trajectory(out)
         assert holds(traj)
-        assert meta_json_text(traj, rwcosmo.__version__).encode() == \
+        csv_sha256 = hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest()
+        assert meta_json_text(traj, rwcosmo.__version__, csv_sha256).encode() == \
             (out / "meta.json").read_bytes()
 
     def test_old_format_directory_exits_1(self, tmp_path, capsys):
@@ -711,16 +764,38 @@ class TestVerify:
         assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("command", ["verify", "report"])
+    @pytest.mark.parametrize("keys", [("steps",), ("trajectory_sha256",),
+                                      ("trajectory_sha256", "steps")],
+                             ids=["no_steps", "no_digest", "neither"])
+    def test_run_without_step_record_exits_1(self, tmp_path, capsys, keys, command):
+        """A run directory from before meta.json held the step record and
+        the sha256 of trajectory.csv (both keys absent), or with one of them
+        gone: one line naming the format change, exit 1, nothing written."""
+        out = self.simulate_short(tmp_path)
+        meta = json.loads((out / "meta.json").read_text())
+        for key in keys:
+            del meta[key]
+        (out / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+        written = sorted(out.iterdir())
+        capsys.readouterr()
+        assert main([command, str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"rwcosmo: error: invalid meta.json: no {' and no '.join(keys)}: the run was "
+            "written before meta.json held its steps; simulate it again"]
+        assert sorted(out.iterdir()) == written
+
+    @pytest.mark.parametrize("command", ["verify", "report"])
     @pytest.mark.parametrize("name", ["meta.json", "trajectory.csv"])
     def test_non_utf8_byte_exits_1(self, tmp_path, capsys, name, command):
         """A byte that is not UTF-8 in any file of a run: one error line
-        naming the file, exit 1, nothing written."""
-        out = tmp_path / "out"
-        cfg = write_reference_config(tmp_path / "c.ini", str(out),
-                                     **{"t_end = 10": "t_end = 0.1"})
-        assert main(["simulate", str(cfg)]) == EXIT_OK
+        naming the file, exit 1, nothing written.  trajectory.csv is not
+        decoded: the byte is an edit of the file written."""
+        out = self.simulate_short(tmp_path)
         with open(out / name, "ab") as f:
             f.write(b"\xff")
+        if name == "trajectory.csv":
+            self.assert_csv_refused(out, capsys, command)
+            return
         written = sorted(out.iterdir())
         capsys.readouterr()
         assert main([command, str(out)]) == EXIT_CONFIG

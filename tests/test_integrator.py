@@ -763,8 +763,8 @@ class TestSampleGuard:
     """A grid sample that breaks the state invariants while its step's ends
     pass.  No real run found does this, so the quartic's k7 weight _D7 is
     scaled: the interpolant then bulges between the ends of a step.  Each
-    sample is checked as its step is accepted, by the float form of
-    valid_states's rule (finite, v > 0).  The run must stop at the step
+    sample is checked as its step is accepted, by the state rule (finite,
+    v > 0) on floats.  The run must stop at the step
     holding the first bad sample, with that step's counts and the events
     logged before it, whatever the steps after it would have done."""
 

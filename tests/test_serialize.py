@@ -1,21 +1,26 @@
 """The table writer: one text per block of rows, the bytes of one per value;
-the trajectory files it writes and read_trajectory, in bounded memory."""
+the trajectory files it writes, and read_trajectory, which rebuilds each run
+from its step record bit for bit, in bounded memory."""
 
+import contextlib
+import hashlib
 import math
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from rwcosmo import IntegratorConfig, ModelParams, integrate, make_initial_data, nu_rate
-from rwcosmo.integrator import IntegrationStats, Trajectory
+from rwcosmo import (IntegratorConfig, ModelParams, integrate, integrator, make_initial_data,
+                     nu_rate)
+from rwcosmo.integrator import GUARD_TRIPPED, Trajectory
 from rwcosmo.serialize import (_BLOCK, fmt, meta_json_text, read_trajectory, write_table,
                                write_trajectory)
 
-from conftest import REF_PARAMS, reference_initial
+from conftest import REF_CONFIG, REF_PARAMS, reference_initial
 
 
 def celled_table_text(header, columns, sep=","):
@@ -104,13 +109,16 @@ SIZES = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]
 def edge_columns(n):
     """Columns whose blocks are constant but for their last row, mix -0.0
     with 0.0, are -0.0 or nan throughout, or cycle through nan, +-inf, a
-    subnormal and +-1e300; and a ramp and a constant."""
+    subnormal and +-1e300, or through signed zeros, subnormals and 1e300;
+    and a ramp, a constant and standard normal draws."""
     rows = np.arange(n)
     last_of_block = np.full(n, 0.25)
     last_of_block[_BLOCK - 1::_BLOCK] = last_of_block[-1] = 0.5
     return [rows * 1e-3, last_of_block, np.where(rows % 3 == 0, -0.0, 0.0),
             np.full(n, -0.0), np.full(n, math.nan), np.full(n, 1 / 3),
-            np.resize([math.nan, math.inf, -math.inf, 5e-324, 1e300, -1e300], n)]
+            np.resize([math.nan, math.inf, -math.inf, 5e-324, 1e300, -1e300], n),
+            np.resize([0.0, -0.0, 1e-310, 5e-324, 1.0, 1e300], n),
+            np.random.default_rng(n).standard_normal(n)]
 
 
 @pytest.mark.parametrize("sep", [",", " "])
@@ -124,21 +132,57 @@ def test_blocks_write_every_cells_bytes(tmp_path, n, sep):
 
 
 @pytest.mark.parametrize("n", SIZES)
+def test_cells_parse_back_bit_exactly(tmp_path, n):
+    """Each cell write_table writes parses back to its double bit for bit:
+    signed zeros, subnormals, +-inf, 1e300 and random doubles; a nan cell
+    reads nan."""
+    columns = edge_columns(n)
+    lines = written(tmp_path / "table.dat", "# t x", columns).splitlines()[1:]
+    back = np.array([[float(cell) for cell in line.split(",")] for line in lines])
+    want = np.column_stack(columns)
+    assert np.array_equal(np.isnan(back), np.isnan(want))
+    number = ~np.isnan(want)
+    assert (back.view(np.uint64)[number] == want.view(np.uint64)[number]).all()
+
+
+def rebuilt(tmp, traj):
+    """Write ``traj`` into ``tmp``, read it back and check the rebuild: the
+    run's states, events and stats, bit for bit, and the same two files
+    when the read run is written again.  Returns the rebuilt run."""
+    tmp = Path(tmp)
+    write_trajectory(tmp / "a", traj, "test")
+    back = read_trajectory(tmp / "a")
+    assert back.states.tobytes() == traj.states.tobytes()
+    assert back.t.tobytes() == traj.t.tobytes()
+    assert (back.events, back.stats) == (traj.events, traj.stats)
+    assert back.steps.to_json() == traj.steps.to_json()
+    write_trajectory(tmp / "b", back, "test")
+    for name in ("trajectory.csv", "meta.json"):
+        assert (tmp / "b" / name).read_bytes() == (tmp / "a" / name).read_bytes(), name
+    return back
+
+
+@pytest.mark.parametrize("n", SIZES)
 def test_trajectory_round_trips_bit_exactly(tmp_path, n):
     """write_trajectory then read_trajectory gives back every state bit for
-    bit: signed zeros, subnormals, 1e300 and columns constant over a block
-    but for its last row."""
-    rng = np.random.default_rng(n)
-    _, last_of_block, *_ = edge_columns(n)
-    states = np.column_stack([rng.standard_normal(n), np.resize([1.0, 5e-324, 1e300], n),
-                              last_of_block, np.resize([0.0, -0.0, 1e-310, 1e300], n)])
-    traj = Trajectory(params=REF_PARAMS, initial=reference_initial(),
-                      config=IntegratorConfig(t_end=5.0, sample_dt=1e-3), states=states,
-                      events=(), stats=IntegrationStats(0, 0, 0))
-    write_trajectory(tmp_path, traj, "test")
-    back = read_trajectory(tmp_path)
-    assert back.states.tobytes() == states.tobytes()
-    assert back.t.tobytes() == traj.t.tobytes()
+    bit, in both modes, on runs of as many samples as about the writer's
+    block size."""
+    for mode in ("paper", "kg"):
+        config = IntegratorConfig(t_end=max(n - 1, 0.5) * 1e-3, sample_dt=1e-3, mode=mode)
+        traj = integrate(reference_initial(), REF_PARAMS, config)
+        assert traj.t.size == n
+        rebuilt(tmp_path / mode, traj)
+
+
+def test_hand_built_run_not_written(tmp_path):
+    """A Trajectory with no step record, such as one built by hand, cannot
+    be read back: write_trajectory raises and writes nothing."""
+    traj = integrate(reference_initial(), REF_PARAMS, replace(REF_CONFIG, t_end=0.1))
+    by_hand = Trajectory(params=traj.params, initial=traj.initial, config=traj.config,
+                         states=traj.states, events=traj.events, stats=traj.stats)
+    with pytest.raises(ValueError, match="no step record, from which read_trajectory rebuilds"):
+        write_trajectory(tmp_path / "run", by_hand, "test")
+    assert not (tmp_path / "run").exists()
 
 
 def test_run_is_two_files(tmp_path):
@@ -172,8 +216,82 @@ def test_meta_is_what_the_read_run_writes(lam, mass, phi0, chi0, rho0, mode):
     traj = integrate(data, params, IntegratorConfig(t_end=0.1, mode=mode))
     with tempfile.TemporaryDirectory() as tmp:
         write_trajectory(tmp, traj, "test")
-        assert meta_json_text(read_trajectory(tmp), "test").encode() == \
+        csv_sha256 = hashlib.sha256((Path(tmp) / "trajectory.csv").read_bytes()).hexdigest()
+        assert meta_json_text(read_trajectory(tmp), "test", csv_sha256).encode() == \
             (Path(tmp) / "meta.json").read_bytes()
+
+
+@settings(max_examples=60)
+@given(lam=st.floats(-5.0, 5.0), mass=st.floats(0.05, 3.0), phi0=st.floats(0.05, 3.0),
+       chi0=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+       rho0=st.one_of(st.just(0.0), st.floats(0.0, 2.0)), mode=st.sampled_from(["paper", "kg"]),
+       sample_dt=st.sampled_from([0.1, 0.01, 0.001]))
+def test_rebuild_is_the_run(lam, mass, phi0, chi0, rho0, mode, sample_dt):
+    """For admissible draws in both modes at three sample spacings, the run
+    read back has integrate's states bit for bit, and writing it again
+    writes the same trajectory.csv and meta.json."""
+    params = ModelParams(lam=lam, mass=mass)
+    assume(nu_rate(params, phi0) is not None)
+    data = make_initial_data(params, a0=1.0, phi0=phi0, chi0=chi0, rho0=rho0, branch="expanding")
+    traj = integrate(data, params, IntegratorConfig(t_end=2.0, sample_dt=sample_dt, mode=mode))
+    with tempfile.TemporaryDirectory() as tmp:
+        rebuilt(tmp, traj)
+
+
+def reference_run(**edits):
+    return integrate(reference_initial(), REF_PARAMS, replace(REF_CONFIG, **edits))
+
+
+def run_of(lam, mass, phi0, chi0, rho0, **edits):
+    params = ModelParams(lam=lam, mass=mass)
+    data = make_initial_data(params, 1.0, phi0, chi0, rho0, "expanding")
+    return integrate(data, params, replace(REF_CONFIG, **edits))
+
+
+def tripped(detail):
+    return lambda traj: traj.events[-1].kind == GUARD_TRIPPED and \
+        traj.events[-1].detail.startswith(detail)
+
+
+#: Runs at the edges of the record, each with what shows it took that edge
+#: (patches on integrator, whether it runs under ``stepped``, the run, the
+#: edge): frozen at t = 0 with no step; stepped through the frozen phase; an
+#: exact tail cut at MIN_V (m = 400); a sample trip in a step after the
+#: freeze and in the freeze step itself (the quartic's weight _D7 scaled,
+#: the crossing pinned); the step budget ending a run in either mode.
+NAMED_RUNS = [
+    pytest.param({}, False, lambda: run_of(1.0, 1.0, 1.0, 0.0, 0.05),
+                 lambda traj: traj.steps.tail and traj.stats.steps_accepted == 0,
+                 id="chi0_zero"),
+    pytest.param({}, True, reference_run,
+                 lambda traj: not traj.steps.tail and traj.stats.steps_accepted == 1152,
+                 id="stepped"),
+    pytest.param({}, False, lambda: run_of(1.0, 400.0, 1.0, 0.1, 0.05, t_end=1.0),
+                 tripped("v = 1.71956e-306 fell below 1e-300"), id="min_v_cut"),
+    pytest.param(dict(_D7=integrator._D7 * 500.0), True, lambda: reference_run(sample_dt=0.03),
+                 tripped("sample at t = 0.12 violated"), id="sample_trip_after_freeze"),
+    pytest.param(dict(_D7=integrator._D7 * 1e4, _locate_crossing=lambda *args: 0.9), False,
+                 lambda: reference_run(sample_dt=0.0779), tripped("sample at t = 0.0779 violated"),
+                 id="sample_trip_in_freeze_step"),
+    pytest.param(dict(MAX_STEPS=5), False, reference_run, tripped("MAX_STEPS = 5"),
+                 id="max_steps_paper"),
+    pytest.param(dict(MAX_STEPS=5), False, lambda: reference_run(mode="kg"),
+                 tripped("MAX_STEPS = 5"), id="max_steps_kg"),
+]
+
+
+@pytest.mark.parametrize("patches,step_on,run,took_edge", NAMED_RUNS)
+def test_named_run_rebuilds(tmp_path, monkeypatch, stepped, patches, step_on, run, took_edge):
+    """Each named run, integrated under its patches and read back with none
+    in place, has its states bit for bit and writes the same files again
+    (test_rebuild_is_the_run's checks)."""
+    with monkeypatch.context() as patch:
+        for attr, value in patches.items():
+            patch.setattr(integrator, attr, value)
+        with stepped() if step_on else contextlib.nullcontext():
+            traj = run()
+    assert took_edge(traj)
+    rebuilt(tmp_path, traj)
 
 
 @pytest.fixture(scope="module")
@@ -201,8 +319,8 @@ def test_write_trajectory_memory_bounded(tmp_path, long_run):
 
 
 def test_read_trajectory_memory_bounded(tmp_path, long_run):
-    """Reading parses the open file, with no whole-file string or list of
-    lines: a peak under three times the (n, 5) float table, where the text
-    and its lines took 63 MB."""
+    """Reading hashes trajectory.csv 64 KiB at a time and rebuilds the states
+    from the step record: a peak under three times the (n, 5) float table,
+    where the text and its lines took 63 MB."""
     write_trajectory(tmp_path, long_run, "test")
     assert traced_peak(lambda: read_trajectory(tmp_path)) < 3 * long_run.t.size * 5 * 8
