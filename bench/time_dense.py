@@ -7,13 +7,16 @@ sample_dt 0.001 (10,001 samples).
 Each repeat times, once each and in alternating order (reversed on odd
 repeats): integrate, integrate on the same run in ``kg`` mode (no frozen
 tail: every sample is stepped), write_trajectory (into the temporary
-directory, overwriting), read_trajectory, read_trajectory of the ``kg`` run
+directory, overwriting), format_table (the bytes of trajectory.csv, with no
+file and no digest), read_trajectory, read_trajectory of the ``kg`` run
 (whose step record holds every sampled step), verify, and the whole op,
 ``rwcosmo simulate`` then ``rwcosmo verify`` through cli.main.  Prints one
 JSON object: the wall times in s and their medians over REPEATS (default
 15), the step counters, ``libm_elements``, the elements integrate then
 verify pass through integrator.libm (their math-module evaluations), the
-size in bytes and the sha256 of trajectory.csv, the size in bytes of
+size in bytes and the sha256 of trajectory.csv, ``fallback_cells``, the
+cells of trajectory.csv whose text is fmt's because the table writer's
+kernel could not prove its digits, the size in bytes of
 meta.json (``meta_bytes``), the peak bytes write_trajectory and
 read_trajectory allocate on the run by tracemalloc, and under "kg", the
 ``kg`` run's counters, sample count, meta.json size and the sha256 of its
@@ -33,7 +36,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from libm_count import libm_elements
-from rwcosmo import IntegratorConfig, ModelParams, integrate, make_initial_data, verify
+from rwcosmo import (IntegratorConfig, ModelParams, integrate, make_initial_data, serialize,
+                     verify)
 from rwcosmo.cli import main as cli_main
 from rwcosmo.serialize import (META_JSON, TRAJECTORY_CSV, read_trajectory,
                                write_trajectory)
@@ -58,6 +62,25 @@ def traced_peak(f) -> int:
         tracemalloc.stop()
 
 
+def fallback_cells(op) -> int:
+    """The cells the table writer formats with fmt while ``op()`` runs:
+    serialize._fallback_slots is wrapped, for the call only."""
+    original = serialize._fallback_slots
+    count = 0
+
+    def counted(values, ends):
+        nonlocal count
+        count += len(values)
+        return original(values, ends)
+
+    serialize._fallback_slots = counted
+    try:
+        op()
+    finally:
+        serialize._fallback_slots = original
+    return count
+
+
 def main(repeats: int) -> dict:
     data = make_initial_data(PARAMS, a0=RUN.a0, phi0=RUN.phi0, chi0=RUN.chi0, rho0=RUN.rho0,
                              branch="expanding")
@@ -75,11 +98,17 @@ def main(repeats: int) -> dict:
                 if (cli_main(["simulate", str(ini)]), cli_main(["verify", str(tmp / "op")])) != (0, 0):
                     raise SystemExit("simulate or verify failed")
 
+        columns = [traj.t, *traj.states.T]
+
+        def format_table() -> bytes:
+            return b"".join(serialize._table_blocks(serialize._CSV_HEADER, columns, ","))
+
         layers = {
             "integrate": lambda: integrate(data, PARAMS, CONFIG),
             "integrate_kg": lambda: integrate(data, PARAMS, KG_CONFIG),
             "write_trajectory": lambda: write_trajectory(tmp / "run", traj, "bench",
                                                          overwrite=True),
+            "format_table": format_table,
             "read_trajectory": lambda: read_trajectory(tmp / "run"),
             "read_trajectory_kg": lambda: read_trajectory(tmp / "kg"),
             "verify": lambda: verify(traj),
@@ -106,6 +135,7 @@ def main(repeats: int) -> dict:
             "libm_elements": libm_elements(lambda: verify(integrate(data, PARAMS, CONFIG))),
             "trajectory_bytes": len(csv_bytes),
             "trajectory_sha256": hashlib.sha256(csv_bytes).hexdigest(),
+            "fallback_cells": fallback_cells(format_table),
             "meta_bytes": meta_bytes["run"],
             "peak_bytes": peak_bytes,
             "kg": {"steps_accepted": kg.stats.steps_accepted,

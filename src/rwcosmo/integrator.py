@@ -273,14 +273,16 @@ class Trajectory:
     """Sampled solution plus integrator metadata and event log.
 
     ``states``, the (n, 4) rows of (u, v, phi, chi), is the sampled data
-    held, as a private read-only copy; the sample times ``t`` and the
-    density are derived, from ``config`` and ``initial``, like every other
-    column.  ``steps`` is integrate's StepRecord of the run, from which
-    resample gives ``states`` again (None on a hand-built run, which
-    write_trajectory refuses).  The first sample is the initial state.  In
-    paper mode every sample after a ``FieldFrozen`` event has chi exactly 0.
-    A ``GuardTripped`` event, if any, is the last event.  Immutable once
-    returned; equality is identity.
+    held, read-only.  A float array that owns its memory and is read-only
+    already (integrate's and resample's) is taken as it is; anything else
+    is copied, so a caller's array does not back the run.  The sample times
+    ``t`` and the density are derived, from ``config`` and ``initial``, like
+    every other column.  ``steps`` is integrate's StepRecord of the run,
+    from which resample gives ``states`` again (None on a hand-built run,
+    which write_trajectory refuses).  The first sample is the initial state.
+    In paper mode every sample after a ``FieldFrozen`` event has chi
+    exactly 0.  A ``GuardTripped`` event, if any, is the last event.
+    Immutable once returned; equality is identity.
     """
 
     params: ModelParams
@@ -292,8 +294,11 @@ class Trajectory:
     steps: Optional[StepRecord] = None
 
     def __post_init__(self) -> None:
-        states = np.array(self.states, dtype=float).reshape(-1, 4)
-        states.flags.writeable = False
+        states = self.states
+        if not (isinstance(states, np.ndarray) and states.dtype == float
+                and states.shape[1:] == (4,) and states.base is None
+                and not states.flags.writeable):
+            states = _read_only(np.array(states, dtype=float).reshape(-1, 4))
         object.__setattr__(self, "states", states)
         if self.t.size < len(states):
             raise ValueError(f"{len(states)} state rows, but {self.t.size} grid samples")
@@ -646,7 +651,7 @@ def integrate(initial: InitialData, params: ModelParams,
         params=params,
         initial=initial,
         config=config,
-        states=rows if tail is None else np.concatenate((rows, tail)),
+        states=_read_only(np.array(rows) if tail is None else np.concatenate((rows, tail))),
         events=tuple(events),
         stats=IntegrationStats(steps_accepted=accepted, steps_rejected=rejected,
                                rhs_evaluations=nevals),
@@ -706,7 +711,8 @@ def resample(initial: InitialData, params: ModelParams, config: IntegratorConfig
     recorded step goes through _emit, as integrate's did, and a tail through
     _tail_samples, from the initial state (a run frozen at t = 0, with no
     theta) or from the freeze step's _freeze_state.  A run limit that
-    stopped the run at a sample stops it here at that sample.
+    stopped the run at a sample stops it here at that sample.  The array is
+    read-only, so a Trajectory takes it without a copy.
     """
     state0 = build_state(initial)
     rows = [[state0.u, state0.v, state0.phi, state0.chi]]
@@ -726,9 +732,15 @@ def resample(initial: InitialData, params: ModelParams, config: IntegratorConfig
         if detail is not None:
             break
     if y_f is None:
-        return np.array(rows)
+        return _read_only(np.array(rows))
     tail, _ = _tail_samples(t_f, y_f, (state0.rho, state0.v), params, grid[k:])
-    return np.concatenate((rows, tail))
+    return _read_only(np.concatenate((rows, tail)))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only: a Trajectory takes it without a copy."""
+    a.flags.writeable = False
+    return a
 
 
 def libm(f: Callable[[float], float], x: np.ndarray) -> np.ndarray:

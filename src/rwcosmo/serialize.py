@@ -4,9 +4,18 @@ trajectory.csv stores ``t,u,v,phi,chi`` and nothing derived from them.
 All floats are written with 17 significant digits, which round-trips IEEE
 doubles exactly.  Output is fully deterministic: identical runs produce
 identical bytes.  A table (trajectory.csv, the report's .dat files) streams
-to its file a block of 2,048 rows at a time, each block one ``%`` over its
-rows' template, in which a column constant over the block (by bit pattern)
-stands as its text: the bytes of formatting every value.
+to its file a block of 1,024 rows at a time.  A column constant over the
+block (by bit pattern) is its fmt text in every row.  The block's other
+cells go through one numpy pass: N = round(|x|*10**(16-k)), the 17 digits,
+from Dekker's exact TwoProduct of |x| with a double-double power of ten (k
+from log10, an estimate only); N's ASCII digits by multiply-shift in uint64
+lanes; and the ``%g`` layout (fixed notation for -4 <= k < 17, else
+d.ddde+XX; trailing zeros and a bare point dropped) as NUL-padded words
+that bytes.translate compacts.  A cell keeps that text only when its
+digits are proven: 1e-270 < |x| < 1e270, the product's head at least 32
+inside [1e16, 1e17] and its fraction at least 1e-9 from a rounding tie.
++-0 are laid out directly and every other cell is fmt's own text, so each
+cell's bytes are ``'%.17g' % x`` whatever loops numpy picks for the CPU.
 
 A run is two files: trajectory.csv and meta.json, which holds every other
 fact of the run: its events, the StepRecord of its steps (``steps``) and
@@ -34,6 +43,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import asdict
+from functools import cache
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
 
@@ -65,38 +75,239 @@ def fmt(x: float) -> str:
     return _FLOAT % (x,)
 
 
-#: Rows per block of a table: bounds the text and the cells held at once.
-_BLOCK = 2048
+#: Rows per block of a table.  A block's slots, its text and the kernel's
+#: temporaries (a few dozen arrays of one word per varying cell) are held
+#: at once, so the block size bounds a write's memory: the dense run's
+#: write peaks at 1.0 MB with 1,024 rows, at 2.1 MB with 2,048.
+_BLOCK = 1024
+
+#: The bytes of a cell's slot: 4 little-endian words that hold its text
+#: (at most 24 characters), NULs, and the byte after it (sep or newline).
+_SLOT = 32
+_ASCII_ZEROS = 0x3030303030303030
+_SPLITTER = 134217729.0  # 2**27 + 1: Dekker's split of a double into 26-bit halves
+#: The exponents k = floor(log10|x|) the kernel takes, from _K_MIN: those of
+#: 1e-270 < |x| < 1e270, on which no product of its TwoProduct under- or
+#: overflows.
+_K_MIN, _K_COUNT = -270, 540
 
 
-def _table_blocks(header: str, columns: Sequence[np.ndarray], sep: str) -> Iterator[str]:
-    """The ``header`` line, then the text of each block of _BLOCK rows of
-    the equal-length float ``columns``, one line per row.
+def _word(text: str) -> int:
+    """The little-endian word of up to 8 ASCII characters."""
+    return int.from_bytes(text.encode(), "little")
 
-    A block is one ``%`` over its rows' template.  A column whose values in
-    the block share one bit pattern (so -0.0 and 0.0 stay apart) enters the
-    template as its text, every other cell as ``%.17g``: the bytes of
-    formatting every value.
+
+def _halves(bits: int) -> tuple[int, int]:
+    """The low and high words of a 128-bit int: two slot words as one."""
+    return bits & 0xFFFFFFFFFFFFFFFF, bits >> 64
+
+
+@cache
+def _kernel_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kernel's tables, built on its first use.
+
+    ``pow10``: rows hi, lo and hi's Dekker halves of the double-double
+    10**(16-k) for each k from _K_MIN, hi + lo within 2**-106 relative, by
+    int arithmetic (an int/int division rounds correctly).  ``by_k``: rows
+    the sign word's prefix ("0.", "0.0", ... of fixed notation at k < 0,
+    byte 0 left for the sign), the last word's "e+XX" (exponent notation,
+    bytes 1 to 5), and the digits before the point (k + 1, 0 at k < 0, 1
+    in exponent notation).  ``layout``, by before*18 + s, s significant
+    digits: the two digit words' masks before the point and after it (up
+    to the last digit kept: trailing zeros of a fraction go) and their
+    point bytes.
     """
-    yield header + "\n"
+    hi, lo = [], []
+    for k in range(_K_MIN, _K_MIN + _K_COUNT):
+        if k <= 16:
+            exact = 10 ** (16 - k)
+            hi.append(float(exact))
+            lo.append(float(exact - int(hi[-1])))
+        else:
+            den = 10 ** (k - 16)
+            hi.append(1 / den)
+            num, two = hi[-1].as_integer_ratio()
+            lo.append((two - num * den) / (den * two))
+    hi = np.array(hi)
+    scaled = hi * _SPLITTER
+    head = scaled - (scaled - hi)
+    pow10 = np.stack([hi, lo, head, hi - head])
+    ks = range(_K_MIN, _K_MIN + _K_COUNT)
+    by_k = np.array([[_word("\0" + "0." + "0" * (-k - 1)) if -4 <= k < 0 else 0 for k in ks],
+                     [0 if -4 <= k < 17 else _word("\0e%+03d" % k) for k in ks],
+                     [max(k + 1, 0) if -4 <= k < 17 else 1 for k in ks]], dtype=np.uint64)
+    layout = np.zeros((6, 18 * 18), dtype=np.uint64)
+    for before in range(18):
+        for s in range(1, 18):
+            # Of the 16 digits after the first: those kept, those before the point.
+            kept = (1 << 8 * (max(s, before) - 1)) - 1
+            point = before - 1 if 0 < before < s else None
+            whole = (1 << 8 * point) - 1 if point is not None else kept
+            dot = ord(".") << 8 * point if point is not None else 0
+            layout[:, before * 18 + s] = [*_halves(kept & whole), *_halves(kept & ~whole),
+                                          *_halves(dot)]
+    for table in (pow10, by_k, layout):
+        table.flags.writeable = False  # shared by every caller
+    return pow10, by_k, layout
+
+
+def _significand(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(proven, k, N) of the magnitudes ``a`` (changed in place): N =
+    round(a*10**(16-k)), the 17 digits of ``%.17g``, and k its exponent,
+    where ``proven``; elsewhere N = 0 and k = 0, the digits of 0.
+
+    k comes from log10, an estimate only: a times the double-double
+    10**(16-k), by Dekker's exact TwoProduct, is head + tail within 1e-13.
+    N is proven when a is in (1e-270, 1e270), the head at least 32 inside
+    [1e16, 1e17] (so k was right and N has 17 digits) and the tail's
+    fraction at least 1e-9 from a tie.
+    """
+    proven = (a > 1e-270) & (a < 1e270)
+    np.copyto(a, 1.0, where=~proven)
+    k = np.log10(a)
+    np.floor(k, out=k)
+    # Into the table, so that k names the power a is scaled by, which the
+    # head then proves or refutes: log10 of a just below 1e270 can read 270.
+    np.clip(k, _K_MIN, _K_MIN + _K_COUNT - 1, out=k)
+    k = k.astype(np.int64)
+    p_hi, p_lo, b_hi, b_lo = _kernel_tables()[0].take(k - _K_MIN, axis=1)
+    scaled = a * _SPLITTER
+    a_hi = scaled - (scaled - a)
+    a_lo = a - a_hi
+    head = a * p_hi
+    # The exact error of head (Dekker), then a times the power's low part.
+    tail = ((a_hi * b_hi - head) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo + a * p_lo
+    rounded = np.rint(tail)
+    proven &= np.abs(np.abs(tail - rounded) - 0.5) >= 1e-9
+    proven &= (head >= 1e16 + 32) & (head <= 1e17 - 32)
+    unproven = ~proven
+    head[unproven] = 0.0
+    rounded[unproven] = 0.0
+    k[unproven] = 0
+    n = head.astype(np.uint64)
+    n += rounded.astype(np.int64).view(np.uint64)
+    return proven, k, n
+
+
+def _ascii_digits(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, words) of the integers ``n`` below 1e17 (changed in place):
+    the first of 17 digits, and the (2, len(n)) words of the next 8 and the
+    last 8 as byte values 0 to 9, the first in the low byte.  Multiply-shift
+    in uint64 lanes splits 8 digits as 4 + 4, 2 + 2 and 1 + 1."""
+    first = n // 10 ** 16
+    n -= first * 10 ** 16
+    words = np.empty((2, len(n)), dtype=np.uint64)
+    np.floor_divide(n, 10 ** 8, out=words[0])
+    np.subtract(n, words[0] * 10 ** 8, out=words[1])
+    top = (words * 109951163) >> 40  # // 10**4, exact below 10**8
+    words -= top * 10000
+    words <<= 32
+    words |= top
+    top = ((words * 10486) >> 20) & 0x0000007F0000007F  # // 100 in each 32-bit lane
+    words -= top * 100
+    words <<= 16
+    words |= top
+    top = ((words * 103) >> 10) & 0x000F000F000F000F  # // 10 in each 16-bit lane
+    words -= top * 10
+    words <<= 8
+    words |= top
+    return first, words
+
+
+def _significant(digits: np.ndarray) -> np.ndarray:
+    """The significant digits of 17-digit numbers, of their last 16 as the
+    (2, n) byte-value words ``digits``: 1 + the bytes up to the last
+    nonzero."""
+    nonzero = (digits + 0x7F7F7F7F7F7F7F7F) & 0x8080808080808080
+    nonzero |= nonzero >> 8
+    nonzero |= nonzero >> 16
+    nonzero |= nonzero >> 32
+    count = np.bitwise_count(nonzero)
+    return np.where(count[1] > 0, count[1] + 9, count[0] + 1)
+
+
+def _cell_slots(values: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The (rows, cols, 4) slots of the float ``values`` (rows, cols): each
+    cell's ``%.17g`` text, then its column's end byte, byte 7 of ``ends``.
+
+    A slot's words: the sign, fixed notation's "0.000" at k < 0 and the
+    first digit in byte 7; the next 8 digits, then the last 8, each with
+    the point inserted where it falls (the byte it pushes out carried to
+    the next word); and the carried byte, "e+XX" and the end byte.  The
+    layout masks keep the digits before the point and the fraction's up to
+    its last nonzero.  A cell the kernel did not prove is fmt's text, but
+    +-0, which it lays out as such.
+    """
+    _, by_k, layout = _kernel_tables()
+    x = values.ravel()
+    with np.errstate(all="ignore"):
+        proven, k, n = _significand(np.abs(x))
+    prefix, exponent, before = by_k.take(k - _K_MIN, axis=1)
+    first, digits = _ascii_digits(n)
+    whole1, whole2, frac1, frac2, dot1, dot2 = layout.take(
+        before * 18 + _significant(digits), axis=1)
+    digits |= _ASCII_ZEROS
+    word1, word2 = digits
+    frac1 &= word1
+    frac2 &= word2
+    slots = np.empty((*values.shape, 4), dtype="<u8")
+    flat = slots.reshape(-1, 4)
+    first += 0x30
+    first <<= 56
+    flat[:, 0] = first | prefix | np.signbit(x) * np.uint64(ord("-"))
+    flat[:, 1] = (word1 & whole1) | dot1 | (frac1 << 8)
+    flat[:, 2] = (word2 & whole2) | dot2 | (frac2 << 8) | (frac1 >> 56)
+    flat[:, 3] = (frac2 >> 56) | exponent
+    slots[..., 3] |= ends
+    fallback = np.flatnonzero(~proven & (x != 0))
+    if fallback.size:
+        flat[fallback] = _fallback_slots(x[fallback], flat[fallback, 3])
+    return slots
+
+
+def _text_slot(text: str, end: int) -> np.ndarray:
+    """The slot of ``text``, then the byte 7 of the word ``end``."""
+    return np.frombuffer(text.encode().ljust(_SLOT - 1, b"\0") + bytes([end >> 56]),
+                         dtype="<u8")
+
+
+def _fallback_slots(values: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The slots of the cells the kernel did not prove: fmt of each value."""
+    return np.array([_text_slot(fmt(x), end) for x, end in zip(values.tolist(), ends.tolist())])
+
+
+def _table_blocks(header: str, columns: Sequence[np.ndarray], sep: str) -> Iterator[bytes]:
+    """The ``header`` line, then the text of each block of _BLOCK rows of
+    the equal-length float ``columns``, one line per row, as UTF-8 bytes.
+
+    A column whose values in the block share one bit pattern (so -0.0 and
+    0.0 stay apart) is its fmt text in every row, the others' cells are
+    _cell_slots's: each a 32-byte slot with NULs where no text is, which
+    bytes.translate deletes.
+    """
+    yield (header + "\n").encode()
     n = len(columns[0]) if columns else 0
+    ends = np.array([ord(sep)] * (len(columns) - 1) + [ord("\n")], dtype=np.uint64) << 56
     for start in range(0, n, _BLOCK):
         block = np.column_stack([column[start:start + _BLOCK] for column in columns])
         bits = block.view(np.uint64)
         constant = (bits == bits[0]).all(axis=0)
-        row = sep.join(fmt(x) if same else _FLOAT
-                       for x, same in zip(block[0].tolist(), constant.tolist()))
-        yield (row + "\n") * len(block) % tuple(block[:, ~constant].ravel().tolist())
+        slots = np.empty((len(block), len(columns), 4), dtype="<u8")
+        for i in np.flatnonzero(constant).tolist():
+            slots[:, i] = _text_slot(fmt(block[0, i]), int(ends[i]))
+        if not constant.all():
+            slots[:, ~constant] = _cell_slots(block[:, ~constant], ends[~constant])
+        yield slots.tobytes().translate(None, b"\0")
 
 
 def write_table(path: Path, header: str, columns: Sequence[np.ndarray], sep: str = ",",
                 digest=None) -> None:
     """Write the ``header`` line, then one ``sep``-separated line per row of
     the equal-length float ``columns``, to ``path`` a block at a time; each
-    block also goes to ``digest.update`` when a hashlib ``digest`` is given."""
+    block also goes to ``digest.update`` when a hashlib ``digest`` is given.
+    ``sep`` is one ASCII character."""
     with open(path, "wb") as f:
-        for block in _table_blocks(header, columns, sep):
-            data = block.encode()
+        for data in _table_blocks(header, columns, sep):
             f.write(data)
             if digest is not None:
                 digest.update(data)

@@ -12,6 +12,9 @@ from test_sweep import GRID_SHA256
 
 ROOT = Path(__file__).resolve().parents[1]
 
+#: The sha256 of the dense_output run's trajectory.csv (default seed).
+DENSE_SHA256 = "8500d25ca09e4db4d003f2a2a1e3cf315d81fb09344ef4618f9883f4a2421cec"
+
 
 def run_bench(script, *args, cwd):
     """The JSON object printed by ``python bench/SCRIPT ARGS`` with src/ on
@@ -29,20 +32,21 @@ def test_time_dense(tmp_path):
     the exact tail, the layers it times, the math-module evaluations of
     integrate and verify (the tail's exp and expm1, Simpson's exp(2 int u),
     exp(nu t) and the fits' logs), the size and bytes of its trajectory.csv
-    (t and the four states), the size of its meta.json (6 recorded steps),
-    and the peak memory of writing and reading the run.  Its ``kg`` variant
-    steps every sample: 242 steps, a meta.json of 240 recorded steps, and
-    the bytes of its states."""
+    (t and the four states) and the cells of it that fmt formats, the size
+    of its meta.json (6 recorded steps), and the peak memory of writing and
+    reading the run.  Its ``kg`` variant steps every sample: 242 steps, a
+    meta.json of 240 recorded steps, and the bytes of its states."""
     got = run_bench("time_dense.py", 1, cwd=tmp_path)
     assert list(got["median_s"]) == ["integrate", "integrate_kg", "write_trajectory",
-                                     "read_trajectory", "read_trajectory_kg", "verify",
-                                     "simulate_verify_op"]
+                                     "format_table", "read_trajectory", "read_trajectory_kg",
+                                     "verify", "simulate_verify_op"]
     assert (got["steps_accepted"], got["steps_rejected"], got["rhs_evaluations"],
             got["samples"]) == (8, 0, 49, 10001)
     assert got["libm_elements"] == 41312
     assert got["trajectory_bytes"] == 785554
-    assert got["trajectory_sha256"] == \
-        "8500d25ca09e4db4d003f2a2a1e3cf315d81fb09344ef4618f9883f4a2421cec"
+    assert got["trajectory_sha256"] == DENSE_SHA256
+    # The cells whose digits the table writer's kernel could not prove.
+    assert got["fallback_cells"] == 8
     assert got["meta_bytes"] == 4349
     # Streamed a block of rows at a time: writing holds one block, where the
     # whole text took 4.2 MB.  Reading hashes the file 64 KiB at a time and
@@ -54,6 +58,53 @@ def test_time_dense(tmp_path):
         "steps_accepted": 242, "steps_rejected": 0, "rhs_evaluations": 1453, "samples": 10001,
         "meta_bytes": 136520,
         "states_sha256": "3f3e48ca8420c045d2c7709b784761f9d2a201fb93927ea3c978cc02812a2720"}
+
+
+#: numpy's CPU features above its x86-64 baseline that dispatch loops of
+#: their own, among them np.log10's: the last bit of a log10 follows them.
+DISPATCHED = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+#: Prints the sha256 of the dense_output run's trajectory.csv, then of the
+#: sweep_grid table; argv: perfbench's directory, then the CPU features
+#: numpy must have switched off.
+TABLES_SHA256 = """
+import hashlib, pathlib, sys, tempfile
+from numpy._core._multiarray_umath import __cpu_features__
+assert not any(__cpu_features__[name] for name in sys.argv[2:]), "features still on"
+sys.path.insert(0, sys.argv[1])
+import workloads as wl
+from rwcosmo import IntegratorConfig, ModelParams, integrate, make_initial_data
+from rwcosmo.serialize import TRAJECTORY_CSV, write_trajectory
+from rwcosmo.sweep import run_sweep, sweep_table_csv
+run = wl.dense_input(wl.DEFAULT_SEED)
+params = ModelParams(lam=run.lam, mass=run.mass)
+data = make_initial_data(params, a0=run.a0, phi0=run.phi0, chi0=run.chi0, rho0=run.rho0,
+                         branch="expanding")
+config = IntegratorConfig(rel_tol=run.tol, abs_tol=run.tol, t_end=run.t_end,
+                          sample_dt=run.sample_dt, mode="paper")
+with tempfile.TemporaryDirectory() as tmp:
+    write_trajectory(tmp, integrate(data, params, config), "test")
+    print(hashlib.sha256((pathlib.Path(tmp) / TRAJECTORY_CSV).read_bytes()).hexdigest())
+table = sweep_table_csv(run_sweep(wl.prepare("sweep_grid", wl.DEFAULT_SEED, None)))
+print(hashlib.sha256(table.encode()).hexdigest())
+"""
+
+
+def test_bytes_do_not_follow_numpy_dispatch(tmp_path):
+    """With numpy's AVX-512 loops switched off, which changes the bits of
+    np.log10, the dense run's trajectory.csv and the sweep_grid table keep
+    their pinned bytes: the table writer takes log10 as an estimate only."""
+    from numpy._core._multiarray_umath import __cpu_features__
+    enabled = [name for name in DISPATCHED if __cpu_features__.get(name)]
+    if not enabled:
+        pytest.skip(f"numpy enables none of {', '.join(DISPATCHED)} on this CPU")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(enabled))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", TABLES_SHA256, str(ROOT / "perfbench"),
+                           *enabled], cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [DENSE_SHA256, GRID_SHA256]
 
 
 def test_time_sweep(tmp_path):

@@ -497,6 +497,19 @@ class TestIntegrateReference:
         with pytest.raises(ValueError, match="1002 state rows, but 1001 grid samples"):
             replace(ref_trajectory, states=longer)
 
+    def test_states_are_taken_or_copied(self, ref_trajectory):
+        """integrate's read-only states back the run as they are; a
+        caller's array is copied, so writing to it later leaves the run's
+        states as they were."""
+        assert not ref_trajectory.states.flags.writeable
+        assert replace(ref_trajectory, states=ref_trajectory.states).states is \
+            ref_trajectory.states
+        mine = ref_trajectory.states.copy()
+        by_hand = replace(ref_trajectory, states=mine)
+        mine[:] = 0.0
+        assert by_hand.states.tobytes() == ref_trajectory.states.tobytes()
+        assert not by_hand.states.flags.writeable
+
     def test_constraint_drift_within_budget(self, ref_trajectory):
         cols = ref_trajectory.as_arrays()
         assert np.abs(cols["constraint"]).max() <= 1e-7

@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from rwcosmo import (IntegratorConfig, ModelParams, integrate, integrator, make_initial_data,
                      nu_rate)
-from rwcosmo.integrator import GUARD_TRIPPED, Trajectory
+from rwcosmo.integrator import GUARD_TRIPPED, Trajectory, resample
 from rwcosmo.serialize import (_BLOCK, fmt, meta_json_text, read_trajectory, write_table,
                                write_trajectory)
 
@@ -58,6 +58,30 @@ SPECIAL_BITS = np.array([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e-310
                          1e16, 1e17, 123456789.0], dtype=np.float64).view(np.uint64).tolist()
 SPECIAL_BITS += [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
                  0x7FF8DEADBEEF0001]
+
+
+def neighbours(x):
+    """The doubles ``x`` and the ones just below and above each."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.concatenate([x, np.nextafter(x, -math.inf), np.nextafter(x, math.inf)])
+
+
+#: The table writer's hard cases: powers of ten from 1e-30 to 1e30 and
+#: 1e+-270 (the ends of the kernel's range), each signed and with its
+#: neighbours, and values just inside those ends, whose log10 rounds to
+#: +-270; 17-digit ties, which %.17g rounds half-even: 1 + 2**-17 =
+#: 1.00000762939453125 and m / 2**(17 - k) for odd m, k from -8 to 14, that
+#: put the tie in [10**k, 10**(k + 1)); and values about the switch from
+#: fixed to exponent notation, at k = -5/-4 and 16/17.
+HARD_CASES = np.concatenate([
+    neighbours([10.0 ** e for e in range(-30, 31)] + [1e270, 1e-270]),
+    [1e270 * (1 - 1e-14), 1e270 * (1 - 5e-15), 1e-270 * (1 + 1e-14)],
+    [1 + 2**-17] + [(int(u * 10.0**k * 2**(17 - k)) | 1) / 2**(17 - k)
+                    for k in range(-8, 15) for u in (1.5, 3.7, 9.1)],
+    neighbours([9.99995e-5, 1.2345e-4, 9.87654321e-5, 99999999999999984.0,
+                12345678901234568.0, 1.2345678901234568e17, 9.999999999999998e16])])
+HARD_CASES = np.concatenate([HARD_CASES, -HARD_CASES])
+SPECIAL_BITS += HARD_CASES.view(np.uint64).tolist()
 
 values = st.one_of(st.sampled_from(SPECIAL_BITS),
                    st.floats(allow_nan=False).map(
@@ -101,16 +125,18 @@ def test_distinct_zeros_and_nans_keep_their_text(table_path):
     assert written(table_path, "x", [bits.view(np.float64)]) == "x\n0\n-0\nnan\nnan\n0\n-0\n"
 
 
-#: Row counts about the block size: one row, one block short of a row, one
-#: block, one block and a row, two blocks and a row.
-SIZES = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]
+#: Row counts about the block size: one row; one block short of a row, one
+#: block, one block and a row; the same about two blocks; four blocks and a
+#: row.
+SIZES = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 1,
+         4 * _BLOCK + 1]
 
 
 def edge_columns(n):
     """Columns whose blocks are constant but for their last row, mix -0.0
     with 0.0, are -0.0 or nan throughout, or cycle through nan, +-inf, a
-    subnormal and +-1e300, or through signed zeros, subnormals and 1e300;
-    and a ramp, a constant and standard normal draws."""
+    subnormal and +-1e300, through signed zeros, subnormals and 1e300, or
+    through HARD_CASES; and a ramp, a constant and standard normal draws."""
     rows = np.arange(n)
     last_of_block = np.full(n, 0.25)
     last_of_block[_BLOCK - 1::_BLOCK] = last_of_block[-1] = 0.5
@@ -118,7 +144,7 @@ def edge_columns(n):
             np.full(n, -0.0), np.full(n, math.nan), np.full(n, 1 / 3),
             np.resize([math.nan, math.inf, -math.inf, 5e-324, 1e300, -1e300], n),
             np.resize([0.0, -0.0, 1e-310, 5e-324, 1.0, 1e300], n),
-            np.random.default_rng(n).standard_normal(n)]
+            np.resize(HARD_CASES, n), np.random.default_rng(n).standard_normal(n)]
 
 
 @pytest.mark.parametrize("sep", [",", " "])
@@ -129,6 +155,15 @@ def test_blocks_write_every_cells_bytes(tmp_path, n, sep):
     columns = edge_columns(n)
     assert_same_lines(written(tmp_path / "table.dat", "# t x", columns, sep),
                       celled_table_text("# t x", columns, sep))
+
+
+def test_raw_bit_patterns_write_their_bytes(tmp_path):
+    """A column of 10**5 seeded raw 64-bit patterns (nans, infinities,
+    subnormals, any exponent) is written as fmt writes each cell."""
+    columns = [np.random.default_rng(2013).integers(0, 2**64, 10**5, dtype=np.uint64)
+               .view(np.float64)]
+    assert_same_lines(written(tmp_path / "table.dat", "x", columns),
+                      celled_table_text("x", columns))
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -316,6 +351,16 @@ def test_write_trajectory_memory_bounded(tmp_path, long_run):
     """Writing streams a block at a time: the 9.6 MB run is written in less
     than 4 MB, where formatting the whole text took 69 MB."""
     assert traced_peak(lambda: write_trajectory(tmp_path, long_run, "test")) < 4e6
+
+
+def test_read_takes_resampled_states(tmp_path, long_run):
+    """read_trajectory's run holds the array resample built, not a copy:
+    reading peaks within 10% of the (n, 4) states above resample alone,
+    where the copy took it from 14.5 MB to 16.1 MB."""
+    write_trajectory(tmp_path, long_run, "test")
+    alone = traced_peak(lambda: resample(long_run.initial, long_run.params, long_run.config,
+                                         long_run.steps))
+    assert traced_peak(lambda: read_trajectory(tmp_path)) < alone + 0.1 * long_run.states.nbytes
 
 
 def test_read_trajectory_memory_bounded(tmp_path, long_run):
