@@ -274,8 +274,9 @@ class Trajectory:
 
     ``states``, the (n, 4) rows of (u, v, phi, chi), is the sampled data
     held, read-only.  A float array that owns its memory and is read-only
-    already (integrate's and resample's) is taken as it is; anything else
-    is copied, so a caller's array does not back the run.  The sample times
+    already (integrate's and resample's) is taken as it is, and must not be
+    made writable again; anything else is copied, so a caller's writable
+    array or view does not back the run.  The sample times
     ``t`` and the density are derived, from ``config`` and ``initial``, like
     every other column.  ``steps`` is integrate's StepRecord of the run,
     from which resample gives ``states`` again (None on a hand-built run,

@@ -16,10 +16,10 @@ ROOT = Path(__file__).resolve().parents[1]
 DENSE_SHA256 = "8500d25ca09e4db4d003f2a2a1e3cf315d81fb09344ef4618f9883f4a2421cec"
 
 
-def run_bench(script, *args, cwd):
+def run_bench(script, *args, cwd, env=None):
     """The JSON object printed by ``python bench/SCRIPT ARGS`` with src/ on
-    the path."""
-    env = {k: v for k, v in os.environ.items() if k != "RWCOSMO_OUTPUT_ROOT"}
+    the path and the variables ``env`` set."""
+    env = {k: v for k, v in os.environ.items() if k != "RWCOSMO_OUTPUT_ROOT"} | (env or {})
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, str(ROOT / "bench" / script), *map(str, args)],
                           cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
@@ -64,47 +64,23 @@ def test_time_dense(tmp_path):
 #: their own, among them np.log10's: the last bit of a log10 follows them.
 DISPATCHED = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
 
-#: Prints the sha256 of the dense_output run's trajectory.csv, then of the
-#: sweep_grid table; argv: perfbench's directory, then the CPU features
-#: numpy must have switched off.
-TABLES_SHA256 = """
-import hashlib, pathlib, sys, tempfile
-from numpy._core._multiarray_umath import __cpu_features__
-assert not any(__cpu_features__[name] for name in sys.argv[2:]), "features still on"
-sys.path.insert(0, sys.argv[1])
-import workloads as wl
-from rwcosmo import IntegratorConfig, ModelParams, integrate, make_initial_data
-from rwcosmo.serialize import TRAJECTORY_CSV, write_trajectory
-from rwcosmo.sweep import run_sweep, sweep_table_csv
-run = wl.dense_input(wl.DEFAULT_SEED)
-params = ModelParams(lam=run.lam, mass=run.mass)
-data = make_initial_data(params, a0=run.a0, phi0=run.phi0, chi0=run.chi0, rho0=run.rho0,
-                         branch="expanding")
-config = IntegratorConfig(rel_tol=run.tol, abs_tol=run.tol, t_end=run.t_end,
-                          sample_dt=run.sample_dt, mode="paper")
-with tempfile.TemporaryDirectory() as tmp:
-    write_trajectory(tmp, integrate(data, params, config), "test")
-    print(hashlib.sha256((pathlib.Path(tmp) / TRAJECTORY_CSV).read_bytes()).hexdigest())
-table = sweep_table_csv(run_sweep(wl.prepare("sweep_grid", wl.DEFAULT_SEED, None)))
-print(hashlib.sha256(table.encode()).hexdigest())
-"""
-
 
 def test_bytes_do_not_follow_numpy_dispatch(tmp_path):
     """With numpy's AVX-512 loops switched off, which changes the bits of
     np.log10, the dense run's trajectory.csv and the sweep_grid table keep
     their pinned bytes: the table writer takes log10 as an estimate only."""
-    from numpy._core._multiarray_umath import __cpu_features__
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
     enabled = [name for name in DISPATCHED if __cpu_features__.get(name)]
     if not enabled:
         pytest.skip(f"numpy enables none of {', '.join(DISPATCHED)} on this CPU")
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(enabled))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", TABLES_SHA256, str(ROOT / "perfbench"),
-                           *enabled], cwd=tmp_path, env=env, capture_output=True, text=True,
-                          timeout=300)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == [DENSE_SHA256, GRID_SHA256]
+    env = {"NPY_DISABLE_CPU_FEATURES": " ".join(enabled)}
+    assert run_bench("time_dense.py", 1, cwd=tmp_path, env=env)["trajectory_sha256"] == \
+        DENSE_SHA256
+    assert run_bench("time_sweep.py", 1, cwd=tmp_path, env=env)["sweep_csv_sha256"] == \
+        GRID_SHA256
 
 
 def test_time_sweep(tmp_path):

@@ -498,12 +498,18 @@ class TestIntegrateReference:
             replace(ref_trajectory, states=longer)
 
     def test_states_are_taken_or_copied(self, ref_trajectory):
-        """integrate's read-only states back the run as they are; a
-        caller's array is copied, so writing to it later leaves the run's
-        states as they were."""
+        """integrate's read-only states back the run as they are, and so
+        does any read-only float array that owns its memory; a caller's
+        writable array or a view is copied, so writing to it later leaves
+        the run's states as they were."""
         assert not ref_trajectory.states.flags.writeable
         assert replace(ref_trajectory, states=ref_trajectory.states).states is \
             ref_trajectory.states
+        frozen = ref_trajectory.states.copy()
+        frozen.flags.writeable = False
+        assert replace(ref_trajectory, states=frozen).states is frozen
+        view = ref_trajectory.states[:]
+        assert replace(ref_trajectory, states=view).states is not view
         mine = ref_trajectory.states.copy()
         by_hand = replace(ref_trajectory, states=mine)
         mine[:] = 0.0
