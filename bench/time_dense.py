@@ -9,18 +9,19 @@ repeats): integrate, integrate on the same run in ``kg`` mode (no frozen
 tail: every sample is stepped), write_trajectory (into the temporary
 directory, overwriting), format_table (the bytes of trajectory.csv, with no
 file and no digest), read_trajectory, read_trajectory of the ``kg`` run
-(whose step record holds every sampled step), verify, and the whole op,
-``rwcosmo simulate`` then ``rwcosmo verify`` through cli.main.  Prints one
-JSON object: the wall times in s and their medians over REPEATS (default
-15), the step counters, ``libm_elements``, the elements integrate then
-verify pass through integrator.libm (their math-module evaluations), the
-size in bytes and the sha256 of trajectory.csv, ``fallback_cells``, the
-cells of trajectory.csv whose text is fmt's because the table writer's
-kernel could not prove its digits, the size in bytes of
-meta.json (``meta_bytes``), the peak bytes write_trajectory and
-read_trajectory allocate on the run by tracemalloc, and under "kg", the
-``kg`` run's counters, sample count, meta.json size and the sha256 of its
-states array.  Files go to a temporary directory that is removed afterwards.
+(which integrates the ``kg`` run again, stepping every sample), verify, and
+the whole op, ``rwcosmo simulate`` then ``rwcosmo verify`` through
+cli.main.  Prints one JSON object: the wall times in s and their medians
+over REPEATS (default 15), the step counters, ``libm_elements``, the
+elements integrate then verify pass through integrator.libm (their
+math-module evaluations), the size in bytes and the sha256 of
+trajectory.csv, ``fallback_cells``, the cells of trajectory.csv whose text
+is fmt's because the table writer's kernel could not prove its digits, the
+size in bytes of meta.json (``meta_bytes``), the peak bytes
+write_trajectory and read_trajectory allocate on the run by tracemalloc,
+and under "kg", the ``kg`` run's counters, sample count, meta.json size and
+the sha256 of its states array.  Files go to a temporary directory that is
+removed afterwards.
 """
 
 import contextlib

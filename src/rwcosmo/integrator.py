@@ -25,10 +25,8 @@ Dense output is sampled as each step is accepted: the step's grid samples
 come from its quartic (_quartic, _interpolate) on floats, and the first one
 that breaks the state invariants stops the run at that step with a
 GuardTripped event.  The chi crossing search and the FieldFrozen state use
-the same quartic.  Each step that takes samples, and the freeze step, goes
-into the run's StepRecord with its quartics; resample takes the samples
-again from the record through the same sampler (_emit) and tail
-(_tail_samples), and that is how read_trajectory rebuilds a written run.
+the same quartic.  integrate maps its inputs to the run bit for bit, and
+that is how read_trajectory rebuilds a written run: it integrates again.
 
 The frozen tail.  Once paper mode clamps chi at 0 the field is frozen and
 the run follows the frozen system, whose closed form is frozen_tail.  A
@@ -75,7 +73,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import chain
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -195,78 +192,6 @@ class IntegrationStats:
     steps_rejected: int
     rhs_evaluations: int
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int" and type(value) is not int:
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class StepRecord:
-    """The steps of a run that resample needs to take its samples again.
-
-    ``entries`` holds one (t0, h, y1, quartics) per accepted step that took
-    grid samples or froze the field, in step order: the step's start and
-    size, its end state and its _step_quartics (4 sequences of 5 floats),
-    the very sequences integrate sampled from, not copies: read-only by
-    contract.  ``theta`` places the crossing in the freeze step, the one
-    paper-mode step whose chi falls from > 0 to <= 0 (None without one), and
-    ``tail`` is whether the samples after the FieldFrozen event are
-    frozen_tail's.  Equality is identity; compare to_json to compare
-    contents.
-    """
-
-    entries: tuple[tuple[float, float, Sequence[float], Sequence[Sequence[float]]], ...]
-    theta: Optional[float]
-    tail: bool
-
-    #: The arrays of to_json, and the floats each holds a step.
-    JSON_ARRAYS = (("t0", 1), ("h", 1), ("y1", 4), ("quartics", 20))
-
-    def to_json(self) -> dict:
-        """The meta.json ``steps`` block: one flat array of floats per entry
-        field, then ``theta`` and ``tail``."""
-        t0, h, y1, quartics = zip(*self.entries) if self.entries else ((),) * 4
-        return {"t0": t0, "h": h, "y1": tuple(chain.from_iterable(y1)),
-                "quartics": tuple(chain.from_iterable(chain.from_iterable(quartics))),
-                "theta": self.theta, "tail": self.tail}
-
-    @classmethod
-    def from_json(cls, block: dict) -> StepRecord:
-        """The record of a to_json ``block``, each of whose arrays must have
-        its length and hold floats only, those of ``h`` > 0."""
-        keys = [name for name, _ in cls.JSON_ARRAYS] + ["theta", "tail"]
-        if sorted(block) != sorted(keys):
-            raise ValueError(f"steps must hold exactly {', '.join(keys)}, "
-                             f"got {', '.join(block)}")
-        if not (block["theta"] is None or type(block["theta"]) is float):
-            raise ValueError(f"theta must be a float or null, got {block['theta']!r}")
-        if type(block["tail"]) is not bool:
-            raise ValueError(f"tail must be a bool, got {block['tail']!r}")
-        arrays = []
-        for name, per_step in cls.JSON_ARRAYS:
-            value = block[name]
-            size = per_step * len(arrays[0]) if arrays else None
-            if not (isinstance(value, (list, tuple)) and size in (None, len(value))):
-                raise ValueError(f"{name} must be an array of "
-                                 + (f"{size} floats, {per_step} a step" if arrays else "floats"))
-            if not set(map(type, value)) <= {float}:
-                bad = next(x for x in value if type(x) is not float)
-                raise ValueError(f"{name} must hold floats, got {bad!r}")
-            arrays.append(tuple(value))
-        t0, h, y1, quartics = arrays
-        bad = next((x for x in h if not x > 0.0), None)
-        if bad is not None:
-            raise ValueError(f"h must hold step sizes > 0, got {bad!r}")
-        entries = zip(t0, h, _groups(y1, 4), _groups(_groups(quartics, 5), 4))
-        return cls(tuple(entries), block["theta"], block["tail"])
-
-
-def _groups(values, n: int):
-    """Consecutive n-tuples of ``values``."""
-    return zip(*[iter(values)] * n)
-
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -274,16 +199,13 @@ class Trajectory:
 
     ``states``, the (n, 4) rows of (u, v, phi, chi), is the sampled data
     held, read-only.  A float array that owns its memory and is read-only
-    already (integrate's and resample's) is taken as it is, and must not be
-    made writable again; anything else is copied, so a caller's writable
-    array or view does not back the run.  The sample times
-    ``t`` and the density are derived, from ``config`` and ``initial``, like
-    every other column.  ``steps`` is integrate's StepRecord of the run,
-    from which resample gives ``states`` again (None on a hand-built run,
-    which write_trajectory refuses).  The first sample is the initial state.
-    In paper mode every sample after a ``FieldFrozen`` event has chi
-    exactly 0.  A ``GuardTripped`` event, if any, is the last event.
-    Immutable once returned; equality is identity.
+    already (integrate's) is taken as it is, and must not be made writable
+    again; anything else is copied, so a caller's writable array or view
+    does not back the run.  The sample times ``t`` and the density are
+    derived, from ``config`` and ``initial``, like every other column.  The
+    first sample is the initial state.  In paper mode every sample after a
+    ``FieldFrozen`` event has chi exactly 0.  A ``GuardTripped`` event, if
+    any, is the last event.  Immutable once returned; equality is identity.
     """
 
     params: ModelParams
@@ -292,7 +214,6 @@ class Trajectory:
     states: np.ndarray
     events: tuple[Event, ...]
     stats: IntegrationStats
-    steps: Optional[StepRecord] = None
 
     def __post_init__(self) -> None:
         states = self.states
@@ -314,12 +235,13 @@ class Trajectory:
         return t
 
     def as_arrays(self) -> dict[str, np.ndarray]:
-        """Sample columns as read-only numpy arrays, keyed per TRAJECTORY_COLUMNS."""
+        """Sample columns as read-only numpy arrays, keyed per TRAJECTORY_COLUMNS;
+        u, v, phi and chi are views of ``states``."""
         return dict(self._columns)
 
     @cached_property
     def _columns(self) -> dict[str, np.ndarray]:
-        u, v, phi, chi = (np.ascontiguousarray(c) for c in self.states.T)
+        u, v, phi, chi = self.states.T
         # A hand-built state far from v0 may overflow: rho reads inf, or nan
         # at rho0 = 0 and v = inf, as a float evaluation does.
         state0 = build_state(self.initial)
@@ -526,7 +448,8 @@ def integrate(initial: InitialData, params: ModelParams,
 
     A paper-mode run on theorem-1 data takes its samples after FieldFrozen
     from frozen_tail (module docstring); the stats are those of the steps
-    taken, and ``steps`` the StepRecord of the steps sampled.
+    taken.  The run is a function of the three arguments, bit for bit:
+    read_trajectory rebuilds a written run by calling integrate again.
 
     Preconditions: the data must pass :func:`validate_theorem1` unless
     ``config.override_admissibility`` is set (exploration of inadmissible
@@ -567,18 +490,17 @@ def integrate(initial: InitialData, params: ModelParams,
     nevals = 1
     k_next = 1
 
-    steps: list[tuple] = []  # the StepRecord entries
-    theta_f = None
-
     def take_tail(t_f: float, y_f: list[float]) -> Optional[np.ndarray]:
-        """_tail_samples from k_next on, its trip logged; None on data
-        frozen_tail does not cover."""
+        """frozen_tail at the samples from k_next on, up to the first with
+        v < MIN_V, which ends the run; None on data it does not cover."""
         if not (report.theorem1_applicable and nu_rate(params, y_f[2]) is not None):
             return None
-        states, trip = _tail_samples(t_f, y_f, anchor, params, grid[k_next:])
-        if trip is not None:
-            events.append(trip)
-        return states
+        states = frozen_tail(t_f, y_f, anchor, params, grid[k_next:])
+        n = int(np.argmax(np.append(states[:, 1] < MIN_V, True)))  # the first v < MIN_V
+        if n < len(states):
+            events.append(Event(float(grid[k_next + n]), GUARD_TRIPPED,
+                                _guard_violation(states[n])))
+        return states[:n]
 
     tail = None
     if y[3] == 0.0 and params.mass_sq * y[2] > 0.0:
@@ -618,13 +540,12 @@ def integrate(initial: InitialData, params: ModelParams,
                                      config.rel_tol)
             t_star = t + theta * h_trial
             if downward and config.mode == "paper":
-                steps.append((t, h_trial, y1, quartics))
-                theta_f = theta
                 k_next, detail = _emit(rows, grid, dt, k_next, t, h_trial, quartics, None, t_star)
                 if detail is not None:
                     events.append(Event(t_star, GUARD_TRIPPED, detail))
                     break
-                y_star = _freeze_state(quartics, theta)
+                y_star = [_interpolate(q, theta) for q in quartics]
+                y_star[3] = 0.0
                 events.append(Event(t_star, FIELD_FROZEN,
                                     f"field velocity reached zero; phi frozen at {y_star[2]:.12g}"))
                 frozen = True
@@ -641,7 +562,6 @@ def integrate(initial: InitialData, params: ModelParams,
         if detail is None and k_next <= k_last and k_next * dt <= t1 + 1e-9 * dt:
             # The step holds a grid sample: only then are its quartics taken.
             quartics = _step_quartics(h_trial, y, y1, k)
-            steps.append((t, h_trial, y1, quartics))
             k_next, detail = _emit(rows, grid, dt, k_next, t, h_trial, quartics, y1, t1)
         if detail is not None:
             events.append(Event(t1, GUARD_TRIPPED, detail))
@@ -656,7 +576,6 @@ def integrate(initial: InitialData, params: ModelParams,
         events=tuple(events),
         stats=IntegrationStats(steps_accepted=accepted, steps_rejected=rejected,
                                rhs_evaluations=nevals),
-        steps=StepRecord(tuple(steps), theta_f, tail is not None),
     )
 
 
@@ -669,7 +588,7 @@ def _emit(rows: list, grid: np.ndarray, dt: float, k: int, t0: float, h: float,
 
     Returns the next grid index and, at the first sample that breaks the
     state invariants (not appended), its failure detail.  ``y_end`` is as
-    for _sample.  The one sampler of integrate and resample.
+    for _sample.
     """
     lim = t_hi + 1e-9 * dt
     n = grid.size
@@ -682,60 +601,6 @@ def _emit(rows: list, grid: np.ndarray, dt: float, k: int, t0: float, h: float,
         rows.append(row)
         k += 1
     return k, None
-
-
-def _freeze_state(quartics: Sequence, theta: float) -> list[float]:
-    """The FieldFrozen state at theta of a freeze step: its quartics there,
-    chi clamped to 0."""
-    y = [_interpolate(q, theta) for q in quartics]
-    y[3] = 0.0
-    return y
-
-
-def _tail_samples(t_f: float, y_f: Sequence[float], anchor: tuple[float, float],
-                  params: ModelParams, times: np.ndarray) -> tuple[np.ndarray, Optional[Event]]:
-    """frozen_tail at ``times`` up to the first sample with v < MIN_V, and
-    the GuardTripped event at that sample, which ends the run (None when
-    every sample passes).  The one tail of integrate and resample."""
-    states = frozen_tail(t_f, y_f, anchor, params, times)
-    n = int(np.argmax(np.append(states[:, 1] < MIN_V, True)))  # the first v < MIN_V
-    trip = (Event(float(times[n]), GUARD_TRIPPED, _guard_violation(states[n]))
-            if n < len(states) else None)
-    return states[:n], trip
-
-
-def resample(initial: InitialData, params: ModelParams, config: IntegratorConfig,
-             record: StepRecord) -> np.ndarray:
-    """The (n, 4) states of the run whose StepRecord is ``record``.
-
-    On integrate's record they are integrate's states, bit for bit: each
-    recorded step goes through _emit, as integrate's did, and a tail through
-    _tail_samples, from the initial state (a run frozen at t = 0, with no
-    theta) or from the freeze step's _freeze_state.  A run limit that
-    stopped the run at a sample stops it here at that sample.  The array is
-    read-only, so a Trajectory takes it without a copy.
-    """
-    state0 = build_state(initial)
-    rows = [[state0.u, state0.v, state0.phi, state0.chi]]
-    grid, dt = sample_times(config), config.sample_dt
-    k = 1
-    t_f, y_f = (0.0, rows[0]) if record.tail and record.theta is None else (None, None)
-    for t0, h, y1, quartics in record.entries:
-        if config.mode == "paper" and quartics[3][0] > 0.0 >= y1[3]:  # the freeze step
-            t_f = t0 + record.theta * h
-            k, detail = _emit(rows, grid, dt, k, t0, h, quartics, None, t_f)
-            if detail is None and record.tail:
-                y_f = _freeze_state(quartics, record.theta)
-                break
-        else:
-            t1 = config.t_end if h == config.t_end - t0 else t0 + h
-            k, detail = _emit(rows, grid, dt, k, t0, h, quartics, y1, t1)
-        if detail is not None:
-            break
-    if y_f is None:
-        return _read_only(np.array(rows))
-    tail, _ = _tail_samples(t_f, y_f, (state0.rho, state0.v), params, grid[k:])
-    return _read_only(np.concatenate((rows, tail)))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

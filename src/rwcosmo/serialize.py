@@ -18,23 +18,22 @@ inside [1e16, 1e17] and its fraction at least 1e-9 from a rounding tie.
 cell's bytes are ``'%.17g' % x`` whatever loops numpy picks for the CPU.
 
 A run is two files: trajectory.csv and meta.json, which holds every other
-fact of the run: its events, the StepRecord of its steps (``steps``) and
-the sha256 of trajectory.csv (``trajectory_sha256``), which write_trajectory
-takes of the blocks as it writes them.  Each JSON block that mirrors a type
-is that type's fields, in declaration order: ``initial`` (InitialData),
-``admissibility`` (AdmissibilityReport), ``integrator`` (IntegratorConfig),
-``stats`` (IntegrationStats) and the entries of ``events`` (Event) in
-meta.json, and the entries of ``fits`` (DecayFit) in report.json; ``steps``
-is StepRecord.to_json, one flat array per entry field.  The reader rebuilds
-the run from meta.json's blocks through those types (``params`` through
-ModelParams, ``steps`` through StepRecord.from_json), whose own checks name
-a bad value, and ``version`` must be a string; the states come from the
-step record through resample, integrate's own sampler, bit for bit.
-trajectory.csv is not parsed: its sha256 must be the recorded one, so any
-edit of its bytes is refused.  The file must then equal, as JSON and type
-for type, the meta.json written for that run under that version: one rule
-that covers ``admissibility``, ``n_samples``, ``package`` and any key the
-writer does not write.
+fact of the run: its inputs, its events and the sha256 of trajectory.csv
+(``trajectory_sha256``), which write_trajectory takes of the blocks as it
+writes them.  Each JSON block that mirrors a type is that type's fields, in
+declaration order: ``initial`` (InitialData), ``admissibility``
+(AdmissibilityReport), ``integrator`` (IntegratorConfig), ``stats``
+(IntegrationStats) and the entries of ``events`` (Event) in meta.json, and
+the entries of ``fits`` (DecayFit) in report.json.  A run is its inputs:
+the reader builds ``params``, ``initial`` and ``integrator`` through their
+types (ModelParams, InitialData, IntegratorConfig), whose own checks name a
+bad value, and integrates them again, bit for bit the run written.
+``version`` must be a string.  trajectory.csv is not parsed: its sha256
+must be the recorded one, so any edit of its bytes is refused.  The file
+must then equal, as JSON and type for type, the meta.json written for that
+run under that version: one rule that covers ``admissibility``, ``stats``,
+``events``, ``n_samples``, ``package`` and any key the writer does not
+write.
 """
 
 from __future__ import annotations
@@ -51,8 +50,7 @@ import numpy as np
 
 from .diagnostics import TOL, VerificationReport
 from .initial import InitialData, validate_theorem1
-from .integrator import (STATE_COLUMNS, Event, IntegrationStats, IntegratorConfig,
-                         StepRecord, Trajectory, resample)
+from .integrator import STATE_COLUMNS, IntegratorConfig, Trajectory, integrate
 from .model import ModelParams
 
 TRAJECTORY_CSV = "trajectory.csv"
@@ -315,7 +313,7 @@ def write_table(path: Path, header: str, columns: Sequence[np.ndarray], sep: str
 
 
 def _meta_payload(traj: Trajectory, version: str, trajectory_sha256: str) -> dict:
-    """meta.json's keys but ``steps``, in order."""
+    """meta.json's keys, in order."""
     return {
         "package": "rwcosmo",
         "version": version,
@@ -331,25 +329,19 @@ def _meta_payload(traj: Trajectory, version: str, trajectory_sha256: str) -> dic
 
 
 def meta_json_text(traj: Trajectory, version: str, trajectory_sha256: str) -> str:
-    """The meta.json of ``traj`` (which must hold its StepRecord), whose
-    trajectory.csv has that sha256: indented JSON whose last block,
-    ``steps``, holds one compact array per line."""
-    steps = ",\n".join(f"    {json.dumps(key)}: {json.dumps(value, separators=(',', ':'))}"
-                        for key, value in traj.steps.to_json().items())
-    text = json.dumps(_meta_payload(traj, version, trajectory_sha256), indent=2)
-    return text[:-len("\n}")] + f',\n  "steps": {{\n{steps}\n  }}\n}}\n'
+    """The meta.json of ``traj``, whose trajectory.csv has that sha256."""
+    return json.dumps(_meta_payload(traj, version, trajectory_sha256), indent=2) + "\n"
 
 
 def write_trajectory(directory: Union[str, Path], traj: Trajectory, version: str,
                      overwrite: bool = False) -> list[Path]:
     """Write trajectory.csv and meta.json.
 
-    Refuses to clobber existing files unless ``overwrite`` is set, and a
-    ``traj`` without a StepRecord (read_trajectory could not rebuild it).
+    Refuses to clobber existing files unless ``overwrite`` is set.
+    read_trajectory gives back integrate's run for the inputs of ``traj``:
+    a run built by hand reads back as that run, or not at all when its
+    ``stats``, ``events`` or sample count differ from that run's.
     """
-    if traj.steps is None:
-        raise ValueError("the run holds no step record, from which read_trajectory "
-                         "rebuilds its states: write a run that integrate returned")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = [directory / name for name in (TRAJECTORY_CSV, META_JSON)]
@@ -405,8 +397,8 @@ def _sha256(path: Path) -> str:
 def read_trajectory(directory: Union[str, Path]) -> Trajectory:
     """Rebuild a Trajectory from a directory written by write_trajectory.
 
-    The run comes from meta.json alone, its states from its StepRecord
-    through resample.  trajectory.csv is not parsed: its sha256 must equal
+    The run is integrate's for meta.json's ``params``, ``initial`` and
+    ``integrator``.  trajectory.csv is not parsed: its sha256 must equal
     meta.json's ``trajectory_sha256``, else CorruptTrajectory names the file.
     """
     directory = Path(directory)
@@ -414,18 +406,13 @@ def read_trajectory(directory: Union[str, Path]) -> Trajectory:
 
     with _parsing(META_JSON):
         _expect(meta, dict, "the file")
-        missing = [key for key in ("trajectory_sha256", "steps") if key not in meta]
-        if missing:
-            raise ValueError(f"no {' and no '.join(missing)}: the run was written before "
-                             "meta.json held its steps; simulate it again")
+        if "trajectory_sha256" not in meta:
+            raise ValueError("no trajectory_sha256: the run was written before meta.json "
+                             "held the sha256 of trajectory.csv; simulate it again")
         p = _block(meta, "params")
         params = ModelParams(lam=p["lambda"], mass=p["mass"])
         initial = InitialData(**_block(meta, "initial"))
         config = IntegratorConfig(**_block(meta, "integrator"))
-        stats = IntegrationStats(**_block(meta, "stats"))
-        events = tuple(Event(**_expect(e, dict, f"event {i}"))
-                       for i, e in enumerate(_expect(meta["events"], list, "events"), start=1))
-        steps = StepRecord.from_json(_block(meta, "steps"))
         version = _expect(meta["version"], str, "version")
         recorded = _expect(meta["trajectory_sha256"], str, "trajectory_sha256")
 
@@ -434,25 +421,24 @@ def read_trajectory(directory: Union[str, Path]) -> Trajectory:
         raise CorruptTrajectory(f"{TRAJECTORY_CSV}: sha256 {csv_sha256} is not meta.json's "
                                 f"trajectory_sha256 {recorded}: the file was edited")
     with _parsing(META_JSON):
-        traj = Trajectory(params=params, initial=initial, config=config,
-                          states=resample(initial, params, config, steps), events=events,
-                          stats=stats, steps=steps)
-        # StepRecord.from_json took ``steps`` as to_json writes it, float for float.
+        traj = integrate(initial, params, config)
         written = _meta_payload(traj, version, recorded)
         # Type for type, key by key: 1 is neither 1.0 nor true.
-        for key in [*written, *(k for k in meta if k not in written and k != "steps")]:
+        for key, value in written.items():
             found = json.dumps(meta[key], sort_keys=True)
-            expected = json.dumps(written[key], sort_keys=True) if key in written else None
+            expected = json.dumps(value, sort_keys=True)
             if found != expected:
-                raise ValueError(f"{key} is {found}, where the run it describes has "
-                                 f"{expected or 'no ' + key}")
+                raise ValueError(f"{key} is {found}, where the run it describes has {expected}")
+        stray = next((key for key in meta if key not in written), None)
+        if stray is not None:
+            raise ValueError(f"the file holds {stray}, which the run it describes does not")
     return traj
 
 
 def _expect(value: object, kind: type, name: str):
-    """``value``, which JSON must have given as a ``kind``: dict, list or str."""
+    """``value``, which JSON must have given as a ``kind``: dict or str."""
     if type(value) is not kind:
-        what = {dict: "an object", list: "an array", str: "a string"}[kind]
+        what = {dict: "an object", str: "a string"}[kind]
         raise ValueError(f"{name} must be {what}, got {json.dumps(value)}")
     return value
 

@@ -33,9 +33,10 @@ def test_time_dense(tmp_path):
     integrate and verify (the tail's exp and expm1, Simpson's exp(2 int u),
     exp(nu t) and the fits' logs), the size and bytes of its trajectory.csv
     (t and the four states) and the cells of it that fmt formats, the size
-    of its meta.json (6 recorded steps), and the peak memory of writing and
-    reading the run.  Its ``kg`` variant steps every sample: 242 steps, a
-    meta.json of 240 recorded steps, and the bytes of its states."""
+    of its meta.json (the run's inputs, stats and events), and the peak
+    memory of writing and reading the run.  Its ``kg`` variant steps every
+    sample: 242 steps, a meta.json that does not grow with them, and the
+    bytes of its states."""
     got = run_bench("time_dense.py", 1, cwd=tmp_path)
     assert list(got["median_s"]) == ["integrate", "integrate_kg", "write_trajectory",
                                      "format_table", "read_trajectory", "read_trajectory_kg",
@@ -47,16 +48,16 @@ def test_time_dense(tmp_path):
     assert got["trajectory_sha256"] == DENSE_SHA256
     # The cells whose digits the table writer's kernel could not prove.
     assert got["fallback_cells"] == 8
-    assert got["meta_bytes"] == 4349
+    assert got["meta_bytes"] == 929
     # Streamed a block of rows at a time: writing holds one block, where the
     # whole text took 4.2 MB.  Reading hashes the file 64 KiB at a time and
-    # rebuilds the states, under three times the (10,001, 5) float table,
+    # integrates the run again, under three times the (10,001, 5) float table,
     # where parsing the text and its lines took 3.4 MB.
     assert got["peak_bytes"]["write_trajectory"] < 1.5e6
     assert got["peak_bytes"]["read_trajectory"] < 3 * 10001 * 5 * 8
     assert got["kg"] == {
         "steps_accepted": 242, "steps_rejected": 0, "rhs_evaluations": 1453, "samples": 10001,
-        "meta_bytes": 136520,
+        "meta_bytes": 895,
         "states_sha256": "3f3e48ca8420c045d2c7709b784761f9d2a201fb93927ea3c978cc02812a2720"}
 
 

@@ -44,14 +44,26 @@ STEPPED_TRAJECTORY_SHA256 = (
 #: bump moves its pins.
 JSON_SHA256 = {
     "paper": {
-        "meta.json": "6a67865cbb3e49f6387ae6eeefa27db840105948aa353f74ca8d7af470f392df",
+        "meta.json": "5305b7b26862b32d0de325a493540144e1ef787ac2e9f0af756a9d11dba7b006",
         "report.json": "8dcbd9fd19630f261835a31edb74abcf435bb75a027bc045e6812e7833a0fd4f",
     },
     "kg": {
-        "meta.json": "d7abb686b61eb9b7fad84f2c9731ec741678e36e6f2d8797de60e270ce6bdecf",
+        "meta.json": "ab525e88e09bf43dca2be0e55f216002335b3e7f363ba9a2f3df9fd626d6bd65",
         "report.json": "c33ff65169af6b8250c71db82e743cc0e9ca5ef3c52674c6d51117be5a8885b9",
     },
 }
+
+
+#: The ``steps`` block of the older meta.json format that carried a step
+#: record (its keys, one step's arrays), and the one line that refuses it.
+STEP_RECORD = {"t0": [0.0], "h": [0.01], "y1": [1.0] * 4, "quartics": [0.0] * 20,
+               "theta": 0.5, "tail": True}
+STRAY_STEPS = "the file holds steps, which the run it describes does not"
+
+
+def older_steps(**edits):
+    """A meta.json edit that adds STEP_RECORD with ``edits``."""
+    return lambda meta: meta.update(steps={**STEP_RECORD, **edits})
 
 
 def sha256(text):
@@ -118,7 +130,7 @@ class TestSimulate:
         cfg = write_reference_config(tmp_path / "run.ini", str(tmp_path / "out"))
         with stepped(), contextlib.redirect_stdout(io.StringIO()):
             assert main(["simulate", str(cfg)]) == EXIT_OK
-        st = read_trajectory(tmp_path / "out").stats
+            st = read_trajectory(tmp_path / "out").stats
         assert (st.steps_accepted, st.steps_rejected, st.rhs_evaluations) == (1152, 0, 6914)
         assert sha256((tmp_path / "out" / "trajectory.csv").read_text()) == \
             STEPPED_TRAJECTORY_SHA256
@@ -612,8 +624,8 @@ class TestVerify:
         (lambda meta: meta.update(n_samples=7), "n_samples"),
         (lambda meta: meta.update(n_samples=11.0), "n_samples"),
         (lambda meta: meta["initial"].update(a0="x"), "a0"),
-        (lambda meta: meta["stats"].update(steps_accepted=3.7), "steps_accepted"),
-        (lambda meta: meta["stats"].update(steps_rejected=True), "steps_rejected"),
+        (lambda meta: meta["stats"].update(steps_accepted=3.7), '"steps_accepted": 3.7'),
+        (lambda meta: meta["stats"].update(steps_rejected=True), '"steps_rejected": true'),
         (lambda meta: meta["initial"].update(a0=True), "a0 must be a real number, not bool"),
         (lambda meta: meta["initial"].update(chi0=-0.1), "chi0 must be >= 0"),
         (lambda meta: meta["initial"].update(rho0=-0.1), "rho0 must be >= 0"),
@@ -623,36 +635,39 @@ class TestVerify:
         (lambda meta: meta.update(initial=[1.0]), "initial must be an object, got [1.0]"),
         (lambda meta: meta.update(integrator="paper"),
          'integrator must be an object, got "paper"'),
-        (lambda meta: meta.update(stats=None), "stats must be an object, got null"),
+        (lambda meta: meta.update(stats=None), "stats is null, where the run it describes has {"),
         (lambda meta: meta["admissibility"].update(lambda_bound_ok=False), "admissibility"),
         (lambda meta: meta["admissibility"].update(bogus=3), "admissibility"),
         (lambda meta: meta["admissibility"].update(u0_positive=1), "admissibility"),
-        (lambda meta: meta.update(guard_tripped=True), "guard_tripped"),
-        (lambda meta: meta.update(bogus=1), "bogus"),
+        (lambda meta: meta.update(guard_tripped=True),
+         "the file holds guard_tripped, which the run it describes does not"),
+        (lambda meta: meta.update(bogus=1),
+         "the file holds bogus, which the run it describes does not"),
         (lambda meta: meta.update(version=5), "version must be a string, got 5"),
         (lambda meta: meta.update(package="x"), "package"),
         (lambda meta: meta["integrator"].update(t_end=1), '"t_end": 1}'),
         (lambda meta: meta["integrator"].update(override_admissibility="yes"),
          "override_admissibility must be a bool, got 'yes'"),
         (lambda meta: meta["events"].insert(0, {"t": 0.0, "kind": "GuardTripped", "detail": "x"}),
-         "a GuardTripped event ends the run: it must be the last event"),
-        (lambda meta: meta["steps"]["t0"].__setitem__(0, "0.0"), "t0 must hold floats, got '0.0'"),
-        (lambda meta: meta["steps"]["h"].__setitem__(0, 1), "h must hold floats, got 1"),
-        (lambda meta: meta["steps"].update(t0=[0.01] + meta["steps"]["t0"][1:],
-                                           h=[0.0] + meta["steps"]["h"][1:]),
-         "h must hold step sizes > 0, got 0.0"),
-        (lambda meta: meta["steps"]["y1"].pop(), "y1 must be an array of 32 floats, 4 a step"),
-        (lambda meta: meta["steps"]["quartics"].pop(),
-         "quartics must be an array of 160 floats, 20 a step"),
-        (lambda meta: meta["steps"].update(theta="0.5"),
-         "theta must be a float or null, got '0.5'"),
-        (lambda meta: meta["steps"].update(tail=1), "tail must be a bool, got 1"),
-        (lambda meta: meta["steps"].update(y0=[]),
-         "steps must hold exactly t0, h, y1, quartics, theta, tail, got t0, h, y1, quartics, "
-         "theta, tail, y0"),
-        (lambda meta: meta.update(steps=[]), "steps must be an object, got []"),
+         'events is [{"detail": "x", "kind": "GuardTripped", "t": 0.0}, {'),
+        (older_steps(t0=["0.0"]), STRAY_STEPS),
+        (older_steps(h=[1]), STRAY_STEPS),
+        (older_steps(h=[0.0]), STRAY_STEPS),
+        (older_steps(y1=[1.0] * 3), STRAY_STEPS),
+        (older_steps(quartics=[0.0] * 19), STRAY_STEPS),
+        (older_steps(theta="0.5"), STRAY_STEPS),
+        (older_steps(tail=1), STRAY_STEPS),
+        (older_steps(y0=[]), STRAY_STEPS),
+        (lambda meta: meta.update(steps=[]), STRAY_STEPS),
         (lambda meta: meta.update(trajectory_sha256=None),
          "trajectory_sha256 must be a string, got null"),
+        (lambda meta: meta["integrator"].update(rel_tol=1e-8),
+         'stats is {"rhs_evaluations": 85, "steps_accepted": 14, "steps_rejected": 0}, where '
+         'the run it describes has {"rhs_evaluations": 55, "steps_accepted": 9, '
+         '"steps_rejected": 0}'),
+        (lambda meta: meta["initial"].update(rho0=meta["initial"]["rho0"] * (1 + 1e-10)),
+         'events is [{"detail": "field velocity reached zero; phi frozen at 1.00350426138", '
+         '"kind": "FieldFrozen", "t": 0.07655184661048207}], where the run it describes has '),
     ], ids=["n_samples_not_the_rows", "n_samples_float", "a0_string",
             "count_fractional", "count_boolean", "a0_boolean",
             "chi0_negative", "rho0_negative",
@@ -664,36 +679,42 @@ class TestVerify:
             "float_written_as_int", "override_not_bool", "guard_trip_not_last",
             "steps_t0_string", "steps_h_integer", "steps_h_zero", "steps_y1_short",
             "steps_count_differs", "steps_theta_string", "steps_tail_integer", "steps_unknown_key",
-            "steps_not_object", "digest_not_string"])
+            "steps_not_object", "digest_not_string", "rel_tol_edited", "rho0_edited"])
     def test_meta_values_checked(self, tmp_path, capsys, edit, key):
-        """meta.json's values are checked: each block is an object, a real
-        value is not a boolean, a count is an integer, version is a string,
-        override_admissibility is a bool, a GuardTripped event is the last,
-        and the file is, as JSON and type for type, what simulate writes for
-        the run it describes (n_samples the trajectory.csv rows,
-        admissibility validate_theorem1's report, no stray key, a float not
-        written as an integer).  A bad value is named."""
+        """meta.json's values are checked: each input block is an object, a
+        real value is not a boolean, version is a string,
+        override_admissibility is a bool, and the file is, as JSON and type
+        for type, what simulate writes for the run integrate gives on its
+        inputs (its stats and events, n_samples the trajectory.csv rows,
+        admissibility validate_theorem1's report, a float not written as an
+        integer).  A bad value is named, and so is the first block that
+        differs from that run's, with both values; a key the writer does not
+        write, such as the step record of an older format in any shape, is
+        named alone."""
         self.verify_edited_meta(tmp_path, capsys, edit, key)
 
 
     @pytest.mark.parametrize("block,text,message", [
         (None, "[]", "invalid meta.json: the file must be an object, got []"),
         (None, "5", "invalid meta.json: the file must be an object, got 5"),
-        ("events", "5", "invalid meta.json: events must be an array, got 5"),
-        ("events", '{"t": 0}', 'invalid meta.json: events must be an array, got {"t": 0}'),
-        ("events", "[5]", "invalid meta.json: event 1 must be an object, got 5"),
+        ("events", "5", "invalid meta.json: events is 5, where the run it describes has {}"),
+        ("events", '{"t": 0}',
+         'invalid meta.json: events is {"t": 0}, where the run it describes has {}'),
+        ("events", "[5]", "invalid meta.json: events is [5], where the run it describes has {}"),
     ], ids=["meta_array", "meta_number", "events_number", "events_object", "event_number"])
     def test_whole_file_of_wrong_type_named(self, tmp_path, capsys, block, text, message):
-        """A meta.json that is not an object, or whose events block is not an
-        array of objects, is named in one error line (exit 1).  ``block``
-        None stands for the whole file."""
+        """A meta.json that is not an object, or whose events block is not
+        the run's, is named in one error line (exit 1), with the events the
+        run has in place of ``{}``.  ``block`` None stands for the whole
+        file."""
         out = tmp_path / "out"
         cfg = write_reference_config(tmp_path / "c.ini", str(out),
                                      **{"t_end = 10": "t_end = 0.1"})
         assert main(["simulate", str(cfg)]) == EXIT_OK
         if block is not None:
-            text = json.dumps({**json.loads((out / "meta.json").read_text()),
-                               block: json.loads(text)})
+            meta = json.loads((out / "meta.json").read_text())
+            message = message.replace("{}", json.dumps(meta[block], sort_keys=True))
+            text = json.dumps({**meta, block: json.loads(text)})
         (out / "meta.json").write_text(text)
         capsys.readouterr()
         assert main(["verify", str(out)]) == EXIT_CONFIG
@@ -701,20 +722,20 @@ class TestVerify:
         assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("edit,message", [
-        (lambda e: e.update(t="0.5"), "t must be a real number, not str"),
-        (lambda e: e.update(t=True), "t must be a real number, not bool"),
-        (lambda e: e.update(t=float("nan")), "t must be finite, got nan"),
-        (lambda e: e.update(when=0.5), "unexpected keyword argument 'when'"),
-        (lambda e: e.update(kind=5), "kind must be one of FieldFrozen, ChiZeroCrossing, "
-                                     "GuardTripped, got 5"),
-        (lambda e: e.pop("detail"), "missing 1 required positional argument: 'detail'"),
-        (lambda e: e.update(detail=5), "detail must be a string, not int"),
+        (lambda e: e.update(t="0.5"), '"t": "0.5"}], where'),
+        (lambda e: e.update(t=True), '"t": true}], where'),
+        (lambda e: e.update(t=float("nan")), '"t": NaN}], where'),
+        (lambda e: e.update(when=0.5), '"when": 0.5}], where'),
+        (lambda e: e.update(kind=5), '"kind": 5, "t": '),
+        (lambda e: e.pop("detail"), 'events is [{"kind": "FieldFrozen", "t": '),
+        (lambda e: e.update(detail=5), 'events is [{"detail": 5, "kind": '),
     ], ids=["t_string", "t_boolean", "t_nan", "unknown_key", "kind_number", "no_detail",
             "detail_number"])
     def test_event_entries_checked(self, tmp_path, capsys, edit, message):
-        """An entry of meta.json's events block holds exactly Event's fields,
-        each checked by Event: one error line naming meta.json, exit 1, no
-        report."""
+        """An entry of meta.json's events block that is not the run's event
+        (a value of another type, a non-finite t, an unknown or missing key)
+        is refused: one error line naming the events block and quoting the
+        entry, exit 1, no report."""
         def edit_event(meta):
             assert [e["kind"] for e in meta["events"]] == ["FieldFrozen"]
             edit(meta["events"][0])
@@ -764,24 +785,29 @@ class TestVerify:
         assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("command", ["verify", "report"])
-    @pytest.mark.parametrize("keys", [("steps",), ("trajectory_sha256",),
-                                      ("trajectory_sha256", "steps")],
-                             ids=["no_steps", "no_digest", "neither"])
-    def test_run_without_step_record_exits_1(self, tmp_path, capsys, keys, command):
-        """A run directory from before meta.json held the step record and
-        the sha256 of trajectory.csv (both keys absent), or with one of them
-        gone: one line naming the format change, exit 1, nothing written."""
+    @pytest.mark.parametrize("steps,digest,message", [
+        (True, True, STRAY_STEPS),
+        (True, False, "no trajectory_sha256: the run was written before meta.json held the "
+                      "sha256 of trajectory.csv; simulate it again"),
+        (False, False, "no trajectory_sha256: the run was written before meta.json held the "
+                       "sha256 of trajectory.csv; simulate it again"),
+    ], ids=["step_record", "no_digest", "neither"])
+    def test_older_format_exits_1(self, tmp_path, capsys, steps, digest, message, command):
+        """A run directory of the format that held a step record (a steps
+        block beside the digest), that record with the digest gone, or from
+        before either: one short line, exit 1, nothing written."""
         out = self.simulate_short(tmp_path)
         meta = json.loads((out / "meta.json").read_text())
-        for key in keys:
-            del meta[key]
+        if steps:
+            meta["steps"] = STEP_RECORD
+        if not digest:
+            del meta["trajectory_sha256"]
         (out / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
         written = sorted(out.iterdir())
         capsys.readouterr()
         assert main([command, str(out)]) == EXIT_CONFIG
         assert capsys.readouterr().err.splitlines() == [
-            f"rwcosmo: error: invalid meta.json: no {' and no '.join(keys)}: the run was "
-            "written before meta.json held its steps; simulate it again"]
+            f"rwcosmo: error: invalid meta.json: {message}"]
         assert sorted(out.iterdir()) == written
 
     @pytest.mark.parametrize("command", ["verify", "report"])

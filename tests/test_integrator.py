@@ -581,6 +581,14 @@ class TestIntegrateReference:
             ref_trajectory.states[0, 0] = 1.0
         assert ref_trajectory != truncated_trajectory
 
+    def test_state_columns_are_views(self, ref_trajectory):
+        """as_arrays's u, v, phi and chi are the columns of ``states``
+        itself: the run holds its states once."""
+        cols = ref_trajectory.as_arrays()
+        for i, name in enumerate(integrator.STATE_COLUMNS):
+            assert np.shares_memory(cols[name], ref_trajectory.states), name
+            assert cols[name].tobytes() == ref_trajectory.states[:, i].tobytes(), name
+
     def test_stats_populated(self, ref_trajectory):
         st = ref_trajectory.stats
         assert st.steps_accepted > 0

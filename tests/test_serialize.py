@@ -1,6 +1,6 @@
 """The table writer: one text per block of rows, the bytes of one per value;
 the trajectory files it writes, and read_trajectory, which rebuilds each run
-from its step record bit for bit, in bounded memory."""
+bit for bit by integrating its inputs again, in bounded memory."""
 
 import contextlib
 import hashlib
@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from rwcosmo import (IntegratorConfig, ModelParams, integrate, integrator, make_initial_data,
-                     nu_rate)
-from rwcosmo.integrator import GUARD_TRIPPED, Trajectory, resample
-from rwcosmo.serialize import (_BLOCK, fmt, meta_json_text, read_trajectory, write_table,
-                               write_trajectory)
+from rwcosmo import (IntegrationStats, IntegratorConfig, ModelParams, integrate, integrator,
+                     make_initial_data, nu_rate)
+from rwcosmo.integrator import GUARD_TRIPPED, Trajectory
+from rwcosmo.serialize import (_BLOCK, CorruptTrajectory, fmt, meta_json_text, read_trajectory,
+                               write_table, write_trajectory)
 
 from conftest import REF_CONFIG, REF_PARAMS, reference_initial
 
@@ -190,7 +190,6 @@ def rebuilt(tmp, traj):
     assert back.states.tobytes() == traj.states.tobytes()
     assert back.t.tobytes() == traj.t.tobytes()
     assert (back.events, back.stats) == (traj.events, traj.stats)
-    assert back.steps.to_json() == traj.steps.to_json()
     write_trajectory(tmp / "b", back, "test")
     for name in ("trajectory.csv", "meta.json"):
         assert (tmp / "b" / name).read_bytes() == (tmp / "a" / name).read_bytes(), name
@@ -209,15 +208,23 @@ def test_trajectory_round_trips_bit_exactly(tmp_path, n):
         rebuilt(tmp_path / mode, traj)
 
 
-def test_hand_built_run_not_written(tmp_path):
-    """A Trajectory with no step record, such as one built by hand, cannot
-    be read back: write_trajectory raises and writes nothing."""
+def test_hand_built_run_reads_back_as_integrated(tmp_path):
+    """A run is its inputs.  A Trajectory built by hand is written as it
+    is, its own states in trajectory.csv; with integrate's stats, events and
+    sample count for its inputs it reads back as integrate's run, and with
+    other stats it is refused, naming the block."""
     traj = integrate(reference_initial(), REF_PARAMS, replace(REF_CONFIG, t_end=0.1))
+    states = traj.states * 2.0
     by_hand = Trajectory(params=traj.params, initial=traj.initial, config=traj.config,
-                         states=traj.states, events=traj.events, stats=traj.stats)
-    with pytest.raises(ValueError, match="no step record, from which read_trajectory rebuilds"):
-        write_trajectory(tmp_path / "run", by_hand, "test")
-    assert not (tmp_path / "run").exists()
+                         states=states, events=traj.events, stats=traj.stats)
+    write_trajectory(tmp_path / "same", by_hand, "test")
+    assert (tmp_path / "same" / "trajectory.csv").read_text().splitlines()[1] == \
+        ",".join(map(fmt, [0.0, *states[0]]))
+    assert read_trajectory(tmp_path / "same").states.tobytes() == traj.states.tobytes()
+    write_trajectory(tmp_path / "other", replace(by_hand, stats=IntegrationStats(0, 0, 1)),
+                     "test")
+    with pytest.raises(CorruptTrajectory, match="^invalid meta.json: stats is "):
+        read_trajectory(tmp_path / "other")
 
 
 def test_run_is_two_files(tmp_path):
@@ -288,7 +295,7 @@ def tripped(detail):
         traj.events[-1].detail.startswith(detail)
 
 
-#: Runs at the edges of the record, each with what shows it took that edge
+#: Runs at the edges of integrate, each with what shows it took that edge
 #: (patches on integrator, whether it runs under ``stepped``, the run, the
 #: edge): frozen at t = 0 with no step; stepped through the frozen phase; an
 #: exact tail cut at MIN_V (m = 400); a sample trip in a step after the
@@ -296,11 +303,10 @@ def tripped(detail):
 #: the crossing pinned); the step budget ending a run in either mode.
 NAMED_RUNS = [
     pytest.param({}, False, lambda: run_of(1.0, 1.0, 1.0, 0.0, 0.05),
-                 lambda traj: traj.steps.tail and traj.stats.steps_accepted == 0,
+                 lambda traj: traj.stats.steps_accepted == 0 and traj.t.size == 1001,
                  id="chi0_zero"),
     pytest.param({}, True, reference_run,
-                 lambda traj: not traj.steps.tail and traj.stats.steps_accepted == 1152,
-                 id="stepped"),
+                 lambda traj: traj.stats.steps_accepted == 1152, id="stepped"),
     pytest.param({}, False, lambda: run_of(1.0, 400.0, 1.0, 0.1, 0.05, t_end=1.0),
                  tripped("v = 1.71956e-306 fell below 1e-300"), id="min_v_cut"),
     pytest.param(dict(_D7=integrator._D7 * 500.0), True, lambda: reference_run(sample_dt=0.03),
@@ -317,16 +323,16 @@ NAMED_RUNS = [
 
 @pytest.mark.parametrize("patches,step_on,run,took_edge", NAMED_RUNS)
 def test_named_run_rebuilds(tmp_path, monkeypatch, stepped, patches, step_on, run, took_edge):
-    """Each named run, integrated under its patches and read back with none
-    in place, has its states bit for bit and writes the same files again
+    """Each named run, integrated and read back under its patches, has its
+    states bit for bit and writes the same files again
     (test_rebuild_is_the_run's checks)."""
     with monkeypatch.context() as patch:
         for attr, value in patches.items():
             patch.setattr(integrator, attr, value)
         with stepped() if step_on else contextlib.nullcontext():
             traj = run()
-    assert took_edge(traj)
-    rebuilt(tmp_path, traj)
+            assert took_edge(traj)
+            rebuilt(tmp_path, traj)
 
 
 @pytest.fixture(scope="module")
@@ -354,18 +360,17 @@ def test_write_trajectory_memory_bounded(tmp_path, long_run):
 
 
 def test_read_takes_resampled_states(tmp_path, long_run):
-    """read_trajectory's run holds the array resample built, not a copy:
-    reading peaks within 10% of the (n, 4) states above resample alone,
-    where the copy took it from 14.5 MB to 16.1 MB."""
+    """read_trajectory's run holds the states integrate samples again at
+    read time, not a copy: reading peaks within 10% of the (n, 4) states
+    above integrate alone."""
     write_trajectory(tmp_path, long_run, "test")
-    alone = traced_peak(lambda: resample(long_run.initial, long_run.params, long_run.config,
-                                         long_run.steps))
+    alone = traced_peak(lambda: integrate(long_run.initial, long_run.params, long_run.config))
     assert traced_peak(lambda: read_trajectory(tmp_path)) < alone + 0.1 * long_run.states.nbytes
 
 
 def test_read_trajectory_memory_bounded(tmp_path, long_run):
-    """Reading hashes trajectory.csv 64 KiB at a time and rebuilds the states
-    from the step record: a peak under three times the (n, 5) float table,
-    where the text and its lines took 63 MB."""
+    """Reading hashes trajectory.csv 64 KiB at a time and integrates the run
+    again: a peak under three times the (n, 5) float table, where the text
+    and its lines took 63 MB."""
     write_trajectory(tmp_path, long_run, "test")
     assert traced_peak(lambda: read_trajectory(tmp_path)) < 3 * long_run.t.size * 5 * 8
