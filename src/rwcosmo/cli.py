@@ -313,12 +313,12 @@ def cmd_report(traj_dir: str, out: Optional[str] = None) -> int:
              f"{'check':40s} {'pass':5s} margin"]
     for c in report.checks:
         lines.append(f"{c.name:40s} {str(c.passed):5s} {c.margin:.6g}")
-    for name, fit in report.fits.items():
-        if fit is None:
-            lines.append(f"rate[{name}]: not fitted")
-        else:
-            lines.append(f"rate[{name}] = {fit.rate:.6g} (residual {fit.residual:.3g}, "
-                         f"window [{fit.t_lo:g}, {fit.t_hi:g}], {fit.n_points} pts)")
+    fit = report.fits["Q"]
+    if fit is None:
+        lines.append("rate[Q]: not fitted")
+    else:
+        lines.append(f"rate[Q] = {fit.rate:.6g} (residual {fit.residual:.3g}, "
+                     f"window [{fit.t_lo:g}, {fit.t_hi:g}], {fit.n_points} pts)")
     for note in report.notes:
         lines.append(f"note: {note}")
     lines.append(f"status: {report.status}")

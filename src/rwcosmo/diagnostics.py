@@ -1,11 +1,11 @@
-"""Trajectory verification: bounds, quadrature oracles, decay rates, limits.
+"""Trajectory verification: bounds, the quadrature oracle, Q's decay, limits.
 
 :func:`verify` is the one entry point.  In one pass it reads the
 trajectory's columns, derives each run fact (nu, the monotonicity slack
 eps, the Q noise floor, the limit estimates) once, and builds the checks in
 report order: pointwise bounds and monotonicity, the v quadrature identity,
-the Q identity, then, once Q has decayed past the gate, the decay envelope,
-fitted rates, limits and growth bound.  Margins follow one convention
+then, once Q has decayed past the gate, the decay envelope, Q's fitted
+rate, limits and growth bound.  Margins follow one convention
 throughout: margin <= 0 means the check passes, and a positive margin
 measures the worst violation.  Two checks are stricter than their margin:
 ``v_positive`` fails at v = 0 (margin -0.0) and ``h_inf_limit`` fails
@@ -14,10 +14,10 @@ whenever the C0 estimate is not positive (margin -C0_hat).
 Two numerical floors appear below.  The constraint residual never vanishes
 exactly in floating point, so the monitor Q = 24*pi*rho + 3*constraint
 bottoms out at a noise level; the Q >= 0 and envelope checks allow an
-explicit budget-derived floor for it, and decay-rate fits are windowed to
-the part of each series that sits at least two orders of magnitude above the
-measured constraint drift, and for Q also above Q's own roundoff.  Inside
-those windows everything is tested at full stated tolerance.
+explicit budget-derived floor for it, and the decay-rate fit is windowed to
+the part of Q that sits at least two orders of magnitude above the measured
+constraint drift and above Q's own roundoff.  Inside that window the rate
+is tested at full stated tolerance.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .initial import nu_rate
 from .integrator import Trajectory, libm
-from .model import EIGHT_PI, FOUR_PI, TWENTY_FOUR_PI
+from .model import FOUR_PI, TWENTY_FOUR_PI
 
 STATUS_PASSED = "passed"
 STATUS_FAILED = "failed"
@@ -56,7 +56,6 @@ class Tolerances:
     a_growth_slack: float = 1e-3
     v_oracle_rel: float = 1e-6
     constraint_budget: float = 1e-7
-    q_identity_tol: float = 1e-13
     q_ratio_gate: float = 1e-3
     monotone_eps_factor: float = 10.0
 
@@ -96,7 +95,7 @@ class DecayFit(NamedTuple):
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """``fits`` holds the Q, rho and chi2 decay fits, None where none ran."""
+    """``fits`` holds Q's decay fit under the key ``"Q"``, None where none ran."""
 
     nu: Optional[float]
     checks: tuple[Check, ...]
@@ -227,12 +226,6 @@ def verify(traj: Trajectory) -> VerificationReport:
     l_hat = float(phi[-1] * phi[-1])
     c0_hat = params.lam + FOUR_PI * params.mass_sq * l_hat
     h_end = float(cols["H"][-1])
-    # The term scale of Q = H^2 - 24*pi*T00 - 3*lambda and of the identity
-    # Q = 24*pi*rho + 3*C: both cancel terms of this size, so their roundoff
-    # is a few eps times it.  It is 0 only on the static run, u = T00 = rho =
-    # lambda = 0.
-    q_scale = np.maximum(cols["H"] ** 2 + TWENTY_FOUR_PI * (np.abs(cols["T00"]) + rho)
-                         + 3.0 * abs(params.lam), np.finfo(float).tiny)
 
     # Pointwise bounds and monotonicity; on a single sample the monotonicity
     # checks pass vacuously and the bounds are still evaluated at the point.
@@ -252,19 +245,13 @@ def verify(traj: Trajectory) -> VerificationReport:
                f"eps = {eps:.3g}"),
     ]
     checks.append(_v_quadrature_check(t, u, v))
-    # Pure algebra, independent of integration error: sits at roundoff for
-    # any trajectory, including inadmissible ones.
-    identity_dev = float(np.max(np.abs(q - TWENTY_FOUR_PI * rho - 3.0 * cols["constraint"])
-                                / q_scale))
-    checks.append(_check("q_identity", identity_dev - TOL.q_identity_tol,
-                         f"max |Q - 24 pi rho - 3 C|/scale = {identity_dev:.3g}"))
 
     notes: list[str] = []
     if np.any(chi < 0.0):
         notes.append("non-decreasing-field hypothesis violated (chi < 0 encountered); "
                      "failures below indicate the hypothesis matters, not a defect "
                      "of the verified statements")
-    fits: dict[str, Optional[DecayFit]] = dict.fromkeys(("Q", "rho", "chi2"))
+    fits: dict[str, Optional[DecayFit]] = {"Q": None}
 
     q0 = float(q[0])
     skip = ""
@@ -288,22 +275,21 @@ def verify(traj: Trajectory) -> VerificationReport:
                              f"Q <= Q0*exp(-3 nu t)*(1+{TOL.envelope_slack:g}) "
                              f"+ floor {q_floor:.3g}"))
 
-        # Fit windows clip at 100x the measured constraint drift, mapped into
-        # each series through its constraint coefficient; Q's floor is also
-        # at least Q_ROUNDOFF*eps times its term scale, per sample.
+        # Q's fit window clips at 100x its noise floor: 3 times the measured
+        # constraint drift (Q = 24*pi*rho + 3*C), and per sample Q_ROUNDOFF*eps
+        # times the term scale that Q = H^2 - 24*pi*T00 - 3*lambda cancels,
+        # since Q's roundoff is a few eps times that scale.
+        q_scale = (cols["H"] ** 2 + TWENTY_FOUR_PI * (np.abs(cols["T00"]) + rho)
+                   + 3.0 * abs(params.lam))
         drift = max(float(np.max(np.abs(cols["constraint"]))), 1e-15)
-        rate_floor = 3.0 * nu * (1.0 - TOL.rate_slack)
-        for name, series, series_floor in (
-            ("Q", q, np.maximum(3.0 * drift, Q_ROUNDOFF * np.finfo(float).eps * q_scale)),
-            ("rho", rho, drift / EIGHT_PI),
-            ("chi2", chi ** 2, drift / FOUR_PI),
-        ):
-            span = _decay_window(series, series_floor)
-            if span is None:
-                notes.append(f"{name}: insufficient data above the noise floor for a rate fit")
-                continue
-            fit = fits[name] = fit_decay_rate(t[span], series[span])
-            checks.append(_check(f"{name}_decay_rate", rate_floor - fit.rate,
+        span = _decay_window(q, np.maximum(3.0 * drift,
+                                           Q_ROUNDOFF * np.finfo(float).eps * q_scale))
+        if span is None:
+            notes.append("Q: insufficient data above the noise floor for a rate fit")
+        else:
+            fit = fits["Q"] = fit_decay_rate(t[span], q[span])
+            rate_floor = 3.0 * nu * (1.0 - TOL.rate_slack)
+            checks.append(_check("Q_decay_rate", rate_floor - fit.rate,
                                  f"fitted {fit.rate:.6g} vs required {rate_floor:.6g}"))
 
         checks.append(_check("phi_squared_monotone", _largest(np.diff(-(phi * phi))) - eps,

@@ -43,9 +43,8 @@ MAX_ROWS = 100_000  #: Most rows a plan may have.
 
 #: Column order of the sweep table (timings intentionally excluded).
 SWEEP_COLUMNS = ("lambda", "mass", "phi0", "chi0", "rho0", "admissible",
-                 "status", "nu", "rate_Q", "rate_rho", "rate_chi2", "L_hat",
-                 "H_inf_hat", "C0_hat", "max_constraint", "verdict",
-                 "events")
+                 "status", "nu", "rate_Q", "L_hat", "H_inf_hat", "C0_hat",
+                 "max_constraint", "verdict", "events")
 
 
 @dataclass(frozen=True)
@@ -132,8 +131,6 @@ class SweepRow:
     status: str
     nu: float = math.nan
     rate_Q: float = math.nan
-    rate_rho: float = math.nan
-    rate_chi2: float = math.nan
     L_hat: float = math.nan
     H_inf_hat: float = math.nan
     C0_hat: float = math.nan
@@ -173,9 +170,9 @@ def _evaluate_point(args: tuple) -> SweepRow:
         return row(adm.theorem1_applicable, STATUS_GUARD_TRIPPED, nu=nu, events=events)
     report = verify(traj)
     cols = traj.as_arrays()
-    rates = {f"rate_{name}": fit.rate if fit is not None else math.nan
-             for name, fit in report.fits.items()}
-    return row(adm.theorem1_applicable, STATUS_OK, nu=nu, **rates,
+    fit = report.fits["Q"]
+    return row(adm.theorem1_applicable, STATUS_OK, nu=nu,
+               rate_Q=fit.rate if fit is not None else math.nan,
                L_hat=report.L_hat, H_inf_hat=report.H_inf_hat,
                C0_hat=report.C0_hat,
                max_constraint=float(abs(cols["constraint"]).max()),

@@ -82,8 +82,7 @@ def test_04_rho_quadrature_oracle(ref_trajectory, ref_initial):
 
 def test_05_decay_envelope_and_rates(ref_trajectory):
     """Q <= Q0 exp(-3 nu t) * 1.01 on every sample (above the documented
-    noise floor of the Q expression); fitted rates of Q, rho, chi^2 all
-    >= 3 nu * 0.95."""
+    noise floor of the Q expression); Q's fitted rate >= 3 nu * 0.95."""
     with criterion(5, "decay envelope and rates"):
         cols = ref_trajectory.as_arrays()
         q = cols["Q"]
@@ -94,12 +93,9 @@ def test_05_decay_envelope_and_rates(ref_trajectory):
         assert np.all(q[binding] <= envelope[binding] + Q_NOISE_FLOOR)
         assert 3.0 * REF_NU * cols["t"][binding].max() > 12.0
 
-        report = verify(ref_trajectory)
-        floor = 3.0 * REF_NU * 0.95
-        for name in ("Q", "rho", "chi2"):
-            fit = report.fits[name]
-            assert fit is not None, f"no {name} fit"
-            assert fit.rate >= floor, f"{name} rate {fit.rate} < {floor}"
+        fit = verify(ref_trajectory).fits["Q"]
+        assert fit is not None, "no Q fit"
+        assert fit.rate >= 3.0 * REF_NU * 0.95, f"Q rate {fit.rate}"
 
 
 def test_06_asymptotic_limits(ref_trajectory, ref_initial):

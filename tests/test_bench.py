@@ -31,7 +31,7 @@ def test_time_dense(tmp_path):
     """The dense_output run: 10,001 samples from 8 steps to the freeze and
     the exact tail, the layers it times, the math-module evaluations of
     integrate and verify (the tail's exp and expm1, Simpson's exp(2 int u),
-    exp(nu t) and the fits' logs), the size and bytes of its trajectory.csv
+    exp(nu t) and the Q fit's logs), the size and bytes of its trajectory.csv
     (t and the four states) and the cells of it that fmt formats, the size
     of its meta.json (the run's inputs, stats and events), and the peak
     memory of writing and reading the run.  Its ``kg`` variant steps every
@@ -43,7 +43,7 @@ def test_time_dense(tmp_path):
                                      "verify", "simulate_verify_op"]
     assert (got["steps_accepted"], got["steps_rejected"], got["rhs_evaluations"],
             got["samples"]) == (8, 0, 49, 10001)
-    assert got["libm_elements"] == 41312
+    assert got["libm_elements"] == 40562
     assert got["trajectory_bytes"] == 785554
     assert got["trajectory_sha256"] == DENSE_SHA256
     # The cells whose digits the table writer's kernel could not prove.
@@ -86,12 +86,12 @@ def test_bytes_do_not_follow_numpy_dispatch(tmp_path):
 
 def test_time_sweep(tmp_path):
     """The sweep_grid layers: the twelve rows with a real branch step 180
-    times before their exact tails, and one op makes 51,510 math-module
+    times before their exact tails, and one op makes 49,502 math-module
     evaluations."""
     got = run_bench("time_sweep.py", 1, cwd=tmp_path)
     assert got["sweep_csv_sha256"] == GRID_SHA256
     assert (got["rows_integrated"], got["steps_accepted"], got["samples"]) == (12, 180, 12012)
-    assert got["libm_elements"] == 51510
+    assert got["libm_elements"] == 49502
 
 
 def test_time_pool(tmp_path):
@@ -135,6 +135,19 @@ def test_domain(tmp_path):
         "lam": -2.7266397753283034, "mass": 0.9844371021437711, "phi0": 2.4022280991315657,
         "chi0": 0.0, "rho0": 0.6656278557327691, "status": "failed",
         "failed": ["v_quadrature_identity"], "t_f": 0.0, "steps": 0}
+
+
+def test_mutants_stay_caught(tmp_path):
+    """The verifier's mutation gate: every (mutant, run) pair that
+    bench/mutants.py caught when bench/mutants_caught.json (its ``caught``
+    block) was committed is caught still, so a change to the verifier may
+    add kills but never lose one.  No unmutated run of the harness fails."""
+    got = run_bench("mutants.py", cwd=tmp_path)
+    assert got["unmutated_failed"] == {}
+    committed = json.loads((ROOT / "bench" / "mutants_caught.json").read_text())
+    lost = {mutant: sorted(set(runs) - set(got["caught"][mutant]))
+            for mutant, runs in committed.items()}
+    assert {mutant: runs for mutant, runs in lost.items() if runs} == {}
 
 
 def test_sloc(tmp_path):

@@ -45,11 +45,11 @@ STEPPED_TRAJECTORY_SHA256 = (
 JSON_SHA256 = {
     "paper": {
         "meta.json": "5305b7b26862b32d0de325a493540144e1ef787ac2e9f0af756a9d11dba7b006",
-        "report.json": "8dcbd9fd19630f261835a31edb74abcf435bb75a027bc045e6812e7833a0fd4f",
+        "report.json": "4f678ccff50ed0135678a76ba2d357daafffff91305ef8b950986fddc0029be4",
     },
     "kg": {
         "meta.json": "ab525e88e09bf43dca2be0e55f216002335b3e7f363ba9a2f3df9fd626d6bd65",
-        "report.json": "c33ff65169af6b8250c71db82e743cc0e9ca5ef3c52674c6d51117be5a8885b9",
+        "report.json": "1980bb979222c610c123515a791689f37d169bca8ec92495a186639063139a6e",
     },
 }
 
@@ -407,7 +407,7 @@ class TestVerify:
                     "C0_hat", "status"):
             assert key in report
         assert report["status"] == "passed"
-        assert set(report["fits"]) == {"Q", "rho", "chi2"}
+        assert set(report["fits"]) == {"Q"}
         for entry in report["checks"]:
             assert set(entry) >= {"name", "pass", "margin"}
 
@@ -841,14 +841,14 @@ class TestReport:
 
     def test_unfitted_rates_and_notes_in_summary(self, tmp_path):
         """On the t_end = 0.1 reference run Q has not passed the gate: the
-        summary says each rate is not fitted and carries verify's note."""
+        summary says Q's rate is not fitted and carries verify's note."""
         out = tmp_path / "out"
         cfg = write_reference_config(tmp_path / "c.ini", str(out),
                                      **{"t_end = 10": "t_end = 0.1"})
         assert main(["simulate", str(cfg)]) == EXIT_OK
         assert main(["report", str(out)]) == EXIT_OK
-        assert (out / "summary.txt").read_text().splitlines()[-5:] == [
-            "rate[Q]: not fitted", "rate[rho]: not fitted", "rate[chi2]: not fitted",
+        assert (out / "summary.txt").read_text().splitlines()[-3:] == [
+            "rate[Q]: not fitted",
             "note: Q(t_end)/Q(0) = 0.415 has not passed the 0.001 gate; "
             "integrate further for conclusive asymptotics",
             "status: inconclusive"]

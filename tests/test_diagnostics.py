@@ -1,4 +1,4 @@
-"""Verification logic: fits, bounds, asymptotics, identity, quadrature."""
+"""Verification logic: fits, bounds, asymptotics, quadrature."""
 
 import json
 import math
@@ -9,9 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rwcosmo import (Check, CosmoState, InitialData, IntegratorConfig,
-                     ModelParams, derived, diagnostics, fit_decay_rate, integrate,
-                     make_initial_data, verify)
+from rwcosmo import (Check, InitialData, IntegratorConfig, ModelParams, diagnostics,
+                     fit_decay_rate, integrate, make_initial_data, verify)
 from rwcosmo.diagnostics import (STATUS_FAILED, STATUS_INCONCLUSIVE,
                                  STATUS_PASSED, TOL, cumulative_simpson, libm)
 from rwcosmo.initial import nu_rate
@@ -255,58 +254,18 @@ class TestCheckRule:
             Check("v_quadrature_identity", True, -TOL.v_oracle_rel, detail)
 
 
-class TestQIdentity:
-    def test_reference_run_at_roundoff(self, ref_trajectory):
-        assert verify(ref_trajectory).check("q_identity").passed
-
-    def test_holds_on_inadmissible_trajectories(self):
-        traj = make_fake_trajectory([1.0, 2.0, 5.0], params=ModelParams(-2.0, 3.0))
-        assert verify(traj).check("q_identity").passed
-
-    @pytest.mark.parametrize("sample_dt", [0.01, 0.001])
-    def test_scaled_by_its_terms(self, stepped, sample_dt):
-        """A draw whose terms reach ~1e3: divided by 1 + |Q|, its deviation
-        read 3.19e-13 against the 1e-13 tolerance, and at sample_dt = 0.001
-        the run stepped through its frozen phase verified failed on
-        q_identity alone.  Divided by the identity's term scale it sits at
-        ~2e-16, stepped or with the exact tail, and that run passes."""
-        params = ModelParams(lam=4.293378015753163, mass=1.6612487267929417)
-        data = make_initial_data(params, 1.0, 2.816135228364883, 0.547546364979975,
-                                 1.3300778467990606, "expanding")
-        config = IntegratorConfig(sample_dt=sample_dt)
-        with stepped():
-            full = integrate(data, params, config)
-        for traj in (full, integrate(data, params, config)):
-            report = verify(traj)
-            check = report.check("q_identity")
-            assert check.passed and float(check.detail.rsplit(" ", 1)[1]) < 1e-15
-            if sample_dt == 0.001:
-                assert report.status == STATUS_PASSED
-
-    @pytest.mark.filterwarnings("ignore:initial expansion rate u0 is exactly zero")
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_static_run_has_no_scale(self):
-        """u = T00 = rho = lambda = 0: every term of the identity is 0, and
-        its deviation reads 0, not 0/0."""
-        params = ModelParams(lam=0.0, mass=1.0)
-        data = make_initial_data(params, 1.0, 0.0, 0.0, 0.0, "expanding")
-        traj = integrate(data, params, IntegratorConfig(t_end=1.0, override_admissibility=True))
-        check = verify(traj).check("q_identity")
-        assert check.passed and check.detail.endswith("= 0")
-
-    def test_fuzzed_states(self):
-        """10^4 random states keep the identity at roundoff of its terms."""
-        rng = np.random.default_rng(20260810)
-        worst = 0.0
-        for _ in range(10_000):
-            u, phi, chi, lam = rng.uniform(-1.0, 1.0, 4)
-            s = CosmoState(t=0.0, u=u, v=rng.uniform(0.01, 2.0), phi=phi,
-                           chi=chi, rho=rng.uniform(0.0, 1.0))
-            d = derived(s, ModelParams(lam=lam, mass=rng.uniform(0.0, 1.0)))
-            dev = abs(d.Q - 24.0 * math.pi * s.rho - 3.0 * d.constraint)
-            scale = d.H ** 2 + 24.0 * math.pi * (abs(d.T00) + s.rho) + 3.0 * abs(lam)
-            worst = max(worst, dev / scale)
-        assert worst <= 1e-13
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize("sample_dt", [0.01, 0.001, 1e-4])
+def test_closed_form_run_not_failed_by_simpson(sample_dt):
+    """lambda = m = phi0 = 1, chi0 = 0, rho0 = 2e5 (u0 = 1294) freezes at
+    t = 0 and takes no step: the whole run is the exact frozen tail.  Yet u
+    falls so fast that Simpson's rule on the samples misses int u, and
+    v_quadrature_identity reads 3.28e3, 0.28 and 5.26e-4 at these spacings,
+    past its 1e-6: the run verifies failed on Simpson's error alone."""
+    params = ModelParams(lam=1.0, mass=1.0)
+    data = make_initial_data(params, 1.0, 1.0, 0.0, 2e5, "expanding")
+    traj = integrate(data, params, IntegratorConfig(t_end=2.0, sample_dt=sample_dt))
+    assert verify(traj).status != STATUS_FAILED
 
 
 class TestVerifyAsymptotics:
@@ -323,7 +282,7 @@ class TestVerifyAsymptotics:
 
     def test_truncated_run_inconclusive(self, truncated_trajectory):
         report = verify(truncated_trajectory)
-        assert report.checks[-1].name == "q_identity"  # no gated check ran
+        assert report.checks[-1].name == "v_quadrature_identity"  # no gated check ran
         assert set(report.fits.values()) == {None}
         assert any("gate" in n for n in report.notes)
 
@@ -506,7 +465,7 @@ class TestVerifyReport:
     def test_truncated_inconclusive_status(self, truncated_trajectory):
         report = verify(truncated_trajectory)
         assert report.status == STATUS_INCONCLUSIVE
-        assert report.fits == dict.fromkeys(("Q", "rho", "chi2"))
+        assert report.fits == {"Q": None}
 
     def test_guard_trip_noted(self):
         """verify names the guard that aborted a run: the contracting
@@ -531,20 +490,16 @@ class TestVerifyReport:
         section = README.read_text().split("\n## Checks\n")[1].split("\n## ")[0]
         rows = re.findall(r"^\| `(\w+)` \|.*\| (.*) \|$", section, re.M)
         assert [name for name, _ in rows] == [c.name for c in verify(ref_trajectory).checks]
-        assert len(rows) == 19
+        assert len(rows) == 16
         tolerance_fields = {f.name for f in fields(TOL)}
         for name, cell in rows:
             named = re.findall(r"`(\w+)`", cell)
             assert (named or cell == "none") and set(named) <= tolerance_fields, name
 
     def test_rate_fits_avoid_noise_floor(self, ref_trajectory):
-        """Each fit's points stop where its series hits its numerical floor."""
+        """Q's fit points stop where Q hits its numerical floor."""
         report = verify(ref_trajectory)
         cols = ref_trajectory.as_arrays()
         drift = np.abs(cols["constraint"]).max()
         i_hi = int(round(report.fits["Q"].t_hi / 0.01))
         assert cols["Q"][i_hi] > 100.0 * 3.0 * drift
-        # the chi2 fit must end before the freeze (chi = 0 afterwards)
-        fit = report.fits["chi2"]
-        assert fit.t_hi < 0.08
-        assert fit.n_points >= 8

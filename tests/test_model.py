@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from rwcosmo import (CosmoState, InitialData, IntegrationStats, IntegratorConfig,
-                     ModelParams, Trajectory, derived, rhs)
-from rwcosmo.model import density
+                     ModelParams, Trajectory, derived, integrate, make_initial_data, rhs)
+from rwcosmo.model import TWENTY_FOUR_PI, density, derived_terms
 
 RNG = np.random.default_rng(42)
 
@@ -220,6 +221,88 @@ class TestDerived:
             t00_dot = s.chi * d.dchi + params.mass_sq * s.phi * d.dphi
             np.testing.assert_allclose(t00_dot, -2.0 * (3.0 * s.u) * s.psi,
                                        rtol=1e-12, atol=1e-13)
+
+
+def identity_deviation(d, rho, lam):
+    """|Q - 24*pi*rho - 3*C| of the derived quantities ``d`` and its term
+    scale H^2 + 24*pi*(|T00| + rho) + 3*|lambda|, on floats or arrays."""
+    return (abs(d.Q - TWENTY_FOUR_PI * rho - 3.0 * d.constraint),
+            d.H * d.H + TWENTY_FOUR_PI * (abs(d.T00) + rho) + 3.0 * abs(lam))
+
+
+#: 0, or a double of magnitude 1e-50 to 1e50: no product derived_terms
+#: forms overflows or underflows.
+REALS = st.one_of(st.just(0.0), st.floats(1e-50, 1e50), st.floats(-1e50, -1e-50))
+
+
+class TestQIdentity:
+    """Q = 24*pi*rho + 3*C holds for every state, on shell or not, up to the
+    roundoff of the terms that derived_terms cancels."""
+
+    def test_fuzzed_states(self):
+        """10^4 random states keep the identity at roundoff of its terms."""
+        rng = np.random.default_rng(20260810)
+        worst = 0.0
+        for _ in range(10_000):
+            u, phi, chi, lam = rng.uniform(-1.0, 1.0, 4)
+            s = CosmoState(t=0.0, u=u, v=rng.uniform(0.01, 2.0), phi=phi,
+                           chi=chi, rho=rng.uniform(0.0, 1.0))
+            d = derived(s, ModelParams(lam=lam, mass=rng.uniform(0.0, 1.0)))
+            dev = abs(d.Q - 24.0 * math.pi * s.rho - 3.0 * d.constraint)
+            scale = d.H ** 2 + 24.0 * math.pi * (abs(d.T00) + s.rho) + 3.0 * abs(lam)
+            worst = max(worst, dev / scale)
+        assert worst <= 1e-13
+
+    @given(states=st.lists(st.tuples(REALS, REALS, REALS, REALS.map(abs)), min_size=1,
+                           max_size=8),
+           lam=REALS, mass=REALS.map(abs))
+    def test_within_eight_eps_of_its_terms(self, states, lam, mass):
+        """|Q - 24*pi*rho - 3*C| <= 8*eps*(H^2 + 24*pi*(|T00| + rho) +
+        3*|lambda|), on floats and on numpy arrays alike.  In exact
+        arithmetic on the rounded H = 3u, T00 and 24*pi the deviation is at
+        most eps/2 times the scale; the roundings of Q, of 3*C and of the
+        deviation itself add at most 3*eps/2 times it each, so 5*eps bounds
+        it to first order.  Arrays round as floats do."""
+        params = ModelParams(lam=lam, mass=mass)
+        bound = 8.0 * np.finfo(float).eps
+        for u, phi, chi, rho in states:
+            dev, scale = identity_deviation(derived_terms(u, phi, chi, rho, params), rho, lam)
+            assert dev <= bound * scale
+        u, phi, chi, rho = map(np.array, zip(*states))
+        dev, scale = identity_deviation(derived_terms(u, phi, chi, rho, params), rho, lam)
+        assert np.all(dev <= bound * scale)
+
+    @pytest.mark.parametrize("sample_dt", [0.01, 0.001])
+    def test_scaled_by_its_terms(self, stepped, sample_dt):
+        """A draw whose terms reach ~1e3: divided by 1 + |Q|, its deviation
+        read 3.19e-13.  Divided by its term scale it sits at ~2e-16 on every
+        sample, stepped through the frozen phase or with the exact tail."""
+        params = ModelParams(lam=4.293378015753163, mass=1.6612487267929417)
+        data = make_initial_data(params, 1.0, 2.816135228364883, 0.547546364979975,
+                                 1.3300778467990606, "expanding")
+        config = IntegratorConfig(sample_dt=sample_dt)
+        with stepped():
+            full = integrate(data, params, config)
+        for traj in (full, integrate(data, params, config)):
+            cols = traj.as_arrays()
+            dev, scale = identity_deviation(
+                derived_terms(cols["u"], cols["phi"], cols["chi"], cols["rho"], params),
+                cols["rho"], params.lam)
+            assert np.max(dev / scale) < 1e-15
+
+    @pytest.mark.filterwarnings("ignore:initial expansion rate u0 is exactly zero")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_static_run_has_no_scale(self):
+        """u = T00 = rho = lambda = 0: every term of the identity is 0, and
+        so are the deviation and the scale on every sample."""
+        params = ModelParams(lam=0.0, mass=1.0)
+        data = make_initial_data(params, 1.0, 0.0, 0.0, 0.0, "expanding")
+        traj = integrate(data, params, IntegratorConfig(t_end=1.0, override_admissibility=True))
+        cols = traj.as_arrays()
+        dev, scale = identity_deviation(
+            derived_terms(cols["u"], cols["phi"], cols["chi"], cols["rho"], params),
+            cols["rho"], params.lam)
+        assert not np.any(dev) and not np.any(scale)
 
 
 class TestScaleFactor:
