@@ -28,16 +28,16 @@ GuardTripped event.  The chi crossing search and the FieldFrozen state use
 the same quartic.  integrate maps its inputs to the run bit for bit, and
 that is how read_trajectory rebuilds a written run: it integrates again.
 
-The frozen tail.  Once paper mode clamps chi at 0 the field is frozen and
-the run follows the frozen system, whose closed form is frozen_tail.  A
-paper-mode run on theorem-1 data stops stepping at its FieldFrozen event (at
-t = 0 too) and takes every later sample from frozen_tail, evaluated once.
-In the tail u falls toward u_inf > 0 and phi is constant, so only MIN_V can
-end it: the first tail sample with v < MIN_V ends the run in GuardTripped at
-that sample's time.  Only a run on data admitted by override_admissibility
-steps on from the freeze, each step _trial_step with ``frozen`` set.  A run
-that does not freeze by t_end, and every ``kg`` run, steps to t_end.
-simulate, sweep rows and library callers all run this one integrate().
+The frozen tail.  Once paper mode clamps chi at 0 the field is frozen at
+phi_f, and the frozen state alone picks the continuation.  One that expands
+(u_f > 0) toward a limit (C_f = lambda + 4 pi m^2 phi_f^2 > 0), as every
+theorem-1 freeze does, stops stepping at its FieldFrozen event (at t = 0 too)
+and takes every later sample from frozen_tail, evaluated once.  There u falls
+toward u_inf > 0 and phi is constant, so only MIN_V can end it: the first
+tail sample with v < MIN_V ends the run in GuardTripped at its time.  Any
+other frozen state (contracting, or C_f <= 0) steps on, each step _trial_step
+with ``frozen`` set, as do a run that does not freeze by t_end and every
+``kg`` run.  simulate, sweep rows and library callers all run one integrate().
 
 Error weights: u, phi and chi use the mixed scale abs_tol + rel_tol*|y|.  The
 strictly positive, exponentially decaying v uses the purely relative scale
@@ -446,20 +446,20 @@ def integrate(initial: InitialData, params: ModelParams,
               config: IntegratorConfig) -> Trajectory:
     """Advance the system from t = 0 to t_end, sampling every sample_dt.
 
-    A paper-mode run on theorem-1 data takes its samples after FieldFrozen
-    from frozen_tail (module docstring); the stats are those of the steps
-    taken.  The run is a function of the three arguments, bit for bit:
-    read_trajectory rebuilds a written run by calling integrate again.
+    A paper-mode run whose frozen state expands toward a limit takes its
+    samples after FieldFrozen from frozen_tail, on theorem-1 data or not
+    (module docstring); the stats are those of the steps taken.  The run is
+    a function of the three arguments, bit for bit: read_trajectory
+    rebuilds a written run by calling integrate again.
 
     Preconditions: the data must pass :func:`validate_theorem1` unless
-    ``config.override_admissibility`` is set (exploration of inadmissible
-    data, e.g. the contracting branch), and must satisfy the initial
-    constraint; violating either raises.  Every other input returns a
-    Trajectory.  A run limit ends the run early with a ``GuardTripped``
-    event, its last, and the partial trajectory up to it: a step size below
-    H_MIN, MAX_STEPS trial steps, a step ending at u < -MAX_ABS_U or
-    v < MIN_V, a frozen-tail sample with v < MIN_V, or a grid sample that
-    breaks the state invariants.
+    ``config.override_admissibility`` admits them (its only effect), and
+    must satisfy the initial constraint; violating either raises.  Every
+    other input returns a Trajectory.  A run limit ends the run early with a
+    ``GuardTripped`` event, its last, and the partial trajectory up to it: a
+    step size below H_MIN, MAX_STEPS trial steps, a step ending at
+    u < -MAX_ABS_U or v < MIN_V, a frozen-tail sample with v < MIN_V, or a
+    grid sample that breaks the state invariants.
     """
     report = validate_theorem1(params, initial)
     if not report.theorem1_applicable and not config.override_admissibility:
@@ -492,8 +492,8 @@ def integrate(initial: InitialData, params: ModelParams,
 
     def take_tail(t_f: float, y_f: list[float]) -> Optional[np.ndarray]:
         """frozen_tail at the samples from k_next on, up to the first with
-        v < MIN_V, which ends the run; None on data it does not cover."""
-        if not (report.theorem1_applicable and nu_rate(params, y_f[2]) is not None):
+        v < MIN_V, which ends the run; None unless u_f > 0 and C_f > 0."""
+        if not (y_f[0] > 0.0 and nu_rate(params, y_f[2]) is not None):
             return None
         states = frozen_tail(t_f, y_f, anchor, params, grid[k_next:])
         n = int(np.argmax(np.append(states[:, 1] < MIN_V, True)))  # the first v < MIN_V

@@ -78,9 +78,9 @@ def radiation_trajectory():
 def stepped():
     """A context manager inside which every run steps through its frozen
     phase: integrator.nu_rate reads undefined, so integrate finds no closed
-    form at the freeze and steps on from it, as on data admitted only by
-    override_admissibility.  The stepped run is the reference the exact tail
-    is held against."""
+    form at the freeze and steps on from it, as from a frozen state with
+    C_f = lambda + 4 pi m^2 phi_f^2 <= 0, which has no limit.  The stepped
+    run is the reference the exact tail is held against."""
     @contextlib.contextmanager
     def stepping():
         with pytest.MonkeyPatch.context() as patch:

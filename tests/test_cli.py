@@ -829,6 +829,18 @@ class TestVerify:
             f"rwcosmo: error: invalid {name}: not UTF-8 text (invalid start byte)"]
         assert sorted(out.iterdir()) == written
 
+    def test_meta_not_json_exits_1(self, tmp_path, capsys):
+        """A meta.json that is not JSON: one error line naming the run
+        directory and the parser's message, exit 1, nothing written."""
+        out = self.simulate_short(tmp_path)
+        (out / "meta.json").write_text("{")
+        written = sorted(out.iterdir())
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == EXIT_CONFIG
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"rwcosmo: error: invalid JSON in {out}: ")
+        assert sorted(out.iterdir()) == written
+
 
 class TestReport:
     def test_emits_summary_and_plot_data(self, ref_run):

@@ -780,6 +780,18 @@ class TestModesAndGuards:
         with pytest.raises(ValueError, match="GuardTripped event ends the run"):
             replace(ref_trajectory, events=(trip,) + ref_trajectory.events)
 
+    @pytest.mark.parametrize("kind,detail,error,message", [
+        pytest.param("Frozen", "x", ValueError,
+                     "kind must be one of FieldFrozen, ChiZeroCrossing, GuardTripped, "
+                     "got 'Frozen'", id="kind_unknown"),
+        pytest.param(FIELD_FROZEN, 1.0, TypeError, "detail must be a string, not float",
+                     id="detail_not_string"),
+    ])
+    def test_invalid_event_rejected(self, kind, detail, error, message):
+        """An Event holds one of the three kinds and a text detail."""
+        with pytest.raises(error, match=f"^{message}$"):
+            integrator.Event(0.0, kind, detail)
+
 
 def _sample_trip(t_sample, row):
     return (f"sample at t = {t_sample} violated state invariants "

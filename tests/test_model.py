@@ -199,19 +199,6 @@ class TestDerived:
             d = derived(s, ModelParams(lam=0.3, mass=0.7))
             assert d.H == 3.0 * s.u
 
-    def test_identity_q_24pirho_3c_fuzz(self):
-        """Q - 24*pi*rho - 3*C stays at roundoff for arbitrary states."""
-        rng = np.random.default_rng(20260810)
-        worst = 0.0
-        for _ in range(2000):
-            u, phi, chi, lam = rng.uniform(-1.0, 1.0, 4)
-            s = CosmoState(t=0.0, u=u, v=rng.uniform(0.01, 2.0), phi=phi,
-                           chi=chi, rho=rng.uniform(0.0, 1.0))
-            d = derived(s, ModelParams(lam=lam, mass=rng.uniform(0.0, 1.0)))
-            dev = abs(d.Q - 24.0 * math.pi * s.rho - 3.0 * d.constraint)
-            worst = max(worst, dev / (1.0 + abs(d.Q)))
-        assert worst <= 1e-13
-
     def test_t00_chain_rule(self):
         """d(T00)/dt through the flow equals -2*H*psi."""
         params = ModelParams(lam=0.4, mass=1.2)
@@ -238,20 +225,6 @@ REALS = st.one_of(st.just(0.0), st.floats(1e-50, 1e50), st.floats(-1e50, -1e-50)
 class TestQIdentity:
     """Q = 24*pi*rho + 3*C holds for every state, on shell or not, up to the
     roundoff of the terms that derived_terms cancels."""
-
-    def test_fuzzed_states(self):
-        """10^4 random states keep the identity at roundoff of its terms."""
-        rng = np.random.default_rng(20260810)
-        worst = 0.0
-        for _ in range(10_000):
-            u, phi, chi, lam = rng.uniform(-1.0, 1.0, 4)
-            s = CosmoState(t=0.0, u=u, v=rng.uniform(0.01, 2.0), phi=phi,
-                           chi=chi, rho=rng.uniform(0.0, 1.0))
-            d = derived(s, ModelParams(lam=lam, mass=rng.uniform(0.0, 1.0)))
-            dev = abs(d.Q - 24.0 * math.pi * s.rho - 3.0 * d.constraint)
-            scale = d.H ** 2 + 24.0 * math.pi * (abs(d.T00) + s.rho) + 3.0 * abs(lam)
-            worst = max(worst, dev / scale)
-        assert worst <= 1e-13
 
     @given(states=st.lists(st.tuples(REALS, REALS, REALS, REALS.map(abs)), min_size=1,
                            max_size=8),
